@@ -54,16 +54,13 @@ class TemporalVideoQueryEngine:
 
     def __init__(self, queries: Iterable[CNFQuery], config: Optional[EngineConfig] = None):
         self.config = config or EngineConfig()
-        self.evaluator = QueryEvaluator()
-        self._queries: List[CNFQuery] = []
-        for query in queries:
-            self._queries.append(self.evaluator.add_query(query))
-        if not self._queries:
+        self.evaluator = QueryEvaluator(queries)
+        if len(self.evaluator.index) == 0:
             raise ValueError("the engine needs at least one query")
 
         self._pruner: Optional[StatePruner] = None  # repro-lint: disable=CKPT-DRIFT -- stateless policy object, rebuilt from config.enable_pruning on restore
         if self.config.enable_pruning:
-            for query in self._queries:
+            for query in self.evaluator.queries:
                 require_pruning_compatible(query)
             self._pruner = StatePruner(self.evaluator)
 
@@ -101,7 +98,7 @@ class TemporalVideoQueryEngine:
     @property
     def queries(self) -> List[CNFQuery]:
         """The registered queries (with assigned identifiers)."""
-        return list(self._queries)
+        return self.evaluator.queries
 
     # ------------------------------------------------------------------
     # Live query lifecycle
@@ -129,29 +126,28 @@ class TemporalVideoQueryEngine:
         if self._pruner is not None:
             require_pruning_compatible(query)
         registered = self.evaluator.add_query(query)
-        self._queries.append(registered)
         self._sync_label_projection()
         return registered
 
     def cancel_query(self, query_id: int) -> CNFQuery:
         """Remove a registered query mid-stream.
 
-        The query's evaluator postings are dropped (the index is rebuilt
-        from the survivors), its id is tombstoned inside the evaluator so it
-        is never reassigned, pruning immediately stops keeping states alive
-        on its behalf, and the label projection narrows to the remaining
-        queries' classes.  Cancelling the last query is refused — retire the
-        engine (or its shard) instead, which also releases the window state.
+        The query's evaluator postings are deleted in place, its id is
+        tombstoned inside the evaluator so it is never reassigned, pruning
+        immediately stops keeping states alive on its behalf, and the label
+        projection narrows to the remaining queries' classes.  Cancelling
+        the last query is refused — retire the engine (or its shard)
+        instead, which also releases the window state.
         """
-        if not any(q.query_id == query_id for q in self._queries):
+        registered = self.evaluator.index.queries
+        if query_id not in registered:
             raise KeyError(f"no registered query with id {query_id}")
-        if len(self._queries) == 1:
+        if len(registered) == 1:
             raise ValueError(
                 "cancelling the last query would leave the engine without a "
                 "workload; retire the engine (or its shard) instead"
             )
         removed = self.evaluator.remove_query(query_id)
-        self._queries = [q for q in self._queries if q.query_id != query_id]
         self._sync_label_projection()
         return removed
 
@@ -190,8 +186,15 @@ class TemporalVideoQueryEngine:
     # ------------------------------------------------------------------
     # Streaming API
     # ------------------------------------------------------------------
-    def process_frame(self, frame: FrameObservation) -> List[QueryMatch]:
-        """Process one frame and return the query matches of the new window."""
+    def process_frame(
+        self, frame: FrameObservation, stream_id: str = ""
+    ) -> List[QueryMatch]:
+        """Process one frame and return the query matches of the new window.
+
+        ``stream_id`` names the feed the frame came from; every returned
+        match carries it (the bare engine knows no stream and leaves it
+        empty).
+        """
         for oid in frame.object_ids:
             self._labels.setdefault(oid, frame.label_of(oid))
 
@@ -200,7 +203,9 @@ class TemporalVideoQueryEngine:
         self._mcos_seconds += time.perf_counter() - start
 
         start = time.perf_counter()
-        matches = self.evaluator.evaluate_result_set(results, self._labels)
+        matches = self.evaluator.evaluate_result_set(
+            results, self._labels, stream_id
+        )
         self._evaluation_seconds += time.perf_counter() - start
 
         self._frames_processed += 1
@@ -272,7 +277,7 @@ class TemporalVideoQueryEngine:
         """
         return {
             "config": self._config_dict(),
-            "queries": [query.to_dict() for query in self._queries],
+            "queries": [query.to_dict() for query in self.evaluator.queries],
             #: Evaluator id floor: keeps cancelled-query ids tombstoned
             #: across a restore (ids must never be reused — a drained match
             #: would otherwise be ambiguous between old and new query).
@@ -305,7 +310,7 @@ class TemporalVideoQueryEngine:
             raise ValueError(
                 f"checkpoint config does not match the engine's: {mismatched}"
             )
-        own_queries = [query.to_dict() for query in self._queries]
+        own_queries = [query.to_dict() for query in self.evaluator.queries]
         if payload.get("queries") != own_queries:
             raise ValueError(
                 "checkpoint queries do not match the engine's registered "
@@ -314,6 +319,8 @@ class TemporalVideoQueryEngine:
         next_qid = payload.get("next_query_id")  # absent in older snapshots
         if next_qid is not None:
             self.evaluator.index.reserve_ids(int(next_qid))
+        # Derived state is never part of a snapshot: resume cold.
+        self.evaluator.forget_signatures()
         self._labels = {int(oid): label for oid, label in payload["labels"]}
         counters = payload["counters"]
         self._mcos_seconds = float(counters["mcos_seconds"])
@@ -381,6 +388,7 @@ class TemporalVideoQueryEngine:
         """
         self.interner.compact(0)
         self.generator = self._build_generator()
+        self.evaluator.forget_signatures()
         self._labels = {}
         self._mcos_seconds = 0.0
         self._evaluation_seconds = 0.0

@@ -8,7 +8,8 @@ satisfying a query become that query's answer for the current window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.result import ResultState, ResultStateSet
@@ -16,7 +17,7 @@ from repro.query.inequality import CNFEvalEIndex
 from repro.query.model import CNFQuery
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryMatch:
     """One query answer: a query satisfied by an MCOS over a frame set.
 
@@ -27,6 +28,8 @@ class QueryMatch:
     equality and hashing so that engine-level results remain comparable to
     stream-level ones: the *identity* of a match is what matched, not where
     the frames came from.
+
+    Slotted: matches are the objects whose number grows with the output.
     """
 
     query_id: int
@@ -92,20 +95,51 @@ class QueryMatch:
 
 @dataclass
 class EvaluationStats:
-    """Work counters of the query evaluation module."""
+    """Work counters of the query evaluation module.
+
+    ``signature_hits`` / ``signature_misses`` split the count-signature
+    lookups into those answered from the memo and those that fell through to
+    the CNFEvalE index (the cold evaluations).
+    """
 
     states_evaluated: int = 0
-    index_probes: int = 0
     matches_produced: int = 0
+    signature_hits: int = 0
+    signature_misses: int = 0
+
+    def as_dict(self) -> Dict[str, int]:
+        """The counters, JSON-friendly (the ``stats()`` surfaces embed this)."""
+        return asdict(self)
+
+
+#: A canonical count signature: ``(label, clamped count)`` pairs of the
+#: indexed labels with a non-zero count, sorted by label.
+_Signature = Tuple[Tuple[str, int], ...]
 
 
 class QueryEvaluator:
-    """Evaluates a set of CNF count queries against result state sets."""
+    """Evaluates a set of CNF count queries against result state sets.
+
+    Which queries an MCOS satisfies depends only on its per-class counts,
+    and a feed produces a handful of distinct count vectors, so the answer
+    is resolved once per *count signature* and memoised.  The signature
+    keeps only indexed labels and clamps each count at that label's largest
+    registered threshold + 1 (every condition on the label reads all larger
+    counts alike), which bounds the memo by the query set.  Registration and
+    cancellation patch the cached answers instead of discarding them.  The
+    memo is derived state — a pure function of the registered queries and
+    the counts — so it is never checkpointed and one evaluator may serve
+    streams with different label maps.
+    """
 
     def __init__(self, queries: Iterable[CNFQuery] = ()):
         self._index = CNFEvalEIndex()
         self.stats = EvaluationStats()
-        self._queries: List[CNFQuery] = []
+        #: label -> clamp of its counts: the largest threshold registered on
+        #: the label so far, plus one.  Grows only; growth empties the memo.
+        self._caps: Dict[str, int] = {}
+        #: signature -> ascending ids of the queries it satisfies.
+        self._memo: Dict[_Signature, Tuple[int, ...]] = {}
         for query in queries:
             self.add_query(query)
 
@@ -113,27 +147,55 @@ class QueryEvaluator:
     # Query registry
     # ------------------------------------------------------------------
     def add_query(self, query: CNFQuery) -> CNFQuery:
-        """Register a query; returns the copy carrying its assigned id."""
+        """Register a query; returns the copy carrying its assigned id.
+
+        Cached signatures are patched by evaluating only the new query
+        against each of them.  They are dropped only when the query raises
+        a label's clamp or indexes a new label: the cached keys were then
+        built under a coarser signature than the query needs.
+        """
         registered = self._index.add_query(query)
-        self._queries.append(registered)
+        query_id = registered.query_id
+        caps = self._caps
+        coarser = False
+        for condition in registered.conditions():
+            if caps.get(condition.label, 0) <= condition.threshold:
+                caps[condition.label] = condition.threshold + 1
+                coarser = True
+        memo = self._memo
+        if coarser:
+            memo.clear()
+        else:
+            for signature, matched in memo.items():
+                if registered.evaluate(dict(signature)):
+                    at = bisect_left(matched, query_id)
+                    memo[signature] = matched[:at] + (query_id,) + matched[at:]
         return registered
 
     def remove_query(self, query_id: int) -> CNFQuery:
         """Unregister a query by id (live cancellation path).
 
-        The inverted index is rebuilt from the remaining queries and the
-        cancelled id is tombstoned inside the index's id counter, so a later
-        registration can never reuse it (matches drained after the
-        cancellation stay unambiguous).
+        The query's postings are deleted from the inverted index in place,
+        its id is dropped from every cached signature, and the id stays
+        tombstoned inside the index's id counter, so a later registration
+        can never reuse it (matches drained after the cancellation stay
+        unambiguous).
         """
         removed = self._index.remove_query(query_id)
-        self._queries = [q for q in self._queries if q.query_id != query_id]
+        memo = self._memo
+        for signature, matched in memo.items():
+            if query_id in matched:
+                memo[signature] = tuple([q for q in matched if q != query_id])
         return removed
+
+    def forget_signatures(self) -> None:
+        """Empty the memo (the engine does on ``reset`` / ``restore``)."""
+        self._memo.clear()
 
     @property
     def queries(self) -> List[CNFQuery]:
-        """All registered queries."""
-        return list(self._queries)
+        """All registered queries, in registration order."""
+        return list(self._index.queries.values())
 
     @property
     def index(self) -> CNFEvalEIndex:
@@ -146,53 +208,73 @@ class QueryEvaluator:
         The MCOS generation layer uses this to drop objects of classes no
         query asks about (Section 3).
         """
-        labels: Set[str] = set()
-        for query in self._queries:
-            labels |= query.labels()
-        return labels
+        return self._index.labels()
 
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def evaluate_counts(self, counts: Mapping[str, int]) -> Set[int]:
-        """Return the ids of queries satisfied by per-class counts."""
-        self.stats.index_probes += 1
-        return self._index.matching_queries(counts)
+    def _matching(self, class_counts: Iterable[Tuple[str, int]]) -> Tuple[int, ...]:
+        """Resolve label-sorted ``(label, count)`` pairs through the memo."""
+        caps = self._caps
+        signature = tuple([
+            (label, count if count < caps[label] else caps[label])
+            for label, count in class_counts
+            if count and label in caps
+        ])
+        matched = self._memo.get(signature)
+        if matched is None:
+            self.stats.signature_misses += 1
+            matched = self._memo[signature] = tuple(
+                sorted(self._index.matching_queries(dict(signature)))
+            )
+        else:
+            self.stats.signature_hits += 1
+        return matched
+
+    def evaluate_counts(self, counts: Mapping[str, int]) -> Tuple[int, ...]:
+        """Return the ascending ids of queries satisfied by per-class counts."""
+        return self._matching(sorted(counts.items()))
 
     def evaluate_state(
-        self, state: ResultState, labels: Mapping[int, str], frame_id: int
+        self,
+        state: ResultState,
+        labels: Mapping[int, str],
+        frame_id: int,
+        stream_id: str = "",
     ) -> List[QueryMatch]:
         """Evaluate all queries against a single result state."""
-        self.stats.states_evaluated += 1
-        counts = state.class_counts(labels)
-        matched = self.evaluate_counts(counts)
-        matches = []
-        for query_id in sorted(matched):
-            matches.append(
-                QueryMatch(
-                    query_id=query_id,
-                    frame_id=frame_id,
-                    object_ids=state.object_ids,
-                    frame_ids=state.frame_ids,
-                    class_counts=tuple(sorted(counts.items())),
-                )
-            )
-        self.stats.matches_produced += len(matches)
-        return matches
+        class_counts = tuple(sorted(state.class_counts(labels).items()))
+        matched = self._matching(class_counts)
+        stats = self.stats
+        stats.states_evaluated += 1
+        stats.matches_produced += len(matched)
+        object_ids = state.object_ids
+        frame_ids = state.frame_ids
+        return [
+            QueryMatch(query_id, frame_id, object_ids, frame_ids, class_counts, stream_id)
+            for query_id in matched
+        ]
 
     def evaluate_result_set(
-        self, results: ResultStateSet, labels: Mapping[int, str]
+        self,
+        results: ResultStateSet,
+        labels: Mapping[int, str],
+        stream_id: str = "",
     ) -> List[QueryMatch]:
-        """Evaluate all queries against every state of a result state set."""
+        """Evaluate all queries against every state of a result state set.
+
+        ``stream_id`` is stamped on every match at construction.
+        """
         matches: List[QueryMatch] = []
+        frame_id = results.current_frame_id
         for state in results:
-            matches.extend(self.evaluate_state(state, labels, results.current_frame_id))
+            matches.extend(self.evaluate_state(state, labels, frame_id, stream_id))
         return matches
 
     def brute_force_matching(self, counts: Mapping[str, int]) -> Set[int]:
         """Index-free evaluation used as an oracle in tests."""
         return {
-            query.query_id
-            for query in self._queries
-            if query.query_id is not None and query.evaluate(counts)
+            query_id
+            for query_id, query in self._index.queries.items()
+            if query.evaluate(counts)
         }

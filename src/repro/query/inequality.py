@@ -29,6 +29,26 @@ class CountPosting:
     disjunction_id: int
 
 
+_Postings = Dict[Tuple[str, int], List[CountPosting]]
+
+
+def _discard(postings: _Postings, key: Tuple[str, int], query_id: int) -> bool:
+    """Delete ``query_id``'s entries under ``key`` in place.
+
+    Returns True when that emptied the posting list (the key is dropped
+    with it).  A missing key is a no-op: an earlier condition of the same
+    query already emptied it.
+    """
+    entries = postings.get(key)
+    if entries is None:
+        return False
+    entries[:] = [entry for entry in entries if entry.query_id != query_id]
+    if entries:
+        return False
+    del postings[key]
+    return True
+
+
 class _OrderedIndex:
     """Posting lists per label, ordered by threshold value.
 
@@ -41,7 +61,7 @@ class _OrderedIndex:
         # label -> sorted list of thresholds (always ascending internally;
         # the prefix/suffix logic below accounts for direction).
         self._thresholds: Dict[str, List[int]] = {}
-        self._postings: Dict[Tuple[str, int], List[CountPosting]] = {}
+        self._postings: _Postings = {}
 
     def add(self, label: str, threshold: int, posting: CountPosting) -> None:
         key = (label, threshold)
@@ -51,8 +71,17 @@ class _OrderedIndex:
             self._postings[key] = []
         self._postings[key].append(posting)
 
-    def labels(self) -> Iterable[str]:
-        return self._thresholds.keys()
+    def discard(self, label: str, threshold: int, query_id: int) -> None:
+        """Drop ``query_id``'s postings under ``(label, threshold)`` in place.
+
+        A threshold whose posting list empties leaves the ordered threshold
+        list, so probes never scan dead thresholds.
+        """
+        if _discard(self._postings, (label, threshold), query_id):
+            thresholds = self._thresholds[label]
+            del thresholds[bisect.bisect_left(thresholds, threshold)]
+            if not thresholds:
+                del self._thresholds[label]
 
     def probe(self, label: str, count: int) -> Iterable[CountPosting]:
         """Yield the postings of every satisfied condition for ``label``.
@@ -79,8 +108,11 @@ class CNFEvalEIndex:
     def __init__(self, queries: Iterable[CNFQuery] = ()):
         self._ge_index = _OrderedIndex(ascending=True)
         self._le_index = _OrderedIndex(ascending=False)
-        self._eq_index: Dict[Tuple[str, int], List[CountPosting]] = {}
-        self._eq_labels: Set[str] = set()
+        self._eq_index: _Postings = {}
+        #: label -> number of registered conditions on it.  Its keys are the
+        #: labels a probe must visit, and the label projection of the MCOS
+        #: generation layer.
+        self._label_refs: Dict[str, int] = {}
         self._queries: Dict[int, CNFQuery] = {}
         self._disjunction_counts: Dict[int, int] = {}
         self._next_id = 0
@@ -99,42 +131,47 @@ class CNFEvalEIndex:
             raise ValueError(f"duplicate query id {query.query_id}")
         self._queries[query.query_id] = query
         self._disjunction_counts[query.query_id] = len(query.disjunctions)
+        label_refs = self._label_refs
         for disj_id, disjunction in enumerate(query.disjunctions):
             for condition in disjunction.conditions:
                 posting = CountPosting(query.query_id, disj_id)
+                label = condition.label
+                label_refs[label] = label_refs.get(label, 0) + 1
                 if condition.comparison is Comparison.GE:
-                    self._ge_index.add(condition.label, condition.threshold, posting)
+                    self._ge_index.add(label, condition.threshold, posting)
                 elif condition.comparison is Comparison.LE:
-                    self._le_index.add(condition.label, condition.threshold, posting)
+                    self._le_index.add(label, condition.threshold, posting)
                 else:
-                    key = (condition.label, condition.threshold)
+                    key = (label, condition.threshold)
                     self._eq_index.setdefault(key, []).append(posting)
-                    self._eq_labels.add(condition.label)
         return query
 
     def remove_query(self, query_id: int) -> CNFQuery:
-        """Unregister a query and rebuild the posting lists without it.
+        """Unregister a query, deleting its postings in place.
 
-        Posting lists are append-only structures (threshold-ordered prefix
-        scans), so removal rebuilds the three indexes from the remaining
-        queries — an O(total conditions) operation that only runs on the
-        explicit cancellation path, never per frame.  The id counter is
+        Costs O(the query's conditions x their posting lists), independent
+        of how many other queries are registered.  The id counter is
         preserved: a cancelled id is never handed out again.
         """
         removed = self._queries.pop(query_id, None)
         if removed is None:
             raise KeyError(f"no registered query with id {query_id}")
-        remaining = list(self._queries.values())
+        del self._disjunction_counts[query_id]
         # ``_next_id`` is deliberately left untouched: it never shrinks, so
         # the cancelled id stays tombstoned and is never handed out again.
-        self._ge_index = _OrderedIndex(ascending=True)
-        self._le_index = _OrderedIndex(ascending=False)
-        self._eq_index = {}
-        self._eq_labels = set()
-        self._queries = {}
-        self._disjunction_counts = {}
-        for query in remaining:
-            self.add_query(query)
+        label_refs = self._label_refs
+        for condition in removed.conditions():
+            label = condition.label
+            if label_refs[label] == 1:
+                del label_refs[label]
+            else:
+                label_refs[label] -= 1
+            if condition.comparison is Comparison.GE:
+                self._ge_index.discard(label, condition.threshold, query_id)
+            elif condition.comparison is Comparison.LE:
+                self._le_index.discard(label, condition.threshold, query_id)
+            else:
+                _discard(self._eq_index, (label, condition.threshold), query_id)
         return removed
 
     @property
@@ -165,23 +202,19 @@ class CNFEvalEIndex:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def _relevant_labels(self, counts: Mapping[str, int]) -> Set[str]:
-        """Labels that must be probed: those in the input plus every indexed
-        label whose conditions could be satisfied by a zero count."""
-        labels: Set[str] = set(counts)
-        labels.update(self._le_index.labels())
-        labels.update(self._eq_labels)
-        labels.update(self._ge_index.labels())
-        return labels
+    def labels(self) -> Set[str]:
+        """The class labels referenced by at least one registered condition."""
+        return set(self._label_refs)
 
     def matching_queries(self, counts: Mapping[str, int]) -> Set[int]:
         """Return ids of all queries satisfied by the per-class counts.
 
-        Labels absent from ``counts`` are treated as count 0, so conditions
-        such as ``person <= 3`` hold when no person is part of the MCOS.
+        Every indexed label is probed; labels absent from ``counts`` are
+        treated as count 0, so conditions such as ``person <= 3`` hold when
+        no person is part of the MCOS.
         """
         satisfied_pairs: Set[Tuple[int, int]] = set()
-        for label in self._relevant_labels(counts):
+        for label in self._label_refs:
             count = counts.get(label, 0)
             for posting in self._ge_index.probe(label, count):
                 satisfied_pairs.add((posting.query_id, posting.disjunction_id))

@@ -211,11 +211,7 @@ class InlineBackend(Backend):
                 )
                 self._engines[slot] = engine
                 self._retained[slot] = []
-            matches = engine.process_frame(frame)
-            if matches:
-                self._retained[slot].extend(
-                    match.for_stream(stream_id) for match in matches
-                )
+            self._retained[slot].extend(engine.process_frame(frame, stream_id))
 
     def flush(self) -> None:
         """Inline evaluation is synchronous; nothing is ever buffered."""
@@ -251,6 +247,7 @@ class InlineBackend(Backend):
                     "mcos_seconds": round(engine.mcos_seconds, 6),
                     "evaluation_seconds": round(engine.evaluation_seconds, 6),
                     "generator": engine.generator.stats.as_dict(),
+                    "evaluator": engine.evaluator.stats.as_dict(),
                 }
         return {
             "method": self.method.value,

@@ -2536,6 +2536,10 @@ def deterministic_stats(stats: Dict) -> Dict:
                 if key not in (
                     "processing_seconds", "frames_per_sec", "pool",
                     "parked", "quarantined",
+                    # Evaluator counters restart with every rebuilt engine
+                    # (a migration, a crash replay): they describe a
+                    # process, not the event sequence.
+                    "evaluator",
                 )
             }
         if isinstance(value, list):

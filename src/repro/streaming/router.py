@@ -452,6 +452,7 @@ class StreamRouter:
                     continue
                 entry = shard.stats.as_dict()
                 entry["queue_depth"] = shard.queue_depth
+                entry["evaluator"] = shard.engine.evaluator.stats.as_dict()
                 per_shard[str(shard.key)] = entry
                 totals["frames_ingested"] += shard.stats.frames_ingested
                 totals["frames_processed"] += shard.stats.frames_processed

@@ -247,10 +247,7 @@ class StreamShard:
         start = time.perf_counter()
         stream_id = self.key.stream_id
         for frame in frames:
-            produced.extend(
-                match.for_stream(stream_id)
-                for match in engine.process_frame(frame)
-            )
+            produced.extend(engine.process_frame(frame, stream_id))
         stats.processing_seconds += time.perf_counter() - start
         stats.frames_processed += len(frames)
         stats.batches += 1

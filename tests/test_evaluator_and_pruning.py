@@ -37,7 +37,7 @@ class TestQueryEvaluator:
         workload = random_cnf_workload(30, seed=5)
         evaluator = QueryEvaluator(workload.queries)
         for counts in ({"car": 2}, {"person": 5, "car": 1}, {}, {"bus": 3, "truck": 2}):
-            assert evaluator.evaluate_counts(counts) == evaluator.brute_force_matching(counts)
+            assert set(evaluator.evaluate_counts(counts)) == evaluator.brute_force_matching(counts)
 
 
 class TestStatePruner:

@@ -45,10 +45,13 @@ from repro.workloads.streams import (
 
 GROUPS = ((8, 4), (12, 7))
 
-#: Aggressive trigger knobs so drift fires within test-sized runs.
+#: Aggressive trigger knobs so drift fires within test-sized runs.  The drift
+#: run lasts ~0.15 s and its load is imbalanced only in the middle: at the
+#: former 20 ms interval a handful of evaluations missed that stretch in one
+#: run of three.
 AUTO = {
     "watermark": 1.2,
-    "interval": 0.02,
+    "interval": 0.005,
     "cooldown": 0.1,
     "min_frames": 32,
     "hysteresis": 1,

@@ -1,0 +1,187 @@
+"""The count-signature memo of ``QueryEvaluator`` and its delta maintenance.
+
+The memo must be invisible: whatever is registered, cancelled or evaluated
+in whatever order, every answer equals the index-free oracle and a fresh
+evaluator; sharing one evaluator between streams with different label maps
+is safe; and since the memo is never checkpointed, a restore resumes cold
+yet delivers exactly what an uninterrupted run does.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import Session
+from repro.core.result import ResultState, ResultStateSet
+from repro.query import CNFEvalEIndex, QueryEvaluator, parse_query
+from repro.streaming import match_report
+from repro.streaming.checkpoint import from_bytes
+from repro.workloads import random_cnf_workload
+from repro.workloads.streams import bench_scenario, interleave_feeds
+
+LABELS = ("person", "car", "truck", "bus")
+#: Thresholds up to 6 over four classes; a few queries mention a fifth class
+#: and a larger threshold so registrations raise clamps mid-sequence.
+POOL = (
+    random_cnf_workload(500, max_threshold=4, seed=31).queries
+    + random_cnf_workload(
+        12, classes=LABELS + ("bike",), max_threshold=6, seed=32
+    ).queries
+)
+COUNTS = st.dictionaries(
+    st.sampled_from(LABELS + ("bike", "dog")), st.integers(0, 9), max_size=6
+)
+
+
+def check(evaluator, live, counts):
+    """``evaluator``'s answer against the oracle and a fresh evaluator."""
+    answer = evaluator.evaluate_counts(counts)
+    assert list(answer) == sorted(answer)
+    assert set(answer) == evaluator.brute_force_matching(counts)
+    assert set(answer) == {
+        query_id for query_id, query in live.items() if query.evaluate(counts)
+    }
+    fresh = QueryEvaluator(live.values())
+    assert fresh.evaluate_counts(counts) == answer
+    assert fresh.labels_of_interest() == evaluator.labels_of_interest()
+
+
+class TestDifferential:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_interleaved_register_cancel_evaluate(self, data):
+        rng = random.Random(data.draw(st.integers(0, 10_000)))
+        # Explicit, non-monotone ids: a shuffled, sparse id space.
+        ids = rng.sample(range(5_000), len(POOL))
+        unused = list(zip(ids, POOL))
+        evaluator = QueryEvaluator()
+        live = {}
+        for query_id, query in unused[:data.draw(st.integers(0, 512))]:
+            live[query_id] = evaluator.add_query(query.with_id(query_id))
+        del unused[:len(live)]
+        warm = data.draw(st.lists(COUNTS, max_size=6))
+        for counts in warm:
+            evaluator.evaluate_counts(counts)
+        for _ in range(data.draw(st.integers(1, 24))):
+            op = data.draw(st.sampled_from(("add", "remove", "evaluate")))
+            if op == "add" and unused and len(live) < 512:
+                query_id, query = unused.pop()
+                live[query_id] = evaluator.add_query(query.with_id(query_id))
+            elif op == "remove" and live:
+                query_id = data.draw(st.sampled_from(sorted(live)))
+                assert evaluator.remove_query(query_id) is live.pop(query_id)
+            else:
+                check(evaluator, live, data.draw(COUNTS))
+        for counts in warm:
+            check(evaluator, live, counts)
+        assert [q.query_id for q in evaluator.queries] == list(live)
+
+    def test_remove_leaves_the_index_as_if_never_added(self):
+        queries = [q.with_id(i) for i, q in enumerate(POOL[:64])]
+        index = CNFEvalEIndex(queries)
+        for query in queries[::2]:
+            index.remove_query(query.query_id)
+        fresh = CNFEvalEIndex(queries[1::2])
+        for side in ("_ge_index", "_le_index"):
+            assert vars(getattr(index, side)) == vars(getattr(fresh, side))
+        assert index._eq_index == fresh._eq_index
+        assert index.labels() == fresh.labels()
+        # The id floor is the one thing removal must not roll back.
+        assert index.next_query_id == 64
+
+    def test_patching_keeps_cached_answers_and_clamp_growth_drops_them(self):
+        evaluator = QueryEvaluator([parse_query("car >= 2"), parse_query("person <= 1")])
+        assert evaluator.evaluate_counts({"car": 7}) == (0, 1)
+        assert evaluator.evaluate_counts({"car": 3}) == (0, 1)  # same signature
+        assert (evaluator.stats.signature_hits, evaluator.stats.signature_misses) == (1, 1)
+        # Within the clamps: patched in place, answered without a cold probe.
+        added = evaluator.add_query(parse_query("car >= 1 AND person <= 0"))
+        assert evaluator.evaluate_counts({"car": 9}) == (0, 1, added.query_id)
+        evaluator.remove_query(0)
+        assert evaluator.evaluate_counts({"car": 9}) == (1, added.query_id)
+        assert evaluator.stats.signature_misses == 1
+        # A larger threshold needs a finer signature: cold again.
+        evaluator.add_query(parse_query("car >= 8"))
+        assert evaluator.evaluate_counts({"car": 7}) == (1, added.query_id)
+        assert evaluator.evaluate_counts({"car": 9}) == (1, added.query_id, 3)
+        assert evaluator.stats.signature_misses == 3
+
+
+def test_shared_evaluator_with_colliding_object_ids():
+    """One evaluator, two streams that give the same object ids different
+    classes: answers follow the counts, never the ids."""
+    evaluator = QueryEvaluator(
+        [parse_query("car >= 2"), parse_query("person >= 2"),
+         parse_query("car >= 1 AND person >= 1")]
+    )
+    car, person, mixed = (q.query_id for q in evaluator.queries)
+    labels = {"cam-a": {1: "car", 2: "car"}, "cam-b": {1: "person", 2: "person"},
+              "cam-c": {1: "person", 2: "car"}}
+    expected = {"cam-a": [car], "cam-b": [person], "cam-c": [mixed]}
+    for frame_id in range(3):
+        results = ResultStateSet(frame_id, [ResultState(frozenset({1, 2}), (frame_id,))])
+        for stream_id in labels:
+            matches = evaluator.evaluate_result_set(results, labels[stream_id], stream_id)
+            assert [m.query_id for m in matches] == expected[stream_id]
+            assert {m.stream_id for m in matches} == {stream_id}
+    assert evaluator.stats.signature_misses == 3
+    assert evaluator.stats.signature_hits == 6
+
+
+def _evaluator_counters(session):
+    stats = session.stats()["backend_stats"]
+    blocks = stats.get("per_engine") or stats["per_shard"]
+    return [block["evaluator"] for block in blocks.values()]
+
+
+def _timeless(value):
+    """A decoded checkpoint with its wall-clock counters zeroed."""
+    if isinstance(value, dict):
+        return {
+            key: 0 if key.endswith("_seconds") or key == "frames_per_sec"
+            else _timeless(item)
+            for key, item in value.items()
+        }
+    if isinstance(value, list):
+        return [_timeless(item) for item in value]
+    return value
+
+
+@pytest.mark.parametrize("backend", ("inline", "router", "pool"))
+def test_restore_with_warm_memo_equals_uninterrupted_run(backend):
+    feeds, queries = bench_scenario(3, 60, ((8, 4), (12, 7)), 2, 71)
+    events = list(interleave_feeds(feeds))
+    half = len(events) // 2
+
+    def open_session():
+        session = Session(backend=backend, batch_size=5)
+        for query in queries:
+            session.register(query)
+        return session
+
+    def finish(session):
+        session.ingest_many(events[half:])
+        session.flush()
+        report = match_report(session.drain())
+        document = _timeless(from_bytes(session.checkpoint(), expect_kind="session"))
+        session.close()
+        return report, document
+
+    reference = open_session()
+    reference.ingest_many(events[:half])
+    expected = finish(reference)
+
+    session = open_session()
+    session.ingest_many(events[:half])
+    assert sum(block["signature_hits"] for block in _evaluator_counters(session)) > 0
+    blob = session.checkpoint()
+    session.close()
+    restored = Session.restore(blob)
+    # Nothing of the memo travelled: the restored evaluators have seen nothing.
+    assert all(
+        not any(block.values()) for block in _evaluator_counters(restored)
+    )
+    assert finish(restored) == expected
