@@ -23,7 +23,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Set
 
 from repro.core.interning import ObjectInterner
 from repro.core.result import ResultState, ResultStateSet
-from repro.core.state import State
+from repro.core.state import State, columnar_layout
 from repro.datamodel.observation import FrameObservation
 from repro.datamodel.relation import VideoRelation
 
@@ -231,12 +231,15 @@ class MCOSGenerator(abc.ABC):
     def export_checkpoint(self) -> Dict:
         """Snapshot the full generator state between frames.
 
-        The snapshot is a JSON-serialisable dict that, imported into a
-        freshly constructed generator of the same class and configuration
-        (:meth:`import_checkpoint`), resumes the stream with byte-identical
-        results.  Performance caches (merge memos, edge memos, decoded-result
-        caches) are deliberately excluded: they rebuild on the fly and never
-        influence results.  Must only be called between frames (never from a
+        The snapshot is a plain dict (strings, numbers, lists) that, imported
+        into a freshly constructed generator of the same class and
+        configuration (:meth:`import_checkpoint`), resumes the stream with
+        byte-identical results.  Its ``state`` block is the columnar layout
+        of :meth:`repro.core.state.StateTable.export_states` — a handful of
+        flat int lists, which is what checkpoint version 3 carries.
+        Performance caches (merge memos, decoded-result caches) are
+        deliberately excluded: they rebuild on the fly and never influence
+        results.  Must only be called between frames (never from a
         ``state_filter`` callback mid-maintenance).
         """
         labels = self.config.labels_of_interest
@@ -262,7 +265,9 @@ class MCOSGenerator(abc.ABC):
         would silently change semantics, so a mismatch raises ``ValueError``.
         (A ``state_filter`` callback cannot be compared and remains the
         caller's responsibility — the engine layer pins it via its own
-        ``enable_pruning`` config check.)
+        ``enable_pruning`` config check.)  A ``state`` block in the row-wise
+        layout of checkpoint versions 1 and 2 is translated on the way in
+        (:func:`repro.core.state.columnar_layout`).
         """
         if payload.get("method") != self.name:
             raise ValueError(
@@ -295,15 +300,15 @@ class MCOSGenerator(abc.ABC):
         self._label_lookup = {
             int(oid): label for oid, label in payload.get("label_lookup", [])
         }
-        self._import_impl(payload["state"])
+        self._import_impl(columnar_layout(payload["state"]))
 
     def export_state(self) -> bytes:
         """The :meth:`export_checkpoint` snapshot as compact checkpoint bytes.
 
-        Uses the streaming checkpoint codec's current (compact binary)
-        version — the form the multiprocess worker pool ships over queues
-        and the periodic-snapshot path writes.  :meth:`import_state` accepts
-        any supported version.
+        Written as checkpoint version 3, the only version the codec writes —
+        the form the multiprocess worker pool ships over queues and the
+        periodic-snapshot path writes.  :meth:`import_state` reads versions
+        1 to 3.
         """
         # Imported lazily: repro.streaming.checkpoint has no dependencies on
         # repro.core, but importing it at module scope here would pull the
@@ -314,7 +319,7 @@ class MCOSGenerator(abc.ABC):
         return to_bytes("generator", self.export_checkpoint())
 
     def import_state(self, data: bytes) -> None:
-        """Restore the generator from :meth:`export_state` bytes (any version)."""
+        """Restore the generator from checkpoint bytes (versions 1 to 3)."""
         from repro.streaming.checkpoint import from_bytes
 
         self.import_checkpoint(from_bytes(data, expect_kind="generator"))

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from itertools import chain, count
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: Compact the backing arrays once this many entries have expired *and* the
 #: expired prefix is at least half the array (amortised O(1) per expiry).
@@ -494,36 +494,52 @@ class FrameSpan:
         ]
 
     @classmethod
-    def from_snapshot(cls, snapshot: List[List[int]]) -> "FrameSpan":
+    def from_snapshot(cls, snapshot: Sequence[Sequence[int]]) -> "FrameSpan":
         """Rebuild a span from an :meth:`export_snapshot` payload."""
         starts, ends, marked = snapshot
+        return cls.from_runs(
+            list(map(int, starts)), list(map(int, ends)), list(map(int, marked))
+        )
+
+    @classmethod
+    def from_runs(
+        cls, starts: List[int], ends: List[int], marked: List[int]
+    ) -> "FrameSpan":
+        """A span over the given run bounds and marks, checked.
+
+        The three int lists become the span's own arrays, so the caller
+        must hand over fresh ones.
+        """
         if len(starts) != len(ends):
             raise ValueError("malformed span snapshot: run bounds differ in length")
         span = cls()
         frame_count = 0
         previous_end = None
         for start, end in zip(starts, ends):
-            start, end = int(start), int(end)
             if end < start or (previous_end is not None and start <= previous_end + 1):
                 raise ValueError(
                     f"malformed span snapshot: runs not sorted/disjoint at {start}..{end}"
                 )
             frame_count += end - start + 1
             previous_end = end
-        span._starts = [int(s) for s in starts]
-        span._ends = [int(e) for e in ends]
-        span.frame_count = frame_count
-        span._marked = [int(m) for m in marked]
-        span.marked_count = len(span._marked)
+        # Marks are sorted, so one walk over the runs places all of them.
+        run, runs = 0, len(starts)
         previous_mark = None
-        for mark in span._marked:
+        for mark in marked:
             if previous_mark is not None and mark <= previous_mark:
                 raise ValueError("malformed span snapshot: marks not sorted")
-            if not span.contains(mark):
+            while run < runs and ends[run] < mark:
+                run += 1
+            if run == runs or starts[run] > mark:
                 raise ValueError(
                     f"malformed span snapshot: mark {mark} outside the frame set"
                 )
             previous_mark = mark
+        span._starts = starts
+        span._ends = ends
+        span.frame_count = frame_count
+        span._marked = marked
+        span.marked_count = len(marked)
         return span
 
     # ------------------------------------------------------------------

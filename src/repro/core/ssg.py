@@ -38,11 +38,13 @@ state into O(1) skips.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from itertools import accumulate, chain, repeat
+from operator import floordiv, mod
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.core.base import MCOSGenerator
 from repro.core.result import ResultStateSet
-from repro.core.state import State, StateTable
+from repro.core.state import State, StateTable, int_column, table_positions
 from repro.datamodel.observation import FrameObservation
 
 #: Interned object-set bitmask (graph/table key).
@@ -573,81 +575,110 @@ class StrictStateGraphGenerator(MCOSGenerator):
     def _export_impl(self) -> Dict:
         """Checkpoint the table plus the graph layered on top of it.
 
-        Adjacency is exported as explicit per-state child/parent bit lists
-        (``None`` for states that are not graph nodes, i.e. terminated
-        markers) because dict insertion order steers Property-2 repairs and
-        traversal order — rebuilding adjacency from one side only could
-        permute the other side's order and de-synchronise a restored shard
-        from its uninterrupted twin.
+        The graph block is flat int columns that address states by their
+        **position in the table** (row ``i`` of ``states``), never by
+        bitmask: ``child_counts[i]`` entries of ``children`` (likewise
+        ``parents``) belong to state ``i``, with ``-1`` for a state that is
+        not a graph node (a terminated marker); ``principal_counts[k]``
+        entries of ``principal_frames`` belong to ``principals[k]``.  Both
+        sides of the adjacency are exported in their dict insertion order
+        because that order steers Property-2 repairs and traversal order —
+        rebuilding one side from the other could permute it and
+        de-synchronise a restored shard from its uninterrupted twin.
 
         The edge-reachability memo must be exported too, translated from
-        process-local span serials to state bitmasks: a memoised
-        "reachability satisfied" verdict suppresses future ``_add_edge``
-        calls, so a restored run without it could insert edges the original
-        never would, evolving a differently-shaped (equally correct, but not
-        byte-identical) graph.  Entries whose states are gone are dropped,
-        exactly as ``_prune_edge_memo`` would.
+        process-local span serials to table positions (``memo_parents[j]``
+        reaches ``memo_children[j]``): a memoised "reachability satisfied"
+        verdict suppresses future ``_add_edge`` calls, so a restored run
+        without it could insert edges the original never would, evolving a
+        differently-shaped (equally correct, but not byte-identical) graph.
+        Entries whose states are gone are dropped, exactly as
+        ``_prune_edge_memo`` would.
         """
-        graph = []
-        state_by_serial: Dict[int, State] = {}
-        for state in self._states:
-            state_by_serial[state.span.serial] = state
-            graph.append([
-                list(state.children) if state.children is not None else None,
-                list(state.parents) if state.parents is not None else None,
-            ])
-        edge_memo = sorted(
-            (state_by_serial[a].bits, state_by_serial[b].bits)
-            for a, b in self._edge_memo
-            if a in state_by_serial and b in state_by_serial
-        )
-        return {
-            "states": self._states.export_states(),
-            "graph": graph,
-            "roots": list(self._root_keys),
-            "principals": [
-                [bits, list(frames)] for bits, frames in self._principals.items()
-            ],
-            "previous_results": list(self._previous_results),
-            "edge_memo": [[a, b] for a, b in edge_memo],
+        by_bits = self._states._by_bits
+        position_of = {bits: index for index, bits in enumerate(by_bits)}.__getitem__
+        by_serial: Dict[int, int] = {}
+        graph: Dict[str, List[int]] = {
+            "child_counts": [], "children": [], "parent_counts": [], "parents": [],
         }
+        for index, state in enumerate(by_bits.values()):
+            by_serial[state.span.serial] = index
+            for name, counts, linked in (
+                ("children", "child_counts", state.children),
+                ("parents", "parent_counts", state.parents),
+            ):
+                graph[counts].append(-1 if linked is None else len(linked))
+                if linked:
+                    graph[name] += map(position_of, linked)
+        size = len(by_bits)
+        edge_memo = sorted([
+            by_serial[a] * size + by_serial[b]
+            for a, b in self._edge_memo
+            if a in by_serial and b in by_serial
+        ])
+        principals = self._principals
+        graph["roots"] = list(map(position_of, self._root_keys))
+        graph["principals"] = list(map(position_of, principals))
+        graph["principal_counts"] = list(map(len, principals.values()))
+        graph["principal_frames"] = list(chain.from_iterable(principals.values()))
+        graph["previous_results"] = list(map(position_of, self._previous_results))
+        graph["memo_parents"] = list(map(floordiv, edge_memo, repeat(size)))
+        graph["memo_children"] = list(map(mod, edge_memo, repeat(size)))
+        return {"states": self._states.export_states(), "graph": graph}
 
     def _import_impl(self, payload: Dict) -> None:
         self._states.import_states(payload["states"])
-        by_bits = self._states._by_bits
-
-        def resolve(bits: int) -> State:
-            state = by_bits.get(int(bits))
-            if state is None:
-                raise ValueError(
-                    f"SSG checkpoint references unknown state bitmask {bits}"
-                )
-            return state
-
         states = self._states.states()
+        size = len(states)
         graph = payload["graph"]
-        if len(graph) != len(states):
+
+        def linked(positions: Sequence[int]) -> Dict[ObjectBits, State]:
+            """``bits -> state`` of the states at ``positions``, in that order."""
+            return {states[at].bits: states[at] for at in positions}
+
+        for name, counts in (("children", "child_counts"), ("parents", "parent_counts")):
+            per_state = int_column(graph[counts])
+            flat = table_positions(graph[name], size)
+            if len(per_state) != size:
+                raise ValueError(
+                    "SSG checkpoint graph does not align with its state table "
+                    f"({len(per_state)} adjacency entries for {size} states)"
+                )
+            if min(per_state, default=0) < -1 \
+                    or sum(map(max, per_state, repeat(0))) != len(flat):
+                raise ValueError(
+                    f"SSG checkpoint {name} column does not add up to {counts}"
+                )
+            at = 0
+            for state, count in zip(states, per_state):
+                if count >= 0:
+                    setattr(state, name, linked(flat[at:at + count]))
+                    at += count
+        self._root_keys = linked(table_positions(graph["roots"], size))
+        principals = table_positions(graph["principals"], size)
+        counts = int_column(graph["principal_counts"])
+        frames = int_column(graph["principal_frames"])
+        if len(counts) != len(principals) or min(counts, default=0) < 0 \
+                or sum(counts) != len(frames):
             raise ValueError(
-                "SSG checkpoint graph does not align with its state table "
-                f"({len(graph)} adjacency entries for {len(states)} states)"
+                "SSG checkpoint principal columns do not add up to their counts"
             )
-        for state, (children, parents) in zip(states, graph):
-            if children is not None:
-                state.children = {int(b): resolve(b) for b in children}
-            if parents is not None:
-                state.parents = {int(b): resolve(b) for b in parents}
-        self._root_keys = {int(b): resolve(b) for b in payload["roots"]}
+        ends = list(accumulate(counts))
         self._principals = {
-            int(bits): [int(f) for f in frames]
-            for bits, frames in payload["principals"]
+            states[at].bits: frames[end - count:end]
+            for at, count, end in zip(principals, counts, ends)
         }
-        self._previous_results = {
-            int(b): resolve(b) for b in payload["previous_results"]
-        }
-        self._edge_memo = {
-            (resolve(a).span.serial, resolve(b).span.serial)
-            for a, b in payload.get("edge_memo", [])
-        }
+        self._previous_results = linked(
+            table_positions(graph["previous_results"], size)
+        )
+        memo_parents = table_positions(graph["memo_parents"], size)
+        memo_children = table_positions(graph["memo_children"], size)
+        if len(memo_parents) != len(memo_children):
+            raise ValueError("SSG checkpoint edge-memo columns differ in length")
+        serial_at = [state.span.serial for state in states].__getitem__
+        self._edge_memo = set(zip(
+            map(serial_at, memo_parents), map(serial_at, memo_children)
+        ))
 
     def edges(self) -> List[Tuple[FrozenSet[int], FrozenSet[int]]]:
         """All ``(parent, child)`` edges of the graph, decoded (tests only)."""

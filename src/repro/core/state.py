@@ -25,7 +25,7 @@ are decoded lazily and only at the reporting boundary (``object_ids``,
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.framespan import FrameSpan
 from repro.core.interning import ObjectInterner
@@ -195,29 +195,6 @@ class State:
         """Return an immutable ``(object_ids, frame_ids)`` snapshot."""
         return (self.object_ids, self.span.frame_ids())
 
-    def export_snapshot(self) -> Dict:
-        """Snapshot the state for checkpointing (bits, span, terminated flag).
-
-        Adjacency (``children``/``parents``) is graph-owned and exported by
-        the SSG generator alongside the table; the visitation stamp and the
-        decoded-result caches are rebuilt lazily and are not exported.
-        """
-        return {
-            "bits": self.bits,
-            "span": self.span.export_snapshot(),
-            "terminated": self.terminated,
-        }
-
-    @classmethod
-    def from_snapshot(
-        cls, snapshot: Dict, interner: Optional[ObjectInterner] = None
-    ) -> "State":
-        """Rebuild a state from an :meth:`export_snapshot` payload."""
-        state = cls(int(snapshot["bits"]), interner)
-        state.span = FrameSpan.from_snapshot(snapshot["span"])
-        state.terminated = bool(snapshot.get("terminated", False))
-        return state
-
     def to_result(self) -> ResultState:
         """Decode the state into an immutable :class:`ResultState`.
 
@@ -315,22 +292,173 @@ class StateTable:
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
-    def export_states(self) -> List[Dict]:
-        """Snapshot every live state, preserving table insertion order.
+    def export_states(self) -> Dict[str, List[int]]:
+        """Snapshot every live state as flat int columns, in table order.
 
-        Insertion order matters: the generators' report loops iterate the
-        table, so restoring states in a different order would permute result
-        sets and break byte-identical resume.
+        One row per state in ``bits`` / ``terminated`` / ``run_counts`` /
+        ``mark_counts``; the ``starts`` / ``ends`` run bounds and the
+        ``marks`` of all states are concatenated, each state owning the next
+        ``run_counts[i]`` (``mark_counts[i]``) entries.  Everything else a
+        state holds — visitation stamp, decoded-result cache, revision
+        counters, merge memos — is rebuilt lazily and never exported; SSG
+        adjacency is graph-owned and exported by that generator, addressed
+        by the row positions defined here.
+
+        Table order matters: the generators' report loops iterate the table,
+        so restoring states in a different order would permute result sets
+        and break byte-identical resume.
         """
-        return [state.export_snapshot() for state in self._by_bits.values()]
+        run_counts: List[int] = []
+        starts: List[int] = []
+        ends: List[int] = []
+        mark_counts: List[int] = []
+        marks: List[int] = []
+        terminated: List[int] = []
+        for state in self._by_bits.values():
+            run_starts, run_ends, marked = state.span.export_snapshot()
+            run_counts.append(len(run_starts))
+            starts += run_starts
+            ends += run_ends
+            mark_counts.append(len(marked))
+            marks += marked
+            terminated.append(1 if state.terminated else 0)
+        return {
+            "bits": list(self._by_bits),
+            "terminated": terminated,
+            "run_counts": run_counts,
+            "starts": starts,
+            "ends": ends,
+            "mark_counts": mark_counts,
+            "marks": marks,
+        }
 
-    def import_states(self, snapshots: Iterable[Dict]) -> None:
+    def import_states(self, columns: Dict[str, List[int]]) -> None:
         """Rebuild the table (in place) from an :meth:`export_states` payload."""
-        self._by_bits.clear()
-        for snapshot in snapshots:
-            state = State.from_snapshot(snapshot, self._interner)
-            if state.bits in self._by_bits:
+        bits, terminated, run_counts, starts, ends, mark_counts, marks = (
+            int_column(columns[name]) for name in (
+                "bits", "terminated", "run_counts", "starts", "ends",
+                "mark_counts", "marks",
+            )
+        )
+        if not len(bits) == len(terminated) == len(run_counts) == len(mark_counts):
+            raise ValueError(
+                "malformed table snapshot: per-state columns differ in length"
+            )
+        if min(run_counts, default=0) < 0 or min(mark_counts, default=0) < 0:
+            raise ValueError("malformed table snapshot: negative run or mark count")
+        if not sum(run_counts) == len(starts) == len(ends) \
+                or sum(mark_counts) != len(marks):
+            raise ValueError(
+                "malformed table snapshot: run or mark columns do not add up "
+                "to the per-state counts"
+            )
+        by_bits = self._by_bits
+        by_bits.clear()
+        interner = self._interner
+        from_runs = FrameSpan.from_runs
+        run_at = mark_at = 0
+        for state_bits, dead, run_count, mark_count in zip(
+            bits, terminated, run_counts, mark_counts
+        ):
+            state = State(state_bits, interner)
+            run_end, mark_end = run_at + run_count, mark_at + mark_count
+            state.span = from_runs(
+                starts[run_at:run_end], ends[run_at:run_end],
+                marks[mark_at:mark_end],
+            )
+            run_at, mark_at = run_end, mark_end
+            state.terminated = bool(dead)
+            if state.bits in by_bits:
                 raise ValueError(
                     f"duplicate state bitmask {state.bits} in table snapshot"
                 )
-            self._by_bits[state.bits] = state
+            by_bits[state.bits] = state
+
+
+def int_column(column: Sequence) -> List[int]:
+    """``column`` as a list of ints: itself when it already is one (the
+    type test is one C-level pass), converted item by item otherwise."""
+    if type(column) is list and set(map(type, column)) <= {int}:
+        return column
+    return list(map(int, column))
+
+
+def table_positions(column: Sequence[int], size: int) -> List[int]:
+    """``column`` as ints, each checked to address a row of a ``size``-row table."""
+    positions = int_column(column)
+    if positions and not 0 <= min(positions) <= max(positions) < size:
+        raise ValueError(
+            "checkpoint references a state outside its state table "
+            f"(positions {min(positions)}..{max(positions)}, {size} states)"
+        )
+    return positions
+
+
+def columnar_layout(payload: Dict) -> Dict:
+    """A generator's ``state`` payload in the columnar layout it is read in.
+
+    Checkpoint versions 1 and 2 wrote one ``{"bits", "span", "terminated"}``
+    dict per state and addressed the SSG graph by object-set bitmask; this
+    translates that row-wise layout to the columns of
+    :meth:`StateTable.export_states` (and of the SSG generator's graph
+    block), and is the only code that knows it.  Any other payload — already
+    in columns, or of a generator that keeps no state table — is returned
+    as is.
+    """
+    rows = payload.get("states")
+    if not isinstance(rows, list):
+        return payload
+    spans = [row["span"] for row in rows]
+    for run_starts, run_ends, _ in spans:
+        if len(run_starts) != len(run_ends):
+            raise ValueError("malformed span snapshot: run bounds differ in length")
+    bits = [int(row["bits"]) for row in rows]
+    translated: Dict = {"states": {
+        "bits": bits,
+        "terminated": [1 if row.get("terminated", False) else 0 for row in rows],
+        "run_counts": [len(span[0]) for span in spans],
+        "starts": [start for span in spans for start in span[0]],
+        "ends": [end for span in spans for end in span[1]],
+        "mark_counts": [len(span[2]) for span in spans],
+        "marks": [mark for span in spans for mark in span[2]],
+    }}
+    if "graph" not in payload:
+        return translated
+    position = {state_bits: index for index, state_bits in enumerate(bits)}
+
+    def positions_of(masks: Iterable[int]) -> List[int]:
+        try:
+            return [position[int(mask)] for mask in masks]
+        except KeyError as exc:
+            raise ValueError(
+                f"SSG checkpoint references unknown state bitmask {exc.args[0]}"
+            ) from None
+
+    adjacency = payload["graph"]
+    if len(adjacency) != len(rows):
+        raise ValueError(
+            "SSG checkpoint graph does not align with its state table "
+            f"({len(adjacency)} adjacency entries for {len(rows)} states)"
+        )
+    graph: Dict[str, List[int]] = {
+        "child_counts": [], "children": [], "parent_counts": [], "parents": [],
+    }
+    for sides in adjacency:
+        for name, counts, masks in zip(
+            ("children", "parents"), ("child_counts", "parent_counts"), sides
+        ):
+            # ``None``: the state is not a graph node (a terminated marker).
+            graph[counts].append(-1 if masks is None else len(masks))
+            if masks:
+                graph[name] += positions_of(masks)
+    principals = payload["principals"]
+    edge_memo = payload.get("edge_memo", [])
+    graph["roots"] = positions_of(payload["roots"])
+    graph["principals"] = positions_of(mask for mask, _ in principals)
+    graph["principal_counts"] = [len(frames) for _, frames in principals]
+    graph["principal_frames"] = [f for _, frames in principals for f in frames]
+    graph["previous_results"] = positions_of(payload["previous_results"])
+    graph["memo_parents"] = positions_of(parent for parent, _ in edge_memo)
+    graph["memo_children"] = positions_of(child for _, child in edge_memo)
+    translated["graph"] = graph
+    return translated

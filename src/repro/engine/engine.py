@@ -269,7 +269,7 @@ class TemporalVideoQueryEngine:
         }
 
     def checkpoint(self) -> Dict:
-        """Snapshot the engine between frames (JSON-serialisable).
+        """Snapshot the engine between frames (a plain dict tree).
 
         The snapshot is self-contained: it embeds the configuration and the
         registered queries, so :meth:`from_checkpoint` can resume the stream
@@ -333,9 +333,8 @@ class TemporalVideoQueryEngine:
         """The :meth:`checkpoint` snapshot as compact checkpoint bytes.
 
         This is the byte-level hand-off form: self-contained (config and
-        queries included), canonical, and written with the streaming codec's
-        current compact version.  :meth:`import_state` and
-        :meth:`from_state` accept any supported version.
+        queries included), canonical, and written as checkpoint version 3.
+        :meth:`import_state` and :meth:`from_state` read versions 1 to 3.
         """
         # Lazy import: the streaming package imports this module, so a
         # module-scope import here would be circular.

@@ -1091,7 +1091,7 @@ def run_drift_benchmark(
     # would never evaluate.  The knobs are part of the recorded scenario.
     auto_knobs = {
         "watermark": 1.2,
-        "interval": 0.02,
+        "interval": 0.005,
         "cooldown": 0.1,
         "min_frames": 32,
         "hysteresis": 1,

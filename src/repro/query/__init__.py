@@ -19,7 +19,12 @@ The evaluation machinery follows Section 5:
 
 from repro.query.builder import Q, QueryExpr
 from repro.query.cnf_eval import CNFEvalIndex
-from repro.query.evaluator import QueryEvaluator, QueryMatch
+from repro.query.evaluator import (
+    QueryEvaluator,
+    QueryMatch,
+    pack_matches,
+    unpack_matches,
+)
 from repro.query.inequality import CNFEvalEIndex
 from repro.query.model import (
     CNFQuery,
@@ -45,6 +50,8 @@ __all__ = [
     "CNFEvalEIndex",
     "QueryEvaluator",
     "QueryMatch",
+    "pack_matches",
+    "unpack_matches",
     "StatePruner",
     "queries_support_pruning",
 ]

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
+from operator import sub
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.result import ResultState, ResultStateSet
@@ -52,9 +54,10 @@ class QueryMatch:
     def to_record(self) -> list:
         """Serialise the match as a deterministic JSON-friendly list.
 
-        Used by the streaming checkpoint format to carry produced-but-not-
-        yet-consumed matches across a shard hand-off.  Round-trips through
-        :meth:`from_record`.
+        The per-match form: what checkpoints up to version 2 carried and
+        what the match-report oracle of the differential tests compares.
+        Everything written today goes through :func:`pack_matches`, one
+        record per result state.  Round-trips through :meth:`from_record`.
         """
         return [
             self.query_id,
@@ -91,6 +94,108 @@ class QueryMatch:
             )
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed match record: {record!r}") from exc
+
+
+#: Most frames one grouped record may expand to.  Frame sets live inside a
+#: sliding window, so real records stay orders of magnitude below it; a
+#: crafted pair of run bounds must not be able to ask for memory.
+MAX_RECORD_FRAMES = 1 << 20
+
+
+def _frame_runs(frame_ids: Tuple[int, ...]) -> List[int]:
+    """Half-open ``[start, stop, start, stop, ...]`` bounds of the runs of
+    consecutive ids in ``frame_ids``, in the order they occur."""
+    if not frame_ids:
+        return []
+    first, last = frame_ids[0], frame_ids[-1]
+    if last - first + 1 == len(frame_ids) \
+            and frame_ids == tuple(range(first, last + 1)):
+        return [first, last + 1]  # one run: nearly every result state
+    bounds = [first]
+    previous = first
+    for frame_id in frame_ids[1:]:
+        if frame_id != previous + 1:
+            bounds += (previous + 1, frame_id)
+        previous = frame_id
+    bounds.append(previous + 1)
+    return bounds
+
+
+def pack_matches(matches: Iterable[QueryMatch]) -> List[list]:
+    """Serialise a match sequence, one record per result state.
+
+    A run of *adjacent* matches built from one result state — the same
+    ``frame_id`` and ``stream_id`` and the very same ``object_ids`` /
+    ``frame_ids`` / ``class_counts`` objects, which is how
+    :meth:`QueryEvaluator.evaluate_state` builds them — becomes one record
+    ``[query_ids, frame_id, object_ids, frame_runs, class_counts,
+    stream_id]``: the shared fields once, the ids of the run's queries, and
+    the frame ids as the run bounds of :func:`_frame_runs`.  Only adjacent
+    matches merge, so :func:`unpack_matches` returns the sequence in its
+    original order; a run the identity test misses costs bytes, nothing
+    else.  The records are JSON-friendly and a pure function of the
+    sequence.
+    """
+    records: List[list] = []
+    object_ids = frame_ids = class_counts = frame_id = stream_id = None
+    query_ids: List[int] = []
+    for match in matches:
+        if (match.object_ids is object_ids and match.frame_ids is frame_ids
+                and match.class_counts is class_counts
+                and match.frame_id == frame_id
+                and match.stream_id == stream_id):
+            query_ids.append(match.query_id)
+            continue
+        object_ids, frame_ids = match.object_ids, match.frame_ids
+        class_counts = match.class_counts
+        frame_id, stream_id = match.frame_id, match.stream_id
+        query_ids = [match.query_id]
+        records.append([
+            query_ids,
+            frame_id,
+            sorted(object_ids),
+            _frame_runs(frame_ids),
+            [[label, count] for label, count in class_counts],
+            stream_id,
+        ])
+    return records
+
+
+def unpack_matches(records: Iterable[Sequence]) -> List[QueryMatch]:
+    """Rebuild the match sequence of a :func:`pack_matches` payload.
+
+    The frozenset and tuples of a record are built once and shared by its
+    matches, so packing the result again finds the same runs.  Per-match
+    :meth:`QueryMatch.to_record` records, as checkpoints up to version 2
+    carry them, are accepted in the same list.
+    """
+    matches: List[QueryMatch] = []
+    for record in records:
+        grouped = isinstance(record, (list, tuple)) and record \
+            and isinstance(record[0], (list, tuple))
+        if not grouped:  # a per-match record: its first element is an id
+            matches.append(QueryMatch.from_record(record))
+            continue
+        try:
+            query_ids, frame_id, object_ids, runs, class_counts, stream_id = record
+            starts, stops = runs[0::2], runs[1::2]
+            if len(starts) != len(stops) \
+                    or min(map(sub, stops, starts), default=1) <= 0 \
+                    or sum(stops) - sum(starts) > MAX_RECORD_FRAMES:
+                raise ValueError("frame runs are not well-formed")
+            shared = (
+                int(frame_id),
+                frozenset(map(int, object_ids)),
+                tuple(chain.from_iterable(map(range, starts, stops))),
+                tuple([(str(label), int(count)) for label, count in class_counts]),
+                str(stream_id),
+            )
+            matches += [
+                QueryMatch(query_id, *shared) for query_id in map(int, query_ids)
+            ]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed match record: {record!r}") from exc
+    return matches
 
 
 @dataclass

@@ -55,6 +55,18 @@ class Comparison(enum.Enum):
 #: the operators' surface spelling).
 _COMPARISON_RANK = {Comparison.LE: 0, Comparison.EQ: 1, Comparison.GE: 2}
 
+_COMPARISON_BY_SYMBOL = {comparison.value: comparison for comparison in Comparison}
+
+
+def _comparison(symbol: Any) -> Comparison:
+    """``Comparison(symbol)`` by dict lookup: a restore resolves one operator
+    per condition of every query it carries, and ``Enum.__call__`` costs
+    ten times the lookup."""
+    try:
+        return _COMPARISON_BY_SYMBOL[symbol]
+    except (KeyError, TypeError):
+        raise ValueError(f"{symbol!r} is not a valid Comparison") from None
+
 #: Labels must be parseable back out of ``str(query)`` — the printer/parser
 #: round-trip contract — so they are restricted to the parser's token shape
 #: (ASCII-only, exactly as documented: ``[A-Za-z_][A-Za-z0-9_-]*``).
@@ -284,7 +296,7 @@ class CNFQuery:
         disjunctions = tuple(
             Disjunction(
                 tuple(
-                    Condition.trusted(str(label), Comparison(op), int(threshold))
+                    Condition.trusted(str(label), _comparison(op), int(threshold))
                     for label, op, threshold in group
                 )
             )

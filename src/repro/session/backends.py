@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.datamodel.observation import FrameObservation
 from repro.engine.config import EngineConfig, MCOSMethod
 from repro.engine.engine import TemporalVideoQueryEngine
-from repro.query.evaluator import QueryMatch
+from repro.query.evaluator import QueryMatch, pack_matches, unpack_matches
 from repro.query.model import CNFQuery
 from repro.query.pruning import require_pruning_compatible
 from repro.streaming.checkpoint import CheckpointError
@@ -268,10 +268,7 @@ class InlineBackend(Backend):
                     stream_id,
                     [group[0], group[1]],
                     self._engines[(stream_id, group)].checkpoint(),
-                    [
-                        m.to_record()
-                        for m in self._retained[(stream_id, group)]
-                    ],
+                    pack_matches(self._retained[(stream_id, group)]),
                 ]
                 for stream_id in self._streams
                 for group in self._groups
@@ -305,9 +302,7 @@ class InlineBackend(Backend):
                 backend._engines[slot] = TemporalVideoQueryEngine.from_checkpoint(
                     engine_payload
                 )
-                backend._retained[slot] = [
-                    QueryMatch.from_record(record) for record in retained
-                ]
+                backend._retained[slot] = unpack_matches(retained)
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"malformed inline-backend checkpoint: {exc!r}"
@@ -738,7 +733,7 @@ def _inline_state_from_router(state: Dict) -> Dict:
                 stream_id,
                 [group[0], group[1]],
                 engines[(stream_id, group)].engine.checkpoint(),
-                [m.to_record() for m in engines[(stream_id, group)].matches],
+                pack_matches(engines[(stream_id, group)].matches),
             ]
             for stream_id in stream_order
             for group in group_order

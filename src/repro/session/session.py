@@ -62,7 +62,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from repro.datamodel.observation import FrameObservation
 from repro.engine.config import MCOSMethod
 from repro.query.builder import QueryExpr
-from repro.query.evaluator import QueryMatch
+from repro.query.evaluator import QueryMatch, pack_matches, unpack_matches
 from repro.query.model import DEFAULT_DURATION, DEFAULT_WINDOW, CNFQuery
 from repro.query.parser import parse_query
 from repro.query.pruning import require_pruning_compatible
@@ -73,7 +73,12 @@ from repro.session.backends import (
     convert_backend_state,
 )
 from repro.streaming.placement import resolve_placement
-from repro.streaming.checkpoint import CheckpointError, from_bytes, to_bytes
+from repro.streaming.checkpoint import (
+    CheckpointError,
+    collector_paused,
+    from_bytes,
+    to_bytes,
+)
 from repro.streaming.pool import PoisonOpError, PoolError, WorkerCrashError
 from repro.streaming.supervision import AutoRebalanceConfig, SupervisionConfig
 
@@ -798,6 +803,7 @@ class Session:
     # ------------------------------------------------------------------
     # Checkpoint / restore
     # ------------------------------------------------------------------
+    @collector_paused()
     def checkpoint(self) -> bytes:
         """Snapshot the whole session as versioned checkpoint bytes.
 
@@ -821,9 +827,7 @@ class Session:
                             for stream_id, frontier
                             in handle._registered_at.items()
                         ],
-                        "matches": [
-                            m.to_record() for m in handle._matches
-                        ],
+                        "matches": pack_matches(handle._matches),
                         "delivered": self._delivered.get(
                             handle.query_id, 0
                         ),
@@ -841,6 +845,7 @@ class Session:
         return to_bytes("session", payload)
 
     @classmethod
+    @collector_paused()
     def restore(
         cls,
         data: bytes,
@@ -954,10 +959,7 @@ class Session:
                         },
                     )
                     handle._active = bool(entry["active"])
-                    handle._matches = [
-                        QueryMatch.from_record(record)
-                        for record in entry["matches"]
-                    ]
+                    handle._matches = unpack_matches(entry["matches"])
                     session._handles[query.query_id] = handle
                     session._delivered[query.query_id] = int(entry["delivered"])
                 # The restored backend may carry retained matches from the

@@ -4,7 +4,7 @@ A checkpoint wraps one component snapshot::
 
     {
       "format": "repro-streaming-checkpoint",
-      "version": 1 | 2,
+      "version": 1 | 2 | 3,
       "kind": "shard" | "router" | "engine" | "generator" | "session",
       "payload": { ... }
     }
@@ -13,17 +13,21 @@ The payload is produced by the component's own ``checkpoint()`` /
 ``export_checkpoint()`` method (shards and routers here; engines in
 :mod:`repro.engine.engine`; generators in :mod:`repro.core.base`).
 
-Two wire encodings exist:
+**Version 3 is the only version written.**  Versions 1 and 2 are read:
 
-* **version 1** — plain UTF-8 JSON of the envelope.  Inspectable, diffable,
-  and still fully readable: :func:`from_bytes` accepts it forever.
-* **version 2** (the default written form) — a compact binary encoding of the
-  same envelope tree, built for frequent snapshots and process hand-offs:
+* **version 1** — plain UTF-8 JSON of the envelope, as the first releases
+  wrote it.
+* **version 2** — the compact binary encoding below without the int-column
+  tag, carrying the row-wise generator layout (one dict per state).
+* **version 3** — the same binary encoding plus value tag ``9``, carrying
+  the columnar generator layout of :mod:`repro.core.state` (a handful of
+  flat int lists per generator) and grouped match records
+  (:func:`repro.query.evaluator.pack_matches`):
 
   ============  =====================================================
   section       contents
   ============  =====================================================
-  magic         ``b"RSCK2\\x00"`` (identifies format + version)
+  magic         ``b"RSCK3\\x00"`` (``b"RSCK2\\x00"`` for version 2)
   body          zlib-compressed stream of:
   · strings     interned string table (varint count, then varint
                 length + UTF-8 bytes per string, first-use order)
@@ -34,56 +38,98 @@ Two wire encodings exist:
   Value tags: ``0`` None, ``1`` False, ``2`` True, ``3`` int (zigzag
   varint, arbitrary precision — object-set bitmasks encode exactly),
   ``4`` float (IEEE-754 big-endian double), ``5`` string reference,
-  ``6`` list, ``7`` dict (string keys only), ``8`` homogeneous int list,
-  **delta-coded**: first value then zigzag deltas.  Tag 8 is what makes
-  :class:`~repro.core.framespan.FrameSpan` snapshots cheap — run starts,
-  run ends and marked-frame lists are sorted int lists whose deltas are
-  tiny, so a span costs a few bytes instead of a JSON digit string per
-  frame id.
+  ``6`` list, ``7`` dict (string keys only), ``8`` short or wide
+  homogeneous int list, **delta-coded** as zigzag varints, ``9`` **int
+  column**: a homogeneous list of at least :data:`COLUMN_MIN_VALUES` ints
+  that all fit 64 bits, stored as one fixed-width little-endian array —
 
-Neither version can execute code when loaded, and loading rejects foreign
-formats, unknown versions, truncated or trailing bytes instead of guessing.
+  ========  =========================================================
+  field     contents
+  ========  =========================================================
+  kind      one byte: item size ``1 | 2 | 4 | 8``, plus ``0x10`` when
+            the items are deltas
+  count     varint number of values
+  base      deltas only: the first value, a zigzag varint
+  items     signed little-endian integers of that size: the ``count``
+            values, or the ``count - 1`` differences between neighbours
+  ========  =========================================================
+
+  The writer stores the values or their deltas, whichever is narrower
+  (values on a tie), so the bytes are a pure function of the list.
+  Encoding and decoding a column is a fixed number of C-level passes
+  (``array``, ``map``, ``itertools.accumulate``): its cost is per column,
+  not per value.  Lists holding an int beyond 64 bits (wide object-set
+  bitmasks) take tag ``8``.
+
+No version can execute code when loaded, and loading rejects foreign
+formats, unknown versions, truncated or trailing bytes, and column headers
+that promise more items than the body holds, instead of guessing.
 
 Determinism
 -----------
 Serialisation preserves every insertion order the runtime depends on (state
-tables, SSG adjacency, principal lists), and ``to_bytes`` is canonical per
-version — the same component state always produces the same bytes — so
-checkpoints can be content-addressed and compared directly in tests.
+tables, SSG adjacency, principal lists), and ``to_bytes`` is canonical — the
+same component state always produces the same bytes — so checkpoints can be
+content-addressed and compared directly in tests.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import struct
+import sys
 import zlib
+from array import array
+from contextlib import contextmanager
+from itertools import accumulate
+from operator import sub
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 PathLike = Union[str, Path]
 
 #: Identifies the envelope; never changes.
 CHECKPOINT_FORMAT = "repro-streaming-checkpoint"
 
-#: The version :func:`to_bytes` writes by default.
-CHECKPOINT_VERSION = 2
+#: The version :func:`to_bytes` writes.
+CHECKPOINT_VERSION = 3
 
-#: Every version :func:`from_bytes` still reads.
-SUPPORTED_VERSIONS = (1, 2)
+#: Every version :func:`from_bytes` reads.
+SUPPORTED_VERSIONS = (1, 2, 3)
 
-#: Magic prefix of the version-2 binary encoding.
+#: Magic prefixes of the binary encodings, by the version they announce.
 MAGIC_V2 = b"RSCK2\x00"
+MAGIC_V3 = b"RSCK3\x00"
+_VERSION_BY_MAGIC = {MAGIC_V2: 2, MAGIC_V3: 3}
+_MAGIC_LENGTH = len(MAGIC_V3)  # every magic is this long
 
-#: Ceiling on a version-2 body's decompressed size (decompression-bomb
+#: Ceiling on a binary body's decompressed size (decompression-bomb
 #: guard; far above any real router snapshot).
 MAX_DECOMPRESSED_BYTES = 1 << 28
 
 #: Component kinds a checkpoint may wrap.
 KNOWN_KINDS = ("shard", "router", "engine", "generator", "session")
 
-#: Value tags of the version-2 tree encoding.
+#: Value tags of the binary tree encoding (tag 9 from version 3 on).
 _T_NONE, _T_FALSE, _T_TRUE, _T_INT, _T_FLOAT = 0, 1, 2, 3, 4
-_T_STR, _T_LIST, _T_DICT, _T_INTLIST = 5, 6, 7, 8
+_T_STR, _T_LIST, _T_DICT, _T_INTLIST, _T_INTCOLUMN = 5, 6, 7, 8, 9
+
+#: Shortest int list written as a column: below it the two header bytes
+#: and fixed-width items lose to varints.
+COLUMN_MIN_VALUES = 8
+
+#: Flag in a column's kind byte: the items are deltas.
+_DELTA = 0x10
+
+#: ``array`` typecode per signed item size in bytes, narrowest first.
+#: Looked up by size because the C types behind the codes differ between
+#: platforms.
+_CODE_BY_WIDTH = {
+    width: code
+    for width in (1, 2, 4, 8)
+    for code in "bhilq" if array(code).itemsize == width
+}
 
 _DOUBLE = struct.Struct(">d")
 
@@ -92,15 +138,32 @@ class CheckpointError(ValueError):
     """Raised when a checkpoint cannot be parsed, validated or applied."""
 
 
-def wrap(kind: str, payload: Dict, version: int = CHECKPOINT_VERSION) -> Dict:
-    """Wrap a component snapshot in the versioned envelope."""
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector from starting inside the block.
+
+    For code that builds or rebuilds a whole snapshot: everything it
+    allocates is alive until it returns, so a collection in there frees
+    nothing, and a generation-2 pass over a large session takes longer than
+    the snapshot itself (measured: it doubles the median restore).
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def wrap(kind: str, payload: Dict) -> Dict:
+    """Wrap a component snapshot in the envelope of the written version."""
     if kind not in KNOWN_KINDS:
         raise CheckpointError(f"unknown checkpoint kind {kind!r}")
-    if version not in SUPPORTED_VERSIONS:
-        raise CheckpointError(f"cannot write checkpoint version {version!r}")
     return {
         "format": CHECKPOINT_FORMAT,
-        "version": version,
+        "version": CHECKPOINT_VERSION,
         "kind": kind,
         "payload": payload,
     }
@@ -140,7 +203,7 @@ def unwrap(document: Dict, expect_kind: Optional[str] = None) -> Dict:
 
 
 # ----------------------------------------------------------------------
-# Version-2 binary codec
+# Binary codec (versions 2 and 3)
 # ----------------------------------------------------------------------
 def _write_varint(out: bytearray, value: int) -> None:
     """LEB128 unsigned varint (arbitrary precision)."""
@@ -163,8 +226,46 @@ def _unzigzag(value: int) -> int:
     return (value >> 1) ^ -(value & 1)
 
 
+def _narrowest_array(values: Sequence[int]) -> Optional[array]:
+    """``values`` in the narrowest signed ``array`` holding them all, or
+    ``None`` past 64 bits.  A width that is too narrow fails at its first
+    overflowing value, so the passes that fail are short."""
+    for code in _CODE_BY_WIDTH.values():
+        try:
+            return array(code, values)
+        except OverflowError:
+            continue
+    return None
+
+
+def _encode_column(values: Sequence[int], out: bytearray) -> bool:
+    """Write ``values`` as a tag-9 int column; ``False`` when one is too wide."""
+    column = _narrowest_array(values)
+    if column is None:
+        return False
+    kind = column.itemsize
+    base = None
+    if kind > 1:
+        deltas = _narrowest_array(list(map(sub, values[1:], values)))
+        if deltas is not None and deltas.itemsize < kind:
+            column, kind, base = deltas, _DELTA | deltas.itemsize, values[0]
+    if sys.byteorder == "big":
+        column.byteswap()
+    out.append(_T_INTCOLUMN)
+    out.append(kind)
+    _write_varint(out, len(values))
+    if base is not None:
+        _write_varint(out, _zigzag(base))
+    out += column
+    return True
+
+
 def _encode_value(value, out: bytearray, strings: Dict[str, int]) -> None:
-    """Encode one JSON-tree value; interns strings on first encounter."""
+    """Encode one JSON-tree value; interns strings on first encounter.
+
+    A varint below ``0x80`` is the byte itself; those — most lengths,
+    string references and small ints — are appended without a call.
+    """
     if value is None:
         out.append(_T_NONE)
     elif value is True:
@@ -173,7 +274,10 @@ def _encode_value(value, out: bytearray, strings: Dict[str, int]) -> None:
         out.append(_T_FALSE)
     elif type(value) is int:
         out.append(_T_INT)
-        _write_varint(out, _zigzag(value))
+        if 0 <= value < 0x40:
+            out.append(value << 1)
+        else:
+            _write_varint(out, _zigzag(value))
     elif type(value) is float:
         out.append(_T_FLOAT)
         out += _DOUBLE.pack(value)
@@ -182,11 +286,18 @@ def _encode_value(value, out: bytearray, strings: Dict[str, int]) -> None:
         index = strings.get(value)
         if index is None:
             index = strings[value] = len(strings)
-        _write_varint(out, index)
+        if index < 0x80:
+            out.append(index)
+        else:
+            _write_varint(out, index)
     elif type(value) in (list, tuple):
-        if value and all(type(item) is int for item in value):
-            # Delta-coded int list: FrameSpan runs/marks, interner bit
-            # tables without holes, frame-id lists — the bulk of a payload.
+        # ``set(map(type, ...))`` is one C-level pass; bools are not ints
+        # here (``type(True) is bool``) and keep their own tags.
+        if value and type(value[0]) is int and set(map(type, value)) == {int}:
+            if len(value) >= COLUMN_MIN_VALUES and _encode_column(value, out):
+                return
+            # Delta-coded varints: short lists, and lists holding ints
+            # beyond 64 bits (wide object-set bitmasks).
             out.append(_T_INTLIST)
             _write_varint(out, len(value))
             previous = 0
@@ -195,7 +306,10 @@ def _encode_value(value, out: bytearray, strings: Dict[str, int]) -> None:
                 previous = item
         else:
             out.append(_T_LIST)
-            _write_varint(out, len(value))
+            if len(value) < 0x80:
+                out.append(len(value))
+            else:
+                _write_varint(out, len(value))
             for item in value:
                 _encode_value(item, out, strings)
     elif type(value) is dict:
@@ -209,7 +323,10 @@ def _encode_value(value, out: bytearray, strings: Dict[str, int]) -> None:
             index = strings.get(key)
             if index is None:
                 index = strings[key] = len(strings)
-            _write_varint(out, index)
+            if index < 0x80:
+                out.append(index)
+            else:
+                _write_varint(out, index)
             _encode_value(item, out, strings)
     else:
         raise CheckpointError(
@@ -218,17 +335,22 @@ def _encode_value(value, out: bytearray, strings: Dict[str, int]) -> None:
 
 
 class _Reader:
-    """Cursor over the decompressed version-2 body; strict about bounds."""
+    """Cursor over a decompressed binary body; strict about bounds."""
 
-    __slots__ = ("data", "pos", "strings")
+    __slots__ = ("data", "pos", "strings", "columns")
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, columns: bool):
         self.data = data
         self.pos = 0
         self.strings: List[str] = []
+        #: Whether tag 9 is part of the body's version (3 on, not 2).
+        self.columns = columns
 
     def read_varint(self) -> int:
         data, pos, end = self.data, self.pos, len(self.data)
+        if pos < end and data[pos] < 0x80:  # one byte: most varints
+            self.pos = pos + 1
+            return data[pos]
         value = 0
         shift = 0
         while True:
@@ -259,8 +381,42 @@ class _Reader:
             except UnicodeDecodeError as exc:
                 raise CheckpointError(f"malformed string in checkpoint: {exc}") from exc
 
+    def read_column(self) -> List[int]:
+        kind = self.read_bytes(1)[0]
+        width = kind & ~_DELTA
+        code = _CODE_BY_WIDTH.get(width)
+        if code is None:
+            raise CheckpointError(
+                f"unknown int-column kind 0x{kind:02x} in checkpoint body"
+            )
+        count = items = self.read_varint()
+        base = None
+        if kind & _DELTA:
+            if not count:
+                raise CheckpointError("delta-coded int column without a first value")
+            base = _unzigzag(self.read_varint())
+            items = count - 1
+        # Checked against the bytes that are there before anything is
+        # allocated: a hostile count cannot ask for memory.
+        if items * width > len(self.data) - self.pos:
+            raise CheckpointError(
+                f"truncated checkpoint: int column of {count} values runs "
+                "past the end"
+            )
+        column = array(code)
+        column.frombytes(self.read_bytes(items * width))
+        if sys.byteorder == "big":
+            column.byteswap()
+        if base is None:
+            return column.tolist()
+        return list(accumulate(column, initial=base))
+
     def read_value(self):
-        tag = self.read_bytes(1)[0]
+        pos = self.pos
+        if pos >= len(self.data):
+            raise CheckpointError("truncated checkpoint: body ends mid-value")
+        tag = self.data[pos]
+        self.pos = pos + 1
         if tag == _T_NONE:
             return None
         if tag == _T_TRUE:
@@ -273,6 +429,8 @@ class _Reader:
             return _DOUBLE.unpack(self.read_bytes(8))[0]
         if tag == _T_STR:
             return self._string_at(self.read_varint())
+        if tag == _T_INTCOLUMN and self.columns:
+            return self.read_column()
         if tag == _T_INTLIST:
             count = self.read_varint()
             values: List[int] = []
@@ -299,7 +457,7 @@ class _Reader:
             ) from None
 
 
-def _encode_v2(document: Dict) -> bytes:
+def _encode_binary(document: Dict) -> bytes:
     strings: Dict[str, int] = {}
     tree = bytearray()
     _encode_value(document, tree, strings)
@@ -310,16 +468,16 @@ def _encode_v2(document: Dict) -> bytes:
         _write_varint(body, len(encoded))
         body += encoded
     body += tree
-    return MAGIC_V2 + zlib.compress(bytes(body), 6)
+    return MAGIC_V3 + zlib.compress(bytes(body), 6)
 
 
-def _decode_v2(data: bytes) -> Dict:
+def _decode_binary(data: bytes, version: int) -> Dict:
     decompressor = zlib.decompressobj()
     try:
         # Bounded: a corrupt or crafted body at zlib's ~1000:1 limit must
         # fail as a CheckpointError, not exhaust memory before validation.
         body = decompressor.decompress(
-            data[len(MAGIC_V2):], MAX_DECOMPRESSED_BYTES
+            data[_MAGIC_LENGTH:], MAX_DECOMPRESSED_BYTES
         )
         if decompressor.unconsumed_tail:
             raise CheckpointError(
@@ -336,7 +494,7 @@ def _decode_v2(data: bytes) -> Dict:
             f"checkpoint has {len(decompressor.unused_data)} trailing bytes "
             "after the compressed body"
         )
-    reader = _Reader(body)
+    reader = _Reader(body, columns=version >= 3)
     reader.read_string_table()
     document = reader.read_value()
     if reader.pos != len(body):
@@ -349,31 +507,26 @@ def _decode_v2(data: bytes) -> Dict:
 # ----------------------------------------------------------------------
 # Public byte-level API
 # ----------------------------------------------------------------------
-def to_bytes(kind: str, payload: Dict, version: int = CHECKPOINT_VERSION) -> bytes:
-    """Serialise a snapshot to canonical checkpoint bytes.
+def to_bytes(kind: str, payload: Dict) -> bytes:
+    """Serialise a snapshot to canonical version-3 checkpoint bytes.
 
-    ``version=2`` (the default) writes the compact binary form; ``version=1``
-    writes the historical JSON form.  Both are canonical: insertion order
-    *is* part of the state (see the module docstring), so the bytes are a
-    pure function of the component state.
+    Insertion order *is* part of the state (see the module docstring), so
+    the bytes are a pure function of the component state.
     """
-    document = wrap(kind, payload, version)
-    if version == 1:
-        return json.dumps(
-            document, separators=(",", ":"), ensure_ascii=True
-        ).encode("ascii")
-    return _encode_v2(document)
+    return _encode_binary(wrap(kind, payload))
 
 
 def from_bytes(data: bytes, expect_kind: Optional[str] = None) -> Dict:
-    """Parse checkpoint bytes (either version) back into the inner payload."""
-    if isinstance(data, (bytes, bytearray)) and bytes(data[:len(MAGIC_V2)]) == MAGIC_V2:
-        document = _decode_v2(bytes(data))
-        if not isinstance(document, dict) or document.get("version") != 2:
-            raise CheckpointError(
-                "binary checkpoint body does not declare version 2"
-            )
-        return unwrap(document, expect_kind)
+    """Parse checkpoint bytes (any supported version) into the inner payload."""
+    if isinstance(data, (bytes, bytearray)):
+        version = _VERSION_BY_MAGIC.get(bytes(data[:_MAGIC_LENGTH]))
+        if version is not None:
+            document = _decode_binary(bytes(data), version)
+            if not isinstance(document, dict) or document.get("version") != version:
+                raise CheckpointError(
+                    f"binary checkpoint body does not declare version {version}"
+                )
+            return unwrap(document, expect_kind)
     try:
         document = json.loads(data)
     except (ValueError, UnicodeDecodeError) as exc:
@@ -381,10 +534,9 @@ def from_bytes(data: bytes, expect_kind: Optional[str] = None) -> Dict:
     return unwrap(document, expect_kind)
 
 
-def save(path: PathLike, kind: str, payload: Dict,
-         version: int = CHECKPOINT_VERSION) -> None:
+def save(path: PathLike, kind: str, payload: Dict) -> None:
     """Write a checkpoint file (canonical bytes, see :func:`to_bytes`)."""
-    Path(path).write_bytes(to_bytes(kind, payload, version))
+    Path(path).write_bytes(to_bytes(kind, payload))
 
 
 def load(path: PathLike, expect_kind: Optional[str] = None) -> Dict:

@@ -6,7 +6,7 @@ spreads them over ``multiprocessing`` workers:
 
 * **hand-off via checkpoints** — :meth:`start` detaches every live stream
   from the origin router and ships each shard to its worker as versioned
-  checkpoint bytes (:mod:`repro.streaming.checkpoint`, compact version 2);
+  checkpoint bytes (:mod:`repro.streaming.checkpoint`);
   every worker runs an ordinary in-process router built from the origin's
   :meth:`~repro.streaming.router.StreamRouter.config_checkpoint`, so worker
   behaviour is *the* single-process behaviour, stream by stream;
@@ -79,7 +79,7 @@ except ImportError:  # pragma: no cover - shared_memory is 3.8+ stdlib
     _shared_memory = None
 
 from repro.datamodel.observation import FrameObservation
-from repro.query.evaluator import QueryMatch
+from repro.query.evaluator import QueryMatch, pack_matches, unpack_matches
 from repro.query.model import CNFQuery
 from repro.streaming.checkpoint import CheckpointError, from_bytes, to_bytes
 from repro.streaming.faultinject import InjectedFault, load_injector
@@ -325,7 +325,7 @@ def _apply_op(router: StreamRouter, op: Tuple):
         return None
     if kind == "drain":
         return {
-            stream_id: [match.to_record() for match in matches]
+            stream_id: pack_matches(matches)
             for stream_id, matches in router.drain_matches().items()
         }
     if kind == "expel":
@@ -357,7 +357,7 @@ def _answer_query(router: StreamRouter, query: Tuple):
     if kind == "stats":
         return router.stats()
     if kind == "matches":
-        return [match.to_record() for match in router.matches_for(query[1])]
+        return pack_matches(router.matches_for(query[1]))
     if kind == "ckpt":
         return router.to_bytes()
     raise PoolError(f"unknown worker query {kind!r}")
@@ -599,7 +599,7 @@ class ShardWorkerPool:
     checkpoint_every:
         Periodic checkpoint cadence, in state-changing operations per
         worker.  Smaller values shorten the replay tail after a crash at
-        the cost of more (compact, version-2) snapshot traffic.
+        the cost of more snapshot traffic.
     max_inflight:
         Bound on unacknowledged operations per worker (backpressure, and a
         bound on parent-side replay-log memory between checkpoints).
@@ -779,6 +779,8 @@ class ShardWorkerPool:
         self._stopped = False
         self._broken = False
         self._checkpoints_taken = 0
+        self._matches_shipped = 0
+        self._match_records_shipped = 0
         self._ops_dispatched = 0
         self._frames_dispatched = 0
         self._total_restarts = 0
@@ -1518,7 +1520,7 @@ class ShardWorkerPool:
         records = self._call(worker, ("matches", stream_id))
         if records is None:  # worker parked while we awaited the query
             return []
-        return [QueryMatch.from_record(record) for record in records]
+        return self._unpack_shipped(records)
 
     def drain_matches(self) -> Dict[str, List[QueryMatch]]:
         """Drain every worker's retained matches, grouped by stream.
@@ -1554,10 +1556,15 @@ class ShardWorkerPool:
         for stream_id, index in self._assignment.items():
             records = per_worker.get(index, {}).get(stream_id)
             if records:
-                merged[stream_id] = [
-                    QueryMatch.from_record(record) for record in records
-                ]
+                merged[stream_id] = self._unpack_shipped(records)
         return merged
+
+    def _unpack_shipped(self, records: List) -> List[QueryMatch]:
+        """Expand grouped match records a worker shipped, counting both sides."""
+        matches = unpack_matches(records)
+        self._match_records_shipped += len(records)
+        self._matches_shipped += len(matches)
+        return matches
 
     def stats(self) -> Dict:
         """Aggregate + per-shard statistics across all workers.
@@ -1627,6 +1634,10 @@ class ShardWorkerPool:
                 "workers": self.num_workers,
                 "restarts": self._total_restarts,
                 "checkpoints_taken": self._checkpoints_taken,
+                #: Matches the workers shipped back and the grouped records
+                #: (one per result state) they travelled in.
+                "matches_shipped": self._matches_shipped,
+                "match_records_shipped": self._match_records_shipped,
                 "ops_dispatched": self._ops_dispatched,
                 "frames_dispatched": self._frames_dispatched,
                 "placement": self._placement.name,
@@ -1688,10 +1699,18 @@ class ShardWorkerPool:
                 "repair() the pool first"
             )
         self._flush_buffers()
-        worker_payloads = [
-            from_bytes(self._call(worker, ("ckpt",)), expect_kind="router")
+        # Every worker is asked before any is awaited, so the workers export
+        # side by side; a reply lost to a crash is asked for again.
+        asked = [
+            (worker, self._send_query(worker, ("ckpt",)))
             for worker in self._workers
         ]
+        worker_payloads = []
+        for worker, seq in asked:
+            blob = self._await(worker, seq)
+            if blob is _LOST:
+                blob = self._call(worker, ("ckpt",))
+            worker_payloads.append(from_bytes(blob, expect_kind="router"))
         document = self.router.config_checkpoint(include_detached=False)
         # Tombstones come from the origin router *live*, not a start-time
         # snapshot: a mid-pool group cancellation lifts pending entries on

@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.datamodel.observation import FrameObservation
 from repro.engine.config import EngineConfig, MCOSMethod
 from repro.engine.engine import TemporalVideoQueryEngine
-from repro.query.evaluator import QueryMatch
+from repro.query.evaluator import QueryMatch, pack_matches, unpack_matches
 from repro.query.model import CNFQuery
 from repro.streaming.checkpoint import CheckpointError, from_bytes, to_bytes
 
@@ -313,7 +313,7 @@ class StreamShard:
             "max_seen": self._max_seen,
             "last_emitted": self._last_emitted,
             "pending": [frame.to_record() for frame in self._pending],
-            "retained": [match.to_record() for match in self._matches],
+            "retained": pack_matches(self._matches),
             "stats": self.stats.as_dict(),
             "engine": self.engine.checkpoint(),
         }
@@ -375,10 +375,7 @@ class StreamShard:
                 f"at or before the emission frontier {shard._last_emitted}"
             )
         try:
-            shard._matches = [
-                QueryMatch.from_record(record)
-                for record in payload.get("retained", [])
-            ]
+            shard._matches = unpack_matches(payload.get("retained", []))
         except ValueError as exc:
             raise CheckpointError(str(exc)) from exc
         stats = payload.get("stats", {})

@@ -1,10 +1,11 @@
-"""Compact (version-2) checkpoint codec: round-trips, compat, size, errors.
+"""Compact checkpoint codec: round-trips, compat, size, errors.
 
 The codec must be loss-free for every payload the runtime produces (every
 generator method, engines, shards, routers), keep reading the version-1 JSON
-form forever, reject malformed or truncated bytes with
-:class:`CheckpointError`, and actually be compact — a hard size-regression
-bound against version 1 on the benchmark workload.
+and version-2 binary forms in their row-wise layout, reject malformed,
+truncated or hostile bytes with :class:`CheckpointError`, and actually be
+compact — a hard size-regression bound against version 1 on the benchmark
+workload.
 """
 
 from __future__ import annotations
@@ -13,8 +14,12 @@ import json
 import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.arraykernel import ArraySSGGenerator, numpy_available
+from repro.core.ssg import StrictStateGraphGenerator
 from repro.engine import EngineConfig, MCOSMethod, TemporalVideoQueryEngine
+from repro.session import Session
 from repro.streaming import CheckpointError, StreamRouter
 from repro.streaming import checkpoint as ckpt
 from repro.workloads.streams import bench_scenario, interleave_feeds
@@ -22,9 +27,11 @@ from repro.workloads.streams import bench_scenario, interleave_feeds
 from tests.conftest import (
     ALL_GENERATORS,
     build_queries,
+    bursty_stream,
     canonical_results,
     labelled_stream,
 )
+from tests.legacy_checkpoints import rowwise, v1_bytes, v2_bytes, varint
 
 
 def encode_decode(payload, kind="generator"):
@@ -35,13 +42,13 @@ def encode_decode(payload, kind="generator"):
 # ----------------------------------------------------------------------
 # Round-trips
 # ----------------------------------------------------------------------
-class TestV2RoundTrip:
+class TestBinaryRoundTrip:
     @pytest.mark.parametrize("generator_cls", ALL_GENERATORS)
     @pytest.mark.parametrize("seed", range(3))
     def test_every_generator_method_resumes_byte_identically(
         self, generator_cls, seed
     ):
-        """export_state → import_state through v2 bytes for every method."""
+        """export_state → import_state through v3 bytes for every method."""
         relation = labelled_stream(seed, num_frames=70)
         frames = list(relation.frames())
         split = len(frames) // 2
@@ -49,7 +56,7 @@ class TestV2RoundTrip:
         for frame in frames[:split]:
             original.process_frame(frame)
         blob = original.export_state()
-        assert blob[:len(ckpt.MAGIC_V2)] == ckpt.MAGIC_V2, "not compact form"
+        assert blob[:len(ckpt.MAGIC_V3)] == ckpt.MAGIC_V3, "not compact form"
         restored = generator_cls(window_size=9, duration=4)
         restored.import_state(blob)
         tail_original = [original.process_frame(f) for f in frames[split:]]
@@ -107,24 +114,89 @@ class TestV2RoundTrip:
 # ----------------------------------------------------------------------
 # Version compatibility
 # ----------------------------------------------------------------------
+#: Every generator class a checkpoint can resume on (the SSG entry of
+#: ``ALL_GENERATORS`` is the pure-Python kernel; the array kernel joins it
+#: where numpy is there, and ``MCOSMethod`` follows ``REPRO_KERNEL``).
+LAYOUT_GENERATORS = [
+    MCOSMethod.NAIVE.generator_class,
+    MCOSMethod.MFS.generator_class,
+    MCOSMethod.SSG.generator_class,
+    StrictStateGraphGenerator,
+] + ([ArraySSGGenerator] if numpy_available() else [])
+
+
 class TestVersionCompat:
     def test_version1_payloads_still_load(self):
         payload = {"state": [1, 2, 3], "label": "x"}
-        v1 = ckpt.to_bytes("router", payload, version=1)
-        assert v1[:1] == b"{", "version 1 must remain plain JSON"
-        assert json.loads(v1)["version"] == 1
+        v1 = v1_bytes("router", payload)
+        assert v1[:1] == b"{" and json.loads(v1)["version"] == 1
         assert ckpt.from_bytes(v1, expect_kind="router") == payload
 
-    @pytest.mark.parametrize("seed", range(2))
-    def test_router_resumes_from_version1_bytes(self, seed):
+    def test_version2_payloads_still_load(self):
+        payload = {"state": list(range(40)), "wide": [2 ** 80, 1], "label": "x"}
+        v2 = v2_bytes("router", payload)
+        assert v2[:len(ckpt.MAGIC_V2)] == ckpt.MAGIC_V2
+        assert ckpt.from_bytes(v2, expect_kind="router") == payload
+
+    def test_only_version3_is_written(self):
+        assert ckpt.CHECKPOINT_VERSION == 3
+        assert ckpt.SUPPORTED_VERSIONS == (1, 2, 3)
+        assert ckpt.wrap("shard", {})["version"] == 3
+        blob = ckpt.to_bytes("shard", {})
+        assert blob[:len(ckpt.MAGIC_V3)] == ckpt.MAGIC_V3
+        with pytest.raises(TypeError):
+            ckpt.to_bytes("shard", {}, version=1)
+
+    def test_binary_body_must_declare_the_version_of_its_magic(self):
+        v2 = v2_bytes("shard", {"a": 1})
+        with pytest.raises(CheckpointError, match="does not declare version 3"):
+            ckpt.from_bytes(ckpt.MAGIC_V3 + v2[len(ckpt.MAGIC_V2):])
+
+    def test_int_column_tag_is_not_version2(self):
+        """A version-2 body holding tag 9 is as malformed as it always was."""
+        v3 = ckpt.to_bytes("shard", {"column": list(range(20))})
+        body = zlib.decompress(v3[len(ckpt.MAGIC_V3):])
+        assert ckpt.from_bytes(v3) == {"column": list(range(20))}
+        with pytest.raises(CheckpointError, match="unknown value tag 9"):
+            ckpt.from_bytes(ckpt.MAGIC_V2 + zlib.compress(body))
+
+    @pytest.mark.parametrize("generator_cls", LAYOUT_GENERATORS)
+    @pytest.mark.parametrize("writer", [v1_bytes, v2_bytes])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rowwise_generator_blob_restores_to_the_columnar_export(
+        self, generator_cls, writer, seed
+    ):
+        """An old blob — one dict per state, SSG graph keyed by bitmask —
+        restores to a generator whose re-export is the direct export."""
+        frames = list(bursty_stream(seed, num_frames=90).frames())
+        original = generator_cls(window_size=9, duration=4)
+        for frame in frames[:60]:
+            original.process_frame(frame)
+        direct = original.export_checkpoint()
+        assert isinstance(direct["state"]["states"], dict), "not columnar"
+        old_layout = rowwise(direct)
+        assert isinstance(old_layout["state"]["states"], list)
+        restored = generator_cls(window_size=9, duration=4)
+        restored.import_state(writer("generator", old_layout))
+        assert restored.export_checkpoint() == direct, f"seed={seed}"
+        assert restored.export_state() == original.export_state(), f"seed={seed}"
+        a = canonical_results(original.process_frame(f) for f in frames[60:])
+        b = canonical_results(restored.process_frame(f) for f in frames[60:])
+        assert a == b, f"seed={seed}"
+
+    @pytest.mark.parametrize("writer", [v1_bytes, v2_bytes])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_router_resumes_from_old_bytes(self, writer, seed):
         feeds, queries = bench_scenario(2, 50, [(8, 4)], 2, seed)
         router = StreamRouter(queries, batch_size=4)
         events = list(interleave_feeds(feeds))
         router.route_many(events[:60])
-        v1 = ckpt.to_bytes("router", router.checkpoint(), version=1)
-        v2 = router.to_bytes()
-        assert ckpt.from_bytes(v1) == ckpt.from_bytes(v2), f"seed={seed}"
-        restored = StreamRouter.from_bytes(v1)
+        assert any(shard.matches for shard in router.shards().values())
+        old_layout = rowwise(router.checkpoint())
+        restored = StreamRouter.from_bytes(writer("router", old_layout))
+        # Compared per match: records that arrive one per match are not
+        # re-grouped (a missed grouping costs bytes, nothing else).
+        assert rowwise(restored.checkpoint()) == old_layout, f"seed={seed}"
         restored.route_many(events[60:])
         router.route_many(events[60:])
         restored.flush()
@@ -134,11 +206,181 @@ class TestVersionCompat:
                 stream_id
             ), f"seed={seed} stream={stream_id}"
 
-    def test_unknown_write_version_rejected(self):
+    @pytest.mark.parametrize("backend", ["inline", "router"])
+    def test_session_resumes_from_old_bytes(self, backend):
+        """Old session blobs carry per-match records in three places: shard
+        ``retained`` lists, inline engine slots and handle ``matches``."""
+        feeds, queries = bench_scenario(2, 50, [(8, 4), (12, 6)], 2, 5)
+        events = list(interleave_feeds(feeds))
+        with Session(backend=backend, method="SSG") as session:
+            handles = [session.register(query) for query in queries]
+            for stream_id, frame in events[:40]:
+                session.ingest(stream_id, frame)
+            session.flush()
+            session.drain()                      # into the handles
+            for stream_id, frame in events[40:70]:
+                session.ingest(stream_id, frame)  # retained in the backend
+            session.flush()
+            blob = session.checkpoint()
+            old_layout = rowwise(ckpt.from_bytes(blob))
+            assert any(
+                entry["matches"] for entry in old_layout["registry"]["handles"]
+            )
+            with Session.restore(v2_bytes("session", old_layout)) as restored:
+                assert rowwise(
+                    ckpt.from_bytes(restored.checkpoint())
+                ) == old_layout
+                for stream_id, frame in events[70:]:
+                    session.ingest(stream_id, frame)
+                    restored.ingest(stream_id, frame)
+                assert [h.matches() for h in restored.handles] == [
+                    handle.matches() for handle in handles
+                ]
+
+
+# ----------------------------------------------------------------------
+# Int columns (tag 9)
+# ----------------------------------------------------------------------
+def tree_bytes(value) -> bytes:
+    """``value`` in the tree encoding alone (no string table, no zlib)."""
+    out = bytearray()
+    ckpt._encode_value(value, out, {})
+    return bytes(out)
+
+
+def read_tree(body: bytes, columns: bool = True):
+    reader = ckpt._Reader(body, columns=columns)
+    value = reader.read_value()
+    assert reader.pos == len(body), "trailing bytes"
+    return value
+
+
+#: Values at, just inside and just outside every item width.
+BOUNDARIES = sorted({
+    sign * (1 << bits) + offset
+    for bits in (7, 8, 15, 16, 31, 32, 63, 64)
+    for sign in (1, -1)
+    for offset in (-1, 0, 1)
+} | {0})
+
+int64 = st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)
+
+
+class TestIntColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.one_of(int64, st.sampled_from(BOUNDARIES), st.integers(-200, 200)),
+        max_size=40,
+    ))
+    def test_int_lists_round_trip_exactly(self, values):
+        encoded = tree_bytes(values)
+        decoded = read_tree(encoded)
+        assert decoded == values
+        assert all(type(item) is int for item in decoded)
+        fits = all(-(1 << 63) <= item < (1 << 63) for item in values)
+        expected_tag = (
+            ckpt._T_LIST if not values
+            else ckpt._T_INTCOLUMN
+            if len(values) >= ckpt.COLUMN_MIN_VALUES and fits
+            else ckpt._T_INTLIST
+        )
+        assert encoded[0] == expected_tag
+        assert tree_bytes(list(values)) == encoded, "not canonical"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-(1 << 62), 1 << 62), st.lists(
+        st.integers(-130, 130), min_size=ckpt.COLUMN_MIN_VALUES, max_size=60,
+    ))
+    def test_deltas_are_stored_when_narrower(self, first, steps):
+        """Sorted-ish columns far from zero (frame ids, table positions):
+        the first value is the base, the items are the small differences —
+        negative ones included."""
+        values = [first]
+        for step in steps:
+            values.append(values[-1] + step)
+        encoded = tree_bytes(values)
+        assert read_tree(encoded) == values
+        if not -(1 << 15) <= first < (1 << 15):
+            assert encoded[1] & ckpt._DELTA, "raw although deltas are narrower"
+            assert encoded[1] & ~ckpt._DELTA <= 2
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 8])
+    def test_each_width_boundary(self, width):
+        top = (1 << (8 * width - 1)) - 1
+        # The 0 after the extremes keeps the deltas wider than the values.
+        inside = [top, -top - 1, 0] * ckpt.COLUMN_MIN_VALUES
+        encoded = tree_bytes(inside)
+        assert encoded[:2] == bytes([ckpt._T_INTCOLUMN, width])
+        assert read_tree(encoded) == inside
+        outside = inside + [top + 1]
+        assert read_tree(tree_bytes(outside)) == outside
+        if width < 8:
+            assert tree_bytes(outside)[:2] == bytes([ckpt._T_INTCOLUMN, 2 * width])
+
+    def test_beyond_64_bits_falls_back_to_varints(self):
+        wide = list(range(20)) + [1 << 64]
+        assert tree_bytes(wide)[0] == ckpt._T_INTLIST
+        assert read_tree(tree_bytes(wide)) == wide
+        negative = list(range(20)) + [-(1 << 63) - 1]
+        assert tree_bytes(negative)[0] == ckpt._T_INTLIST
+        assert read_tree(tree_bytes(negative)) == negative
+        # Extremes that fit, whose difference does not: raw, never deltas.
+        extremes = [-(1 << 63), (1 << 63) - 1] * ckpt.COLUMN_MIN_VALUES
+        assert tree_bytes(extremes)[:2] == bytes([ckpt._T_INTCOLUMN, 8])
+        assert read_tree(tree_bytes(extremes)) == extremes
+
+    def test_below_the_threshold_stays_a_varint_list(self):
+        short = list(range(1000, 1000 + ckpt.COLUMN_MIN_VALUES - 1))
+        assert tree_bytes(short)[0] == ckpt._T_INTLIST
+        assert tree_bytes(short + [5])[0] == ckpt._T_INTCOLUMN
+
+    def test_bools_are_not_ints(self):
+        flags = [True, False] * 10
+        decoded = read_tree(tree_bytes(flags))
+        assert decoded == flags and all(type(item) is bool for item in decoded)
+        assert tree_bytes(flags)[0] == ckpt._T_LIST
+        mixed = list(range(10)) + [True]
+        decoded = read_tree(tree_bytes(mixed))
+        assert decoded[-1] is True and tree_bytes(mixed)[0] == ckpt._T_LIST
+
+    def test_tuples_take_the_column_path_too(self):
+        assert read_tree(tree_bytes(tuple(range(100, 130)))) == list(range(100, 130))
+
+    # -- hostile headers -------------------------------------------------
+    def column(self, kind: int, count: int, items: bytes, base: bytes = b"") -> bytes:
+        return bytes([ckpt._T_INTCOLUMN, kind]) + varint(count) + base + items
+
+    def test_every_truncation_of_a_column_raises(self):
+        for values in (list(range(300, 340)), [5, -3, 1000, -70000] * 4):
+            encoded = tree_bytes(values)
+            assert encoded[0] == ckpt._T_INTCOLUMN
+            for cut in range(len(encoded)):
+                with pytest.raises(CheckpointError):
+                    read_tree(encoded[:cut])
+
+    @pytest.mark.parametrize("kind", [0, 3, 5, 16, 0x13, 0x21, 0x81, 0xFF])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(CheckpointError, match="int-column kind"):
+            read_tree(self.column(kind, 1, b"\x00" * 16))
+
+    @pytest.mark.parametrize("kind", [1, 2, 4, 8, 0x11, 0x18])
+    def test_count_past_the_end_never_allocates(self, kind):
+        """A header promising 2**62 items over a handful of bytes must fail
+        on the length check, before anything is sized by the count."""
+        body = self.column(kind, 1 << 62, b"\x00" * 64, base=b"\x00")
+        with pytest.raises(CheckpointError, match="runs past the end"):
+            read_tree(body)
+
+    def test_delta_column_needs_a_first_value(self):
+        with pytest.raises(CheckpointError, match="without a first value"):
+            read_tree(self.column(0x11, 0, b""))
+
+    def test_hostile_column_inside_a_whole_checkpoint(self):
+        strings = b"\x00"  # empty string table
         with pytest.raises(CheckpointError):
-            ckpt.to_bytes("shard", {}, version=3)
-        with pytest.raises(CheckpointError):
-            ckpt.wrap("shard", {}, version=0)
+            ckpt.from_bytes(ckpt.MAGIC_V3 + zlib.compress(
+                strings + self.column(8, 1 << 40, b"\x01" * 8)
+            ))
 
 
 # ----------------------------------------------------------------------
@@ -191,7 +433,7 @@ class TestMalformedInput:
 # Size regression
 # ----------------------------------------------------------------------
 class TestCompactness:
-    def test_v2_is_at_most_40_percent_of_v1_on_bench_workload(self):
+    def test_written_form_is_at_most_40_percent_of_v1_on_bench_workload(self):
         """The compaction the codec exists for, pinned as a regression bound.
 
         Uses the pool/streaming benchmark scenario (scaled down only in
@@ -203,11 +445,12 @@ class TestCompactness:
         router = StreamRouter(queries, batch_size=16, restrict_labels=False)
         router.route_many(interleave_feeds(feeds))
         payload = router.checkpoint()
-        v1 = len(ckpt.to_bytes("router", payload, version=1))
-        v2 = len(ckpt.to_bytes("router", payload))
-        assert v2 <= 0.4 * v1, (
-            f"compact checkpoint regressed: v2={v2} bytes vs v1={v1} bytes "
-            f"({v2 / v1:.1%})"
+        v1 = len(v1_bytes("router", rowwise(payload)))
+        v2 = len(v2_bytes("router", rowwise(payload)))
+        v3 = len(ckpt.to_bytes("router", payload))
+        assert v3 <= v2 <= 0.4 * v1, (
+            f"compact checkpoint regressed: v3={v3}, v2={v2} bytes vs "
+            f"v1={v1} bytes ({v3 / v1:.1%})"
         )
 
     def test_to_bytes_is_canonical(self):

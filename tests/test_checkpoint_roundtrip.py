@@ -136,12 +136,31 @@ class TestStateTableRoundTrip:
 
     def test_duplicate_bits_rejected(self):
         table = StateTable(ObjectInterner())
-        snapshot = [
-            {"bits": 3, "span": [[0], [1], []], "terminated": False},
-            {"bits": 3, "span": [[2], [2], []], "terminated": False},
-        ]
-        with pytest.raises(ValueError):
+        snapshot = {
+            "bits": [3, 3], "terminated": [0, 0],
+            "run_counts": [1, 1], "starts": [0, 2], "ends": [1, 2],
+            "mark_counts": [0, 0], "marks": [],
+        }
+        with pytest.raises(ValueError, match="duplicate state bitmask"):
             table.import_states(snapshot)
+
+    @pytest.mark.parametrize("damage", [
+        {"terminated": [0]},                   # per-state columns misaligned
+        {"run_counts": [1, 2]},                # runs do not add up
+        {"run_counts": [3, -1]},               # negative count hides in the sum
+        {"mark_counts": [0, 1]},               # marks do not add up
+        {"ends": [1]},                         # run bounds differ in length
+        {"bits": [3, 0]},                      # empty object set
+    ])
+    def test_misaligned_columns_rejected(self, damage):
+        snapshot = {
+            "bits": [3, 5], "terminated": [0, 0],
+            "run_counts": [1, 1], "starts": [0, 2], "ends": [1, 2],
+            "mark_counts": [0, 0], "marks": [],
+        }
+        StateTable(ObjectInterner()).import_states(snapshot)  # sound as is
+        with pytest.raises(ValueError):
+            StateTable(ObjectInterner()).import_states({**snapshot, **damage})
 
 
 class TestSSGGraphRoundTrip:
@@ -162,6 +181,64 @@ class TestSSGGraphRoundTrip:
         a = canonical_results(generator.process_frame(f) for f in frames[60:])
         b = canonical_results(restored.process_frame(f) for f in frames[60:])
         assert a == b, f"seed={seed}: SSG diverged after restore"
+
+
+    @staticmethod
+    def _mid_stream_payload():
+        generator = StrictStateGraphGenerator(window_size=9, duration=5)
+        for frame in list(bursty_stream(1, num_frames=90).frames())[:40]:
+            generator.process_frame(frame)
+        payload = json_roundtrip(generator.export_checkpoint())
+        assert all(payload["state"]["graph"].values()), "a column is empty"
+        return payload, len(payload["state"]["states"]["bits"])
+
+    @pytest.mark.parametrize("column", [
+        "children", "parents", "roots", "principals", "previous_results",
+        "memo_parents", "memo_children",
+    ])
+    @pytest.mark.parametrize("position", ["past-the-table", -1])
+    def test_position_outside_the_table_rejected(self, column, position):
+        """Graph columns address states by table position; one that points
+        nowhere (or, negative, silently at the wrong end) must not load."""
+        payload, size = self._mid_stream_payload()
+        values = payload["state"]["graph"][column]
+        values[len(values) // 2:len(values) // 2 + 1] = [
+            size if position == "past-the-table" else position
+        ]
+        with pytest.raises(ValueError, match="outside its state table"):
+            StrictStateGraphGenerator(window_size=9, duration=5).import_checkpoint(payload)
+
+    @pytest.mark.parametrize("damage", [
+        lambda graph: graph["child_counts"].pop(),             # misaligned
+        lambda graph: graph["parent_counts"].append(0),
+        lambda graph: graph["children"].pop(),                 # do not add up
+        lambda graph: graph["parents"].append(0),
+        lambda graph: graph["child_counts"].__setitem__(0, -2),
+        lambda graph: graph["principal_counts"].pop(),
+        lambda graph: graph["principal_frames"].append(1),
+        lambda graph: graph["principal_counts"].__setitem__(0, -1),
+        lambda graph: graph["memo_children"].pop(),
+        lambda graph: graph.pop("roots"),
+    ])
+    def test_misaligned_graph_columns_rejected(self, damage):
+        payload, _ = self._mid_stream_payload()
+        damage(payload["state"]["graph"])
+        with pytest.raises((ValueError, KeyError)):
+            StrictStateGraphGenerator(window_size=9, duration=5).import_checkpoint(payload)
+
+    def test_rowwise_layout_with_unknown_bitmask_rejected(self):
+        """The old layout named states by bitmask; a name no row carries
+        raises where it always did."""
+        from tests.legacy_checkpoints import rowwise
+
+        payload, _ = self._mid_stream_payload()
+        old_layout = rowwise(payload)
+        StrictStateGraphGenerator(window_size=9, duration=5).import_checkpoint(
+            json_roundtrip(old_layout)
+        )
+        old_layout["state"]["roots"].append(1 << 200)
+        with pytest.raises(ValueError, match="unknown state bitmask"):
+            StrictStateGraphGenerator(window_size=9, duration=5).import_checkpoint(old_layout)
 
 
 # ----------------------------------------------------------------------

@@ -243,3 +243,15 @@ class TestLegacyCheckpointLabels:
     def test_trusted_still_validates_thresholds(self):
         with pytest.raises(ValueError):
             Condition.trusted("x", Comparison.GE, -1)
+
+    @pytest.mark.parametrize("operator", ["=>", "GE", "", None, 2, [">="]])
+    def test_from_dict_rejects_unknown_operators(self, operator):
+        """Operators resolve through a lookup table, not ``Comparison(...)``;
+        one it does not hold is the same ``ValueError`` the enum raised."""
+        payload = {"groups": [[["car", operator, 1]]], "window": 30, "duration": 15}
+        with pytest.raises(ValueError, match="not a valid Comparison"):
+            CNFQuery.from_dict(payload)
+        for comparison in Comparison:
+            payload["groups"] = [[["car", comparison.value, 1]]]
+            (condition,) = CNFQuery.from_dict(payload).conditions()
+            assert condition.comparison is comparison

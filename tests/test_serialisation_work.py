@@ -1,0 +1,112 @@
+"""Work-counter gates on what serialising costs.
+
+Wall clock is advisory on a shared machine; these counts repeat exactly, so
+they are what fails CI when serialisation goes back to paying per value or
+per match:
+
+* ``Session.checkpoint()`` is counted in Python-level calls per live state
+  (``sys.setprofile`` ``call`` events, the way the stack benchmark counts
+  ``py_calls``) — a codec or exporter that walks one call per value reads in
+  the hundreds;
+* a pool drain is counted in records shipped per result state.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+
+from repro.datamodel import FrameObservation
+from repro.query.model import CNFQuery
+from repro.session import Session
+from repro.streaming import StreamRouter
+from repro.workloads.streams import bench_scenario, interleave_feeds
+
+#: Python calls one checkpoint may make per live state.  Measured: 2.8 on
+#: this scene (187 when every state was a dict and every value a call).
+CALLS_PER_LIVE_STATE = 16
+
+
+def python_calls(function) -> int:
+    """Python-level calls made while ``function`` runs."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        function()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def dense_scene(seed: int, frames: int, objects: int = 10, presence: float = 0.8):
+    """Every object in most frames, each flickering on its own: the window
+    holds hundreds of distinct co-occurrence sets."""
+    rng = random.Random(seed)
+    labels = {oid: ("car", "person", "truck")[oid % 3] for oid in range(objects)}
+    return [
+        FrameObservation(frame_id, {
+            oid: label for oid, label in labels.items() if rng.random() < presence
+        })
+        for frame_id in range(frames)
+    ]
+
+
+def test_checkpoint_costs_a_few_calls_per_live_state():
+    window = 30
+    with Session(backend="inline", method="SSG") as session:
+        for conditions in (
+            [[("car", ">=", 1)]],
+            [[("person", ">=", 1)]],
+            [[("car", ">=", 2), ("truck", ">=", 2)]],
+        ):
+            session.register(CNFQuery.from_condition_lists(
+                conditions, window=window, duration=window * 4 // 5
+            ))
+        for frame in dense_scene(7, frames=80):
+            session.ingest("dense", frame)
+        for handle in session.handles:
+            handle.take_matches()
+        live = sum(
+            engine.generator.live_state_count()
+            for engine in session._backend._engines.values()
+        )
+        assert live >= 200, "scene too small to say anything per state"
+        calls = python_calls(session.checkpoint)
+    assert calls <= CALLS_PER_LIVE_STATE * live, (
+        f"{calls} Python calls for {live} live states "
+        f"({calls / live:.1f} per state)"
+    )
+
+
+def test_pool_drain_ships_one_record_per_result_state():
+    feeds, queries = bench_scenario(4, 80, [(8, 4), (12, 6)], 4, 11)
+    events = list(interleave_feeds(feeds))
+    # The in-process router says how many result states matched something.
+    oracle = StreamRouter(queries, batch_size=4)
+    oracle.route_many(events)
+    oracle.flush()
+    result_states = matches = 0
+    for shard in oracle.shards().values():
+        matches += len(shard.matches)
+        result_states += len({
+            (m.frame_id, m.object_ids, m.frame_ids) for m in shard.matches
+        })
+    assert 0 < result_states < matches
+    with Session(backend="pool", method="SSG", batch_size=4, num_workers=2) as session:
+        handles = [session.register(query) for query in queries]
+        delivered = 0
+        for count, (stream_id, frame) in enumerate(events, 1):
+            session.ingest(stream_id, frame)
+            if count % 32 == 0:
+                delivered += sum(len(h.take_matches()) for h in handles)
+        session.flush()
+        delivered += sum(len(h.take_matches()) for h in handles)
+        shipped = session.stats()["backend_stats"]["pool"]
+    assert delivered == matches == shipped["matches_shipped"]
+    assert shipped["match_records_shipped"] <= result_states, shipped
