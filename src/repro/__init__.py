@@ -36,9 +36,6 @@ Quickstart
 True
 """
 
-import importlib
-import warnings
-
 from repro.core import (
     MarkedFrameSetGenerator,
     MCOSGenerator,
@@ -54,46 +51,6 @@ from repro.query import CNFQuery, Q, QueryEvaluator, QueryExpr, parse_query
 from repro.session import QueryHandle, Session
 
 __version__ = "1.1.0"
-
-#: Pre-session entry points, kept importable for compatibility.  Accessing
-#: them from the top-level package emits a :class:`DeprecationWarning`
-#: pointing at the Session equivalent; the defining submodules
-#: (``repro.engine``, ``repro.streaming``) stay warning-free — they are the
-#: implementation the session facade itself is built on.
-_DEPRECATED_ENTRY_POINTS = {
-    "TemporalVideoQueryEngine": (
-        "repro.engine",
-        "use repro.Session(backend='inline') and register() instead",
-    ),
-    "EngineConfig": (
-        "repro.engine",
-        "pass method=/enable_pruning=/restrict_labels= to repro.Session "
-        "(window and duration now live on each query)",
-    ),
-    "EngineRunResult": (
-        "repro.engine",
-        "consume QueryHandle.matches() and Session.stats() instead",
-    ),
-    "MCOSMethod": (
-        "repro.engine",
-        "pass the method name string to repro.Session(method=...) "
-        "(import from repro.engine for programmatic use)",
-    ),
-}
-
-
-def __getattr__(name):
-    entry = _DEPRECATED_ENTRY_POINTS.get(name)
-    if entry is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module, hint = entry
-    warnings.warn(
-        f"repro.{name} is deprecated; {hint}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(module), name)
-
 
 __all__ = [
     "__version__",
@@ -115,8 +72,4 @@ __all__ = [
     "QueryEvaluator",
     "Session",
     "QueryHandle",
-    # The deprecated entry points (TemporalVideoQueryEngine, EngineConfig,
-    # EngineRunResult, MCOSMethod) resolve through the module __getattr__
-    # shims above and are deliberately NOT in __all__: a plain
-    # ``from repro import *`` must not trip their DeprecationWarnings.
 ]

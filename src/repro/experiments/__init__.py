@@ -1,10 +1,10 @@
 """Experiment harness reproducing the paper's evaluation (Section 6).
 
 The figure/table experiments simulate the vision pipeline and therefore need
-numpy; the streaming and pool benchmarks do not.  The numpy-backed names are
-exported lazily (PEP 562) so ``repro.experiments.streaming_bench`` — and the
-``python -m repro.experiments --bench streaming/pool`` entry points — keep
-working on machines without numpy.
+numpy; the timing harness (``harness``) and the table renderers (``report``)
+do not.  Every name is exported lazily (PEP 562), so importing the package —
+or ``harness`` / ``report`` directly — keeps working on machines without
+numpy, and only touching a ``figures`` name pulls the simulator in.
 """
 
 __all__ = [

@@ -16,19 +16,18 @@ import argparse
 import sys
 import time
 
-#: Names of the figure experiments the default (no ``--bench``) run covers.
-#: They resolve to callables lazily inside :func:`main` because the figures
-#: stack needs the numpy-backed dataset simulator, while the streaming and
-#: pool benchmarks must stay runnable on machines without numpy.
-EXPERIMENT_NAMES = (
-    "figure4",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
-)
+#: Figure experiment name -> its function in :mod:`repro.experiments.figures`,
+#: in report order.  Resolved inside :func:`main`: the figures need numpy,
+#: ``--help`` does not.
+EXPERIMENTS = {
+    "figure4": "figure4_total_frames",
+    "figure5": "figure5_duration",
+    "figure6": "figure6_window_size",
+    "figure7": "figure7_occlusion",
+    "figure8": "figure8_query_count",
+    "figure9": "figure9_nmin",
+    "figure10": "figure10_end_to_end",
+}
 
 
 def main(argv=None) -> int:
@@ -40,211 +39,13 @@ def main(argv=None) -> int:
                         help="subset of experiments (e.g. table6 figure9)")
     parser.add_argument("--datasets", nargs="*", default=None,
                         help="restrict to these datasets (e.g. V1 M2)")
-    parser.add_argument("--bench",
-                        choices=["kernel", "streaming", "pool", "serve"],
-                        default=None,
-                        help="run a micro-benchmark instead of the figures "
-                             "(kernel: MCOS generation frames/sec, writes "
-                             "BENCH_kernel.json; streaming: StreamRouter vs "
-                             "sequential single-engine runs over simulated "
-                             "camera feeds, writes BENCH_streaming.json; "
-                             "pool: multiprocess ShardWorkerPool vs the "
-                             "single-process router vs sequential engines, "
-                             "writes BENCH_pool.json; serve: the multi-tenant "
-                             "HTTP gateway under concurrent load-generator "
-                             "tenants with a direct-session byte-identity "
-                             "oracle and an injected-fault leg, writes "
-                             "BENCH_serve.json)")
-    parser.add_argument("--feeds", type=int, default=None,
-                        help="number of simulated camera feeds for "
-                             "--bench streaming/pool (default 8)")
-    parser.add_argument("--frames", type=int, default=None,
-                        help="frames per simulated feed for --bench "
-                             "streaming/pool (default 400)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes for --bench pool (default 4; "
-                             "the skew and chaos scenarios default to 2)")
-    parser.add_argument("--scenario",
-                        choices=["throughput", "skew", "chaos", "drift"],
-                        default=None,
-                        help="--bench pool scenario: 'throughput' (default) "
-                             "compares pool/router/sequential serving; "
-                             "'skew' drives one hot stream at 4x its "
-                             "siblings' rate and compares round-robin vs "
-                             "least-loaded placement plus a live rebalance "
-                             "(imbalance ratios land in BENCH_pool.json "
-                             "under 'skew'); 'chaos' runs a seeded fault "
-                             "plan (kills, hangs, stalls, checkpoint "
-                             "failures) plus a poison-input degraded-mode "
-                             "run, recording recovery latency and "
-                             "degraded throughput in BENCH_pool.json "
-                             "under 'chaos'; 'drift' moves the hotspot "
-                             "between feeds mid-run and exercises the "
-                             "self-managing pool — autonomous rebalance "
-                             "triggers, shared-memory dispatch and elastic "
-                             "grow/shrink — recording trigger convergence "
-                             "in BENCH_pool.json under 'drift'")
-    parser.add_argument("--smoke", action="store_true",
-                        help="shrink --bench pool/serve to a CI-sized "
-                             "workload (serve: byte-identity assertions "
-                             "only, no wall-clock claims)")
-    parser.add_argument("--tenants", type=int, default=None,
-                        help="concurrent load-generator tenants for "
-                             "--bench serve (default 4)")
-    parser.add_argument("--duration", type=float, default=None,
-                        help="workload length knob for --bench serve: "
-                             "scales the seeded per-feed frame count "
-                             "(default 2.0 ~ 400 frames/feed), keeping "
-                             "runs deterministic and oracle-checkable")
     args = parser.parse_args(argv)
-
-    # Flags scoped to a benchmark mode are rejected elsewhere instead of
-    # being silently dropped.
-    if args.bench != "pool":
-        where = f"--bench {args.bench}" if args.bench else "the figures run"
-        for flag, value in (("--scenario", args.scenario),
-                            ("--workers", args.workers)):
-            if value is not None:
-                parser.error(f"{flag} only applies to --bench pool, not {where}")
-    if args.bench not in ("pool", "serve"):
-        where = f"--bench {args.bench}" if args.bench else "the figures run"
-        if args.smoke:
-            parser.error(
-                f"--smoke only applies to --bench pool/serve, not {where}"
-            )
-    if args.bench not in ("streaming", "pool"):
-        where = f"--bench {args.bench}" if args.bench else "the figures run"
-        for flag, value in (("--feeds", args.feeds), ("--frames", args.frames)):
-            if value is not None:
-                parser.error(
-                    f"{flag} only applies to --bench streaming/pool, not {where}"
-                )
-    if args.bench != "serve":
-        where = f"--bench {args.bench}" if args.bench else "the figures run"
-        for flag, value in (("--tenants", args.tenants),
-                            ("--duration", args.duration)):
-            if value is not None:
-                parser.error(
-                    f"{flag} only applies to --bench serve, not {where}"
-                )
-    if args.scenario is None:
-        args.scenario = "throughput"
-
-    if args.bench == "kernel":
-        from repro.experiments.kernel_bench import (
-            DEFAULT_DATASETS, render_report, run_kernel_benchmark,
-        )
-        report = run_kernel_benchmark(
-            scale=args.scale,
-            datasets=args.datasets or list(DEFAULT_DATASETS),
-        )
-        print(render_report(report))
-        # Like the serve bench, the exit code reflects verification: a
-        # fast array kernel that diverges from the oracle is a failure.
-        return 0 if report["verification"]["ok"] else 1
-
-    if args.bench == "streaming":
-        from repro.experiments.streaming_bench import (
-            DEFAULT_FEEDS, DEFAULT_FRAMES, render_report,
-            run_streaming_benchmark,
-        )
-        report = run_streaming_benchmark(
-            num_feeds=args.feeds if args.feeds is not None else DEFAULT_FEEDS,
-            frames_per_feed=args.frames if args.frames is not None else DEFAULT_FRAMES,
-        )
-        print(render_report(report))
-        return 0
-
-    if args.bench == "serve":
-        from repro.experiments.serve_bench import (
-            render_serve_report, run_serve_benchmark,
-        )
-        report = run_serve_benchmark(
-            num_tenants=args.tenants if args.tenants is not None else 4,
-            duration=args.duration if args.duration is not None else 2.0,
-            smoke=args.smoke,
-        )
-        print(render_serve_report(report))
-        service_ok = report["service"]["verification"]["ok"]
-        fault_ok = report.get("fault", {}).get("ok", True)
-        return 0 if service_ok and fault_ok else 1
-
-    if args.bench == "pool" and args.scenario == "skew":
-        from repro.experiments.streaming_bench import (
-            render_skew_report, run_skew_benchmark,
-        )
-        kwargs = {"smoke": args.smoke}
-        if args.feeds is not None:
-            kwargs["num_feeds"] = args.feeds
-        if args.frames is not None:
-            kwargs["frames_per_feed"] = args.frames
-        if args.workers is not None:
-            kwargs["workers"] = args.workers
-        report = run_skew_benchmark(**kwargs)
-        print(render_skew_report(report))
-        return 0
-
-    if args.bench == "pool" and args.scenario == "drift":
-        from repro.experiments.streaming_bench import (
-            render_drift_report, run_drift_benchmark,
-        )
-        kwargs = {"smoke": args.smoke}
-        if args.feeds is not None:
-            kwargs["num_feeds"] = args.feeds
-        if args.frames is not None:
-            kwargs["frames_per_feed"] = args.frames
-        if args.workers is not None:
-            kwargs["workers"] = args.workers
-        report = run_drift_benchmark(**kwargs)
-        print(render_drift_report(report))
-        return 0
-
-    if args.bench == "pool" and args.scenario == "chaos":
-        from repro.experiments.streaming_bench import (
-            render_chaos_report, run_chaos_benchmark,
-        )
-        kwargs = {"smoke": args.smoke}
-        if args.feeds is not None:
-            kwargs["num_feeds"] = args.feeds
-        if args.frames is not None:
-            kwargs["frames_per_feed"] = args.frames
-        if args.workers is not None:
-            kwargs["workers"] = args.workers
-        report = run_chaos_benchmark(**kwargs)
-        print(render_chaos_report(report))
-        return 0
-
-    if args.bench == "pool":
-        from repro.experiments.streaming_bench import (
-            DEFAULT_FEEDS, DEFAULT_FRAMES, DEFAULT_WORKERS,
-            render_pool_report, run_pool_benchmark,
-        )
-        report = run_pool_benchmark(
-            num_feeds=args.feeds if args.feeds is not None else DEFAULT_FEEDS,
-            frames_per_feed=args.frames if args.frames is not None else DEFAULT_FRAMES,
-            workers=args.workers if args.workers is not None else DEFAULT_WORKERS,
-            smoke=args.smoke,
-        )
-        print(render_pool_report(report))
-        return 0
 
     from repro.datasets.statistics import statistics_table
     from repro.experiments import figures
     from repro.experiments.report import render_experiment
 
-    experiments = {
-        name: getattr(figures, attr)
-        for name, attr in zip(EXPERIMENT_NAMES, (
-            "figure4_total_frames",
-            "figure5_duration",
-            "figure6_window_size",
-            "figure7_occlusion",
-            "figure8_query_count",
-            "figure9_nmin",
-            "figure10_end_to_end",
-        ))
-    }
-    selected = args.only or ["table6", *experiments]
+    selected = args.only or ["table6", *EXPERIMENTS]
     for name in selected:
         start = time.perf_counter()
         if name == "table6":
@@ -252,11 +53,11 @@ def main(argv=None) -> int:
                 else figures.table6_statistics(args.datasets, scale=args.scale)
             print("== table6: dataset statistics ==")
             print(statistics_table(stats))
-        elif name in experiments:
+        elif name in EXPERIMENTS:
             kwargs = {"scale": args.scale}
             if args.datasets and name not in ("figure8", "figure9"):
                 kwargs["datasets"] = args.datasets
-            result = experiments[name](**kwargs)
+            result = getattr(figures, EXPERIMENTS[name])(**kwargs)
             print(render_experiment(result))
         else:
             print(f"unknown experiment {name!r}", file=sys.stderr)

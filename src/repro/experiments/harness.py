@@ -153,7 +153,7 @@ def run_query_evaluation(
 
     With ``repeats > 1`` the measurement is repeated on a fresh engine and
     the best run is kept — the interpreter and machine only add noise, never
-    speed (same methodology as the kernel benchmark).  Experiments whose
+    speed.  Experiments whose
     assertions compare method variants against each other should repeat:
     variants are timed sequentially, so a single-shot measurement hands the
     later ones a progressively noisier process.

@@ -40,7 +40,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="Repo-specific invariant linter (determinism, "
-                    "checkpoint drift, concurrency contracts, CLI scoping).",
+                    "checkpoint drift, concurrency contracts).",
     )
     parser.add_argument(
         "paths", nargs="*", type=Path,

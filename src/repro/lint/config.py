@@ -4,9 +4,9 @@ Every rule carries a :class:`RuleScope`: which files (relative to the
 linted root, posix-style) it runs on, plus rule-specific options.  The
 defaults below encode this repository's invariant contract — the
 determinism rules police the kernel/query/codec paths, the concurrency
-rules police the service tier and the worker pool, the CLI rule polices
-the experiments entry point.  A JSON file passed via ``--config``
-overrides individual scopes without replacing the battery.
+rules police the service tier and the worker pool.  A JSON file passed
+via ``--config`` overrides individual scopes without replacing the
+battery.
 
 Glob semantics are :func:`fnmatch.fnmatch`'s, where ``*`` crosses path
 separators — ``core/*`` therefore covers the entire ``core/`` subtree.
@@ -99,8 +99,6 @@ DEFAULT_SCOPES: Dict[str, RuleScope] = {
     "CONC-BARE-EXCEPT": RuleScope(include=("*",)),
     "CONC-THREAD-JOIN": RuleScope(include=("*",)),
     "CONC-QUEUE-TIMEOUT": RuleScope(include=("streaming/pool.py",)),
-    # CLI scoping: bench-scoped argparse flags must be guarded.
-    "CLI-BENCH-SCOPE": RuleScope(include=("experiments/__main__.py",)),
 }
 
 

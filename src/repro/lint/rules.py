@@ -6,18 +6,16 @@ from typing import List
 
 from repro.lint.engine import Rule
 from repro.lint.rules_checkpoint import CHECKPOINT_RULES
-from repro.lint.rules_cli import CLI_RULES
 from repro.lint.rules_concurrency import CONCURRENCY_RULES
 from repro.lint.rules_determinism import DETERMINISM_RULES
 
 
 def default_rules() -> List[Rule]:
     """Every shipped rule (determinism, checkpoint drift, concurrency
-    contracts, CLI scoping — in that order).  Rules are stateless, so
-    the shared instances are safe to reuse across runs."""
+    contracts — in that order).  Rules are stateless, so the shared
+    instances are safe to reuse across runs."""
     return [
         *DETERMINISM_RULES,
         *CHECKPOINT_RULES,
         *CONCURRENCY_RULES,
-        *CLI_RULES,
     ]

@@ -16,8 +16,8 @@ Because the workload is seeded, correctness is checkable exactly: a
 matches the gateway delivered must be **byte-identical** to the oracle's,
 per ``(query, stream)``.  Match order across streams depends on pump
 timing, but within one ``(query, stream)`` pair both sides are
-deterministic — that is the comparison key (the same argument the
-streaming benchmarks make for cross-backend identity).
+deterministic — that is the comparison key (the same argument the pool
+differential tests make for cross-backend identity).
 """
 
 from __future__ import annotations

@@ -391,7 +391,6 @@ class PoolBackend(Backend):
         degraded_mode: bool = True,
         first_seen: Optional[int] = None,
         auto_rebalance: Optional[Dict] = None,
-        shared_memory: bool = False,
         router: Optional[StreamRouter] = None,
     ):
         if router is None:
@@ -418,7 +417,6 @@ class PoolBackend(Backend):
             on_irrecoverable="park" if degraded_mode else "raise",
             first_seen=first_seen,
             auto_rebalance=auto_rebalance,
-            shared_memory=shared_memory,
         )
         self.pool.start()
 
@@ -470,7 +468,6 @@ class PoolBackend(Backend):
         supervision: Optional[Dict] = None,
         degraded_mode: bool = True,
         auto_rebalance: Optional[Dict] = None,
-        shared_memory: bool = False,
         **_config,
     ) -> "PoolBackend":
         # A checkpoint taken on a pool carries its placement block; honour
@@ -494,7 +491,6 @@ class PoolBackend(Backend):
                 supervision=supervision,
                 degraded_mode=degraded_mode,
                 auto_rebalance=auto_rebalance,
-                shared_memory=shared_memory,
                 router=router,
             )
         except WorkerCrashError:

@@ -85,6 +85,15 @@ from repro.streaming.supervision import AutoRebalanceConfig, SupervisionConfig
 #: Everything :meth:`Session.register` accepts as a query.
 QueryLike = Union[str, QueryExpr, CNFQuery]
 
+#: The ``config`` keys a session checkpoint carries.  :meth:`Session.restore`
+#: keeps only these, so a checkpoint that names a since-retired knob still
+#: restores, and re-checkpoints without it.
+_CONFIG_KEYS = (
+    "backend", "method", "batch_size", "watermark", "enable_pruning",
+    "restrict_labels", "num_workers", "dispatch_batch", "checkpoint_every",
+    "placement", "supervision", "degraded_mode", "auto_rebalance",
+)
+
 
 class UnknownStreamError(KeyError):
     """A stream id that has never ingested a frame on this session.
@@ -272,12 +281,6 @@ class Session:
         Pass ``True`` for the defaults, a config/dict for tuned knobs,
         or ``None``/``False`` (the default) to keep rebalancing
         caller-invoked.
-    shared_memory:
-        Pool backend only.  When True, dispatch frame batches to workers
-        through ``multiprocessing.shared_memory`` ring segments instead
-        of pickling them through the task queues, falling back to the
-        queue path automatically whenever a segment or slot is
-        unavailable.  Results are byte-identical either way.
     queries:
         Optional initial workload; each entry is registered as if passed to
         :meth:`register`.
@@ -299,7 +302,6 @@ class Session:
         supervision: Optional[Union[Dict, SupervisionConfig]] = None,
         degraded_mode: bool = True,
         auto_rebalance: Optional[Union[bool, Dict, AutoRebalanceConfig]] = None,
-        shared_memory: bool = False,
         queries: Iterable[QueryLike] = (),
     ):
         if backend not in BACKENDS:
@@ -335,7 +337,6 @@ class Session:
                 is not None
                 else None
             ),
-            "shared_memory": bool(shared_memory),
         }
         self._init_registry()
         self._backend: Backend = self._build_backend()
@@ -403,7 +404,6 @@ class Session:
                 supervision=config.get("supervision"),
                 degraded_mode=bool(config.get("degraded_mode", True)),
                 auto_rebalance=config.get("auto_rebalance"),
-                shared_memory=bool(config.get("shared_memory", False)),
             )
         return BACKENDS[kind](**kwargs)
 
@@ -887,7 +887,10 @@ class Session:
                 raise ValueError("num_workers must be positive")
         payload = from_bytes(data, expect_kind="session")
         try:
-            config = dict(payload["config"])
+            config = {
+                key: value for key, value in dict(payload["config"]).items()
+                if key in _CONFIG_KEYS
+            }
             source_kind = config["backend"]
             if source_kind not in BACKENDS:
                 raise ValueError(
@@ -944,7 +947,6 @@ class Session:
                 supervision=config.get("supervision"),
                 degraded_mode=bool(config.get("degraded_mode", True)),
                 auto_rebalance=config.get("auto_rebalance"),
-                shared_memory=bool(config.get("shared_memory", False)),
             )
             try:
                 session._next_qid = int(registry["next_query_id"])

@@ -18,9 +18,9 @@ record) and skips itself once its ``fires`` budget is spent.  ``fires=0``
 means unlimited — the deterministic *poison* regime the pool's quarantine
 logic exists for.
 
-Used by three consumers that must agree on failure semantics: the fault
-test suites, the pool differential harness, and the ``--bench chaos``
-scenario.
+Used by the consumers that must agree on failure semantics: the fault and
+supervision test suites, the pool differential harness, and the gateway's
+fault-containment test.
 """
 
 from __future__ import annotations

@@ -67,16 +67,10 @@ from __future__ import annotations
 import inspect
 import json
 import multiprocessing
-import pickle
 import queue as queue_module
 import time
 import traceback
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
-
-try:
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - shared_memory is 3.8+ stdlib
-    _shared_memory = None
 
 from repro.datamodel.observation import FrameObservation
 from repro.query.evaluator import QueryMatch, pack_matches, unpack_matches
@@ -97,13 +91,6 @@ from repro.streaming.supervision import (
 
 #: Sentinel stored as the "ack" of a read-only query lost to a worker crash.
 _LOST = object()
-
-#: Shared-memory dispatch ring geometry: slots per worker segment and
-#: bytes per slot.  A ``frames`` batch whose pickled payload fits a free
-#: slot travels through shared memory; otherwise it falls back to the
-#: ordinary pickled queue message (counted, never dropped).
-_SHM_SLOTS = 8
-_SHM_SLOT_BYTES = 1 << 20
 
 
 class PoolError(RuntimeError):
@@ -363,51 +350,12 @@ def _answer_query(router: StreamRouter, query: Tuple):
     raise PoolError(f"unknown worker query {kind!r}")
 
 
-def _attach_shm(shm_name: str):
-    """Attach the parent's shared-memory dispatch segment in a worker.
-
-    The attaching process must not register the segment with its own
-    resource tracker: the parent owns the segment's lifetime, and a
-    child-side registration would unlink it (or warn) when the worker
-    exits.  Returns ``None`` when attaching fails — the parent then gets
-    a loud error on the first shared-memory op instead of silent frame
-    loss.
-    """
-    if _shared_memory is None:
-        return None
-    try:
-        from multiprocessing import resource_tracker
-        # A fork child inherits the parent's (already running) tracker;
-        # its cache is a set, so the attach's re-register is a no-op and
-        # must NOT be unregistered — that would strip the parent's own
-        # entry.  A spawn child starts a private tracker during attach;
-        # that one must forget the segment or it unlinks it on exit.
-        tracker_is_shared = (
-            getattr(resource_tracker._resource_tracker, "_fd", None)
-            is not None
-        )
-    except Exception:  # pragma: no cover - tracker internals vary
-        resource_tracker = None
-        tracker_is_shared = True
-    try:
-        shm = _shared_memory.SharedMemory(name=shm_name)
-    except (OSError, ValueError, FileNotFoundError):
-        return None
-    if resource_tracker is not None and not tracker_is_shared:
-        try:
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker internals vary
-            pass
-    return shm
-
-
 def _worker_main(
     index: int,
     tasks,
     results,
     config_blob: bytes,
     heartbeat_interval: float = 0.5,
-    shm_name: Optional[str] = None,
 ) -> None:
     """Worker loop: fold the parent's operation stream into a local router.
 
@@ -427,7 +375,6 @@ def _worker_main(
     failure answers the query with a ``nack`` instead of dying.
     """
     injector = load_injector(index)
-    shm = _attach_shm(shm_name) if shm_name is not None else None
     try:
         router = StreamRouter.from_bytes(config_blob)
         frames_since = 0
@@ -444,20 +391,6 @@ def _worker_main(
             kind = message[0]
             if kind == "op":
                 _, seq, op = message
-                if op[0] == "frames_shm":
-                    # Decode the shared-memory batch reference back into
-                    # the plain op before anything observes it, so the
-                    # heartbeat/poison/log view is transport-independent.
-                    if shm is None:
-                        raise PoolError(
-                            "shared-memory dispatch op received but the "
-                            "segment could not be attached"
-                        )
-                    offset, nbytes = op[1], op[2]
-                    op = (
-                        "frames",
-                        pickle.loads(bytes(shm.buf[offset:offset + nbytes])),
-                    )
                 results.put(("hb", index, {
                     "phase": "busy", "seq": seq, "op": op[0],
                     "frames_since": frames_since,
@@ -490,9 +423,6 @@ def _worker_main(
                 raise PoolError(f"unknown worker message {kind!r}")
     except Exception:
         results.put(("error", index, traceback.format_exc()))
-    finally:
-        if shm is not None:
-            shm.close()
 
 
 # ----------------------------------------------------------------------
@@ -509,7 +439,6 @@ class _WorkerHandle:
         "pending_sent_at", "last_progress_at", "stop_requested_at",
         "culprit_seq", "culprit_streak", "last_busy_seq", "quarantined_seqs",
         "recovery_started_at", "recovery_target_seq",
-        "shm", "shm_slots", "shm_pending",
     )
 
     def __init__(self, index: int):
@@ -569,12 +498,6 @@ class _WorkerHandle:
         #: (migrations move a stream's history with it) — the load signal
         #: placement policies rank workers by.
         self.frames_routed = 0
-        #: Shared-memory dispatch ring: the segment (parent-owned), the
-        #: free slot indices, and the in-flight seq→slot map (a slot is
-        #: reusable once its batch is acknowledged).
-        self.shm = None
-        self.shm_slots: List[int] = []
-        self.shm_pending: Dict[int, int] = {}
         #: Checkpoints received over the worker's lifetime (freshness token
         #: for :meth:`ShardWorkerPool.checkpoint_now`).
         self.ckpt_count = 0
@@ -647,12 +570,6 @@ class ShardWorkerPool:
         offered load and wall-clock processing rate and fires
         :meth:`rebalance` when drift crosses the watermark (with
         hysteresis and cooldown).
-    shared_memory:
-        When ``True``, ``frames`` batches are shipped through a per-worker
-        ``multiprocessing.shared_memory`` ring instead of pickled queue
-        payloads, falling back to the queue automatically (batch too
-        large, ring full, or the platform lacks shared memory).  Purely a
-        transport choice — results are byte-identical either way.
     """
 
     def __init__(
@@ -672,7 +589,6 @@ class ShardWorkerPool:
         on_irrecoverable: str = "raise",
         first_seen: Optional[int] = None,
         auto_rebalance: Union[AutoRebalanceConfig, Mapping, bool, None] = None,
-        shared_memory: bool = False,
     ):
         if num_workers <= 0:
             raise PoolError("num_workers must be positive")
@@ -808,11 +724,6 @@ class ShardWorkerPool:
         self._elastic_events: List[Dict] = []
         self._grown = 0
         self._shrunk = 0
-        #: Shared-memory dispatch: requested flag, effective flag (cleared
-        #: on platform/creation failure), and transport counters.
-        self.shared_memory = bool(shared_memory) and _shared_memory is not None
-        self._shm_dispatches = 0
-        self._shm_fallbacks = 0
         #: Quarantined-operation records, in quarantine order (stats surface).
         self._quarantined: List[Dict] = []
         #: Quarantine records not yet surfaced as a PoisonOpError.
@@ -1447,7 +1358,6 @@ class ShardWorkerPool:
                 # read as "nothing to drain", not raise.
                 worker.tasks = None
                 worker.results = None
-                self._release_shm(worker)
             del self._workers[keep:]
             self.num_workers = keep
             self._supervisor.resize(self.num_workers)
@@ -1649,11 +1559,6 @@ class ShardWorkerPool:
                     "grown": self._grown,
                     "shrunk": self._shrunk,
                     "events": [dict(e) for e in self._elastic_events],
-                },
-                "shared_memory": {
-                    "enabled": self.shared_memory,
-                    "dispatches": self._shm_dispatches,
-                    "fallbacks": self._shm_fallbacks,
                 },
             },
         }
@@ -1908,24 +1813,11 @@ class ShardWorkerPool:
     def _spawn(self, worker: _WorkerHandle) -> None:
         worker.tasks = self._ctx.Queue()
         worker.results = self._ctx.Queue()
-        if self.shared_memory and worker.shm is None:
-            try:
-                worker.shm = _shared_memory.SharedMemory(
-                    create=True, size=_SHM_SLOTS * _SHM_SLOT_BYTES
-                )
-                worker.shm_slots = list(range(_SHM_SLOTS))
-                worker.shm_pending = {}
-            except (OSError, ValueError):
-                # Platform without (or out of) shared memory: fall back to
-                # pickled queue dispatch for the whole pool, permanently.
-                worker.shm = None
-                self.shared_memory = False
         worker.process = self._ctx.Process(
             target=_worker_main,
             args=(
                 worker.index, worker.tasks, worker.results,
                 self._config_blob, self._supervision.heartbeat_interval,
-                worker.shm.name if worker.shm is not None else None,
             ),
             daemon=True,
             name=f"shard-worker-{worker.index}",
@@ -1966,7 +1858,7 @@ class ShardWorkerPool:
             return seq
         worker.inflight.add(seq)
         worker.pending_sent_at[seq] = time.monotonic()
-        self._put_op(worker, seq, op)
+        worker.tasks.put(("op", seq, op))
         worker.ops_since_ckpt += 1
         if (worker.ops_since_ckpt >= self.checkpoint_every
                 and worker.pending_ckpt_seq is None):
@@ -1974,58 +1866,6 @@ class ShardWorkerPool:
         while len(worker.inflight) > self.max_inflight:
             self._pump(block=True, focus=worker)
         return seq
-
-    def _put_op(self, worker: _WorkerHandle, seq: int, op: Tuple) -> None:
-        """Ship one operation, through shared memory when it qualifies.
-
-        Only ``frames`` batches ride the ring (everything else is small),
-        and only when a slot is free and the pickled payload fits a slot;
-        otherwise the op travels as an ordinary pickled queue message.
-        The *log* always stores the plain op — replay after a crash uses
-        the queue, so recovery is transport-independent.
-        """
-        if worker.shm is not None and op[0] == "frames":
-            payload = pickle.dumps(op[1], protocol=pickle.HIGHEST_PROTOCOL)
-            if worker.shm_slots and len(payload) <= _SHM_SLOT_BYTES:
-                slot = worker.shm_slots.pop()
-                offset = slot * _SHM_SLOT_BYTES
-                worker.shm.buf[offset:offset + len(payload)] = payload
-                worker.shm_pending[seq] = slot
-                self._shm_dispatches += 1
-                worker.tasks.put(
-                    ("op", seq, ("frames_shm", offset, len(payload)))
-                )
-                return
-            self._shm_fallbacks += 1
-        worker.tasks.put(("op", seq, op))
-
-    def _free_shm_slot(self, worker: _WorkerHandle, seq: int) -> None:
-        """Return ``seq``'s ring slot (acknowledged = consumed) if any."""
-        slot = worker.shm_pending.pop(seq, None)
-        if slot is not None:
-            worker.shm_slots.append(slot)
-
-    def _reclaim_shm_slots(self, worker: _WorkerHandle) -> None:
-        """Reclaim every in-flight ring slot (crash recovery, park).
-
-        Safe because the replacement generation is fed from the *log*
-        (plain ops over the queue), never from stale ring contents.
-        """
-        worker.shm_slots.extend(worker.shm_pending.values())
-        worker.shm_pending.clear()
-
-    def _release_shm(self, worker: _WorkerHandle) -> None:
-        """Tear down a worker's ring segment (stop/terminate/park)."""
-        if worker.shm is None:
-            return
-        try:
-            worker.shm.close()
-            worker.shm.unlink()
-        except (OSError, FileNotFoundError):  # pragma: no cover - racy OS
-            pass
-        worker.shm = None
-        worker.shm_slots = []
-        worker.shm_pending = {}
 
     def _send_query(self, worker: _WorkerHandle, query: Tuple) -> int:
         seq = worker.next_seq
@@ -2193,7 +2033,6 @@ class ShardWorkerPool:
             # and leaking them would wedge _send_op's backpressure loop.
             worker.inflight.discard(seq)
             worker.pending_sent_at.pop(seq, None)
-            self._free_shm_slot(worker, seq)
             if seq <= worker.max_acked:
                 return  # replay duplicate (or a stale ack from a dead life)
             worker.max_acked = seq
@@ -2228,7 +2067,6 @@ class ShardWorkerPool:
             _, _, seq, reason = message
             worker.inflight.discard(seq)
             worker.pending_sent_at.pop(seq, None)
-            self._free_shm_slot(worker, seq)
             # The worker is demonstrably alive (it answered, just
             # negatively) — count it as watchdog progress, not ack progress.
             worker.last_progress_at = time.monotonic()
@@ -2305,7 +2143,6 @@ class ShardWorkerPool:
         worker.log = [(s, o) for s, o in worker.log if s != seq]
         worker.inflight.discard(seq)
         worker.pending_sent_at.pop(seq, None)
-        self._free_shm_slot(worker, seq)
         worker.quarantined_seqs.add(seq)
         record = {
             "worker": worker.index,
@@ -2347,9 +2184,6 @@ class ShardWorkerPool:
                 q.cancel_join_thread()
         worker.tasks = None
         worker.results = None
-        # The parked process is gone for good until repair() respawns it
-        # (which re-creates a fresh ring); release the segment now.
-        self._release_shm(worker)
         # Unacknowledged payload-bearing ops must not be replayed into the
         # void on repair: an undelivered drain would discard matches nobody
         # consumed, an undelivered expel would orphan shards.  Dropping
@@ -2481,14 +2315,11 @@ class ShardWorkerPool:
             if delay > 0:
                 time.sleep(delay)
         # Release the dead generation's queues (feeder threads, pipe fds,
-        # buffered messages) before spawning replacements.  In-flight ring
-        # slots are reclaimed wholesale: replay feeds the replacement from
-        # the log over the queue, never from stale ring contents.
+        # buffered messages) before spawning replacements.
         for q in (worker.tasks, worker.results):
             if q is not None:
                 q.close()
                 q.cancel_join_thread()
-        self._reclaim_shm_slots(worker)
         recovery_started = time.monotonic()
         self._spawn(worker)
         if worker.last_checkpoint is not None:
@@ -2528,7 +2359,6 @@ class ShardWorkerPool:
                 if q is not None:
                     q.close()
                     q.cancel_join_thread()
-            self._release_shm(worker)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         state = "running" if self._started else ("stopped" if self._stopped else "new")

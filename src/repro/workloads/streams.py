@@ -152,8 +152,8 @@ def bench_scenario(
 ) -> Tuple[Dict[str, VideoRelation], List[CNFQuery]]:
     """One deterministic multi-stream scenario: feeds plus id-assigned queries.
 
-    Shared by the streaming and pool benchmarks and the pool differential
-    test suite, so they all exercise literally the same workload.  Query ids
+    Shared by the pool, checkpoint and cross-backend test suites, so they
+    all exercise literally the same workload.  Query ids
     are assigned globally up front; matches from any serving architecture
     (dedicated engines, router, worker pool) then carry the same
     ``query_id`` and can be compared verbatim.

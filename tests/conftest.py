@@ -134,8 +134,8 @@ def labelled_stream(
 
     Delegates to the shipped multi-stream feed generator
     (:func:`repro.workloads.streams.simulated_feed`) with test-sized
-    parameters, so the scenarios the suite exercises are the scenarios the
-    streaming benchmark runs — one cohort/churn model, not two.
+    parameters, so the engine tests and the multi-stream suites share one
+    cohort/churn model, not two.
     """
     return simulated_feed(
         f"labelled-{seed}",
@@ -144,6 +144,33 @@ def labelled_stream(
         universe=universe,
         classes=classes,
     )
+
+
+#: The registry datasets (``repro.datasets.DATASET_NAMES``), spelled out
+#: because importing the registry needs numpy and parametrisation happens
+#: at collection time.
+REGISTRY_DATASETS = ("V1", "V2", "D1", "D2", "M1", "M2")
+
+#: Scene scale of :func:`registry_scene`: every dataset in well under 0.2 s.
+REGISTRY_SCALE = 0.1
+
+
+def registry_scene(name: str, scale: float = REGISTRY_SCALE):
+    """A registry dataset's relation plus the figures' window and duration.
+
+    The relation comes out of the simulated detection/tracking pipeline, so
+    it has the occlusion and churn profile the figures time, which the
+    random builders above do not.  Skips the calling test without numpy.
+    """
+    pytest.importorskip(
+        "numpy", reason="the simulated vision/dataset pipeline requires numpy"
+    )
+    from repro.datasets import DATASET_NAMES, load_relation
+    from repro.experiments.figures import _window_duration
+
+    assert REGISTRY_DATASETS == DATASET_NAMES
+    window, duration = _window_duration(scale)
+    return load_relation(name, scale=scale), window, duration
 
 
 # ----------------------------------------------------------------------

@@ -18,10 +18,12 @@ from repro.core.arraykernel import ArraySSGGenerator, numpy_available
 from repro.core.ssg import StrictStateGraphGenerator
 
 from tests.conftest import (
+    REGISTRY_DATASETS,
     bursty_stream,
     canonical_results,
     duplicate_heavy_stream,
     gap_stream,
+    registry_scene,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -74,6 +76,19 @@ def test_backends_byte_identical(builder, seed, configs, forced, monkeypatch):
     relation = builder(seed)
     for window, duration in configs:
         _run_lockstep(relation, window, duration)
+
+
+@pytest.mark.parametrize("forced", [False, True],
+                         ids=["auto-threshold", "forced-matrix"])
+@pytest.mark.parametrize("dataset", REGISTRY_DATASETS)
+def test_registry_scenes_byte_identical(dataset, forced, monkeypatch):
+    """The registry scenes the figures time: same results, same checkpoint
+    bytes, and the same work counters on both backends."""
+    _force_matrix(monkeypatch, forced)
+    relation, window, duration = registry_scene(dataset)
+    oracle, array = _run_lockstep(relation, window, duration)
+    assert oracle.stats.as_dict() == array.stats.as_dict()
+    assert oracle.stats.frames_processed == relation.num_frames
 
 
 @pytest.mark.parametrize("forced", [False, True],

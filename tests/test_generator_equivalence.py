@@ -15,7 +15,13 @@ from repro.core import (
 )
 from repro.datamodel import VideoRelation
 
-from tests.conftest import INCREMENTAL_GENERATORS, random_relation, result_mappings
+from tests.conftest import (
+    INCREMENTAL_GENERATORS,
+    REGISTRY_DATASETS,
+    random_relation,
+    registry_scene,
+    result_mappings,
+)
 
 # Strategy: a short video of frames over a small universe of object ids, plus
 # window and duration parameters.
@@ -52,6 +58,15 @@ class TestEquivalenceWithReference:
                 assert actual == expected, (
                     f"seed={seed} window={window} duration={duration}"
                 )
+
+    @pytest.mark.parametrize("dataset", REGISTRY_DATASETS)
+    def test_registry_scenes_match_reference(self, generator_cls, dataset):
+        """The detector/tracker scenes the figures time, with their
+        occlusions and id churn, at the figures' window and duration."""
+        relation, window, duration = registry_scene(dataset)
+        expected = result_mappings(ReferenceGenerator, relation, window, duration)
+        assert any(expected), "the scene reports no MCOS at all"
+        assert result_mappings(generator_cls, relation, window, duration) == expected
 
 
 class TestCrossGeneratorAgreement:

@@ -498,35 +498,6 @@ def test_queue_timeout_only_applies_to_pool(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# CLI-BENCH-SCOPE
-# ---------------------------------------------------------------------------
-UNGUARDED_CLI = (
-    "import argparse\n\n"
-    "def main():\n"
-    "    parser = argparse.ArgumentParser()\n"
-    "    parser.add_argument('--bench', choices=['kernel', 'pool'])\n"
-    "    parser.add_argument('--workers', type=int,\n"
-    "                        help='workers for --bench pool')\n"
-    "    args = parser.parse_args()\n"
-)
-
-GUARDED_CLI = UNGUARDED_CLI + (
-    "    if args.bench != 'pool' and args.workers is not None:\n"
-    "        parser.error('--workers only applies to --bench pool')\n"
-)
-
-
-def test_cli_bench_scope_hit_unguarded(tmp_path):
-    report = lint_tree(tmp_path, {"experiments/__main__.py": UNGUARDED_CLI})
-    assert rules_hit(report) == ["CLI-BENCH-SCOPE"]
-
-
-def test_cli_bench_scope_miss_guarded(tmp_path):
-    report = lint_tree(tmp_path, {"experiments/__main__.py": GUARDED_CLI})
-    assert report.ok
-
-
-# ---------------------------------------------------------------------------
 # Engine: suppression grammar, parse errors, CLI exit codes, JSON shape
 # ---------------------------------------------------------------------------
 def test_suppression_without_reason_is_a_violation(tmp_path):

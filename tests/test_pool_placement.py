@@ -521,33 +521,7 @@ class TestPersistedAssignment:
         restored.terminate()
 
 
-class TestSkewBenchSmoke:
-    def test_skew_benchmark_report_and_merge(self, tmp_path):
-        """The skew scenario writes its block into BENCH_pool.json without
-        clobbering an existing throughput report, and its imbalance ratios
-        satisfy the acceptance inequality."""
-        from repro.experiments.streaming_bench import (
-            render_skew_report, run_skew_benchmark,
-        )
-
-        output = tmp_path / "BENCH_pool.json"
-        output.write_text(json.dumps({"benchmark": "pool", "cpus": 1}))
-        report = run_skew_benchmark(
-            num_feeds=3, frames_per_feed=30, workers=2,
-            smoke=True, output_path=str(output),
-        )
-        assert report["results_verified_identical"] is True
-        assert report["least_loaded"]["imbalance"] < \
-            report["round_robin"]["imbalance"]
-        assert report["rebalanced"]["imbalance_after"] < \
-            report["rebalanced"]["imbalance_before"]
-        assert report["rebalanced"]["migrations"] >= 1
-        document = json.loads(output.read_text())
-        assert document["cpus"] == 1  # pre-existing report untouched
-        assert document["skew"]["hot_factor"] == 4
-        rendered = render_skew_report(report)
-        assert "least-loaded" in rendered and "rebalance" in rendered
-
+class TestSkewedScenario:
     def test_skewed_scenario_shapes(self):
         feeds, queries, hot = skewed_scenario(3, 20, GROUPS, 2, seed=1)
         assert hot == "cam-00"

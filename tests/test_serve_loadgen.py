@@ -1,20 +1,19 @@
-"""The load generator and serve benchmark: determinism and byte-identity.
+"""The load generator against the gateway: determinism and byte-identity.
 
 The generator's value rests on two properties: (1) its workloads are
 seeded, so an oracle can replay them exactly, and (2) what the gateway
 delivers under concurrent load is byte-identical to that oracle.  The
-fast tests here pin both on the inline backend; the pool fault leg runs
-in the ``slow``-marked test (and in the serve-smoke CI job via
-``--bench serve --smoke``).
+fast tests here pin both on the inline backend; the ``slow``-marked test
+adds a pinned worker fault on the pool backend and checks containment,
+then repair.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.serve import Gateway, GatewayRunner
+from repro.serve.client import GatewayClient
 from repro.serve.loadgen import (
     canonical,
     direct_oracle,
@@ -23,6 +22,7 @@ from repro.serve.loadgen import (
     seeded_tenants,
     summarize,
 )
+from repro.streaming.faultinject import Fault, FaultPlan
 
 
 def test_seeded_workloads_are_deterministic():
@@ -101,40 +101,72 @@ def test_throttled_tenant_still_converges_to_the_oracle():
     )
 
 
-def test_serve_benchmark_smoke_inline(tmp_path):
-    from repro.experiments.serve_bench import (
-        render_serve_report, run_serve_benchmark,
-    )
-
-    out = tmp_path / "BENCH_serve.json"
-    report = run_serve_benchmark(
-        num_tenants=2, smoke=True, backend="inline", with_fault=False,
-        output_path=str(out),
-    )
-    assert report["service"]["verification"]["ok"]
-    assert report["params"]["smoke"] is True
-    on_disk = json.loads(out.read_text())
-    assert on_disk["service"]["verification"]["ok"]
-    text = render_serve_report(report)
-    assert "byte_identical" in text and "2/2 tenants" in text
-
-
 @pytest.mark.slow
-def test_serve_benchmark_pool_fault_leg(tmp_path):
-    """The acceptance-shaped run: >= 4 tenants on the pool backend with an
-    injected worker fault — gateway stays up, /healthz degrades, healthy
-    sequences stay byte-identical, and repair restores full identity."""
-    from repro.experiments.serve_bench import run_serve_benchmark
-
-    report = run_serve_benchmark(
-        num_tenants=4, smoke=True, backend="pool", with_fault=True,
-        output_path=str(tmp_path / "BENCH_serve.json"),
+def test_pool_fault_is_contained_then_repaired():
+    """Four tenants on the pool backend with a SIGKILL pinned to one
+    tenant's stream: the gateway stays up, /healthz degrades, healthy
+    sequences stay byte-identical while parked ones fall behind as a
+    prefix, and an admin repair restores full identity and /healthz
+    ``ok``."""
+    workloads = seeded_tenants(4, seed=0, frames_per_feed=30)
+    victim = workloads[0]
+    scoped = f"{victim.name}/{sorted(victim.feeds)[0]}"
+    # The fault fires on every replay, so the worker is parked for good;
+    # the poison heuristic stays off so the scripted fault is what parks.
+    plan = FaultPlan([Fault("sigkill", None, frame=(scoped, 20), fires=0)])
+    gateway = Gateway(
+        [w.config() for w in workloads],
+        admin_key="adm",
+        backend="pool",
+        session_kwargs={
+            "watermark": 4, "num_workers": 2, "degraded_mode": True,
+            "supervision": {"poison_threshold": None},
+        },
     )
-    assert report["service"]["verification"]["ok"]
-    fault = report["fault"]
-    assert fault["during_fault"]["healthz"] == "degraded"
-    assert fault["during_fault"]["parked_streams"]
-    assert fault["during_fault"]["violations"] == []
-    assert fault["after_repair"]["verification"]["ok"]
-    assert fault["after_repair"]["healthz"] == "ok"
-    assert fault["ok"]
+    expected = {w.name: direct_oracle(w) for w in workloads}
+    runner = GatewayRunner(gateway)
+    clients = []
+    try:
+        # Workers fork while the plan is installed, so they carry it.
+        with plan.install():
+            runner.start()
+            admin = GatewayClient(runner.host, runner.port, "adm")
+            clients.append(admin)
+            results, _ = run_tenants(workloads, runner.host, runner.port)
+            health = admin.healthz().payload
+        assert health["status"] == "degraded"
+        parked = {
+            stream for stream, record in health["streams"].items()
+            if record.get("state") != "healthy"
+        }
+        assert scoped in parked
+        behind = 0
+        for workload, result in zip(workloads, results):
+            want_all = expected[workload.name]
+            for key in set(want_all) | set(result.delivered):
+                want = want_all.get(key, [])
+                got = result.delivered.get(key, [])
+                if f"{workload.name}/{key[1]}" in parked:
+                    assert got == want[:len(got)], (workload.name, key)
+                    behind += len(want) - len(got)
+                else:
+                    assert canonical({key: got}) == \
+                        canonical({key: want}), (workload.name, key)
+        assert behind > 0, "the parked streams delivered everything"
+        # The plan is uninstalled: repair replays the parked journal and
+        # every tenant drains to full byte-identity.
+        assert admin.repair()
+        for workload, result in zip(workloads, results):
+            client = GatewayClient(runner.host, runner.port, workload.api_key)
+            clients.append(client)
+            client.flush()
+            for local_qid in range(len(workload.queries)):
+                payload = client.poll_matches(local_qid)
+                result.record_matches(local_qid, payload["matches"], {}, 0.0)
+            assert canonical(result.delivered) == \
+                canonical(expected[workload.name]), workload.name
+        assert admin.healthz().payload["status"] == "ok"
+    finally:
+        for client in clients:
+            client.close()
+        runner.close()

@@ -1,5 +1,5 @@
 """Session facade: registration/cancellation lifecycle, warm-up watermark
-guarantees, checkpoint/restore, and the deprecation shims.
+guarantees, checkpoint/restore, and the top-level exports.
 
 The acceptance property pinned here: a query registered on a *live* session
 after N frames produces, from its warm-up watermark onward, matches
@@ -426,23 +426,21 @@ class TestPoolLifecycleRobustness:
         crashed.close()
 
 
-class TestDeprecatedEntryPoints:
-    def test_old_entry_points_warn_but_work(self):
-        import repro
+class TestPreSessionEntryPoints:
+    """The pre-session classes live in ``repro.engine`` only, as the README
+    migration table says; the top-level package no longer resolves them."""
 
-        with pytest.warns(DeprecationWarning, match="Session"):
-            engine_class = repro.TemporalVideoQueryEngine
-        with pytest.warns(DeprecationWarning):
-            config_class = repro.EngineConfig
-        engine = engine_class(
-            [parse_query("car >= 1", window=6, duration=3)],
-            config_class(method="SSG", window_size=6, duration=3),
-        )
-        matches = engine.process_frame(FrameObservation(0, {1: "car"}))
-        assert matches == []  # duration not yet reached, but the path works
-        with pytest.warns(DeprecationWarning):
-            repro.EngineRunResult
-        with pytest.warns(DeprecationWarning):
-            repro.MCOSMethod
-        with pytest.raises(AttributeError):
-            repro.NoSuchThing
+    @pytest.mark.parametrize("name", (
+        "TemporalVideoQueryEngine", "EngineConfig", "EngineRunResult", "MCOSMethod",
+    ))
+    def test_importable_from_repro_engine_only(self, name):
+        import repro
+        import repro.engine
+
+        assert name in repro.engine.__all__
+        assert name not in repro.__all__
+        with pytest.raises(AttributeError, match=name):
+            getattr(repro, name)
+        namespace = {}
+        exec("from repro import *", namespace)
+        assert name not in namespace

@@ -1,5 +1,7 @@
 """Tests for the query workload generators and the experiment harness."""
 
+import re
+
 import pytest
 
 pytest.importorskip(
@@ -17,6 +19,7 @@ from repro.experiments import (
     series_to_markdown,
     table6_statistics,
 )
+from repro.experiments.__main__ import EXPERIMENTS
 from repro.experiments.figures import figure5_duration, figure7_occlusion, figure8_query_count
 from repro.experiments.report import render_experiment
 from repro.workloads import ge_only_workload, incident_workload, random_cnf_workload
@@ -126,132 +129,66 @@ class TestFigures:
         assert all(value > 0 for value in speedups.values())
 
 
-class TestExperimentsCLIValidation:
-    """``python -m repro.experiments`` rejects flags outside their mode.
+class TestExperimentsCLI:
+    def test_figures_run_and_unknown_experiment(self, capsys):
+        from repro.experiments.__main__ import main
 
-    Regression tests: these combinations used to parse fine and silently
-    drop the flag, leaving the user running a different benchmark than the
-    command line said.
-    """
+        assert main(
+            ["--only", "table6", "--datasets", "V1", "--scale", "0.05"]
+        ) == 0
+        assert "== table6: dataset statistics ==" in capsys.readouterr().out
+        assert main(["--only", "nope"]) == 2
+        assert "unknown experiment 'nope'" in capsys.readouterr().err
 
     @staticmethod
-    def _main(argv):
+    def _stub_experiments(monkeypatch):
+        """Replace every experiment and renderer with a call recorder."""
+        import repro.datasets.statistics as statistics
+        import repro.experiments.report as report
+        from repro.experiments import figures
+
+        calls = []
+        for name, function in {"table6": "table6_statistics", **EXPERIMENTS}.items():
+            def run(*args, _name=name, **kwargs):
+                calls.append((_name, args, kwargs))
+                return _name
+            monkeypatch.setattr(figures, function, run)
+        monkeypatch.setattr(report, "render_experiment", lambda result: f"<{result}>")
+        monkeypatch.setattr(statistics, "statistics_table", lambda stats: f"<{stats}>")
+        return calls
+
+    @pytest.mark.parametrize("name", ["table6", *EXPERIMENTS])
+    def test_only_runs_the_named_experiment(self, name, monkeypatch, capsys):
         from repro.experiments.__main__ import main
-        return main(argv)
 
-    @pytest.mark.parametrize("argv", [
-        ["--scenario", "skew"],                       # figures mode
-        ["--smoke"],                                  # figures mode
-        ["--workers", "2"],                           # figures mode
-        ["--feeds", "4"],                             # figures mode
-        ["--frames", "100"],                          # figures mode
-        ["--bench", "kernel", "--scenario", "chaos"],
-        ["--bench", "kernel", "--smoke"],
-        ["--bench", "kernel", "--feeds", "4"],
-        ["--bench", "kernel", "--frames", "50"],
-        ["--bench", "kernel", "--workers", "2"],
-        ["--bench", "streaming", "--scenario", "skew"],
-        ["--bench", "streaming", "--smoke"],
-        ["--bench", "streaming", "--workers", "2"],
-        ["--tenants", "4"],                           # figures mode
-        ["--duration", "1.5"],                        # figures mode
-        ["--bench", "kernel", "--tenants", "4"],
-        ["--bench", "streaming", "--tenants", "4"],
-        ["--bench", "streaming", "--duration", "1.5"],
-        ["--bench", "pool", "--tenants", "4"],
-        ["--bench", "pool", "--duration", "1.5"],
-        ["--bench", "serve", "--feeds", "4"],
-        ["--bench", "serve", "--frames", "100"],
-        ["--bench", "serve", "--workers", "2"],
-        ["--bench", "serve", "--scenario", "skew"],
-    ])
-    def test_out_of_scope_flags_are_rejected(self, argv):
+        calls = self._stub_experiments(monkeypatch)
+        assert main(["--only", name, "--scale", "0.5", "--datasets", "V1", "M2"]) == 0
+        [(called, args, kwargs)] = calls
+        assert called == name
+        if name == "table6":
+            assert (args, kwargs) == ((["V1", "M2"],), {"scale": 0.5})
+        elif name in ("figure8", "figure9"):
+            # Their series are fixed to one dataset each; --datasets is moot.
+            assert (args, kwargs) == ((), {"scale": 0.5})
+        else:
+            assert (args, kwargs) == ((), {"scale": 0.5, "datasets": ["V1", "M2"]})
+        out = capsys.readouterr().out
+        assert f"<{name}>" in out and f"[{name} completed in" in out
+
+    def test_default_run_is_table6_then_every_figure(self, monkeypatch):
+        from repro.experiments.__main__ import main
+
+        calls = self._stub_experiments(monkeypatch)
+        assert main([]) == 0
+        assert [name for name, _, _ in calls] == ["table6", *EXPERIMENTS]
+        assert all(kwargs == {"scale": 0.25} for _, _, kwargs in calls)
+        assert calls[0][1] == ()
+
+    def test_help_offers_only_the_figure_flags(self, capsys):
+        from repro.experiments.__main__ import main
+
         with pytest.raises(SystemExit) as excinfo:
-            self._main(argv)
-        assert excinfo.value.code == 2  # argparse parser.error exit code
-
-    def test_error_names_the_flag_and_mode(self, capsys):
-        with pytest.raises(SystemExit):
-            self._main(["--bench", "kernel", "--scenario", "skew"])
-        err = capsys.readouterr().err
-        assert "--scenario" in err and "--bench pool" in err
-
-    def test_figures_error_names_figures_mode(self, capsys):
-        with pytest.raises(SystemExit):
-            self._main(["--smoke"])
-        err = capsys.readouterr().err
-        assert "--smoke" in err and "figures" in err
-
-    def test_pool_scoped_flags_still_parse_for_pool(self):
-        # Only checks argument acceptance: patch the benchmark runner out.
-        import repro.experiments.streaming_bench as streaming_bench
-        from unittest import mock
-        with mock.patch.object(streaming_bench, "run_skew_benchmark",
-                               return_value={}) as run, \
-             mock.patch.object(streaming_bench, "render_skew_report",
-                               return_value=""):
-            assert self._main(["--bench", "pool", "--scenario", "skew",
-                               "--smoke", "--workers", "3"]) == 0
-        assert run.call_args.kwargs["workers"] == 3
-        assert run.call_args.kwargs["smoke"] is True
-
-    def test_serve_scoped_flags_still_parse_for_serve(self):
-        import repro.experiments.serve_bench as serve_bench
-        from unittest import mock
-        ok_report = {"service": {"verification": {"ok": True}}}
-        with mock.patch.object(serve_bench, "run_serve_benchmark",
-                               return_value=ok_report) as run, \
-             mock.patch.object(serve_bench, "render_serve_report",
-                               return_value=""):
-            assert self._main(["--bench", "serve", "--tenants", "6",
-                               "--duration", "0.5", "--smoke"]) == 0
-        assert run.call_args.kwargs["num_tenants"] == 6
-        assert run.call_args.kwargs["duration"] == 0.5
-        assert run.call_args.kwargs["smoke"] is True
-
-    def test_serve_error_names_serve_mode(self, capsys):
-        with pytest.raises(SystemExit):
-            self._main(["--bench", "pool", "--tenants", "4"])
-        err = capsys.readouterr().err
-        assert "--tenants" in err and "--bench serve" in err
-
-    def test_serve_exit_code_reflects_verification(self):
-        import repro.experiments.serve_bench as serve_bench
-        from unittest import mock
-        bad_report = {"service": {"verification": {"ok": False}}}
-        with mock.patch.object(serve_bench, "run_serve_benchmark",
-                               return_value=bad_report), \
-             mock.patch.object(serve_bench, "render_serve_report",
-                               return_value=""):
-            assert self._main(["--bench", "serve", "--smoke"]) == 1
-
-
-class TestWorkerDefaults:
-    """The CLI help and the scenario defaults must agree (regression: the
-    help text claimed only skew defaulted to 2 workers while chaos did too).
-    """
-
-    def test_scenario_defaults_share_the_constant(self):
-        import inspect
-        from repro.experiments.streaming_bench import (
-            DEFAULT_SCENARIO_WORKERS,
-            DEFAULT_WORKERS,
-            run_chaos_benchmark,
-            run_pool_benchmark,
-            run_skew_benchmark,
-        )
-        assert DEFAULT_WORKERS == 4
-        assert DEFAULT_SCENARIO_WORKERS == 2
-        pool = inspect.signature(run_pool_benchmark).parameters["workers"]
-        skew = inspect.signature(run_skew_benchmark).parameters["workers"]
-        chaos = inspect.signature(run_chaos_benchmark).parameters["workers"]
-        assert pool.default == DEFAULT_WORKERS
-        assert skew.default == DEFAULT_SCENARIO_WORKERS
-        assert chaos.default == DEFAULT_SCENARIO_WORKERS
-
-    def test_workers_help_documents_both_defaults(self):
-        import inspect
-        from repro.experiments import __main__ as cli
-        source = inspect.getsource(cli)
-        assert "default 4" in source
-        assert "skew and chaos scenarios default to 2" in source
+            main(["--help"])
+        assert excinfo.value.code == 0
+        flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
+        assert flags == {"--help", "--scale", "--only", "--datasets"}
