@@ -18,12 +18,6 @@ experimental baselines of Section 6:
 per window from scratch and serves as the correctness oracle in tests.
 """
 
-from repro.core.arraykernel import (
-    ArraySSGGenerator,
-    numpy_available,
-    select_kernel,
-    ssg_generator_class,
-)
 from repro.core.base import GeneratorStats, MCOSGenerator
 from repro.core.framespan import FrameSpan
 from repro.core.interning import ObjectInterner
@@ -35,10 +29,6 @@ from repro.core.ssg import StrictStateGraphGenerator
 from repro.core.state import State, StateTable
 
 __all__ = [
-    "ArraySSGGenerator",
-    "numpy_available",
-    "select_kernel",
-    "ssg_generator_class",
     "State",
     "StateTable",
     "ObjectInterner",

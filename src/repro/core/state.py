@@ -33,7 +33,14 @@ from repro.core.result import ResultState
 
 
 class State:
-    """A co-occurrence object set (bitmask) with its (marked) frame span."""
+    """A co-occurrence object set (bitmask) with its (marked) frame span.
+
+    Ten slots: the two halves (``bits``, ``span``), the pruning flag, the SSG
+    traversal's visitation stamp and adjacency, and the lazily decoded views.
+    Only the halves and ``terminated`` are exported per state (see
+    :meth:`StateTable.export_states`); SSG adjacency is exported by that
+    generator, and everything else is rebuilt on the fly.
+    """
 
     __slots__ = (
         "bits",
@@ -46,13 +53,6 @@ class State:
         "_object_ids",
         "_result",
         "_result_revision",
-        # Array-kernel working fields (owned by repro.core.arraykernel's
-        # ArraySSGGenerator; the other generators leave them at their
-        # defaults).  Held as slots because the kernel reads them on every
-        # visit — attribute access beats an external side table.
-        "slot",
-        "cached_inter",
-        "cached_tgt",
     )
 
     def __init__(
@@ -84,16 +84,6 @@ class State:
         self._object_ids = object_ids
         self._result: Optional[ResultState] = None
         self._result_revision = -1
-        #: Array-kernel fields, see repro.core.arraykernel.  ``slot`` is the
-        #: state's row in the kernel's flat columns / mask matrix (-1 while
-        #: not a live graph node — the kernel also uses it as the liveness
-        #: check for cached merge targets); ``cached_inter``/``cached_tgt``
-        #: memoise the state's last partial-visit derivation (intersection
-        #: key and target state) so repeat visits with an unchanged
-        #: derivation skip the merge machinery entirely.
-        self.slot: int = -1
-        self.cached_inter: int = -1
-        self.cached_tgt: Optional["State"] = None
 
     # ------------------------------------------------------------------
     # Object-set views

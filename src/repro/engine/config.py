@@ -4,17 +4,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Type
+from typing import Dict, Type
 
-from repro.core.arraykernel import ssg_generator_class
 from repro.core.base import MCOSGenerator
 from repro.core.mfs import MarkedFrameSetGenerator
 from repro.core.naive import NaiveGenerator
 from repro.core.reference import ReferenceGenerator
+from repro.core.ssg import StrictStateGraphGenerator
 
 
 class MCOSMethod(enum.Enum):
-    """The state maintenance strategies evaluated in the paper."""
+    """The state maintenance strategies evaluated in the paper, plus the
+    exact oracle; each names one generator class."""
 
     NAIVE = "NAIVE"
     MFS = "MFS"
@@ -23,20 +24,16 @@ class MCOSMethod(enum.Enum):
 
     @property
     def generator_class(self) -> Type[MCOSGenerator]:
-        """The generator class implementing this method.
+        """The generator class implementing this method."""
+        return _GENERATOR_CLASSES[self]
 
-        SSG resolves through :func:`repro.core.arraykernel.ssg_generator_class`
-        at every access, so the ``REPRO_KERNEL`` backend selection takes
-        effect per generator construction (both backends are byte-identical;
-        only the inner-loop machinery differs).
-        """
-        if self is MCOSMethod.SSG:
-            return ssg_generator_class()
-        return {
-            MCOSMethod.NAIVE: NaiveGenerator,
-            MCOSMethod.MFS: MarkedFrameSetGenerator,
-            MCOSMethod.REFERENCE: ReferenceGenerator,
-        }[self]
+
+_GENERATOR_CLASSES: Dict[MCOSMethod, Type[MCOSGenerator]] = {
+    MCOSMethod.NAIVE: NaiveGenerator,
+    MCOSMethod.MFS: MarkedFrameSetGenerator,
+    MCOSMethod.SSG: StrictStateGraphGenerator,
+    MCOSMethod.REFERENCE: ReferenceGenerator,
+}
 
 
 @dataclass

@@ -16,8 +16,6 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.arraykernel import ArraySSGGenerator, numpy_available
-from repro.core.ssg import StrictStateGraphGenerator
 from repro.engine import EngineConfig, MCOSMethod, TemporalVideoQueryEngine
 from repro.session import Session
 from repro.streaming import CheckpointError, StreamRouter
@@ -26,6 +24,7 @@ from repro.workloads.streams import bench_scenario, interleave_feeds
 
 from tests.conftest import (
     ALL_GENERATORS,
+    INCREMENTAL_GENERATORS,
     build_queries,
     bursty_stream,
     canonical_results,
@@ -114,17 +113,6 @@ class TestBinaryRoundTrip:
 # ----------------------------------------------------------------------
 # Version compatibility
 # ----------------------------------------------------------------------
-#: Every generator class a checkpoint can resume on (the SSG entry of
-#: ``ALL_GENERATORS`` is the pure-Python kernel; the array kernel joins it
-#: where numpy is there, and ``MCOSMethod`` follows ``REPRO_KERNEL``).
-LAYOUT_GENERATORS = [
-    MCOSMethod.NAIVE.generator_class,
-    MCOSMethod.MFS.generator_class,
-    MCOSMethod.SSG.generator_class,
-    StrictStateGraphGenerator,
-] + ([ArraySSGGenerator] if numpy_available() else [])
-
-
 class TestVersionCompat:
     def test_version1_payloads_still_load(self):
         payload = {"state": [1, 2, 3], "label": "x"}
@@ -160,7 +148,7 @@ class TestVersionCompat:
         with pytest.raises(CheckpointError, match="unknown value tag 9"):
             ckpt.from_bytes(ckpt.MAGIC_V2 + zlib.compress(body))
 
-    @pytest.mark.parametrize("generator_cls", LAYOUT_GENERATORS)
+    @pytest.mark.parametrize("generator_cls", INCREMENTAL_GENERATORS)
     @pytest.mark.parametrize("writer", [v1_bytes, v2_bytes])
     @pytest.mark.parametrize("seed", range(3))
     def test_rowwise_generator_blob_restores_to_the_columnar_export(

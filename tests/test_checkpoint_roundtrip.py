@@ -10,6 +10,7 @@ randomized cases carry their seed in the assertion message.
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import pytest
 
@@ -25,11 +26,13 @@ from repro.streaming.shard import ShardKey
 
 from tests.conftest import (
     ALL_GENERATORS,
+    REGISTRY_DATASETS,
     build_queries,
     bursty_stream,
     canonical_results,
     gap_stream,
     labelled_stream,
+    registry_scene,
 )
 
 
@@ -244,28 +247,54 @@ class TestSSGGraphRoundTrip:
 # ----------------------------------------------------------------------
 # Whole-generator round-trips (all four methods)
 # ----------------------------------------------------------------------
+def seeded_scene(maker, seed):
+    """A seeded random stream at the round trip's small window."""
+    return maker(seed, num_frames=80), 7, 4
+
+
+def compaction_scene(window, duration):
+    """Gaps longer than a tiny window: span compaction, full graph teardown."""
+    return gap_stream(71, num_frames=80, window=5), window, duration
+
+
+#: ``(relation, window, duration)`` builders: seeded random streams, the
+#: compaction edge cases, then the registry scenes at the figures' window
+#: (skipped without numpy).
+ROUND_TRIP_SCENES = [
+    pytest.param(partial(seeded_scene, maker, seed), id=f"{seed}-{maker.__name__}")
+    for seed in range(4)
+    for maker in (bursty_stream, gap_stream)
+] + [
+    pytest.param(partial(compaction_scene, window, duration),
+                 id=f"compaction-{window}-{duration}")
+    for window, duration in [(5, 1), (5, 5), (6, 4)]
+] + [
+    pytest.param(partial(registry_scene, name), id=name)
+    for name in REGISTRY_DATASETS
+]
+
+
 @pytest.mark.parametrize("generator_cls", ALL_GENERATORS)
 class TestGeneratorRoundTrip:
-    @pytest.mark.parametrize("maker", [bursty_stream, gap_stream])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_restored_suffix_is_byte_identical(self, generator_cls, maker, seed):
-        relation = maker(seed, num_frames=80)
+    @pytest.mark.parametrize("scene", ROUND_TRIP_SCENES)
+    def test_restored_suffix_is_byte_identical(self, generator_cls, scene):
+        relation, window, duration = scene()
         frames = list(relation.frames())
         cut = len(frames) // 2
-        generator = generator_cls(window_size=7, duration=4)
+        generator = generator_cls(window_size=window, duration=duration)
         for frame in frames[:cut]:
             generator.process_frame(frame)
         payload = json_roundtrip(generator.export_checkpoint())
-        restored = generator_cls(window_size=7, duration=4)
+        restored = generator_cls(window_size=window, duration=duration)
         restored.import_checkpoint(payload)
         a = canonical_results(generator.process_frame(f) for f in frames[cut:])
         b = canonical_results(restored.process_frame(f) for f in frames[cut:])
         assert a == b, (
-            f"{generator_cls.name} seed={seed} stream={relation.name}: "
+            f"{generator_cls.name} stream={relation.name}: "
             "restored run diverged from uninterrupted run"
         )
         assert restored.stats.as_dict() == generator.stats.as_dict(), (
-            f"{generator_cls.name} seed={seed}: work counters diverged"
+            f"{generator_cls.name} stream={relation.name}: work counters diverged"
         )
 
     def test_method_mismatch_rejected(self, generator_cls):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.arraykernel import ssg_generator_class
 from repro.core.base import GeneratorStats
 from repro.core.mfs import MarkedFrameSetGenerator
 from repro.core.naive import NaiveGenerator
@@ -20,17 +19,8 @@ class TestMCOSMethod:
     def test_generator_classes(self):
         assert MCOSMethod.NAIVE.generator_class is NaiveGenerator
         assert MCOSMethod.MFS.generator_class is MarkedFrameSetGenerator
-        # SSG resolves through the kernel selector: the array subclass when
-        # numpy is available, the pure-Python generator otherwise.  Either
-        # way it is (a subclass of) the SSG generator.
-        assert MCOSMethod.SSG.generator_class is ssg_generator_class()
-        assert issubclass(MCOSMethod.SSG.generator_class,
-                          StrictStateGraphGenerator)
-        assert MCOSMethod.REFERENCE.generator_class is ReferenceGenerator
-
-    def test_ssg_backend_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "python")
         assert MCOSMethod.SSG.generator_class is StrictStateGraphGenerator
+        assert MCOSMethod.REFERENCE.generator_class is ReferenceGenerator
 
 
 class TestEngineConfig:

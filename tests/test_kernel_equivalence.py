@@ -12,12 +12,14 @@ representations hardest:
 
 For every stream, NAIVE, MFS and SSG must report identical per-frame results;
 smaller configurations are additionally checked against the exact reference
-oracle.
+oracle.  On one seeded configuration per builder, each generator's work
+counters are pinned exactly against a recorded baseline.
 """
 
 import pytest
 
 from repro.core import (
+    GeneratorStats,
     MarkedFrameSetGenerator,
     NaiveGenerator,
     ReferenceGenerator,
@@ -130,6 +132,47 @@ class TestGeneratorsAgreeOnKernelStreams:
             assert a.as_mapping() == b.as_mapping()
             if i % 3 == 0:
                 compacted.compact_interner()
+
+
+#: ``(stream builder, seed, window, duration)`` of the counter baseline.
+COUNTER_STREAMS = {
+    "bursty": (bursty_stream, 11, 12, 9),
+    "duplicates": (duplicate_heavy_stream, 23, 10, 8),
+    "gaps": (gap_stream, 37, 7, 4),
+}
+
+#: Field order: frames_processed, states_created, states_removed,
+#: states_terminated, state_visits, intersections, frames_appended,
+#: max_live_states, result_states_emitted, edges_added, edges_removed.
+GOLDEN_STATS = {
+    ("bursty", NaiveGenerator): GeneratorStats(120, 61, 59, 0, 1326, 1326, 893, 26, 158, 0, 0),
+    ("bursty", MarkedFrameSetGenerator): GeneratorStats(120, 61, 60, 0, 623, 623, 580, 23, 158, 0, 0),
+    ("bursty", StrictStateGraphGenerator): GeneratorStats(120, 61, 60, 0, 697, 637, 608, 23, 158, 118, 118),
+    ("duplicates", NaiveGenerator): GeneratorStats(100, 6, 0, 0, 564, 564, 664, 6, 185, 0, 0),
+    ("duplicates", MarkedFrameSetGenerator): GeneratorStats(100, 13, 7, 0, 533, 533, 633, 6, 185, 0, 0),
+    ("duplicates", StrictStateGraphGenerator): GeneratorStats(100, 12, 6, 0, 526, 520, 620, 6, 185, 22, 15),
+    ("gaps", NaiveGenerator): GeneratorStats(100, 82, 71, 0, 236, 236, 226, 31, 114, 0, 0),
+    ("gaps", MarkedFrameSetGenerator): GeneratorStats(100, 82, 71, 0, 199, 199, 198, 25, 114, 0, 0),
+    ("gaps", StrictStateGraphGenerator): GeneratorStats(100, 82, 71, 0, 316, 252, 260, 25, 114, 157, 141),
+}
+
+
+@pytest.mark.parametrize("stream,generator_cls", list(GOLDEN_STATS))
+def test_work_counters_match_the_recorded_baseline(stream, generator_cls):
+    """Exact work counters per generator on three seeded streams.
+
+    The counters are deterministic (identical under any ``PYTHONHASHSEED``)
+    and are the machine-independent half of every speed claim about
+    ``core``.  A change that alters what a visit, an intersection or an
+    append counts (for example replaying states a frame left unchanged
+    instead of visiting them, see ROADMAP.md) must re-record this table on
+    purpose and say so; any other drift is a regression.
+    """
+    builder, seed, window, duration = COUNTER_STREAMS[stream]
+    generator = generator_cls(window_size=window, duration=duration)
+    for frame in builder(seed).frames():
+        generator.process_frame(frame)
+    assert generator.stats.as_dict() == GOLDEN_STATS[stream, generator_cls].as_dict()
 
 
 class TestGeneratorRunResultAt:
