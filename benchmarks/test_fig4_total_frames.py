@@ -39,3 +39,14 @@ def test_figure4_total_frames(benchmark, method, bench_scale, bench_datasets):
         points = sorted(per_frames)
         assert len(points) >= 2
         assert per_frames[points[-1]] >= per_frames[points[0]] * 0.5
+    if method is MCOSMethod.SSG:
+        # The paper's method ordering on the deterministic work counter: at
+        # every point SSG makes strictly fewer full state visits than MFS.
+        mfs = figure4_total_frames(
+            datasets=bench_datasets, scale=bench_scale, num_points=3,
+            methods=[MCOSMethod.MFS],
+        )
+        mfs_visits = {(t.dataset, t.value): t.work for t in mfs.timings}
+        for timing in result.timings:
+            point = (timing.dataset, timing.value)
+            assert timing.work < mfs_visits[point], (point, timing.work, mfs_visits[point])

@@ -40,6 +40,12 @@ class GeneratorStats:
     Wall-clock time in Python is noisy; these counters provide a deterministic
     measure of the amount of work each approach performs and are reported by
     the benchmark harness alongside the timings.
+
+    ``state_visits`` counts full visits (an intersection each);
+    ``replayed_visits`` counts the SSG states a frame only re-extended
+    because they miss the objects that entered or left since the previous
+    frame (see :mod:`repro.core.ssg`).  It is last and defaults to 0, so
+    counters written before it existed still load.
     """
 
     frames_processed: int = 0
@@ -53,6 +59,7 @@ class GeneratorStats:
     result_states_emitted: int = 0
     edges_added: int = 0
     edges_removed: int = 0
+    replayed_visits: int = 0
 
     def merge(self, other: "GeneratorStats") -> "GeneratorStats":
         """Return the field-wise sum of two counter sets."""
@@ -151,13 +158,16 @@ class MCOSGenerator(abc.ABC):
                 f"after {self._last_frame_id}"
             )
         self._last_frame_id = frame.frame_id
+        self.stats.frames_processed += 1
+        if self.stats.frames_processed % self._compact_every == 0:
+            # Before this frame's labels are recorded: compaction drops the
+            # labels of objects not yet interned, which would include the
+            # ones this frame introduces.
+            self.compact_interner()
         projected = frame.restricted_to_labels(self.config.labels_of_interest)
         if self._state_filter is not None or self.config.labels_of_interest is not None:
             for oid in projected.object_ids:
                 self._label_lookup.setdefault(oid, projected.label_of(oid))
-        self.stats.frames_processed += 1
-        if self.stats.frames_processed % self._compact_every == 0:
-            self.compact_interner()
         frame_bits = self.interner.intern_ids(projected.object_ids)
         result = self._process(projected, frame_bits)
         self.stats.result_states_emitted += len(result)

@@ -34,10 +34,43 @@ follows edges with attribute reads, stamps visits into ``state.flag`` instead
 of a hash set, and two memo layers (the span merge memo and the edge
 reachability memo) turn the per-frame re-derivations that dominate steady
 state into O(1) skips.
+
+Δ-pruning and replay
+--------------------
+ST prunes the subtrees that miss the arriving frame; this generator also
+prunes the ones that miss what *changed*.  Let ``Δ = F ^ F'`` be the
+objects that entered or left between the previous frame ``F'`` and the
+arriving one ``F``.  A state ``s`` with ``s & Δ == 0`` has ``s & F ==
+s & F'``: its derivation is the one the previous frame already made.  If
+``s`` is not a subset of ``F`` it received nothing since then (a state only
+gains frames or marks from a frame that contains it), so its merge into
+``s & F`` is a no-op and the edge to it is memoised; if it is a subset, the
+whole visit is "append ``F``".  Every descendant of ``s`` is a subset of
+``s`` and so misses ``Δ`` too: the unaffected states are closed downward,
+and no state that meets ``Δ`` hangs only below ones that miss it.  Each
+frame therefore
+
+1. *replays* the states the previous frame extended that miss ``Δ``: it
+   appends the frame to their tail, which is all a visit would do;
+2. walks the graph from the roots that meet ``Δ`` and stops at every state
+   that misses it, exactly as ST stops at empty intersections.
+
+The walk then no longer reaches every state whose last mark expires, so
+expiry is a sweep of its own, run before the walk: states are bucketed by
+their oldest stored mark, and a frame removes the states of the buckets that
+fell out of the window (principal marking and mark-copying merges are the
+only operations that add marks, so only they re-bucket).  After the sweep
+every live state carries a mark in the window, which is why neither the
+walk nor the report ever meets an invalid state.  The replay list is
+checkpointed; the buckets are rebuilt from the marks on import.  Without a
+previous frame (a new or reset generator, a checkpoint without the replay
+columns, or after an empty frame or a Proposition-1 terminated principal)
+``Δ`` is every object and the walk is the full ST.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from itertools import accumulate, chain, repeat
 from operator import floordiv, mod
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
@@ -49,6 +82,55 @@ from repro.datamodel.observation import FrameObservation
 
 #: Interned object-set bitmask (graph/table key).
 ObjectBits = int
+
+#: Expiry bucket of a state without marks: due on the next sweep.
+_UNMARKED = float("-inf")
+
+
+class _Schedule:
+    """The work one frame leaves for the frames after it.
+
+    ``replay`` holds the states the last frame extended, its principal
+    first; it is empty when the next frame has no previous frame to diff
+    against.  ``buckets`` files every state under its oldest stored mark,
+    with ``keys`` the heap of bucket keys: a state sits in the bucket of its
+    current oldest mark and possibly in stale ones, which :meth:`due`
+    filters out.  The checkpoint carries ``replay``; the buckets are a
+    function of the marks and are rebuilt on import.
+    """
+
+    __slots__ = ("replay", "buckets", "keys")
+
+    def __init__(self) -> None:
+        self.replay: List[State] = []
+        self.buckets: Dict[float, List[State]] = {}
+        self.keys: List[float] = []
+
+    def add(self, state: State) -> None:
+        """File ``state`` under its oldest stored mark."""
+        span = state.span
+        key = span._marked[span._mhead] if span.marked_count else _UNMARKED
+        bucket = self.buckets.get(key)
+        if bucket is None:
+            self.buckets[key] = [state]
+            heappush(self.keys, key)
+        else:
+            bucket.append(state)
+
+    def due(self, oldest_valid: int, by_bits: Dict[ObjectBits, State]) -> List[State]:
+        """Live states holding a mark older than ``oldest_valid``, in table
+        order (span serials grow with table position, in a live run and
+        after a restore alike, so a restored run removes in the same order)."""
+        keys, buckets = self.keys, self.buckets
+        found: Dict[int, State] = {}
+        while keys and keys[0] < oldest_valid:
+            for state in buckets.pop(heappop(keys)):
+                span = state.span
+                if by_bits.get(state.bits) is state and (
+                        not span.marked_count
+                        or span._marked[span._mhead] < oldest_valid):
+                    found[span.serial] = state
+        return [found[serial] for serial in sorted(found)]
 
 
 class StrictStateGraphGenerator(MCOSGenerator):
@@ -75,6 +157,8 @@ class StrictStateGraphGenerator(MCOSGenerator):
         # node removals re-route every broken path before returning (removals
         # bypass this memo when re-attaching, see _remove_node).
         self._edge_memo: Set[Tuple[int, int]] = set()
+        # Δ-pruning replay list and the expiry buckets (see module docstring).
+        self._schedule = _Schedule()
 
     # ------------------------------------------------------------------
     # Graph helpers
@@ -209,11 +293,16 @@ class StrictStateGraphGenerator(MCOSGenerator):
         frame_id = frame.frame_id
         oldest_valid = self._oldest_valid_frame(frame_id)
         self._expire_principals(oldest_valid)
+        self._sweep(oldest_valid)
 
         result_candidates: Dict[ObjectBits, State] = {}
+        replay = self._schedule.replay
+        # Stays empty (the next frame walks in full) unless this frame
+        # extends a principal.
+        self._schedule.replay = []
         if frame_bits:
             self._traverse_and_integrate(
-                frame_id, frame_bits, oldest_valid, result_candidates
+                frame_id, frame_bits, oldest_valid, replay, result_candidates
             )
 
         self._track_live_states(len(self._states))
@@ -246,18 +335,40 @@ class StrictStateGraphGenerator(MCOSGenerator):
         for bits in stale:
             del self._principals[bits]
 
+    def _sweep(self, oldest_valid: int) -> None:
+        """Remove every state whose last mark left the window.
+
+        Runs before the walk, which no longer reaches every such state (see
+        the module docstring); states that keep a mark are expired and filed
+        under their new oldest one.
+        """
+        schedule = self._schedule
+        states = self._states
+        removed = 0
+        for state in schedule.due(oldest_valid, states._by_bits):
+            span = state.span
+            span.expire_before(oldest_valid)
+            if span.marked_count:
+                schedule.add(state)
+            else:
+                states.remove(state)
+                self._remove_node(state)
+                removed += 1
+        self.stats.states_removed += removed
+
     def _traverse_and_integrate(
         self, frame_id: int, frame_bits: int, oldest_valid: int,
-        result_candidates: Dict[ObjectBits, State],
+        replay: List[State], result_candidates: Dict[ObjectBits, State],
     ) -> None:
-        """Run the State Traversal algorithm for one arriving frame.
+        """Run the Δ-pruned State Traversal for one arriving frame.
 
-        Satisfied, valid states touched by the traversal are collected into
+        ``replay`` is the previous frame's replay list.  Satisfied, valid
+        states touched by the replay or the walk are collected into
         ``result_candidates`` as they are mutated (additions within a frame
-        are monotone, so checking at each mutation point is equivalent to the
-        end-of-frame scan the seed implementation performed over every
-        visited state).
+        are monotone, so checking at each mutation point is equivalent to an
+        end-of-frame scan over every touched state).
         """
+        schedule = self._schedule
         # The new principal state is created up-front so that mark propagation
         # and edge insertion can target it during the traversal.
         principal, created = self._states.get_or_create(frame_bits)
@@ -269,6 +380,7 @@ class StrictStateGraphGenerator(MCOSGenerator):
                 # terminated marker so the check is not repeated per frame.
                 principal.terminated = True
                 principal.add_frame(frame_id, marked=True)
+                schedule.add(principal)
                 return
             self._register_node(principal)
         elif principal.terminated:
@@ -279,12 +391,23 @@ class StrictStateGraphGenerator(MCOSGenerator):
             # window.
             principal.span.expire_before(oldest_valid)
         principal.span.append(frame_id, marked=True)
+        if created:
+            schedule.add(principal)
         self.stats.frames_appended += 1
         self._principals.setdefault(frame_bits, []).append(frame_id)
+        extended = schedule.replay = [principal]
+
+        if replay:
+            delta = replay[0].bits ^ frame_bits
+            self._replay(replay, delta, frame_id, oldest_valid, extended,
+                         result_candidates)
+        else:
+            delta = -1  # no previous frame: every state meets Δ
 
         # Candidate children of the new principal state (Theorem 2): at most
         # one per traversal root, namely the state whose object set equals the
-        # root's intersection with the arriving frame.
+        # root's intersection with the arriving frame.  Roots that miss Δ
+        # still name their candidate; they are only not walked.
         candidates: Dict[ObjectBits, None] = {}
 
         # Schedule every unvisited root up-front: one shared stack for the
@@ -297,86 +420,108 @@ class StrictStateGraphGenerator(MCOSGenerator):
             root_inter = root_key & frame_bits
             if root_inter and root_inter != frame_bits:
                 candidates.setdefault(root_inter, None)
-            if root.flag != frame_id:
+            if root.flag != frame_id and root_key & delta:
                 root.flag = frame_id
                 stack.append(root)
         if stack:
-            self._traverse(stack, frame_bits, frame_id, oldest_valid,
-                           result_candidates)
+            self._traverse(stack, frame_bits, delta, frame_id, oldest_valid,
+                           extended, result_candidates)
 
         self._connect_new_principal(principal, candidates)
         span = principal.span
         if span.frame_count >= self.config.duration:
             result_candidates[frame_bits] = principal
 
+    def _replay(
+        self,
+        replay: List[State],
+        delta: int,
+        frame_id: int,
+        oldest_valid: int,
+        extended: List[State],
+        result_candidates: Dict[ObjectBits, State],
+    ) -> None:
+        """Append the frame to every previously extended state that misses Δ.
+
+        Such a state is a subset of both frames, so appending is all its
+        visit would do.  States removed by the sweep are skipped, and so are
+        the ones meeting Δ, which the walk visits.
+        """
+        duration = self.config.duration
+        replayed = 0
+        for state in replay:
+            if state.bits & delta or state.children is None:
+                continue
+            replayed += 1
+            span = state.span
+            span.expire_before(oldest_valid)
+            ends = span._ends
+            last = ends[-1]
+            if last != frame_id:
+                if last == frame_id - 1:
+                    ends[-1] = frame_id
+                    span.frame_count += 1
+                    span.revision += 1
+                else:
+                    span.append(frame_id)
+                extended.append(state)
+            if span.frame_count >= duration:
+                result_candidates[state.bits] = state
+        self.stats.replayed_visits += replayed
+        self.stats.frames_appended += replayed
+
     def _traverse(
         self,
         stack: List[State],
         frame_bits: int,
+        delta: int,
         frame_id: int,
         oldest_valid: int,
+        extended: List[State],
         result_candidates: Dict[ObjectBits, State],
     ) -> None:
-        """Iterative State Traversal (Algorithm 1) over the scheduled roots.
+        """Iterative Δ-pruned State Traversal (Algorithm 1) over the roots.
 
         Each reachable state is visited at most once per frame (its ``flag``
         is stamped with the frame id when scheduled); whole subtrees are
         skipped as soon as a state's intersection with the arriving frame is
-        empty.
+        empty, or the state misses ``delta``.  Every state the walk extends
+        is appended to ``extended``, the next frame's replay list.
         """
         states = self._states
         by_bits = states._by_bits
         interner = self.interner
         stats = self.stats
+        schedule = self._schedule
         edge_memo = self._edge_memo
         add_edge_memo = edge_memo.add
         duration = self.config.duration
-        removed = 0
-        survived = 0
+        visits = 0
         appended = 0
         pop = stack.pop
         push = stack.append
+        extend = extended.append
         while stack:
             state = pop()
             key = state.bits
+            visits += 1
 
             span = state.span
             # Live states always hold at least one frame, so the head index is
             # in range; expire only when the oldest frame actually left.  The
-            # overwhelmingly common slide trims the first run by one frame and
-            # expires no marks: inlined, with the general path as fallback.
+            # sweep already removed every mark outside the window, so this
+            # only trims frames; the overwhelmingly common slide trims the
+            # first run by one frame and is inlined.
             sp_head = span._head
             sp_starts = span._starts
             first = sp_starts[sp_head]
             if first < oldest_valid:
-                marked = span._marked
-                mhead = span._mhead
-                if (span._ends[sp_head] >= oldest_valid
-                        and (mhead >= len(marked)
-                             or marked[mhead] >= oldest_valid)):
+                if span._ends[sp_head] >= oldest_valid:
                     span.frame_count -= oldest_valid - first
                     sp_starts[sp_head] = oldest_valid
                     span.revision += 1
                 else:
                     span.expire_before(oldest_valid)
-            if span.marked_count == 0:
-                # No live marks left (which also covers an empty frame set,
-                # marks being a subset of frames): the state is invalid.
-                # Snapshot the children before pruning: _remove_node
-                # re-attaches them elsewhere but they must still be visited in
-                # this traversal, otherwise their frame sets miss the frame.
-                removed += 1
-                children = state.children
-                child_snapshot = list(children.values()) if children else None
-                states.remove(state)
-                self._remove_node(state)
-                if child_snapshot:
-                    for child in child_snapshot:
-                        if child.flag != frame_id:
-                            child.flag = frame_id
-                            push(child)
-                continue
-            survived += 1
 
             inter = key & frame_bits
             if not inter:
@@ -400,8 +545,10 @@ class StrictStateGraphGenerator(MCOSGenerator):
                     sp_ends[-1] = frame_id
                     span.frame_count += 1
                     span.revision += 1
+                    extend(state)
                 elif last != frame_id:
                     span.append(frame_id)
+                    extend(state)
                 appended += 1
             else:
                 target = by_bits.get(inter)
@@ -414,6 +561,7 @@ class StrictStateGraphGenerator(MCOSGenerator):
                         # graph; it is never traversed, merged or reported.
                         target.terminated = True
                         target.add_frame(frame_id, marked=True)
+                        schedule.add(target)
                         target = None  # type: ignore[assignment]
                 elif target.terminated:
                     target = None  # type: ignore[assignment]
@@ -439,15 +587,22 @@ class StrictStateGraphGenerator(MCOSGenerator):
                         entry[0] = span.revision
                         entry[2] = span._ends[-1]
                     else:
+                        oldest = (tspan._marked[tspan._mhead]
+                                  if tspan.marked_count else None)
                         tspan.merge(span, True, entry)
+                        if tspan._marked[tspan._mhead] != oldest:
+                            # Gained an older mark (or its first ones).
+                            schedule.add(target)
                     t_ends = tspan._ends
                     last = t_ends[-1]
                     if last == frame_id - 1:
                         t_ends[-1] = frame_id
                         tspan.frame_count += 1
                         tspan.revision += 1
+                        extend(target)
                     elif last != frame_id:
                         tspan.append(frame_id)
+                        extend(target)
                     appended += 1
                     # Inlined _ensure_edge (the memo hit is the common case).
                     ekey = (span.serial, tspan.serial)
@@ -460,19 +615,18 @@ class StrictStateGraphGenerator(MCOSGenerator):
             if span.frame_count >= duration:
                 result_candidates[key] = state
 
-            # Push children for traversal (re-read after the edge maintenance
-            # above, which may have re-parented some of them).  The child set
-            # is not mutated while iterating: graph edits only happen when a
-            # state is popped from the stack.
+            # Push the children that meet Δ (re-read after the edge
+            # maintenance above, which may have re-parented some of them).
+            # The child set is not mutated while iterating: graph edits only
+            # happen when a state is popped from the stack.
             children = state.children
             if children:
-                for child in children.values():
-                    if child.flag != frame_id:
+                for child_bits, child in children.items():
+                    if child_bits & delta and child.flag != frame_id:
                         child.flag = frame_id
                         push(child)
-        stats.state_visits += survived + removed
-        stats.states_removed += removed
-        stats.intersections += survived  # one ``&`` per surviving visit
+        stats.state_visits += visits
+        stats.intersections += visits  # one ``&`` per visit
         stats.frames_appended += appended
 
     def _connect_new_principal(
@@ -514,35 +668,24 @@ class StrictStateGraphGenerator(MCOSGenerator):
         """Combine the carried-over result set with the traversal candidates.
 
         ``SR_{i'} = SR'_i  u  SR_{G'}`` in the paper's notation: states that
-        were part of the previous result and are still alive, satisfied and
-        valid, plus the satisfied valid states touched by this traversal
-        (collected during the traversal itself).
+        were part of the previous result and are still satisfied, plus the
+        satisfied states touched by this frame's replay and walk (collected
+        as they are touched).  Every state here is alive and valid: the
+        sweep removes a state, and drops it from ``_previous_results``, in
+        the frame its last mark expires.
         """
         duration = self.config.duration
         new_results: Dict[ObjectBits, State] = {}
-        states_get = self._states._by_bits.get
 
-        for bits, state in list(self._previous_results.items()):
-            if states_get(bits) is not state:
-                continue
+        for bits, state in self._previous_results.items():
             span = state.span
-            if span._head < len(span._starts) and \
-                    span._starts[span._head] < oldest_valid:
+            if span._starts[span._head] < oldest_valid:
                 span.expire_before(oldest_valid)
-            if span.marked_count == 0:
-                self._states.remove(state)
-                self._remove_node(state)
-                self.stats.states_removed += 1
-                continue
             if span.frame_count >= duration:
                 new_results[bits] = state
 
         for bits, state in result_candidates.items():
-            # A state removed or expired after it became a candidate fails
-            # the span checks, so no table lookup is needed to filter stale
-            # entries.
-            span = state.span
-            if span.marked_count > 0 and span.frame_count >= duration:
+            if state.span.frame_count >= duration:
                 new_results[bits] = state
 
         self._previous_results = new_results
@@ -561,6 +704,7 @@ class StrictStateGraphGenerator(MCOSGenerator):
         self._principals = {}
         self._previous_results = {}
         self._edge_memo = set()
+        self._schedule = _Schedule()
 
     def live_state_count(self) -> int:
         return len(self._states)
@@ -594,6 +738,12 @@ class StrictStateGraphGenerator(MCOSGenerator):
         differently-shaped (equally correct, but not byte-identical) graph.
         Entries whose states are gone are dropped, exactly as
         ``_prune_edge_memo`` would.
+
+        The replay list goes in two columns: ``replay_principal`` holds the
+        last frame's principal (``-1`` when the next frame walks in full)
+        and ``replay`` the other states that frame extended, in order.  A
+        checkpoint without them restores with an empty list.  The expiry
+        buckets are not written: import rebuilds them from the marks.
         """
         by_bits = self._states._by_bits
         position_of = {bits: index for index, bits in enumerate(by_bits)}.__getitem__
@@ -624,6 +774,9 @@ class StrictStateGraphGenerator(MCOSGenerator):
         graph["previous_results"] = list(map(position_of, self._previous_results))
         graph["memo_parents"] = list(map(floordiv, edge_memo, repeat(size)))
         graph["memo_children"] = list(map(mod, edge_memo, repeat(size)))
+        replay = [position_of(state.bits) for state in self._schedule.replay]
+        graph["replay_principal"] = replay[:1] or [-1]
+        graph["replay"] = replay[1:]
         return {"states": self._states.export_states(), "graph": graph}
 
     def _import_impl(self, payload: Dict) -> None:
@@ -679,6 +832,16 @@ class StrictStateGraphGenerator(MCOSGenerator):
         self._edge_memo = set(zip(
             map(serial_at, memo_parents), map(serial_at, memo_children)
         ))
+        principal = int_column(graph.get("replay_principal", [-1]))
+        replay = table_positions(graph.get("replay", []), size)
+        if len(principal) != 1 or not -1 <= principal[0] < size \
+                or (principal[0] < 0 and replay):
+            raise ValueError("SSG checkpoint replay columns are malformed")
+        schedule = self._schedule
+        if principal[0] >= 0:
+            schedule.replay = [states[at] for at in principal + replay]
+        for state in states:
+            schedule.add(state)
 
     def edges(self) -> List[Tuple[FrozenSet[int], FrozenSet[int]]]:
         """All ``(parent, child)`` edges of the graph, decoded (tests only)."""

@@ -443,6 +443,7 @@ def columnar_layout(payload: Dict) -> Dict:
                 graph[name] += positions_of(masks)
     principals = payload["principals"]
     edge_memo = payload.get("edge_memo", [])
+    replay = positions_of(payload.get("replay", []))
     graph["roots"] = positions_of(payload["roots"])
     graph["principals"] = positions_of(mask for mask, _ in principals)
     graph["principal_counts"] = [len(frames) for _, frames in principals]
@@ -450,5 +451,9 @@ def columnar_layout(payload: Dict) -> Dict:
     graph["previous_results"] = positions_of(payload["previous_results"])
     graph["memo_parents"] = positions_of(parent for parent, _ in edge_memo)
     graph["memo_children"] = positions_of(child for _, child in edge_memo)
+    # The SSG replay list, principal first; absent from blobs written before
+    # it existed, which restore with an empty one.
+    graph["replay_principal"] = replay[:1] or [-1]
+    graph["replay"] = replay[1:]
     translated["graph"] = graph
     return translated

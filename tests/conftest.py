@@ -11,6 +11,7 @@ import random
 from typing import List, Sequence, Set
 
 import pytest
+from hypothesis import settings
 
 from repro.core import (
     MarkedFrameSetGenerator,
@@ -22,6 +23,10 @@ from repro.datamodel import VideoRelation
 from repro.query.model import CNFQuery
 from repro.query.parser import parse_query
 from repro.workloads.streams import simulated_feed
+
+#: ``pytest --hypothesis-profile=ci``: the same examples on every run, and a
+#: failure prints the blob that replays it (``@reproduce_failure``).
+settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
 
 #: The incremental MCOS maintenance strategies (exercised against each other
 #: and against the exact reference oracle throughout the suite).

@@ -81,6 +81,9 @@ def _rowwise_state(state: Dict) -> Dict:
             [bits[parent], bits[child]]
             for parent, child in zip(graph["memo_parents"], graph["memo_children"])
         ),
+        "replay": masks(
+            [p for p in graph["replay_principal"] if p >= 0] + graph["replay"]
+        ),
     }
 
 

@@ -25,7 +25,7 @@ from repro.core import (
     ReferenceGenerator,
     StrictStateGraphGenerator,
 )
-from repro.datamodel import VideoRelation
+from repro.datamodel import FrameObservation, VideoRelation
 
 from tests.conftest import (
     INCREMENTAL_GENERATORS as INCREMENTAL,
@@ -133,6 +133,22 @@ class TestGeneratorsAgreeOnKernelStreams:
             if i % 3 == 0:
                 compacted.compact_interner()
 
+    @pytest.mark.parametrize("generator_cls", INCREMENTAL)
+    def test_state_filter_sees_labels_of_objects_new_at_a_compaction(
+        self, generator_cls
+    ):
+        """The interner compacts every 4·w frames; an object first seen in
+        that very frame must keep its label, or the Proposition-1 filter
+        counts it as unlabelled and terminates its state."""
+        frames = [FrameObservation(i, {}) for i in range(7)]
+        frames.append(FrameObservation(7, {1: "car"}))  # frame 8 = 4·w
+        generator = generator_cls(
+            window_size=2, duration=0,
+            state_filter=lambda object_ids, counts: counts.get("car", 0) >= 1,
+        )
+        results = [generator.process_frame(frame) for frame in frames]
+        assert results[-1].as_mapping() == {frozenset({1}): frozenset({7})}
+
 
 #: ``(stream builder, seed, window, duration)`` of the counter baseline.
 COUNTER_STREAMS = {
@@ -143,17 +159,18 @@ COUNTER_STREAMS = {
 
 #: Field order: frames_processed, states_created, states_removed,
 #: states_terminated, state_visits, intersections, frames_appended,
-#: max_live_states, result_states_emitted, edges_added, edges_removed.
+#: max_live_states, result_states_emitted, edges_added, edges_removed,
+#: replayed_visits (0 unless given: only SSG replays).
 GOLDEN_STATS = {
     ("bursty", NaiveGenerator): GeneratorStats(120, 61, 59, 0, 1326, 1326, 893, 26, 158, 0, 0),
     ("bursty", MarkedFrameSetGenerator): GeneratorStats(120, 61, 60, 0, 623, 623, 580, 23, 158, 0, 0),
-    ("bursty", StrictStateGraphGenerator): GeneratorStats(120, 61, 60, 0, 697, 637, 608, 23, 158, 118, 118),
+    ("bursty", StrictStateGraphGenerator): GeneratorStats(120, 61, 60, 0, 164, 164, 411, 23, 158, 118, 118, 164),
     ("duplicates", NaiveGenerator): GeneratorStats(100, 6, 0, 0, 564, 564, 664, 6, 185, 0, 0),
     ("duplicates", MarkedFrameSetGenerator): GeneratorStats(100, 13, 7, 0, 533, 533, 633, 6, 185, 0, 0),
-    ("duplicates", StrictStateGraphGenerator): GeneratorStats(100, 12, 6, 0, 526, 520, 620, 6, 185, 22, 15),
+    ("duplicates", StrictStateGraphGenerator): GeneratorStats(100, 13, 7, 0, 233, 233, 573, 6, 185, 22, 15, 240),
     ("gaps", NaiveGenerator): GeneratorStats(100, 82, 71, 0, 236, 236, 226, 31, 114, 0, 0),
     ("gaps", MarkedFrameSetGenerator): GeneratorStats(100, 82, 71, 0, 199, 199, 198, 25, 114, 0, 0),
-    ("gaps", StrictStateGraphGenerator): GeneratorStats(100, 82, 71, 0, 316, 252, 260, 25, 114, 157, 141),
+    ("gaps", StrictStateGraphGenerator): GeneratorStats(100, 82, 71, 0, 174, 174, 225, 25, 114, 152, 136, 34),
 }
 
 
@@ -164,9 +181,9 @@ def test_work_counters_match_the_recorded_baseline(stream, generator_cls):
     The counters are deterministic (identical under any ``PYTHONHASHSEED``)
     and are the machine-independent half of every speed claim about
     ``core``.  A change that alters what a visit, an intersection or an
-    append counts (for example replaying states a frame left unchanged
-    instead of visiting them, see ROADMAP.md) must re-record this table on
-    purpose and say so; any other drift is a regression.
+    append counts (as SSG's replay of the states a frame leaves unchanged
+    did, see :mod:`repro.core.ssg`) must re-record this table on purpose
+    and say so; any other drift is a regression.
     """
     builder, seed, window, duration = COUNTER_STREAMS[stream]
     generator = generator_cls(window_size=window, duration=duration)
