@@ -53,16 +53,16 @@ def main() -> None:
 
         report = session.stats()
         frames_seen = report["streams"][0][1]["frames"]
-        engine = report["backend_stats"]["per_engine"][
+        shard = report["backend_stats"]["per_shard"][
             f"d1-camera/w{window}d{duration}"
         ]
         print(
             f"\nProcessed {frames_seen} frames in "
-            f"{engine['mcos_seconds'] + engine['evaluation_seconds']:.2f}s "
-            f"({engine['mcos_seconds']:.2f}s MCOS generation, "
-            f"{engine['evaluation_seconds']:.2f}s query evaluation)."
+            f"{shard['processing_seconds']:.2f}s "
+            "(MCOS generation and query evaluation)."
         )
-        print(f"Result states examined: {engine['result_states']}")
+        print("Result states examined: "
+              f"{shard['generator']['result_states_emitted']}")
         print(f"Query matches: {len(matches)}")
 
         for match in matches[:5]:

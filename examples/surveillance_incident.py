@@ -96,12 +96,11 @@ def main() -> None:
                 session.ingest("forensic-clip", frame)
 
             stats = session.stats()
-            engine = stats["backend_stats"]["per_engine"][
+            shard = stats["backend_stats"]["per_shard"][
                 f"forensic-clip/w{window}d{duration}"
             ]
-            seconds = engine["mcos_seconds"] + engine["evaluation_seconds"]
-            print(f"\n[{method}] total {seconds:.2f}s, "
-                  f"{engine['generator']['state_visits']} state visits")
+            print(f"\n[{method}] total {shard['processing_seconds']:.2f}s, "
+                  f"{shard['generator']['state_visits']} state visits")
             for handle in handles:
                 matches = handle.matches()
                 windows = {m.frame_id for m in matches}

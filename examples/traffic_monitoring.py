@@ -91,7 +91,7 @@ def main() -> None:
               f"frame {watermark} on")
         generators = [
             entry["generator"]
-            for entry in stats["backend_stats"]["per_engine"].values()
+            for entry in stats["backend_stats"]["per_shard"].values()
         ]
         created = sum(g["states_created"] for g in generators)
         terminated = sum(g["states_terminated"] for g in generators)

@@ -639,12 +639,9 @@ class Gateway:
             for frame in frames:
                 session.ingest(scoped, frame)
 
-        try:
-            await self._dispatch(index, ingest)
-        except ValueError as exc:
-            # The inline backend evaluates synchronously and rejects
-            # out-of-order frames exactly like the bare engine.
-            raise HTTPError(400, f"ingest rejected: {exc}") from exc
+        # Late and repeated frames are dropped and counted by the shards
+        # (``dropped_late`` / ``duplicates``) on every backend.
+        await self._dispatch(index, ingest)
         self._ingest_dirty[index] = True
         tenant.frames_ingested += len(frames)
         self._counters["frames_ingested"] += len(frames)

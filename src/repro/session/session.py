@@ -2,9 +2,10 @@
 
 A :class:`Session` is the paper's service model as an API: a long-lived
 object against which analysts *register* and *cancel* co-occurrence queries
-while camera feeds keep flowing.  One facade subsumes the three serving
-architectures — dedicated in-process engines, the sharded stream router,
-and the multiprocess worker pool — behind identical semantics::
+while camera feeds keep flowing.  One facade subsumes the serving
+architectures — the in-process sharded stream router (``"inline"`` is the
+router with one-frame batches, evaluated synchronously at ingest) and the
+multiprocess worker pool — behind identical semantics::
 
     from repro import Session, Q
 
@@ -66,13 +67,9 @@ from repro.query.evaluator import QueryMatch, pack_matches, unpack_matches
 from repro.query.model import DEFAULT_DURATION, DEFAULT_WINDOW, CNFQuery
 from repro.query.parser import parse_query
 from repro.query.pruning import require_pruning_compatible
-from repro.session.backends import (
-    BACKENDS,
-    Backend,
-    GroupKey,
-    convert_backend_state,
-)
+from repro.session.backends import BACKENDS, Backend
 from repro.streaming.placement import resolve_placement
+from repro.streaming.router import GroupKey
 from repro.streaming.checkpoint import (
     CheckpointError,
     collector_paused,
@@ -242,15 +239,20 @@ class Session:
     Parameters
     ----------
     backend:
-        ``"inline"`` (dedicated per-stream engines, synchronous),
-        ``"router"`` (sharded in-process streaming runtime) or ``"pool"``
-        (multiprocess shard workers; spawned eagerly).
+        ``"inline"`` (the sharded in-process streaming runtime with
+        one-frame batches and no reorder window: each frame is evaluated
+        synchronously at ingest), ``"router"`` (the same runtime, batched
+        and reordering) or ``"pool"`` (multiprocess shard workers; spawned
+        eagerly).
     method:
         MCOS state-maintenance strategy (name or
         :class:`~repro.engine.config.MCOSMethod`).
     batch_size / watermark:
         Shard ingest batching and out-of-order tolerance (router and pool
-        backends; inline evaluation is synchronous and strictly ordered).
+        backends; ``"inline"`` records ``1`` / ``0`` whatever is passed).
+        A frame that arrives after its slot was evaluated is dropped and
+        counted in ``stats()["backend_stats"]["totals"]["dropped_late"]``,
+        a repeat of the last evaluated frame in ``"duplicates"``.
     enable_pruning / restrict_labels:
         The engine-level optimisations, applied uniformly.
     num_workers / dispatch_batch / checkpoint_every:
@@ -312,6 +314,9 @@ class Session:
         # Eager: a placement typo is an argument error at the call site,
         # even on backends that only consult it after a later pool restore.
         resolve_placement(str(placement))
+        if backend == "inline":
+            # The router with one-frame batches and no reorder window.
+            batch_size, watermark = 1, 0
         self._config = {
             "backend": backend,
             "method": MCOSMethod(method).value,
@@ -387,14 +392,11 @@ class Session:
         kind = config["backend"]
         kwargs = {
             "method": MCOSMethod(config["method"]),
+            "batch_size": config["batch_size"],
+            "watermark": config["watermark"],
             "enable_pruning": config["enable_pruning"],
             "restrict_labels": config["restrict_labels"],
         }
-        if kind in ("router", "pool"):
-            kwargs.update(
-                batch_size=config["batch_size"],
-                watermark=config["watermark"],
-            )
         if kind == "pool":
             kwargs.update(
                 num_workers=config["num_workers"],
@@ -858,14 +860,14 @@ class Session:
 
         By default the session resumes on the backend kind it was
         checkpointed on.  Pass ``backend=`` to resume the same state on a
-        different serving architecture: all three backends serialise down
-        to the same engine/shard payloads, so a snapshot taken on
-        ``inline``, ``router`` or ``pool`` restores onto any of the three
-        (see :func:`~repro.session.backends.convert_backend_state` for the
-        exact translation semantics — router⇄pool is byte-transparent;
-        conversions through ``inline`` flush reorder buffers at the restore
-        barrier and drop runtime-layer ingest accounting the inline backend
-        does not track).
+        different serving architecture: every backend checkpoints the same
+        router-layout document, so a snapshot taken on ``inline``,
+        ``router`` or ``pool`` restores onto any of the three unchanged and
+        re-exports byte-identically (a pool adds only its ``placement``
+        block).  The document carries its own batching: an ``inline``
+        snapshot resumes with one-frame batches on any backend, and a
+        ``router`` snapshot keeps its batch size and watermark on
+        ``inline``.
 
         ``num_workers`` / ``placement`` override the pool sizing and
         placement policy of the restored session (useful when resuming a
@@ -896,45 +898,18 @@ class Session:
                 raise ValueError(
                     f"checkpoint names unknown backend {source_kind!r}"
                 )
-            target_kind = source_kind if backend is None else backend
-            config["backend"] = target_kind
+            if backend is not None:
+                config["backend"] = backend
             if num_workers is not None:
                 config["num_workers"] = int(num_workers)
             if placement is not None:
                 config["placement"] = str(placement)
-            backend_class = BACKENDS[target_kind]
             registry = payload["registry"]
-            state = payload["state"]
-            if target_kind != source_kind:
-                state = convert_backend_state(
-                    source_kind,
-                    target_kind,
-                    state,
-                    config,
-                    active_queries=[
-                        dict(entry["query"])
-                        for entry in registry["handles"]
-                        if entry["active"]
-                    ],
-                    cancelled_ids=[
-                        int(entry["query"]["query_id"])
-                        for entry in registry["handles"]
-                        if not entry["active"]
-                    ],
-                    stream_frontiers={
-                        str(stream_id): int(frontier)
-                        for stream_id, frontier, _ in payload["streams"]
-                    },
-                    group_order=[
-                        (int(window), int(duration))
-                        for window, duration in payload["group_order"]
-                    ],
-                )
             session = cls.__new__(cls)
             session._config = config
             session._init_registry()
-            session._backend = backend_class.restore(
-                state,
+            session._backend = BACKENDS[config["backend"]].restore(
+                payload["state"],
                 method=MCOSMethod(config["method"]),
                 enable_pruning=bool(config["enable_pruning"]),
                 restrict_labels=bool(config["restrict_labels"]),
@@ -999,10 +974,9 @@ class Session:
         The buffered tail of every stream is flushed through and the
         produced matches are pulled into their handles, so
         :meth:`QueryHandle.matches` keeps working on a closed session and
-        every ingested frame was evaluated — identical to the inline
-        backend's synchronous semantics.  Then the backend releases its
-        resources (a pool stops gracefully, adopting worker state back
-        before its processes exit).
+        every ingested frame was evaluated, whatever the batching.  Then
+        the backend releases its resources (a pool stops gracefully,
+        adopting worker state back before its processes exit).
 
         Close **never raises**, whatever state the backend is in: on a
         broken or degraded pool it drains what is drainable, records the

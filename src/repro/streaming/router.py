@@ -378,8 +378,15 @@ class StreamRouter:
         stream's queries fall into).
         """
         matches: List[QueryMatch] = []
+        shards = self._shards
         for group in self._groups:
-            matches.extend(self.shard_for(stream_id, group).offer(frame))
+            # A live shard is found directly; ``shard_for`` runs on a miss
+            # only (a new stream or group, or a detached stream, which
+            # has no shards and raises there).
+            shard = shards.get((stream_id, group))
+            if shard is None:
+                shard = self.shard_for(stream_id, group)
+            matches.extend(shard.offer(frame))
         return matches
 
     def route_many(
@@ -452,6 +459,7 @@ class StreamRouter:
                     continue
                 entry = shard.stats.as_dict()
                 entry["queue_depth"] = shard.queue_depth
+                entry["generator"] = shard.engine.generator.stats.as_dict()
                 entry["evaluator"] = shard.engine.evaluator.stats.as_dict()
                 per_shard[str(shard.key)] = entry
                 totals["frames_ingested"] += shard.stats.frames_ingested

@@ -105,11 +105,6 @@ def rowwise(tree):
             out[key] = _rowwise_state(value)
         elif key in ("retained", "matches"):
             out[key] = _per_match(value)
-        elif key == "engines":  # the inline backend's positional entries
-            out[key] = [
-                [stream_id, group, rowwise(engine), _per_match(retained)]
-                for stream_id, group, engine, retained in value
-            ]
         else:
             out[key] = rowwise(value)
     return out

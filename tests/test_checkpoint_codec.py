@@ -196,8 +196,8 @@ class TestVersionCompat:
 
     @pytest.mark.parametrize("backend", ["inline", "router"])
     def test_session_resumes_from_old_bytes(self, backend):
-        """Old session blobs carry per-match records in three places: shard
-        ``retained`` lists, inline engine slots and handle ``matches``."""
+        """Old session blobs carry per-match records in two places: shard
+        ``retained`` lists and handle ``matches``."""
         feeds, queries = bench_scenario(2, 50, [(8, 4), (12, 6)], 2, 5)
         events = list(interleave_feeds(feeds))
         with Session(backend=backend, method="SSG") as session:

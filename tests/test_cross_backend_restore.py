@@ -3,10 +3,11 @@
 A session checkpoint taken on any backend resumes on any other: the 3×3
 matrix below drives the identical workload tail after every restore and
 pins final drains (order included) and the deterministic session-stats
-core against the stay-on-the-same-backend reference.  Router and pool
-checkpoints are additionally byte-transparent — a router snapshot restored
-onto a pool re-exports the identical router-layout document (plus the
-pool's placement block), and the round trip back is byte-identical.
+core against the stay-on-the-same-backend reference.  Every backend
+checkpoints one router-layout document, so every cell is byte-transparent:
+the restored session re-exports the identical state document (modulo the
+pool's placement block).  A blob in the retired inline layout is refused
+as a malformed checkpoint.
 
 Stream attribution: every streaming surface stamps ``QueryMatch.stream_id``
 (identically across backends), serialisation round-trips it, and
@@ -68,6 +69,13 @@ def state_of(checkpoint_bytes):
     return from_bytes(checkpoint_bytes, expect_kind="session")["state"]
 
 
+def router_document(checkpoint_bytes):
+    """The state document as canonical bytes, without a pool's placement."""
+    state = state_of(checkpoint_bytes)
+    state.pop("placement", None)
+    return to_bytes("router", state)
+
+
 class TestCrossBackendMatrix:
     @pytest.mark.parametrize("source", BACKENDS)
     def test_restore_matrix_continues_identically(self, source):
@@ -81,7 +89,7 @@ class TestCrossBackendMatrix:
             session = make_session(source, queries)
             session.ingest_many(events[:half])
             # Mid-lifecycle: one cancellation so tombstoned ids must
-            # survive the backend translation.
+            # survive the change of backend.
             session.cancel(session.handles[1])
             blob = session.checkpoint()
             return session, blob
@@ -92,6 +100,10 @@ class TestCrossBackendMatrix:
         for target in BACKENDS:
             restored = Session.restore(blob, backend=target)
             assert restored.backend_kind == target
+            assert router_document(restored.checkpoint()) == \
+                router_document(blob), (
+                    f"{source}->{target}: state document not byte-transparent"
+                )
             assert restored.stream_ids() == reference_streams, (
                 f"{source}->{target}: stream first-seen order diverged"
             )
@@ -105,6 +117,27 @@ class TestCrossBackendMatrix:
             assert result[2] == reference[2], (
                 f"{source}->{target}: per-query deliveries diverged"
             )
+
+    @pytest.mark.parametrize("target", BACKENDS)
+    def test_retired_inline_layout_is_a_checkpoint_error(self, target):
+        """A blob whose state holds the retired inline layout (``groups`` /
+        ``streams`` / ``engines``) is malformed data on every backend,
+        never a raw ``KeyError``."""
+        queries, events = scenario(70, num_feeds=2, frames=20)
+        session = make_session("inline", queries)
+        session.ingest_many(events)
+        payload = from_bytes(session.checkpoint(), expect_kind="session")
+        session.close()
+        shard = payload["state"]["shards"][0]
+        payload["state"] = {
+            "groups": [[8, 4, payload["state"]["queries"]]],
+            "streams": [shard["key"]["stream_id"]],
+            "engines": [
+                [shard["key"]["stream_id"], [8, 4], shard["engine"], []],
+            ],
+        }
+        with pytest.raises(CheckpointError):
+            Session.restore(to_bytes("session", payload), backend=target)
 
     def test_restore_rejects_unknown_backend(self):
         queries, events = scenario(62, num_feeds=2, frames=20)
@@ -180,8 +213,8 @@ class TestRouterPoolByteTransparency:
         second_pool.close()
 
     def test_inline_round_trip_through_router_is_byte_identical(self):
-        """Inline → router → inline: engines, retained matches, groups and
-        stream order survive the double conversion byte for byte."""
+        """Inline → router → inline: shards, retained matches, groups and
+        stream order survive the double restore byte for byte."""
         queries, events = scenario(65)
         inline_session = self._driven_session("inline", queries, events)
         inline_blob = inline_session.checkpoint()

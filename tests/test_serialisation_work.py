@@ -73,8 +73,8 @@ def test_checkpoint_costs_a_few_calls_per_live_state():
         for handle in session.handles:
             handle.take_matches()
         live = sum(
-            engine.generator.live_state_count()
-            for engine in session._backend._engines.values()
+            shard.engine.generator.live_state_count()
+            for shard in session._backend.router.shards().values()
         )
         assert live >= 200, "scene too small to say anything per state"
         calls = python_calls(session.checkpoint)

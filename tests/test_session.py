@@ -176,10 +176,10 @@ class TestMatchesAndCancellation:
             only = session.register("car >= 1", window=WINDOW, duration=DURATION)
             other = session.register("car >= 1", window=WINDOW + 2, duration=DURATION)
             session.ingest_many(events[: len(events) // 2])
-            backend = session._backend
-            assert any(group == (WINDOW, DURATION) for _, group in backend._engines)
+            router = session._backend.router
+            assert any(group == (WINDOW, DURATION) for _, group in router.shards())
             only.cancel()
-            assert not any(group == (WINDOW, DURATION) for _, group in backend._engines)
+            assert not any(group == (WINDOW, DURATION) for _, group in router.shards())
             # The other group keeps serving.
             session.ingest_many(events[len(events) // 2:])
             assert other.active
@@ -218,6 +218,19 @@ class TestMatchesAndCancellation:
         with pytest.raises(RuntimeError):
             session.ingest("cam-00", FrameObservation(10_000, {1: "car"}))
         session.close()  # idempotent
+
+    def test_inline_counts_late_and_repeated_frames(self):
+        """An inline session drops a frame behind its frontier instead of
+        raising: a repeat of the last frame is a duplicate, an older one
+        is late — the same accounting as the batched backends."""
+        with make_session("inline") as session:
+            session.register("car >= 1", window=WINDOW, duration=DURATION)
+            for frame_id in (0, 1, 2, 2, 1):
+                session.ingest("cam-00", FrameObservation(frame_id, {1: "car"}))
+            totals = session.stats()["backend_stats"]["totals"]
+        assert totals["frames_processed"] == 3
+        assert totals["duplicates"] == 1
+        assert totals["dropped_late"] == 1
 
 
 class TestLifecycleBarriers:

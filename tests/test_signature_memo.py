@@ -132,8 +132,7 @@ def test_shared_evaluator_with_colliding_object_ids():
 
 
 def _evaluator_counters(session):
-    stats = session.stats()["backend_stats"]
-    blocks = stats.get("per_engine") or stats["per_shard"]
+    blocks = session.stats()["backend_stats"]["per_shard"]
     return [block["evaluator"] for block in blocks.values()]
 
 
