@@ -1,10 +1,12 @@
 """Match delivery with explicit backpressure: per-query feeds, bounded.
 
-Every registered (tenant, query) pair owns one :class:`MatchFeed`.  A
-background pump pulls freshly produced matches out of the session (via
-:meth:`QueryHandle.take_matches`, so session-side memory stays bounded by
-the pump interval) and :meth:`publishes <MatchFeed.publish>` them here.
-Two consumption paths hang off a feed:
+Every registered (tenant, query) pair owns one :class:`MatchFeed`.  The
+gateway takes freshly produced matches out of the session (via
+:meth:`QueryHandle.take_matches`) on the same dispatcher hop that
+ingests a frame batch, and :meth:`publishes <MatchFeed.publish>` them
+here before the batch's POST is answered.  A background pump sweeps the
+rest: matches of partial batches it flushes, and whatever a failed
+collection left behind.  Two consumption paths hang off a feed:
 
 * **polling** — ``GET /v1/queries/{id}/matches`` takes the feed's pending
   buffer.  The buffer is bounded (``poll_buffer`` events); a tenant that
@@ -75,6 +77,26 @@ class Subscriber:
         """Drops not yet surfaced to the client (caller marks them reported)."""
         return self.lagged - self.reported_lag
 
+    async def take(self, limit: Optional[int], timeout: float) -> List:
+        """Every queued event, at most ``limit``; ``[]`` after ``timeout``.
+
+        Waits only while the queue is empty; the rest is taken without
+        yielding to the loop.  :data:`FEED_CLOSED` is always the last
+        event ever queued, so a batch holding it ends with it.  Every
+        drop counted in ``lagged`` by the time this returns was of an
+        event older than the whole batch.
+        """
+        queue = self.queue
+        taken: List = []
+        if queue.empty():
+            try:
+                taken.append(await asyncio.wait_for(queue.get(), timeout))
+            except asyncio.TimeoutError:
+                return taken
+        while not queue.empty() and (limit is None or len(taken) < limit):
+            taken.append(queue.get_nowait())
+        return taken
+
 
 class MatchFeed:
     """Delivery state of one registered (tenant, query) pair."""
@@ -92,7 +114,7 @@ class MatchFeed:
         self.closed = False
         self._subscribers: List[Subscriber] = []
 
-    # -- producer side (the pump) ---------------------------------------
+    # -- producer side (the gateway) ------------------------------------
     def publish(self, event: Dict) -> None:
         """Deliver one match event to the poll buffer and every subscriber."""
         if self.closed:

@@ -43,6 +43,7 @@ one tenant's results to another's workload.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import threading
 from typing import Dict, List, Optional, Tuple
@@ -85,6 +86,25 @@ def match_event(local_qid: int, stream_id: str, match: QueryMatch) -> Dict:
     }
 
 
+def _take_matches(session, handles, flush: bool):
+    """The session half of a delivery: ``(taken, error)``.
+
+    Flushes first when asked, then takes every handle's new matches as
+    ``(session qid, matches)`` pairs.  An exception ends the collection
+    and is returned beside what was taken before it, so a failed
+    collection loses nothing: the rest stays in the session.
+    """
+    taken = []
+    try:
+        if flush:
+            session.flush()
+        for session_qid, handle in handles:
+            taken.append((session_qid, handle.take_matches()))
+    except Exception as exc:
+        return taken, exc
+    return taken, None
+
+
 class Gateway:
     """The asyncio service tier: multi-tenant HTTP over pooled sessions.
 
@@ -103,7 +123,11 @@ class Gateway:
     host / port:
         Bind address; port 0 picks an ephemeral port (see :attr:`port`).
     pump_interval:
-        Seconds between background match-delivery sweeps per session.
+        Seconds between background delivery sweeps per session.  A frame
+        batch's matches are published on the hop that ingests it, before
+        its POST is answered; a sweep only flushes partial router batches
+        and retries after a failed collection (``/v1/stats``
+        ``gateway.pump_errors``).
     poll_buffer / subscriber_queue:
         Bounded delivery depths (see :mod:`repro.serve.broker`).
     """
@@ -167,6 +191,7 @@ class Gateway:
             "matches_delivered": 0,
             "throttled": 0,
             "pump_sweeps": 0,
+            "pump_errors": 0,
         }
         self._started = False
         self._closing = False
@@ -379,7 +404,7 @@ class Gateway:
         return await asyncio.wrap_future(self._dispatchers[index].submit(fn))
 
     async def _pump(self, index: int) -> None:
-        """Background delivery sweep: session matches -> tenant feeds."""
+        """Background sweep: flush partial batches, retry failed collections."""
         while True:
             await asyncio.sleep(self.pump_interval)
             try:
@@ -387,51 +412,78 @@ class Gateway:
             except asyncio.CancelledError:
                 raise
             except Exception:
-                # A degraded pool can make a sweep fail transiently; the
-                # next sweep retries.  Session-level faults surface
-                # through /healthz and /v1/stats, not by killing the pump.
+                # A degraded pool can make a sweep fail transiently; it is
+                # counted in pump_errors and the next sweep retries.
+                # Session-level faults surface through /healthz and
+                # /v1/stats, not by killing the pump.
                 continue
 
     async def _distribute(self, index: int, force_flush: bool = False) -> None:
-        """One delivery sweep of session ``index`` (serialized per session)."""
+        """One delivery sweep of session ``index`` (serialized per session).
+
+        Raises the session's error after publishing whatever the sweep
+        took before it.
+        """
         async with self._pump_locks[index]:
-            dirty = self._ingest_dirty[index]
+            flush = self._ingest_dirty[index] or force_flush
             self._ingest_dirty[index] = False
             handles = list(self._handles[index].items())
             if not handles:
                 return
-
-            def collect(session):
-                if dirty or force_flush:
-                    session.flush()
-                return [
-                    (qid, handle.take_matches()) for qid, handle in handles
-                ]
-
-            results = await self._dispatch(index, collect)
+            error = await self._collect(
+                index, lambda session: _take_matches(session, handles, flush)
+            )
+            if error is not None:
+                raise error
             self._counters["pump_sweeps"] += 1
-            for session_qid, matches in results:
-                if not matches:
-                    continue
-                routes = self._routes[index].get(session_qid, {})
+
+    async def _collect(self, index: int, fn) -> Optional[Exception]:
+        """Run a collecting hop ``fn(session) -> (taken, error)`` on session
+        ``index``, publish what it took, and return its error.
+
+        Delivery order per ``(query, stream)`` is dispatcher order.  Hops
+        run in submission order, and asyncio resumes the tasks awaiting
+        them in completion order, so that holds only if no ``await`` sits
+        between a hop's return and its publish.  Here there is none: the
+        publish is the hop future's first done callback, which also runs
+        when the awaiting task is cancelled (``shield``), so a stopping
+        gateway loses nothing a hop already took.
+        """
+        future = asyncio.wrap_future(self._dispatchers[index].submit(fn))
+        future.add_done_callback(functools.partial(self._collected, index))
+        _, error = await asyncio.shield(future)
+        return error
+
+    def _collected(self, index: int, future: asyncio.Future) -> None:
+        if future.cancelled() or future.exception() is not None:
+            return  # the hop failed before collecting; its caller raises
+        taken, error = future.result()
+        self._publish(index, taken)
+        if error is not None:
+            # The matches it could not take stay in the session; the
+            # re-marked session makes the next sweep flush and retry.
+            self._ingest_dirty[index] = True
+            self._counters["pump_errors"] += 1
+
+    def _publish(self, index: int, taken) -> None:
+        """Route ``(session qid, matches)`` pairs into the tenant feeds."""
+        routes = self._routes[index]
+        for session_qid, matches in taken:
+            if not matches:
+                continue
+            for (tenant_name, local_qid), feed in routes.get(
+                session_qid, {}
+            ).items():
+                tenant = self._registry.by_name(tenant_name)
+                delivered = 0
                 for match in matches:
-                    for (tenant_name, local_qid), feed in routes.items():
-                        tenant = self._tenant_by_name(tenant_name)
-                        if tenant is None or not tenant.owns_scoped(
-                            match.stream_id
-                        ):
-                            continue
+                    if tenant.owns_scoped(match.stream_id):
                         feed.publish(match_event(
                             local_qid, tenant.unscope(match.stream_id), match
                         ))
-                        tenant.matches_delivered += 1
-                        self._counters["matches_delivered"] += 1
-
-    def _tenant_by_name(self, name: str) -> Optional[Tenant]:
-        for tenant in self._registry:
-            if tenant.name == name:
-                return tenant
-        return None
+                        delivered += 1
+                tenant.matches_delivered += delivered
+                self._counters["matches_delivered"] += delivered
 
     # ------------------------------------------------------------------
     # Query lifecycle endpoints
@@ -567,25 +619,31 @@ class Gateway:
         sent = 0
         try:
             while limit is None or sent < limit:
-                lag = subscriber.unreported_lag()
-                if lag:
-                    subscriber.reported_lag = subscriber.lagged
-                    await chunked.send_json({"event": "lagged", "dropped": lag})
-                try:
-                    event = await asyncio.wait_for(
-                        subscriber.queue.get(), timeout=1.0
-                    )
-                except asyncio.TimeoutError:
+                # One wake-up takes everything queued and costs one send.
+                events = await subscriber.take(
+                    None if limit is None else limit - sent, timeout=1.0
+                )
+                if not events:
                     if writer.is_closing():
                         break
                     continue
-                if event is FEED_CLOSED:
-                    await chunked.send_json({"event": "end"})
+                closed = events[-1] is FEED_CLOSED
+                if closed:
+                    events.pop()
+                payloads = []
+                lag = subscriber.unreported_lag()
+                if lag:
+                    subscriber.reported_lag = subscriber.lagged
+                    payloads.append({"event": "lagged", "dropped": lag})
+                payloads.extend({"event": "match", **e} for e in events)
+                sent += len(events)
+                if closed:
+                    payloads.append({"event": "end"})
+                elif sent == limit:
+                    payloads.append({"event": "end", "reason": "limit"})
+                await chunked.send_events(payloads)
+                if closed:
                     break
-                await chunked.send_json({"event": "match", **event})
-                sent += 1
-            else:
-                await chunked.send_json({"event": "end", "reason": "limit"})
             await chunked.finish()
         except (ConnectionError, asyncio.CancelledError):
             pass  # client went away; nothing to answer
@@ -634,15 +692,22 @@ class Gateway:
             self._counters["throttled"] += 1
             raise
         index = tenant.session_index
+        handles = list(self._handles[index].items())
 
         def ingest(session):
             for frame in frames:
                 session.ingest(scoped, frame)
+            return _take_matches(session, handles, flush=False)
 
         # Late and repeated frames are dropped and counted by the shards
-        # (``dropped_late`` / ``duplicates``) on every backend.
-        await self._dispatch(index, ingest)
+        # (``dropped_late`` / ``duplicates``) on every backend.  The same
+        # hop takes the matches the batch completed; they are published
+        # before the 200.  A partial router batch stays buffered, so the
+        # session is dirty for the pump's flush.  A failed collection
+        # does not fail the POST: its frames were accepted, and the pump
+        # delivers what it left behind.
         self._ingest_dirty[index] = True
+        await self._collect(index, ingest)
         tenant.frames_ingested += len(frames)
         self._counters["frames_ingested"] += len(frames)
         return json_response(200, {
@@ -738,6 +803,7 @@ class Gateway:
             tenant = self._registry.authenticate(key)
             tenants = [tenant]
             indices = [tenant.session_index]
+        names = {t.name for t in tenants}
         sessions = {}
         for index in indices:
             def probe(session):
@@ -755,7 +821,7 @@ class Gateway:
             "feeds": {
                 f"{name}/{local_qid}": feed.stats()
                 for (name, local_qid), feed in self._feeds.items()
-                if any(t.name == name for t in tenants)
+                if name in names
             },
             "sessions": sessions,
         })

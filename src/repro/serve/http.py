@@ -219,14 +219,22 @@ def error_response(error: HTTPError, close: bool = False) -> bytes:
     )
 
 
+def _event_chunk(payload) -> bytes:
+    """One NDJSON event (deterministic JSON plus the line feed) as one
+    chunk of a chunked body: hex size line, data, CRLF."""
+    data = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+    return f"{len(data):x}\r\n".encode("latin-1") + data + b"\r\n"
+
+
 class ChunkedWriter:
     """A ``Transfer-Encoding: chunked`` response, one event per chunk.
 
-    Used by the match-streaming endpoint: after :meth:`start`, each
-    :meth:`send` writes one chunk and awaits the transport drain — which
-    is where per-connection TCP backpressure lands on the producer.
-    :meth:`finish` writes the terminating zero chunk (keep-alive
-    preserved).
+    Used by the match-streaming endpoint: after :meth:`start`, every
+    event is its own chunk.  :meth:`send_events` writes all the events of
+    one wake-up of the streamer with one ``write`` and awaits one
+    transport drain — which is where per-connection TCP backpressure
+    lands on the producer.  :meth:`finish` writes the terminating zero
+    chunk (keep-alive preserved).
     """
 
     def __init__(self, writer: asyncio.StreamWriter):
@@ -252,19 +260,14 @@ class ChunkedWriter:
         await self._writer.drain()
         self._started = True
 
-    async def send(self, data: bytes) -> None:
-        if not data:
-            return  # an empty chunk would terminate the stream
-        self._writer.write(
-            f"{len(data):x}\r\n".encode("latin-1") + data + b"\r\n"
-        )
-        await self._writer.drain()
-
     async def send_json(self, payload) -> None:
-        """One NDJSON event: deterministic JSON plus the line feed."""
-        await self.send(
-            (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        )
+        """One NDJSON event as one chunk."""
+        await self.send_events((payload,))
+
+    async def send_events(self, payloads: Iterable) -> None:
+        """NDJSON events, one chunk each, in one write and one drain."""
+        self._writer.write(b"".join(map(_event_chunk, payloads)))
+        await self._writer.drain()
 
     async def finish(self) -> None:
         if self._started and not self._finished:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, Optional
 
 from repro.serve.http import HTTPError
 
@@ -261,7 +261,7 @@ class Tenant:
 
 
 class TenantRegistry:
-    """All tenants of one gateway, keyed by API key.
+    """All tenants of one gateway, keyed by API key and by name.
 
     Tenants are assigned to pooled sessions round-robin in configuration
     order — a deterministic layout, so a seeded benchmark drives the same
@@ -278,7 +278,8 @@ class TenantRegistry:
         if num_sessions < 1:
             raise ValueError("num_sessions must be >= 1")
         self._by_key: Dict[str, Tenant] = {}
-        self._order: List[Tenant] = []
+        #: Also the configuration order (dicts keep insertion order).
+        self._by_name: Dict[str, Tenant] = {}
         for index, config in enumerate(configs):
             if config.api_key in self._by_key:
                 raise ValueError(
@@ -286,22 +287,22 @@ class TenantRegistry:
                     f"{self._by_key[config.api_key].name!r} and "
                     f"{config.name!r}"
                 )
-            if any(t.name == config.name for t in self._order):
+            if config.name in self._by_name:
                 raise ValueError(f"duplicate tenant name {config.name!r}")
             tenant = Tenant(config, index % num_sessions, clock)
             self._by_key[config.api_key] = tenant
-            self._order.append(tenant)
-        if not self._order:
+            self._by_name[config.name] = tenant
+        if not self._by_name:
             raise ValueError("a gateway needs at least one tenant")
         self.admin_key = admin_key
         if admin_key is not None and admin_key in self._by_key:
             raise ValueError("the admin key must differ from every tenant key")
 
     def __iter__(self):
-        return iter(self._order)
+        return iter(self._by_name.values())
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._by_name)
 
     def authenticate(self, api_key: Optional[str]) -> Tenant:
         """Resolve an API key to its tenant; :class:`AuthError` otherwise."""
@@ -315,12 +316,13 @@ class TenantRegistry:
     def is_admin(self, api_key: Optional[str]) -> bool:
         return self.admin_key is not None and api_key == self.admin_key
 
+    def by_name(self, name: str) -> Optional[Tenant]:
+        """The tenant called ``name``, or None."""
+        return self._by_name.get(name)
+
     def owner_of_scoped(self, scoped_stream_id: str) -> Optional[Tenant]:
         """The tenant whose namespace a session stream id belongs to."""
         name, sep, _ = scoped_stream_id.partition(STREAM_SCOPE_SEP)
         if not sep:
             return None
-        for tenant in self._order:
-            if tenant.name == name:
-                return tenant
-        return None
+        return self._by_name.get(name)

@@ -10,14 +10,17 @@ cheap.
 
 from __future__ import annotations
 
+import asyncio
 import contextlib
 import json
 import socket
+import time
 
 import pytest
 
 from repro.datamodel.observation import FrameObservation
 from repro.serve import (
+    ChunkedWriter,
     Gateway,
     GatewayClient,
     GatewayError,
@@ -98,6 +101,17 @@ def test_registry_rejects_duplicate_keys_names_and_bad_tenants():
         TenantConfig("a/b", "k")
     with pytest.raises(ValueError, match="at least one tenant"):
         TenantRegistry([])
+
+
+def test_registry_resolves_tenants_by_name():
+    registry = TenantRegistry(
+        [TenantConfig("a", "k1"), TenantConfig("b", "k2")]
+    )
+    assert registry.by_name("b") is registry.authenticate("k2")
+    assert registry.by_name("c") is None
+    assert registry.owner_of_scoped("a/cam-0") is registry.by_name("a")
+    assert registry.owner_of_scoped("c/cam-0") is None
+    assert registry.owner_of_scoped("no-scope") is None
 
 
 def test_round_robin_session_assignment():
@@ -387,6 +401,191 @@ def test_stream_endpoint_delivers_events_and_respects_limit():
             {k: v for k, v in e.items() if k != "event"} for e in matches
         ]
         assert stripped == expected[:2]
+
+
+@pytest.mark.parametrize("backend", ["inline", "router"])
+def test_a_post_delivers_its_matches_before_the_200(backend):
+    """No pump and no flush: the hop that ingests a batch publishes the
+    matches it completed.  The router's partial batch waits for a flush."""
+    with gateway(backend=backend, pump_interval=3600) as connect:
+        client = connect("key-alpha")
+        qid = client.register_query(QUERY, **QUERY_KW)
+        batch = frames(16)  # two full router batches (batch_size 8)
+        client.post_frames("cam-0", batch)
+        assert client.poll_matches(qid)["matches"] == oracle_events(
+            qid, "cam-0", QUERY, QUERY_KW, batch
+        )
+        if backend == "router":
+            tail = frames(3, start=16)
+            client.post_frames("cam-0", tail)
+            assert client.poll_matches(qid)["matches"] == []
+            client.flush()
+            assert client.poll_matches(qid)["matches"] == oracle_events(
+                qid, "cam-0", QUERY, QUERY_KW, batch + tail
+            )[-3:]
+        assert client.stats().payload["gateway"]["pump_errors"] == 0
+
+
+class FailOnce:
+    """A query handle whose next ``take_matches`` raises, once."""
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.armed = True
+
+    def take_matches(self):
+        if self.armed:
+            self.armed = False
+            raise RuntimeError("injected collection failure")
+        return self.handle.take_matches()
+
+
+@pytest.mark.parametrize("where", ["ingest", "sweep"])
+def test_a_failed_collection_is_counted_and_loses_nothing(where):
+    """The second of two handles raises once, in the ingest hop or in a
+    flush sweep: the first query's matches are delivered at once, the
+    error is counted, and the next sweep delivers the rest."""
+    gw = Gateway(
+        [TenantConfig("alpha", "key-alpha")], backend="router",
+        pump_interval=3600,
+    )
+    with GatewayRunner(gw) as runner, GatewayClient(
+        runner.host, runner.port, "key-alpha"
+    ) as client:
+        first = client.register_query(QUERY, **QUERY_KW)
+        second = client.register_query("car >= 1", **QUERY_KW)
+        handles = gw._handles[0]
+        victim = sorted(handles)[1]
+        batch = frames(12)  # one full batch and a partial one
+        if where == "sweep":
+            client.post_frames("cam-0", batch)
+            client.poll_matches(first)
+            client.poll_matches(second)
+            batch = batch[8:]
+        handles[victim] = FailOnce(handles[victim])
+        if where == "ingest":
+            client.post_frames("cam-0", batch)  # 200 all the same
+            assert client.poll_matches(first)["matches"]
+        else:
+            assert client.request("POST", "/v1/flush").status == 500
+            assert len(client.poll_matches(first)["matches"]) == 4
+        assert client.poll_matches(second)["matches"] == []
+        counters = client.stats().payload["gateway"]
+        assert counters["pump_errors"] == 1
+        handles[victim] = handles[victim].handle
+        client.flush()
+        assert client.poll_matches(second)["matches"] == [
+            event for event in oracle_events(
+                second, "cam-0", "car >= 1", QUERY_KW, frames(12)
+            )
+            if event["frame_id"] >= batch[0].frame_id
+        ]
+        assert client.stats().payload["gateway"]["pump_errors"] == 1
+
+
+def test_a_failed_flush_is_retried_by_the_next_pump_sweep(monkeypatch):
+    """A pump sweep whose flush raises re-marks the session dirty, so the
+    next sweep flushes the partial batch again and delivers it."""
+    real_flush = Session.flush
+    failures = []
+
+    def flush_failing_once(session):
+        if not failures:
+            failures.append(session)
+            raise RuntimeError("injected flush failure")
+        real_flush(session)
+
+    with gateway(backend="router", pump_interval=0.01) as connect:
+        client = connect("key-alpha")
+        qid = client.register_query(QUERY, **QUERY_KW)
+        batch = frames(3)  # a partial router batch: only a flush runs it
+        expected = oracle_events(qid, "cam-0", QUERY, QUERY_KW, batch)
+        monkeypatch.setattr(Session, "flush", flush_failing_once)
+        client.post_frames("cam-0", batch)
+        delivered = []
+        deadline = time.monotonic() + 10
+        while len(delivered) < len(expected) and time.monotonic() < deadline:
+            delivered += client.poll_matches(qid)["matches"]
+            time.sleep(0.01)
+        assert failures and delivered == expected
+        assert client.stats().payload["gateway"]["pump_errors"] == 1
+
+
+def chunk(payload) -> bytes:
+    """One event as the stream's wire chunk, encoded independently."""
+    data = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+    return b"%x\r\n" % len(data) + data + b"\r\n"
+
+
+def raw_stream_body(host, port, path) -> bytes:
+    """The chunked body of one ``Connection: close`` stream request."""
+    response = raw_roundtrip(host, port, (
+        f"GET {path} HTTP/1.1\r\nX-API-Key: key-alpha\r\n"
+        f"Connection: close\r\n\r\n"
+    ).encode("latin-1"))
+    head, _, body = response.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200") and b"chunked" in head
+    return body
+
+
+def test_a_queued_batch_is_the_concatenation_of_per_event_chunks():
+    """Everything queued before the streamer wakes leaves in one write;
+    the bytes are those of one chunk per event, limit and end included."""
+    with gateway() as connect:
+        client = connect("key-alpha")
+        qid = client.register_query(QUERY, **QUERY_KW)
+        batch = frames(12)
+        client.post_frames("cam-0", batch)
+        expected = oracle_events(qid, "cam-0", QUERY, QUERY_KW, batch)
+        assert len(expected) >= 5
+        matches = [chunk({"event": "match", **e}) for e in expected]
+        # The cancelled feed's subscriber is handed every event and the
+        # close sentinel at once.
+        client.cancel_query(qid)
+        path = f"/v1/queries/{qid}/stream"
+        assert raw_stream_body(client.host, client.port, path) == (
+            b"".join(matches) + chunk({"event": "end"}) + b"0\r\n\r\n"
+        )
+        assert raw_stream_body(
+            client.host, client.port, path + "?limit=3"
+        ) == (
+            b"".join(matches[:3])
+            + chunk({"event": "end", "reason": "limit"}) + b"0\r\n\r\n"
+        )
+
+
+def test_a_lag_notice_precedes_the_events_after_the_drop():
+    with gateway(subscriber_queue=4) as connect:
+        client = connect("key-alpha")
+        qid = client.register_query(QUERY, **QUERY_KW)
+        batch = frames(12)
+        client.post_frames("cam-0", batch)
+        expected = oracle_events(qid, "cam-0", QUERY, QUERY_KW, batch)
+        client.cancel_query(qid)
+        # A queue of 4 keeps the last 3 events and the close sentinel.
+        events = list(client.stream_matches(qid))
+        assert events[0] == {"event": "lagged", "dropped": len(expected) - 3}
+        assert events[1:] == [
+            {"event": "match", **e} for e in expected[-3:]
+        ] + [{"event": "end"}]
+
+
+def test_send_events_is_one_write_and_one_drain_of_per_event_chunks():
+    class Recorder:
+        def __init__(self):
+            self.writes, self.drains = [], 0
+
+        def write(self, data):
+            self.writes.append(data)
+
+        async def drain(self):
+            self.drains += 1
+
+    payloads = [{"event": "match", "i": i} for i in range(5)]
+    recorder = Recorder()
+    asyncio.run(ChunkedWriter(recorder).send_events(payloads))
+    assert recorder.writes == [b"".join(chunk(p) for p in payloads)]
+    assert recorder.drains == 1
 
 
 def test_stream_endpoint_ends_when_query_is_cancelled():

@@ -63,10 +63,14 @@ def test_percentile_nearest_rank():
     assert percentile(values, 0.5) == 51
 
 
-def test_concurrent_tenants_are_byte_identical_to_the_oracle():
+@pytest.mark.parametrize("pump_interval", [0.001, 3600.0])
+def test_concurrent_tenants_are_byte_identical_to_the_oracle(pump_interval):
+    """Ingest-hop and pump deliveries interleave (tiny interval) or the
+    ingest hop delivers alone (huge one): the same bytes either way."""
     workloads = seeded_tenants(3, seed=2, frames_per_feed=30)
     gw = Gateway(
-        [w.config() for w in workloads], admin_key="adm", backend="inline"
+        [w.config() for w in workloads], admin_key="adm", backend="inline",
+        pump_interval=pump_interval,
     )
     with GatewayRunner(gw) as runner:
         results, elapsed = run_tenants(workloads, runner.host, runner.port)
