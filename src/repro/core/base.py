@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Set
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.core.interning import ObjectInterner
 from repro.core.result import ResultState, ResultStateSet
@@ -44,8 +44,11 @@ class GeneratorStats:
     ``state_visits`` counts full visits (an intersection each);
     ``replayed_visits`` counts the SSG states a frame only re-extended
     because they miss the objects that entered or left since the previous
-    frame (see :mod:`repro.core.ssg`).  It is last and defaults to 0, so
-    counters written before it existed still load.
+    frame (see :mod:`repro.core.ssg`).  ``settled_frames`` counts the SSG
+    frames that repeat their predecessor's object set and whose root step
+    changes nothing, which on an unchanged graph they skip (same module).
+    Both are last and default to 0, so counters written before they
+    existed still load.
     """
 
     frames_processed: int = 0
@@ -60,6 +63,7 @@ class GeneratorStats:
     edges_added: int = 0
     edges_removed: int = 0
     replayed_visits: int = 0
+    settled_frames: int = 0
 
     def merge(self, other: "GeneratorStats") -> "GeneratorStats":
         """Return the field-wise sum of two counter sets."""
@@ -136,6 +140,10 @@ class MCOSGenerator(abc.ABC):
         #: windows amortise the compaction scan while keeping mask width
         #: bounded by the recent population.
         self._compact_every: int = 4 * window_size  # repro-lint: disable=CKPT-DRIFT -- derived from window_size, which round-trips via the config
+        #: The last frame that was projected and interned, with its mask: a
+        #: frame repeating its id -> label map reuses the mask (see
+        #: :meth:`_frame_bits`).
+        self._frame_cache: Optional[Tuple[FrameObservation, int]] = None  # repro-lint: disable=CKPT-DRIFT -- a memo of the last frame's mask; import clears it and the next frame recomputes it
 
     # ------------------------------------------------------------------
     # Public API
@@ -157,21 +165,38 @@ class MCOSGenerator(abc.ABC):
                 f"frames must arrive in increasing order; got {frame.frame_id} "
                 f"after {self._last_frame_id}"
             )
-        self._last_frame_id = frame.frame_id
+        frame_id = self._last_frame_id = frame.frame_id
         self.stats.frames_processed += 1
         if self.stats.frames_processed % self._compact_every == 0:
             # Before this frame's labels are recorded: compaction drops the
             # labels of objects not yet interned, which would include the
             # ones this frame introduces.
             self.compact_interner()
+        result = self._process(frame_id, self._frame_bits(frame))
+        self.stats.result_states_emitted += len(result)
+        return result
+
+    def _frame_bits(self, frame: FrameObservation) -> int:
+        """Project ``frame`` onto the labels of interest, record the labels
+        the state filter needs and intern the object set.
+
+        A frame whose id -> label map equals the previous frame's has the
+        previous frame's projection, records no new label and interns to
+        the same mask, so it reuses that mask.  The cache is dropped
+        whenever one of those three could change: compaction freeing bits
+        (which also prunes the label lookup), a new label projection, a
+        reset and an import.
+        """
+        cached = self._frame_cache
+        if cached is not None and frame.same_labels(cached[0]):
+            return cached[1]
         projected = frame.restricted_to_labels(self.config.labels_of_interest)
         if self._state_filter is not None or self.config.labels_of_interest is not None:
             for oid in projected.object_ids:
                 self._label_lookup.setdefault(oid, projected.label_of(oid))
         frame_bits = self.interner.intern_ids(projected.object_ids)
-        result = self._process(projected, frame_bits)
-        self.stats.result_states_emitted += len(result)
-        return result
+        self._frame_cache = (frame, frame_bits)
+        return frame_bits
 
     def process_relation(self, relation: VideoRelation) -> Iterator[ResultStateSet]:
         """Process every frame of a relation, yielding one result per frame."""
@@ -197,6 +222,7 @@ class MCOSGenerator(abc.ABC):
         self.stats = GeneratorStats()
         self._last_frame_id = None
         self._label_lookup = {}
+        self._frame_cache = None
         self._reset_impl()
         self.compact_interner()
 
@@ -212,6 +238,7 @@ class MCOSGenerator(abc.ABC):
         self.config.labels_of_interest = (
             set(labels) if labels is not None else None
         )
+        self._frame_cache = None
 
     def compact_interner(self) -> int:
         """Recycle interner bit positions not referenced by any live state.
@@ -226,6 +253,8 @@ class MCOSGenerator(abc.ABC):
         of objects the stream ever produced.
         """
         freed = self.interner.compact(self._live_mask())
+        if freed:
+            self._frame_cache = None
         if freed and self._label_lookup:
             interner = self.interner
             self._label_lookup = {
@@ -303,6 +332,7 @@ class MCOSGenerator(abc.ABC):
                 "onto the wrong class set"
             )
         self._reset_impl()
+        self._frame_cache = None
         self.interner.restore_table(payload["interner"])
         self.stats = GeneratorStats(**payload["stats"])
         last = payload.get("last_frame_id")
@@ -338,10 +368,10 @@ class MCOSGenerator(abc.ABC):
     # Hooks for subclasses
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def _process(self, frame: FrameObservation, frame_bits: int) -> ResultStateSet:
-        """Strategy-specific maintenance for one (projected) frame.
+    def _process(self, frame_id: int, frame_bits: int) -> ResultStateSet:
+        """Strategy-specific maintenance for one frame.
 
-        ``frame_bits`` is the frame's object set interned through
+        ``frame_bits`` is the frame's projected object set interned through
         :attr:`interner` (the representation the hot path works on).
         """
 

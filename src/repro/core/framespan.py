@@ -578,6 +578,8 @@ class FrameSpan:
     def frame_ids(self) -> Tuple[int, ...]:
         """Decode the span into the tuple of frame ids, oldest first."""
         head = self._head
+        if len(self._starts) - head == 1:  # one run: nearly every span
+            return tuple(range(self._starts[head], self._ends[head] + 1))
         return tuple(chain.from_iterable(
             range(s, e + 1)
             for s, e in zip(self._starts[head:], self._ends[head:])

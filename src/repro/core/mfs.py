@@ -37,7 +37,6 @@ from typing import Dict, List
 from repro.core.base import MCOSGenerator
 from repro.core.result import ResultStateSet
 from repro.core.state import State, StateTable
-from repro.datamodel.observation import FrameObservation
 
 
 class MarkedFrameSetGenerator(MCOSGenerator):
@@ -52,15 +51,15 @@ class MarkedFrameSetGenerator(MCOSGenerator):
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def _process(self, frame: FrameObservation, frame_bits: int) -> ResultStateSet:
-        oldest_valid = self._oldest_valid_frame(frame.frame_id)
+    def _process(self, frame_id: int, frame_bits: int) -> ResultStateSet:
+        oldest_valid = self._oldest_valid_frame(frame_id)
         self._expire(oldest_valid)
 
         if frame_bits:
-            self._integrate_frame(frame.frame_id, frame_bits)
+            self._integrate_frame(frame_id, frame_bits)
 
         self._track_live_states(len(self._states))
-        return self._report(frame.frame_id)
+        return self._report(frame_id)
 
     def _expire(self, oldest_valid: int) -> None:
         """Expire frames; remove states that lost all frames or all marks."""

@@ -85,13 +85,19 @@ class ReferenceGenerator(MCOSGenerator):
         super().__init__(window_size, duration, **kwargs)
         self._window: List[FrameObservation] = []
 
-    def _process(self, frame: FrameObservation, frame_bits: int) -> ResultStateSet:
-        self._window.append(frame)
-        oldest_valid = self._oldest_valid_frame(frame.frame_id)
+    def _frame_bits(self, frame: FrameObservation) -> int:
+        # The oracle keeps the projected frames themselves, not only masks.
+        self._window.append(
+            frame.restricted_to_labels(self.config.labels_of_interest)
+        )
+        return super()._frame_bits(frame)
+
+    def _process(self, frame_id: int, frame_bits: int) -> ResultStateSet:
+        oldest_valid = self._oldest_valid_frame(frame_id)
         while self._window and self._window[0].frame_id < oldest_valid:
             self._window.pop(0)
 
-        result = ResultStateSet(frame.frame_id)
+        result = ResultStateSet(frame_id)
         for object_ids, cover in closed_object_sets(self._window).items():
             if len(cover) >= self.config.duration:
                 result.add(ResultState(object_ids, tuple(sorted(cover))))

@@ -66,19 +66,40 @@ checkpointed; the buckets are rebuilt from the marks on import.  Without a
 previous frame (a new or reset generator, a checkpoint without the replay
 columns, or after an empty frame or a Proposition-1 terminated principal)
 ``Δ`` is every object and the walk is the full ST.
+
+Settled frames
+--------------
+Most frames of a feed repeat their predecessor's object set (``Δ = 0``).
+Such a frame walks no root, so its root step is the candidate loop and the
+CNPS connection, and both are functions of the graph alone: the roots (the
+principals, then the parentless states, each in insertion order) name the
+candidates ``root & F``, and CNPS asks for the edges from the principal to
+the candidates it selects.  If the last root step left the graph unchanged
+and nothing changed it since -- no state created or removed, no edge added
+or removed, no principal dropped -- the roots and the table are the ones
+that step saw, ``F`` is the same set, so the candidates and the selection
+are the same, and every edge request is a memo hit (the memo only loses
+entries of removed states).  The step is a no-op and the frame skips it.
+The witness of "unchanged" is a graph version, the sum of the monotone
+counters of those changes, taken when a root step changes nothing and
+dropped when one does; empty frames, terminated principals, resets and
+imports drop it too.  It is not checkpointed, so a restored run takes the
+full root step once and finds that it changes nothing.  ``settled_frames``
+counts the ``Δ = 0`` frames whose root step is a no-op, skipped or not;
+that makes it the same in a restored and an uninterrupted run.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
 from itertools import accumulate, chain, repeat
 from operator import floordiv, mod
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.base import MCOSGenerator
 from repro.core.result import ResultStateSet
 from repro.core.state import State, StateTable, int_column, table_positions
-from repro.datamodel.observation import FrameObservation
 
 #: Interned object-set bitmask (graph/table key).
 ObjectBits = int
@@ -95,16 +116,26 @@ class _Schedule:
     against.  ``buckets`` files every state under its oldest stored mark,
     with ``keys`` the heap of bucket keys: a state sits in the bucket of its
     current oldest mark and possibly in stale ones, which :meth:`due`
-    filters out.  The checkpoint carries ``replay``; the buckets are a
-    function of the marks and are rebuilt on import.
+    filters out.  ``arrivals`` lists every principal's creating frames as
+    ``(frame id, bits)`` in arrival order, so principal expiry pops only
+    what left the window.  ``witness`` is the graph version of the last
+    root step that changed nothing (``None`` when there is none), and
+    ``dropped`` counts the principals expiry forgot, the one graph change
+    no work counter records (see "Settled frames" in the module docstring).
+    The checkpoint carries ``replay``; the buckets and arrivals are a
+    function of the marks and the principals and are rebuilt on import; the
+    witness is not carried, so a restored run takes the full root step once.
     """
 
-    __slots__ = ("replay", "buckets", "keys")
+    __slots__ = ("replay", "buckets", "keys", "arrivals", "witness", "dropped")
 
     def __init__(self) -> None:
         self.replay: List[State] = []
         self.buckets: Dict[float, List[State]] = {}
         self.keys: List[float] = []
+        self.arrivals: Deque[Tuple[int, ObjectBits]] = deque()
+        self.witness: Optional[int] = None
+        self.dropped = 0
 
     def add(self, state: State) -> None:
         """File ``state`` under its oldest stored mark."""
@@ -289,21 +320,23 @@ class StrictStateGraphGenerator(MCOSGenerator):
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def _process(self, frame: FrameObservation, frame_bits: int) -> ResultStateSet:
-        frame_id = frame.frame_id
+    def _process(self, frame_id: int, frame_bits: int) -> ResultStateSet:
         oldest_valid = self._oldest_valid_frame(frame_id)
         self._expire_principals(oldest_valid)
         self._sweep(oldest_valid)
 
         result_candidates: Dict[ObjectBits, State] = {}
-        replay = self._schedule.replay
+        schedule = self._schedule
+        replay = schedule.replay
         # Stays empty (the next frame walks in full) unless this frame
-        # extends a principal.
-        self._schedule.replay = []
+        # extends a principal; likewise the witness.
+        schedule.replay = []
         if frame_bits:
             self._traverse_and_integrate(
                 frame_id, frame_bits, oldest_valid, replay, result_candidates
             )
+        else:
+            schedule.witness = None
 
         self._track_live_states(len(self._states))
         if len(self._edge_memo) > 64 * len(self._states) + 1024:
@@ -325,15 +358,31 @@ class StrictStateGraphGenerator(MCOSGenerator):
         }
 
     def _expire_principals(self, oldest_valid: int) -> None:
-        """Drop expired creating frames; forget principals with none left."""
-        stale = []
-        for bits, creating_frames in self._principals.items():
-            if creating_frames[0] < oldest_valid:
-                creating_frames[:] = [f for f in creating_frames if f >= oldest_valid]
-            if not creating_frames:
-                stale.append(bits)
-        for bits in stale:
-            del self._principals[bits]
+        """Drop expired creating frames; forget principals with none left.
+
+        Pops the arrivals that left the window, oldest first.  An arrival
+        whose principal the sweep removed since (or removed and re-created)
+        is no longer the head of that principal's creating frames and is
+        skipped.
+        """
+        schedule = self._schedule
+        arrivals = schedule.arrivals
+        principals = self._principals
+        while arrivals and arrivals[0][0] < oldest_valid:
+            frame_id, bits = arrivals.popleft()
+            creating_frames = principals.get(bits)
+            if creating_frames and creating_frames[0] == frame_id:
+                del creating_frames[0]
+                if not creating_frames:
+                    del principals[bits]
+                    schedule.dropped += 1
+
+    def _graph_version(self) -> int:
+        """A number that grows whenever a state is created or removed, an
+        edge is added or removed, or a principal is dropped."""
+        stats = self.stats
+        return (stats.states_created + stats.states_removed + stats.edges_added
+                + stats.edges_removed + self._schedule.dropped)
 
     def _sweep(self, oldest_valid: int) -> None:
         """Remove every state whose last mark left the window.
@@ -381,9 +430,11 @@ class StrictStateGraphGenerator(MCOSGenerator):
                 principal.terminated = True
                 principal.add_frame(frame_id, marked=True)
                 schedule.add(principal)
+                schedule.witness = None
                 return
             self._register_node(principal)
         elif principal.terminated:
+            schedule.witness = None
             return
         else:
             # The state may not have been visited for a while; drop expired
@@ -395,6 +446,7 @@ class StrictStateGraphGenerator(MCOSGenerator):
             schedule.add(principal)
         self.stats.frames_appended += 1
         self._principals.setdefault(frame_bits, []).append(frame_id)
+        schedule.arrivals.append((frame_id, frame_bits))
         extended = schedule.replay = [principal]
 
         if replay:
@@ -404,6 +456,26 @@ class StrictStateGraphGenerator(MCOSGenerator):
         else:
             delta = -1  # no previous frame: every state meets Δ
 
+        # Settled frames (module docstring): the witness says the root step
+        # would repeat a no-op on the same graph, so it is skipped.
+        version = self._graph_version()
+        if delta or schedule.witness != version:
+            self._root_step(principal, frame_id, frame_bits, delta,
+                            oldest_valid, extended, result_candidates)
+            schedule.witness = (
+                version if self._graph_version() == version else None
+            )
+        if delta == 0 and schedule.witness is not None:
+            self.stats.settled_frames += 1
+        if principal.span.frame_count >= self.config.duration:
+            result_candidates[frame_bits] = principal
+
+    def _root_step(
+        self, principal: State, frame_id: int, frame_bits: int, delta: int,
+        oldest_valid: int, extended: List[State],
+        result_candidates: Dict[ObjectBits, State],
+    ) -> None:
+        """Walk the roots that meet Δ and connect the new principal (CNPS)."""
         # Candidate children of the new principal state (Theorem 2): at most
         # one per traversal root, namely the state whose object set equals the
         # root's intersection with the arriving frame.  Roots that miss Δ
@@ -428,9 +500,6 @@ class StrictStateGraphGenerator(MCOSGenerator):
                            extended, result_candidates)
 
         self._connect_new_principal(principal, candidates)
-        span = principal.span
-        if span.frame_count >= self.config.duration:
-            result_candidates[frame_bits] = principal
 
     def _replay(
         self,
@@ -679,8 +748,17 @@ class StrictStateGraphGenerator(MCOSGenerator):
 
         for bits, state in self._previous_results.items():
             span = state.span
-            if span._starts[span._head] < oldest_valid:
-                span.expire_before(oldest_valid)
+            # The one-run slide of _traverse, inlined the same way.
+            sp_head = span._head
+            sp_starts = span._starts
+            first = sp_starts[sp_head]
+            if first < oldest_valid:
+                if span._ends[sp_head] >= oldest_valid:
+                    span.frame_count -= oldest_valid - first
+                    sp_starts[sp_head] = oldest_valid
+                    span.revision += 1
+                else:
+                    span.expire_before(oldest_valid)
             if span.frame_count >= duration:
                 new_results[bits] = state
 
@@ -842,6 +920,11 @@ class StrictStateGraphGenerator(MCOSGenerator):
             schedule.replay = [states[at] for at in principal + replay]
         for state in states:
             schedule.add(state)
+        schedule.arrivals.extend(sorted(
+            (frame_id, bits)
+            for bits, creating_frames in self._principals.items()
+            for frame_id in creating_frames
+        ))
 
     def edges(self) -> List[Tuple[FrozenSet[int], FrozenSet[int]]]:
         """All ``(parent, child)`` edges of the graph, decoded (tests only)."""

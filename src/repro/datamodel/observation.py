@@ -111,6 +111,17 @@ class FrameObservation:
         """Return a copy of the id -> label mapping."""
         return dict(self._labels)
 
+    def same_labels(self, other: Optional["FrameObservation"]) -> bool:
+        """True when ``other`` holds the same id -> label mapping.
+
+        Frame ids are not compared.  The mappings are compared in place,
+        without the copy :meth:`labels` makes: this is the per-frame test
+        of whether a frame repeats its predecessor.
+        """
+        return other is not None and (
+            other is self or self._labels == other._labels
+        )
+
     def to_record(self) -> List[Any]:
         """Serialise the frame as ``[frame_id, [[object_id, label], ...]]``.
 

@@ -65,6 +65,9 @@ class TemporalVideoQueryEngine:
             self._pruner = StatePruner(self.evaluator)
 
         self._labels: Dict[int, str] = {}
+        #: The last frame whose labels were recorded: a frame repeating its
+        #: id -> label map has nothing new to record.
+        self._labels_frame: Optional[FrameObservation] = None  # repro-lint: disable=CKPT-DRIFT -- marks which frame's labels are already recorded; import and label pruning clear it, and the next frame records its labels again
         #: Engine-owned object interner, shared with every generator the
         #: engine builds: masks stay compatible (and narrow, via recycling)
         #: across resets, which matters for long-running feeds.
@@ -195,8 +198,11 @@ class TemporalVideoQueryEngine:
         match carries it (the bare engine knows no stream and leaves it
         empty).
         """
-        for oid in frame.object_ids:
-            self._labels.setdefault(oid, frame.label_of(oid))
+        if not frame.same_labels(self._labels_frame):
+            labels = self._labels
+            for oid in frame.object_ids:
+                labels.setdefault(oid, frame.label_of(oid))
+            self._labels_frame = frame
 
         start = time.perf_counter()
         results: ResultStateSet = self.generator.process_frame(frame)
@@ -229,6 +235,7 @@ class TemporalVideoQueryEngine:
         self._labels = {
             oid: label for oid, label in self._labels.items() if oid in interner
         }
+        self._labels_frame = None
 
     def stream(self, relation: VideoRelation) -> Iterator[List[QueryMatch]]:
         """Yield the per-frame query matches for an entire relation."""
@@ -322,6 +329,7 @@ class TemporalVideoQueryEngine:
         # Derived state is never part of a snapshot: resume cold.
         self.evaluator.forget_signatures()
         self._labels = {int(oid): label for oid, label in payload["labels"]}
+        self._labels_frame = None
         counters = payload["counters"]
         self._mcos_seconds = float(counters["mcos_seconds"])
         self._evaluation_seconds = float(counters["evaluation_seconds"])
@@ -389,6 +397,7 @@ class TemporalVideoQueryEngine:
         self.generator = self._build_generator()
         self.evaluator.forget_signatures()
         self._labels = {}
+        self._labels_frame = None
         self._mcos_seconds = 0.0
         self._evaluation_seconds = 0.0
         self._frames_processed = 0

@@ -127,8 +127,8 @@ def pack_matches(matches: Iterable[QueryMatch]) -> List[list]:
     A run of *adjacent* matches built from one result state — the same
     ``frame_id`` and ``stream_id`` and the very same ``object_ids`` /
     ``frame_ids`` / ``class_counts`` objects, which is how
-    :meth:`QueryEvaluator.evaluate_state` builds them — becomes one record
-    ``[query_ids, frame_id, object_ids, frame_runs, class_counts,
+    :meth:`QueryEvaluator.evaluate_result_set` builds them — becomes one
+    record ``[query_ids, frame_id, object_ids, frame_runs, class_counts,
     stream_id]``: the shared fields once, the ids of the run's queries, and
     the frame ids as the run bounds of :func:`_frame_runs`.  Only adjacent
     matches merge, so :func:`unpack_matches` returns the sequence in its
@@ -235,6 +235,15 @@ class QueryEvaluator:
     memo is derived state — a pure function of the registered queries and
     the counts — so it is never checkpointed and one evaluator may serve
     streams with different label maps.
+
+    :meth:`evaluate_result_set` also keeps, per object set of the previous
+    result set, its class counts and matched ids: a state that stays in the
+    result costs one lookup instead of a count and a signature.  Those
+    depend on the label map too, so they are kept for one map object only,
+    whose labels the caller extends but never changes (the engine's map
+    only gains entries until pruning replaces it); they are dropped with
+    the signature memo and whenever registration or cancellation changes
+    an answer.
     """
 
     def __init__(self, queries: Iterable[CNFQuery] = ()):
@@ -245,6 +254,12 @@ class QueryEvaluator:
         self._caps: Dict[str, int] = {}
         #: signature -> ascending ids of the queries it satisfies.
         self._memo: Dict[_Signature, Tuple[int, ...]] = {}
+        #: The label map of the last result set and, per object set of
+        #: that result set, its class counts and matched ids.
+        self._last_labels: Optional[Mapping[int, str]] = None
+        self._last_results: Dict[
+            FrozenSet[int], Tuple[_Signature, Tuple[int, ...]]
+        ] = {}
         for query in queries:
             self.add_query(query)
 
@@ -268,6 +283,7 @@ class QueryEvaluator:
                 caps[condition.label] = condition.threshold + 1
                 coarser = True
         memo = self._memo
+        self._last_results = {}
         if coarser:
             memo.clear()
         else:
@@ -287,6 +303,7 @@ class QueryEvaluator:
         unambiguous).
         """
         removed = self._index.remove_query(query_id)
+        self._last_results = {}
         memo = self._memo
         for signature, matched in memo.items():
             if query_id in matched:
@@ -296,6 +313,7 @@ class QueryEvaluator:
     def forget_signatures(self) -> None:
         """Empty the memo (the engine does on ``reset`` / ``restore``)."""
         self._memo.clear()
+        self._last_results = {}
 
     @property
     def queries(self) -> List[CNFQuery]:
@@ -347,7 +365,12 @@ class QueryEvaluator:
         frame_id: int,
         stream_id: str = "",
     ) -> List[QueryMatch]:
-        """Evaluate all queries against a single result state."""
+        """Evaluate all queries against a single result state.
+
+        It does not consult the result-set memo of
+        :meth:`evaluate_result_set`, so the tests use it as that memo's
+        reference.
+        """
         class_counts = tuple(sorted(state.class_counts(labels).items()))
         matched = self._matching(class_counts)
         stats = self.stats
@@ -368,12 +391,40 @@ class QueryEvaluator:
     ) -> List[QueryMatch]:
         """Evaluate all queries against every state of a result state set.
 
-        ``stream_id`` is stamped on every match at construction.
+        ``stream_id`` is stamped on every match at construction.  A state
+        whose object set was in the previous result set, evaluated under
+        the same ``labels`` object, reuses that evaluation; it counts as a
+        signature hit, which is what its signature lookup would have been.
         """
         matches: List[QueryMatch] = []
         frame_id = results.current_frame_id
+        if labels is not self._last_labels:
+            self._last_labels = labels
+            self._last_results = {}
+        previous = self._last_results
+        current = self._last_results = {}
+        stats = self.stats
+        hits = produced = 0
         for state in results:
-            matches.extend(self.evaluate_state(state, labels, frame_id, stream_id))
+            object_ids = state.object_ids
+            entry = previous.get(object_ids)
+            if entry is None:
+                class_counts = tuple(sorted(state.class_counts(labels).items()))
+                entry = (class_counts, self._matching(class_counts))
+            else:
+                hits += 1
+            current[object_ids] = entry
+            class_counts, matched = entry
+            produced += len(matched)
+            frame_ids = state.frame_ids
+            matches += [
+                QueryMatch(query_id, frame_id, object_ids, frame_ids,
+                           class_counts, stream_id)
+                for query_id in matched
+            ]
+        stats.signature_hits += hits
+        stats.states_evaluated += len(results)
+        stats.matches_produced += produced
         return matches
 
     def brute_force_matching(self, counts: Mapping[str, int]) -> Set[int]:

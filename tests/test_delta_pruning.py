@@ -10,15 +10,23 @@ terminated principals, the interner's compaction boundary, a label
 projection changed mid-stream and frame-id gaps.  Every frame is checked
 against :class:`ReferenceGenerator` and MFS, and a checkpoint taken at a
 drawn cut must resume exactly like the uninterrupted run.
+
+A frame that repeats its predecessor on an unchanged graph skips SSG's root
+step, and every generator reuses the previous frame's mask (see "Settled
+frames" in :mod:`repro.core.ssg`).  A twin restored before every frame holds
+neither shortcut, so it always takes the full path; it must agree with the
+generator byte for byte on every frame.
 """
 
 from typing import Dict, FrozenSet, List, Optional
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     MarkedFrameSetGenerator,
+    NaiveGenerator,
     ReferenceGenerator,
     StrictStateGraphGenerator,
 )
@@ -139,6 +147,117 @@ class TestAdversarialDifferential:
         if twin is not None:
             assert canonical_results(twin_results) == canonical_results(ssg_results)
             assert twin.export_state() == ssg.export_state()
+
+
+def ordered(result) -> List:
+    """A result in report order: what the engine turns into matches."""
+    return [(state.object_ids, state.frame_ids) for state in result]
+
+
+@pytest.mark.parametrize(
+    "generator_cls",
+    [NaiveGenerator, MarkedFrameSetGenerator, StrictStateGraphGenerator],
+)
+@settings(max_examples=150, deadline=None)
+@given(case=adversarial_streams())
+def test_a_twin_restored_before_every_frame_agrees(generator_cls, case):
+    """The twin takes the full path on every frame (no witness, no cached
+    mask); the generator settles and reuses masks wherever it can.  Runs
+    straddle expiry, sweeps, compaction, relabelling, terminated
+    principals and empty frames (see :func:`adversarial_streams`)."""
+    window, duration = case["window"], case["duration"]
+
+    def make(labels):
+        return generator_cls(window_size=window, duration=duration,
+                             labels_of_interest=labels,
+                             state_filter=FILTERS[case["filter"]])
+
+    labels: Optional[tuple] = None
+    generator = make(labels)
+    for index, frame in enumerate(case["frames"]):
+        if index == case["relabel_at"]:
+            labels = case["labels"]
+            generator.set_labels_of_interest(labels)
+        twin = make(labels)
+        twin.import_state(generator.export_state())
+        assert twin._frame_cache is None
+        expected = generator.process_frame(frame)
+        assert ordered(twin.process_frame(frame)) == ordered(expected), index
+        assert twin.export_state() == generator.export_state(), index
+
+
+def root_steps(generator: StrictStateGraphGenerator):
+    """Spy on the root step: ``.call_count`` is how many frames took it."""
+    return mock.patch.object(
+        generator, "_root_step", wraps=generator._root_step
+    )
+
+
+class TestSettledFrames:
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_k_identical_frames_after_a_quiet_frame_settle_k_minus_one(self, k):
+        ssg = StrictStateGraphGenerator(window_size=20, duration=1)
+        run_sets(ssg, [{1, 2, 3}, {1, 2}, {1, 2, 3}])  # the last is quiet
+        settled = ssg.stats.settled_frames
+        with root_steps(ssg) as spy:
+            run_sets(ssg, [{1, 2}] * k, first_frame_id=3)
+        assert ssg.stats.settled_frames - settled == k - 1
+        assert spy.call_count == 1
+
+    def test_sweep_removal_forces_the_full_step(self):
+        """{1,2,3}'s only mark (frame 0) leaves the window at frame 4."""
+        ssg = StrictStateGraphGenerator(window_size=4, duration=1)
+        run_sets(ssg, [{1, 2, 3}, {1, 2}, {1, 2}])
+        removed = ssg.stats.states_removed
+        with root_steps(ssg) as spy:
+            run_sets(ssg, [{1, 2}], first_frame_id=3)
+            assert spy.call_count == 0  # settled
+            run_sets(ssg, [{1, 2}], first_frame_id=4)
+            assert spy.call_count == 1
+        assert ssg.stats.states_removed == removed + 1
+
+    def test_principal_expiry_forces_the_full_step(self):
+        """{1} stops being a principal at frame 5 but keeps the marks it
+        copied from {1,2}: the graph loses a root and nothing else."""
+        ssg = StrictStateGraphGenerator(window_size=5, duration=1)
+        run_sets(ssg, [{1}, {1, 2}, {1, 3}, {1, 3}, {1, 3}])
+        assert frozenset({1}) in ssg.principal_object_sets()
+        counters = ssg.stats.as_dict()
+        with root_steps(ssg) as spy:
+            run_sets(ssg, [{1, 3}], first_frame_id=5)
+            assert spy.call_count == 1
+        assert frozenset({1}) not in ssg.principal_object_sets()
+        assert frozenset({1}) in {s.object_ids for s in ssg.live_states()}
+        for name in ("states_created", "states_removed", "edges_added",
+                     "edges_removed"):
+            assert ssg.stats.as_dict()[name] == counters[name], name
+
+    def test_a_new_state_forces_the_full_step(self):
+        """The walk of frame 3 creates {2}: frame 4 repeats frame 3 on a
+        graph frame 3's root step changed."""
+        ssg = StrictStateGraphGenerator(window_size=20, duration=1)
+        run_sets(ssg, [{1, 2}, {1, 2}, {1, 2}])
+        created = ssg.stats.states_created
+        with root_steps(ssg) as spy:
+            run_sets(ssg, [{2, 3}], first_frame_id=3)
+            assert ssg.stats.states_created == created + 2  # {2,3} and {2}
+            run_sets(ssg, [{2, 3}], first_frame_id=4)
+            assert spy.call_count == 2
+            run_sets(ssg, [{2, 3}], first_frame_id=5)
+            assert spy.call_count == 2
+
+    @pytest.mark.parametrize("interruption", ["reset", "import", "empty frame"])
+    def test_the_witness_does_not_outlive_an_interruption(self, interruption):
+        ssg = StrictStateGraphGenerator(window_size=20, duration=1)
+        run_sets(ssg, [{1, 2}, {1, 2}, {1, 2}])
+        assert ssg._schedule.witness is not None
+        if interruption == "reset":
+            ssg.reset()
+        elif interruption == "import":
+            ssg.import_state(ssg.export_state())
+        else:
+            run_sets(ssg, [set()], first_frame_id=3)
+        assert ssg._schedule.witness is None
 
 
 def replay_principal(generator: StrictStateGraphGenerator) -> List[int]:

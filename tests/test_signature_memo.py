@@ -4,7 +4,10 @@ The memo must be invisible: whatever is registered, cancelled or evaluated
 in whatever order, every answer equals the index-free oracle and a fresh
 evaluator; sharing one evaluator between streams with different label maps
 is safe; and since the memo is never checkpointed, a restore resumes cold
-yet delivers exactly what an uninterrupted run does.
+yet delivers exactly what an uninterrupted run does.  The same holds for
+the per-result-set memo that lets a state surviving from the previous frame
+skip its evaluation: an engine's matches and counters equal a cold
+state-by-state evaluation's.
 """
 
 from __future__ import annotations
@@ -16,7 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Session
 from repro.core.result import ResultState, ResultStateSet
+from repro.datamodel import FrameObservation
+from repro.engine import EngineConfig, MCOSMethod, TemporalVideoQueryEngine
 from repro.query import CNFEvalEIndex, QueryEvaluator, parse_query
+from repro.query.evaluator import pack_matches
 from repro.streaming import match_report
 from repro.streaming.checkpoint import from_bytes
 from repro.workloads import random_cnf_workload
@@ -184,3 +190,141 @@ def test_restore_with_warm_memo_equals_uninterrupted_run(backend):
         not any(block.values()) for block in _evaluator_counters(restored)
     )
     assert finish(restored) == expected
+
+
+def cold_checked(engine):
+    """Make ``engine`` check every result set against a cold evaluation.
+
+    The cold evaluator mirrors the registry and the signature memo's
+    lifecycle but evaluates state by state, without the result-set memo;
+    matches (as packed records, so the shared fields must line up too) and
+    every counter must agree.  Returns the cold evaluator.
+    """
+    warm = engine.evaluator
+    cold = QueryEvaluator(engine.queries)
+    evaluate = warm.evaluate_result_set
+
+    def checked(results, labels, stream_id=""):
+        matches = evaluate(results, labels, stream_id)
+        expected = [
+            match
+            for state in results
+            for match in cold.evaluate_state(
+                state, labels, results.current_frame_id, stream_id)
+        ]
+        assert pack_matches(matches) == pack_matches(expected)
+        assert warm.stats == cold.stats
+        return matches
+
+    warm.evaluate_result_set = checked
+    return cold
+
+
+MEMO_LABELS = ("car", "person", "bus")
+MEMO_POOL = random_cnf_workload(
+    24, window=3, duration=2, classes=MEMO_LABELS, max_threshold=3, seed=41
+).queries
+
+
+class TestResultSetMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_engine_matches_a_cold_evaluation(self, data):
+        """Runs of repeated frames, with registration, cancellation,
+        restore and reset between frames; objects come back under another
+        label once the engine's label pruning (every 4·w = 12 frames) has
+        forgotten them."""
+        method = data.draw(st.sampled_from(list(MCOSMethod)))
+        engine = TemporalVideoQueryEngine(
+            MEMO_POOL[:4], EngineConfig(method=method, window_size=3, duration=2)
+        )
+        cold = cold_checked(engine)
+        pending = list(MEMO_POOL[4:])
+        frame_id = 0
+        for _ in range(data.draw(st.integers(1, 14))):
+            op = data.draw(st.sampled_from(
+                ("run", "run", "run", "register", "cancel", "restore", "reset")
+            ))
+            if op == "run":
+                objects = data.draw(st.frozensets(st.integers(0, 5), max_size=4))
+                epoch = data.draw(st.integers(0, 2))
+                labels = {
+                    oid: MEMO_LABELS[(oid + epoch) % len(MEMO_LABELS)]
+                    for oid in objects
+                }
+                for _ in range(data.draw(st.integers(1, 8))):
+                    engine.process_frame(FrameObservation(frame_id, labels))
+                    frame_id += 1
+            elif op == "register" and pending:
+                cold.add_query(engine.register_query(pending.pop()))
+            elif op == "cancel" and len(engine.queries) > 1:
+                query_id = data.draw(st.sampled_from(
+                    [query.query_id for query in engine.queries]))
+                engine.cancel_query(query_id)
+                cold.remove_query(query_id)
+            elif op == "restore":
+                engine.restore(engine.checkpoint())
+                cold.forget_signatures()
+            elif op == "reset":
+                engine.reset()
+                cold.forget_signatures()
+                frame_id = 0
+
+    def test_an_object_set_recreated_with_a_changed_label(self):
+        """{1, 2} matches ``car >= 2`` until both objects leave; once label
+        pruning forgets them, {1, 2} comes back with object 1 a person."""
+        engine = TemporalVideoQueryEngine(
+            [parse_query("car >= 2", window=2, duration=1),
+             parse_query("car >= 1 AND person >= 1", window=2, duration=1)],
+            EngineConfig(window_size=2, duration=1),
+        )
+        two_cars, mixed = (query.query_id for query in engine.queries)
+        cold_checked(engine)
+        feed = ([{1: "car", 2: "car"}] * 3 + [{}] * 6
+                + [{1: "person", 2: "car"}] * 3)
+        answers = [
+            {match.query_id for match in engine.process_frame(
+                FrameObservation(frame_id, labels))}
+            for frame_id, labels in enumerate(feed)
+        ]
+        assert answers[:3] == [{two_cars}] * 3
+        assert answers[-3:] == [{mixed}] * 3
+        # The surviving states were answered from the result-set memo.
+        assert engine.evaluator.stats.signature_hits >= 4
+
+    def test_registration_reaches_a_surviving_state(self):
+        engine = TemporalVideoQueryEngine(
+            [parse_query("car >= 1", window=3, duration=1)],
+            EngineConfig(window_size=3, duration=1),
+        )
+        cold = cold_checked(engine)
+        frames = (FrameObservation(frame_id, {1: "car"}) for frame_id in range(4))
+        engine.process_frame(next(frames))
+        engine.process_frame(next(frames))
+        added = engine.register_query(parse_query("car <= 2", window=3, duration=1))
+        cold.add_query(added)
+        assert {m.query_id for m in engine.process_frame(next(frames))} == {
+            0, added.query_id}
+        engine.cancel_query(0)
+        cold.remove_query(0)
+        assert {m.query_id for m in engine.process_frame(next(frames))} == {
+            added.query_id}
+
+    def test_label_pruning_keeps_the_labels_of_a_repeated_frame(self):
+        """Pruning (every 4·w = 8 frames) drops the label of the dog no
+        query asks about; the next frame, a repeat, records it again."""
+        engine = TemporalVideoQueryEngine(
+            [parse_query("car >= 1", window=2, duration=1)],
+            EngineConfig(window_size=2, duration=1),
+        )
+        for frame_id in range(10):
+            engine.process_frame(FrameObservation(frame_id, {1: "car", 5: "dog"}))
+            assert dict(engine.checkpoint()["labels"]) == (
+                {1: "car"} if frame_id == 7 else {1: "car", 5: "dog"})
+
+    def test_a_new_label_map_drops_the_result_set_memo(self):
+        evaluator = QueryEvaluator([parse_query("car >= 2")])
+        results = ResultStateSet(0, [ResultState(frozenset({1, 2}), (0,))])
+        assert len(evaluator.evaluate_result_set(results, {1: "car", 2: "car"})) == 1
+        assert evaluator.evaluate_result_set(results, {1: "car", 2: "bus"}) == []
+        assert (evaluator.stats.signature_hits, evaluator.stats.signature_misses) == (0, 2)
