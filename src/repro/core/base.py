@@ -23,7 +23,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Set,
 
 from repro.core.interning import ObjectInterner
 from repro.core.result import ResultState, ResultStateSet
-from repro.core.state import State, columnar_layout
+from repro.core.state import State
 from repro.datamodel.observation import FrameObservation
 from repro.datamodel.relation import VideoRelation
 
@@ -275,7 +275,7 @@ class MCOSGenerator(abc.ABC):
         configuration (:meth:`import_checkpoint`), resumes the stream with
         byte-identical results.  Its ``state`` block is the columnar layout
         of :meth:`repro.core.state.StateTable.export_states` — a handful of
-        flat int lists, which is what checkpoint version 3 carries.
+        flat int lists, which the checkpoint codec stores as int columns.
         Performance caches (merge memos, decoded-result caches) are
         deliberately excluded: they rebuild on the fly and never influence
         results.  Must only be called between frames (never from a
@@ -304,9 +304,7 @@ class MCOSGenerator(abc.ABC):
         would silently change semantics, so a mismatch raises ``ValueError``.
         (A ``state_filter`` callback cannot be compared and remains the
         caller's responsibility — the engine layer pins it via its own
-        ``enable_pruning`` config check.)  A ``state`` block in the row-wise
-        layout of checkpoint versions 1 and 2 is translated on the way in
-        (:func:`repro.core.state.columnar_layout`).
+        ``enable_pruning`` config check.)
         """
         if payload.get("method") != self.name:
             raise ValueError(
@@ -340,15 +338,13 @@ class MCOSGenerator(abc.ABC):
         self._label_lookup = {
             int(oid): label for oid, label in payload.get("label_lookup", [])
         }
-        self._import_impl(columnar_layout(payload["state"]))
+        self._import_impl(payload["state"])
 
     def export_state(self) -> bytes:
         """The :meth:`export_checkpoint` snapshot as compact checkpoint bytes.
 
-        Written as checkpoint version 3, the only version the codec writes —
-        the form the multiprocess worker pool ships over queues and the
-        periodic-snapshot path writes.  :meth:`import_state` reads versions
-        1 to 3.
+        Written as checkpoint version 4, the only version the codec writes
+        and reads (:mod:`repro.streaming.checkpoint`).
         """
         # Imported lazily: repro.streaming.checkpoint has no dependencies on
         # repro.core, but importing it at module scope here would pull the
@@ -359,7 +355,7 @@ class MCOSGenerator(abc.ABC):
         return to_bytes("generator", self.export_checkpoint())
 
     def import_state(self, data: bytes) -> None:
-        """Restore the generator from checkpoint bytes (versions 1 to 3)."""
+        """Restore the generator from :meth:`export_state` bytes."""
         from repro.streaming.checkpoint import from_bytes
 
         self.import_checkpoint(from_bytes(data, expect_kind="generator"))

@@ -25,7 +25,7 @@ are decoded lazily and only at the reporting boundary (``object_ids``,
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.framespan import FrameSpan
 from repro.core.interning import ObjectInterner
@@ -382,78 +382,3 @@ def table_positions(column: Sequence[int], size: int) -> List[int]:
             f"(positions {min(positions)}..{max(positions)}, {size} states)"
         )
     return positions
-
-
-def columnar_layout(payload: Dict) -> Dict:
-    """A generator's ``state`` payload in the columnar layout it is read in.
-
-    Checkpoint versions 1 and 2 wrote one ``{"bits", "span", "terminated"}``
-    dict per state and addressed the SSG graph by object-set bitmask; this
-    translates that row-wise layout to the columns of
-    :meth:`StateTable.export_states` (and of the SSG generator's graph
-    block), and is the only code that knows it.  Any other payload — already
-    in columns, or of a generator that keeps no state table — is returned
-    as is.
-    """
-    rows = payload.get("states")
-    if not isinstance(rows, list):
-        return payload
-    spans = [row["span"] for row in rows]
-    for run_starts, run_ends, _ in spans:
-        if len(run_starts) != len(run_ends):
-            raise ValueError("malformed span snapshot: run bounds differ in length")
-    bits = [int(row["bits"]) for row in rows]
-    translated: Dict = {"states": {
-        "bits": bits,
-        "terminated": [1 if row.get("terminated", False) else 0 for row in rows],
-        "run_counts": [len(span[0]) for span in spans],
-        "starts": [start for span in spans for start in span[0]],
-        "ends": [end for span in spans for end in span[1]],
-        "mark_counts": [len(span[2]) for span in spans],
-        "marks": [mark for span in spans for mark in span[2]],
-    }}
-    if "graph" not in payload:
-        return translated
-    position = {state_bits: index for index, state_bits in enumerate(bits)}
-
-    def positions_of(masks: Iterable[int]) -> List[int]:
-        try:
-            return [position[int(mask)] for mask in masks]
-        except KeyError as exc:
-            raise ValueError(
-                f"SSG checkpoint references unknown state bitmask {exc.args[0]}"
-            ) from None
-
-    adjacency = payload["graph"]
-    if len(adjacency) != len(rows):
-        raise ValueError(
-            "SSG checkpoint graph does not align with its state table "
-            f"({len(adjacency)} adjacency entries for {len(rows)} states)"
-        )
-    graph: Dict[str, List[int]] = {
-        "child_counts": [], "children": [], "parent_counts": [], "parents": [],
-    }
-    for sides in adjacency:
-        for name, counts, masks in zip(
-            ("children", "parents"), ("child_counts", "parent_counts"), sides
-        ):
-            # ``None``: the state is not a graph node (a terminated marker).
-            graph[counts].append(-1 if masks is None else len(masks))
-            if masks:
-                graph[name] += positions_of(masks)
-    principals = payload["principals"]
-    edge_memo = payload.get("edge_memo", [])
-    replay = positions_of(payload.get("replay", []))
-    graph["roots"] = positions_of(payload["roots"])
-    graph["principals"] = positions_of(mask for mask, _ in principals)
-    graph["principal_counts"] = [len(frames) for _, frames in principals]
-    graph["principal_frames"] = [f for _, frames in principals for f in frames]
-    graph["previous_results"] = positions_of(payload["previous_results"])
-    graph["memo_parents"] = positions_of(parent for parent, _ in edge_memo)
-    graph["memo_children"] = positions_of(child for _, child in edge_memo)
-    # The SSG replay list, principal first; absent from blobs written before
-    # it existed, which restore with an empty one.
-    graph["replay_principal"] = replay[:1] or [-1]
-    graph["replay"] = replay[1:]
-    translated["graph"] = graph
-    return translated

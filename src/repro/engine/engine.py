@@ -282,9 +282,25 @@ class TemporalVideoQueryEngine:
         registered queries, so :meth:`from_checkpoint` can resume the stream
         byte-identically in a fresh process.  Only call between frames.
         """
+        return self._snapshot(
+            "queries", [query.to_dict() for query in self.evaluator.queries]
+        )
+
+    def checkpoint_by_id(self) -> Dict:
+        """:meth:`checkpoint` with the queries named by id (``query_ids``).
+
+        The form a shard writes inside a router or shard document, which
+        holds the query dicts once for all its engines.  :meth:`restore`
+        takes it on an engine built from those queries.
+        """
+        return self._snapshot(
+            "query_ids", [query.query_id for query in self.evaluator.queries]
+        )
+
+    def _snapshot(self, queries_key: str, queries: List) -> Dict:
         return {
             "config": self._config_dict(),
-            "queries": [query.to_dict() for query in self.evaluator.queries],
+            queries_key: queries,
             #: Evaluator id floor: keeps cancelled-query ids tombstoned
             #: across a restore (ids must never be reused — a drained match
             #: would otherwise be ambiguous between old and new query).
@@ -306,7 +322,7 @@ class TemporalVideoQueryEngine:
         (:meth:`from_checkpoint` guarantees this; direct callers are checked
         here) — a silent config mismatch would change semantics mid-stream.
         """
-        config = payload.get("config", {})
+        config = payload["config"]
         own = self._config_dict()
         mismatched = {
             key: (config.get(key), value)
@@ -317,15 +333,17 @@ class TemporalVideoQueryEngine:
             raise ValueError(
                 f"checkpoint config does not match the engine's: {mismatched}"
             )
-        own_queries = [query.to_dict() for query in self.evaluator.queries]
-        if payload.get("queries") != own_queries:
+        registered = self.evaluator.queries
+        if "query_ids" in payload:
+            same = payload["query_ids"] == [q.query_id for q in registered]
+        else:
+            same = payload.get("queries") == [q.to_dict() for q in registered]
+        if not same:
             raise ValueError(
                 "checkpoint queries do not match the engine's registered "
                 "queries; resuming would evaluate the wrong workload"
             )
-        next_qid = payload.get("next_query_id")  # absent in older snapshots
-        if next_qid is not None:
-            self.evaluator.index.reserve_ids(int(next_qid))
+        self.evaluator.index.reserve_ids(int(payload["next_query_id"]))
         # Derived state is never part of a snapshot: resume cold.
         self.evaluator.forget_signatures()
         self._labels = {int(oid): label for oid, label in payload["labels"]}
@@ -341,8 +359,8 @@ class TemporalVideoQueryEngine:
         """The :meth:`checkpoint` snapshot as compact checkpoint bytes.
 
         This is the byte-level hand-off form: self-contained (config and
-        queries included), canonical, and written as checkpoint version 3.
-        :meth:`import_state` and :meth:`from_state` read versions 1 to 3.
+        queries included), canonical, and written as checkpoint version 4,
+        the only version :meth:`import_state` and :meth:`from_state` read.
         """
         # Lazy import: the streaming package imports this module, so a
         # module-scope import here would be circular.
@@ -356,16 +374,20 @@ class TemporalVideoQueryEngine:
         The engine must be configured identically to the snapshot (see
         :meth:`restore`); use :meth:`from_state` to rebuild from scratch.
         """
-        from repro.streaming.checkpoint import from_bytes
+        from repro.streaming.checkpoint import from_bytes, reading
 
-        self.restore(from_bytes(data, expect_kind="engine"))
+        payload = from_bytes(data, expect_kind="engine")
+        with reading("engine checkpoint"):
+            self.restore(payload)
 
     @classmethod
     def from_state(cls, data: bytes) -> "TemporalVideoQueryEngine":
         """Rebuild an engine (typically in a fresh process) from state bytes."""
-        from repro.streaming.checkpoint import from_bytes
+        from repro.streaming.checkpoint import from_bytes, reading
 
-        return cls.from_checkpoint(from_bytes(data, expect_kind="engine"))
+        payload = from_bytes(data, expect_kind="engine")
+        with reading("engine checkpoint"):
+            return cls.from_checkpoint(payload)
 
     @classmethod
     def from_checkpoint(cls, payload: Dict) -> "TemporalVideoQueryEngine":

@@ -59,6 +59,10 @@ class Backend(abc.ABC):
         """Thread a cancellation down the stack (id is tombstoned above)."""
 
     @abc.abstractmethod
+    def queries(self) -> List[CNFQuery]:
+        """The registered (not cancelled) queries, with their ids."""
+
+    @abc.abstractmethod
     def ingest(self, stream_id: str, frame: FrameObservation) -> None:
         """Feed one frame of one stream."""
 
@@ -144,6 +148,9 @@ class RouterBackend(Backend):
     def cancel(self, query: CNFQuery) -> None:
         self.router.cancel_query(query.query_id)
 
+    def queries(self) -> List[CNFQuery]:
+        return self.router.queries
+
     def ingest(self, stream_id: str, frame: FrameObservation) -> None:
         self.router.route(stream_id, frame)
 
@@ -227,6 +234,9 @@ class PoolBackend(Backend):
 
     def cancel(self, query: CNFQuery) -> None:
         self.pool.cancel_query(query.query_id)
+
+    def queries(self) -> List[CNFQuery]:
+        return self.pool.router.queries
 
     def ingest(self, stream_id: str, frame: FrameObservation) -> None:
         self.pool.route(stream_id, frame)

@@ -74,6 +74,7 @@ from repro.streaming.checkpoint import (
     CheckpointError,
     collector_paused,
     from_bytes,
+    reading,
     to_bytes,
 )
 from repro.streaming.pool import PoisonOpError, PoolError, WorkerCrashError
@@ -814,6 +815,9 @@ class Session:
         matches) and the backend state.  Pool-backed sessions snapshot
         *live* — workers keep serving.  Restoring yields a session that
         re-checkpoints byte-identically until new frames arrive.
+
+        An active handle names its query by id (the backend's router
+        document holds the query); a cancelled one keeps the query dict.
         """
         self._require_open()
         payload = {
@@ -822,7 +826,10 @@ class Session:
                 "next_query_id": self._next_qid,
                 "handles": [
                     {
-                        "query": handle.query.to_dict(),
+                        **(
+                            {"query_id": handle.query_id} if handle.active
+                            else {"query": handle.query.to_dict()}
+                        ),
                         "active": handle.active,
                         "registered_at": [
                             [stream_id, frontier]
@@ -888,7 +895,7 @@ class Session:
             if num_workers <= 0:
                 raise ValueError("num_workers must be positive")
         payload = from_bytes(data, expect_kind="session")
-        try:
+        with reading("session checkpoint"):
             config = {
                 key: value for key, value in dict(payload["config"]).items()
                 if key in _CONFIG_KEYS
@@ -904,7 +911,6 @@ class Session:
                 config["num_workers"] = int(num_workers)
             if placement is not None:
                 config["placement"] = str(placement)
-            registry = payload["registry"]
             session = cls.__new__(cls)
             session._config = config
             session._init_registry()
@@ -924,31 +930,7 @@ class Session:
                 auto_rebalance=config.get("auto_rebalance"),
             )
             try:
-                session._next_qid = int(registry["next_query_id"])
-                for entry in registry["handles"]:
-                    query = CNFQuery.from_dict(entry["query"])
-                    handle = QueryHandle(
-                        session,
-                        query,
-                        {
-                            str(stream_id): int(frontier)
-                            for stream_id, frontier in entry["registered_at"]
-                        },
-                    )
-                    handle._active = bool(entry["active"])
-                    handle._matches = unpack_matches(entry["matches"])
-                    session._handles[query.query_id] = handle
-                    session._delivered[query.query_id] = int(entry["delivered"])
-                # The restored backend may carry retained matches from the
-                # snapshot; the first drain must reach it.
-                session._dirty = True
-                for stream_id, frontier, frames in payload["streams"]:
-                    session._frontiers[str(stream_id)] = int(frontier)
-                    session._frames[str(stream_id)] = int(frames)
-                session._group_order = [
-                    (int(window), int(duration))
-                    for window, duration in payload["group_order"]
-                ]
+                session._restore_registry(payload)
             except BaseException:
                 # The pool backend spawns worker processes eagerly; a
                 # malformed registry after the backend is built must not
@@ -957,13 +939,48 @@ class Session:
                 session._closed = True
                 session._backend.close()
                 raise
-        except CheckpointError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"malformed session checkpoint: {exc!r}"
-            ) from exc
         return session
+
+    def _restore_registry(self, payload: Dict) -> None:
+        """The registry half of :meth:`restore`, on the restored backend:
+        active handles resolve their ``query_id`` against its queries."""
+        registered = {query.query_id: query for query in self._backend.queries()}
+        registry = payload["registry"]
+        self._next_qid = int(registry["next_query_id"])
+        for entry in registry["handles"]:
+            active = bool(entry["active"])
+            if active:
+                query = registered.get(entry["query_id"])
+                if query is None:
+                    raise CheckpointError(
+                        f"session checkpoint names active query "
+                        f"{entry['query_id']!r}, which its backend state "
+                        "does not hold"
+                    )
+            else:
+                query = CNFQuery.from_dict(entry["query"])
+            handle = QueryHandle(
+                self,
+                query,
+                {
+                    str(stream_id): int(frontier)
+                    for stream_id, frontier in entry["registered_at"]
+                },
+            )
+            handle._active = active
+            handle._matches = unpack_matches(entry["matches"])
+            self._handles[query.query_id] = handle
+            self._delivered[query.query_id] = int(entry["delivered"])
+        # The restored backend may carry retained matches from the
+        # snapshot; the first drain must reach it.
+        self._dirty = True
+        for stream_id, frontier, frames in payload["streams"]:
+            self._frontiers[str(stream_id)] = int(frontier)
+            self._frames[str(stream_id)] = int(frames)
+        self._group_order = [
+            (int(window), int(duration))
+            for window, duration in payload["group_order"]
+        ]
 
     # ------------------------------------------------------------------
     # Lifecycle

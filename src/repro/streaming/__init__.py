@@ -8,8 +8,8 @@ each wrapping one :class:`~repro.engine.engine.TemporalVideoQueryEngine`.
 Shards ingest in batches, tolerate late/out-of-order frames up to a
 watermark, expose ingest statistics, and snapshot/restore their full state
 through the versioned checkpoint format of
-:mod:`repro.streaming.checkpoint` (compact binary version 3 is what is
-written; version-2 binary and version-1 JSON blobs are still read).
+:mod:`repro.streaming.checkpoint` (compact binary version 4, the only
+version written or read).
 
 A :class:`~repro.streaming.pool.ShardWorkerPool` moves the shards into
 ``multiprocessing`` workers — shipped as checkpoint bytes, fed batched

@@ -4,7 +4,7 @@ A checkpoint wraps one component snapshot::
 
     {
       "format": "repro-streaming-checkpoint",
-      "version": 1 | 2 | 3,
+      "version": 4,
       "kind": "shard" | "router" | "engine" | "generator" | "session",
       "payload": { ... }
     }
@@ -13,21 +13,15 @@ The payload is produced by the component's own ``checkpoint()`` /
 ``export_checkpoint()`` method (shards and routers here; engines in
 :mod:`repro.engine.engine`; generators in :mod:`repro.core.base`).
 
-**Version 3 is the only version written.**  Versions 1 and 2 are read:
-
-* **version 1** — plain UTF-8 JSON of the envelope, as the first releases
-  wrote it.
-* **version 2** — the compact binary encoding below without the int-column
-  tag, carrying the row-wise generator layout (one dict per state).
-* **version 3** — the same binary encoding plus value tag ``9``, carrying
-  the columnar generator layout of :mod:`repro.core.state` (a handful of
-  flat int lists per generator) and grouped match records
-  (:func:`repro.query.evaluator.pack_matches`):
+**Version 4 is the only version written and the only one read.**  Any
+other version — the version-1 JSON form, the version-2 and version-3
+binary forms, or a future one — is refused with a
+:class:`CheckpointError` that names it.
 
   ============  =====================================================
   section       contents
   ============  =====================================================
-  magic         ``b"RSCK3\\x00"`` (``b"RSCK2\\x00"`` for version 2)
+  magic         ``b"RSCK4\\x00"``
   body          zlib-compressed stream of:
   · strings     interned string table (varint count, then varint
                 length + UTF-8 bytes per string, first-use order)
@@ -61,9 +55,29 @@ The payload is produced by the component's own ``checkpoint()`` /
   not per value.  Lists holding an int beyond 64 bits (wide object-set
   bitmasks) take tag ``8``.
 
-No version can execute code when loaded, and loading rejects foreign
-formats, unknown versions, truncated or trailing bytes, and column headers
-that promise more items than the body holds, instead of guessing.
+Layout: each query is written once
+----------------------------------
+A document holds every query dict (:meth:`CNFQuery.to_dict
+<repro.query.model.CNFQuery.to_dict>`) exactly once; everything else names
+queries by id:
+
+* a **router** document's ``queries`` is the single copy; each entry of
+  its ``shards`` carries ``engine.query_ids`` — its window group's ids, in
+  registration order — which restore checks against the router's own
+  group before building the shard's engine from the router's queries;
+* a **session** document's registry names each active handle by
+  ``query_id``, resolved against the restored router; a cancelled handle
+  keeps its full ``query`` dict, because no router holds it any more;
+* standalone **shard** documents (detach, expel, the pool's hand-offs)
+  carry their group's ``queries`` once, beside the same id-only engine
+  block, and **engine** documents stay self-contained with one copy.
+
+Loading rejects foreign formats, other versions, truncated or trailing
+bytes, and column headers that promise more items than the body holds,
+instead of guessing; no checkpoint can execute code when loaded.  A
+well-formed envelope whose payload is malformed is refused by the
+component reading it, again as a :class:`CheckpointError`
+(:func:`reading`).
 
 Determinism
 -----------
@@ -76,7 +90,7 @@ content-addressed and compared directly in tests.
 from __future__ import annotations
 
 import gc
-import json
+import re
 import struct
 import sys
 import zlib
@@ -93,16 +107,22 @@ PathLike = Union[str, Path]
 CHECKPOINT_FORMAT = "repro-streaming-checkpoint"
 
 #: The version :func:`to_bytes` writes.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 #: Every version :func:`from_bytes` reads.
-SUPPORTED_VERSIONS = (1, 2, 3)
+SUPPORTED_VERSIONS = (CHECKPOINT_VERSION,)
 
-#: Magic prefixes of the binary encodings, by the version they announce.
-MAGIC_V2 = b"RSCK2\x00"
-MAGIC_V3 = b"RSCK3\x00"
-_VERSION_BY_MAGIC = {MAGIC_V2: 2, MAGIC_V3: 3}
-_MAGIC_LENGTH = len(MAGIC_V3)  # every magic is this long
+#: Magic prefix of the written encoding.
+MAGIC = b"RSCK4\x00"
+
+#: Any version's magic: ``RSCK``, the version number, a NUL byte.
+_ANY_MAGIC = re.compile(rb"RSCK(\d+)\x00")
+
+#: What a component's reader may raise on a malformed payload; :func:`reading`
+#: turns these into :class:`CheckpointError`.
+_MALFORMED_ERRORS = (
+    KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError,
+)
 
 #: Ceiling on a binary body's decompressed size (decompression-bomb
 #: guard; far above any real router snapshot).
@@ -111,7 +131,7 @@ MAX_DECOMPRESSED_BYTES = 1 << 28
 #: Component kinds a checkpoint may wrap.
 KNOWN_KINDS = ("shard", "router", "engine", "generator", "session")
 
-#: Value tags of the binary tree encoding (tag 9 from version 3 on).
+#: Value tags of the binary tree encoding.
 _T_NONE, _T_FALSE, _T_TRUE, _T_INT, _T_FLOAT = 0, 1, 2, 3, 4
 _T_STR, _T_LIST, _T_DICT, _T_INTLIST, _T_INTCOLUMN = 5, 6, 7, 8, 9
 
@@ -155,6 +175,24 @@ def collector_paused() -> Iterator[None]:
         yield
     finally:
         gc.enable()
+
+
+@contextmanager
+def reading(what: str) -> Iterator[None]:
+    """Raise whatever a malformed payload provokes inside the block (or
+    the decorated function) as a :class:`CheckpointError` naming ``what``.
+
+    A payload that passed :func:`unwrap` can still hold a ``None``, a
+    string or a list where the reader expects something else; the reader
+    may then fail anywhere, with any of ``_MALFORMED_ERRORS``.  Callers
+    of ``from_checkpoint``/``restore`` get one error type for all of them.
+    """
+    try:
+        yield
+    except CheckpointError:
+        raise
+    except _MALFORMED_ERRORS as exc:
+        raise CheckpointError(f"malformed {what}: {exc!r}") from exc
 
 
 def wrap(kind: str, payload: Dict) -> Dict:
@@ -203,7 +241,7 @@ def unwrap(document: Dict, expect_kind: Optional[str] = None) -> Dict:
 
 
 # ----------------------------------------------------------------------
-# Binary codec (versions 2 and 3)
+# Binary codec
 # ----------------------------------------------------------------------
 def _write_varint(out: bytearray, value: int) -> None:
     """LEB128 unsigned varint (arbitrary precision)."""
@@ -337,14 +375,12 @@ def _encode_value(value, out: bytearray, strings: Dict[str, int]) -> None:
 class _Reader:
     """Cursor over a decompressed binary body; strict about bounds."""
 
-    __slots__ = ("data", "pos", "strings", "columns")
+    __slots__ = ("data", "pos", "strings")
 
-    def __init__(self, data: bytes, columns: bool):
+    def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
         self.strings: List[str] = []
-        #: Whether tag 9 is part of the body's version (3 on, not 2).
-        self.columns = columns
 
     def read_varint(self) -> int:
         data, pos, end = self.data, self.pos, len(self.data)
@@ -429,7 +465,7 @@ class _Reader:
             return _DOUBLE.unpack(self.read_bytes(8))[0]
         if tag == _T_STR:
             return self._string_at(self.read_varint())
-        if tag == _T_INTCOLUMN and self.columns:
+        if tag == _T_INTCOLUMN:
             return self.read_column()
         if tag == _T_INTLIST:
             count = self.read_varint()
@@ -468,16 +504,16 @@ def _encode_binary(document: Dict) -> bytes:
         _write_varint(body, len(encoded))
         body += encoded
     body += tree
-    return MAGIC_V3 + zlib.compress(bytes(body), 6)
+    return MAGIC + zlib.compress(bytes(body), 6)
 
 
-def _decode_binary(data: bytes, version: int) -> Dict:
+def _decode_binary(data: bytes) -> Dict:
     decompressor = zlib.decompressobj()
     try:
         # Bounded: a corrupt or crafted body at zlib's ~1000:1 limit must
         # fail as a CheckpointError, not exhaust memory before validation.
         body = decompressor.decompress(
-            data[_MAGIC_LENGTH:], MAX_DECOMPRESSED_BYTES
+            data[len(MAGIC):], MAX_DECOMPRESSED_BYTES
         )
         if decompressor.unconsumed_tail:
             raise CheckpointError(
@@ -494,7 +530,7 @@ def _decode_binary(data: bytes, version: int) -> Dict:
             f"checkpoint has {len(decompressor.unused_data)} trailing bytes "
             "after the compressed body"
         )
-    reader = _Reader(body, columns=version >= 3)
+    reader = _Reader(body)
     reader.read_string_table()
     document = reader.read_value()
     if reader.pos != len(body):
@@ -508,7 +544,7 @@ def _decode_binary(data: bytes, version: int) -> Dict:
 # Public byte-level API
 # ----------------------------------------------------------------------
 def to_bytes(kind: str, payload: Dict) -> bytes:
-    """Serialise a snapshot to canonical version-3 checkpoint bytes.
+    """Serialise a snapshot to canonical version-4 checkpoint bytes.
 
     Insertion order *is* part of the state (see the module docstring), so
     the bytes are a pure function of the component state.
@@ -517,20 +553,29 @@ def to_bytes(kind: str, payload: Dict) -> bytes:
 
 
 def from_bytes(data: bytes, expect_kind: Optional[str] = None) -> Dict:
-    """Parse checkpoint bytes (any supported version) into the inner payload."""
-    if isinstance(data, (bytes, bytearray)):
-        version = _VERSION_BY_MAGIC.get(bytes(data[:_MAGIC_LENGTH]))
-        if version is not None:
-            document = _decode_binary(bytes(data), version)
-            if not isinstance(document, dict) or document.get("version") != version:
-                raise CheckpointError(
-                    f"binary checkpoint body does not declare version {version}"
-                )
-            return unwrap(document, expect_kind)
-    try:
-        document = json.loads(data)
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise CheckpointError(f"checkpoint is not valid JSON: {exc}") from exc
+    """Parse version-4 checkpoint bytes into the inner payload."""
+    if not isinstance(data, (bytes, bytearray)):
+        raise CheckpointError(
+            f"checkpoint must be bytes, got {type(data).__name__}"
+        )
+    data = bytes(data)
+    if not data.startswith(MAGIC):
+        announced = _ANY_MAGIC.match(data)
+        if announced is not None:
+            version = int(announced.group(1))
+        elif data[:1] == b"{":
+            version = 1  # the only version written as plain JSON
+        else:
+            raise CheckpointError("not a streaming checkpoint (unknown magic)")
+        raise CheckpointError(
+            f"unsupported checkpoint version {version} "
+            f"(this runtime reads versions {SUPPORTED_VERSIONS})"
+        )
+    document = _decode_binary(data)
+    if not isinstance(document, dict) or document.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"binary checkpoint body does not declare version {CHECKPOINT_VERSION}"
+        )
     return unwrap(document, expect_kind)
 
 

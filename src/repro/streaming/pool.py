@@ -82,7 +82,7 @@ from repro.streaming.placement import (
     WorkerLoad,
     resolve_placement,
 )
-from repro.streaming.router import StreamRouter
+from repro.streaming.router import StreamRouter, standalone_shards
 from repro.streaming.supervision import (
     AutoRebalanceConfig,
     SupervisionConfig,
@@ -936,7 +936,7 @@ class ShardWorkerPool:
             retired = payload.get("retired_totals")
             if retired:
                 self.router.fold_retired(retired)
-            for shard_payload in payload.get("shards", []):
+            for shard_payload in standalone_shards(payload):
                 stream_id = str(shard_payload["key"]["stream_id"])
                 by_stream.setdefault(stream_id, []).append(shard_payload)
         for stream_id in self._assignment:

@@ -25,7 +25,12 @@ from repro.engine.config import MCOSMethod
 from repro.query.evaluator import QueryMatch
 from repro.query.model import CNFQuery
 from repro.query.pruning import require_pruning_compatible
-from repro.streaming.checkpoint import CheckpointError, from_bytes, to_bytes
+from repro.streaming.checkpoint import (
+    CheckpointError,
+    from_bytes,
+    reading,
+    to_bytes,
+)
 from repro.streaming.shard import ShardKey, StreamShard
 
 #: A window group: the ``(window, duration)`` pair shards are keyed by.
@@ -44,6 +49,25 @@ def zero_ingest_totals() -> Dict:
         "batches": 0,
         "processing_seconds": 0.0,
     }
+
+
+def _ingest_totals(block: Mapping) -> Dict:
+    """A checkpointed ingest counter block (see :func:`zero_ingest_totals`)."""
+    return {
+        key: float(block[key]) if key == "processing_seconds" else int(block[key])
+        for key in zero_ingest_totals()
+    }
+
+
+def standalone_shards(document: Mapping) -> List[Dict]:
+    """A router document's shard entries as standalone shard documents: each
+    entry plus the query dicts its engine block names by id (what
+    :meth:`StreamRouter.adopt` takes)."""
+    by_id = {entry["query_id"]: entry for entry in document["queries"]}
+    return [
+        dict(entry, queries=[by_id[qid] for qid in entry["engine"]["query_ids"]])
+        for entry in document["shards"]
+    ]
 
 
 def interleave_group_matches(
@@ -537,7 +561,7 @@ class StreamRouter:
         """Snapshot the router: configuration, queries, and every shard."""
         document = self.config_checkpoint(include_detached=True)
         document["shards"] = [
-            shard.checkpoint() for shard in self._shards.values()
+            shard.checkpoint_entry() for shard in self._shards.values()
         ]
         document["departed_totals"] = dict(self._departed_totals)
         document["retired_totals"] = dict(self._retired_totals)
@@ -556,62 +580,56 @@ class StreamRouter:
         return to_bytes("router", self.checkpoint())
 
     @classmethod
+    @reading("router checkpoint")
     def from_checkpoint(cls, payload: Dict) -> "StreamRouter":
-        """Rebuild a router (and all its shards) from a snapshot."""
-        try:
-            router = cls(
-                [CNFQuery.from_dict(q) for q in payload["queries"]],
-                method=MCOSMethod(payload["method"]),
-                batch_size=int(payload["batch_size"]),
-                watermark=int(payload["watermark"]),
-                enable_pruning=bool(payload["enable_pruning"]),
-                restrict_labels=bool(payload["restrict_labels"]),
-                retain_matches=bool(payload.get("retain_matches", True)),
+        """Rebuild a router (and all its shards) from a snapshot.
+
+        Each query is parsed once, from ``queries``; every shard's engine
+        is built from its group's queries, which the shard entry must name
+        by id, in registration order.
+        """
+        router = cls(
+            [CNFQuery.from_dict(q) for q in payload["queries"]],
+            method=MCOSMethod(payload["method"]),
+            batch_size=int(payload["batch_size"]),
+            watermark=int(payload["watermark"]),
+            enable_pruning=bool(payload["enable_pruning"]),
+            restrict_labels=bool(payload["restrict_labels"]),
+            retain_matches=bool(payload["retain_matches"]),
+        )
+        router._cancelled = {int(qid) for qid in payload["cancelled"]}
+        order = [(int(window), int(duration))
+                 for window, duration in payload["group_order"]]
+        if sorted(order) != sorted(router._groups):
+            raise CheckpointError(
+                f"router checkpoint group order {order} does not list the "
+                f"window groups of its queries {list(router._groups)}"
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed router checkpoint: {exc}") from exc
-        router._cancelled = {int(qid) for qid in payload.get("cancelled", [])}
-        order = payload.get("group_order")
-        if order is not None:
-            ordered: Dict[GroupKey, List[CNFQuery]] = {}
-            for window, duration in order:
-                group = (int(window), int(duration))
-                if group in router._groups:
-                    ordered[group] = router._groups[group]
-            for group, group_queries in router._groups.items():
-                if group not in ordered:  # pragma: no cover - safety
-                    ordered[group] = group_queries
-            router._groups = ordered
-        for shard_payload in payload.get("shards", []):
-            router.adopt(shard_payload)
-        stream_order = payload.get("stream_order")
-        if stream_order is not None:
-            ordered_streams: Dict[str, None] = {
-                str(stream_id): None for stream_id in stream_order
-            }
-            for stream_id in router._stream_order:  # pragma: no cover - safety
-                ordered_streams.setdefault(stream_id, None)
-            router._stream_order = ordered_streams
-        for stream_id, groups in payload.get("detached", []):
+        router._groups = {group: router._groups[group] for group in order}
+        for entry in payload["shards"]:
+            key = ShardKey.from_payload(entry["key"])
+            router._adopt(entry, router._group_queries(key))
+        for stream_id, groups in payload["detached"]:
             router._detached[str(stream_id)] = [
                 (int(window), int(duration)) for window, duration in groups
             ]
-        departed = payload.get("departed_totals")
-        if departed is not None:  # absent in version-1-era snapshots
-            totals = zero_ingest_totals()
-            for key in totals:
-                value = departed.get(key, totals[key])
-                totals[key] = float(value) if key == "processing_seconds" else int(value)
-            router._departed_totals = totals
-        retired = payload.get("retired_totals")
-        if retired is not None:  # absent in pre-lifecycle snapshots
-            totals = zero_ingest_totals()
-            for key in totals:
-                value = retired.get(key, totals[key])
-                totals[key] = float(value) if key == "processing_seconds" else int(value)
-            router._retired_totals = totals
-        for stream_id, group, frozen in payload.get("departed_slots", []):
-            slot = (str(stream_id), (int(group[0]), int(group[1])))
+        if "stream_order" not in payload:
+            # A :meth:`config_checkpoint` document: a workload, no history.
+            return router
+        stream_order = {
+            str(stream_id): None for stream_id in payload["stream_order"]
+        }
+        unlisted = [s for s in router._stream_order if s not in stream_order]
+        if unlisted:
+            raise CheckpointError(
+                f"router checkpoint stream order omits streams {unlisted} "
+                "that have shards"
+            )
+        router._stream_order = stream_order
+        router._departed_totals = _ingest_totals(payload["departed_totals"])
+        router._retired_totals = _ingest_totals(payload["retired_totals"])
+        for stream_id, (window, duration), frozen in payload["departed_slots"]:
+            slot = (str(stream_id), (int(window), int(duration)))
             router._departed_by_slot[slot] = {
                 key: float(value) if key == "processing_seconds" else int(value)
                 for key, value in frozen.items()
@@ -687,28 +705,45 @@ class StreamRouter:
         return self._remove_stream_shards(stream_id, freeze_departed=False)
 
     def adopt(self, shard_payload: Dict) -> StreamShard:
-        """Restore a detached shard snapshot into this router.
+        """Restore a standalone shard document (:meth:`detach`, :meth:`expel`,
+        :meth:`StreamShard.checkpoint`) into this router.
 
-        The shard's window group must be one this router serves, its queries
-        must be exactly that group's queries (ids included — otherwise the
-        shard would keep answering a foreign workload while ``queries`` and
-        :meth:`matches_for` describe this router's), and the
-        ``(stream, group)`` slot must be free.
+        The shard's window group must be one this router serves, the query
+        dicts the document carries must be exactly that group's (ids
+        included — otherwise the shard would keep answering a foreign
+        workload while ``queries`` and :meth:`matches_for` describe this
+        router's, e.g. a different query under the same id), and the
+        ``(stream, group)`` slot must be free.  The shard's engine is then
+        built from this router's own queries.
         """
-        shard = StreamShard.from_checkpoint(shard_payload)
-        group = shard.key.group
-        if group not in self._groups:
+        with reading("shard checkpoint"):
+            key = ShardKey.from_payload(shard_payload["key"])
+            queries = self._group_queries(key)
+            if shard_payload["queries"] != [q.to_dict() for q in queries]:
+                raise CheckpointError(
+                    f"cannot adopt shard {key}: its queries do not match "
+                    f"this router's window group {key.group} workload"
+                )
+        return self._adopt(shard_payload, queries)
+
+    def _group_queries(self, key: ShardKey) -> List[CNFQuery]:
+        """The queries of a shard's window group, which this router must
+        serve."""
+        queries = self._groups.get(key.group)
+        if queries is None:
             raise CheckpointError(
-                f"cannot adopt shard {shard.key}: this router serves window "
+                f"cannot adopt shard {key}: this router serves window "
                 f"groups {self.group_keys}"
             )
-        own_queries = [query.to_dict() for query in self._groups[group]]
-        shard_queries = [query.to_dict() for query in shard.engine.queries]
-        if shard_queries != own_queries:
-            raise CheckpointError(
-                f"cannot adopt shard {shard.key}: its queries do not match "
-                f"this router's window group {group} workload"
-            )
+        return queries
+
+    def _adopt(
+        self, shard_payload: Dict, queries: Sequence[CNFQuery]
+    ) -> StreamShard:
+        """The adopt core: build the shard from ``queries`` (its group's, as
+        the caller checked) and install it in its free slot."""
+        shard = StreamShard.from_entry(shard_payload, queries)
+        group = shard.key.group
         slot = (shard.key.stream_id, group)
         if slot in self._shards:
             raise CheckpointError(

@@ -16,8 +16,9 @@ long-running feed needs and the bare engine does not have:
 * **per-shard stats** — frames/sec, queue depth, dropped-late/duplicate
   counts, batch counts;
 * **checkpoint/restore** — a versioned, self-contained snapshot (engine +
-  reorder buffer + counters) that a fresh process can resume byte-identically
-  (see :mod:`repro.streaming.checkpoint`).
+  reorder buffer + counters + the group's queries) that a fresh process can
+  resume byte-identically (see :mod:`repro.streaming.checkpoint`); inside a
+  router document the same entry names its queries by id.
 """
 
 from __future__ import annotations
@@ -25,14 +26,19 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.datamodel.observation import FrameObservation
 from repro.engine.config import EngineConfig, MCOSMethod
 from repro.engine.engine import TemporalVideoQueryEngine
 from repro.query.evaluator import QueryMatch, pack_matches, unpack_matches
 from repro.query.model import CNFQuery
-from repro.streaming.checkpoint import CheckpointError, from_bytes, to_bytes
+from repro.streaming.checkpoint import (
+    CheckpointError,
+    from_bytes,
+    reading,
+    to_bytes,
+)
 
 #: Optional per-batch ingest probe ``(shard_key: str, frames: int) -> None``,
 #: called as a batch enters the engine.  ``None`` (the default) keeps the
@@ -49,6 +55,15 @@ class ShardKey:
     stream_id: str
     window: int
     duration: int
+
+    @classmethod
+    def from_payload(cls, payload: Mapping) -> "ShardKey":
+        """The key of a shard document's ``key`` block."""
+        return cls(
+            stream_id=str(payload["stream_id"]),
+            window=int(payload["window"]),
+            duration=int(payload["duration"]),
+        )
 
     @property
     def group(self) -> Tuple[int, int]:
@@ -291,8 +306,9 @@ class StreamShard:
     # Checkpointing
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict:
-        """Snapshot the shard: engine state, reorder buffer, counters, and
-        any retained (produced-but-not-yet-drained) matches.
+        """Snapshot the shard as a standalone document: engine state,
+        reorder buffer, counters, any retained (produced-but-not-yet-drained)
+        matches, and the group's queries.
 
         Matches already consumed through :meth:`drain_matches` (or delivered
         via ``offer``'s return value with ``retain_matches=False``) are gone
@@ -301,6 +317,14 @@ class StreamShard:
         nothing double-delivers.  Snapshots must be taken between ``offer``
         calls.
         """
+        document = self.checkpoint_entry()
+        document["queries"] = [query.to_dict() for query in self.engine.queries]
+        return document
+
+    def checkpoint_entry(self) -> Dict:
+        """:meth:`checkpoint` without the queries: the shard's entry in a
+        router document, whose engine block names the queries by id (the
+        router document holds them once for all its shards)."""
         return {
             "key": {
                 "stream_id": self.key.stream_id,
@@ -315,7 +339,7 @@ class StreamShard:
             "pending": [frame.to_record() for frame in self._pending],
             "retained": pack_matches(self._matches),
             "stats": self.stats.as_dict(),
-            "engine": self.engine.checkpoint(),
+            "engine": self.engine.checkpoint_by_id(),
         }
 
     def to_bytes(self) -> bytes:
@@ -324,41 +348,38 @@ class StreamShard:
 
     @classmethod
     def from_checkpoint(cls, payload: Dict) -> "StreamShard":
-        """Rebuild a shard (typically in a fresh process) from a snapshot."""
-        try:
-            key = ShardKey(
-                stream_id=str(payload["key"]["stream_id"]),
-                window=int(payload["key"]["window"]),
-                duration=int(payload["key"]["duration"]),
-            )
-            engine_payload = payload["engine"]
-            config = engine_payload["config"]
-            queries = [CNFQuery.from_dict(q) for q in engine_payload["queries"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed shard checkpoint: {exc}") from exc
+        """Rebuild a shard (typically in a fresh process) from a standalone
+        :meth:`checkpoint` document."""
+        with reading("shard checkpoint"):
+            queries = [CNFQuery.from_dict(entry) for entry in payload["queries"]]
+        return cls.from_entry(payload, queries)
+
+    @classmethod
+    @reading("shard checkpoint")
+    def from_entry(
+        cls, payload: Dict, queries: Sequence[CNFQuery]
+    ) -> "StreamShard":
+        """Rebuild a shard from a :meth:`checkpoint_entry` (or a standalone
+        document) and its group's queries.  The engine block's
+        ``query_ids`` must name exactly these queries, in order."""
+        engine_payload = payload["engine"]
+        config = engine_payload["config"]
         shard = cls(
-            key,
+            ShardKey.from_payload(payload["key"]),
             queries,
             method=MCOSMethod(config["method"]),
             batch_size=int(payload["batch_size"]),
             watermark=int(payload["watermark"]),
             enable_pruning=bool(config["enable_pruning"]),
             restrict_labels=bool(config["restrict_labels"]),
-            retain_matches=bool(payload.get("retain_matches", True)),
+            retain_matches=bool(payload["retain_matches"]),
         )
-        try:
-            shard.engine.restore(engine_payload)
-        except CheckpointError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            # Missing/mistyped keys deep in the engine or generator payload
-            # must surface under the checkpoint contract, not as raw errors.
-            raise CheckpointError(f"malformed shard checkpoint: {exc!r}") from exc
-        max_seen = payload.get("max_seen")
+        shard.engine.restore(engine_payload)
+        max_seen = payload["max_seen"]
         shard._max_seen = int(max_seen) if max_seen is not None else None
-        last = payload.get("last_emitted")
+        last = payload["last_emitted"]
         shard._last_emitted = int(last) if last is not None else None
-        for record in payload.get("pending", []):
+        for record in payload["pending"]:
             frame = FrameObservation.from_record(record)
             shard._pending_ids.append(frame.frame_id)
             shard._pending.append(frame)
@@ -374,20 +395,17 @@ class StreamShard:
                 f"shard checkpoint pending frame {shard._pending_ids[0]} is "
                 f"at or before the emission frontier {shard._last_emitted}"
             )
-        try:
-            shard._matches = unpack_matches(payload.get("retained", []))
-        except ValueError as exc:
-            raise CheckpointError(str(exc)) from exc
-        stats = payload.get("stats", {})
+        shard._matches = unpack_matches(payload["retained"])
+        stats = payload["stats"]
         shard.stats = ShardStats(
-            frames_ingested=int(stats.get("frames_ingested", 0)),
-            frames_processed=int(stats.get("frames_processed", 0)),
-            dropped_late=int(stats.get("dropped_late", 0)),
-            duplicates=int(stats.get("duplicates", 0)),
-            reordered=int(stats.get("reordered", 0)),
-            batches=int(stats.get("batches", 0)),
-            max_queue_depth=int(stats.get("max_queue_depth", 0)),
-            processing_seconds=float(stats.get("processing_seconds", 0.0)),
+            frames_ingested=int(stats["frames_ingested"]),
+            frames_processed=int(stats["frames_processed"]),
+            dropped_late=int(stats["dropped_late"]),
+            duplicates=int(stats["duplicates"]),
+            reordered=int(stats["reordered"]),
+            batches=int(stats["batches"]),
+            max_queue_depth=int(stats["max_queue_depth"]),
+            processing_seconds=float(stats["processing_seconds"]),
         )
         return shard
 

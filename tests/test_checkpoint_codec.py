@@ -1,11 +1,11 @@
-"""Compact checkpoint codec: round-trips, compat, size, errors.
+"""Compact checkpoint codec: round-trips, versions, size, errors.
 
 The codec must be loss-free for every payload the runtime produces (every
-generator method, engines, shards, routers), keep reading the version-1 JSON
-and version-2 binary forms in their row-wise layout, reject malformed,
-truncated or hostile bytes with :class:`CheckpointError`, and actually be
-compact — a hard size-regression bound against version 1 on the benchmark
-workload.
+generator method, engines, shards, routers), read version 4 only and refuse
+every other version by name, reject malformed, truncated or hostile bytes
+with :class:`CheckpointError`, and actually be compact — a hard
+size-regression bound against plain JSON of the same document on the
+benchmark workload.
 """
 
 from __future__ import annotations
@@ -17,20 +17,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import EngineConfig, MCOSMethod, TemporalVideoQueryEngine
-from repro.session import Session
 from repro.streaming import CheckpointError, StreamRouter
 from repro.streaming import checkpoint as ckpt
 from repro.workloads.streams import bench_scenario, interleave_feeds
 
 from tests.conftest import (
     ALL_GENERATORS,
-    INCREMENTAL_GENERATORS,
     build_queries,
-    bursty_stream,
     canonical_results,
     labelled_stream,
 )
-from tests.legacy_checkpoints import rowwise, v1_bytes, v2_bytes, varint
 
 
 def encode_decode(payload, kind="generator"):
@@ -47,7 +43,7 @@ class TestBinaryRoundTrip:
     def test_every_generator_method_resumes_byte_identically(
         self, generator_cls, seed
     ):
-        """export_state → import_state through v3 bytes for every method."""
+        """export_state → import_state through v4 bytes for every method."""
         relation = labelled_stream(seed, num_frames=70)
         frames = list(relation.frames())
         split = len(frames) // 2
@@ -55,7 +51,7 @@ class TestBinaryRoundTrip:
         for frame in frames[:split]:
             original.process_frame(frame)
         blob = original.export_state()
-        assert blob[:len(ckpt.MAGIC_V3)] == ckpt.MAGIC_V3, "not compact form"
+        assert blob[:len(ckpt.MAGIC)] == ckpt.MAGIC, "not compact form"
         restored = generator_cls(window_size=9, duration=4)
         restored.import_state(blob)
         tail_original = [original.process_frame(f) for f in frames[split:]]
@@ -111,119 +107,51 @@ class TestBinaryRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# Version compatibility
+# Versions
 # ----------------------------------------------------------------------
-class TestVersionCompat:
-    def test_version1_payloads_still_load(self):
-        payload = {"state": [1, 2, 3], "label": "x"}
-        v1 = v1_bytes("router", payload)
-        assert v1[:1] == b"{" and json.loads(v1)["version"] == 1
-        assert ckpt.from_bytes(v1, expect_kind="router") == payload
+def varint(value: int) -> bytes:
+    """``value`` as an unsigned LEB128 varint."""
+    out = bytearray()
+    ckpt._write_varint(out, value)
+    return bytes(out)
 
-    def test_version2_payloads_still_load(self):
-        payload = {"state": list(range(40)), "wide": [2 ** 80, 1], "label": "x"}
-        v2 = v2_bytes("router", payload)
-        assert v2[:len(ckpt.MAGIC_V2)] == ckpt.MAGIC_V2
-        assert ckpt.from_bytes(v2, expect_kind="router") == payload
 
-    def test_only_version3_is_written(self):
-        assert ckpt.CHECKPOINT_VERSION == 3
-        assert ckpt.SUPPORTED_VERSIONS == (1, 2, 3)
-        assert ckpt.wrap("shard", {})["version"] == 3
+class TestVersions:
+    def test_only_version4_is_written_or_read(self):
+        assert ckpt.CHECKPOINT_VERSION == 4
+        assert ckpt.SUPPORTED_VERSIONS == (4,)
+        assert ckpt.MAGIC == b"RSCK4\x00"
+        assert ckpt.wrap("shard", {})["version"] == 4
         blob = ckpt.to_bytes("shard", {})
-        assert blob[:len(ckpt.MAGIC_V3)] == ckpt.MAGIC_V3
+        assert blob[:len(ckpt.MAGIC)] == ckpt.MAGIC
         with pytest.raises(TypeError):
-            ckpt.to_bytes("shard", {}, version=1)
+            ckpt.to_bytes("shard", {}, version=3)
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 5])
+    def test_other_versions_are_refused_by_name(self, version):
+        body = ckpt.to_bytes("shard", {"a": 1})[len(ckpt.MAGIC):]
+        if version == 1:
+            blob = json.dumps(dict(ckpt.wrap("shard", {}), version=1)).encode()
+        else:
+            blob = b"RSCK%d\x00" % version + body
+        with pytest.raises(CheckpointError, match=f"version {version}\\b"):
+            ckpt.from_bytes(blob)
+        document = dict(ckpt.wrap("shard", {}), version=version)
+        with pytest.raises(CheckpointError, match=f"version {version}\\b"):
+            ckpt.unwrap(document)
+
+    def test_foreign_bytes_rejected(self):
+        with pytest.raises(CheckpointError, match="unknown magic"):
+            ckpt.from_bytes(b"PK\x03\x04 not a checkpoint")
+        with pytest.raises(CheckpointError, match="must be bytes"):
+            ckpt.from_bytes("RSCK4")
 
     def test_binary_body_must_declare_the_version_of_its_magic(self):
-        v2 = v2_bytes("shard", {"a": 1})
-        with pytest.raises(CheckpointError, match="does not declare version 3"):
-            ckpt.from_bytes(ckpt.MAGIC_V3 + v2[len(ckpt.MAGIC_V2):])
-
-    def test_int_column_tag_is_not_version2(self):
-        """A version-2 body holding tag 9 is as malformed as it always was."""
-        v3 = ckpt.to_bytes("shard", {"column": list(range(20))})
-        body = zlib.decompress(v3[len(ckpt.MAGIC_V3):])
-        assert ckpt.from_bytes(v3) == {"column": list(range(20))}
-        with pytest.raises(CheckpointError, match="unknown value tag 9"):
-            ckpt.from_bytes(ckpt.MAGIC_V2 + zlib.compress(body))
-
-    @pytest.mark.parametrize("generator_cls", INCREMENTAL_GENERATORS)
-    @pytest.mark.parametrize("writer", [v1_bytes, v2_bytes])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_rowwise_generator_blob_restores_to_the_columnar_export(
-        self, generator_cls, writer, seed
-    ):
-        """An old blob — one dict per state, SSG graph keyed by bitmask —
-        restores to a generator whose re-export is the direct export."""
-        frames = list(bursty_stream(seed, num_frames=90).frames())
-        original = generator_cls(window_size=9, duration=4)
-        for frame in frames[:60]:
-            original.process_frame(frame)
-        direct = original.export_checkpoint()
-        assert isinstance(direct["state"]["states"], dict), "not columnar"
-        old_layout = rowwise(direct)
-        assert isinstance(old_layout["state"]["states"], list)
-        restored = generator_cls(window_size=9, duration=4)
-        restored.import_state(writer("generator", old_layout))
-        assert restored.export_checkpoint() == direct, f"seed={seed}"
-        assert restored.export_state() == original.export_state(), f"seed={seed}"
-        a = canonical_results(original.process_frame(f) for f in frames[60:])
-        b = canonical_results(restored.process_frame(f) for f in frames[60:])
-        assert a == b, f"seed={seed}"
-
-    @pytest.mark.parametrize("writer", [v1_bytes, v2_bytes])
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_router_resumes_from_old_bytes(self, writer, seed):
-        feeds, queries = bench_scenario(2, 50, [(8, 4)], 2, seed)
-        router = StreamRouter(queries, batch_size=4)
-        events = list(interleave_feeds(feeds))
-        router.route_many(events[:60])
-        assert any(shard.matches for shard in router.shards().values())
-        old_layout = rowwise(router.checkpoint())
-        restored = StreamRouter.from_bytes(writer("router", old_layout))
-        # Compared per match: records that arrive one per match are not
-        # re-grouped (a missed grouping costs bytes, nothing else).
-        assert rowwise(restored.checkpoint()) == old_layout, f"seed={seed}"
-        restored.route_many(events[60:])
-        router.route_many(events[60:])
-        restored.flush()
-        router.flush()
-        for stream_id in feeds:
-            assert restored.matches_for(stream_id) == router.matches_for(
-                stream_id
-            ), f"seed={seed} stream={stream_id}"
-
-    @pytest.mark.parametrize("backend", ["inline", "router"])
-    def test_session_resumes_from_old_bytes(self, backend):
-        """Old session blobs carry per-match records in two places: shard
-        ``retained`` lists and handle ``matches``."""
-        feeds, queries = bench_scenario(2, 50, [(8, 4), (12, 6)], 2, 5)
-        events = list(interleave_feeds(feeds))
-        with Session(backend=backend, method="SSG") as session:
-            handles = [session.register(query) for query in queries]
-            for stream_id, frame in events[:40]:
-                session.ingest(stream_id, frame)
-            session.flush()
-            session.drain()                      # into the handles
-            for stream_id, frame in events[40:70]:
-                session.ingest(stream_id, frame)  # retained in the backend
-            session.flush()
-            blob = session.checkpoint()
-            old_layout = rowwise(ckpt.from_bytes(blob))
-            assert any(
-                entry["matches"] for entry in old_layout["registry"]["handles"]
-            )
-            with Session.restore(v2_bytes("session", old_layout)) as restored:
-                assert rowwise(
-                    ckpt.from_bytes(restored.checkpoint())
-                ) == old_layout
-                for stream_id, frame in events[70:]:
-                    session.ingest(stream_id, frame)
-                    restored.ingest(stream_id, frame)
-                assert [h.matches() for h in restored.handles] == [
-                    handle.matches() for handle in handles
-                ]
+        document = dict(ckpt.wrap("shard", {"a": 1}), version=3)
+        blob = ckpt._encode_binary(document)
+        assert blob[:len(ckpt.MAGIC)] == ckpt.MAGIC
+        with pytest.raises(CheckpointError, match="does not declare version 4"):
+            ckpt.from_bytes(blob)
 
 
 # ----------------------------------------------------------------------
@@ -236,8 +164,8 @@ def tree_bytes(value) -> bytes:
     return bytes(out)
 
 
-def read_tree(body: bytes, columns: bool = True):
-    reader = ckpt._Reader(body, columns=columns)
+def read_tree(body: bytes):
+    reader = ckpt._Reader(body)
     value = reader.read_value()
     assert reader.pos == len(body), "trailing bytes"
     return value
@@ -366,7 +294,7 @@ class TestIntColumns:
     def test_hostile_column_inside_a_whole_checkpoint(self):
         strings = b"\x00"  # empty string table
         with pytest.raises(CheckpointError):
-            ckpt.from_bytes(ckpt.MAGIC_V3 + zlib.compress(
+            ckpt.from_bytes(ckpt.MAGIC + zlib.compress(
                 strings + self.column(8, 1 << 40, b"\x01" * 8)
             ))
 
@@ -388,25 +316,25 @@ class TestMalformedInput:
 
     def test_corrupt_compressed_body_rejected(self):
         with pytest.raises(CheckpointError):
-            ckpt.from_bytes(ckpt.MAGIC_V2 + b"this is not zlib data")
+            ckpt.from_bytes(ckpt.MAGIC + b"this is not zlib data")
 
     def test_unknown_tag_rejected(self):
         # Hand-roll a body: empty string table, then an invalid tag byte.
         body = bytes([0]) + bytes([250])
         with pytest.raises(CheckpointError):
-            ckpt.from_bytes(ckpt.MAGIC_V2 + zlib.compress(body))
+            ckpt.from_bytes(ckpt.MAGIC + zlib.compress(body))
 
     def test_string_reference_out_of_range_rejected(self):
         # Empty string table, then a string value referencing index 5.
         body = bytes([0]) + bytes([5, 5])
         with pytest.raises(CheckpointError):
-            ckpt.from_bytes(ckpt.MAGIC_V2 + zlib.compress(body))
+            ckpt.from_bytes(ckpt.MAGIC + zlib.compress(body))
 
     def test_binary_body_must_be_an_envelope(self):
         # A valid tree that is not an envelope dict must be rejected.
         body = bytes([0, 3, 0])  # no strings, int 0
         with pytest.raises(CheckpointError):
-            ckpt.from_bytes(ckpt.MAGIC_V2 + zlib.compress(body))
+            ckpt.from_bytes(ckpt.MAGIC + zlib.compress(body))
 
     def test_non_string_dict_keys_rejected_on_write(self):
         with pytest.raises(CheckpointError):
@@ -422,7 +350,8 @@ class TestMalformedInput:
 # ----------------------------------------------------------------------
 class TestCompactness:
     def test_written_form_is_at_most_40_percent_of_v1_on_bench_workload(self):
-        """The compaction the codec exists for, pinned as a regression bound.
+        """The compaction the codec exists for, pinned as a regression bound
+        against plain JSON of the same envelope (the version-1 form).
 
         Uses the pool/streaming benchmark scenario (scaled down only in
         frame count to keep the suite fast — the state shape per frame is
@@ -433,12 +362,13 @@ class TestCompactness:
         router = StreamRouter(queries, batch_size=16, restrict_labels=False)
         router.route_many(interleave_feeds(feeds))
         payload = router.checkpoint()
-        v1 = len(v1_bytes("router", rowwise(payload)))
-        v2 = len(v2_bytes("router", rowwise(payload)))
-        v3 = len(ckpt.to_bytes("router", payload))
-        assert v3 <= v2 <= 0.4 * v1, (
-            f"compact checkpoint regressed: v3={v3}, v2={v2} bytes vs "
-            f"v1={v1} bytes ({v3 / v1:.1%})"
+        plain = len(json.dumps(
+            ckpt.wrap("router", payload), separators=(",", ":")
+        ).encode("ascii"))
+        compact = len(ckpt.to_bytes("router", payload))
+        assert compact <= 0.4 * plain, (
+            f"compact checkpoint regressed: {compact} bytes vs {plain} "
+            f"bytes of plain JSON ({compact / plain:.1%})"
         )
 
     def test_to_bytes_is_canonical(self):
@@ -453,7 +383,7 @@ class TestCompactness:
         """A tiny file expanding past the body ceiling must raise, not OOM."""
         import zlib as zlib_module
         monkeypatch.setattr(ckpt, "MAX_DECOMPRESSED_BYTES", 4096)
-        bomb = ckpt.MAGIC_V2 + zlib_module.compress(b"\x00" * 1_000_000)
+        bomb = ckpt.MAGIC + zlib_module.compress(b"\x00" * 1_000_000)
         assert len(bomb) < 2000  # the point: small wire size, huge body
         with pytest.raises(CheckpointError, match="size limit"):
             ckpt.from_bytes(bomb)

@@ -229,20 +229,6 @@ class TestSSGGraphRoundTrip:
         with pytest.raises((ValueError, KeyError)):
             StrictStateGraphGenerator(window_size=9, duration=5).import_checkpoint(payload)
 
-    def test_rowwise_layout_with_unknown_bitmask_rejected(self):
-        """The old layout named states by bitmask; a name no row carries
-        raises where it always did."""
-        from tests.legacy_checkpoints import rowwise
-
-        payload, _ = self._mid_stream_payload()
-        old_layout = rowwise(payload)
-        StrictStateGraphGenerator(window_size=9, duration=5).import_checkpoint(
-            json_roundtrip(old_layout)
-        )
-        old_layout["state"]["roots"].append(1 << 200)
-        with pytest.raises(ValueError, match="unknown state bitmask"):
-            StrictStateGraphGenerator(window_size=9, duration=5).import_checkpoint(old_layout)
-
 
 # ----------------------------------------------------------------------
 # Whole-generator round-trips (all four methods)

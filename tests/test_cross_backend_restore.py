@@ -154,6 +154,56 @@ class TestCrossBackendMatrix:
             Session(backend="inline", placement="warmest-core")
 
 
+class TestQueriesNamedById:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_registry_naming_an_id_the_router_lacks_is_refused(self, backend):
+        """An active handle carries only its query id; restore resolves it
+        against the restored router, and an id the router does not hold is
+        a malformed checkpoint on every backend."""
+        queries, events = scenario(71, num_feeds=2, frames=20)
+        session = make_session("router", queries)
+        session.ingest_many(events)
+        session.cancel(session.handles[0])
+        payload = from_bytes(session.checkpoint(), expect_kind="session")
+        session.close()
+        handles = payload["registry"]["handles"]
+        assert "query" in handles[0] and "query_id" not in handles[0]
+        assert "query_id" in handles[1] and "query" not in handles[1]
+        assert handles[0]["query"]["query_id"] not in {
+            query["query_id"] for query in payload["state"]["queries"]
+        }, "a cancelled query is still in the router document"
+        handles[1]["query_id"] = 99
+        with pytest.raises(CheckpointError, match="99"):
+            Session.restore(to_bytes("session", payload), backend=backend)
+        # The cancelled handle's id is not the router's either.
+        handles[1]["query_id"] = handles[0]["query"]["query_id"]
+        with pytest.raises(CheckpointError):
+            Session.restore(to_bytes("session", payload), backend=backend)
+
+    def test_pool_migration_resumes_byte_identically(self):
+        """A stream moved between workers (expel → standalone shard
+        documents → adopt) checkpoints, restores and continues exactly like
+        the same workload on a router."""
+        queries, events = scenario(72, num_feeds=3, frames=40)
+        half = len(events) // 2
+        reference = make_session("router", queries)
+        reference.ingest_many(events[:half])
+        expected = finish(reference, events[half:])
+
+        session = make_session("pool", queries)
+        session.ingest_many(events[:half])
+        pool = session._backend.pool
+        stream_id = pool.stream_ids()[0]
+        target = (pool.assignment()[stream_id] + 1) % pool.num_workers
+        assert pool.migrate_stream(stream_id, target)
+        blob = session.checkpoint()
+        session.close()
+
+        restored = Session.restore(blob)
+        assert restored.checkpoint() == blob
+        assert finish(restored, events[half:]) == expected
+
+
 class TestRouterPoolByteTransparency:
     def _driven_session(self, backend, queries, events):
         session = make_session(backend, queries)

@@ -1,0 +1,105 @@
+"""Malformed documents fail as :class:`CheckpointError` and nothing else.
+
+Every field of a small router document and of a small session document is
+set, one at a time, to each of a handful of wrong-shaped values.  Each
+mutated document must either restore cleanly or raise
+:class:`CheckpointError` — never a raw ``TypeError``, ``ValueError``,
+``AttributeError`` or ``KeyError`` from deep inside a reader.  (Restoring
+cleanly is no promise that the restored object can run: a label or a
+counter of the wrong type is only noticed when it is next used.)
+"""
+
+from __future__ import annotations
+
+import copy
+from typing import Iterator, List, Tuple, Union
+
+from repro import Session
+from repro.streaming import CheckpointError, StreamRouter
+from repro.streaming.checkpoint import from_bytes, to_bytes
+from repro.workloads.streams import bench_scenario, interleave_feeds
+
+#: The wrong-shaped values each field is set to.
+MUTATIONS = (None, "x", -1, [], {}, [[1]])
+
+Path = Tuple[Union[str, int], ...]
+
+
+def field_paths(tree, prefix: Path = ()) -> Iterator[Path]:
+    """The path of every dict value and list item below ``tree``."""
+    if isinstance(tree, dict):
+        items = tree.items()
+    elif isinstance(tree, list):
+        items = enumerate(tree)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+def mutated(document, path: Path, value):
+    """``document`` with the field at ``path`` set to ``value``; only the
+    containers on the path are copied."""
+    root = parent = copy.copy(document)
+    for key in path[:-1]:
+        parent[key] = copy.copy(parent[key])
+        parent = parent[key]
+    parent[path[-1]] = copy.deepcopy(value)
+    return root
+
+
+def escapes(document, restore) -> List[str]:
+    """Every mutation whose restore raised something but CheckpointError."""
+    pristine = copy.deepcopy(document)
+    found = []
+    for path in field_paths(pristine):
+        for value in MUTATIONS:
+            try:
+                restore(mutated(document, path, value))
+            except CheckpointError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - the point of the test
+                found.append(f"{path} = {value!r}: {exc!r}")
+    assert document == pristine, "a restore changed the document it read"
+    return found
+
+
+def small_scenario(frames: int):
+    """Two streams, two window groups of one query each."""
+    feeds, queries = bench_scenario(2, frames, [(4, 2), (5, 3)], 1, 5)
+    return queries, list(interleave_feeds(feeds))
+
+
+def test_router_document_mutations_raise_checkpoint_error_only():
+    queries, events = small_scenario(8)
+    router = StreamRouter(queries, batch_size=3)
+    router.route_many(events)
+    document = router.checkpoint()
+    assert len(document["shards"]) == 4
+    StreamRouter.from_checkpoint(copy.deepcopy(document))  # the clean one
+
+    found = escapes(document, StreamRouter.from_checkpoint)
+    assert not found, f"{len(found)} raw errors, e.g. {found[:5]}"
+
+
+def test_session_document_mutations_raise_checkpoint_error_only():
+    queries, events = small_scenario(5)
+    session = Session(backend="router", batch_size=3)
+    handles = [session.register(query) for query in queries]
+    session.ingest_many(events[:6])
+    session.drain()
+    handles[0].cancel()
+    session.ingest_many(events[6:])
+    document = from_bytes(session.checkpoint(), expect_kind="session")
+    session.close()
+    assert {entry["active"] for entry in document["registry"]["handles"]} \
+        == {True, False}
+
+    def restore(payload):
+        # Not closed: a router-backed session holds no process, and closing
+        # flushes, which a mutant that restored cleanly may fail at.
+        Session.restore(to_bytes("session", payload))
+
+    found = escapes(document, restore)
+    assert not found, f"{len(found)} raw errors, e.g. {found[:5]}"

@@ -8,13 +8,21 @@ per match:
   (``sys.setprofile`` ``call`` events, the way the stack benchmark counts
   ``py_calls``) — a codec or exporter that walks one call per value reads in
   the hundreds;
-* a pool drain is counted in records shipped per result state.
+* a pool drain is counted in records shipped per result state;
+* a session checkpoint and restore are counted in
+  :meth:`CNFQuery.to_dict` / :meth:`CNFQuery.from_dict` calls: a document
+  holds each query once (the router's ``queries`` for an active query, its
+  registry entry for a cancelled one) and names it by id everywhere else,
+  so both counts equal the number of distinct queries, whatever the number
+  of streams and window groups.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+
+import pytest
 
 from repro.datamodel import FrameObservation
 from repro.query.model import CNFQuery
@@ -110,3 +118,89 @@ def test_pool_drain_ships_one_record_per_result_state():
         shipped = session.stats()["backend_stats"]["pool"]
     assert delivered == matches == shipped["matches_shipped"]
     assert shipped["match_records_shipped"] <= result_states, shipped
+
+
+class CallCounter:
+    """Counts calls of ``CNFQuery.to_dict`` and ``CNFQuery.from_dict``."""
+
+    def __init__(self, monkeypatch):
+        self.to_dict = 0
+        self.from_dict = 0
+        to_dict = CNFQuery.to_dict
+        from_dict = CNFQuery.from_dict.__func__
+
+        def counted_to_dict(query):
+            self.to_dict += 1
+            return to_dict(query)
+
+        def counted_from_dict(cls, payload):
+            self.from_dict += 1
+            return from_dict(cls, payload)
+
+        monkeypatch.setattr(CNFQuery, "to_dict", counted_to_dict)
+        monkeypatch.setattr(
+            CNFQuery, "from_dict", classmethod(counted_from_dict)
+        )
+
+    def reset(self) -> None:
+        self.to_dict = self.from_dict = 0
+
+
+#: Three window groups of three queries each; two of the first group's are
+#: cancelled mid-stream, which leaves that group live.
+QUERY_GROUPS = ((8, 4), (12, 7), (16, 9))
+QUERIES_PER_GROUP = 3
+CANCELLED = 2
+
+
+def query_serialisation_calls(backend: str, num_streams: int, monkeypatch):
+    """(distinct queries, to_dict calls of a checkpoint, from_dict calls of
+    its restore) on a session with ``num_streams`` streams."""
+    feeds, queries = bench_scenario(
+        num_streams, 40, QUERY_GROUPS, QUERIES_PER_GROUP, 11
+    )
+    events = list(interleave_feeds(feeds))
+    session = Session(backend=backend, batch_size=4)
+    handles = [session.register(query) for query in queries]
+    session.ingest_many(events[: len(events) // 2])
+    for handle in handles[:CANCELLED]:
+        handle.cancel()
+    session.ingest_many(events[len(events) // 2:])
+    distinct = len(session.handles)
+    assert len(session.queries) == distinct - CANCELLED
+    assert len(session.stream_ids()) == num_streams
+    counter = CallCounter(monkeypatch)
+    try:
+        blob = session.checkpoint()
+        written = counter.to_dict
+        counter.reset()
+        restored = Session.restore(blob)
+        read = counter.from_dict
+    finally:
+        monkeypatch.undo()
+        session.close()
+    assert restored.checkpoint() == blob
+    restored.close()
+    return distinct, written, read
+
+
+@pytest.mark.parametrize("backend", ["inline", "router"])
+def test_checkpoint_writes_and_restore_reads_each_query_once(
+    backend, monkeypatch
+):
+    counts = {}
+    for num_streams in (1, 3):
+        distinct, written, read = query_serialisation_calls(
+            backend, num_streams, monkeypatch
+        )
+        assert distinct == len(QUERY_GROUPS) * QUERIES_PER_GROUP
+        assert written == distinct, (
+            f"S={num_streams}: checkpoint made {written} to_dict calls for "
+            f"{distinct} distinct queries"
+        )
+        assert read == distinct, (
+            f"S={num_streams}: restore made {read} from_dict calls for "
+            f"{distinct} distinct queries"
+        )
+        counts[num_streams] = (written, read)
+    assert counts[1] == counts[3], "query serialisation grows with streams"

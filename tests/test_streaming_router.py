@@ -607,3 +607,58 @@ class TestDepartedStats:
             restored.adopt(payload)
         assert restored.stats()["departed"]["shards"] == 0
         assert restored.stats()["departed"]["frames_ingested"] == 0
+
+
+class TestQueryIdGuards:
+    """A router document holds each query once; shard entries name theirs
+    by id, and restore refuses an entry naming anything but its group's ids
+    in registration order."""
+
+    def _document(self) -> Dict:
+        router = StreamRouter(multi_group_queries(), batch_size=4)
+        router.route_many(interleaved(make_feeds(6, num_feeds=2, num_frames=20), 6))
+        document = router.checkpoint()
+        assert "queries" not in document["shards"][0]
+        assert [e["engine"]["query_ids"] for e in document["shards"][:2]] == \
+            [[0, 1, 2], [3, 4]]
+        return document
+
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda ids: ids.__setitem__(0, 99), id="unknown-id"),
+        pytest.param(lambda ids: ids.reverse(), id="reordered"),
+        pytest.param(lambda ids: ids.__setitem__(2, 3), id="other-groups-id"),
+        pytest.param(lambda ids: ids.pop(), id="missing-id"),
+    ])
+    def test_shard_entry_must_name_its_groups_ids_in_order(self, damage):
+        document = self._document()
+        StreamRouter.from_checkpoint(document)
+        damage(document["shards"][0]["engine"]["query_ids"])
+        with pytest.raises(CheckpointError):
+            StreamRouter.from_checkpoint(document)
+
+    def test_standalone_shard_carries_its_groups_queries_once(self):
+        router = StreamRouter(multi_group_queries(), batch_size=4)
+        router.route_many(interleaved(make_feeds(7, num_feeds=1, num_frames=20), 7))
+        (payload, other) = router.detach("cam-0")
+        assert [q["query_id"] for q in payload["queries"]] == \
+            payload["engine"]["query_ids"] == [0, 1, 2]
+        assert StreamShard.from_checkpoint(payload).checkpoint() == payload
+        router.adopt(payload)
+        router.adopt(other)
+
+    def test_foreign_router_with_another_query_under_the_same_id_refused(self):
+        """Same window group, same ids, one query differs: the ids alone
+        would match, the carried query dicts do not."""
+        texts = ["person >= 1", "car >= 1 AND person >= 1"]
+        donor = StreamRouter(build_queries(texts, window=8, duration=4))
+        donor.route("cam-a", FrameObservation(0, {1: "person"}))
+        payload = donor.detach("cam-a")[0]
+        foreign = StreamRouter(
+            build_queries(texts[:1] + ["car >= 2"], window=8, duration=4)
+        )
+        assert [q.query_id for q in foreign.queries] == \
+            payload["engine"]["query_ids"]
+        with pytest.raises(CheckpointError, match="do not match"):
+            foreign.adopt(payload)
+        twin = StreamRouter(build_queries(texts, window=8, duration=4))
+        twin.adopt(payload)
