@@ -17,13 +17,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import EngineConfig, MCOSMethod, TemporalVideoQueryEngine
+from repro.session import Session
 from repro.streaming import CheckpointError, StreamRouter
 from repro.streaming import checkpoint as ckpt
 from repro.workloads.streams import bench_scenario, interleave_feeds
 
 from tests.conftest import (
     ALL_GENERATORS,
+    INCREMENTAL_GENERATORS,
     build_queries,
+    bursty_stream,
     canonical_results,
     labelled_stream,
 )
@@ -152,6 +155,102 @@ class TestVersions:
         assert blob[:len(ckpt.MAGIC)] == ckpt.MAGIC
         with pytest.raises(CheckpointError, match="does not declare version 4"):
             ckpt.from_bytes(blob)
+
+
+# ----------------------------------------------------------------------
+# Resuming from version-4 bytes
+# ----------------------------------------------------------------------
+class TestResumeFromBytes:
+    @pytest.mark.parametrize("generator_cls", INCREMENTAL_GENERATORS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bursty_generator_blob_restores_to_its_export(
+        self, generator_cls, seed
+    ):
+        """A mid-stream blob on a bursty scene restores to a generator whose
+        re-export is the direct export, and whose suffix is the original's."""
+        frames = list(bursty_stream(seed, num_frames=90).frames())
+        original = generator_cls(window_size=9, duration=4)
+        for frame in frames[:60]:
+            original.process_frame(frame)
+        direct = original.export_checkpoint()
+        assert isinstance(direct["state"]["states"], dict), "not columnar"
+        restored = generator_cls(window_size=9, duration=4)
+        restored.import_state(ckpt.to_bytes("generator", direct))
+        assert restored.export_checkpoint() == direct, f"seed={seed}"
+        assert restored.export_state() == original.export_state(), f"seed={seed}"
+        a = canonical_results(original.process_frame(f) for f in frames[60:])
+        b = canonical_results(restored.process_frame(f) for f in frames[60:])
+        assert a == b, f"seed={seed}"
+
+    @pytest.mark.parametrize(
+        "groups", [[(8, 4)], [(8, 4), (12, 6)]], ids=["one-group", "two-groups"]
+    )
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_router_resumes_from_bytes(self, groups, seed):
+        """The router document holds each query once, its shards name their
+        group's queries by id in registration order, and a router restored
+        from its bytes re-checkpoints and continues exactly."""
+        feeds, queries = bench_scenario(2, 50, groups, 2, seed)
+        router = StreamRouter(queries, batch_size=4)
+        events = list(interleave_feeds(feeds))
+        router.route_many(events[:60])
+        assert any(shard.matches for shard in router.shards().values())
+        document = router.checkpoint()
+        ids = [query["query_id"] for query in document["queries"]]
+        assert sorted(ids) == sorted(query.query_id for query in queries)
+        assert len(set(ids)) == len(ids)
+        for entry in document["shards"]:
+            group = (entry["key"]["window"], entry["key"]["duration"])
+            assert "queries" not in entry["engine"]
+            assert entry["engine"]["query_ids"] == [
+                query["query_id"] for query in document["queries"]
+                if (query["window"], query["duration"]) == group
+            ], f"seed={seed} key={entry['key']}"
+        restored = StreamRouter.from_bytes(ckpt.to_bytes("router", document))
+        assert restored.checkpoint() == document, f"seed={seed}"
+        restored.route_many(events[60:])
+        router.route_many(events[60:])
+        restored.flush()
+        router.flush()
+        for stream_id in feeds:
+            assert restored.matches_for(stream_id) == router.matches_for(
+                stream_id
+            ), f"seed={seed} stream={stream_id}"
+
+    @pytest.mark.parametrize("backend", ["inline", "router"])
+    def test_session_resumes_from_bytes(self, backend):
+        """A session with drained handles, matches still retained in the
+        backend and one cancelled handle restores byte-identically: active
+        handles name their query by id, the cancelled one keeps its dict."""
+        feeds, queries = bench_scenario(2, 50, [(8, 4), (12, 6)], 2, 5)
+        events = list(interleave_feeds(feeds))
+        with Session(backend=backend, method="SSG") as session:
+            handles = [session.register(query) for query in queries]
+            for stream_id, frame in events[:40]:
+                session.ingest(stream_id, frame)
+            session.flush()
+            session.drain()                      # into the handles
+            handles[-1].cancel()
+            for stream_id, frame in events[40:70]:
+                session.ingest(stream_id, frame)  # retained in the backend
+            session.flush()
+            blob = session.checkpoint()
+            entries = ckpt.from_bytes(blob)["registry"]["handles"]
+            assert any(entry["matches"] for entry in entries)
+            assert ["query" in entry for entry in entries] == [
+                False, False, False, True
+            ]
+            assert [entry.get("query_id") for entry in entries[:-1]] == [
+                query.query_id for query in queries[:-1]
+            ]
+            with Session.restore(blob) as restored:
+                assert restored.checkpoint() == blob
+                for stream_id, frame in events[70:]:
+                    session.ingest(stream_id, frame)
+                    restored.ingest(stream_id, frame)
+                assert [h.matches() for h in restored.handles] == [
+                    handle.matches() for handle in handles
+                ]
 
 
 # ----------------------------------------------------------------------
