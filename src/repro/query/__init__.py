@@ -7,10 +7,8 @@ truck >= 1)``, evaluated with a window size ``w`` and duration ``d``.
 
 The evaluation machinery follows Section 5:
 
-* :mod:`repro.query.cnf_eval` implements the Boolean-expression inverted
-  index of Whang et al. for set-membership predicates (``CNFEval``);
-* :mod:`repro.query.inequality` extends it with ordered ``>= / <= / =``
-  indexes (``CNFEvalE``);
+* :mod:`repro.query.inequality` implements the Boolean-expression inverted
+  index of Whang et al. with ordered ``>= / <= / =`` indexes (``CNFEvalE``);
 * :mod:`repro.query.evaluator` applies the index to the result state sets
   produced by the MCOS generation layer;
 * :mod:`repro.query.pruning` implements the Proposition-1 state pruning used
@@ -18,7 +16,6 @@ The evaluation machinery follows Section 5:
 """
 
 from repro.query.builder import Q, QueryExpr
-from repro.query.cnf_eval import CNFEvalIndex
 from repro.query.evaluator import (
     QueryEvaluator,
     QueryMatch,
@@ -31,7 +28,6 @@ from repro.query.model import (
     Comparison,
     Condition,
     Disjunction,
-    MembershipCondition,
 )
 from repro.query.parser import parse_expression, parse_query
 from repro.query.pruning import StatePruner, queries_support_pruning
@@ -39,14 +35,12 @@ from repro.query.pruning import StatePruner, queries_support_pruning
 __all__ = [
     "Comparison",
     "Condition",
-    "MembershipCondition",
     "Disjunction",
     "CNFQuery",
     "Q",
     "QueryExpr",
     "parse_expression",
     "parse_query",
-    "CNFEvalIndex",
     "CNFEvalEIndex",
     "QueryEvaluator",
     "QueryMatch",

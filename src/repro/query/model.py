@@ -5,11 +5,6 @@ A query (Section 2) is a CNF expression whose atomic conditions have the form
 query is evaluated against the aggregate class counts of a Maximum
 Co-occurrence Object Set; it also carries the temporal parameters ``window``
 (``w``) and ``duration`` (``d``).
-
-The module additionally defines membership conditions (``attribute in
-{values}`` / ``not in``) because the underlying CNFEval algorithm of Whang et
-al. is defined over set-membership predicates; the count conditions of the
-paper are layered on top of it in :mod:`repro.query.inequality`.
 """
 
 from __future__ import annotations
@@ -142,31 +137,6 @@ class Condition:
 
     def __str__(self) -> str:
         return f"{self.label} {self.comparison.value} {self.threshold}"
-
-
-@dataclass(frozen=True)
-class MembershipCondition:
-    """A set-membership condition ``attribute in {values}`` (or ``not in``).
-
-    These are the native predicates of the CNFEval algorithm [Whang et al.];
-    the paper's example query ``age in {2, 3} AND (state in {CA} OR gender in
-    {F})`` is expressed with them.
-    """
-
-    attribute: str
-    values: FrozenSet[str]
-    negated: bool = False
-
-    def evaluate(self, assignment: Mapping[str, str]) -> bool:
-        """Evaluate against an attribute assignment (missing attribute = no value)."""
-        value = assignment.get(self.attribute)
-        member = value is not None and value in self.values
-        return not member if self.negated else member
-
-    def __str__(self) -> str:
-        op = "not in" if self.negated else "in"
-        values = ", ".join(sorted(self.values))
-        return f"{self.attribute} {op} {{{values}}}"
 
 
 @dataclass(frozen=True)
@@ -420,26 +390,3 @@ def class_counts(labels: Iterable[str]) -> Dict[str, int]:
     for label in labels:
         counts[label] = counts.get(label, 0) + 1
     return counts
-
-
-@dataclass(frozen=True)
-class MembershipQuery:
-    """A CNF query over set-membership predicates (CNFEval's native form)."""
-
-    disjunctions: Tuple[Tuple[MembershipCondition, ...], ...]
-    query_id: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if not self.disjunctions or any(not d for d in self.disjunctions):
-            raise ValueError("membership queries need at least one condition per disjunction")
-
-    def evaluate(self, assignment: Mapping[str, str]) -> bool:
-        """Direct evaluation against an attribute assignment."""
-        return all(
-            any(cond.evaluate(assignment) for cond in disjunction)
-            for disjunction in self.disjunctions
-        )
-
-    def with_id(self, query_id: int) -> "MembershipQuery":
-        """Return a copy carrying the given identifier."""
-        return MembershipQuery(self.disjunctions, query_id=query_id)

@@ -16,9 +16,8 @@ Both deliver matches through the same retained-until-drained contract and
 report them in the same canonical order (stream first-seen order, matches
 keyed by frame id crossed with group registration order), so a workload
 driven through any backend produces byte-identical reports — pinned by the
-differential suite.  Both checkpoint to one router-layout document (the
-pool adds only its ``placement`` block), so a snapshot taken on either
-restores onto the other unchanged.
+differential suite.  Both checkpoint to the same router-layout document,
+so a snapshot taken on either restores onto the other unchanged.
 """
 
 from __future__ import annotations
@@ -30,13 +29,7 @@ from repro.datamodel.observation import FrameObservation
 from repro.engine.config import MCOSMethod
 from repro.query.evaluator import QueryMatch
 from repro.query.model import CNFQuery
-from repro.streaming.checkpoint import CheckpointError
-from repro.streaming.pool import (
-    PoolError,
-    ShardWorkerPool,
-    WorkerCrashError,
-    parse_placement_block,
-)
+from repro.streaming.pool import ShardWorkerPool
 from repro.streaming.router import StreamRouter
 
 
@@ -100,20 +93,6 @@ class Backend(abc.ABC):
         """Re-adopt parked streams after degradation (no-op when the
         backend has no failure domain or nothing is parked)."""
         return []
-
-    def grow(self, count: int = 1) -> List[int]:
-        """Add workers to an elastic backend (pool only)."""
-        raise PoolError(
-            "an in-process backend has a fixed worker set and cannot grow; "
-            "use the pool backend for elastic workers"
-        )
-
-    def shrink(self, count: int = 1) -> List[int]:
-        """Retire workers from an elastic backend (pool only)."""
-        raise PoolError(
-            "an in-process backend has a fixed worker set and cannot shrink; "
-            "use the pool backend for elastic workers"
-        )
 
     def close(self) -> None:
         """Release resources (worker processes, window state)."""
@@ -193,13 +172,8 @@ class PoolBackend(Backend):
         num_workers: int = 2,
         dispatch_batch: int = 32,
         checkpoint_every: int = 8,
-        placement: str = "round-robin",
-        assignment: Optional[Dict[str, int]] = None,
-        stream_frames: Optional[Dict[str, int]] = None,
         supervision: Optional[Dict] = None,
         degraded_mode: bool = True,
-        first_seen: Optional[int] = None,
-        auto_rebalance: Optional[Dict] = None,
         router: Optional[StreamRouter] = None,
     ):
         if router is None:
@@ -217,15 +191,10 @@ class PoolBackend(Backend):
             num_workers=num_workers,
             dispatch_batch=dispatch_batch,
             checkpoint_every=checkpoint_every,
-            placement=placement,
-            assignment=assignment,
-            stream_frames=stream_frames,
             supervision=supervision,
             # Sessions prefer staying up: an irrecoverable worker parks its
             # streams (per-stream health) instead of breaking the session.
             on_irrecoverable="park" if degraded_mode else "raise",
-            first_seen=first_seen,
-            auto_rebalance=auto_rebalance,
         )
         self.pool.start()
 
@@ -260,65 +229,14 @@ class PoolBackend(Backend):
         """Repair a degraded pool (respawn parked workers, replay journal)."""
         return self.pool.repair()
 
-    def grow(self, count: int = 1) -> List[int]:
-        return self.pool.grow(count)
-
-    def shrink(self, count: int = 1) -> List[int]:
-        return self.pool.shrink(count)
-
     def checkpoint_payload(self) -> Dict:
         return self.pool.checkpoint_router()
 
     @classmethod
-    def restore(
-        cls,
-        payload: Dict,
-        num_workers: int = 2,
-        dispatch_batch: int = 32,
-        checkpoint_every: int = 8,
-        placement: str = "round-robin",
-        supervision: Optional[Dict] = None,
-        degraded_mode: bool = True,
-        auto_rebalance: Optional[Dict] = None,
-        **_config,
-    ) -> "PoolBackend":
-        # A checkpoint taken on a pool carries its placement block; honour
-        # the persisted assignment and load history so the restored pool
-        # reproduces the exact worker layout with its signals intact
-        # (remapped deterministically when num_workers shrank, rejected
-        # loudly for impossible layouts).  Checkpoints taken on other
-        # backends have no block — streams are placed afresh by the
-        # configured policy.
-        block = parse_placement_block(payload)
-        router = StreamRouter.from_checkpoint(payload)
-        try:
-            return cls(
-                num_workers=num_workers,
-                dispatch_batch=dispatch_batch,
-                checkpoint_every=checkpoint_every,
-                placement=placement,
-                assignment=block.get("assignment"),
-                stream_frames=block.get("stream_frames"),
-                first_seen=block.get("first_seen"),
-                supervision=supervision,
-                degraded_mode=degraded_mode,
-                auto_rebalance=auto_rebalance,
-                router=router,
-            )
-        except WorkerCrashError:
-            # A worker dying during start() is a *runtime* failure (OOM,
-            # signals), not a judgement on the checkpoint — let it surface
-            # as itself so diagnosis is not misdirected at the data.
-            raise
-        except PoolError as exc:
-            # One validation implementation — the pool's own constructor
-            # and start() (impossible layouts, uncovered load history).
-            # In the restore path those judgements are about checkpoint
-            # *data*, so they surface under the checkpoint contract rather
-            # than as the PoolError direct streaming-layer users see.
-            raise CheckpointError(
-                f"invalid placement in pool checkpoint: {exc}"
-            ) from exc
+    def restore(cls, payload: Dict, **config) -> "PoolBackend":
+        # The layout is re-derived from the document's stream order for
+        # this pool's worker count; nothing about it is persisted.
+        return cls(router=StreamRouter.from_checkpoint(payload), **config)
 
     def close(self) -> None:
         """Release worker processes, whatever state the pool is in.

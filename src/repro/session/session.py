@@ -68,7 +68,6 @@ from repro.query.model import DEFAULT_DURATION, DEFAULT_WINDOW, CNFQuery
 from repro.query.parser import parse_query
 from repro.query.pruning import require_pruning_compatible
 from repro.session.backends import BACKENDS, Backend
-from repro.streaming.placement import resolve_placement
 from repro.streaming.router import GroupKey
 from repro.streaming.checkpoint import (
     CheckpointError,
@@ -77,8 +76,8 @@ from repro.streaming.checkpoint import (
     reading,
     to_bytes,
 )
-from repro.streaming.pool import PoisonOpError, PoolError, WorkerCrashError
-from repro.streaming.supervision import AutoRebalanceConfig, SupervisionConfig
+from repro.streaming.pool import PoisonOpError, WorkerCrashError
+from repro.streaming.supervision import SupervisionConfig
 
 #: Everything :meth:`Session.register` accepts as a query.
 QueryLike = Union[str, QueryExpr, CNFQuery]
@@ -89,8 +88,24 @@ QueryLike = Union[str, QueryExpr, CNFQuery]
 _CONFIG_KEYS = (
     "backend", "method", "batch_size", "watermark", "enable_pruning",
     "restrict_labels", "num_workers", "dispatch_batch", "checkpoint_every",
-    "placement", "supervision", "degraded_mode", "auto_rebalance",
+    "supervision", "degraded_mode",
 )
+
+#: Pool sizing knobs.  Every backend records them, because a checkpoint
+#: taken on any backend may resume on the pool, so every backend checks
+#: that each is a positive int.
+_POOL_SIZING = ("num_workers", "dispatch_batch", "checkpoint_every")
+
+
+def _check_pool_sizing(
+    config: Dict, names: Tuple[str, ...] = _POOL_SIZING
+) -> None:
+    """Raise ``ValueError`` unless each knob ``names`` picks from
+    ``config`` is a positive int."""
+    for name in names:
+        value = config[name]
+        if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+            raise ValueError(f"{name} must be a positive int, got {value!r}")
 
 
 class UnknownStreamError(KeyError):
@@ -257,11 +272,10 @@ class Session:
     enable_pruning / restrict_labels:
         The engine-level optimisations, applied uniformly.
     num_workers / dispatch_batch / checkpoint_every:
-        Worker pool sizing and cadence (pool backend only).
-    placement:
-        Stream→worker placement policy of the pool backend:
-        ``"round-robin"`` (deterministic default) or ``"least-loaded"``
-        (load-aware; see :mod:`repro.streaming.placement`).
+        Worker pool sizing and cadence.  Only the pool backend uses them,
+        but every backend records them (a checkpoint may resume on a pool),
+        so each must be a positive int everywhere.  The k-th stream the
+        session sees lives on pool worker ``k mod num_workers``.
     supervision:
         Worker supervision knobs of the pool backend — heartbeat cadence,
         hang thresholds, restart backoff, poison-quarantine threshold — as
@@ -275,15 +289,6 @@ class Session:
         report the parked streams until :meth:`repair`.  When False the
         failure surfaces as a
         :class:`~repro.streaming.pool.WorkerCrashError`.
-    auto_rebalance:
-        Pool backend only.  Autonomous rebalance triggers — the pool's
-        supervisor watches per-worker load ratios and wall-clock frame
-        rates and fires a rebalance on its own once drift crosses the
-        watermark (see
-        :class:`~repro.streaming.supervision.AutoRebalanceConfig`).
-        Pass ``True`` for the defaults, a config/dict for tuned knobs,
-        or ``None``/``False`` (the default) to keep rebalancing
-        caller-invoked.
     queries:
         Optional initial workload; each entry is registered as if passed to
         :meth:`register`.
@@ -301,10 +306,8 @@ class Session:
         num_workers: int = 2,
         dispatch_batch: int = 32,
         checkpoint_every: int = 8,
-        placement: str = "round-robin",
         supervision: Optional[Union[Dict, SupervisionConfig]] = None,
         degraded_mode: bool = True,
-        auto_rebalance: Optional[Union[bool, Dict, AutoRebalanceConfig]] = None,
         queries: Iterable[QueryLike] = (),
     ):
         if backend not in BACKENDS:
@@ -312,9 +315,6 @@ class Session:
                 f"unknown backend {backend!r}; choose one of "
                 f"{sorted(BACKENDS)}"
             )
-        # Eager: a placement typo is an argument error at the call site,
-        # even on backends that only consult it after a later pool restore.
-        resolve_placement(str(placement))
         if backend == "inline":
             # The router with one-frame batches and no reorder window.
             batch_size, watermark = 1, 0
@@ -325,25 +325,18 @@ class Session:
             "watermark": int(watermark),
             "enable_pruning": bool(enable_pruning),
             "restrict_labels": bool(restrict_labels),
-            "num_workers": int(num_workers),
-            "dispatch_batch": int(dispatch_batch),
-            "checkpoint_every": int(checkpoint_every),
-            "placement": str(placement),
-            # Validated eagerly (like placement) so a bad knob is an
-            # argument error here, not a deferred pool-construction one.
+            "num_workers": num_workers,
+            "dispatch_batch": dispatch_batch,
+            "checkpoint_every": checkpoint_every,
+            # Validated eagerly so a bad knob is an argument error here,
+            # not a deferred pool-construction one.
             "supervision": (
                 None if supervision is None
                 else SupervisionConfig.coerce(supervision).to_dict()
             ),
             "degraded_mode": bool(degraded_mode),
-            # Same eager-validation contract as supervision above.
-            "auto_rebalance": (
-                coerced.to_dict()
-                if (coerced := AutoRebalanceConfig.coerce(auto_rebalance))
-                is not None
-                else None
-            ),
         }
+        _check_pool_sizing(self._config)
         self._init_registry()
         self._backend: Backend = self._build_backend()
         try:
@@ -403,10 +396,8 @@ class Session:
                 num_workers=config["num_workers"],
                 dispatch_batch=config["dispatch_batch"],
                 checkpoint_every=config["checkpoint_every"],
-                placement=config.get("placement", "round-robin"),
                 supervision=config.get("supervision"),
                 degraded_mode=bool(config.get("degraded_mode", True)),
-                auto_rebalance=config.get("auto_rebalance"),
             )
         return BACKENDS[kind](**kwargs)
 
@@ -715,39 +706,6 @@ class Session:
             self._seen_health_faults.clear()
         return revived
 
-    def grow(self, count: int = 1) -> List[int]:
-        """Add ``count`` workers to a pool backend (elastic scale-out).
-
-        New workers spawn through the pool's restore-from-checkpoint path
-        and start empty; subsequent placements (and any rebalance) spread
-        streams onto them.  Returns the new worker indices.  Raises
-        :class:`~repro.streaming.pool.PoolError` on backends with a fixed
-        in-process worker set.
-        """
-        self._require_open()
-        added = self._backend.grow(int(count))
-        # The config travels in checkpoints: a restore must rebuild the
-        # grown worker set, not the one the session was constructed with.
-        self._config["num_workers"] += len(added)
-        self._dirty = True
-        return added
-
-    def shrink(self, count: int = 1) -> List[int]:
-        """Retire ``count`` workers from a pool backend (scale-in).
-
-        Each retiring worker's streams are migrated (flush barrier,
-        checkpoint/ship/adopt — byte-identical results) onto the surviving
-        workers before its process stops.  Returns the retired worker
-        indices.  Raises :class:`~repro.streaming.pool.PoolError` on
-        backends with a fixed in-process worker set, or when the pool
-        would shrink below one worker.
-        """
-        self._require_open()
-        retired = self._backend.shrink(int(count))
-        self._config["num_workers"] -= len(retired)
-        self._dirty = True
-        return retired
-
     def stats(self) -> Dict:
         """Session statistics: a deterministic, backend-independent core
         plus the raw backend report under ``"backend_stats"``.
@@ -861,7 +819,6 @@ class Session:
         *,
         backend: Optional[str] = None,
         num_workers: Optional[int] = None,
-        placement: Optional[str] = None,
     ) -> "Session":
         """Rebuild a session from checkpoint bytes — on *any* backend.
 
@@ -870,30 +827,27 @@ class Session:
         different serving architecture: every backend checkpoints the same
         router-layout document, so a snapshot taken on ``inline``,
         ``router`` or ``pool`` restores onto any of the three unchanged and
-        re-exports byte-identically (a pool adds only its ``placement``
-        block).  The document carries its own batching: an ``inline``
+        re-exports byte-identically.  The document carries its own batching: an ``inline``
         snapshot resumes with one-frame batches on any backend, and a
         ``router`` snapshot keeps its batch size and watermark on
         ``inline``.
 
-        ``num_workers`` / ``placement`` override the pool sizing and
-        placement policy of the restored session (useful when resuming a
-        pool snapshot on differently-sized hardware; a persisted worker
-        layout is validated and deterministically remapped).
+        ``num_workers`` overrides the pool sizing of the restored session
+        (useful when resuming a pool snapshot on differently-sized
+        hardware); stream k then lives on worker ``k mod num_workers``.
+        A pool sizing knob that is not a positive int raises
+        ``ValueError`` when passed here and :class:`CheckpointError` when
+        read from the checkpoint.
         """
         if backend is not None and backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; choose one of "
                 f"{sorted(BACKENDS)}"
             )
-        if placement is not None:
-            # Eager, like the backend override: a typo here is an argument
-            # error, not a corrupt checkpoint (CheckpointError).
-            resolve_placement(str(placement))
         if num_workers is not None:
-            num_workers = int(num_workers)  # same eager-argument contract
-            if num_workers <= 0:
-                raise ValueError("num_workers must be positive")
+            # Eager, like the backend override: a bad value here is an
+            # argument error, not a corrupt checkpoint (CheckpointError).
+            _check_pool_sizing({"num_workers": num_workers}, ("num_workers",))
         payload = from_bytes(data, expect_kind="session")
         with reading("session checkpoint"):
             config = {
@@ -908,9 +862,8 @@ class Session:
             if backend is not None:
                 config["backend"] = backend
             if num_workers is not None:
-                config["num_workers"] = int(num_workers)
-            if placement is not None:
-                config["placement"] = str(placement)
+                config["num_workers"] = num_workers
+            _check_pool_sizing(config)
             session = cls.__new__(cls)
             session._config = config
             session._init_registry()
@@ -919,15 +872,13 @@ class Session:
                 method=MCOSMethod(config["method"]),
                 enable_pruning=bool(config["enable_pruning"]),
                 restrict_labels=bool(config["restrict_labels"]),
-                num_workers=int(config["num_workers"]),
-                dispatch_batch=int(config["dispatch_batch"]),
-                checkpoint_every=int(config["checkpoint_every"]),
-                placement=str(config.get("placement", "round-robin")),
+                num_workers=config["num_workers"],
+                dispatch_batch=config["dispatch_batch"],
+                checkpoint_every=config["checkpoint_every"],
                 # Pre-supervision checkpoints predate these keys; default
                 # them exactly as a fresh Session would.
                 supervision=config.get("supervision"),
                 degraded_mode=bool(config.get("degraded_mode", True)),
-                auto_rebalance=config.get("auto_rebalance"),
             )
             try:
                 session._restore_registry(payload)

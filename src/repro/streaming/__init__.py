@@ -37,13 +37,6 @@ from repro.streaming.faultinject import (
     FaultPlan,
     InjectedFault,
 )
-from repro.streaming.placement import (
-    PLACEMENT_POLICIES,
-    LeastLoadedPlacement,
-    PlacementPolicy,
-    RoundRobinPlacement,
-    WorkerLoad,
-)
 from repro.streaming.pool import (
     PoisonOpError,
     PoolError,
@@ -51,13 +44,11 @@ from repro.streaming.pool import (
     WorkerCrashError,
     deterministic_stats,
     match_report,
-    remap_assignment,
 )
 from repro.streaming.router import StreamRouter, group_queries_by_window
 from repro.streaming.shard import ShardKey, ShardStats, StreamShard
 from repro.streaming.supervision import (
     FAILURE_KINDS,
-    AutoRebalanceConfig,
     SupervisionConfig,
     Supervisor,
 )
@@ -67,19 +58,14 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "FAILURE_KINDS",
     "FAULT_KINDS",
-    "PLACEMENT_POLICIES",
     "RECOVERABLE_KINDS",
     "SUPPORTED_VERSIONS",
-    "AutoRebalanceConfig",
     "CheckpointError",
     "Fault",
     "FaultPlan",
     "InjectedFault",
-    "LeastLoadedPlacement",
-    "PlacementPolicy",
     "PoisonOpError",
     "PoolError",
-    "RoundRobinPlacement",
     "ShardKey",
     "ShardStats",
     "ShardWorkerPool",
@@ -88,9 +74,7 @@ __all__ = [
     "SupervisionConfig",
     "Supervisor",
     "WorkerCrashError",
-    "WorkerLoad",
     "deterministic_stats",
     "group_queries_by_window",
     "match_report",
-    "remap_assignment",
 ]

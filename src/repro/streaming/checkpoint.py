@@ -68,7 +68,7 @@ queries by id:
 * a **session** document's registry names each active handle by
   ``query_id``, resolved against the restored router; a cancelled handle
   keeps its full ``query`` dict, because no router holds it any more;
-* standalone **shard** documents (detach, expel, the pool's hand-offs)
+* standalone **shard** documents (detach, the pool's hand-offs)
   carry their group's ``queries`` once, beside the same id-only engine
   block, and **engine** documents stay self-contained with one copy.
 

@@ -13,16 +13,12 @@ spreads them over ``multiprocessing`` workers:
 * **batched dispatch over queues** — frames are buffered per worker and
   dispatched in batches; each stream is owned by exactly one worker, so
   per-stream frame order is preserved and results are independent of the
-  worker count *and* of where each stream lands;
-* **load-aware placement** — which worker owns a first-seen stream is
-  decided by a pluggable :class:`~repro.streaming.placement.PlacementPolicy`
-  (deterministic round-robin by default; a least-loaded policy driven by
-  the per-worker frame/queue-depth signals ships too), and a live stream
-  can be moved between workers mid-flight with :meth:`migrate_stream` /
-  :meth:`rebalance` — flush-barriered and op-logged, so differential runs
-  stay byte-identical and crash recovery replays the move.  The assignment
-  map is persisted in pool checkpoints so a restore reproduces the exact
-  worker layout;
+  worker count;
+* **fixed placement** — the k-th stream the service has seen (its position
+  in the router's first-seen ``stream_order``) lives on worker
+  ``k mod num_workers`` for the pool's whole life.  The layout is derived,
+  never persisted: a pool checkpoint is a plain router document, and a
+  pool restored with any worker count re-derives it;
 * **crash recovery** — the parent keeps, per worker, the last periodic
   checkpoint it received plus the log of state-changing operations sent
   after it (the *unacked tail*).  When a worker dies (e.g. SIGKILL), a fresh
@@ -64,7 +60,6 @@ logged; if a crash swallows one, the caller transparently re-issues it.
 
 from __future__ import annotations
 
-import inspect
 import json
 import multiprocessing
 import queue as queue_module
@@ -75,19 +70,10 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 from repro.datamodel.observation import FrameObservation
 from repro.query.evaluator import QueryMatch, pack_matches, unpack_matches
 from repro.query.model import CNFQuery
-from repro.streaming.checkpoint import CheckpointError, from_bytes, to_bytes
+from repro.streaming.checkpoint import from_bytes, to_bytes
 from repro.streaming.faultinject import InjectedFault, load_injector
-from repro.streaming.placement import (
-    PlacementPolicy,
-    WorkerLoad,
-    resolve_placement,
-)
 from repro.streaming.router import StreamRouter, standalone_shards
-from repro.streaming.supervision import (
-    AutoRebalanceConfig,
-    SupervisionConfig,
-    Supervisor,
-)
+from repro.streaming.supervision import SupervisionConfig, Supervisor
 
 #: Sentinel stored as the "ack" of a read-only query lost to a worker crash.
 _LOST = object()
@@ -203,96 +189,6 @@ def _reap_process(process, timeout: float = 5.0) -> Optional[int]:
     return process.exitcode
 
 
-def parse_placement_block(payload: Mapping) -> Dict:
-    """Parse the ``placement`` block of a pool checkpoint document.
-
-    Returns a dict with ``policy`` / ``num_workers`` / ``first_seen``
-    (verbatim when present) and ``assignment`` / ``stream_frames`` decoded
-    from their list-of-pairs wire form into plain dicts; an empty dict
-    when the document has no block (router checkpoints, pre-placement
-    snapshots).
-    The single parser shared by :meth:`ShardWorkerPool.from_checkpoint`
-    and the session pool backend, so the wire format cannot drift.
-    """
-    block = payload.get("placement")
-    if block is None or block == {}:
-        return {}
-    if not isinstance(block, Mapping):
-        # Present but the wrong shape (list, string, number — including
-        # falsy values like [] that must not masquerade as "absent").
-        raise CheckpointError(
-            "malformed placement block in pool checkpoint: expected a "
-            f"mapping, got {type(block).__name__}"
-        )
-
-    def decode_pairs(name: str, cast) -> Dict:
-        entries = block.get(name, [])
-        if not isinstance(entries, list):
-            # A dict (or string) here would iterate its keys and silently
-            # mis-unpack; the wire form is strictly a list of pairs.
-            raise CheckpointError(
-                f"malformed placement block in pool checkpoint: {name!r} "
-                f"must be a list of [stream, value] pairs, got "
-                f"{type(entries).__name__}"
-            )
-        try:
-            return {str(stream_id): cast(value) for stream_id, value in entries}
-        except (TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"malformed placement block in pool checkpoint: {exc!r}"
-            ) from exc
-
-    parsed: Dict = {
-        "assignment": decode_pairs("assignment", lambda value: value),
-        "stream_frames": decode_pairs("stream_frames", int),
-    }
-    for key in ("policy", "num_workers", "first_seen"):
-        if key in block:
-            parsed[key] = block[key]
-    return parsed
-
-
-def remap_assignment(
-    assignment: Mapping[str, int],
-    num_workers: int,
-    known_streams: Optional[Sequence[str]] = None,
-) -> Dict[str, int]:
-    """Validate a persisted stream→worker map against a worker count.
-
-    Entries that fit (``0 <= index < num_workers``) are kept verbatim, so a
-    restore with the checkpointed worker count reproduces the exact layout.
-    A pool restored with *fewer* workers deterministically folds
-    out-of-range indices back in (``index % num_workers``) — any layout is
-    semantically valid, placement only affects load.  Impossible layouts
-    fail loudly instead of being silently recomputed: a negative or
-    non-integral index, or (when ``known_streams`` is given) a placement
-    for a stream the checkpoint does not serve.
-    """
-    if num_workers <= 0:
-        raise PoolError("num_workers must be positive")
-    known = None if known_streams is None else set(known_streams)
-    remapped: Dict[str, int] = {}
-    for stream_id, index in assignment.items():
-        stream_id = str(stream_id)
-        if isinstance(index, bool) or not isinstance(index, int):
-            raise PoolError(
-                f"impossible placement: stream {stream_id!r} is assigned to "
-                f"{index!r}, which is not a worker index"
-            )
-        if index < 0:
-            raise PoolError(
-                f"impossible placement: stream {stream_id!r} is assigned to "
-                f"negative worker index {index}"
-            )
-        if known is not None and stream_id not in known:
-            raise PoolError(
-                f"impossible placement: stream {stream_id!r} has a persisted "
-                "assignment but the checkpoint does not serve it"
-            )
-        remapped[stream_id] = index % num_workers
-    return remapped
-
-
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
@@ -315,17 +211,6 @@ def _apply_op(router: StreamRouter, op: Tuple):
             stream_id: pack_matches(matches)
             for stream_id, matches in router.drain_matches().items()
         }
-    if kind == "expel":
-        # Migration hand-off: checkpoint-and-remove the stream's shards
-        # without freezing departed counters (the stream stays inside this
-        # logical service).  Membership is pre-checked — NOT caught as
-        # KeyError — so a replayed expel against a post-expel checkpoint
-        # (or a worker that never grew shards for the stream) expels
-        # nothing, while a genuine failure mid-removal stays loud instead
-        # of silently discarding already-popped shard state.
-        if op[1] not in router.stream_ids():
-            return []
-        return [to_bytes("shard", payload) for payload in router.expel(op[1])]
     if kind == "register":
         # The query arrives with its id pre-assigned by the origin router,
         # so every worker (and every crash-replay of this op) lands on the
@@ -435,7 +320,7 @@ class _WorkerHandle:
         "index", "process", "tasks", "results", "next_seq", "log",
         "last_checkpoint", "pending_ckpt_seq", "inflight", "max_acked",
         "acks", "buffer", "restarts", "ops_since_ckpt", "stopped_state",
-        "ckpt_count", "frames_routed", "parked", "death_kind",
+        "ckpt_count", "parked", "death_kind",
         "pending_sent_at", "last_progress_at", "stop_requested_at",
         "culprit_seq", "culprit_streak", "last_busy_seq", "quarantined_seqs",
         "recovery_started_at", "recovery_target_seq",
@@ -494,10 +379,6 @@ class _WorkerHandle:
         #: replayed sequence; fulfilled when that sequence acks.
         self.recovery_started_at: Optional[float] = None
         self.recovery_target_seq: Optional[int] = None
-        #: Cumulative frame load of the streams this worker currently owns
-        #: (migrations move a stream's history with it) — the load signal
-        #: placement policies rank workers by.
-        self.frames_routed = 0
         #: Checkpoints received over the worker's lifetime (freshness token
         #: for :meth:`ShardWorkerPool.checkpoint_now`).
         self.ckpt_count = 0
@@ -516,7 +397,9 @@ class ShardWorkerPool:
         matches (``retain_matches=True``), since the pool delivers matches
         through :meth:`drain_matches` / :meth:`matches_for`.
     num_workers:
-        Worker process count.  Results are identical for any value ≥ 1.
+        Worker process count.  The k-th stream in first-seen order lives
+        on worker ``k mod num_workers``; results are identical for any
+        value ≥ 1.
     dispatch_batch:
         Frames buffered per worker before a ``frames`` operation is sent.
     checkpoint_every:
@@ -544,32 +427,6 @@ class ShardWorkerPool:
     start_method:
         ``multiprocessing`` start method; defaults to ``fork`` where
         available (cheapest), else the platform default.
-    placement:
-        Stream→worker placement policy: a
-        :class:`~repro.streaming.placement.PlacementPolicy` instance or a
-        registered name (``"round-robin"``, the deterministic default, or
-        ``"least-loaded"``).  Placement never changes results — only how
-        evenly load spreads.
-    assignment:
-        Optional persisted stream→worker map (the ``placement.assignment``
-        block of a pool checkpoint).  Seeded — after validation and, if the
-        worker count shrank, a deterministic remap (see
-        :func:`remap_assignment`) — before any policy decision, so a
-        restored pool reproduces the checkpointed layout exactly.
-    first_seen:
-        Optional persisted monotonic count of streams the service has
-        *ever* placed (the ``placement.first_seen`` block).  Round-robin
-        placement slots are derived from it, so a restore — even one with
-        retired or remapped streams — continues the first-seen sequence
-        instead of re-deriving slots from the live assignment size.
-    auto_rebalance:
-        ``None``/``False`` (default) leaves rebalancing caller-invoked.
-        An :class:`~repro.streaming.supervision.AutoRebalanceConfig` (or
-        mapping of its fields, or ``True`` for defaults) arms the
-        autonomous trigger: the supervision tick watches per-worker
-        offered load and wall-clock processing rate and fires
-        :meth:`rebalance` when drift crosses the watermark (with
-        hysteresis and cooldown).
     """
 
     def __init__(
@@ -582,13 +439,8 @@ class ShardWorkerPool:
         max_restarts: int = 3,
         start_method: Optional[str] = None,
         poll_interval: float = 0.02,
-        placement: Union[str, PlacementPolicy, None] = None,
-        assignment: Optional[Mapping[str, int]] = None,
-        stream_frames: Optional[Mapping[str, int]] = None,
         supervision: Union[SupervisionConfig, Mapping, None] = None,
         on_irrecoverable: str = "raise",
-        first_seen: Optional[int] = None,
-        auto_rebalance: Union[AutoRebalanceConfig, Mapping, bool, None] = None,
     ):
         if num_workers <= 0:
             raise PoolError("num_workers must be positive")
@@ -616,62 +468,11 @@ class ShardWorkerPool:
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
-        if stream_frames is not None:
-            if assignment is None:
-                raise PoolError(
-                    "stream_frames requires assignment: load history is "
-                    "seeded per the persisted stream->worker layout, so "
-                    "without one it would be silently dropped"
-                )
-            assigned = {str(k) for k in assignment}
-            uncovered = [s for s in stream_frames if str(s) not in assigned]
-            if uncovered:
-                raise PoolError(
-                    "stream_frames entries have no persisted assignment "
-                    f"(their history would be silently dropped): {uncovered}"
-                )
-        if first_seen is not None:
-            if (isinstance(first_seen, bool) or not isinstance(first_seen, int)
-                    or first_seen < 0):
-                raise PoolError(
-                    f"first_seen must be a non-negative integer, got "
-                    f"{first_seen!r}"
-                )
         self._ctx = multiprocessing.get_context(start_method)
-        self._placement = resolve_placement(placement)
-        # Legacy placement policies predate the first_seen kwarg; detect
-        # once instead of masking in-policy TypeErrors on every placement.
-        try:
-            place_params = inspect.signature(self._placement.place).parameters
-            self._place_takes_first_seen = (
-                "first_seen" in place_params
-                or any(
-                    param.kind is inspect.Parameter.VAR_KEYWORD
-                    for param in place_params.values()
-                )
-            )
-        except (TypeError, ValueError):  # pragma: no cover - builtins only
-            self._place_takes_first_seen = True
         self._workers: List[_WorkerHandle] = []
-        #: Stream ownership, in global first-seen order (policy-placed).
+        #: Stream ownership, in global first-seen order: the k-th stream
+        #: lives on worker ``k mod num_workers``.
         self._assignment: Dict[str, int] = {}
-        #: Persisted layout to honour on :meth:`start` (validated there,
-        #: once the origin router's stream set is known).
-        self._initial_assignment: Optional[Dict[str, int]] = (
-            {str(k): v for k, v in assignment.items()}
-            if assignment is not None else None
-        )
-        #: Persisted per-stream load history, seeded on :meth:`start` so a
-        #: restored pool's placement/rebalance signals carry over.
-        self._initial_stream_frames: Dict[str, int] = (
-            {str(k): int(v) for k, v in stream_frames.items()}
-            if stream_frames is not None else {}
-        )
-        #: Cumulative frames routed per stream — the observed load signal
-        #: :meth:`rebalance` re-packs streams by.
-        self._stream_frames: Dict[str, int] = {}
-        #: Live migrations performed (stats counter).
-        self._migrations = 0
         #: The terminal failure that broke the pool, chained into every
         #: subsequent PoolError so the cause is never discarded.
         self._failure: Optional[PoolError] = None
@@ -701,29 +502,10 @@ class ShardWorkerPool:
         self._frames_dispatched = 0
         self._total_restarts = 0
         self._supervision = SupervisionConfig.coerce(supervision)
-        self._auto_rebalance = AutoRebalanceConfig.coerce(auto_rebalance)
-        if self._auto_rebalance is not None:
-            # Fail at construction, not first trigger, on a bad policy name.
-            resolve_placement(self._auto_rebalance.policy)
-        self._supervisor = Supervisor(
-            self._supervision, num_workers,
-            auto_rebalance=self._auto_rebalance,
-        )
+        self._supervisor = Supervisor(self._supervision, num_workers)
         self._on_irrecoverable = on_irrecoverable
-        #: Monotonic count of streams ever placed (round-robin slots are
-        #: derived from it; persisted in the checkpoint placement block).
-        self._first_seen = 0
-        self._initial_first_seen = first_seen
         #: Next wall-clock at which route() runs a supervision tick.
         self._next_tick_at = 0.0
-        #: True while a migration, grow/shrink, recovery or shutdown is
-        #: mid-flight — the autonomous trigger must not fire a rebalance
-        #: into a pool whose worker set or stream ownership is in motion.
-        self._in_maintenance = False
-        #: Elastic grow/shrink events (stats surface).
-        self._elastic_events: List[Dict] = []
-        self._grown = 0
-        self._shrunk = 0
         #: Quarantined-operation records, in quarantine order (stats surface).
         self._quarantined: List[Dict] = []
         #: Quarantine records not yet surfaced as a PoisonOpError.
@@ -747,11 +529,6 @@ class ShardWorkerPool:
     def supervision(self) -> SupervisionConfig:
         """The supervision configuration in effect."""
         return self._supervision
-
-    @property
-    def auto_rebalance(self) -> Optional[AutoRebalanceConfig]:
-        """The autonomous-rebalance configuration (``None`` = disarmed)."""
-        return self._auto_rebalance
 
     @property
     def degraded(self) -> bool:
@@ -834,39 +611,11 @@ class ShardWorkerPool:
         self._origin_departed = dict(origin_stats["departed"])
         self._origin_retired = dict(origin_stats["retired"])
         self._origin_departed_slots = router.departed_slot_snapshots()
-        if self._initial_assignment is not None:
-            # Restore path: reproduce the checkpointed layout exactly (or
-            # remap deterministically when the worker count shrank) before
-            # any policy decision can run.  Validated *before* any worker
-            # process exists — an impossible layout must not leak children.
-            self._assignment = remap_assignment(
-                self._initial_assignment,
-                self.num_workers,
-                known_streams=router.stream_ids(),
-            )
-        # The first-seen counter resumes from the checkpointed value when
-        # one exists; documents that predate it fall back to the restored
-        # assignment size (exact for layouts that never lost a stream).
-        # Never below the assignment size — the counter means "streams
-        # ever placed", which the current layout is a lower bound on.
-        self._first_seen = max(
-            len(self._assignment),
-            self._initial_first_seen
-            if self._initial_first_seen is not None else 0,
-        )
         self._workers = [_WorkerHandle(index) for index in range(self.num_workers)]
         for worker in self._workers:
             self._spawn(worker)
         self._started = True
         try:
-            for stream_id, frames in self._initial_stream_frames.items():
-                # Restored load history: placement decisions and rebalance
-                # plans resume from the checkpointed signals instead of
-                # re-learning (or worse, planning on) zero loads.  The
-                # constructor guarantees every entry has an assignment.
-                self._stream_frames[stream_id] = int(frames)
-                worker = self._workers[self._assignment[stream_id]]
-                worker.frames_routed += int(frames)
             for stream_id in router.stream_ids():
                 index = self._assign(stream_id)
                 if not router.has_live_shards(stream_id):
@@ -897,11 +646,6 @@ class ShardWorkerPool:
                 f"workers {sorted(self._parked)}): repair() it first, or "
                 "terminate() to abandon the parked state"
             )
-        # Shutdown is maintenance: the stop-await pumps below must not
-        # fire an autonomous rebalance into workers that are checkpointing
-        # their final state.  The pool never serves again, so the flag is
-        # simply left set.
-        self._in_maintenance = True
         self._flush_buffers()
         stop_sent_to = {}
         for worker in self._workers:
@@ -996,10 +740,6 @@ class ShardWorkerPool:
         self._require_running()
         worker = self._workers[self._assign(stream_id)]
         worker.buffer.append((stream_id, frame.to_record()))
-        worker.frames_routed += 1
-        self._stream_frames[stream_id] = (
-            self._stream_frames.get(stream_id, 0) + 1
-        )
         if len(worker.buffer) >= self.dispatch_batch:
             self._dispatch_buffer(worker)
         if time.monotonic() >= self._next_tick_at:
@@ -1026,349 +766,21 @@ class ShardWorkerPool:
     # ------------------------------------------------------------------
     # Supervision tick
     # ------------------------------------------------------------------
-    def tick(self) -> Optional[Dict]:
-        """One supervision tick: drain results, watchdog, drift evaluation.
+    def tick(self) -> None:
+        """One supervision tick: drain results, run the watchdog.
 
         This is the supervisor's own entry point — it does not require a
         caller to be blocked in ``_pump``.  The routing hot path invokes
         it time-gated, and an idle parent (or an external scheduler) can
         call it directly: a hung worker is escalated even when nobody is
-        awaiting an acknowledgement, and with ``auto_rebalance`` armed a
-        drifted load distribution fires :meth:`rebalance` autonomously.
-        Returns the trigger record (drift ratios, plan, migration count)
-        when an autonomous rebalance fired, else ``None``.
+        awaiting an acknowledgement.
         """
         self._require_running()
-        auto = self._auto_rebalance
-        interval = (
-            auto.interval if auto is not None
-            else self._supervision.heartbeat_interval
+        self._next_tick_at = (
+            time.monotonic() + self._supervision.heartbeat_interval
         )
-        self._next_tick_at = time.monotonic() + interval
         self._drain_results()
         self._watchdog()
-        return self._maybe_autorebalance()
-
-    def _maybe_autorebalance(self) -> Optional[Dict]:
-        """Evaluate load drift; fire and annotate a rebalance if over it."""
-        auto = self._auto_rebalance
-        if (auto is None or self._parked or not self._started
-                or self._in_maintenance):
-            return None
-        trigger = self._supervisor.evaluate_drift(
-            [worker.frames_routed for worker in self._workers],
-            time.monotonic(),
-        )
-        if trigger is None:
-            return None
-        started = time.monotonic()
-        plan = self.rebalance(policy=auto.policy)
-        # Annotate the supervisor's ledger record in place: what drifted,
-        # what moved, and how even the fleet came out.
-        trigger["plan"] = dict(plan)
-        trigger["migrations"] = len(plan)
-        trigger["rebalance_seconds"] = round(time.monotonic() - started, 6)
-        loads = [float(worker.frames_routed) for worker in self._workers]
-        trigger["offered_ratio_after"] = round(
-            Supervisor._imbalance(loads), 4
-        )
-        return trigger
-
-    # ------------------------------------------------------------------
-    # Placement and rebalancing
-    # ------------------------------------------------------------------
-    @property
-    def placement(self) -> PlacementPolicy:
-        """The stream→worker placement policy in effect."""
-        return self._placement
-
-    @property
-    def migrations(self) -> int:
-        """Live stream migrations performed over the pool's lifetime."""
-        return self._migrations
-
-    def assignment(self) -> Dict[str, int]:
-        """The current stream→worker map, in global first-seen order."""
-        return dict(self._assignment)
-
-    def worker_loads(self) -> List[Dict]:
-        """Per-worker load signals (JSON-friendly; bench/monitoring surface).
-
-        ``frames`` is the cumulative offered load of the worker's *owned*
-        streams (a migrated stream's history moves with it);
-        ``queue_depth`` the instantaneous backlog — parent-side buffered
-        frames plus unacknowledged operations.
-        """
-        return [
-            {
-                "index": load.index,
-                "streams": load.streams,
-                "frames": load.frames,
-                "queue_depth": load.queue_depth,
-            }
-            for load in self._worker_loads()
-        ]
-
-    def migrate_stream(self, stream_id: str, worker: int) -> bool:
-        """Move a live stream to another worker without dropping a frame.
-
-        The move reuses the detach→checkpoint-bytes→adopt machinery: the
-        owning worker *expels* the stream (checkpointing its shards —
-        reorder buffers, retained matches and counters included — with no
-        departed accounting, since the stream stays inside this service),
-        and the target worker adopts the bytes.  Both legs are **op-logged**,
-        so a crash on either side replays the migration in order, and the
-        hand-off is **flush-barriered**: frames already routed are
-        dispatched first, so per-stream frame order — and therefore every
-        byte of the differential contract — is preserved.  Subsequent
-        frames of the stream route to the new worker.
-
-        Returns ``True`` when shards actually moved, ``False`` for a
-        no-op (the stream already lives on ``worker``).  Migrating an
-        unknown stream or to an out-of-range worker raises.
-        """
-        self._require_running()
-        if not 0 <= worker < self.num_workers:
-            raise PoolError(
-                f"cannot migrate {stream_id!r} to worker {worker}: the pool "
-                f"has workers 0..{self.num_workers - 1}"
-            )
-        source_index = self._assignment.get(stream_id)
-        if source_index is None:
-            raise PoolError(
-                f"cannot migrate unknown stream {stream_id!r} (no frames "
-                "routed and no shards shipped for it)"
-            )
-        if source_index == worker:
-            return False
-        source = self._workers[source_index]
-        target = self._workers[worker]
-        if source.parked or target.parked:
-            parked_index = source_index if source.parked else worker
-            raise PoolError(
-                f"cannot migrate {stream_id!r}: worker {parked_index} is "
-                "parked (degraded mode); repair() the pool first"
-            )
-        # Barrier: every frame routed so far must reach the source before
-        # the expel (per-worker FIFO then guarantees the checkpoint covers
-        # them); the target's buffer is dispatched too so the adopt cannot
-        # overtake frames of other streams buffered before the migration.
-        previous_maintenance = self._in_maintenance
-        self._in_maintenance = True
-        try:
-            self._dispatch_buffer(source)
-            self._dispatch_buffer(target)
-            expel_seq = self._send_op(source, ("expel", stream_id))
-            blobs = self._await(source, expel_seq)
-            if source.parked or target.parked:
-                # The source (or target) became irrecoverable while we
-                # waited on the expel: the hand-off cannot complete, and
-                # flipping the assignment now would fork ownership from
-                # the journaled state.
-                raise PoolError(
-                    f"migration of {stream_id!r} aborted: a participating "
-                    "worker parked mid-migration; repair() the pool first"
-                )
-            if expel_seq in source.quarantined_seqs:
-                # The expel itself was quarantined as poison — the shards
-                # never left the source, so the stream keeps its old owner.
-                raise PoolError(
-                    f"migration of {stream_id!r} aborted: its expel "
-                    "operation was quarantined as poison (see "
-                    "stats()['quarantined'])"
-                )
-            if blobs:
-                self._send_op(target, ("adopt", blobs))
-        finally:
-            self._in_maintenance = previous_maintenance
-        self._assignment[stream_id] = worker
-        # The stream's frame history moves with it: a worker's load is the
-        # sum of its *owned* streams' loads (which is also how a restored
-        # pool re-seeds the counters), so placement decisions after a
-        # migration see the hot stream on its new owner, not its old one.
-        frames = self._stream_frames.get(stream_id, 0)
-        source.frames_routed -= frames
-        target.frames_routed += frames
-        self._migrations += 1
-        return True
-
-    def rebalance(
-        self, policy: Union[str, PlacementPolicy, None] = None
-    ) -> Dict[str, int]:
-        """Re-pack streams onto workers according to a placement policy.
-
-        Asks the policy (the pool's own by default; pass
-        ``policy="least-loaded"`` to rebalance a round-robin pool) for a
-        migration plan from the observed per-stream frame loads and applies
-        it with :meth:`migrate_stream`.  Static policies (round-robin) plan
-        nothing; the least-loaded policy re-packs heaviest-first so a hot
-        stream stops dragging its neighbours.  Returns the applied plan
-        (stream id → new worker).
-        """
-        self._require_running()
-        if self._parked:
-            raise PoolError(
-                "cannot rebalance a degraded pool (streams parked on "
-                f"workers {sorted(self._parked)}): repair() it first"
-            )
-        planner = (
-            self._placement if policy is None else resolve_placement(policy)
-        )
-        plan = planner.rebalance(
-            self._assignment, self._stream_frames, self.num_workers
-        )
-        for stream_id, worker in plan.items():
-            self.migrate_stream(stream_id, worker)
-        return plan
-
-    # ------------------------------------------------------------------
-    # Elastic workers
-    # ------------------------------------------------------------------
-    def grow(self, count: int = 1) -> List[int]:
-        """Add ``count`` workers to a live pool; returns their indices.
-
-        New workers come up through the existing restore path — a fresh
-        process built from the origin's config checkpoint, exactly like a
-        crash recovery with an empty tail — and own no streams until
-        placement or a rebalance moves some there (with ``auto_rebalance``
-        armed, the next over-watermark tick does it autonomously).  The
-        grown worker count is persisted in pool checkpoints.
-        """
-        self._require_running()
-        if count < 1:
-            raise PoolError("grow() needs a positive worker count")
-        if self._parked:
-            raise PoolError(
-                "cannot grow a degraded pool (streams parked on workers "
-                f"{sorted(self._parked)}): repair() it first"
-            )
-        previous_maintenance = self._in_maintenance
-        self._in_maintenance = True
-        try:
-            self._flush_buffers()
-            added = [
-                _WorkerHandle(self.num_workers + offset)
-                for offset in range(count)
-            ]
-            self._workers.extend(added)
-            self.num_workers += count
-            # Resize the supervisor before any spawn: the new workers'
-            # heartbeats must find their views the moment results drain.
-            self._supervisor.resize(self.num_workers)
-            for worker in added:
-                self._spawn(worker)
-        finally:
-            self._in_maintenance = previous_maintenance
-        indices = [worker.index for worker in added]
-        self._grown += count
-        self._elastic_events.append({
-            "action": "grow", "workers": indices,
-            "num_workers": self.num_workers,
-        })
-        return indices
-
-    def shrink(self, count: int = 1) -> List[int]:
-        """Retire the ``count`` highest-index workers; returns their indices.
-
-        Each retiring worker's streams are migrated (flush-barriered,
-        op-logged — the ordinary :meth:`migrate_stream` machinery) onto
-        the least-loaded surviving worker, then the worker is stopped
-        gracefully: its final checkpoint is verified empty of shards and
-        its retired-shard counters fold into the service totals, exactly
-        as :meth:`stop` folds them.  At least one worker must remain.
-        """
-        self._require_running()
-        if count < 1:
-            raise PoolError("shrink() needs a positive worker count")
-        if count >= self.num_workers:
-            raise PoolError(
-                f"cannot shrink {count} of {self.num_workers} workers: at "
-                "least one must remain"
-            )
-        if self._parked:
-            raise PoolError(
-                "cannot shrink a degraded pool (streams parked on workers "
-                f"{sorted(self._parked)}): repair() it first"
-            )
-        previous_maintenance = self._in_maintenance
-        self._in_maintenance = True
-        try:
-            self._flush_buffers()
-            keep = self.num_workers - count
-            retiring = self._workers[keep:]
-            survivors = self._workers[:keep]
-            for worker in retiring:
-                owned = [
-                    stream_id
-                    for stream_id, index in self._assignment.items()
-                    if index == worker.index
-                ]
-                for stream_id in owned:
-                    target = min(
-                        survivors,
-                        key=lambda survivor: (
-                            survivor.frames_routed, survivor.index
-                        ),
-                    )
-                    self.migrate_stream(stream_id, target.index)
-            indices = [worker.index for worker in retiring]
-            for worker in retiring:
-                # Graceful per-worker stop with the same crash-resilient
-                # re-request loop stop() uses: a worker dying between the
-                # stop request and its final checkpoint is recovered and
-                # re-asked from the fresh process.
-                worker.tasks.put(("stop",))
-                worker.stop_requested_at = time.monotonic()
-                stop_process = worker.process
-                while worker.stopped_state is None:
-                    self._pump(block=True, focus=worker)
-                    if (worker.stopped_state is None
-                            and worker.process is not stop_process):
-                        worker.tasks.put(("stop",))
-                        worker.stop_requested_at = time.monotonic()
-                        stop_process = worker.process
-                worker.process.join()
-                payload = from_bytes(
-                    worker.stopped_state, expect_kind="router"
-                )
-                leftover = payload.get("shards", [])
-                if leftover:  # pragma: no cover - migration invariant
-                    raise PoolError(
-                        f"retiring worker {worker.index} still held "
-                        f"{len(leftover)} shard(s) after migrating its "
-                        "streams away; refusing to drop state"
-                    )
-                retired = payload.get("retired_totals")
-                if retired:
-                    # Fold into the origin router (so a later stop()
-                    # reports the full service history) *and* the live
-                    # snapshot the pool's own stats/checkpoints are built
-                    # from.
-                    self.router.fold_retired(retired)
-                    for key, value in retired.items():
-                        self._origin_retired[key] = (
-                            self._origin_retired.get(key, 0) + value
-                        )
-                for q in (worker.tasks, worker.results):
-                    if q is not None:
-                        q.close()
-                        q.cancel_join_thread()
-                # Null the queues out: the remaining retiring workers' stop
-                # loops still pump every handle, and a closed queue must
-                # read as "nothing to drain", not raise.
-                worker.tasks = None
-                worker.results = None
-            del self._workers[keep:]
-            self.num_workers = keep
-            self._supervisor.resize(self.num_workers)
-        finally:
-            self._in_maintenance = previous_maintenance
-        self._shrunk += count
-        self._elastic_events.append({
-            "action": "shrink", "workers": indices,
-            "num_workers": self.num_workers,
-        })
-        return indices
 
     # ------------------------------------------------------------------
     # Live query lifecycle
@@ -1550,16 +962,8 @@ class ShardWorkerPool:
                 "match_records_shipped": self._match_records_shipped,
                 "ops_dispatched": self._ops_dispatched,
                 "frames_dispatched": self._frames_dispatched,
-                "placement": self._placement.name,
-                "migrations": self._migrations,
-                "worker_loads": self.worker_loads(),
                 "degraded": self.degraded,
                 "supervision": self._supervisor.stats(),
-                "elastic": {
-                    "grown": self._grown,
-                    "shrunk": self._shrunk,
-                    "events": [dict(e) for e in self._elastic_events],
-                },
             },
         }
 
@@ -1666,89 +1070,18 @@ class ShardWorkerPool:
             for (stream_id, (window, duration)), frozen
             in self._origin_departed_slots.items()
         ]
-        # Placement decisions land in the checkpoint: a pool restored from
-        # this document reproduces the exact worker layout (the router
-        # ignores — and its own checkpoints omit — this block, so a
-        # router⇄pool round trip is byte-transparent).
-        document["placement"] = {
-            "policy": self._placement.name,
-            "num_workers": self.num_workers,
-            #: Monotonic count of streams ever placed — round-robin slots
-            #: continue from it after a restore even when the live
-            #: assignment no longer reflects first-seen history.
-            "first_seen": self._first_seen,
-            "assignment": [
-                [stream_id, index]
-                for stream_id, index in self._assignment.items()
-            ],
-            #: Per-stream load history in assignment order (canonical), so
-            #: a restored pool's placement and rebalance signals carry on
-            #: from the observed loads instead of restarting at zero.
-            "stream_frames": [
-                [stream_id, self._stream_frames.get(stream_id, 0)]
-                for stream_id in self._assignment
-            ],
-        }
         return document
 
     @classmethod
-    def from_checkpoint(
-        cls,
-        payload: Dict,
-        num_workers: Optional[int] = None,
-        placement: Union[str, PlacementPolicy, None] = None,
-        **pool_kwargs,
-    ) -> "ShardWorkerPool":
+    def from_checkpoint(cls, payload: Dict, **pool_kwargs) -> "ShardWorkerPool":
         """Build a (not yet started) pool from a router-layout checkpoint.
 
         Accepts both a plain :meth:`StreamRouter.checkpoint` document and a
-        pool's own :meth:`checkpoint_router` export.  When the document
-        carries a ``placement`` block, its assignment map (and per-stream
-        load history) is persisted into the new pool and reproduced on
-        :meth:`start` — remapped deterministically if ``num_workers``
-        differs from the recorded count, rejected loudly if the layout is
-        impossible (see :func:`remap_assignment`).  ``num_workers`` and
-        ``placement`` default to the checkpointed values (or 2 workers /
-        round-robin for documents that predate placement persistence).
+        pool's own :meth:`checkpoint_router` export (they are the same
+        layout).  Placement is re-derived from the document's first-seen
+        ``stream_order`` for whatever ``num_workers`` the new pool has.
         """
-        block = parse_placement_block(payload)
-        if num_workers is None:
-            try:
-                num_workers = int(block.get("num_workers", 2))
-            except (TypeError, ValueError) as exc:
-                raise CheckpointError(
-                    "malformed placement block in pool checkpoint: "
-                    f"num_workers {block.get('num_workers')!r} is not an "
-                    "integer"
-                ) from exc
-        if placement is None:
-            placement = str(block.get("policy", "round-robin"))
-            try:
-                resolve_placement(placement)
-            except ValueError as exc:
-                # A bad policy *name in the checkpoint* is malformed data
-                # (CheckpointError, like num_workers above); a bad caller-
-                # supplied placement= stays a plain ValueError.
-                raise CheckpointError(
-                    f"malformed placement block in pool checkpoint: {exc}"
-                ) from exc
-        first_seen = block.get("first_seen")
-        if first_seen is not None:
-            if isinstance(first_seen, bool) or not isinstance(first_seen, int):
-                raise CheckpointError(
-                    "malformed placement block in pool checkpoint: "
-                    f"first_seen {first_seen!r} is not an integer"
-                )
-        router = StreamRouter.from_checkpoint(payload)
-        return cls(
-            router,
-            num_workers=num_workers,
-            placement=placement,
-            assignment=block.get("assignment"),
-            stream_frames=block.get("stream_frames"),
-            first_seen=first_seen,
-            **pool_kwargs,
-        )
+        return cls(StreamRouter.from_checkpoint(payload), **pool_kwargs)
 
     # ------------------------------------------------------------------
     # Internals: dispatch, acknowledgements, recovery
@@ -1774,41 +1107,9 @@ class ShardWorkerPool:
     def _assign(self, stream_id: str) -> int:
         index = self._assignment.get(stream_id)
         if index is None:
-            if self._place_takes_first_seen:
-                index = self._placement.place(
-                    stream_id, self._worker_loads(),
-                    first_seen=self._first_seen,
-                )
-            else:
-                index = self._placement.place(stream_id, self._worker_loads())
-            # Same strictness as remap_assignment validates restored
-            # layouts with: a float or None from a custom policy must fail
-            # here, loudly, not crash route() or poison the checkpoint.
-            if (isinstance(index, bool) or not isinstance(index, int)
-                    or not 0 <= index < self.num_workers):
-                raise PoolError(
-                    f"placement policy {self._placement.name!r} returned "
-                    f"worker index {index!r} for stream {stream_id!r} "
-                    f"(expected an int in 0..{self.num_workers - 1})"
-                )
+            index = len(self._assignment) % self.num_workers
             self._assignment[stream_id] = index
-            self._first_seen += 1
         return index
-
-    def _worker_loads(self) -> List[WorkerLoad]:
-        """Per-worker load signals handed to the placement policy."""
-        streams = [0] * self.num_workers
-        for index in self._assignment.values():
-            streams[index] += 1
-        return [
-            WorkerLoad(
-                index=worker.index,
-                streams=streams[worker.index],
-                frames=worker.frames_routed,
-                queue_depth=len(worker.buffer) + len(worker.inflight),
-            )
-            for worker in self._workers
-        ]
 
     def _spawn(self, worker: _WorkerHandle) -> None:
         worker.tasks = self._ctx.Queue()
@@ -1922,18 +1223,6 @@ class ShardWorkerPool:
         """
         progressed = self._drain_results()
         self._watchdog()
-        # The wall-clock supervision tick also runs here: routing often
-        # completes long before the workers do, so the time in which load
-        # drift becomes observable is spent blocked in this loop, not in
-        # route().  Guarded exactly like tick() — a pump reached from
-        # inside a migration, grow/shrink or recovery must not fire a
-        # rebalance into its own machinery (_in_maintenance).
-        if (self._auto_rebalance is not None
-                and time.monotonic() >= self._next_tick_at):
-            self._next_tick_at = (
-                time.monotonic() + self._auto_rebalance.interval
-            )
-            self._maybe_autorebalance()
         if progressed or not block:
             return progressed
         # Nothing queued: wait a beat, then re-drain BEFORE scanning for
@@ -2131,8 +1420,6 @@ class ShardWorkerPool:
                 if stream_id not in seen:
                     seen.append(stream_id)
             return seen
-        if kind == "expel":
-            return [op[1]]
         return []
 
     def _quarantine(
@@ -2184,14 +1471,13 @@ class ShardWorkerPool:
                 q.cancel_join_thread()
         worker.tasks = None
         worker.results = None
-        # Unacknowledged payload-bearing ops must not be replayed into the
-        # void on repair: an undelivered drain would discard matches nobody
-        # consumed, an undelivered expel would orphan shards.  Dropping
-        # them keeps matches retained (drain) and ownership unchanged
-        # (expel) — exactly the pre-park state the journal resumes from.
+        # An unacknowledged drain must not be replayed into the void on
+        # repair: it would discard matches nobody consumed.  Dropping it
+        # keeps them retained — exactly the pre-park state the journal
+        # resumes from.
         worker.log = [
             (s, op) for s, op in worker.log
-            if not (op[0] in ("drain", "expel") and s > worker.max_acked)
+            if not (op[0] == "drain" and s > worker.max_acked)
         ]
         worker.inflight.clear()
         worker.pending_sent_at.clear()
@@ -2386,7 +1672,7 @@ def deterministic_stats(stats: Dict) -> Dict:
                     "processing_seconds", "frames_per_sec", "pool",
                     "parked", "quarantined",
                     # Evaluator counters restart with every rebuilt engine
-                    # (a migration, a crash replay): they describe a
+                    # (a crash replay, a restore): they describe a
                     # process, not the event sequence.
                     "evaluator",
                 )

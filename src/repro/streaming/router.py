@@ -13,7 +13,7 @@ feeds* and *heterogeneous query workloads* on top of it:
   lazily on the stream's first frame, so per-stream state is isolated,
   bounded by that stream's window, and independently checkpointable;
 * shards can be **detached** (checkpointed and removed) and **adopted**
-  elsewhere, which is how streams are rebalanced across processes.
+  elsewhere, which is how the worker pool moves streams into processes.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ class StreamRouter:
         #: frozen at detach time.  Without this, a detach made the departed
         #: shard's late-drop/duplicate/reorder counts vanish from
         #: :meth:`stats` entirely (the shard left ``_shards``), so exported
-        #: stats silently under-reported after every rebalance.
+        #: stats silently under-reported after every hand-off.
         self._departed_totals: Dict = zero_ingest_totals()
         #: Per-slot frozen counters backing ``_departed_totals``: when a
         #: detached shard is adopted *back* (a round-trip hand-off, e.g.
@@ -519,7 +519,7 @@ class StreamRouter:
         }
 
     # ------------------------------------------------------------------
-    # Checkpointing and rebalancing
+    # Checkpointing and hand-off
     # ------------------------------------------------------------------
     def _detached_payload(self) -> List:
         """The detached-stream tombstones in checkpoint layout."""
@@ -641,71 +641,39 @@ class StreamRouter:
         """Rebuild a router from canonical checkpoint bytes."""
         return cls.from_checkpoint(from_bytes(data, expect_kind="router"))
 
-    def _remove_stream_shards(
-        self, stream_id: str, freeze_departed: bool
-    ) -> List[Dict]:
-        """The shared hand-off core of :meth:`detach` and :meth:`expel`:
-        checkpoint-and-pop every shard of the stream, lay the tombstone,
-        drop the stream from first-seen order.  ``freeze_departed`` decides
-        whether the removed shards' ingest counters freeze into the
-        ``departed`` accounting block (external hand-off) or keep accruing
-        on the new owner alone (internal migration)."""
+    def detach(self, stream_id: str) -> List[Dict]:
+        """Checkpoint and remove every shard of one stream (a hand-off).
+
+        The returned snapshots can be :meth:`adopt`-ed by another router —
+        typically in another process — which resumes the stream exactly where
+        this one left off.  Retained (produced-but-not-yet-drained) matches
+        travel with the snapshot, so nothing is lost in the hand-off; matches
+        already consumed via :meth:`drain_matches` are not replayed.  The
+        removed shards' ingest counters freeze into the ``departed``
+        accounting block, the stream leaves first-seen order, and a
+        detached-stream tombstone is laid so a stray frame routed here fails
+        loudly instead of forking state.
+        """
+        if not self.has_live_shards(stream_id):
+            raise KeyError(f"no shards for stream {stream_id!r}")
         removed: List[Dict] = []
         removed_groups: List[GroupKey] = []
         for key in [k for k in self._shards if k[0] == stream_id]:
             shard = self._shards.pop(key)
             removed.append(shard.checkpoint())
             removed_groups.append(key[1])
-            if freeze_departed:
-                frozen = self._freeze_ingest_stats(shard)
-                self._departed_by_slot[(stream_id, key[1])] = frozen
-                departed = self._departed_totals
-                departed["shards"] += 1
-                for field, value in frozen.items():
-                    departed[field] += value
+            frozen = self._freeze_ingest_stats(shard)
+            self._departed_by_slot[(stream_id, key[1])] = frozen
+            departed = self._departed_totals
+            departed["shards"] += 1
+            for field, value in frozen.items():
+                departed[field] += value
         self._stream_order.pop(stream_id, None)
-        if removed_groups:
-            self._detached[stream_id] = removed_groups
+        self._detached[stream_id] = removed_groups
         return removed
 
-    def detach(self, stream_id: str) -> List[Dict]:
-        """Checkpoint and remove every shard of one stream (for rebalancing).
-
-        The returned snapshots can be :meth:`adopt`-ed by another router —
-        typically in another process — which resumes the stream exactly where
-        this one left off.  Retained (produced-but-not-yet-drained) matches
-        travel with the snapshot, so nothing is lost in the hand-off; matches
-        already consumed via :meth:`drain_matches` are not replayed.
-        """
-        if not self.has_live_shards(stream_id):
-            raise KeyError(f"no shards for stream {stream_id!r}")
-        return self._remove_stream_shards(stream_id, freeze_departed=True)
-
-    def expel(self, stream_id: str) -> List[Dict]:
-        """Checkpoint and remove a stream's shards for an *internal* move.
-
-        Like :meth:`detach`, but for migrations that stay inside one logical
-        service (a worker pool moving a stream between its own workers): the
-        shard counters keep accruing on the new owner, so — unlike a
-        hand-off to a different owner — nothing is frozen into the
-        ``departed`` accounting block and aggregate stats remain exactly an
-        uninterrupted run's.  The detached-stream tombstone is still laid so
-        a stray frame routed here fails loudly instead of forking state.
-        A stream with **no live shards** (every group retired by
-        cancellations) expels to an empty list and **keeps its first-seen
-        slot**: there is no state to move, and dropping the slot would make
-        the stream re-enter at the end of the order if a new window group
-        later revives it — diverging from an uninterrupted run.  An unknown
-        stream raises.
-        """
-        if not self.has_live_shards(stream_id):
-            if stream_id not in self._stream_order:
-                raise KeyError(f"no stream {stream_id!r} on this router")
-            return []
-        return self._remove_stream_shards(stream_id, freeze_departed=False)
-
     def adopt(self, shard_payload: Dict) -> StreamShard:
-        """Restore a standalone shard document (:meth:`detach`, :meth:`expel`,
+        """Restore a standalone shard document (:meth:`detach`,
         :meth:`StreamShard.checkpoint`) into this router.
 
         The shard's window group must be one this router serves, the query

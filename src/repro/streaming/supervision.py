@@ -29,20 +29,12 @@ from :meth:`~repro.streaming.pool.ShardWorkerPool.tick` — its own
 entry point, invoked time-gated from the routing hot path and callable
 directly on an idle pool — as well as from the pump loop while a caller
 is blocked, so detection does not depend on anyone blocking.
-
-It also closes the placement loop: with an :class:`AutoRebalanceConfig`
-installed, the tick tracks per-worker offered load *and* wall-clock
-processing rate (from heartbeat ``frames_since`` deltas — frame cost
-varies per stream, so frame counts alone mislead) and asks the pool to
-:meth:`~repro.streaming.pool.ShardWorkerPool.rebalance` when drift
-crosses the watermark, with hysteresis and a cooldown so a noisy signal
-cannot thrash migrations.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Union
 
 #: Failure kinds a worker death/park is attributed to (machine-readable,
 #: mirrored by :attr:`WorkerCrashError.kind`).
@@ -162,109 +154,6 @@ class SupervisionConfig:
         )
 
 
-class AutoRebalanceConfig:
-    """Knobs of the autonomous rebalance trigger (durations in seconds).
-
-    Parameters
-    ----------
-    watermark:
-        Imbalance ratio (max/mean across workers, ``1.0`` = perfectly
-        even) past which drift is flagged.  Applies to both signals:
-        cumulative routed frames (offered load) and wall-clock
-        ``frames_per_sec`` measured from heartbeat deltas.
-    cooldown:
-        Minimum wall-clock gap between two fired rebalances — migrations
-        are not free, so a persistent hotspot triggers once per window,
-        not once per tick.
-    interval:
-        Drift evaluation cadence.  Ticks arriving faster than this are
-        cheap no-ops; the rate signal is measured over this window.
-    min_frames:
-        Total routed frames before drift is trusted — a two-frame warmup
-        "hotspot" is noise, not drift.
-    hysteresis:
-        Consecutive over-watermark evaluations required before firing.
-        One spiky window never triggers a migration storm.
-    policy:
-        Placement policy name handed to ``rebalance()`` when firing
-        (resolved by the pool; ``least-loaded`` by default because the
-        trigger exists precisely when load, not stream count, drifted).
-    """
-
-    __slots__ = (
-        "watermark", "cooldown", "interval", "min_frames", "hysteresis",
-        "policy",
-    )
-
-    def __init__(
-        self,
-        watermark: float = 1.5,
-        cooldown: float = 5.0,
-        interval: float = 0.25,
-        min_frames: int = 64,
-        hysteresis: int = 2,
-        policy: str = "least-loaded",
-    ):
-        if watermark <= 1.0:
-            raise ValueError(
-                f"watermark must exceed 1.0 (1.0 is perfectly even), "
-                f"got {watermark}"
-            )
-        if cooldown < 0:
-            raise ValueError("cooldown must be non-negative")
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        if min_frames < 1:
-            raise ValueError("min_frames must be >= 1")
-        if hysteresis < 1:
-            raise ValueError("hysteresis must be >= 1")
-        if not isinstance(policy, str) or not policy:
-            raise ValueError("policy must be a non-empty placement name")
-        self.watermark = float(watermark)
-        self.cooldown = float(cooldown)
-        self.interval = float(interval)
-        self.min_frames = int(min_frames)
-        self.hysteresis = int(hysteresis)
-        self.policy = policy
-
-    def to_dict(self) -> Dict:
-        """JSON-friendly form (session checkpoints embed this)."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "AutoRebalanceConfig":
-        known = {
-            key: value for key, value in payload.items()
-            if key in cls.__slots__
-        }
-        return cls(**known)
-
-    @classmethod
-    def coerce(
-        cls, value: Union["AutoRebalanceConfig", Mapping, bool, None]
-    ) -> Optional["AutoRebalanceConfig"]:
-        """``None``/``False`` disables; ``True`` means all-defaults."""
-        if value is None or value is False:
-            return None
-        if value is True:
-            return cls()
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, Mapping):
-            return cls.from_dict(value)
-        raise TypeError(
-            f"auto_rebalance must be an AutoRebalanceConfig, a mapping, "
-            f"a bool or None, got {type(value).__name__}"
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"AutoRebalanceConfig(watermark={self.watermark}, "
-            f"cooldown={self.cooldown}, interval={self.interval}, "
-            f"policy={self.policy!r})"
-        )
-
-
 class _WorkerView:
     """What the supervisor knows about one worker."""
 
@@ -289,43 +178,20 @@ class _WorkerView:
 class Supervisor:
     """Classification, backoff and incident ledger over a pool's workers."""
 
-    def __init__(
-        self,
-        config: SupervisionConfig,
-        num_workers: int,
-        auto_rebalance: Optional[AutoRebalanceConfig] = None,
-    ):
+    def __init__(self, config: SupervisionConfig, num_workers: int):
         self.config = config
-        self.auto_rebalance = auto_rebalance
         self._views = [_WorkerView() for _ in range(num_workers)]
         self._rng = random.Random(config.seed)
         self._slow_incidents = 0
         self._checkpoint_failures = 0
         self._quarantines = 0
         self._backoff_total = 0.0
-        #: Views of workers retired by ``shrink()`` — their incident and
-        #: recovery history stays in the ledger totals.
-        self._retired_views: List[_WorkerView] = []
-        #: Frames each worker reported processed (heartbeat deltas).
-        self._frames_done = [0] * num_workers
-        self._eval_at: Optional[float] = None
-        self._eval_frames_done = list(self._frames_done)
-        self._over_streak = 0
-        self._cooldown_until: Optional[float] = None
-        self._drift_evals = 0
-        self._auto_fired = 0
-        self._last_drift: Optional[Dict] = None
-        #: Fired trigger records; the pool annotates them with the plan.
-        self._auto_events: List[Dict] = []
 
     # -- observations ---------------------------------------------------
     def observe_heartbeat(self, index: int, info: Dict) -> None:
         view = self._views[index]
         view.heartbeats += 1
         view.last_heartbeat = info
-        done = info.get("frames_since")
-        if done:
-            self._frames_done[index] += int(done)
 
     def observe_progress(self, index: int) -> None:
         """An acknowledgement advanced — the worker is demonstrably live."""
@@ -359,97 +225,6 @@ class Supervisor:
         else:
             view.state = "healthy"
         return view.state
-
-    # -- drift detection ------------------------------------------------
-    @staticmethod
-    def _imbalance(values: Sequence[float]) -> float:
-        """Max/mean ratio; ``0.0`` when there is no signal at all."""
-        if not values:
-            return 0.0
-        total = sum(values)
-        if total <= 0:
-            return 0.0
-        return max(values) / (total / len(values))
-
-    def evaluate_drift(
-        self, frames_routed: Sequence[int], now: float
-    ) -> Optional[Dict]:
-        """One drift evaluation; returns a trigger record when firing.
-
-        ``frames_routed`` is the parent's cumulative offered load per
-        worker.  The processing-rate signal comes from heartbeat
-        ``frames_since`` deltas accumulated since the previous
-        evaluation — wall-clock ``frames_per_sec``, so a worker chewing
-        through few-but-expensive frames registers as loaded even when
-        its frame count looks modest.  Fires only when a signal stays
-        over the watermark for ``hysteresis`` consecutive evaluations,
-        outside the post-fire cooldown, and with ``min_frames`` of total
-        evidence.
-        """
-        auto = self.auto_rebalance
-        if auto is None:
-            return None
-        if self._eval_at is None:
-            self._eval_at = now
-            self._eval_frames_done = list(self._frames_done)
-            return None
-        elapsed = now - self._eval_at
-        if elapsed < auto.interval:
-            return None
-        rates = [
-            max(0.0, (done - prev) / elapsed)
-            for done, prev in zip(self._frames_done, self._eval_frames_done)
-        ]
-        self._eval_at = now
-        self._eval_frames_done = list(self._frames_done)
-        self._drift_evals += 1
-        offered_ratio = self._imbalance([float(n) for n in frames_routed])
-        rate_ratio = self._imbalance(rates)
-        record = {
-            "offered_ratio": round(offered_ratio, 4),
-            "rate_ratio": round(rate_ratio, 4),
-            "frames_per_sec": [round(rate, 2) for rate in rates],
-            "frames_routed": list(frames_routed),
-        }
-        self._last_drift = record
-        if sum(frames_routed) < auto.min_frames:
-            self._over_streak = 0
-            return None
-        if max(offered_ratio, rate_ratio) <= auto.watermark:
-            self._over_streak = 0
-            return None
-        if self._cooldown_until is not None and now < self._cooldown_until:
-            return None
-        self._over_streak += 1
-        if self._over_streak < auto.hysteresis:
-            return None
-        self._over_streak = 0
-        self._cooldown_until = now + auto.cooldown
-        self._auto_fired += 1
-        trigger = dict(record)
-        trigger["trigger"] = (
-            "offered" if offered_ratio >= rate_ratio else "rate"
-        )
-        self._auto_events.append(trigger)
-        del self._auto_events[:-32]
-        return trigger
-
-    # -- elastic resize -------------------------------------------------
-    def resize(self, num_workers: int) -> None:
-        """Track a grown/shrunk worker set; retired history is kept."""
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        while len(self._views) > num_workers:
-            self._retired_views.append(self._views.pop())
-            self._frames_done.pop()
-        while len(self._views) < num_workers:
-            self._views.append(_WorkerView())
-            self._frames_done.append(0)
-        # Load shape just changed by construction — restart the drift
-        # measurement window instead of comparing across fleet sizes.
-        self._eval_frames_done = list(self._frames_done)
-        self._eval_at = None
-        self._over_streak = 0
 
     # -- restart pacing -------------------------------------------------
     def backoff(self, consecutive_restarts: int) -> float:
@@ -505,7 +280,7 @@ class Supervisor:
         """The supervision ledger, JSON-friendly (lands in pool stats)."""
         recoveries = [
             seconds
-            for view in [*self._views, *self._retired_views]
+            for view in self._views
             for seconds in view.recovery_seconds
         ]
         return {
@@ -520,18 +295,10 @@ class Supervisor:
                 }
                 for index, view in enumerate(self._views)
             ],
-            "retired_workers": len(self._retired_views),
             "slow_incidents": self._slow_incidents,
             "checkpoint_failures": self._checkpoint_failures,
             "quarantines": self._quarantines,
             "backoff_seconds_total": round(self._backoff_total, 6),
-            "auto_rebalance": {
-                "enabled": self.auto_rebalance is not None,
-                "evaluations": self._drift_evals,
-                "fired": self._auto_fired,
-                "last_drift": self._last_drift,
-                "events": [dict(event) for event in self._auto_events],
-            },
             "recovery": {
                 "count": len(recoveries),
                 "max_seconds": round(max(recoveries), 6) if recoveries else 0.0,

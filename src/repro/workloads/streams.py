@@ -170,217 +170,6 @@ def bench_scenario(
     return feeds, queries
 
 
-def skewed_scenario(
-    num_feeds: int,
-    frames_per_feed: int,
-    groups: Sequence[Tuple[int, int]],
-    queries_per_group: int,
-    seed: int,
-    hot_factor: int = 4,
-) -> Tuple[Dict[str, VideoRelation], List[CNFQuery], str]:
-    """A hot-stream scenario: feed 0 runs ``hot_factor``× its siblings' rate.
-
-    Returns ``(feeds, queries, hot_stream_id)``.  The hot feed carries
-    ``hot_factor * frames_per_feed`` frames; every sibling carries
-    ``frames_per_feed``.  Interleaved with :func:`interleave_skewed`, the
-    hot feed emits ``hot_factor`` frames per round against the siblings'
-    one — the one-camera-covers-the-freeway regime that round-robin
-    stream→worker placement handles worst.
-    """
-    if num_feeds < 2:
-        raise ValueError("a skewed scenario needs at least two feeds")
-    if hot_factor < 2:
-        raise ValueError(f"hot_factor must be >= 2, got {hot_factor}")
-    feeds = {
-        f"cam-{index:02d}": simulated_feed(
-            f"cam-{index:02d}",
-            seed=seed * 1000 + index,
-            num_frames=(
-                frames_per_feed * hot_factor if index == 0 else frames_per_feed
-            ),
-        )
-        for index in range(num_feeds)
-    }
-    queries = [
-        query.with_id(index)
-        for index, query in enumerate(
-            multi_window_workload(
-                list(groups), queries_per_group=queries_per_group, seed=seed
-            )
-        )
-    ]
-    return feeds, queries, "cam-00"
-
-
-def interleave_skewed(
-    feeds: Dict[str, VideoRelation],
-    hot_stream: str,
-    hot_factor: int,
-    stagger: int = 1,
-) -> List[StreamEvent]:
-    """Rate-skewed interleave: the hot stream emits ``hot_factor`` frames
-    per round, siblings one; sibling ``k`` joins at round ``k * stagger``.
-
-    The staggered starts make first-seen order meaningful for placement:
-    by the time a sibling first appears, the hot stream has already built
-    up observable load, so a load-aware policy can steer the newcomer away
-    from the hot worker while round-robin blindly stacks every second
-    sibling next to it.  Deterministic (no randomness).
-    """
-    iterators = {
-        stream_id: relation.frames()
-        for stream_id, relation in feeds.items()
-    }
-    start_round = {
-        stream_id: (index + 1) * stagger
-        for index, stream_id in enumerate(
-            sid for sid in feeds if sid != hot_stream
-        )
-    }
-    start_round[hot_stream] = 0
-    merged: List[StreamEvent] = []
-    round_index = 0
-    while iterators:
-        exhausted = []
-        for stream_id in list(iterators):
-            if round_index < start_round[stream_id]:
-                continue
-            take = hot_factor if stream_id == hot_stream else 1
-            for _ in range(take):
-                frame = next(iterators[stream_id], None)
-                if frame is None:
-                    exhausted.append(stream_id)
-                    break
-                merged.append((stream_id, frame))
-        for stream_id in exhausted:
-            del iterators[stream_id]
-        round_index += 1
-    return merged
-
-
-def drifting_hotspot_scenario(
-    num_feeds: int,
-    frames_per_feed: int,
-    groups: Sequence[Tuple[int, int]],
-    queries_per_group: int,
-    seed: int,
-    hot_factor: int = 4,
-    phases: int = 2,
-) -> Tuple[Dict[str, VideoRelation], List[CNFQuery], List[str]]:
-    """A *drifting* hot-stream scenario: the hotspot moves between feeds.
-
-    Returns ``(feeds, queries, hot_streams)`` where ``hot_streams[p]`` is
-    the feed that runs ``hot_factor``× its siblings' rate during phase
-    ``p`` (phases are consecutive feed indices: ``cam-00`` is hot first,
-    then ``cam-01``, ...).  Every feed carries enough frames to serve both
-    its hot and cold phases.  Interleaved with
-    :func:`interleave_drifting`, the load imbalance a placement decision
-    was correct for in phase 0 becomes wrong in phase 1 — the regime that
-    static (even load-aware-at-arrival) placement cannot fix and an
-    autonomous rebalance trigger exists for.
-    """
-    if num_feeds < 2:
-        raise ValueError("a drifting-hotspot scenario needs at least two feeds")
-    if hot_factor < 2:
-        raise ValueError(f"hot_factor must be >= 2, got {hot_factor}")
-    if not 1 <= phases <= num_feeds:
-        raise ValueError(
-            f"phases must be between 1 and num_feeds ({num_feeds}), "
-            f"got {phases}"
-        )
-    hot_streams = [f"cam-{index:02d}" for index in range(phases)]
-    # A feed that is hot for one of the `phases` phases emits
-    # hot_factor * frames_per_feed frames in that phase plus
-    # frames_per_feed in each of the others.
-    frames_of = {
-        f"cam-{index:02d}": (
-            frames_per_feed * (hot_factor + phases - 1)
-            if index < phases else frames_per_feed * phases
-        )
-        for index in range(num_feeds)
-    }
-    feeds = {
-        stream_id: simulated_feed(
-            stream_id,
-            seed=seed * 1000 + index,
-            num_frames=frames_of[stream_id],
-        )
-        for index, stream_id in enumerate(
-            f"cam-{index:02d}" for index in range(num_feeds)
-        )
-    }
-    queries = [
-        query.with_id(index)
-        for index, query in enumerate(
-            multi_window_workload(
-                list(groups), queries_per_group=queries_per_group, seed=seed
-            )
-        )
-    ]
-    return feeds, queries, hot_streams
-
-
-def interleave_drifting(
-    feeds: Dict[str, VideoRelation],
-    hot_streams: Sequence[str],
-    hot_factor: int,
-) -> List[StreamEvent]:
-    """Phase-sliced interleave: each phase re-runs the skewed cadence with
-    that phase's hot stream emitting ``hot_factor`` frames per round.
-
-    Each phase runs for ``min_feed_frames // len(hot_streams)`` rounds —
-    for feeds sized by :func:`drifting_hotspot_scenario` that consumes
-    every feed exactly within the phased section (cold feeds emit one
-    frame per round over all phases; a hot feed emits its surplus in its
-    own phase).  Deterministic (no randomness); every frame of every feed
-    is emitted exactly once, any tail flushed round-robin after the last
-    phase.
-    """
-    if not hot_streams:
-        raise ValueError("at least one hot stream is required")
-    for hot_stream in hot_streams:
-        if hot_stream not in feeds:
-            raise ValueError(f"unknown hot stream {hot_stream!r}")
-    iterators = {
-        stream_id: relation.frames()
-        for stream_id, relation in feeds.items()
-    }
-    # Rounds per phase: the shortest (always-cold) feed emits one frame
-    # per round across all phases, so it lasts exactly min_frames rounds.
-    min_frames = min(len(relation) for relation in feeds.values())
-    rounds_per_phase = max(1, min_frames // len(hot_streams))
-    merged: List[StreamEvent] = []
-    exhausted: List[str] = []
-
-    def emit(stream_id: str, take: int) -> None:
-        for _ in range(take):
-            frame = next(iterators[stream_id], None)
-            if frame is None:
-                exhausted.append(stream_id)
-                break
-            merged.append((stream_id, frame))
-
-    for hot_stream in hot_streams:
-        for _ in range(rounds_per_phase):
-            for stream_id in list(iterators):
-                emit(
-                    stream_id,
-                    hot_factor if stream_id == hot_stream else 1,
-                )
-            for stream_id in exhausted:
-                iterators.pop(stream_id, None)
-            exhausted.clear()
-    # Flush every remaining tail round-robin so the event sequence covers
-    # the feeds exactly.
-    while iterators:
-        for stream_id in list(iterators):
-            emit(stream_id, 1)
-        for stream_id in exhausted:
-            iterators.pop(stream_id, None)
-        exhausted.clear()
-    return merged
-
-
 def multi_window_workload(
     groups: Sequence[Tuple[int, int]],
     queries_per_group: int = 4,

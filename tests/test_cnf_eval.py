@@ -1,90 +1,10 @@
-"""Tests for the CNFEval membership index and the CNFEvalE inequality index."""
+"""Tests for the CNFEvalE inequality index."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.query.cnf_eval import CNFEvalIndex
 from repro.query.inequality import CNFEvalEIndex
-from repro.query.model import (
-    CNFQuery,
-    MembershipCondition,
-    MembershipQuery,
-)
+from repro.query.model import CNFQuery
 from repro.workloads import random_cnf_workload
-
-
-def _membership(attribute, values, negated=False):
-    return MembershipCondition(attribute, frozenset(values), negated)
-
-
-class TestCNFEvalIndex:
-    def test_paper_example_query(self):
-        """q1 = age in {2,3} AND (state in {CA} OR gender in {F})."""
-        query = MembershipQuery(
-            (
-                (_membership("age", {"2", "3"}),),
-                (_membership("state", {"CA"}), _membership("gender", {"F"})),
-            )
-        )
-        index = CNFEvalIndex([query])
-        qid = list(index.queries)[0]
-        assert index.matching_queries({"age": "3", "gender": "F"}) == {qid}
-        assert index.matching_queries({"age": "3", "state": "CA"}) == {qid}
-        assert index.matching_queries({"age": "4", "gender": "F"}) == set()
-        assert index.matching_queries({"age": "3", "gender": "M"}) == set()
-
-    def test_not_in_predicate(self):
-        query = MembershipQuery(
-            ((_membership("state", {"NY"}, negated=True),),)
-        )
-        index = CNFEvalIndex([query])
-        qid = list(index.queries)[0]
-        assert index.matching_queries({"state": "CA"}) == {qid}
-        assert index.matching_queries({}) == {qid}
-        assert index.matching_queries({"state": "NY"}) == set()
-
-    def test_add_and_remove_queries(self):
-        q1 = MembershipQuery(((_membership("a", {"x"}),),))
-        q2 = MembershipQuery(((_membership("a", {"y"}),),))
-        index = CNFEvalIndex()
-        q1 = index.add_query(q1)
-        q2 = index.add_query(q2)
-        assert index.matching_queries({"a": "x"}) == {q1.query_id}
-        index.remove_query(q1.query_id)
-        assert index.matching_queries({"a": "x"}) == set()
-        assert index.matching_queries({"a": "y"}) == {q2.query_id}
-        with pytest.raises(KeyError):
-            index.remove_query(q1.query_id)
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.data())
-    def test_matches_brute_force(self, data):
-        attributes = ["a", "b", "c"]
-        values = ["0", "1", "2"]
-        queries = []
-        for _ in range(data.draw(st.integers(1, 5))):
-            disjunctions = []
-            for _ in range(data.draw(st.integers(1, 3))):
-                conditions = tuple(
-                    _membership(
-                        data.draw(st.sampled_from(attributes)),
-                        set(data.draw(st.lists(st.sampled_from(values), min_size=1, max_size=3))),
-                        negated=data.draw(st.booleans()),
-                    )
-                    for _ in range(data.draw(st.integers(1, 2)))
-                )
-                disjunctions.append(conditions)
-            queries.append(MembershipQuery(tuple(disjunctions)))
-        index = CNFEvalIndex(queries)
-        assignment = {
-            attr: data.draw(st.sampled_from(values))
-            for attr in attributes
-            if data.draw(st.booleans())
-        }
-        expected = {
-            q.query_id for q in index.queries.values() if q.evaluate(assignment)
-        }
-        assert index.matching_queries(assignment) == expected
 
 
 class TestCNFEvalEIndex:

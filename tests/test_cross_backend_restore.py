@@ -5,9 +5,10 @@ matrix below drives the identical workload tail after every restore and
 pins final drains (order included) and the deterministic session-stats
 core against the stay-on-the-same-backend reference.  Every backend
 checkpoints one router-layout document, so every cell is byte-transparent:
-the restored session re-exports the identical state document (modulo the
-pool's placement block).  A blob in the retired inline layout is refused
-as a malformed checkpoint.
+the restored session re-exports the identical state document.  A blob in
+the retired inline layout is refused as a malformed checkpoint, and a blob
+naming a retired knob or carrying a retired pool placement block still
+restores everywhere.
 
 Stream attribution: every streaming surface stamps ``QueryMatch.stream_id``
 (identically across backends), serialisation round-trips it, and
@@ -24,10 +25,15 @@ from repro import Session
 from repro.query.evaluator import QueryMatch
 from repro.streaming import CheckpointError, match_report
 from repro.streaming.checkpoint import from_bytes, to_bytes
-from repro.workloads.streams import bench_scenario, interleave_feeds
+from repro.workloads.streams import (
+    bench_scenario,
+    interleave_feeds,
+    simulated_feeds,
+)
 
 BACKENDS = ("inline", "router", "pool")
 GROUPS = ((8, 4), (12, 7))
+POOL_SIZING = ("num_workers", "dispatch_batch", "checkpoint_every")
 
 
 def scenario(seed, num_feeds=3, frames=60):
@@ -70,10 +76,43 @@ def state_of(checkpoint_bytes):
 
 
 def router_document(checkpoint_bytes):
-    """The state document as canonical bytes, without a pool's placement."""
-    state = state_of(checkpoint_bytes)
-    state.pop("placement", None)
-    return to_bytes("router", state)
+    """The state document as canonical bytes."""
+    return to_bytes("router", state_of(checkpoint_bytes))
+
+
+#: Checkpoint fields that read the wall clock, so two runs of the same
+#: operations disagree on them.
+WALL_CLOCK = (
+    "processing_seconds", "frames_per_sec", "mcos_seconds",
+    "evaluation_seconds",
+)
+
+
+def without_wall_clock(value):
+    """A checkpoint document with every :data:`WALL_CLOCK` field zeroed."""
+    if isinstance(value, dict):
+        return {
+            key: 0.0 if key in WALL_CLOCK else without_wall_clock(item)
+            for key, item in value.items()
+        }
+    if isinstance(value, list):
+        return [without_wall_clock(item) for item in value]
+    return value
+
+
+def pool_layout(session):
+    """Stream → worker index of a pool-backed session."""
+    return {
+        stream_id: entry["worker"]
+        for stream_id, entry in session._backend.pool.stream_health().items()
+    }
+
+
+def modulo_layout(stream_ids, num_workers):
+    """The fixed placement rule: the k-th stream lives on worker k mod N."""
+    return {
+        stream_id: k % num_workers for k, stream_id in enumerate(stream_ids)
+    }
 
 
 class TestCrossBackendMatrix:
@@ -146,12 +185,45 @@ class TestCrossBackendMatrix:
         session.close()
         with pytest.raises(ValueError, match="unknown backend"):
             Session.restore(blob, backend="gpu-farm")
-        # Overrides are argument errors, never "corrupt checkpoint":
-        # a placement typo raises ValueError eagerly, not CheckpointError.
-        with pytest.raises(ValueError, match="unknown placement policy"):
-            Session.restore(blob, placement="warmest-core")
-        with pytest.raises(ValueError, match="unknown placement policy"):
-            Session(backend="inline", placement="warmest-core")
+        # Overrides are argument errors, never "corrupt checkpoint": a bad
+        # worker count raises ValueError eagerly, not CheckpointError.
+        with pytest.raises(ValueError, match="num_workers"):
+            Session.restore(blob, num_workers=0)
+
+    @pytest.mark.parametrize("bad", (0, "2"), ids=("non-positive", "non-int"))
+    @pytest.mark.parametrize("knob", POOL_SIZING)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_pool_sizing_is_validated_on_every_backend(
+        self, backend, knob, bad
+    ):
+        """Every backend records the pool sizing in its checkpoint (which
+        may resume on a pool), so each knob must be a positive int at
+        construction, whatever the backend."""
+        for value in ((bad, -3) if bad == 0 else (bad, 1.5, True)):
+            with pytest.raises(ValueError, match=knob):
+                Session(backend=backend, **{knob: value})
+
+    @pytest.mark.parametrize("target", BACKENDS)
+    @pytest.mark.parametrize("knob", POOL_SIZING)
+    def test_bad_pool_sizing_in_a_blob_is_a_checkpoint_error(
+        self, knob, target
+    ):
+        queries, events = scenario(62, num_feeds=2, frames=20)
+        session = make_session("router", queries)
+        payload = from_bytes(session.checkpoint(), expect_kind="session")
+        session.close()
+        payload["config"][knob] = 0
+        with pytest.raises(CheckpointError, match=knob):
+            Session.restore(to_bytes("session", payload), backend=target)
+
+    @pytest.mark.parametrize("bad", (0, -1, 1.5, True))
+    def test_num_workers_override_must_be_a_positive_int(self, bad):
+        queries, events = scenario(62, num_feeds=2, frames=20)
+        session = make_session("router", queries)
+        blob = session.checkpoint()
+        session.close()
+        with pytest.raises(ValueError, match="num_workers"):
+            Session.restore(blob, backend="pool", num_workers=bad)
 
 
 class TestQueriesNamedById:
@@ -180,30 +252,6 @@ class TestQueriesNamedById:
         with pytest.raises(CheckpointError):
             Session.restore(to_bytes("session", payload), backend=backend)
 
-    def test_pool_migration_resumes_byte_identically(self):
-        """A stream moved between workers (expel → standalone shard
-        documents → adopt) checkpoints, restores and continues exactly like
-        the same workload on a router."""
-        queries, events = scenario(72, num_feeds=3, frames=40)
-        half = len(events) // 2
-        reference = make_session("router", queries)
-        reference.ingest_many(events[:half])
-        expected = finish(reference, events[half:])
-
-        session = make_session("pool", queries)
-        session.ingest_many(events[:half])
-        pool = session._backend.pool
-        stream_id = pool.stream_ids()[0]
-        target = (pool.assignment()[stream_id] + 1) % pool.num_workers
-        assert pool.migrate_stream(stream_id, target)
-        blob = session.checkpoint()
-        session.close()
-
-        restored = Session.restore(blob)
-        assert restored.checkpoint() == blob
-        assert finish(restored, events[half:]) == expected
-
-
 class TestRouterPoolByteTransparency:
     def _driven_session(self, backend, queries, events):
         session = make_session(backend, queries)
@@ -213,9 +261,8 @@ class TestRouterPoolByteTransparency:
 
     def test_router_checkpoint_on_pool_reexports_byte_identically(self):
         """Router snapshot → pool → re-checkpoint: the pool's state is the
-        identical router-layout document plus its placement block; dropping
-        the block restores byte equality, and the round trip back onto a
-        router is byte-identical with no caveats."""
+        identical router-layout document, and the round trip back onto a
+        router is byte-identical too."""
         queries, events = scenario(63)
         router_session = self._driven_session("router", queries, events)
         router_blob = router_session.checkpoint()
@@ -225,42 +272,40 @@ class TestRouterPoolByteTransparency:
         pool_session = Session.restore(router_blob, backend="pool")
         pool_blob = pool_session.checkpoint()
         pool_session.close()
-        pool_state = state_of(pool_blob)
-        placement = pool_state.pop("placement")
-        assert placement["assignment"], "pool did not place the streams"
-        assert to_bytes("router", pool_state) == to_bytes(
+        assert router_document(pool_blob) == to_bytes(
             "router", router_state
         ), "pool re-export diverged from the router checkpoint"
 
-        # Round trip back: pool export (placement block included) restored
-        # onto a router re-exports the original router document verbatim.
+        # Round trip back: the pool export restored onto a router
+        # re-exports the original router document verbatim.
         round_trip = Session.restore(pool_blob, backend="router")
         assert to_bytes("router", state_of(round_trip.checkpoint())) == \
             to_bytes("router", router_state)
         round_trip.close()
 
-    def test_pool_checkpoint_on_router_and_back_keeps_placement_fresh(self):
-        """Pool → router → pool: the router leg drops the placement block,
-        so the second pool re-places streams; everything else round-trips
-        byte-identically."""
+    @pytest.mark.parametrize("num_workers", (1, 2, 3))
+    def test_pool_state_equals_router_state(self, num_workers):
+        """On the same operations a pool session checkpoints the state
+        document a router session does, byte for byte (wall-clock fields
+        aside), whatever its worker count: placement is derived, so the
+        pool writes no block of its own."""
         queries, events = scenario(64)
-        pool_session = self._driven_session("pool", queries, events)
-        pool_blob = pool_session.checkpoint()
-        pool_state = state_of(pool_blob)
-        pool_session.close()
-
-        router_session = Session.restore(pool_blob, backend="router")
-        router_state = state_of(router_session.checkpoint())
-        router_session.close()
-        assert "placement" not in router_state
-        expected = dict(pool_state)
-        original_placement = expected.pop("placement")
-        assert to_bytes("router", router_state) == to_bytes("router", expected)
-
-        second_pool = Session.restore(pool_blob, backend="pool")
-        assert state_of(second_pool.checkpoint())["placement"] == \
-            original_placement
-        second_pool.close()
+        half = len(events) // 2
+        states = []
+        for backend, kwargs in (("router", {}),
+                                ("pool", {"num_workers": num_workers})):
+            session = make_session(backend, queries, **kwargs)
+            session.ingest_many(events[:half])
+            session.cancel(session.handles[1])
+            session.ingest_many(events[half:])
+            session.flush()
+            states.append(to_bytes(
+                "router", without_wall_clock(state_of(session.checkpoint()))
+            ))
+            session.close()
+        assert states[0] == states[1], (
+            f"{num_workers}-worker pool state diverged from the router's"
+        )
 
     def test_inline_round_trip_through_router_is_byte_identical(self):
         """Inline → router → inline: shards, retained matches, groups and
@@ -283,23 +328,39 @@ class TestRouterPoolByteTransparency:
             "session", inline_state
         )
 
-    def test_restore_with_num_workers_override_remaps_layout(self):
-        queries, events = scenario(66)
-        session = make_session("pool", queries, num_workers=3)
-        session.ingest_many(events)
+    @pytest.mark.parametrize("workers,restored_workers",
+                             ((3, 2), (2, 3), (1, 2), (4, 1)))
+    def test_stream_k_lives_on_worker_k_mod_n(self, workers,
+                                              restored_workers):
+        """Stream k sits on worker k mod N while the pool runs, and on
+        worker k mod N' after a restore onto N' workers, new streams
+        included."""
+        feeds, queries = bench_scenario(5, 40, GROUPS, 2, 66)
+        late = sorted(feeds)[-1]
+        early = list(interleave_feeds(
+            {sid: feed for sid, feed in feeds.items() if sid != late}
+        ))
+        session = make_session("pool", queries, num_workers=workers)
+        session.ingest_many(early)
         session.flush()
+        assert len(session.stream_ids()) == 4
+        assert pool_layout(session) == modulo_layout(
+            session.stream_ids(), workers
+        )
         blob = session.checkpoint()
-        layout = {
-            sid: idx
-            for sid, idx in state_of(blob)["placement"]["assignment"]
-        }
         session.close()
-        restored = Session.restore(blob, num_workers=2)
+        restored = Session.restore(blob, num_workers=restored_workers)
         try:
-            assert restored._backend.pool.num_workers == 2
-            assert restored._backend.pool.assignment() == {
-                sid: idx % 2 for sid, idx in layout.items()
-            }
+            assert restored._backend.pool.num_workers == restored_workers
+            assert pool_layout(restored) == modulo_layout(
+                restored.stream_ids(), restored_workers
+            )
+            restored.ingest_many(interleave_feeds({late: feeds[late]}))
+            restored.flush()
+            assert restored.stream_ids()[-1] == late
+            assert pool_layout(restored) == modulo_layout(
+                restored.stream_ids(), restored_workers
+            )
         finally:
             restored.close()
 
@@ -321,28 +382,79 @@ class TestRouterPoolByteTransparency:
             "restore leaked pool worker processes"
         )
 
-    def test_malformed_placement_block_is_a_checkpoint_error(self):
-        queries, events = scenario(67, num_feeds=2, frames=20)
-        session = self._driven_session("pool", queries, events)
-        blob = session.checkpoint()
-        session.close()
-        payload = from_bytes(blob, expect_kind="session")
-        broken = from_bytes(blob, expect_kind="session")
-        broken["state"]["placement"]["assignment"] = [["cam-00"]]
-        with pytest.raises(CheckpointError):
-            Session.restore(to_bytes("session", broken))
-        # An assignment that parses but names an impossible layout is
-        # malformed *data* too — CheckpointError, not a raw PoolError.
-        negative = from_bytes(blob, expect_kind="session")
-        negative["state"]["placement"]["assignment"][0][1] = -1
-        with pytest.raises(CheckpointError, match="invalid placement"):
-            Session.restore(to_bytes("session", negative))
-        # Load history for a stream the layout does not assign: same
-        # contract.
-        orphaned = from_bytes(blob, expect_kind="session")
-        orphaned["state"]["placement"]["assignment"] = []
-        with pytest.raises(CheckpointError, match="no persisted assignment"):
-            Session.restore(to_bytes("session", orphaned))
+class TestRetiredConfigKey:
+    """Older session checkpoints name knobs and blocks this version no
+    longer has; each still restores on every backend, re-checkpoints
+    without it, and finishes with the same matches."""
+
+    #: Retired ``config`` keys, with a value an older session could write.
+    #: The former shared-memory dispatch switch is assembled from parts so
+    #: the tree holds no live spelling of the removed option.
+    RETIRED_CONFIG = {
+        "_".join(("shared", "memory")): True,
+        "placement": "least-loaded",
+        "auto_rebalance": {
+            "watermark": 1.5, "cooldown": 5.0, "interval": 0.25,
+            "min_frames": 64, "hysteresis": 2, "policy": "least-loaded",
+        },
+    }
+
+    @staticmethod
+    def _retire(payload, retired):
+        """Write the retired item into a session checkpoint payload."""
+        if retired == "state.placement":
+            stream_ids = [sid for sid, _, _ in payload["streams"]]
+            payload["state"]["placement"] = {
+                "policy": "least-loaded",
+                "num_workers": 3,
+                "first_seen": len(stream_ids),
+                "assignment": [[sid, 2] for sid in stream_ids],
+                "stream_frames": [[sid, 7] for sid in stream_ids],
+            }
+        else:
+            payload["config"][retired] = \
+                TestRetiredConfigKey.RETIRED_CONFIG[retired]
+
+    @pytest.mark.parametrize(
+        "retired", (*RETIRED_CONFIG, "state.placement")
+    )
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("source", BACKENDS)
+    def test_old_blob_naming_the_knob_still_restores(
+        self, source, backend, retired
+    ):
+        events = list(
+            interleave_feeds(simulated_feeds(2, seed=73, num_frames=40))
+        )
+        half = len(events) // 2
+        with Session(backend="router", batch_size=5) as baseline:
+            baseline.register("car >= 1", window=10, duration=5)
+            baseline.ingest_many(events)
+            baseline.flush()
+            expected = match_report(baseline.drain())
+        workers = {"num_workers": 2} if source == "pool" else {}
+        with Session(backend=source, batch_size=5, **workers) as session:
+            session.register("car >= 1", window=10, duration=5)
+            session.ingest_many(events[:half])
+            snapshot = session.checkpoint()
+        payload = from_bytes(snapshot, expect_kind="session")
+        self._retire(payload, retired)
+        restored = Session.restore(
+            to_bytes("session", payload), backend=backend
+        )
+        try:
+            rewritten = from_bytes(
+                restored.checkpoint(), expect_kind="session"
+            )
+            assert retired not in rewritten["config"]
+            assert "placement" not in rewritten["state"]
+            if backend == source:
+                assert restored.checkpoint() == snapshot
+            restored.ingest_many(events[half:])
+            restored.flush()
+            assert match_report(restored.drain()) == expected
+        finally:
+            restored.close()
 
 
 class TestStreamAttribution:

@@ -216,6 +216,124 @@ class TestPoolDifferential:
             pool.terminate()
 
 
+class TestFixedPlacement:
+    """Placement is one rule: the k-th stream the pool sees lives on worker
+    k mod num_workers.  It is derived from first-seen order, never
+    persisted, and never changes results."""
+
+    @staticmethod
+    def layout(pool):
+        return {
+            stream_id: entry["worker"]
+            for stream_id, entry in pool.stream_health().items()
+        }
+
+    @staticmethod
+    def modulo(stream_ids, workers):
+        return {
+            stream_id: k % workers for k, stream_id in enumerate(stream_ids)
+        }
+
+    @pytest.mark.parametrize("workers", (1, 2, 3, 4))
+    def test_kth_stream_lives_on_worker_k_mod_n(self, workers):
+        feeds, queries, events = scenario(31, num_feeds=5, frames=30)
+        pool = make_pool(queries, workers, batch_size=5)
+        pool.start()
+        try:
+            pool.route_many(events)
+            pool.flush()
+            assert len(pool.stream_ids()) == 5
+            assert self.layout(pool) == self.modulo(
+                pool.stream_ids(), workers
+            ), f"workers={workers}"
+        finally:
+            pool.terminate()
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_live_checkpoint_is_a_plain_router_document(self, workers):
+        """checkpoint_router() writes the router's keys, in the router's
+        order, and no placement block."""
+        feeds, queries, events = scenario(33)
+        oracle = run_oracle(queries, events, batch_size=5)
+        pool = make_pool(queries, workers, batch_size=5)
+        pool.start()
+        try:
+            pool.route_many(events)
+            pool.flush()
+            document = pool.checkpoint_router()
+        finally:
+            pool.terminate()
+        assert list(document) == list(oracle.checkpoint())
+        assert document["stream_order"] == oracle.stream_ids()
+
+    @pytest.mark.parametrize("workers,restored", ((2, 3), (3, 1), (4, 2)))
+    def test_restored_pool_rederives_the_layout(self, workers, restored):
+        """A pool built from a checkpoint places stream k on worker
+        k mod N for its own N (a stale placement block from an older pool
+        is ignored), new streams continue the sequence, and the results
+        equal an uninterrupted router's."""
+        feeds, queries, events = scenario(35, num_feeds=5, frames=30)
+        late = sorted(feeds)[-1]
+        early = [event for event in events if event[0] != late]
+        tail = [event for event in events if event[0] == late]
+        oracle = run_oracle(queries, early + tail, batch_size=5)
+        pool = make_pool(queries, workers, batch_size=5)
+        pool.start()
+        try:
+            pool.route_many(early)
+            document = pool.checkpoint_router()
+        finally:
+            pool.terminate()
+        document["placement"] = {
+            "policy": "least-loaded",
+            "num_workers": workers,
+            "first_seen": len(document["stream_order"]),
+            "assignment": [[sid, 0] for sid in document["stream_order"]],
+            "stream_frames": [],
+        }
+        resumed = ShardWorkerPool.from_checkpoint(
+            document, num_workers=restored, dispatch_batch=16,
+            checkpoint_every=4,
+        )
+        resumed.start()
+        try:
+            assert self.layout(resumed) == self.modulo(
+                resumed.stream_ids(), restored
+            )
+            resumed.route_many(tail)
+            resumed.flush()
+            assert resumed.stream_ids() == oracle.stream_ids()
+            assert self.layout(resumed) == self.modulo(
+                resumed.stream_ids(), restored
+            )
+            assert match_report(
+                {sid: resumed.matches_for(sid) for sid in resumed.stream_ids()}
+            ) == match_report(
+                {sid: oracle.matches_for(sid) for sid in oracle.stream_ids()}
+            )
+        finally:
+            resumed.terminate()
+
+    def test_pool_stats_block_holds_only_what_the_pool_does(self):
+        feeds, queries, events = scenario(37, frames=20)
+        pool = make_pool(queries, 2, batch_size=5)
+        pool.start()
+        try:
+            pool.route_many(events)
+            block = pool.stats()["pool"]
+        finally:
+            pool.terminate()
+        assert set(block) == {
+            "workers", "restarts", "checkpoints_taken", "matches_shipped",
+            "match_records_shipped", "ops_dispatched", "frames_dispatched",
+            "degraded", "supervision",
+        }
+        assert set(block["supervision"]) == {
+            "workers", "slow_incidents", "checkpoint_failures", "quarantines",
+            "backoff_seconds_total", "recovery",
+        }
+
+
 class TestSessionDifferential:
     """One mixed workload through ``Session`` on all three backends.
 

@@ -344,3 +344,31 @@ class TestHandOffErrorPaths:
         router = StreamRouter(queries, retain_matches=False)
         with pytest.raises(PoolError):
             ShardWorkerPool(router)
+
+
+class TestBrokenPoolCause:
+    def test_require_running_chains_the_worker_crash(self):
+        """The PoolError raised on a broken pool carries the recorded
+        WorkerCrashError (worker index, op sequence, pending ops) as its
+        cause instead of discarding it."""
+        feeds, queries, events = scenario(53, num_feeds=2, frames=40)
+        pool = make_pool(
+            queries, workers=1, dispatch_batch=16, max_restarts=0
+        )
+        pool.start()
+        try:
+            pool.route_many(events[:20])
+            os.kill(pool.worker_pids()[0], signal.SIGKILL)
+            with pytest.raises(WorkerCrashError) as crash_info:
+                pool.route_many(events[20:])
+                pool.flush()
+            crash = crash_info.value
+            assert crash.worker_index == 0
+            assert crash.exitcode == -signal.SIGKILL
+            assert crash.op_seq is not None
+            with pytest.raises(PoolError) as broken_info:
+                pool.route(*events[0])
+            assert broken_info.value.__cause__ is crash
+            assert "worker 0" in str(broken_info.value)
+        finally:
+            pool.terminate()

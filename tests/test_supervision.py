@@ -141,6 +141,35 @@ class TestSupervisionConfig:
         assert supervisor.assess(0, 0.7, 0.7) == "hung"
 
 
+class TestSupervisorLedger:
+    def test_ledger_tracks_incidents_per_worker_and_in_total(self):
+        supervisor = Supervisor(SupervisionConfig(**FAST), 2)
+        supervisor.observe_heartbeat(0, {"phase": "idle", "seq": None})
+        supervisor.record_escalation(1)
+        supervisor.record_restart(1, "hang")
+        supervisor.record_restart(1, "crash")
+        supervisor.record_recovery(1, 0.5)
+        supervisor.record_recovery(0, 0.25)
+        supervisor.record_checkpoint_failure(0)
+        supervisor.record_quarantine()
+        supervisor.record_park(1, "restart-budget")
+        ledger = supervisor.stats()
+        assert [worker["state"] for worker in ledger["workers"]] == [
+            "healthy", "parked"
+        ]
+        assert ledger["workers"][0]["heartbeats"] == 1
+        assert ledger["workers"][0]["last_heartbeat"]["phase"] == "idle"
+        assert ledger["workers"][1]["escalations"] == 1
+        assert ledger["workers"][1]["restarts"] == {"hang": 1, "crash": 1}
+        assert ledger["checkpoint_failures"] == 1
+        assert ledger["quarantines"] == 1
+        assert ledger["recovery"] == {
+            "count": 2, "max_seconds": 0.5, "mean_seconds": 0.375,
+        }
+        supervisor.record_repair(1)
+        assert supervisor.state_of(1) == "healthy"
+
+
 class TestWatchdog:
     @pytest.mark.slow
     def test_hung_worker_is_detected_and_escalated(self):
@@ -169,39 +198,6 @@ class TestWatchdog:
             # the hang costs about hang_after plus replay — far below the
             # no-watchdog outcome (forever).  Generous bound for slow CI.
             assert elapsed < 30.0, f"escalation took {elapsed:.1f}s"
-            assert pool_report(pool) == expected
-        finally:
-            pool.terminate()
-
-    @pytest.mark.slow
-    def test_hang_escalation_races_live_migration(self):
-        """migrate_stream against a worker that hangs mid-drain must not
-        wedge: the watchdog escalates under the migration's await, the
-        replayed drain acks, and the move completes byte-identically."""
-        seed = 73
-        feeds, queries, events = scenario(seed, num_feeds=4, frames=50)
-        expected = oracle_report(queries, events)
-        pool = make_pool(queries, workers=2)
-        # Hang worker 0 on its next operation after half the stream: with
-        # op_kind=None the migration's own drain/expel is a valid trigger,
-        # so the hang lands either right before or inside the migration.
-        plan = FaultPlan(
-            [Fault("hang", 0, after_ops=8)], seed=seed,
-        )
-        try:
-            with plan.install():
-                pool.start()
-                half = len(events) // 2
-                pool.route_many(events[:half])
-                victim = [
-                    sid for sid, worker in pool.assignment().items()
-                    if worker == 0
-                ][0]
-                assert pool.migrate_stream(victim, 1)
-                assert pool.assignment()[victim] == 1
-                pool.route_many(events[half:])
-                pool.flush()
-            assert pool.restarts >= 1
             assert pool_report(pool) == expected
         finally:
             pool.terminate()
@@ -276,6 +272,57 @@ class TestWatchdog:
             assert pool_report(pool) == expected
         finally:
             pool.terminate()
+
+
+class TestIdleParentWatchdog:
+    @pytest.mark.slow
+    def test_idle_parent_escalates_hung_worker_via_tick(self):
+        """The watchdog bugfix pin: a worker hangs while the parent is
+        *idle* — no flush, no caller blocked in the pump — and the
+        supervision tick alone must detect and escalate it."""
+        seed = 97
+        feeds, queries, events = scenario(seed, num_feeds=2, frames=50)
+        expected = oracle_report(queries, events)
+        plan = FaultPlan(
+            [Fault("hang", 0, op_kind="frames", after_ops=2)], seed=seed,
+        )
+        pool = make_pool(queries, workers=1, dispatch_batch=16)
+        try:
+            with plan.install():
+                pool.start()
+                half = len(events) // 2
+                pool.route_many(events[:half])
+                assert plan.fire_counts()[0] >= 0  # plan is installed
+                # The parent now goes idle: nothing blocks awaiting an
+                # ack, so only tick() stands between the hang and forever.
+                deadline = time.monotonic() + 30.0
+                while pool.restarts == 0 and time.monotonic() < deadline:
+                    pool.tick()
+                    time.sleep(0.02)
+                assert pool.restarts >= 1, (
+                    "tick() never escalated the hung worker while the "
+                    "parent was idle"
+                )
+                pool.route_many(events[half:])
+                pool.flush()
+            assert plan.fire_counts()[0] == 1, "the hang never fired"
+            ledger = pool.stats()["pool"]["supervision"]
+            assert ledger["workers"][0]["escalations"] >= 1
+            assert ledger["workers"][0]["restarts"].get("hang", 0) >= 1
+            assert pool_report(pool) == expected
+        finally:
+            pool.terminate()
+
+
+    def test_tick_requires_a_running_pool(self):
+        feeds, queries, events = scenario(17, num_feeds=2, frames=10)
+        pool = make_pool(queries, workers=2)
+        with pytest.raises(PoolError):
+            pool.tick()
+        pool.start()
+        pool.stop()
+        with pytest.raises(PoolError):
+            pool.tick()
 
 
 class TestQuarantine:
@@ -390,6 +437,18 @@ class TestDegradedMode:
         finally:
             pool.terminate()
 
+    def test_parked_streams_are_the_dead_workers_share(self):
+        """The streams parked with worker 0 are exactly the first-seen
+        streams k with k mod 2 == 0."""
+        seed = 101
+        feeds, queries, events = scenario(seed, num_feeds=4, frames=50)
+        pool, parked = self._park_pool(seed, queries, events)
+        try:
+            assert set(parked) == set(pool.stream_ids()[0::2])
+            assert all(record["worker"] == 0 for record in parked.values())
+        finally:
+            pool.terminate()
+
     def test_repair_round_trip_restores_the_full_report(self):
         """Park under a live poison plan, then repair with the plan gone
         (the operator cleared the cause): the journaled backlog replays
@@ -419,8 +478,6 @@ class TestDegradedMode:
         try:
             with pytest.raises(PoolError, match="degraded"):
                 pool.stop()
-            with pytest.raises(PoolError):
-                pool.rebalance()
         finally:
             pool.terminate()
 
