@@ -32,9 +32,7 @@ def measure(relation, method: str, window: int, duration: int):
         )
         for frame in relation.frames():
             session.ingest("m2-feed", frame)
-        return session.stats()["backend_stats"]["per_shard"][
-            f"m2-feed/w{window}d{duration}"
-        ]
+        return session.stats()["backend_stats"]["per_shard"]["m2-feed"]
 
 
 def main() -> None:

@@ -53,9 +53,7 @@ def main() -> None:
 
         report = session.stats()
         frames_seen = report["streams"][0][1]["frames"]
-        shard = report["backend_stats"]["per_shard"][
-            f"d1-camera/w{window}d{duration}"
-        ]
+        shard = report["backend_stats"]["per_shard"]["d1-camera"]
         print(
             f"\nProcessed {frames_seen} frames in "
             f"{shard['processing_seconds']:.2f}s "

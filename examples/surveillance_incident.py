@@ -96,9 +96,7 @@ def main() -> None:
                 session.ingest("forensic-clip", frame)
 
             stats = session.stats()
-            shard = stats["backend_stats"]["per_shard"][
-                f"forensic-clip/w{window}d{duration}"
-            ]
+            shard = stats["backend_stats"]["per_shard"]["forensic-clip"]
             print(f"\n[{method}] total {shard['processing_seconds']:.2f}s, "
                   f"{shard['generator']['state_visits']} state visits")
             for handle in handles:

@@ -144,6 +144,11 @@ class MCOSGenerator(abc.ABC):
         #: frame repeating its id -> label map reuses the mask (see
         #: :meth:`_frame_bits`).
         self._frame_cache: Optional[Tuple[FrameObservation, int]] = None  # repro-lint: disable=CKPT-DRIFT -- a memo of the last frame's mask; import clears it and the next frame recomputes it
+        #: The duration satisfied states are collected at, at most
+        #: ``duration``: a generator answering several window groups
+        #: collects at the smallest ``d`` among them, so that every group's
+        #: :meth:`cut_result` finds its states (see :meth:`cut_result`).
+        self.collect_duration: int = duration
 
     # ------------------------------------------------------------------
     # Public API
@@ -173,8 +178,50 @@ class MCOSGenerator(abc.ABC):
             # ones this frame introduces.
             self.compact_interner()
         result = self._process(frame_id, self._frame_bits(frame))
+        result.sort()
         self.stats.result_states_emitted += len(result)
         return result
+
+    def cut_result(self, window: int, duration: int) -> ResultStateSet:
+        """The result set a ``(window, duration)`` generator fed the same
+        frames would have reported for the last frame.
+
+        By Theorems 1 and 4 a state is valid iff a marked frame remains in
+        the window, and its frame set is the set of window frames that
+        contain it; so a ``w``-window generator's states at frame ``i`` are
+        this generator's states cut at ``lo = i - w + 1``: the ones that
+        keep a mark ``>= lo``, with their frames ``>= lo``.  Each strategy
+        applies its own report rule to the cut (:meth:`_cut`).  Valid for
+        ``window <= window_size`` and ``duration >= collect_duration``, once
+        the generator has seen the last ``window`` frames.  The states come
+        in the canonical order of :meth:`ResultStateSet.sort`.
+        """
+        if window > self.config.window_size or duration < self.collect_duration:
+            raise ValueError(
+                f"cannot cut a ({window}, {duration}) result from a "
+                f"({self.config.window_size}, {self.collect_duration}) generator"
+            )
+        frame_id = self._last_frame_id
+        result = ResultStateSet(frame_id if frame_id is not None else -1)
+        if frame_id is not None:
+            self._cut(result, frame_id - window + 1, duration)
+            result.sort()
+        return result
+
+    def set_collect_duration(self, duration: int) -> None:
+        """Collect satisfied states at ``duration`` from now on (between
+        frames).  Only raising it is allowed once a frame was processed:
+        the states a higher threshold left out are gone."""
+        if not 0 <= duration <= self.config.duration:
+            raise ValueError(
+                f"collect duration {duration} outside 0..{self.config.duration}"
+            )
+        if duration < self.collect_duration and self._last_frame_id is not None:
+            raise ValueError(
+                f"cannot lower the collect duration from "
+                f"{self.collect_duration} to {duration} mid-stream"
+            )
+        self.collect_duration = duration
 
     def _frame_bits(self, frame: FrameObservation) -> int:
         """Project ``frame`` onto the labels of interest, record the labels
@@ -286,6 +333,7 @@ class MCOSGenerator(abc.ABC):
             "method": self.name,
             "window_size": self.config.window_size,
             "duration": self.config.duration,
+            "collect_duration": self.collect_duration,
             "labels_of_interest": sorted(labels) if labels is not None else None,
             "last_frame_id": self._last_frame_id,
             "label_lookup": [
@@ -329,6 +377,13 @@ class MCOSGenerator(abc.ABC):
                 f"the generator's {own_labels}; resuming would project frames "
                 "onto the wrong class set"
             )
+        collect = int(payload["collect_duration"])
+        if not 0 <= collect <= self.config.duration:
+            raise ValueError(
+                f"checkpoint collect duration {collect} outside "
+                f"0..{self.config.duration}"
+            )
+        self.collect_duration = collect
         self._reset_impl()
         self._frame_cache = None
         self.interner.restore_table(payload["interner"])
@@ -343,7 +398,7 @@ class MCOSGenerator(abc.ABC):
     def export_state(self) -> bytes:
         """The :meth:`export_checkpoint` snapshot as compact checkpoint bytes.
 
-        Written as checkpoint version 4, the only version the codec writes
+        Written as checkpoint version 5, the only version the codec writes
         and reads (:mod:`repro.streaming.checkpoint`).
         """
         # Imported lazily: repro.streaming.checkpoint has no dependencies on
@@ -390,6 +445,11 @@ class MCOSGenerator(abc.ABC):
     def _live_mask(self) -> int:
         """Union of every retained mask (overridden by stateful generators)."""
         return 0
+
+    @abc.abstractmethod
+    def _cut(self, result: ResultStateSet, lo: int, duration: int) -> None:
+        """Add to ``result`` the states a window starting at ``lo`` reports
+        at ``duration`` (see :meth:`cut_result`)."""
 
     # ------------------------------------------------------------------
     # Shared helpers

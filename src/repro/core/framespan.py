@@ -589,6 +589,53 @@ class FrameSpan:
         """The live marked frame ids, oldest first."""
         return tuple(self._marked[self._mhead:])
 
+    # ------------------------------------------------------------------
+    # Cuts: the span as a smaller window ending at the same frame sees it
+    # ------------------------------------------------------------------
+    def _cut_at(self, lo: int) -> int:
+        """Index of the first run holding a frame ``>= lo``."""
+        return bisect_left(self._ends, lo, self._head)
+
+    def count_from(self, lo: int) -> int:
+        """Number of frames ``>= lo``."""
+        starts, ends = self._starts, self._ends
+        head = self._head
+        if head >= len(starts) or starts[head] >= lo:
+            return self.frame_count
+        if len(starts) - head == 1:  # one run: nearly every span
+            return ends[head] - lo + 1 if ends[head] >= lo else 0
+        i = self._cut_at(lo)
+        if i == len(ends):
+            return 0
+        count = sum(ends[i:]) - sum(starts[i:]) + len(ends) - i
+        if starts[i] < lo:
+            count -= lo - starts[i]
+        return count
+
+    def frame_ids_from(self, lo: int) -> Tuple[int, ...]:
+        """The frame ids ``>= lo``, oldest first."""
+        starts, ends = self._starts, self._ends
+        head = self._head
+        if len(starts) - head == 1:  # one run: nearly every span
+            return tuple(range(max(starts[head], lo), ends[head] + 1))
+        i = self._cut_at(lo)
+        return tuple(chain.from_iterable(
+            range(max(s, lo), e + 1) for s, e in zip(starts[i:], ends[i:])
+        ))
+
+    def runs_key_from(self, lo: int) -> Tuple[int, ...]:
+        """:meth:`runs_key` of the frames ``>= lo``."""
+        i = self._cut_at(lo)
+        starts = self._starts[i:]
+        if starts and starts[0] < lo:
+            starts[0] = lo
+        return tuple(starts + self._ends[i:])
+
+    def marked_from(self, lo: int) -> bool:
+        """Whether a mark ``>= lo`` remains (marks are sorted, so the
+        newest one decides)."""
+        return self.marked_count > 0 and self._marked[-1] >= lo
+
     def __iter__(self) -> Iterator[int]:
         return iter(self.frame_ids())
 

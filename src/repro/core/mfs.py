@@ -192,6 +192,15 @@ class MarkedFrameSetGenerator(MCOSGenerator):
                 add(state.to_result())
         return result
 
+    def _cut(self, result: ResultStateSet, lo: int, duration: int) -> None:
+        """Every live state keeping a mark and ``duration`` frames ``>= lo``."""
+        add = result.add_unique
+        for state in self._states:
+            span = state.span
+            if (not state.terminated and span.marked_from(lo)
+                    and span.count_from(lo) >= duration):
+                add(state.cut_result(lo))
+
     # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------

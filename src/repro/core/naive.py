@@ -153,6 +153,22 @@ class NaiveGenerator(MCOSGenerator):
             result.add(state.to_result())
         return result
 
+    def _cut(self, result: ResultStateSet, lo: int, duration: int) -> None:
+        """The report rule over the frames ``>= lo``: group the states by
+        their cut frame set and keep the largest of each group."""
+        floor = max(duration, 1)
+        best_by_frames: Dict[Tuple[int, ...], State] = {}
+        for state in self._states:
+            span = state.span
+            if state.terminated or span.count_from(lo) < floor:
+                continue
+            key = span.runs_key_from(lo)
+            incumbent = best_by_frames.get(key)
+            if incumbent is None or state.size > incumbent.size:
+                best_by_frames[key] = state
+        for state in best_by_frames.values():
+            result.add(state.cut_result(lo))
+
     # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------

@@ -104,6 +104,13 @@ class ReferenceGenerator(MCOSGenerator):
         self._track_live_states(len(self._window))
         return result
 
+    def _cut(self, result: ResultStateSet, lo: int, duration: int) -> None:
+        """Recompute over the window frames ``>= lo``."""
+        frames = [frame for frame in self._window if frame.frame_id >= lo]
+        for object_ids, cover in closed_object_sets(frames).items():
+            if len(cover) >= duration:
+                result.add(ResultState(object_ids, tuple(sorted(cover))))
+
     def _reset_impl(self) -> None:
         self._window = []
 

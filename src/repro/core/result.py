@@ -73,6 +73,19 @@ class ResultStateSet:
         """
         self._by_object_set[state.object_ids] = state
 
+    def sort(self) -> None:
+        """Put the states in canonical order: ascending sorted object ids.
+
+        Every generator reports in this order, so a result set is the same
+        list whichever generator (or window cut of one) produced it.
+        """
+        by_object_set = self._by_object_set
+        if len(by_object_set) > 1:
+            self._by_object_set = {
+                oids: by_object_set[oids]
+                for oids in sorted(by_object_set, key=sorted)
+            }
+
     def __len__(self) -> int:
         return len(self._by_object_set)
 

@@ -98,7 +98,7 @@ from operator import floordiv, mod
 from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.base import MCOSGenerator
-from repro.core.result import ResultStateSet
+from repro.core.result import ResultState, ResultStateSet
 from repro.core.state import State, StateTable, int_column, table_positions
 
 #: Interned object-set bitmask (graph/table key).
@@ -467,7 +467,7 @@ class StrictStateGraphGenerator(MCOSGenerator):
             )
         if delta == 0 and schedule.witness is not None:
             self.stats.settled_frames += 1
-        if principal.span.frame_count >= self.config.duration:
+        if principal.span.frame_count >= self.collect_duration:
             result_candidates[frame_bits] = principal
 
     def _root_step(
@@ -516,7 +516,7 @@ class StrictStateGraphGenerator(MCOSGenerator):
         visit would do.  States removed by the sweep are skipped, and so are
         the ones meeting Δ, which the walk visits.
         """
-        duration = self.config.duration
+        duration = self.collect_duration
         replayed = 0
         for state in replay:
             if state.bits & delta or state.children is None:
@@ -564,7 +564,7 @@ class StrictStateGraphGenerator(MCOSGenerator):
         schedule = self._schedule
         edge_memo = self._edge_memo
         add_edge_memo = edge_memo.add
-        duration = self.config.duration
+        duration = self.collect_duration
         visits = 0
         appended = 0
         pop = stack.pop
@@ -742,8 +742,12 @@ class StrictStateGraphGenerator(MCOSGenerator):
         as they are touched).  Every state here is alive and valid: the
         sweep removes a state, and drops it from ``_previous_results``, in
         the frame its last mark expires.
+
+        Satisfied means ``collect_duration`` frames: the carry-over holds
+        every state a :meth:`cut_result` may report, and the result set is
+        the ones that also reach ``duration``.
         """
-        duration = self.config.duration
+        duration = self.collect_duration
         new_results: Dict[ObjectBits, State] = {}
 
         for bits, state in self._previous_results.items():
@@ -769,9 +773,28 @@ class StrictStateGraphGenerator(MCOSGenerator):
         self._previous_results = new_results
         result = ResultStateSet(frame_id)
         add = result.add_unique
+        report_at = self.config.duration
         for state in new_results.values():
-            add(state.to_result())
+            if report_at == duration or state.span.frame_count >= report_at:
+                add(state.to_result())
         return result
+
+    def _cut(self, result: ResultStateSet, lo: int, duration: int) -> None:
+        """The carried-over states keeping a mark and ``duration`` frames
+        ``>= lo`` (every such state is in the carry-over, which holds the
+        states with ``collect_duration <= duration`` frames in the full
+        window)."""
+        add = result.add_unique
+        for state in self._previous_results.values():
+            span = state.span
+            # Marks are sorted: the newest decides whether one is >= lo.
+            if span._marked[-1] < lo:
+                continue
+            if span._starts[span._head] >= lo:  # nothing to cut
+                if span.frame_count >= duration:
+                    add(state.to_result())
+            elif span.count_from(lo) >= duration:
+                add(ResultState(state.object_ids, span.frame_ids_from(lo)))
 
     # ------------------------------------------------------------------
     # Bookkeeping

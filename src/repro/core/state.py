@@ -199,6 +199,14 @@ class State:
             self._result_revision = revision
         return result
 
+    def cut_result(self, lo: int) -> ResultState:
+        """:meth:`to_result` with only the frames ``>= lo`` (the state as a
+        window starting at ``lo`` sees it)."""
+        span = self.span
+        if span._starts[span._head] >= lo:
+            return self.to_result()
+        return ResultState(self.object_ids, span.frame_ids_from(lo))
+
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         marked = set(self.span.marked_ids())
         frames = ", ".join(

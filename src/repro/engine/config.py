@@ -45,10 +45,12 @@ class EngineConfig:
     method:
         MCOS state maintenance strategy.
     window_size / duration:
-        Temporal parameters ``w`` and ``d`` shared by the registered queries.
-        Queries with differing windows should be run in separate engine
-        instances (the paper groups queries by window size for the same
-        reason).
+        Temporal parameters ``w`` and ``d`` of the window group an engine
+        built from a plain query list serves; only that form reads them.
+        An engine serving several window groups takes them as a mapping
+        ``(window, duration) -> queries`` instead, and answers all of them
+        from one generator per label projection (see
+        :mod:`repro.engine.engine`).
     enable_pruning:
         Apply the Proposition-1 result-driven pruning when every query uses
         only ``>=`` conditions (the ``*_O`` method variants of Figure 9).

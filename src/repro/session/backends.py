@@ -13,8 +13,8 @@ here:
   in worker processes with crash recovery.
 
 Both deliver matches through the same retained-until-drained contract and
-report them in the same canonical order (stream first-seen order, matches
-keyed by frame id crossed with group registration order), so a workload
+report them in the same canonical order (stream first-seen order; within
+a stream, frame by frame, group by group in registration order), so a workload
 driven through any backend produces byte-identical reports — pinned by the
 differential suite.  Both checkpoint to the same router-layout document,
 so a snapshot taken on either restores onto the other unchanged.

@@ -31,9 +31,9 @@ present-from-frame-0 run only from the **warm-up watermark** onward — one
 full window past the registration frontier
 (:meth:`QueryHandle.warmup_watermark`) — because states already inside the
 window were built without the query's classes.  Cancellation tombstones the
-query id forever, drops its evaluator postings and undelivered matches, and
-retires whole shards (releasing their window state) when it empties a
-window group.
+query id forever, drops its evaluator postings and undelivered matches,
+removes a window group it empties from every stream, and retires the
+shards (releasing their window state) when it empties the workload.
 
 Checkpoints (:meth:`Session.checkpoint` / :meth:`Session.restore`) embed
 the full registry — active queries, cancelled ids, registration frontiers,
@@ -351,6 +351,11 @@ class Session:
 
     def _init_registry(self) -> None:
         self._handles: Dict[int, QueryHandle] = {}
+        #: The active handles keyed by their query (structural equality:
+        #: same clauses, window and duration), so a duplicate registration
+        #: is one lookup, not a scan of the workload.  ``None`` after a
+        #: restore until a registration needs it (:meth:`_active_queries`).
+        self._active: Optional[Dict[CNFQuery, QueryHandle]] = {}
         self._next_qid = 0
         self._delivered: Dict[int, int] = {}
         #: Per-stream ingest frontier (highest frame id) and frame counts,
@@ -467,14 +472,14 @@ class Session:
         """
         self._require_open()
         normalized = self._coerce_query(query, window, duration, name)
-        for handle in self._handles.values():
-            if handle.active and handle.query == normalized:
-                raise ValueError(
-                    f"duplicate registration: query {str(normalized)!r} "
-                    f"(window={normalized.window}, "
-                    f"duration={normalized.duration}) is already active as "
-                    f"id {handle.query_id}"
-                )
+        active = self._active_queries().get(normalized)
+        if active is not None:
+            raise ValueError(
+                f"duplicate registration: query {str(normalized)!r} "
+                f"(window={normalized.window}, "
+                f"duration={normalized.duration}) is already active as "
+                f"id {active.query_id}"
+            )
         if self._config["enable_pruning"]:
             # Validated here, before the flush barrier below runs: a
             # rejected registration must not mutate stream processing
@@ -494,8 +499,20 @@ class Session:
             self._group_order.append(group)
         handle = QueryHandle(self, registered, dict(self._frontiers))
         self._handles[registered.query_id] = handle
+        self._active_queries()[registered] = handle
         self._delivered[registered.query_id] = 0
         return handle
+
+    def _active_queries(self) -> Dict[CNFQuery, QueryHandle]:
+        """The active handles keyed by query, built on first use after a
+        restore: hashing a query canonicalises it, which a restore of a
+        large workload would otherwise pay up front for every query."""
+        if self._active is None:
+            self._active = {
+                handle.query: handle
+                for handle in self._handles.values() if handle.active
+            }
+        return self._active
 
     def cancel(self, handle_or_id: Union[QueryHandle, int]) -> None:
         """Cancel a registered query.
@@ -526,6 +543,8 @@ class Session:
         self.drain()
         self._backend.cancel(handle.query)
         handle._active = False
+        if self._active is not None:
+            del self._active[handle.query]
         group = (handle.query.window, handle.query.duration)
         if not any(
             h.active
@@ -898,6 +917,7 @@ class Session:
         registered = {query.query_id: query for query in self._backend.queries()}
         registry = payload["registry"]
         self._next_qid = int(registry["next_query_id"])
+        self._active = None
         for entry in registry["handles"]:
             active = bool(entry["active"])
             if active:

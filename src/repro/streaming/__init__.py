@@ -3,12 +3,13 @@
 Serves many concurrent video feeds on top of the single-relation engine:
 a :class:`~repro.streaming.router.StreamRouter` auto-groups queries by their
 ``(window, duration)`` parameters and partitions incoming frames across
-per-(stream, window-group) :class:`~repro.streaming.shard.StreamShard`\\ s,
-each wrapping one :class:`~repro.engine.engine.TemporalVideoQueryEngine`.
+per-stream :class:`~repro.streaming.shard.StreamShard`\\ s, each wrapping
+one :class:`~repro.engine.engine.TemporalVideoQueryEngine` that answers
+every window group of the stream from one generator per label projection.
 Shards ingest in batches, tolerate late/out-of-order frames up to a
 watermark, expose ingest statistics, and snapshot/restore their full state
 through the versioned checkpoint format of
-:mod:`repro.streaming.checkpoint` (compact binary version 4, the only
+:mod:`repro.streaming.checkpoint` (compact binary version 5, the only
 version written or read).
 
 A :class:`~repro.streaming.pool.ShardWorkerPool` moves the shards into
@@ -45,8 +46,8 @@ from repro.streaming.pool import (
     deterministic_stats,
     match_report,
 )
-from repro.streaming.router import StreamRouter, group_queries_by_window
-from repro.streaming.shard import ShardKey, ShardStats, StreamShard
+from repro.streaming.router import StreamRouter
+from repro.streaming.shard import ShardStats, StreamShard, group_queries_by_window
 from repro.streaming.supervision import (
     FAILURE_KINDS,
     SupervisionConfig,
@@ -66,7 +67,6 @@ __all__ = [
     "InjectedFault",
     "PoisonOpError",
     "PoolError",
-    "ShardKey",
     "ShardStats",
     "ShardWorkerPool",
     "StreamShard",

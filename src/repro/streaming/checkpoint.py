@@ -4,7 +4,7 @@ A checkpoint wraps one component snapshot::
 
     {
       "format": "repro-streaming-checkpoint",
-      "version": 4,
+      "version": 5,
       "kind": "shard" | "router" | "engine" | "generator" | "session",
       "payload": { ... }
     }
@@ -13,15 +13,16 @@ The payload is produced by the component's own ``checkpoint()`` /
 ``export_checkpoint()`` method (shards and routers here; engines in
 :mod:`repro.engine.engine`; generators in :mod:`repro.core.base`).
 
-**Version 4 is the only version written and the only one read.**  Any
-other version — the version-1 JSON form, the version-2 and version-3
+**Version 5 is the only version written and the only one read.**  Any
+other version — the version-1 JSON form, the version-2 to version-4
 binary forms, or a future one — is refused with a
-:class:`CheckpointError` that names it.
+:class:`CheckpointError` that names it.  Version 5 has the version-4
+encoding and a new layout: shards are per stream (see below).
 
   ============  =====================================================
   section       contents
   ============  =====================================================
-  magic         ``b"RSCK4\\x00"``
+  magic         ``b"RSCK5\\x00"``
   body          zlib-compressed stream of:
   · strings     interned string table (varint count, then varint
                 length + UTF-8 bytes per string, first-use order)
@@ -61,16 +62,23 @@ A document holds every query dict (:meth:`CNFQuery.to_dict
 <repro.query.model.CNFQuery.to_dict>`) exactly once; everything else names
 queries by id:
 
-* a **router** document's ``queries`` is the single copy; each entry of
-  its ``shards`` carries ``engine.query_ids`` — its window group's ids, in
-  registration order — which restore checks against the router's own
-  group before building the shard's engine from the router's queries;
+* a **router** document's ``queries`` is the single copy; its ``shards``
+  hold one entry per stream, whose engine block has one entry per window
+  group carrying ``query_ids`` — the group's ids, in registration order —
+  which restore checks against the router's own group before building the
+  shard's engine from the router's queries;
 * a **session** document's registry names each active handle by
   ``query_id``, resolved against the restored router; a cancelled handle
   keeps its full ``query`` dict, because no router holds it any more;
 * standalone **shard** documents (detach, the pool's hand-offs)
-  carry their group's ``queries`` once, beside the same id-only engine
+  carry their stream's ``queries`` once, beside the same id-only engine
   block, and **engine** documents stay self-contained with one copy.
+
+An engine block lists its window groups (``groups``: window, duration,
+queries, id floor, and the position of the generator the group reads) and
+one block per generator (``generators``: its
+:meth:`~repro.core.base.MCOSGenerator.export_checkpoint` state).  A group
+that joined mid-stream reads a generator block of its own.
 
 Loading rejects foreign formats, other versions, truncated or trailing
 bytes, and column headers that promise more items than the body holds,
@@ -107,13 +115,13 @@ PathLike = Union[str, Path]
 CHECKPOINT_FORMAT = "repro-streaming-checkpoint"
 
 #: The version :func:`to_bytes` writes.
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 #: Every version :func:`from_bytes` reads.
 SUPPORTED_VERSIONS = (CHECKPOINT_VERSION,)
 
 #: Magic prefix of the written encoding.
-MAGIC = b"RSCK4\x00"
+MAGIC = b"RSCK5\x00"
 
 #: Any version's magic: ``RSCK``, the version number, a NUL byte.
 _ANY_MAGIC = re.compile(rb"RSCK(\d+)\x00")
@@ -544,7 +552,7 @@ def _decode_binary(data: bytes) -> Dict:
 # Public byte-level API
 # ----------------------------------------------------------------------
 def to_bytes(kind: str, payload: Dict) -> bytes:
-    """Serialise a snapshot to canonical version-4 checkpoint bytes.
+    """Serialise a snapshot to canonical version-5 checkpoint bytes.
 
     Insertion order *is* part of the state (see the module docstring), so
     the bytes are a pure function of the component state.
@@ -553,7 +561,7 @@ def to_bytes(kind: str, payload: Dict) -> bytes:
 
 
 def from_bytes(data: bytes, expect_kind: Optional[str] = None) -> Dict:
-    """Parse version-4 checkpoint bytes into the inner payload."""
+    """Parse version-5 checkpoint bytes into the inner payload."""
     if not isinstance(data, (bytes, bytearray)):
         raise CheckpointError(
             f"checkpoint must be bytes, got {type(data).__name__}"

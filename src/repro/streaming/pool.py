@@ -484,13 +484,13 @@ class ShardWorkerPool:
         #: The origin router's ``retired`` block at start() time (shards
         #: retired by pre-pool query-group cancellations).
         self._origin_retired: Optional[Dict] = None
-        #: Pre-pool frozen departed slots, snapshotted at start(): hand-offs
+        #: Pre-pool frozen departed streams, snapshotted at start(): hand-offs
         #: that belong to *other* owners and therefore survive into a live
         #: merged checkpoint (:meth:`checkpoint_router`), unlike our own
         #: detaches.  (Detached-stream tombstones are *not* snapshotted —
         #: the origin router's live ``_detached`` stays authoritative, e.g.
-        #: a mid-pool group cancellation lifts pending entries there.)
-        self._origin_departed_slots: Dict = {}
+        #: a mid-pool cancellation of every query lifts them there.)
+        self._origin_departed_streams: Dict = {}
         self._config_blob: Optional[bytes] = None
         self._started = False
         self._stopped = False
@@ -610,7 +610,7 @@ class ShardWorkerPool:
         origin_stats = router.stats()
         self._origin_departed = dict(origin_stats["departed"])
         self._origin_retired = dict(origin_stats["retired"])
-        self._origin_departed_slots = router.departed_slot_snapshots()
+        self._origin_departed_streams = router.departed_stream_snapshots()
         self._workers = [_WorkerHandle(index) for index in range(self.num_workers)]
         for worker in self._workers:
             self._spawn(worker)
@@ -619,14 +619,12 @@ class ShardWorkerPool:
             for stream_id in router.stream_ids():
                 index = self._assign(stream_id)
                 if not router.has_live_shards(stream_id):
-                    # Every shard of this stream was retired by query-group
-                    # cancellations: nothing to ship, but the stream keeps its
-                    # first-seen position (new groups resume it in place).
+                    # The stream's shard was retired when every query was
+                    # cancelled: nothing to ship, but the stream keeps its
+                    # first-seen position (a new query resumes it in place).
                     continue
-                payloads = router.detach(stream_id)
-                worker = self._workers[index]
-                blobs = [to_bytes("shard", payload) for payload in payloads]
-                self._send_op(worker, ("adopt", blobs))
+                blob = to_bytes("shard", router.detach(stream_id))
+                self._send_op(self._workers[index], ("adopt", [blob]))
         except BaseException:
             # A failed hand-off must not leak the just-spawned workers.
             self.terminate()
@@ -670,10 +668,10 @@ class ShardWorkerPool:
         # Adopt back in global first-seen stream order (not worker order):
         # the origin router's shard/stream iteration order then matches what
         # an uninterrupted single-process run would have produced.
-        by_stream: Dict[str, List[Dict]] = {}
+        by_stream: Dict[str, Dict] = {}
         for worker in self._workers:
             payload = from_bytes(worker.stopped_state, expect_kind="router")
-            # Shards retired inside this worker (query group cancelled
+            # Shards retired inside this worker (every query cancelled
             # mid-run) froze their counters in the worker's router; fold
             # them into the origin so post-stop stats equal an
             # uninterrupted single-process run's.
@@ -681,19 +679,17 @@ class ShardWorkerPool:
             if retired:
                 self.router.fold_retired(retired)
             for shard_payload in standalone_shards(payload):
-                stream_id = str(shard_payload["key"]["stream_id"])
-                by_stream.setdefault(stream_id, []).append(shard_payload)
+                by_stream[str(shard_payload["stream_id"])] = shard_payload
         for stream_id in self._assignment:
-            for shard_payload in by_stream.pop(stream_id, []):
-                self.router.adopt(shard_payload)
-        for shard_payloads in by_stream.values():  # pragma: no cover - safety
-            for shard_payload in shard_payloads:
-                self.router.adopt(shard_payload)
+            if stream_id in by_stream:
+                self.router.adopt(by_stream.pop(stream_id))
+        for shard_payload in by_stream.values():  # pragma: no cover - safety
+            self.router.adopt(shard_payload)
         # Adoption can only re-learn streams that still have shards; a
-        # stream whose every shard was retired by a mid-pool group
-        # cancellation is still the service's stream (an uninterrupted
-        # router keeps it, and so does checkpoint_router()).  Re-impose the
-        # global first-seen order from the assignment.
+        # stream whose shard was retired by a mid-pool cancellation is
+        # still the service's stream (an uninterrupted router keeps it, and
+        # so does checkpoint_router()).  Re-impose the global first-seen
+        # order from the assignment.
         self.router.set_stream_order(self._assignment)
         self._close_queues()
         return self.router
@@ -893,8 +889,7 @@ class ShardWorkerPool:
 
         The layout mirrors :meth:`StreamRouter.stats` (plus a ``pool``
         block), and ``per_shard`` is rebuilt in the router's canonical
-        creation order — stream first-seen order crossed with group
-        registration order — so reports are comparable byte for byte
+        order — stream first-seen order — so reports are comparable byte for byte
         after stripping wall-clock fields (:func:`deterministic_stats`).
         """
         self._require_running()
@@ -936,12 +931,11 @@ class ShardWorkerPool:
         )
         departed["processing_seconds"] = round(departed["processing_seconds"], 6)
         retired["processing_seconds"] = round(retired["processing_seconds"], 6)
-        per_shard: Dict[str, Dict] = {}
-        for stream_id in self._assignment:
-            for window, duration in self.router.group_keys:
-                key = f"{stream_id}/w{window}d{duration}"
-                if key in per_shard_raw:
-                    per_shard[key] = per_shard_raw[key]
+        per_shard: Dict[str, Dict] = {
+            stream_id: per_shard_raw[stream_id]
+            for stream_id in self._assignment
+            if stream_id in per_shard_raw
+        }
         return {
             "streams": len(self._assignment),
             "window_groups": len(self.router.group_keys),
@@ -990,8 +984,8 @@ class ShardWorkerPool:
         Every worker snapshots its local router (a read-only query, so the
         pool keeps serving); the shard payloads are merged under the origin
         router's current workload configuration in canonical order —
-        stream first-seen order crossed with group registration order, the
-        layout an uninterrupted single-process router would produce.
+        stream first-seen order, the layout an uninterrupted
+        single-process router would produce.
         Streams owned by this pool are live in the merged document (their
         shards are embedded, their detach tombstones omitted); hand-offs
         that predate the pool belong to other owners and survive verbatim.
@@ -1027,33 +1021,22 @@ class ShardWorkerPool:
         # after a restore.  Streams owned by this pool are live in the
         # merged document, so their own detach tombstones are omitted.
         document["detached"] = [
-            [stream_id, [list(group) for group in groups]]
-            for stream_id, groups in self.router.detached_streams().items()
+            stream_id for stream_id in self.router.detached_streams()
             if stream_id not in self._assignment
         ]
-        by_stream: Dict[str, List[Dict]] = {}
+        by_stream: Dict[str, Dict] = {}
         retired = dict(self._origin_retired)
         for payload in worker_payloads:
             for key, value in payload.get("retired_totals", {}).items():
                 retired[key] = retired.get(key, 0) + value
             for shard_payload in payload.get("shards", []):
-                stream_id = str(shard_payload["key"]["stream_id"])
-                by_stream.setdefault(stream_id, []).append(shard_payload)
-        group_order = {
-            group: index for index, group in enumerate(self.router.group_keys)
-        }
-        shards: List[Dict] = []
-        for stream_id in self._assignment:
-            entries = by_stream.pop(stream_id, [])
-            entries.sort(
-                key=lambda p: group_order.get(
-                    (int(p["key"]["window"]), int(p["key"]["duration"])),
-                    len(group_order),
-                )
-            )
-            shards.extend(entries)
-        for entries in by_stream.values():  # pragma: no cover - safety
-            shards.extend(entries)
+                by_stream[str(shard_payload["stream_id"])] = shard_payload
+        shards = [
+            by_stream.pop(stream_id)
+            for stream_id in self._assignment
+            if stream_id in by_stream
+        ]
+        shards += by_stream.values()  # pragma: no cover - safety
         # Key order mirrors StreamRouter.checkpoint() exactly: the merged
         # document must be byte-identical to what the restored router would
         # itself re-export (the codec is canonical, insertion order is
@@ -1065,10 +1048,9 @@ class ShardWorkerPool:
         )
         document["retired_totals"] = retired
         document["stream_order"] = list(self._assignment)
-        document["departed_slots"] = [
-            [stream_id, [window, duration], dict(frozen)]
-            for (stream_id, (window, duration)), frozen
-            in self._origin_departed_slots.items()
+        document["departed_streams"] = [
+            [stream_id, dict(frozen)]
+            for stream_id, frozen in self._origin_departed_streams.items()
         ]
         return document
 

@@ -1,24 +1,29 @@
-"""Routing incoming frames across per-(stream, window-group) shards.
+"""Routing incoming frames across per-stream shards.
 
 The paper's engine evaluates one query group over one relation; the
 :class:`StreamRouter` is the runtime layer that serves *many concurrent video
 feeds* and *heterogeneous query workloads* on top of it:
 
-* queries are **auto-grouped** by their ``(window, duration)`` parameters —
-  the grouping the engine requires but previously had to be done by hand
-  ("queries with differing windows should be run in separate engine
-  instances", :class:`~repro.engine.config.EngineConfig`).  All queries of a
-  group share one MCOS generation pass per stream instead of one per query;
-* each ``(stream, group)`` pair gets its own :class:`StreamShard`, created
-  lazily on the stream's first frame, so per-stream state is isolated,
-  bounded by that stream's window, and independently checkpointable;
+* queries are **auto-grouped** by their ``(window, duration)`` parameters,
+  one evaluator per group and stream;
+* each stream gets one :class:`StreamShard` — one reorder buffer and one
+  engine — created lazily on the stream's first frame, so per-stream state
+  is isolated, bounded by that stream's largest window, and independently
+  checkpointable.  The engine runs one MCOS generator per label projection
+  at the largest window of the stream's groups and answers every group
+  from it, so a stream pays for one generator step per frame however many
+  window groups its queries fall into;
 * shards can be **detached** (checkpointed and removed) and **adopted**
   elsewhere, which is how the worker pool moves streams into processes.
+
+Within a frame, matches come group by group in registration order, each
+group's in its result set's canonical order (ascending sorted object ids,
+then ascending query id).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from repro.datamodel.observation import FrameObservation
 from repro.engine.config import MCOSMethod
@@ -31,11 +36,7 @@ from repro.streaming.checkpoint import (
     reading,
     to_bytes,
 )
-from repro.streaming.shard import ShardKey, StreamShard
-
-#: A window group: the ``(window, duration)`` pair shards are keyed by.
-GroupKey = Tuple[int, int]
-
+from repro.streaming.shard import GroupKey, StreamShard, group_queries_by_window
 
 def zero_ingest_totals() -> Dict:
     """A fresh all-zero ingest counter block (shared layout of totals)."""
@@ -59,54 +60,39 @@ def _ingest_totals(block: Mapping) -> Dict:
     }
 
 
+def _frozen_counters(block: Mapping) -> Dict:
+    """A checkpointed per-stream frozen counter block."""
+    return {
+        key: float(value) if key == "processing_seconds" else int(value)
+        for key, value in block.items()
+    }
+
+
+def _entry_groups(entry: Mapping) -> List[GroupKey]:
+    """The window groups a shard entry's engine block serves, in order."""
+    return [
+        (int(group["window"]), int(group["duration"]))
+        for group in entry["engine"]["groups"]
+    ]
+
+
 def standalone_shards(document: Mapping) -> List[Dict]:
     """A router document's shard entries as standalone shard documents: each
     entry plus the query dicts its engine block names by id (what
     :meth:`StreamRouter.adopt` takes)."""
     by_id = {entry["query_id"]: entry for entry in document["queries"]}
     return [
-        dict(entry, queries=[by_id[qid] for qid in entry["engine"]["query_ids"]])
+        dict(entry, queries=[
+            by_id[qid]
+            for group in entry["engine"]["groups"]
+            for qid in group["query_ids"]
+        ])
         for entry in document["shards"]
     ]
 
 
-def interleave_group_matches(
-    per_group_matches: Iterable[Sequence[QueryMatch]],
-) -> List[QueryMatch]:
-    """Merge one stream's per-group match lists into canonical order.
-
-    Matches are keyed by ``(frame_id, group registration index, emission
-    sequence)`` — within a frame, groups interleave in registration order
-    and each group keeps its emission order.  The sort is stable and total
-    over those keys, so repeated calls agree byte for byte; every report
-    surface (router, worker pool, session backends) shares this one
-    definition of match order.
-    """
-    keyed: List[Tuple[int, int, int, QueryMatch]] = []
-    for group_index, matches in enumerate(per_group_matches):
-        for seq, match in enumerate(matches):
-            keyed.append((match.frame_id, group_index, seq, match))
-    keyed.sort(key=lambda item: item[:3])
-    return [match for _, _, _, match in keyed]
-
-
-def group_queries_by_window(
-    queries: Iterable[CNFQuery],
-) -> Dict[GroupKey, List[CNFQuery]]:
-    """Partition queries into window groups, preserving registration order.
-
-    Group order follows the first query of each group, and queries keep their
-    relative order within a group, so shard engines assign ids and report
-    matches deterministically.
-    """
-    groups: Dict[GroupKey, List[CNFQuery]] = {}
-    for query in queries:
-        groups.setdefault((query.window, query.duration), []).append(query)
-    return groups
-
-
 class StreamRouter:
-    """Partitions frames of many streams across per-(stream, group) shards."""
+    """Partitions frames of many streams across per-stream shards."""
 
     def __init__(
         self,
@@ -125,53 +111,52 @@ class StreamRouter:
         self.enable_pruning = enable_pruning
         self.restrict_labels = restrict_labels
         self.retain_matches = retain_matches
+        #: Ids of cancelled queries.  Tombstoned forever: an id is never
+        #: reassigned, so a match drained after the cancellation point can
+        #: never be attributed to the wrong query.
+        self._cancelled: Set[int] = set()
+        #: Every id a live or cancelled query holds (maintained, so a
+        #: registration checks its id in O(1)).
+        self._used_ids: Set[int] = set()
         #: Registered queries with router-global ids (assigned here so that a
         #: match's ``query_id`` means the same thing on every shard).
         self.queries: List[CNFQuery] = self._assign_ids(queries)
         self._groups: Dict[GroupKey, List[CNFQuery]] = group_queries_by_window(
             self.queries
         )
-        self._shards: Dict[Tuple[str, GroupKey], StreamShard] = {}
-        #: Stream first-seen order, persistent across group retirements: a
-        #: stream whose every shard was retired by a query-group
-        #: cancellation keeps its position (and re-grows shards in place
-        #: when a new group arrives) — deriving order from live shards
-        #: would silently reorder reports.  Detach *does* remove the
-        #: stream: it departed to another owner.
+        self._shards: Dict[str, StreamShard] = {}
+        #: Stream first-seen order, persistent across retirements: a stream
+        #: whose shard was retired because every query was cancelled keeps
+        #: its position (and re-grows a shard in place when a query
+        #: arrives) — deriving order from live shards would silently
+        #: reorder reports.  Detach *does* remove the stream: it departed
+        #: to another owner.
         self._stream_order: Dict[str, None] = {}
-        #: Streams handed off via :meth:`detach`, with the window groups
-        #: still awaiting adoption.  Routing to one raises instead of
-        #: silently resurrecting an empty shard that would fork the stream's
-        #: state; the tombstone lifts only once :meth:`adopt` has restored
-        #: every detached group (a partially-adopted stream is still forked).
-        self._detached: Dict[str, List[GroupKey]] = {}
+        #: Streams handed off via :meth:`detach` and not adopted back.
+        #: Routing to one raises instead of silently resurrecting an empty
+        #: shard that would fork the stream's state.
+        self._detached: Dict[str, None] = {}
         #: Cumulative ingest counters of every shard this router detached,
-        #: frozen at detach time.  Without this, a detach made the departed
+        #: frozen at detach time, so a hand-off does not make the departed
         #: shard's late-drop/duplicate/reorder counts vanish from
-        #: :meth:`stats` entirely (the shard left ``_shards``), so exported
-        #: stats silently under-reported after every hand-off.
+        #: :meth:`stats`.
         self._departed_totals: Dict = zero_ingest_totals()
-        #: Per-slot frozen counters backing ``_departed_totals``: when a
+        #: Per-stream frozen counters backing ``_departed_totals``: when a
         #: detached shard is adopted *back* (a round-trip hand-off, e.g.
         #: through a worker pool), its frozen contribution is reversed —
         #: the shard's live counters are in ``totals`` again, so leaving
         #: them in ``departed`` too would double-count.
-        self._departed_by_slot: Dict[Tuple[str, GroupKey], Dict] = {}
-        #: Ids of cancelled queries.  Tombstoned forever: an id is never
-        #: reassigned, so a match drained after the cancellation point can
-        #: never be attributed to the wrong query.
-        self._cancelled: set = set()
-        #: Cumulative ingest counters of shards retired because their whole
-        #: window group was cancelled, frozen at retirement.  The same
-        #: accounting rule as ``_departed_totals``: removing a shard must
-        #: not make its late-drop/duplicate/reorder history vanish from
-        #: :meth:`stats`.
+        self._departed_by_stream: Dict[str, Dict] = {}
+        #: Cumulative ingest counters of shards retired because every query
+        #: was cancelled, frozen at retirement.  The same accounting rule
+        #: as ``_departed_totals``: removing a shard must not make its
+        #: late-drop/duplicate/reorder history vanish from :meth:`stats`.
         self._retired_totals: Dict = zero_ingest_totals()
 
-    @staticmethod
-    def _assign_ids(queries: Sequence[CNFQuery]) -> List[CNFQuery]:
+    def _assign_ids(self, queries: Sequence[CNFQuery]) -> List[CNFQuery]:
         """Give every query a unique id, keeping any pre-assigned ones."""
-        used = {q.query_id for q in queries if q.query_id is not None}
+        used = self._used_ids
+        used.update(q.query_id for q in queries if q.query_id is not None)
         if len(used) != sum(1 for q in queries if q.query_id is not None):
             raise ValueError("queries carry duplicate pre-assigned ids")
         next_id = 0
@@ -200,43 +185,46 @@ class StreamRouter:
     def stream_ids(self) -> List[str]:
         """Streams this router serves, in first-seen order.
 
-        Includes streams whose shards were all retired by query-group
-        cancellations (they are still this router's streams and resume in
-        place when a matching group returns); excludes streams detached to
-        another owner.
+        Includes streams whose shard was retired because every query was
+        cancelled (they are still this router's streams and resume in
+        place when a query returns); excludes streams detached to another
+        owner.
         """
         return list(self._stream_order)
 
-    def shards(self) -> Dict[Tuple[str, GroupKey], StreamShard]:
-        """Live shards keyed by ``(stream_id, (window, duration))``."""
+    def shards(self) -> Dict[str, StreamShard]:
+        """Live shards keyed by stream id."""
         return dict(self._shards)
 
-    def shard_for(self, stream_id: str, group: Optional[GroupKey] = None) -> StreamShard:
-        """Return (creating if necessary) the shard of a stream and group.
-
-        ``group`` may be omitted when the workload has a single window group.
-        """
-        if group is None:
-            if len(self._groups) != 1:
-                raise ValueError(
-                    "the workload has several window groups; pass group="
-                    f"{self.group_keys}"
+    def _group_queries(self, groups: Iterable[GroupKey]) -> List[CNFQuery]:
+        """The queries of the given window groups, group by group; each
+        group must be one this router serves."""
+        queries: List[CNFQuery] = []
+        for group in groups:
+            members = self._groups.get(group)
+            if members is None:
+                raise CheckpointError(
+                    f"cannot adopt a shard serving window group {group}: this "
+                    f"router serves window groups {self.group_keys}"
                 )
-            group = self.group_keys[0]
-        elif group not in self._groups:
-            raise KeyError(f"no queries registered for window group {group}")
+            queries += members
+        return queries
+
+    def shard_for(self, stream_id: str) -> StreamShard:
+        """Return (creating if necessary) the shard of a stream."""
+        if not self._groups:
+            raise ValueError("no queries are registered on this router")
         if stream_id in self._detached:
             raise ValueError(
                 f"stream {stream_id!r} was detached from this router; a new "
                 "shard here would fork its state (adopt the checkpoint to "
                 "resume it)"
             )
-        shard = self._shards.get((stream_id, group))
+        shard = self._shards.get(stream_id)
         if shard is None:
-            window, duration = group
             shard = StreamShard(
-                ShardKey(stream_id=stream_id, window=window, duration=duration),
-                self._groups[group],
+                stream_id,
+                self._group_queries(self._groups),
                 method=self.method,
                 batch_size=self.batch_size,
                 watermark=self.watermark,
@@ -244,7 +232,7 @@ class StreamRouter:
                 restrict_labels=self.restrict_labels,
                 retain_matches=self.retain_matches,
             )
-            self._shards[(stream_id, group)] = shard
+            self._shards[stream_id] = shard
         self._stream_order.setdefault(stream_id, None)
         return shard
 
@@ -254,21 +242,20 @@ class StreamRouter:
     def register_query(self, query: CNFQuery) -> CNFQuery:
         """Register a query on a (possibly live) router.
 
-        A query whose ``(window, duration)`` pair starts a new window group
-        gets fresh shards lazily, per stream, on the next frame each stream
-        routes — its evaluation starts from the registration point.  A query
-        joining an existing group is threaded into every live shard of that
-        group (the shard engines rebuild their evaluator index and widen
-        their label projection mid-stream); see the session layer for the
-        warm-up watermark this implies.  Ids are never recycled: a query
-        arriving without one is assigned the smallest id no live *or
-        cancelled* query has used.
+        The query is threaded into every live shard.  A query joining an
+        existing window group widens that group's label projection
+        mid-stream; one that starts a new group starts it on a fresh
+        generator, from the next frame each stream's shard emits — its
+        evaluation starts from the registration point (see the session
+        layer for the warm-up watermark this implies).  Ids are never
+        recycled: a query arriving without one is assigned the smallest id
+        no live *or cancelled* query has used.
         """
         if self.enable_pruning:
             # Checked eagerly (not at lazy shard creation): the registration
             # call is the only sensible place for the caller to handle it.
             require_pruning_compatible(query)
-        used = {q.query_id for q in self.queries} | self._cancelled
+        used = self._used_ids
         if query.query_id is None:
             next_id = 0
             while next_id in used:
@@ -279,27 +266,24 @@ class StreamRouter:
                 f"query id {query.query_id} is already registered or "
                 "tombstoned on this router"
             )
-        group = (query.window, query.duration)
-        live_group = group in self._groups
+        used.add(query.query_id)
         self.queries.append(query)
-        self._groups.setdefault(group, []).append(query)
-        if live_group:
-            for (_, shard_group), shard in self._shards.items():
-                if shard_group == group:
-                    shard.register_query(query)
+        self._groups.setdefault((query.window, query.duration), []).append(query)
+        for shard in self._shards.values():
+            shard.register_query(query)
         return query
 
     def cancel_query(self, query_id: int) -> CNFQuery:
         """Cancel a registered query by id (tombstoning the id forever).
 
-        The query leaves every live shard of its group — evaluator postings
-        dropped, pruning and label projection re-derived from the survivors,
-        undrained matches of the query discarded.  When the cancellation
-        empties its window group, the group's shards are retired wholesale
-        (their window state is released; their ingest counters are frozen
-        into ``stats()["retired"]``) and any pending detached-stream
-        tombstones for the group are lifted — there is nothing left to
-        adopt.
+        The query leaves every live shard — evaluator postings dropped,
+        pruning and label projection re-derived from its group's survivors,
+        undrained matches of the query discarded; a window group it empties
+        leaves the shards' engines.  When the cancellation empties the
+        whole workload, the shards are retired (their window state is
+        released; their ingest counters are frozen into
+        ``stats()["retired"]``) and the detached-stream tombstones are
+        lifted — there is nothing left to adopt.
         """
         query = next(
             (q for q in self.queries if q.query_id == query_id), None
@@ -312,23 +296,19 @@ class StreamRouter:
         self._cancelled.add(query_id)
         if remaining:
             self._groups[group] = remaining
-            for (_, shard_group), shard in self._shards.items():
-                if shard_group == group:
-                    shard.cancel_query(query_id)
         else:
             del self._groups[group]
-            for key in [k for k in self._shards if k[1] == group]:
-                shard = self._shards.pop(key)
-                retired = self._retired_totals
-                retired["shards"] += 1
-                for field, value in self._freeze_ingest_stats(shard).items():
-                    retired[field] += value
-            for stream_id in list(self._detached):
-                pending = self._detached[stream_id]
-                if group in pending:
-                    pending.remove(group)
-                    if not pending:
-                        del self._detached[stream_id]
+        if self._groups:
+            for shard in self._shards.values():
+                shard.cancel_query(query_id)
+            return query
+        retired = self._retired_totals
+        for shard in self._shards.values():
+            retired["shards"] += 1
+            for field, value in self._freeze_ingest_stats(shard).items():
+                retired[field] += value
+        self._shards = {}
+        self._detached = {}
         return query
 
     @property
@@ -340,22 +320,19 @@ class StreamRouter:
     # Hand-off introspection (the worker pool's supported surface)
     # ------------------------------------------------------------------
     def has_live_shards(self, stream_id: str) -> bool:
-        """Whether any shard of the stream is currently live here."""
-        return any(key[0] == stream_id for key in self._shards)
+        """Whether the stream's shard is currently live here."""
+        return stream_id in self._shards
 
-    def detached_streams(self) -> Dict[str, List[GroupKey]]:
-        """Detached-stream tombstones: stream id → groups awaiting adoption
-        (a copy; reflects lifts performed by cancellations)."""
-        return {
-            stream_id: list(groups)
-            for stream_id, groups in self._detached.items()
-        }
+    def detached_streams(self) -> List[str]:
+        """Detached-stream tombstones: streams awaiting adoption (a copy;
+        reflects lifts performed by cancellations)."""
+        return list(self._detached)
 
-    def departed_slot_snapshots(self) -> Dict[Tuple[str, GroupKey], Dict]:
-        """Frozen per-slot counters of shards detached from this router."""
+    def departed_stream_snapshots(self) -> Dict[str, Dict]:
+        """Frozen per-stream counters of shards detached from this router."""
         return {
-            slot: dict(frozen)
-            for slot, frozen in self._departed_by_slot.items()
+            stream_id: dict(frozen)
+            for stream_id, frozen in self._departed_by_stream.items()
         }
 
     def fold_retired(self, totals: Mapping) -> None:
@@ -396,22 +373,18 @@ class StreamRouter:
     # Routing
     # ------------------------------------------------------------------
     def route(self, stream_id: str, frame: FrameObservation) -> List[QueryMatch]:
-        """Route one frame of one stream to all of its group shards.
+        """Route one frame of one stream to its shard.
 
-        Returns the matches produced by this call (across every group the
-        stream's queries fall into).
+        Returns the matches produced by this call (across every window
+        group of the stream's queries).
         """
-        matches: List[QueryMatch] = []
-        shards = self._shards
-        for group in self._groups:
-            # A live shard is found directly; ``shard_for`` runs on a miss
-            # only (a new stream or group, or a detached stream, which
-            # has no shards and raises there).
-            shard = shards.get((stream_id, group))
-            if shard is None:
-                shard = self.shard_for(stream_id, group)
-            matches.extend(shard.offer(frame))
-        return matches
+        shard = self._shards.get(stream_id)
+        if shard is None:
+            # A new stream, or a detached one (which raises there).
+            if not self._groups:
+                return []
+            shard = self.shard_for(stream_id)
+        return shard.offer(frame)
 
     def route_many(
         self, events: Iterable[Tuple[str, FrameObservation]]
@@ -430,36 +403,39 @@ class StreamRouter:
         return matches
 
     def matches_for(self, stream_id: str) -> List[QueryMatch]:
-        """A stream's matches across all its group shards, in the canonical
-        order of :func:`interleave_group_matches`."""
-        per_group: List[List[QueryMatch]] = []
-        for group in self._groups:
-            shard = self._shards.get((stream_id, group))
-            per_group.append(shard.matches if shard is not None else [])
-        return interleave_group_matches(per_group)
+        """A stream's retained matches in emission order: frame by frame,
+        and within a frame group by group in registration order."""
+        shard = self._shards.get(stream_id)
+        return shard.matches if shard is not None else []
 
     def drain_matches(self) -> Dict[str, List[QueryMatch]]:
         """Drain every shard's retained matches, grouped by stream.
 
-        Per-stream ordering follows :meth:`matches_for`.  Draining
-        periodically (or constructing the router with
-        ``retain_matches=False`` and consuming ``route``'s return values)
-        keeps long-running memory bounded by the windows alone.
+        Streams come in first-seen order, each stream's matches in the
+        order of :meth:`matches_for`.  Draining periodically (or
+        constructing the router with ``retain_matches=False`` and consuming
+        ``route``'s return values) keeps long-running memory bounded by the
+        windows alone.
         """
         drained: Dict[str, List[QueryMatch]] = {}
-        for stream_id in self.stream_ids():
-            matches = self.matches_for(stream_id)
-            if matches:
-                drained[stream_id] = matches
-        for shard in self._shards.values():
-            shard.drain_matches()
+        for stream_id in self._stream_order:
+            shard = self._shards.get(stream_id)
+            if shard is not None:
+                matches = shard.drain_matches()
+                if matches:
+                    drained[stream_id] = matches
         return drained
 
     # ------------------------------------------------------------------
     # Stats
     # ------------------------------------------------------------------
     def stats(self) -> Dict:
-        """Aggregate + per-shard ingest statistics (JSON-friendly)."""
+        """Aggregate + per-shard ingest statistics (JSON-friendly).
+
+        ``per_shard`` is keyed by stream id, in first-seen order; each entry
+        sums the work counters of the shard's generators (``generator``)
+        and of its window groups' evaluators (``evaluator``).
+        """
         per_shard = {}
         totals = {
             "frames_ingested": 0,
@@ -470,29 +446,22 @@ class StreamRouter:
             "processing_seconds": 0.0,
             "queue_depth": 0,
         }
-        # Canonical report order: stream first-seen order crossed with group
-        # registration order.  Shard *creation* order used to coincide with
-        # this, but live query registration can spin up a new group's shards
-        # mid-stream (creation epochs interleave); pinning the report to the
-        # canonical order keeps stats byte-comparable across architectures
-        # regardless of when each group joined.
-        for stream_id in self.stream_ids():
-            for group in self._groups:
-                shard = self._shards.get((stream_id, group))
-                if shard is None:
-                    continue
-                entry = shard.stats.as_dict()
-                entry["queue_depth"] = shard.queue_depth
-                entry["generator"] = shard.engine.generator.stats.as_dict()
-                entry["evaluator"] = shard.engine.evaluator.stats.as_dict()
-                per_shard[str(shard.key)] = entry
-                totals["frames_ingested"] += shard.stats.frames_ingested
-                totals["frames_processed"] += shard.stats.frames_processed
-                totals["dropped_late"] += shard.stats.dropped_late
-                totals["duplicates"] += shard.stats.duplicates
-                totals["reordered"] += shard.stats.reordered
-                totals["processing_seconds"] += shard.stats.processing_seconds
-                totals["queue_depth"] += shard.queue_depth
+        for stream_id in self._stream_order:
+            shard = self._shards.get(stream_id)
+            if shard is None:
+                continue
+            entry = shard.stats.as_dict()
+            entry["queue_depth"] = shard.queue_depth
+            entry["generator"] = shard.engine.generator_stats().as_dict()
+            entry["evaluator"] = shard.engine.evaluation_stats().as_dict()
+            per_shard[stream_id] = entry
+            totals["frames_ingested"] += shard.stats.frames_ingested
+            totals["frames_processed"] += shard.stats.frames_processed
+            totals["dropped_late"] += shard.stats.dropped_late
+            totals["duplicates"] += shard.stats.duplicates
+            totals["reordered"] += shard.stats.reordered
+            totals["processing_seconds"] += shard.stats.processing_seconds
+            totals["queue_depth"] += shard.queue_depth
         seconds = totals["processing_seconds"]
         totals["processing_seconds"] = round(seconds, 6)
         totals["frames_per_sec"] = (
@@ -503,7 +472,7 @@ class StreamRouter:
         retired = dict(self._retired_totals)
         retired["processing_seconds"] = round(retired["processing_seconds"], 6)
         return {
-            "streams": len(self.stream_ids()),
+            "streams": len(self._stream_order),
             "window_groups": len(self._groups),
             "shards": len(self._shards),
             "totals": totals,
@@ -512,8 +481,8 @@ class StreamRouter:
             #: counters now accrue on whoever adopted it (summing both views
             #: across routers would double-count).
             "departed": departed,
-            #: Counters of shards retired because their whole window group
-            #: was cancelled — frozen at retirement so history survives.
+            #: Counters of shards retired because every query was
+            #: cancelled — frozen at retirement so history survives.
             "retired": retired,
             "per_shard": per_shard,
         }
@@ -521,13 +490,6 @@ class StreamRouter:
     # ------------------------------------------------------------------
     # Checkpointing and hand-off
     # ------------------------------------------------------------------
-    def _detached_payload(self) -> List:
-        """The detached-stream tombstones in checkpoint layout."""
-        return [
-            [stream_id, [list(group) for group in groups]]
-            for stream_id, groups in self._detached.items()
-        ]
-
     def config_checkpoint(self, include_detached: bool = False) -> Dict:
         """The workload-only part of :meth:`checkpoint`: config and queries.
 
@@ -550,10 +512,10 @@ class StreamRouter:
             #: Live group order.  Usually reconstructible from the query
             #: list, but a partial cancellation can leave a group anchored
             #: at a position its first *remaining* query no longer implies —
-            #: and group order decides shard creation and match
-            #: interleaving, so it must survive restores exactly.
+            #: and group order decides match order within a frame, so it
+            #: must survive restores exactly.
             "group_order": [list(group) for group in self._groups],
-            "detached": self._detached_payload() if include_detached else [],
+            "detached": list(self._detached) if include_detached else [],
             "shards": [],
         }
 
@@ -566,12 +528,11 @@ class StreamRouter:
         document["departed_totals"] = dict(self._departed_totals)
         document["retired_totals"] = dict(self._retired_totals)
         #: Persistent first-seen order (may include currently shardless
-        #: streams whose groups were retired — see ``stream_ids``).
+        #: streams — see ``stream_ids``).
         document["stream_order"] = list(self._stream_order)
-        document["departed_slots"] = [
-            [stream_id, [window, duration], dict(frozen)]
-            for (stream_id, (window, duration)), frozen
-            in self._departed_by_slot.items()
+        document["departed_streams"] = [
+            [stream_id, dict(frozen)]
+            for stream_id, frozen in self._departed_by_stream.items()
         ]
         return document
 
@@ -585,8 +546,8 @@ class StreamRouter:
         """Rebuild a router (and all its shards) from a snapshot.
 
         Each query is parsed once, from ``queries``; every shard's engine
-        is built from its group's queries, which the shard entry must name
-        by id, in registration order.
+        is built from the router's queries of its window groups, which the
+        shard entry must name by id, in registration order.
         """
         router = cls(
             [CNFQuery.from_dict(q) for q in payload["queries"]],
@@ -598,6 +559,7 @@ class StreamRouter:
             retain_matches=bool(payload["retain_matches"]),
         )
         router._cancelled = {int(qid) for qid in payload["cancelled"]}
+        router._used_ids |= router._cancelled
         order = [(int(window), int(duration))
                  for window, duration in payload["group_order"]]
         if sorted(order) != sorted(router._groups):
@@ -607,12 +569,16 @@ class StreamRouter:
             )
         router._groups = {group: router._groups[group] for group in order}
         for entry in payload["shards"]:
-            key = ShardKey.from_payload(entry["key"])
-            router._adopt(entry, router._group_queries(key))
-        for stream_id, groups in payload["detached"]:
-            router._detached[str(stream_id)] = [
-                (int(window), int(duration)) for window, duration in groups
-            ]
+            groups = _entry_groups(entry)
+            if groups != order:
+                raise CheckpointError(
+                    f"router checkpoint shard {entry['stream_id']!r} serves "
+                    f"window groups {groups}, the router {order}"
+                )
+            router._adopt(entry, router._group_queries(groups))
+        router._detached = {
+            str(stream_id): None for stream_id in payload["detached"]
+        }
         if "stream_order" not in payload:
             # A :meth:`config_checkpoint` document: a workload, no history.
             return router
@@ -628,12 +594,10 @@ class StreamRouter:
         router._stream_order = stream_order
         router._departed_totals = _ingest_totals(payload["departed_totals"])
         router._retired_totals = _ingest_totals(payload["retired_totals"])
-        for stream_id, (window, duration), frozen in payload["departed_slots"]:
-            slot = (str(stream_id), (int(window), int(duration)))
-            router._departed_by_slot[slot] = {
-                key: float(value) if key == "processing_seconds" else int(value)
-                for key, value in frozen.items()
-            }
+        router._departed_by_stream = {
+            str(stream_id): _frozen_counters(frozen)
+            for stream_id, frozen in payload["departed_streams"]
+        }
         return router
 
     @classmethod
@@ -641,91 +605,104 @@ class StreamRouter:
         """Rebuild a router from canonical checkpoint bytes."""
         return cls.from_checkpoint(from_bytes(data, expect_kind="router"))
 
-    def detach(self, stream_id: str) -> List[Dict]:
-        """Checkpoint and remove every shard of one stream (a hand-off).
+    def detach(self, stream_id: str) -> Dict:
+        """Checkpoint and remove a stream's shard (a hand-off).
 
-        The returned snapshots can be :meth:`adopt`-ed by another router —
-        typically in another process — which resumes the stream exactly where
-        this one left off.  Retained (produced-but-not-yet-drained) matches
-        travel with the snapshot, so nothing is lost in the hand-off; matches
-        already consumed via :meth:`drain_matches` are not replayed.  The
-        removed shards' ingest counters freeze into the ``departed``
+        The returned snapshot can be :meth:`adopt`-ed by another router —
+        typically in another process — which resumes the stream exactly
+        where this one left off.  Retained (produced-but-not-yet-drained)
+        matches travel with the snapshot, so nothing is lost in the
+        hand-off; matches already consumed via :meth:`drain_matches` are not
+        replayed.  The shard's ingest counters freeze into the ``departed``
         accounting block, the stream leaves first-seen order, and a
-        detached-stream tombstone is laid so a stray frame routed here fails
-        loudly instead of forking state.
+        detached-stream tombstone is laid so a stray frame routed here
+        fails loudly instead of forking state.
         """
-        if not self.has_live_shards(stream_id):
-            raise KeyError(f"no shards for stream {stream_id!r}")
-        removed: List[Dict] = []
-        removed_groups: List[GroupKey] = []
-        for key in [k for k in self._shards if k[0] == stream_id]:
-            shard = self._shards.pop(key)
-            removed.append(shard.checkpoint())
-            removed_groups.append(key[1])
-            frozen = self._freeze_ingest_stats(shard)
-            self._departed_by_slot[(stream_id, key[1])] = frozen
-            departed = self._departed_totals
-            departed["shards"] += 1
-            for field, value in frozen.items():
-                departed[field] += value
+        shard = self._shards.pop(stream_id, None)
+        if shard is None:
+            raise KeyError(f"no shard for stream {stream_id!r}")
+        frozen = self._freeze_ingest_stats(shard)
+        self._departed_by_stream[stream_id] = frozen
+        departed = self._departed_totals
+        departed["shards"] += 1
+        for field, value in frozen.items():
+            departed[field] += value
         self._stream_order.pop(stream_id, None)
-        self._detached[stream_id] = removed_groups
-        return removed
+        self._detached[stream_id] = None
+        return shard.checkpoint()
 
     def adopt(self, shard_payload: Dict) -> StreamShard:
         """Restore a standalone shard document (:meth:`detach`,
         :meth:`StreamShard.checkpoint`) into this router.
 
-        The shard's window group must be one this router serves, the query
-        dicts the document carries must be exactly that group's (ids
-        included — otherwise the shard would keep answering a foreign
-        workload while ``queries`` and :meth:`matches_for` describe this
-        router's, e.g. a different query under the same id), and the
-        ``(stream, group)`` slot must be free.  The shard's engine is then
-        built from this router's own queries.
+        Every window group of the shard must be one this router serves,
+        with exactly that group's query dicts (ids included — otherwise the
+        shard would keep answering a foreign workload while ``queries`` and
+        :meth:`matches_for` describe this router's, e.g. a different query
+        under the same id), or one whose queries were all cancelled here
+        since, which the shard then drops with its undrained matches.  The
+        stream must have no live shard here.  The shard's engine is built
+        from this router's own queries; groups registered here since the
+        snapshot start on the stream as fresh groups do.
         """
         with reading("shard checkpoint"):
-            key = ShardKey.from_payload(shard_payload["key"])
-            queries = self._group_queries(key)
-            if shard_payload["queries"] != [q.to_dict() for q in queries]:
+            stream_id = str(shard_payload["stream_id"])
+            carried = list(shard_payload["queries"])
+            queries: List[CNFQuery] = []
+            cancelled: List[GroupKey] = []
+            at = 0
+            for block in shard_payload["engine"]["groups"]:
+                group = (int(block["window"]), int(block["duration"]))
+                dicts = carried[at:at + len(block["query_ids"])]
+                at += len(dicts)
+                members = self._groups.get(group)
+                if members is not None:
+                    if dicts != [query.to_dict() for query in members]:
+                        raise CheckpointError(
+                            f"cannot adopt shard {stream_id!r}: its queries do "
+                            f"not match this router's window group {group}"
+                        )
+                    queries += members
+                elif dicts and all(d["query_id"] in self._cancelled for d in dicts):
+                    queries += [CNFQuery.from_dict(d) for d in dicts]
+                    cancelled.append(group)
+                else:
+                    raise CheckpointError(
+                        f"cannot adopt shard {stream_id!r}: this router serves "
+                        f"window groups {self.group_keys}, not {group}"
+                    )
+            if at != len(carried) \
+                    or len(cancelled) == len(shard_payload["engine"]["groups"]):
                 raise CheckpointError(
-                    f"cannot adopt shard {key}: its queries do not match "
-                    f"this router's window group {key.group} workload"
+                    f"cannot adopt shard {stream_id!r}: its queries do not "
+                    "match this router's workload"
                 )
-        return self._adopt(shard_payload, queries)
-
-    def _group_queries(self, key: ShardKey) -> List[CNFQuery]:
-        """The queries of a shard's window group, which this router must
-        serve."""
-        queries = self._groups.get(key.group)
-        if queries is None:
-            raise CheckpointError(
-                f"cannot adopt shard {key}: this router serves window "
-                f"groups {self.group_keys}"
-            )
-        return queries
+        return self._adopt(shard_payload, queries, cancelled)
 
     def _adopt(
-        self, shard_payload: Dict, queries: Sequence[CNFQuery]
+        self, shard_payload: Dict, queries: Sequence[CNFQuery],
+        cancelled: Sequence[GroupKey] = (),
     ) -> StreamShard:
-        """The adopt core: build the shard from ``queries`` (its group's, as
-        the caller checked) and install it in its free slot."""
-        shard = StreamShard.from_entry(shard_payload, queries)
-        group = shard.key.group
-        slot = (shard.key.stream_id, group)
-        if slot in self._shards:
+        """The adopt core: build the shard from ``queries`` (its groups', as
+        the caller checked), drop the ``cancelled`` groups, start the
+        router's other groups on it and install it on its stream."""
+        stream_id = str(shard_payload["stream_id"])
+        if stream_id in self._shards:
             raise CheckpointError(
-                f"cannot adopt shard {shard.key}: slot already occupied"
+                f"cannot adopt shard {stream_id!r}: the stream already has one"
             )
-        self._shards[slot] = shard
-        self._stream_order.setdefault(shard.key.stream_id, None)
-        pending = self._detached.get(shard.key.stream_id)
-        if pending is not None:
-            if group in pending:
-                pending.remove(group)
-            if not pending:
-                del self._detached[shard.key.stream_id]
-        frozen = self._departed_by_slot.pop(slot, None)
+        shard = StreamShard.from_entry(shard_payload, queries)
+        for group in cancelled:
+            shard.remove_group(group)
+        engine = shard.engine
+        for group, members in self._groups.items():
+            if group not in engine.group_keys:
+                engine.add_group(group[0], group[1], members)
+        engine.order_groups(self._groups)
+        self._shards[stream_id] = shard
+        self._stream_order.setdefault(stream_id, None)
+        self._detached.pop(stream_id, None)
+        frozen = self._departed_by_stream.pop(stream_id, None)
         if frozen is not None:
             # The shard is back: its (still-running) counters count in
             # ``totals`` again, so reverse the frozen departed contribution.

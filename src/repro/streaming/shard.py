@@ -1,22 +1,26 @@
-"""A single streaming shard: one engine serving one (stream, window-group).
+"""A single streaming shard: one stream's reorder buffer and engine.
 
-A :class:`StreamShard` wraps a
-:class:`~repro.engine.engine.TemporalVideoQueryEngine` with the machinery a
-long-running feed needs and the bare engine does not have:
+A :class:`StreamShard` serves every window group of one stream.  It wraps
+a :class:`~repro.engine.engine.TemporalVideoQueryEngine`, which runs one
+MCOS generator per label projection at the largest window of its groups
+and answers each group from it (see :mod:`repro.engine.engine`), with the
+machinery a long-running feed needs and the bare engine does not have:
 
 * **batched ingest** — frames are buffered and handed to the engine in
   configurable batches, so the per-frame bookkeeping above the engine is
   amortised;
-* **late/out-of-order tolerance** — a reorder buffer holds frames until the
-  watermark passes.  A frame is released once frames ``watermark`` positions
-  ahead of it have been seen, so any frame delayed by at most ``watermark``
-  arrivals is slotted back into order; frames arriving after their slot was
-  emitted are counted and dropped (the engine's frame-order invariant is
-  never violated);
+* **late/out-of-order tolerance** — one reorder buffer per stream holds
+  frames until the watermark passes.  A frame is released once frames
+  ``watermark`` positions ahead of it have been seen, so any frame delayed
+  by at most ``watermark`` arrivals is slotted back into order; frames
+  arriving after their slot was emitted are counted and dropped (the
+  engine's frame-order invariant is never violated).  Every window group sees the same frames from the same
+  emission frontier, so a frame is dropped as late for all of them or for
+  none;
 * **per-shard stats** — frames/sec, queue depth, dropped-late/duplicate
   counts, batch counts;
 * **checkpoint/restore** — a versioned, self-contained snapshot (engine +
-  reorder buffer + counters + the group's queries) that a fresh process can
+  reorder buffer + counters + the stream's queries) that a fresh process can
   resume byte-identically (see :mod:`repro.streaming.checkpoint`); inside a
   router document the same entry names its queries by id.
 """
@@ -26,11 +30,11 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.datamodel.observation import FrameObservation
 from repro.engine.config import EngineConfig, MCOSMethod
-from repro.engine.engine import TemporalVideoQueryEngine
+from repro.engine.engine import GroupKey, TemporalVideoQueryEngine
 from repro.query.evaluator import QueryMatch, pack_matches, unpack_matches
 from repro.query.model import CNFQuery
 from repro.streaming.checkpoint import (
@@ -40,7 +44,7 @@ from repro.streaming.checkpoint import (
     to_bytes,
 )
 
-#: Optional per-batch ingest probe ``(shard_key: str, frames: int) -> None``,
+#: Optional per-batch ingest probe ``(stream_id: str, frames: int) -> None``,
 #: called as a batch enters the engine.  ``None`` (the default) keeps the
 #: hot path hook-free; the pool's fault-injection harness installs one
 #: inside worker processes to observe/perturb ingest (e.g. hang-in-ingest
@@ -48,30 +52,19 @@ from repro.streaming.checkpoint import (
 INGEST_PROBE = None
 
 
-@dataclass(frozen=True)
-class ShardKey:
-    """Identity of a shard: the stream it serves and its window group."""
+def group_queries_by_window(
+    queries: Iterable[CNFQuery],
+) -> Dict[GroupKey, List[CNFQuery]]:
+    """Partition queries into window groups, preserving registration order.
 
-    stream_id: str
-    window: int
-    duration: int
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "ShardKey":
-        """The key of a shard document's ``key`` block."""
-        return cls(
-            stream_id=str(payload["stream_id"]),
-            window=int(payload["window"]),
-            duration=int(payload["duration"]),
-        )
-
-    @property
-    def group(self) -> Tuple[int, int]:
-        """The ``(window, duration)`` group the shard's queries share."""
-        return (self.window, self.duration)
-
-    def __str__(self) -> str:
-        return f"{self.stream_id}/w{self.window}d{self.duration}"
+    Group order follows the first query of each group, and queries keep their
+    relative order within a group, so shard engines assign ids and report
+    matches deterministically.
+    """
+    groups: Dict[GroupKey, List[CNFQuery]] = {}
+    for query in queries:
+        groups.setdefault((query.window, query.duration), []).append(query)
+    return groups
 
 
 @dataclass
@@ -116,11 +109,13 @@ class ShardStats:
 
 
 class StreamShard:
-    """One engine instance serving one stream's frames for one window group."""
+    """One engine instance serving one stream's frames for every window
+    group of its queries (grouped by their ``(window, duration)``, in order
+    of first appearance)."""
 
     def __init__(
         self,
-        key: ShardKey,
+        stream_id: str,
         queries: Iterable[CNFQuery],
         method: MCOSMethod = MCOSMethod.SSG,
         batch_size: int = 8,
@@ -129,19 +124,12 @@ class StreamShard:
         restrict_labels: bool = True,
         retain_matches: bool = True,
     ):
-        queries = list(queries)
-        for query in queries:
-            if (query.window, query.duration) != key.group:
-                raise ValueError(
-                    f"query {query.name or query.query_id!r} has window group "
-                    f"({query.window}, {query.duration}), shard {key} expects "
-                    f"{key.group}"
-                )
+        groups = group_queries_by_window(queries)
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if watermark < 0:
             raise ValueError("watermark must be non-negative")
-        self.key = key
+        self.stream_id = stream_id
         self.batch_size = batch_size
         self.watermark = watermark
         #: Whether produced matches accumulate on the shard (for
@@ -152,11 +140,9 @@ class StreamShard:
         self.retain_matches = retain_matches
         self.stats = ShardStats()
         self.engine = TemporalVideoQueryEngine(
-            queries,
+            groups,
             EngineConfig(
                 method=method,
-                window_size=key.window,
-                duration=key.duration,
                 enable_pruning=enable_pruning,
                 restrict_labels=restrict_labels,
             ),
@@ -252,7 +238,7 @@ class StreamShard:
         """Hand the first ``count`` buffered frames to the engine, in order."""
         probe = INGEST_PROBE
         if probe is not None:
-            probe(str(self.key), count)
+            probe(self.stream_id, count)
         frames = self._pending[:count]
         del self._pending[:count]
         del self._pending_ids[:count]
@@ -260,7 +246,7 @@ class StreamShard:
         engine = self.engine
         produced: List[QueryMatch] = []
         start = time.perf_counter()
-        stream_id = self.key.stream_id
+        stream_id = self.stream_id
         for frame in frames:
             produced.extend(engine.process_frame(frame, stream_id))
         stats.processing_seconds += time.perf_counter() - start
@@ -277,14 +263,18 @@ class StreamShard:
     def register_query(self, query: CNFQuery) -> CNFQuery:
         """Add a query to the shard's engine mid-stream.
 
-        The query must belong to this shard's window group.  Frames still
-        held in the reorder buffer at this point will be evaluated against
-        the new query when they are processed; callers that need
-        registration to take effect exactly at the ingest frontier (the
-        session facade's contract) must :meth:`flush` first — the session
-        layer does, treating registration as a barrier.
+        A query of a window group the shard does not serve yet starts that
+        group (on a fresh generator, see :mod:`repro.engine.engine`).
+        Frames still held in the reorder buffer at this point will be
+        evaluated against the new query when they are processed; callers
+        that need registration to take effect exactly at the ingest
+        frontier (the session facade's contract) must :meth:`flush` first —
+        the session layer does, treating registration as a barrier.
         """
-        return self.engine.register_query(query)
+        engine = self.engine
+        if (query.window, query.duration) not in engine.group_keys:
+            return engine.add_group(query.window, query.duration, [query])[0]
+        return engine.register_query(query)
 
     def cancel_query(self, query_id: int) -> CNFQuery:
         """Remove a query from the shard's engine mid-stream.
@@ -292,8 +282,9 @@ class StreamShard:
         Produced-but-undrained matches of the cancelled query are discarded
         from the retention buffer — a cancelled query must not deliver
         results after the cancellation point; matches already drained are
-        the consumer's.  Cancelling the shard's last query is refused (the
-        router retires the whole shard instead).
+        the consumer's.  A window group losing its last query leaves the
+        engine; cancelling the shard's last query is refused (the router
+        retires the whole shard instead).
         """
         removed = self.engine.cancel_query(query_id)
         if self._matches:
@@ -302,13 +293,23 @@ class StreamShard:
             ]
         return removed
 
+    def remove_group(self, group: GroupKey) -> None:
+        """Stop serving a window group whose queries were all cancelled,
+        discarding their undrained matches (see :meth:`cancel_query`)."""
+        ids = {query.query_id for query in self.engine.evaluator_of(group).queries}
+        self.engine.remove_group(group)
+        if self._matches:
+            self._matches = [
+                match for match in self._matches if match.query_id not in ids
+            ]
+
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict:
         """Snapshot the shard as a standalone document: engine state,
         reorder buffer, counters, any retained (produced-but-not-yet-drained)
-        matches, and the group's queries.
+        matches, and the stream's queries.
 
         Matches already consumed through :meth:`drain_matches` (or delivered
         via ``offer``'s return value with ``retain_matches=False``) are gone
@@ -326,11 +327,7 @@ class StreamShard:
         router document, whose engine block names the queries by id (the
         router document holds them once for all its shards)."""
         return {
-            "key": {
-                "stream_id": self.key.stream_id,
-                "window": self.key.window,
-                "duration": self.key.duration,
-            },
+            "stream_id": self.stream_id,
             "batch_size": self.batch_size,
             "watermark": self.watermark,
             "retain_matches": self.retain_matches,
@@ -360,12 +357,12 @@ class StreamShard:
         cls, payload: Dict, queries: Sequence[CNFQuery]
     ) -> "StreamShard":
         """Rebuild a shard from a :meth:`checkpoint_entry` (or a standalone
-        document) and its group's queries.  The engine block's
-        ``query_ids`` must name exactly these queries, in order."""
+        document) and its queries.  Each window group of the engine block
+        must name exactly that group's queries by id, in order."""
         engine_payload = payload["engine"]
         config = engine_payload["config"]
         shard = cls(
-            ShardKey.from_payload(payload["key"]),
+            str(payload["stream_id"]),
             queries,
             method=MCOSMethod(config["method"]),
             batch_size=int(payload["batch_size"]),
@@ -416,6 +413,6 @@ class StreamShard:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
-            f"StreamShard({self.key}, queue={self.queue_depth}, "
+            f"StreamShard({self.stream_id}, queue={self.queue_depth}, "
             f"processed={self.stats.frames_processed})"
         )

@@ -1,7 +1,7 @@
 """Compact checkpoint codec: round-trips, versions, size, errors.
 
 The codec must be loss-free for every payload the runtime produces (every
-generator method, engines, shards, routers), read version 4 only and refuse
+generator method, engines, shards, routers), read version 5 only and refuse
 every other version by name, reject malformed, truncated or hostile bytes
 with :class:`CheckpointError`, and actually be compact — a hard
 size-regression bound against plain JSON of the same document on the
@@ -120,17 +120,17 @@ def varint(value: int) -> bytes:
 
 
 class TestVersions:
-    def test_only_version4_is_written_or_read(self):
-        assert ckpt.CHECKPOINT_VERSION == 4
-        assert ckpt.SUPPORTED_VERSIONS == (4,)
-        assert ckpt.MAGIC == b"RSCK4\x00"
-        assert ckpt.wrap("shard", {})["version"] == 4
+    def test_only_version5_is_written_or_read(self):
+        assert ckpt.CHECKPOINT_VERSION == 5
+        assert ckpt.SUPPORTED_VERSIONS == (5,)
+        assert ckpt.MAGIC == b"RSCK5\x00"
+        assert ckpt.wrap("shard", {})["version"] == 5
         blob = ckpt.to_bytes("shard", {})
         assert blob[:len(ckpt.MAGIC)] == ckpt.MAGIC
         with pytest.raises(TypeError):
             ckpt.to_bytes("shard", {}, version=3)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 6])
     def test_other_versions_are_refused_by_name(self, version):
         body = ckpt.to_bytes("shard", {"a": 1})[len(ckpt.MAGIC):]
         if version == 1:
@@ -153,12 +153,12 @@ class TestVersions:
         document = dict(ckpt.wrap("shard", {"a": 1}), version=3)
         blob = ckpt._encode_binary(document)
         assert blob[:len(ckpt.MAGIC)] == ckpt.MAGIC
-        with pytest.raises(CheckpointError, match="does not declare version 4"):
+        with pytest.raises(CheckpointError, match="does not declare version 5"):
             ckpt.from_bytes(blob)
 
 
 # ----------------------------------------------------------------------
-# Resuming from version-4 bytes
+# Resuming from version-5 bytes
 # ----------------------------------------------------------------------
 class TestResumeFromBytes:
     @pytest.mark.parametrize("generator_cls", INCREMENTAL_GENERATORS)
@@ -200,12 +200,14 @@ class TestResumeFromBytes:
         assert sorted(ids) == sorted(query.query_id for query in queries)
         assert len(set(ids)) == len(ids)
         for entry in document["shards"]:
-            group = (entry["key"]["window"], entry["key"]["duration"])
             assert "queries" not in entry["engine"]
-            assert entry["engine"]["query_ids"] == [
-                query["query_id"] for query in document["queries"]
-                if (query["window"], query["duration"]) == group
-            ], f"seed={seed} key={entry['key']}"
+            for block in entry["engine"]["groups"]:
+                group = (block["window"], block["duration"])
+                assert "queries" not in block
+                assert block["query_ids"] == [
+                    query["query_id"] for query in document["queries"]
+                    if (query["window"], query["duration"]) == group
+                ], f"seed={seed} stream={entry['stream_id']} group={group}"
         restored = StreamRouter.from_bytes(ckpt.to_bytes("router", document))
         assert restored.checkpoint() == document, f"seed={seed}"
         restored.route_many(events[60:])

@@ -22,7 +22,6 @@ from repro.streaming import (
     StreamShard,
 )
 from repro.streaming import checkpoint as ckpt
-from repro.streaming.shard import ShardKey
 
 from tests.conftest import (
     ALL_GENERATORS,
@@ -404,7 +403,7 @@ class TestShardRoundTrip:
             frames[start:start + jitter] = block
         cut = 50
         shard = StreamShard(
-            ShardKey("cam-a", 10, 5), small_workload,
+            "cam-a", small_workload,
             batch_size=6, watermark=jitter,
         )
         shard.offer_many(frames[:cut])
@@ -461,14 +460,13 @@ class TestCheckpointEnvelope:
         """Deeply-missing keys surface as CheckpointError, not raw KeyError."""
         from repro.engine import EngineConfig, MCOSMethod, TemporalVideoQueryEngine
         from repro.streaming import StreamShard
-        from repro.streaming.shard import ShardKey
-        shard = StreamShard(ShardKey("s", 10, 5), small_workload)
+        shard = StreamShard("s", small_workload)
         payload = shard.checkpoint()
         del payload["engine"]["labels"]
         with pytest.raises(CheckpointError):
             StreamShard.from_checkpoint(payload)
         payload2 = shard.checkpoint()
-        del payload2["engine"]["generator"]["interner"]
+        del payload2["engine"]["generators"][0]["interner"]
         with pytest.raises(CheckpointError):
             StreamShard.from_checkpoint(payload2)
 

@@ -170,9 +170,9 @@ class TestCrossBackendMatrix:
         shard = payload["state"]["shards"][0]
         payload["state"] = {
             "groups": [[8, 4, payload["state"]["queries"]]],
-            "streams": [shard["key"]["stream_id"]],
+            "streams": [shard["stream_id"]],
             "engines": [
-                [shard["key"]["stream_id"], [8, 4], shard["engine"], []],
+                [shard["stream_id"], [8, 4], shard["engine"], []],
             ],
         }
         with pytest.raises(CheckpointError):

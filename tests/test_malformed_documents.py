@@ -76,7 +76,7 @@ def test_router_document_mutations_raise_checkpoint_error_only():
     router = StreamRouter(queries, batch_size=3)
     router.route_many(events)
     document = router.checkpoint()
-    assert len(document["shards"]) == 4
+    assert len(document["shards"]) == 2  # one per stream
     StreamRouter.from_checkpoint(copy.deepcopy(document))  # the clean one
 
     found = escapes(document, StreamRouter.from_checkpoint)
@@ -103,3 +103,30 @@ def test_session_document_mutations_raise_checkpoint_error_only():
 
     found = escapes(document, restore)
     assert not found, f"{len(found)} raw errors, e.g. {found[:5]}"
+
+
+def test_a_generator_collecting_above_a_group_duration_is_refused():
+    """A group cut from a generator that collects satisfied states at a
+    higher duration than the group's would miss states: loading refuses
+    the document instead of failing at the next frame."""
+    from repro.datamodel import FrameObservation
+    from repro.query.parser import parse_query
+
+    router = StreamRouter([
+        parse_query("car >= 1", window=4, duration=2),
+        parse_query("car >= 1", window=5, duration=3),
+    ], batch_size=1)
+    for frame_id in range(6):
+        router.route("cam", FrameObservation(frame_id, {1: "car"}))
+    document = router.checkpoint()
+    (block,) = document["shards"][0]["engine"]["generators"]
+    assert (block["window_size"], block["collect_duration"]) == (5, 2)
+    StreamRouter.from_checkpoint(copy.deepcopy(document))  # the clean one
+
+    path = ("shards", 0, "engine", "generators", 0, "collect_duration")
+    try:
+        StreamRouter.from_checkpoint(mutated(document, path, 3))
+    except CheckpointError as exc:
+        assert "does not fit the window groups" in str(exc)
+    else:
+        raise AssertionError("a collect duration above (4, 2) restored")

@@ -123,13 +123,19 @@ class TestPackUnpack:
         router = StreamRouter(queries, batch_size=4)
         router.route_many(interleave_feeds(feeds))
         router.flush()
+        group_of = {q.query_id: (q.window, q.duration) for q in router.queries}
         result_states = {stream_id: 0 for stream_id in feeds}
-        for (stream_id, _), shard in router.shards().items():
+        for stream_id, shard in router.shards().items():
             matches = shard.matches
-            distinct = {(m.frame_id, m.object_ids, m.frame_ids) for m in matches}
+            # A result state is one group's: two groups answering the same
+            # object set evaluate it apart.
+            distinct = {
+                (m.frame_id, m.object_ids, m.frame_ids, group_of[m.query_id])
+                for m in matches
+            }
             assert len(pack_matches(matches)) == len(distinct)
             result_states[stream_id] += len(distinct)
-        # Interleaving a stream's window groups keeps each state's run whole.
+        # A frame's matches come group by group: each state's run is whole.
         drained = router.drain_matches()
         for stream_id, matches in drained.items():
             records = pack_matches(matches)

@@ -459,34 +459,32 @@ class TestPoolWithPriorHandOffs:
 
     def test_live_checkpoint_reflects_tombstones_lifted_by_cancellation(self):
         """checkpoint_router() must emit the origin's *live* detached
-        tombstones: a mid-pool group cancellation lifts the cancelled group
-        from a pre-pool tombstone's pending list, and a stale start-time
-        snapshot would leave the restored router refusing the stream
-        forever once its remaining shard is adopted back."""
+        tombstones, and a stream handed off before the pool adopts back into
+        the restored router after a mid-pool cancellation emptied one of
+        its window groups: the cancelled group is dropped, the tombstone
+        lifts and the stream routes."""
         seed = 25
         feeds, queries, events = scenario(seed)
         gone = sorted(feeds)[0]
         router = StreamRouter(queries, batch_size=5)
         router.route_many(events)
         router.flush()
-        handed_off = router.detach(gone)  # third party now owns both groups
+        handed_off = router.detach(gone)  # third party now owns the stream
         pool = ShardWorkerPool(router, num_workers=2, dispatch_batch=16)
         pool.start()
         try:
             # Cancel every query of the first window group while the pool
-            # is live; the origin lifts that group from `gone`'s tombstone.
+            # is live.
             doomed_group = GROUPS[0]
             for query in [q for q in queries
                           if (q.window, q.duration) == doomed_group]:
                 pool.cancel_query(query.query_id)
             restored = StreamRouter.from_checkpoint(pool.checkpoint_router())
-            # The third party returns the stream's surviving shard; the
-            # tombstone must lift completely and the stream must route.
-            for payload in handed_off:
-                group = (int(payload["key"]["window"]),
-                         int(payload["key"]["duration"]))
-                if group != doomed_group:
-                    restored.adopt(payload)
+            assert restored.detached_streams() == [gone]
+            # The third party returns the stream; its cancelled group is
+            # dropped, the tombstone lifts and the stream must route.
+            shard = restored.adopt(handed_off)
+            assert doomed_group not in shard.engine.group_keys
             frame = next(iter(feeds[gone].frames()))
             restored.route(gone, FrameObservation(10_000, dict(
                 (oid, frame.label_of(oid)) for oid in frame.object_ids

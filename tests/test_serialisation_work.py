@@ -9,6 +9,8 @@ per match:
   ``py_calls``) — a codec or exporter that walks one call per value reads in
   the hundreds;
 * a pool drain is counted in records shipped per result state;
+* a registration's duplicate check is counted in ``CNFQuery.__eq__``
+  calls, flat in the number of active queries;
 * a session checkpoint and restore are counted in
   :meth:`CNFQuery.to_dict` / :meth:`CNFQuery.from_dict` calls: a document
   holds each query once (the router's ``queries`` for an active query, its
@@ -28,6 +30,7 @@ from repro.datamodel import FrameObservation
 from repro.query.model import CNFQuery
 from repro.session import Session
 from repro.streaming import StreamRouter
+from repro.workloads.generator import random_cnf_workload
 from repro.workloads.streams import bench_scenario, interleave_feeds
 
 #: Python calls one checkpoint may make per live state.  Measured: 2.8 on
@@ -99,11 +102,13 @@ def test_pool_drain_ships_one_record_per_result_state():
     oracle = StreamRouter(queries, batch_size=4)
     oracle.route_many(events)
     oracle.flush()
+    group_of = {q.query_id: (q.window, q.duration) for q in oracle.queries}
     result_states = matches = 0
     for shard in oracle.shards().values():
         matches += len(shard.matches)
         result_states += len({
-            (m.frame_id, m.object_ids, m.frame_ids) for m in shard.matches
+            (m.frame_id, m.object_ids, m.frame_ids, group_of[m.query_id])
+            for m in shard.matches
         })
     assert 0 < result_states < matches
     with Session(backend="pool", method="SSG", batch_size=4, num_workers=2) as session:
@@ -204,3 +209,41 @@ def test_checkpoint_writes_and_restore_reads_each_query_once(
         )
         counts[num_streams] = (written, read)
     assert counts[1] == counts[3], "query serialisation grows with streams"
+
+
+def test_duplicate_detection_is_flat_in_the_active_workload(monkeypatch):
+    """``Session.register`` finds a duplicate with one dict lookup: its
+    ``CNFQuery.__eq__`` calls and its Python calls do not grow with the
+    number of active queries (a scan of the workload made one comparison
+    per active query)."""
+    queries = random_cnf_workload(
+        260, window=8, duration=4, max_disjunctions=3, seed=5
+    ).queries
+    equality = CNFQuery.__eq__
+    compared = []
+
+    def counted_eq(self, other):
+        compared.append(1)
+        return equality(self, other)
+
+    monkeypatch.setattr(CNFQuery, "__eq__", counted_eq)
+    distinct = list(dict.fromkeys(queries))
+    probe = distinct.pop()
+    per_size = {}
+    with Session(backend="router") as session:
+        fill = iter(distinct)
+        for size in (10, 200):
+            while len(session.queries) < size:
+                session.register(next(fill))
+            compared.clear()
+            calls = python_calls(
+                lambda: session.register(CNFQuery.from_dict(probe.to_dict()))
+            )
+            fresh_eq = len(compared)
+            compared.clear()
+            with pytest.raises(ValueError, match="duplicate registration"):
+                session.register(CNFQuery.from_dict(probe.to_dict()))
+            per_size[size] = (calls, fresh_eq, len(compared))
+            session.cancel(session.handles[-1])
+    assert per_size[10] == per_size[200], per_size
+    assert per_size[200][1] == 0 and per_size[200][2] == 1, per_size

@@ -18,7 +18,6 @@ from repro.datamodel import FrameObservation, VideoRelation
 from repro.engine import EngineConfig, MCOSMethod, TemporalVideoQueryEngine
 from repro.query.parser import parse_query
 from repro.streaming import CheckpointError, StreamRouter, StreamShard
-from repro.streaming.shard import ShardKey
 from repro.workloads.streams import interleave_feeds
 
 from tests.conftest import build_queries, labelled_stream
@@ -51,6 +50,13 @@ def multi_group_queries() -> List:
     )
 
 
+def group_matches(router: StreamRouter, stream_id: str, group) -> List:
+    """The matches of one window group's queries on a stream's shard, in
+    emission order."""
+    ids = {query.query_id for query in router.queries_of_group(group)}
+    return [m for m in router.shard_for(stream_id).matches if m.query_id in ids]
+
+
 class TestRouterEquivalence:
     @pytest.mark.parametrize("method", list(MCOSMethod))
     @pytest.mark.parametrize("seed", range(4))
@@ -71,7 +77,7 @@ class TestRouterEquivalence:
                     ),
                 )
                 expected = dedicated.run(relation).matches
-                actual = router.shard_for(stream_id, group).matches
+                actual = group_matches(router, stream_id, group)
                 assert actual == expected, (
                     f"seed={seed} method={method.value} stream={stream_id} "
                     f"group={group}: router diverged from the dedicated engine "
@@ -104,7 +110,7 @@ class TestRouterEquivalence:
                     EngineConfig(window_size=window, duration=duration),
                 )
                 expected = dedicated.run(relation).matches
-                actual = router.shard_for(stream_id, group).matches
+                actual = group_matches(router, stream_id, group)
                 assert actual == expected, (
                     f"seed={seed} stream={stream_id} group={group}: jittered "
                     "routing diverged from the in-order dedicated engine"
@@ -137,7 +143,7 @@ class TestRouterEquivalence:
                 router.queries_of_group((8, 4)),
                 EngineConfig(window_size=8, duration=4),
             )
-            assert router.shard_for(stream_id, (8, 4)).matches == \
+            assert router.shard_for(stream_id).matches == \
                 dedicated.run(relation).matches, f"seed={seed} stream={stream_id}"
 
     @pytest.mark.parametrize("seed", range(3))
@@ -169,11 +175,11 @@ class TestRouterEquivalence:
         router.flush()
         for stream_id in feeds:
             combined = router.matches_for(stream_id)
-            per_shard = sum(
-                len(router.shard_for(stream_id, group).matches)
+            per_group = sum(
+                len(group_matches(router, stream_id, group))
                 for group in router.group_keys
             )
-            assert len(combined) == per_shard
+            assert len(combined) == per_group
             assert [m.frame_id for m in combined] == sorted(
                 m.frame_id for m in combined
             )
@@ -187,7 +193,7 @@ class TestShardBehavior:
         return [FrameObservation(i, {1: "person"}) for i in ids]
 
     def test_batching_defers_processing(self):
-        shard = StreamShard(ShardKey("s", 6, 2), self.queries(), batch_size=4)
+        shard = StreamShard("s", self.queries(), batch_size=4)
         for frame in self.frames(range(3)):
             assert shard.offer(frame) == []
         assert shard.queue_depth == 3
@@ -199,7 +205,7 @@ class TestShardBehavior:
 
     def test_watermark_holds_frames_back(self):
         shard = StreamShard(
-            ShardKey("s", 6, 2), self.queries(), batch_size=1, watermark=2
+            "s", self.queries(), batch_size=1, watermark=2
         )
         shard.offer_many(self.frames([0, 1, 2]))
         # Only frame 0 has cleared the watermark (max_seen=2, watermark=2).
@@ -210,7 +216,7 @@ class TestShardBehavior:
 
     def test_out_of_order_within_watermark_reorders(self):
         shard = StreamShard(
-            ShardKey("s", 6, 2), self.queries(), batch_size=10, watermark=3
+            "s", self.queries(), batch_size=10, watermark=3
         )
         shard.offer_many(self.frames([1, 0, 3, 2]))
         shard.flush()
@@ -219,7 +225,7 @@ class TestShardBehavior:
         assert shard.stats.frames_processed == 4
 
     def test_late_frame_dropped_after_emission(self):
-        shard = StreamShard(ShardKey("s", 6, 2), self.queries(), batch_size=1)
+        shard = StreamShard("s", self.queries(), batch_size=1)
         shard.offer_many(self.frames([0, 1, 2]))
         assert shard.stats.frames_processed == 3
         shard.offer(self.frames([1])[0])  # slot already emitted: late
@@ -231,25 +237,27 @@ class TestShardBehavior:
 
     def test_duplicate_buffered_frame_dropped(self):
         shard = StreamShard(
-            ShardKey("s", 6, 2), self.queries(), batch_size=10, watermark=5
+            "s", self.queries(), batch_size=10, watermark=5
         )
         shard.offer_many(self.frames([0, 1, 1]))
         assert shard.stats.duplicates == 1
         shard.flush()
         assert shard.stats.frames_processed == 2
 
-    def test_window_group_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            StreamShard(
-                ShardKey("s", 10, 5),
-                build_queries(["person >= 1"], window=6, duration=2),
-            )
+    def test_shard_serves_every_window_group_of_its_queries(self):
+        shard = StreamShard(
+            "s",
+            build_queries(["person >= 1"], window=10, duration=5)
+            + build_queries(["person >= 1"], window=6, duration=2),
+        )
+        assert shard.engine.group_keys == [(10, 5), (6, 2)]
+        assert len(shard.engine.generators) == 1
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            StreamShard(ShardKey("s", 6, 2), self.queries(), batch_size=0)
+            StreamShard("s", self.queries(), batch_size=0)
         with pytest.raises(ValueError):
-            StreamShard(ShardKey("s", 6, 2), self.queries(), watermark=-1)
+            StreamShard("s", self.queries(), watermark=-1)
 
 
 class TestRouterTopology:
@@ -263,24 +271,22 @@ class TestRouterTopology:
         ids = [q.query_id for q in router.queries]
         assert ids == sorted(set(ids))
 
-    def test_shards_created_lazily_per_stream_and_group(self):
+    def test_shards_created_lazily_per_stream(self):
         router = StreamRouter(multi_group_queries())
         assert router.shards() == {}
         router.route("cam-a", FrameObservation(0, {1: "person"}))
-        assert sorted(k[0] for k in router.shards()) == ["cam-a", "cam-a"]
+        assert list(router.shards()) == ["cam-a"]
         router.route("cam-b", FrameObservation(0, {1: "person"}))
-        assert len(router.shards()) == 4
+        assert list(router.shards()) == ["cam-a", "cam-b"]
         assert router.stream_ids() == ["cam-a", "cam-b"]
 
-    def test_shard_for_single_group_shortcut(self):
-        router = StreamRouter(build_queries(["person >= 1"], window=6, duration=2))
+    def test_shard_for_serves_every_window_group(self):
+        router = StreamRouter(multi_group_queries())
         shard = router.shard_for("cam-a")
-        assert shard.key.group == (6, 2)
-        multi = StreamRouter(multi_group_queries())
+        assert shard.stream_id == "cam-a"
+        assert shard.engine.group_keys == [(8, 4), (12, 7)]
         with pytest.raises(ValueError):
-            multi.shard_for("cam-a")
-        with pytest.raises(KeyError):
-            multi.shard_for("cam-a", (99, 1))
+            StreamRouter([]).shard_for("cam-a")
 
     def test_empty_workload_starts_cold(self):
         """A router may start with no queries (live registration fills it):
@@ -304,14 +310,14 @@ class TestRouterTopology:
         )
         g1 = router.queries[0]
         frame = lambda fid: FrameObservation(fid, {1: "person", 2: "person"})
-        router.route("cam-A", frame(0))                      # (A, G1)
+        router.route("cam-A", frame(0))                      # A: G1
         g2 = router.register_query(
             parse_query("person >= 2", window=8, duration=2)
-        )
-        router.route("cam-B", frame(1))                      # (B, G1) + (B, G2)
-        router.route("cam-A", frame(1))                      # (A, G2)
+        )                                                    # A: G1 + G2
+        router.route("cam-B", frame(1))                      # B: G1 + G2
+        router.route("cam-A", frame(1))
         assert router.stream_ids() == ["cam-A", "cam-B"]
-        router.cancel_query(g1.query_id)                     # retires all G1 shards
+        router.cancel_query(g1.query_id)                     # G1 leaves both
         assert router.stream_ids() == ["cam-A", "cam-B"], (
             "group retirement reordered the streams"
         )
@@ -355,11 +361,10 @@ class TestRouterTopology:
 
         source = StreamRouter(queries, batch_size=4)
         source.route_many(events[:cut])
-        payloads = source.detach("cam-0")
-        assert all(k[0] != "cam-0" for k in source.shards())
+        payload = source.detach("cam-0")
+        assert "cam-0" not in source.shards()
         target = StreamRouter(queries, batch_size=4)
-        for payload in payloads:
-            target.adopt(payload)
+        target.adopt(payload)
         for stream_id, frame in events[cut:]:
             (target if stream_id == "cam-0" else source).route(stream_id, frame)
         source.flush()
@@ -368,20 +373,6 @@ class TestRouterTopology:
         # history is complete on the target.
         assert target.matches_for("cam-0") == control.matches_for("cam-0")
         assert source.matches_for("cam-1") == control.matches_for("cam-1")
-
-    def test_partial_adoption_keeps_the_tombstone(self):
-        """Multi-group streams: routing must stay blocked until every
-        detached group is adopted back, or the un-adopted groups would
-        restart with empty history."""
-        router = StreamRouter(multi_group_queries())
-        router.route("cam-a", FrameObservation(0, {1: "person"}))
-        payloads = router.detach("cam-a")
-        assert len(payloads) == 2  # two window groups
-        router.adopt(payloads[0])
-        with pytest.raises(ValueError, match="detached"):
-            router.route("cam-a", FrameObservation(1, {1: "person"}))
-        router.adopt(payloads[1])
-        router.route("cam-a", FrameObservation(1, {1: "person"}))
 
     def test_drained_matches_stay_with_their_consumer_across_handoff(self):
         """Consumed matches are not replayed; unconsumed ones are not lost."""
@@ -397,10 +388,9 @@ class TestRouterTopology:
         consumed = router.drain_matches().get("cam-0", [])
         router.route_many(events[cut:])
         router.flush()
-        payloads = router.detach("cam-0")
+        payload = router.detach("cam-0")
         target = StreamRouter(multi_group_queries(), batch_size=4)
-        for payload in payloads:
-            target.adopt(payload)
+        target.adopt(payload)
         # Only the undrained tail crossed the hand-off...
         unconsumed = target.matches_for("cam-0")
         assert consumed and unconsumed
@@ -417,7 +407,7 @@ class TestRouterTopology:
         stream into a fresh empty shard."""
         router = StreamRouter(multi_group_queries())
         router.route("cam-a", FrameObservation(0, {1: "person"}))
-        payloads = router.detach("cam-a")
+        payload = router.detach("cam-a")
         with pytest.raises(ValueError, match="detached"):
             router.route("cam-a", FrameObservation(1, {1: "person"}))
         # The tombstone survives a checkpoint/restore of the router...
@@ -425,8 +415,7 @@ class TestRouterTopology:
         with pytest.raises(ValueError, match="detached"):
             restored.route("cam-a", FrameObservation(1, {1: "person"}))
         # ...and adopting the stream back lifts it.
-        for payload in payloads:
-            router.adopt(payload)
+        router.adopt(payload)
         router.route("cam-a", FrameObservation(1, {1: "person"}))
 
     def test_drain_matches_bounds_retention(self):
@@ -459,7 +448,7 @@ class TestRouterTopology:
     def test_adopt_rejects_foreign_group_and_occupied_slot(self):
         donor = StreamRouter(build_queries(["person >= 1"], window=6, duration=2))
         donor.route("cam-a", FrameObservation(0, {1: "person"}))
-        payload = donor.detach("cam-a")[0]
+        payload = donor.detach("cam-a")
 
         foreign = StreamRouter(build_queries(["person >= 1"], window=9, duration=3))
         with pytest.raises(CheckpointError):
@@ -475,7 +464,7 @@ class TestRouterTopology:
         answering a foreign workload under this router's query ids."""
         donor = StreamRouter(build_queries(["car >= 1"], window=6, duration=2))
         donor.route("cam-a", FrameObservation(0, {1: "car"}))
-        payload = donor.detach("cam-a")[0]
+        payload = donor.detach("cam-a")
         other = StreamRouter(build_queries(["person >= 1"], window=6, duration=2))
         with pytest.raises(CheckpointError, match="do not match"):
             other.adopt(payload)
@@ -488,11 +477,11 @@ class TestRouterTopology:
         stats = router.stats()
         assert stats["streams"] == 2
         assert stats["window_groups"] == 2
-        assert stats["shards"] == 4
-        # Every frame goes to every group shard of its stream.
-        assert stats["totals"]["frames_ingested"] == 2 * 30 * 2
+        assert stats["shards"] == 2
+        # Every frame enters its stream's shard once, whatever the groups.
+        assert stats["totals"]["frames_ingested"] == 2 * 30
         assert stats["totals"]["queue_depth"] == 0
-        assert len(stats["per_shard"]) == 4
+        assert list(stats["per_shard"]) == ["cam-0", "cam-1"]
 
 
 class TestDepartedStats:
@@ -518,24 +507,14 @@ class TestDepartedStats:
         """Shard-level pin: every ingest counter rides the checkpoint."""
         router = self._jittered_router()
         stream_id = router.stream_ids()[0]
-        before = {
-            str(shard.key): shard.stats.as_dict()
-            for shard in router.shards().values()
-            if shard.key.stream_id == stream_id
-        }
-        assert any(
-            entry["dropped_late"] + entry["duplicates"] > 0
-            for entry in before.values()
-        ), "vacuous scenario: no late/duplicate drops produced"
-        payloads = router.detach(stream_id)
+        before = router.shards()[stream_id].stats.as_dict()
+        assert before["dropped_late"] + before["duplicates"] > 0, (
+            "vacuous scenario: no late/duplicate drops produced"
+        )
+        payload = router.detach(stream_id)
         twin = StreamRouter.from_checkpoint(router.config_checkpoint())
-        for payload in payloads:
-            twin.adopt(payload)
-        after = {
-            str(shard.key): shard.stats.as_dict()
-            for shard in twin.shards().values()
-        }
-        assert after == before
+        twin.adopt(payload)
+        assert twin.shards()[stream_id].stats.as_dict() == before
 
     def test_router_stats_report_departed_counters(self):
         router = self._jittered_router()
@@ -546,7 +525,7 @@ class TestDepartedStats:
         stats = router.stats()
         assert stats["totals"]["frames_ingested"] == 0  # live view is empty
         departed = stats["departed"]
-        assert departed["shards"] == 4  # 2 streams x 2 window groups
+        assert departed["shards"] == 2  # one per stream
         assert departed["batches"] > 0
         for key in ("frames_ingested", "frames_processed", "dropped_late",
                     "duplicates", "reordered"):
@@ -568,9 +547,7 @@ class TestDepartedStats:
         router = self._jittered_router()
         baseline = router.stats()
         for stream_id in list(router.stream_ids()):
-            payloads = router.detach(stream_id)
-            for payload in payloads:
-                router.adopt(payload)
+            router.adopt(router.detach(stream_id))
         after = router.stats()
         assert after["departed"] == baseline["departed"]
         assert after["departed"]["shards"] == 0
@@ -583,44 +560,42 @@ class TestDepartedStats:
 
         assert counters(after["totals"]) == counters(baseline["totals"])
 
-    def test_partial_adopt_back_reverses_only_that_shard(self):
+    def test_adopt_back_reverses_only_that_stream(self):
         router = self._jittered_router()
-        stream_id = router.stream_ids()[0]
-        payloads = router.detach(stream_id)
+        first, second = router.stream_ids()
+        payload = router.detach(first)
+        router.detach(second)
         full = dict(router.stats()["departed"])
-        router.adopt(payloads[0])
+        router.adopt(payload)
         partial = router.stats()["departed"]
         assert partial["shards"] == full["shards"] - 1
         assert partial["frames_ingested"] < full["frames_ingested"]
-        router.adopt(payloads[1])
-        assert router.stats()["departed"]["shards"] == 0
 
-    def test_departed_slots_survive_the_checkpoint(self):
-        """The per-slot frozen counters must round-trip so a restored router
-        still reverses departed accounting on a later adopt-back."""
+    def test_departed_streams_survive_the_checkpoint(self):
+        """The per-stream frozen counters must round-trip so a restored
+        router still reverses departed accounting on a later adopt-back."""
         router = self._jittered_router()
         stream_id = router.stream_ids()[0]
-        payloads = router.detach(stream_id)
+        payload = router.detach(stream_id)
         restored = StreamRouter.from_bytes(router.to_bytes())
         assert restored.to_bytes() == router.to_bytes()
-        for payload in payloads:
-            restored.adopt(payload)
+        restored.adopt(payload)
         assert restored.stats()["departed"]["shards"] == 0
         assert restored.stats()["departed"]["frames_ingested"] == 0
 
 
 class TestQueryIdGuards:
     """A router document holds each query once; shard entries name theirs
-    by id, and restore refuses an entry naming anything but its group's ids
-    in registration order."""
+    by id, group by group, and restore refuses a group naming anything but
+    its ids in registration order."""
 
     def _document(self) -> Dict:
         router = StreamRouter(multi_group_queries(), batch_size=4)
         router.route_many(interleaved(make_feeds(6, num_feeds=2, num_frames=20), 6))
         document = router.checkpoint()
         assert "queries" not in document["shards"][0]
-        assert [e["engine"]["query_ids"] for e in document["shards"][:2]] == \
-            [[0, 1, 2], [3, 4]]
+        assert [g["query_ids"] for g in document["shards"][0]["engine"]["groups"]] \
+            == [[0, 1, 2], [3, 4]]
         return document
 
     @pytest.mark.parametrize("damage", [
@@ -632,19 +607,20 @@ class TestQueryIdGuards:
     def test_shard_entry_must_name_its_groups_ids_in_order(self, damage):
         document = self._document()
         StreamRouter.from_checkpoint(document)
-        damage(document["shards"][0]["engine"]["query_ids"])
+        damage(document["shards"][0]["engine"]["groups"][0]["query_ids"])
         with pytest.raises(CheckpointError):
             StreamRouter.from_checkpoint(document)
 
     def test_standalone_shard_carries_its_groups_queries_once(self):
         router = StreamRouter(multi_group_queries(), batch_size=4)
         router.route_many(interleaved(make_feeds(7, num_feeds=1, num_frames=20), 7))
-        (payload, other) = router.detach("cam-0")
-        assert [q["query_id"] for q in payload["queries"]] == \
-            payload["engine"]["query_ids"] == [0, 1, 2]
+        payload = router.detach("cam-0")
+        assert [q["query_id"] for q in payload["queries"]] == [
+            qid for group in payload["engine"]["groups"]
+            for qid in group["query_ids"]
+        ] == [0, 1, 2, 3, 4]
         assert StreamShard.from_checkpoint(payload).checkpoint() == payload
         router.adopt(payload)
-        router.adopt(other)
 
     def test_foreign_router_with_another_query_under_the_same_id_refused(self):
         """Same window group, same ids, one query differs: the ids alone
@@ -652,12 +628,12 @@ class TestQueryIdGuards:
         texts = ["person >= 1", "car >= 1 AND person >= 1"]
         donor = StreamRouter(build_queries(texts, window=8, duration=4))
         donor.route("cam-a", FrameObservation(0, {1: "person"}))
-        payload = donor.detach("cam-a")[0]
+        payload = donor.detach("cam-a")
         foreign = StreamRouter(
             build_queries(texts[:1] + ["car >= 2"], window=8, duration=4)
         )
         assert [q.query_id for q in foreign.queries] == \
-            payload["engine"]["query_ids"]
+            payload["engine"]["groups"][0]["query_ids"]
         with pytest.raises(CheckpointError, match="do not match"):
             foreign.adopt(payload)
         twin = StreamRouter(build_queries(texts, window=8, duration=4))
