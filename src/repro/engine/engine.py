@@ -211,10 +211,6 @@ class TemporalVideoQueryEngine:
         engine)."""
         return next(iter(self._groups.values())).evaluator
 
-    def evaluator_of(self, group: GroupKey) -> QueryEvaluator:
-        """The evaluator of one window group."""
-        return self._groups[group].evaluator
-
     @property
     def group_keys(self) -> List[GroupKey]:
         """The window groups served, in registration order."""
@@ -289,17 +285,6 @@ class TemporalVideoQueryEngine:
         else:
             self._sources.remove(source)
         self._prune_labels_every = 4 * max(w for w, _ in self._groups)
-
-    def order_groups(self, order: Iterable[GroupKey]) -> None:
-        """Put the window groups (and so each frame's matches) in ``order``,
-        which must list every group."""
-        order = list(order)
-        if sorted(order) != sorted(self._groups):
-            raise ValueError(
-                f"group order {order} does not list the engine's groups "
-                f"{self.group_keys}"
-            )
-        self._groups = {key: self._groups[key] for key in order}
 
     def register_query(self, query: CNFQuery) -> CNFQuery:
         """Add a query to one of the engine's window groups mid-stream.
@@ -654,7 +639,7 @@ class TemporalVideoQueryEngine:
         """The :meth:`checkpoint` snapshot as compact checkpoint bytes.
 
         This is the byte-level hand-off form: self-contained (config and
-        queries included), canonical, and written as checkpoint version 5,
+        queries included), canonical, and written as checkpoint version 6,
         the only version :meth:`import_state` and :meth:`from_state` read.
         """
         # Lazy import: the streaming package imports this module, so a

@@ -40,7 +40,6 @@ SERIALIZER_FUNCTIONS: Tuple[str, ...] = (
     "to_record",
     "to_bytes",
     "checkpoint",
-    "config_checkpoint",
     "checkpoint_router",
     "stats",
     "usage",

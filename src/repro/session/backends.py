@@ -157,8 +157,8 @@ class PoolBackend(Backend):
     """The multiprocess shard worker pool behind the session API.
 
     The pool starts eagerly (workers spawn on construction) and stops
-    gracefully on :meth:`close`, adopting all state back into its origin
-    router.  Checkpoints are taken live through
+    gracefully on :meth:`close`, merging the workers' final checkpoints
+    into one router.  Checkpoints are taken live through
     :meth:`ShardWorkerPool.checkpoint_router` — the pool keeps serving.
     """
 
@@ -241,8 +241,8 @@ class PoolBackend(Backend):
     def close(self) -> None:
         """Release worker processes, whatever state the pool is in.
 
-        A healthy pool stops gracefully (state adopted back into the
-        origin router); a degraded pool cannot — its parked journal has no
+        A healthy pool stops gracefully (the workers' final checkpoints
+        merge into one router); a degraded pool cannot — its parked journal has no
         process to replay into — so it is terminated; and any failure
         during the graceful path falls back to termination too.  Close
         never raises and never leaks a worker process.

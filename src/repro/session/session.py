@@ -964,7 +964,7 @@ class Session:
         :meth:`QueryHandle.matches` keeps working on a closed session and
         every ingested frame was evaluated, whatever the batching.  Then
         the backend releases its resources (a pool stops gracefully,
-        adopting worker state back before its processes exit).
+        taking each worker's final checkpoint before its process exits).
 
         Close **never raises**, whatever state the backend is in: on a
         broken or degraded pool it drains what is drainable, records the

@@ -9,14 +9,14 @@ every window group of the stream from one generator per label projection.
 Shards ingest in batches, tolerate late/out-of-order frames up to a
 watermark, expose ingest statistics, and snapshot/restore their full state
 through the versioned checkpoint format of
-:mod:`repro.streaming.checkpoint` (compact binary version 5, the only
+:mod:`repro.streaming.checkpoint` (compact binary version 6, the only
 version written or read).
 
 A :class:`~repro.streaming.pool.ShardWorkerPool` moves the shards into
-``multiprocessing`` workers — shipped as checkpoint bytes, fed batched
-frames over queues, periodically snapshotted, and restored-plus-replayed
-when a worker crashes — while producing results byte-identical to the
-in-process router.  A supervision layer
+``multiprocessing`` workers — each started from its slice of one router
+checkpoint, fed batched frames over queues, periodically snapshotted, and
+respawned-plus-replayed when it crashes — while producing results
+byte-identical to the in-process router.  A supervision layer
 (:mod:`repro.streaming.supervision`) watches the workers — heartbeats, a
 hung-worker watchdog, jittered-backoff restarts, poison-operation
 quarantine, and a degraded mode that parks an irrecoverable worker's

@@ -4,25 +4,27 @@ A checkpoint wraps one component snapshot::
 
     {
       "format": "repro-streaming-checkpoint",
-      "version": 5,
-      "kind": "shard" | "router" | "engine" | "generator" | "session",
+      "version": 6,
+      "kind": "router" | "engine" | "generator" | "session",
       "payload": { ... }
     }
 
 The payload is produced by the component's own ``checkpoint()`` /
-``export_checkpoint()`` method (shards and routers here; engines in
+``export_checkpoint()`` method (routers here; engines in
 :mod:`repro.engine.engine`; generators in :mod:`repro.core.base`).
 
-**Version 5 is the only version written and the only one read.**  Any
-other version — the version-1 JSON form, the version-2 to version-4
+**Version 6 is the only version written and the only one read.**  Any
+other version — the version-1 JSON form, the version-2 to version-5
 binary forms, or a future one — is refused with a
-:class:`CheckpointError` that names it.  Version 5 has the version-4
-encoding and a new layout: shards are per stream (see below).
+:class:`CheckpointError` that names it.  Version 6 has the version-4
+encoding; its layout is version 5's (one shard per stream) without the
+standalone shard document and without the router document's
+``detached``, ``departed_totals`` and ``departed_streams`` keys.
 
   ============  =====================================================
   section       contents
   ============  =====================================================
-  magic         ``b"RSCK5\\x00"``
+  magic         ``b"RSCK6\\x00"``
   body          zlib-compressed stream of:
   · strings     interned string table (varint count, then varint
                 length + UTF-8 bytes per string, first-use order)
@@ -70,9 +72,7 @@ queries by id:
 * a **session** document's registry names each active handle by
   ``query_id``, resolved against the restored router; a cancelled handle
   keeps its full ``query`` dict, because no router holds it any more;
-* standalone **shard** documents (detach, the pool's hand-offs)
-  carry their stream's ``queries`` once, beside the same id-only engine
-  block, and **engine** documents stay self-contained with one copy.
+* **engine** documents stay self-contained with one copy.
 
 An engine block lists its window groups (``groups``: window, duration,
 queries, id floor, and the position of the generator the group reads) and
@@ -115,13 +115,13 @@ PathLike = Union[str, Path]
 CHECKPOINT_FORMAT = "repro-streaming-checkpoint"
 
 #: The version :func:`to_bytes` writes.
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 #: Every version :func:`from_bytes` reads.
 SUPPORTED_VERSIONS = (CHECKPOINT_VERSION,)
 
 #: Magic prefix of the written encoding.
-MAGIC = b"RSCK5\x00"
+MAGIC = b"RSCK6\x00"
 
 #: Any version's magic: ``RSCK``, the version number, a NUL byte.
 _ANY_MAGIC = re.compile(rb"RSCK(\d+)\x00")
@@ -137,7 +137,7 @@ _MALFORMED_ERRORS = (
 MAX_DECOMPRESSED_BYTES = 1 << 28
 
 #: Component kinds a checkpoint may wrap.
-KNOWN_KINDS = ("shard", "router", "engine", "generator", "session")
+KNOWN_KINDS = ("router", "engine", "generator", "session")
 
 #: Value tags of the binary tree encoding.
 _T_NONE, _T_FALSE, _T_TRUE, _T_INT, _T_FLOAT = 0, 1, 2, 3, 4
@@ -552,7 +552,7 @@ def _decode_binary(data: bytes) -> Dict:
 # Public byte-level API
 # ----------------------------------------------------------------------
 def to_bytes(kind: str, payload: Dict) -> bytes:
-    """Serialise a snapshot to canonical version-5 checkpoint bytes.
+    """Serialise a snapshot to canonical version-6 checkpoint bytes.
 
     Insertion order *is* part of the state (see the module docstring), so
     the bytes are a pure function of the component state.
@@ -561,7 +561,7 @@ def to_bytes(kind: str, payload: Dict) -> bytes:
 
 
 def from_bytes(data: bytes, expect_kind: Optional[str] = None) -> Dict:
-    """Parse version-5 checkpoint bytes into the inner payload."""
+    """Parse version-6 checkpoint bytes into the inner payload."""
     if not isinstance(data, (bytes, bytearray)):
         raise CheckpointError(
             f"checkpoint must be bytes, got {type(data).__name__}"

@@ -4,12 +4,13 @@ A :class:`ShardWorkerPool` takes the shards of a
 :class:`~repro.streaming.router.StreamRouter` out of the driving process and
 spreads them over ``multiprocessing`` workers:
 
-* **hand-off via checkpoints** — :meth:`start` detaches every live stream
-  from the origin router and ships each shard to its worker as versioned
-  checkpoint bytes (:mod:`repro.streaming.checkpoint`);
-  every worker runs an ordinary in-process router built from the origin's
-  :meth:`~repro.streaming.router.StreamRouter.config_checkpoint`, so worker
-  behaviour is *the* single-process behaviour, stream by stream;
+* **hand-off via one checkpoint** — :meth:`start` takes one
+  :meth:`~repro.streaming.router.StreamRouter.checkpoint` document of the
+  origin router and splits its shards by placement; each worker process
+  starts from its slice, as versioned checkpoint bytes
+  (:mod:`repro.streaming.checkpoint`), and runs an ordinary in-process
+  router, so worker behaviour is *the* single-process behaviour, stream by
+  stream;
 * **batched dispatch over queues** — frames are buffered per worker and
   dispatched in batches; each stream is owned by exactly one worker, so
   per-stream frame order is preserved and results are independent of the
@@ -19,16 +20,17 @@ spreads them over ``multiprocessing`` workers:
   ``k mod num_workers`` for the pool's whole life.  The layout is derived,
   never persisted: a pool checkpoint is a plain router document, and a
   pool restored with any worker count re-derives it;
-* **crash recovery** — the parent keeps, per worker, the last periodic
-  checkpoint it received plus the log of state-changing operations sent
-  after it (the *unacked tail*).  When a worker dies (e.g. SIGKILL), a fresh
-  process is spawned, restored from the checkpoint, and the tail is replayed
-  in order.  Workers are deterministic functions of their operation log, so
-  a recovered worker produces exactly the matches the dead one would have;
-  duplicate acknowledgements from replay are discarded by sequence number;
-* **graceful shutdown** — :meth:`stop` checkpoints every worker and adopts
-  all shards back into the origin router, which resumes exactly where the
-  pool left off (detach tombstones lift);
+* **crash recovery** — the parent keeps, per worker, a recovery base (the
+  worker's start slice, then the last periodic checkpoint it received)
+  plus the log of state-changing operations sent after it (the *unacked
+  tail*).  When a worker dies (e.g. SIGKILL), a fresh process is spawned
+  from the recovery base and the tail is replayed in order.  Workers are
+  deterministic functions of their operation log, so a recovered worker
+  produces exactly the matches the dead one would have; duplicate
+  acknowledgements from replay are discarded by sequence number;
+* **graceful shutdown** — :meth:`stop` merges every worker's final
+  checkpoint into one router document and returns the router restored from
+  it, which resumes exactly where the pool left off;
 * **supervision** — workers heartbeat on their result queues (sequence
   number, current operation, frames since the last beat) and a parent-side
   :class:`~repro.streaming.supervision.Supervisor` watchdog classifies
@@ -72,7 +74,7 @@ from repro.query.evaluator import QueryMatch, pack_matches, unpack_matches
 from repro.query.model import CNFQuery
 from repro.streaming.checkpoint import from_bytes, to_bytes
 from repro.streaming.faultinject import InjectedFault, load_injector
-from repro.streaming.router import StreamRouter, standalone_shards
+from repro.streaming.router import StreamRouter, zero_ingest_totals
 from repro.streaming.supervision import SupervisionConfig, Supervisor
 
 #: Sentinel stored as the "ack" of a read-only query lost to a worker crash.
@@ -195,10 +197,6 @@ def _reap_process(process, timeout: float = 5.0) -> Optional[int]:
 def _apply_op(router: StreamRouter, op: Tuple):
     """Apply one state-changing operation to the worker's local router."""
     kind = op[0]
-    if kind == "adopt":
-        for blob in op[1]:
-            router.adopt(from_bytes(blob, expect_kind="shard"))
-        return None
     if kind == "frames":
         for stream_id, record in op[1]:
             router.route(stream_id, FrameObservation.from_record(record))
@@ -239,14 +237,15 @@ def _worker_main(
     index: int,
     tasks,
     results,
-    config_blob: bytes,
+    checkpoint: bytes,
     heartbeat_interval: float = 0.5,
 ) -> None:
     """Worker loop: fold the parent's operation stream into a local router.
 
-    State-changing operations and read-only queries are acknowledged with
-    their sequence number; ``restore`` replaces the whole router (crash
-    recovery) and ``stop`` answers with a final checkpoint and exits.
+    The router starts from ``checkpoint`` (the worker's start slice, or
+    after a crash its last periodic checkpoint).  State-changing operations
+    and read-only queries are acknowledged with their sequence number;
+    ``stop`` answers with a final checkpoint and exits.
     Checkpoints are only ever taken between messages, which is the
     between-frames boundary the shard checkpoint contract requires.
 
@@ -261,7 +260,7 @@ def _worker_main(
     """
     injector = load_injector(index)
     try:
-        router = StreamRouter.from_bytes(config_blob)
+        router = StreamRouter.from_bytes(checkpoint)
         frames_since = 0
         while True:
             try:
@@ -299,8 +298,6 @@ def _worker_main(
                     results.put(("nack", index, seq, str(fault)))
                 else:
                     results.put(("ack", index, seq, payload))
-            elif kind == "restore":
-                router = StreamRouter.from_bytes(message[1])
             elif kind == "stop":
                 results.put(("stopped", index, router.to_bytes()))
                 return
@@ -336,7 +333,8 @@ class _WorkerHandle:
         #: Unacked tail: ``(seq, op)`` of state-changing operations not yet
         #: covered by a received checkpoint.
         self.log: List[Tuple[int, Tuple]] = []
-        #: Latest router checkpoint received from this worker.
+        #: Recovery base: the worker's start slice until its first
+        #: periodic checkpoint arrives, then the latest one.
         self.last_checkpoint: Optional[bytes] = None
         #: Sequence of the outstanding periodic checkpoint request, if any.
         self.pending_ckpt_seq: Optional[int] = None
@@ -392,10 +390,11 @@ class ShardWorkerPool:
     Parameters
     ----------
     router:
-        The origin :class:`StreamRouter`.  Its live shards are detached on
-        :meth:`start` and adopted back on :meth:`stop`; it must retain
-        matches (``retain_matches=True``), since the pool delivers matches
-        through :meth:`drain_matches` / :meth:`matches_for`.
+        The origin :class:`StreamRouter`.  :meth:`start` hands its shards
+        to the workers (it keeps the workload and refuses frames from then
+        on); :meth:`stop` returns a new router holding them again.  It must
+        retain matches (``retain_matches=True``), since the pool delivers
+        matches through :meth:`drain_matches` / :meth:`matches_for`.
     num_workers:
         Worker process count.  The k-th stream in first-seen order lives
         on worker ``k mod num_workers``; results are identical for any
@@ -476,22 +475,6 @@ class ShardWorkerPool:
         #: The terminal failure that broke the pool, chained into every
         #: subsequent PoolError so the cause is never discarded.
         self._failure: Optional[PoolError] = None
-        #: The origin router's ``departed`` block at start() time: streams
-        #: it had already handed to *other* owners.  Shards shipped to this
-        #: pool's own workers are excluded (they are being served, not
-        #: departed), so :meth:`stats` mirrors an uninterrupted router.
-        self._origin_departed: Optional[Dict] = None
-        #: The origin router's ``retired`` block at start() time (shards
-        #: retired by pre-pool query-group cancellations).
-        self._origin_retired: Optional[Dict] = None
-        #: Pre-pool frozen departed streams, snapshotted at start(): hand-offs
-        #: that belong to *other* owners and therefore survive into a live
-        #: merged checkpoint (:meth:`checkpoint_router`), unlike our own
-        #: detaches.  (Detached-stream tombstones are *not* snapshotted —
-        #: the origin router's live ``_detached`` stays authoritative, e.g.
-        #: a mid-pool cancellation of every query lifts them there.)
-        self._origin_departed_streams: Dict = {}
-        self._config_blob: Optional[bytes] = None
         self._started = False
         self._stopped = False
         self._broken = False
@@ -595,46 +578,52 @@ class ShardWorkerPool:
         return [worker.process.pid for worker in self._workers]
 
     def start(self) -> "ShardWorkerPool":
-        """Detach the origin router's shards and ship them to fresh workers."""
+        """Hand the origin router's shards to fresh workers.
+
+        One :meth:`~repro.streaming.router.StreamRouter.checkpoint` document
+        is split by placement, and each worker is spawned from its slice:
+        its streams' shards and zeroed retired counters (the origin's
+        pre-pool block is counted once, when documents merge).  No
+        operation is dispatched.  The origin then holds no shards; it keeps
+        the workload and refuses frames.
+        """
         if self._started:
             raise PoolError("the pool is already started")
         if self._stopped or self._broken:
             raise PoolError("a stopped or broken pool cannot be restarted")
-        router = self.router
-        # Streams the origin had already detached belong to someone else;
-        # their tombstones travel to every worker so a routing mistake fails
-        # there exactly as it would have failed on the origin router.
-        config = router.config_checkpoint(include_detached=True)
-        self._config_blob = to_bytes("router", config)
-        # Snapshot pre-existing hand-offs before our own detaches land.
-        origin_stats = router.stats()
-        self._origin_departed = dict(origin_stats["departed"])
-        self._origin_retired = dict(origin_stats["retired"])
-        self._origin_departed_streams = router.departed_stream_snapshots()
+        document = self.router.checkpoint()
+        for stream_id in document["stream_order"]:
+            self._assign(stream_id)
         self._workers = [_WorkerHandle(index) for index in range(self.num_workers)]
-        for worker in self._workers:
-            self._spawn(worker)
-        self._started = True
         try:
-            for stream_id in router.stream_ids():
-                index = self._assign(stream_id)
-                if not router.has_live_shards(stream_id):
-                    # The stream's shard was retired when every query was
-                    # cancelled: nothing to ship, but the stream keeps its
-                    # first-seen position (a new query resumes it in place).
-                    continue
-                blob = to_bytes("shard", router.detach(stream_id))
-                self._send_op(self._workers[index], ("adopt", [blob]))
+            for worker in self._workers:
+                worker.last_checkpoint = to_bytes("router", dict(
+                    document,
+                    shards=[
+                        entry for entry in document["shards"]
+                        if self._assignment[entry["stream_id"]] == worker.index
+                    ],
+                    retired_totals=zero_ingest_totals(),
+                    stream_order=[
+                        stream_id
+                        for stream_id, index in self._assignment.items()
+                        if index == worker.index
+                    ],
+                ))
+                self._spawn(worker)
         except BaseException:
-            # A failed hand-off must not leak the just-spawned workers.
+            # A failed start must not leak the workers already spawned.
             self.terminate()
             raise
+        self.router.hand_off()
+        self._started = True
         return self
 
     def stop(self) -> StreamRouter:
-        """Gracefully shut down: checkpoint workers, adopt shards back.
+        """Gracefully shut down: take every worker's final checkpoint.
 
-        Returns the origin router, which now owns every shard again (new
+        Returns the router restored from the merged documents
+        (:meth:`checkpoint_router`'s layout), which owns every shard (new
         streams included) and resumes exactly where the workers left off.
         """
         self._require_running()
@@ -656,7 +645,7 @@ class ShardWorkerPool:
                 if (worker.stopped_state is None
                         and worker.process is not stop_sent_to[worker.index]):
                     # The worker died between our stop request and its final
-                    # checkpoint; _pump recovered it (restore + tail replay),
+                    # checkpoint; _pump recovered it (respawn + tail replay),
                     # so re-request the stop from the fresh process.
                     worker.tasks.put(("stop",))
                     worker.stop_requested_at = time.monotonic()
@@ -665,37 +654,14 @@ class ShardWorkerPool:
             worker.process.join()
         self._started = False
         self._stopped = True
-        # Adopt back in global first-seen stream order (not worker order):
-        # the origin router's shard/stream iteration order then matches what
-        # an uninterrupted single-process run would have produced.
-        by_stream: Dict[str, Dict] = {}
-        for worker in self._workers:
-            payload = from_bytes(worker.stopped_state, expect_kind="router")
-            # Shards retired inside this worker (every query cancelled
-            # mid-run) froze their counters in the worker's router; fold
-            # them into the origin so post-stop stats equal an
-            # uninterrupted single-process run's.
-            retired = payload.get("retired_totals")
-            if retired:
-                self.router.fold_retired(retired)
-            for shard_payload in standalone_shards(payload):
-                by_stream[str(shard_payload["stream_id"])] = shard_payload
-        for stream_id in self._assignment:
-            if stream_id in by_stream:
-                self.router.adopt(by_stream.pop(stream_id))
-        for shard_payload in by_stream.values():  # pragma: no cover - safety
-            self.router.adopt(shard_payload)
-        # Adoption can only re-learn streams that still have shards; a
-        # stream whose shard was retired by a mid-pool cancellation is
-        # still the service's stream (an uninterrupted router keeps it, and
-        # so does checkpoint_router()).  Re-impose the global first-seen
-        # order from the assignment.
-        self.router.set_stream_order(self._assignment)
         self._close_queues()
-        return self.router
+        return StreamRouter.from_checkpoint(self._merge([
+            from_bytes(worker.stopped_state, expect_kind="router")
+            for worker in self._workers
+        ]))
 
     def terminate(self) -> None:
-        """Abort without adopting state back (used on errors and in tests)."""
+        """Abort, discarding the workers' state (used on errors and in tests)."""
         for worker in self._workers:
             process = worker.process
             if process is not None and process.is_alive():
@@ -720,7 +686,7 @@ class ShardWorkerPool:
             self.stop()
         elif self._started:
             # Error unwind — or a degraded pool the caller never repaired,
-            # whose parked shards cannot be adopted back gracefully.
+            # whose parked shards cannot be handed back gracefully.
             self.terminate()
 
     # ------------------------------------------------------------------
@@ -785,8 +751,8 @@ class ShardWorkerPool:
         """Register a query on every worker of a live pool.
 
         The origin router assigns the id (it is the single source of truth
-        for the workload, and :meth:`stop`'s adopt-back validation compares
-        against it), then the registration ships to every worker as a
+        for the workload, and the documents :meth:`stop` merges take their
+        workload from it), then the registration ships to every worker as a
         *logged* operation: a crash replays it in order, and the per-worker
         FIFO guarantees it lands after every frame ingested before the
         registration — exactly the single-process semantics.  Frame buffers
@@ -802,13 +768,12 @@ class ShardWorkerPool:
     def cancel_query(self, query_id: int) -> CNFQuery:
         """Cancel a query on every worker of a live pool (id tombstoned).
 
-        Applied to the origin router first (bookkeeping + adopt-back
-        validation), then shipped to every worker as a logged operation;
-        workers drop the query's evaluator entries and undrained matches,
-        and retire whole shards when the cancellation empties its window
-        group (their frozen ingest counters surface in
-        ``stats()["retired"]`` and fold back into the origin on
-        :meth:`stop`).
+        Applied to the origin router first (the workload's bookkeeping),
+        then shipped to every worker as a logged operation; workers drop
+        the query's evaluator entries and undrained matches, and retire
+        whole shards when the cancellation empties the workload (their
+        frozen ingest counters surface in ``stats()["retired"]`` and in the
+        router :meth:`stop` returns).
         """
         self._require_running()
         self._flush_buffers()
@@ -906,13 +871,11 @@ class ShardWorkerPool:
             "duplicates": 0, "reordered": 0, "processing_seconds": 0.0,
             "queue_depth": 0,
         }
-        # Workers never detach, so their departed blocks are zero; what the
-        # oracle router would report as departed is exactly the origin's
-        # pre-pool hand-offs, snapshotted at start().  Retirements (a whole
-        # query group cancelled) *do* happen inside workers, so their frozen
-        # retired counters sum on top of the origin's pre-pool block.
-        departed = dict(self._origin_departed)
-        retired = dict(self._origin_retired)
+        # Retirements (the whole workload cancelled) happen inside workers,
+        # so their frozen retired counters sum on top of the origin's
+        # pre-pool block (the origin holds no shards, so it never retires
+        # one after start()).
+        retired = self.router.stats()["retired"]
         shards = 0
         per_shard_raw: Dict[str, Dict] = {}
         for stats in worker_stats:
@@ -920,8 +883,6 @@ class ShardWorkerPool:
             for key in totals:
                 totals[key] += stats["totals"][key]
             per_shard_raw.update(stats["per_shard"])
-            for key, value in stats["departed"].items():
-                departed[key] += value
             for key, value in stats["retired"].items():
                 retired[key] += value
         seconds = totals["processing_seconds"]
@@ -929,7 +890,6 @@ class ShardWorkerPool:
         totals["frames_per_sec"] = (
             round(totals["frames_processed"] / seconds, 2) if seconds else 0.0
         )
-        departed["processing_seconds"] = round(departed["processing_seconds"], 6)
         retired["processing_seconds"] = round(retired["processing_seconds"], 6)
         per_shard: Dict[str, Dict] = {
             stream_id: per_shard_raw[stream_id]
@@ -941,7 +901,6 @@ class ShardWorkerPool:
             "window_groups": len(self.router.group_keys),
             "shards": shards,
             "totals": totals,
-            "departed": departed,
             "retired": retired,
             "per_shard": per_shard,
             "parked": self.parked_streams(),
@@ -982,16 +941,11 @@ class ShardWorkerPool:
         """A merged router-layout checkpoint of the *live* pool.
 
         Every worker snapshots its local router (a read-only query, so the
-        pool keeps serving); the shard payloads are merged under the origin
-        router's current workload configuration in canonical order —
-        stream first-seen order, the layout an uninterrupted
-        single-process router would produce.
-        Streams owned by this pool are live in the merged document (their
-        shards are embedded, their detach tombstones omitted); hand-offs
-        that predate the pool belong to other owners and survive verbatim.
-        :meth:`StreamRouter.from_checkpoint` on the result yields a router
-        that resumes the whole service — including registered-after-start
-        and cancelled query state — exactly where the workers are now.
+        pool keeps serving), and the documents merge as :meth:`stop`
+        merges them.  :meth:`StreamRouter.from_checkpoint` on the result
+        yields a router that resumes the whole service — including
+        registered-after-start and cancelled query state — exactly where
+        the workers are now.
         """
         self._require_running()
         if self._parked:
@@ -1014,44 +968,33 @@ class ShardWorkerPool:
             if blob is _LOST:
                 blob = self._call(worker, ("ckpt",))
             worker_payloads.append(from_bytes(blob, expect_kind="router"))
-        document = self.router.config_checkpoint(include_detached=False)
-        # Tombstones come from the origin router *live*, not a start-time
-        # snapshot: a mid-pool group cancellation lifts pending entries on
-        # the origin, and a stale copy would permanently block the stream
-        # after a restore.  Streams owned by this pool are live in the
-        # merged document, so their own detach tombstones are omitted.
-        document["detached"] = [
-            stream_id for stream_id in self.router.detached_streams()
-            if stream_id not in self._assignment
-        ]
+        return self._merge(worker_payloads)
+
+    def _merge(self, worker_payloads: Sequence[Dict]) -> Dict:
+        """One router document from the workers' documents.
+
+        The origin router supplies the workload and its pre-pool retired
+        counters; the workers' retired counters add on top, and their shard
+        entries come in stream first-seen order — the layout an
+        uninterrupted single-process router would produce.  Key order is
+        the router's own (the codec is canonical, insertion order is
+        state), so the restored router re-exports the document byte for
+        byte.
+        """
+        document = self.router.checkpoint()
+        retired = document["retired_totals"]
         by_stream: Dict[str, Dict] = {}
-        retired = dict(self._origin_retired)
         for payload in worker_payloads:
-            for key, value in payload.get("retired_totals", {}).items():
-                retired[key] = retired.get(key, 0) + value
-            for shard_payload in payload.get("shards", []):
-                by_stream[str(shard_payload["stream_id"])] = shard_payload
-        shards = [
-            by_stream.pop(stream_id)
+            for key, value in payload["retired_totals"].items():
+                retired[key] += value
+            for entry in payload["shards"]:
+                by_stream[entry["stream_id"]] = entry
+        document["shards"] = [
+            by_stream[stream_id]
             for stream_id in self._assignment
             if stream_id in by_stream
         ]
-        shards += by_stream.values()  # pragma: no cover - safety
-        # Key order mirrors StreamRouter.checkpoint() exactly: the merged
-        # document must be byte-identical to what the restored router would
-        # itself re-export (the codec is canonical, insertion order is
-        # state), so a router⇄pool restore round-trips byte-transparently.
-        document["shards"] = shards
-        document["departed_totals"] = dict(self._origin_departed)
-        retired["processing_seconds"] = round(
-            retired.get("processing_seconds", 0.0), 6
-        )
-        document["retired_totals"] = retired
         document["stream_order"] = list(self._assignment)
-        document["departed_streams"] = [
-            [stream_id, dict(frozen)]
-            for stream_id, frozen in self._origin_departed_streams.items()
-        ]
         return document
 
     @classmethod
@@ -1100,7 +1043,7 @@ class ShardWorkerPool:
             target=_worker_main,
             args=(
                 worker.index, worker.tasks, worker.results,
-                self._config_blob, self._supervision.heartbeat_interval,
+                worker.last_checkpoint, self._supervision.heartbeat_interval,
             ),
             daemon=True,
             name=f"shard-worker-{worker.index}",
@@ -1483,8 +1426,9 @@ class ShardWorkerPool:
         Returns the stream ids brought back into service (first-seen
         order).  The replacement processes read the *current* environment,
         so a fault plan uninstalled since the park does not re-arm, and the
-        replay — checkpoint restore plus the full journal in order —
-        reproduces byte-identical matches and stats for the parked streams.
+        replay — a respawn from the recovery base plus the full journal in
+        order — reproduces byte-identical matches and stats for the parked
+        streams.
         A no-op on a healthy pool.
         """
         self._require_running()
@@ -1497,8 +1441,6 @@ class ShardWorkerPool:
             worker.culprit_streak = 0
             worker.culprit_seq = None
             self._spawn(worker)
-            if worker.last_checkpoint is not None:
-                worker.tasks.put(("restore", worker.last_checkpoint))
             now = time.monotonic()
             for seq, op in worker.log:
                 worker.inflight.add(seq)
@@ -1590,8 +1532,6 @@ class ShardWorkerPool:
                 q.cancel_join_thread()
         recovery_started = time.monotonic()
         self._spawn(worker)
-        if worker.last_checkpoint is not None:
-            worker.tasks.put(("restore", worker.last_checkpoint))
         lost_ckpt = worker.pending_ckpt_seq
         worker.pending_ckpt_seq = None
         logged = {seq for seq, _ in worker.log}

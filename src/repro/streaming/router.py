@@ -13,8 +13,8 @@ feeds* and *heterogeneous query workloads* on top of it:
   at the largest window of the stream's groups and answers every group
   from it, so a stream pays for one generator step per frame however many
   window groups its queries fall into;
-* shards can be **detached** (checkpointed and removed) and **adopted**
-  elsewhere, which is how the worker pool moves streams into processes.
+* the whole router checkpoints to one document; the worker pool starts
+  each worker process from its slice of that document's shards.
 
 Within a frame, matches come group by group in registration order, each
 group's in its result set's canonical order (ascending sorted object ids,
@@ -60,34 +60,11 @@ def _ingest_totals(block: Mapping) -> Dict:
     }
 
 
-def _frozen_counters(block: Mapping) -> Dict:
-    """A checkpointed per-stream frozen counter block."""
-    return {
-        key: float(value) if key == "processing_seconds" else int(value)
-        for key, value in block.items()
-    }
-
-
 def _entry_groups(entry: Mapping) -> List[GroupKey]:
     """The window groups a shard entry's engine block serves, in order."""
     return [
         (int(group["window"]), int(group["duration"]))
         for group in entry["engine"]["groups"]
-    ]
-
-
-def standalone_shards(document: Mapping) -> List[Dict]:
-    """A router document's shard entries as standalone shard documents: each
-    entry plus the query dicts its engine block names by id (what
-    :meth:`StreamRouter.adopt` takes)."""
-    by_id = {entry["query_id"]: entry for entry in document["queries"]}
-    return [
-        dict(entry, queries=[
-            by_id[qid]
-            for group in entry["engine"]["groups"]
-            for qid in group["query_ids"]
-        ])
-        for entry in document["shards"]
     ]
 
 
@@ -129,29 +106,17 @@ class StreamRouter:
         #: whose shard was retired because every query was cancelled keeps
         #: its position (and re-grows a shard in place when a query
         #: arrives) — deriving order from live shards would silently
-        #: reorder reports.  Detach *does* remove the stream: it departed
-        #: to another owner.
+        #: reorder reports.  A stream seen before any query was registered
+        #: takes its place too.
         self._stream_order: Dict[str, None] = {}
-        #: Streams handed off via :meth:`detach` and not adopted back.
-        #: Routing to one raises instead of silently resurrecting an empty
-        #: shard that would fork the stream's state.
-        self._detached: Dict[str, None] = {}
-        #: Cumulative ingest counters of every shard this router detached,
-        #: frozen at detach time, so a hand-off does not make the departed
-        #: shard's late-drop/duplicate/reorder counts vanish from
-        #: :meth:`stats`.
-        self._departed_totals: Dict = zero_ingest_totals()
-        #: Per-stream frozen counters backing ``_departed_totals``: when a
-        #: detached shard is adopted *back* (a round-trip hand-off, e.g.
-        #: through a worker pool), its frozen contribution is reversed —
-        #: the shard's live counters are in ``totals`` again, so leaving
-        #: them in ``departed`` too would double-count.
-        self._departed_by_stream: Dict[str, Dict] = {}
         #: Cumulative ingest counters of shards retired because every query
-        #: was cancelled, frozen at retirement.  The same accounting rule
-        #: as ``_departed_totals``: removing a shard must not make its
-        #: late-drop/duplicate/reorder history vanish from :meth:`stats`.
+        #: was cancelled, frozen at retirement: removing a shard must not
+        #: make its late-drop/duplicate/reorder history vanish from
+        #: :meth:`stats`.
         self._retired_totals: Dict = zero_ingest_totals()
+        #: Set by :meth:`hand_off`: the shards now live in another owner
+        #: (the worker pool), so a frame routed here would fork a stream.
+        self._handed_off = False
 
     def _assign_ids(self, queries: Sequence[CNFQuery]) -> List[CNFQuery]:
         """Give every query a unique id, keeping any pre-assigned ones."""
@@ -187,8 +152,8 @@ class StreamRouter:
 
         Includes streams whose shard was retired because every query was
         cancelled (they are still this router's streams and resume in
-        place when a query returns); excludes streams detached to another
-        owner.
+        place when a query returns) and streams seen before the first
+        query was registered.
         """
         return list(self._stream_order)
 
@@ -196,35 +161,25 @@ class StreamRouter:
         """Live shards keyed by stream id."""
         return dict(self._shards)
 
-    def _group_queries(self, groups: Iterable[GroupKey]) -> List[CNFQuery]:
-        """The queries of the given window groups, group by group; each
-        group must be one this router serves."""
-        queries: List[CNFQuery] = []
-        for group in groups:
-            members = self._groups.get(group)
-            if members is None:
-                raise CheckpointError(
-                    f"cannot adopt a shard serving window group {group}: this "
-                    f"router serves window groups {self.group_keys}"
-                )
-            queries += members
-        return queries
+    def _grouped_queries(self) -> List[CNFQuery]:
+        """The registered queries, group by group in group order."""
+        return [query for members in self._groups.values() for query in members]
 
     def shard_for(self, stream_id: str) -> StreamShard:
         """Return (creating if necessary) the shard of a stream."""
+        if self._handed_off:
+            raise ValueError(
+                f"this router's shards were handed to a worker pool; a frame "
+                f"of stream {stream_id!r} routed here would fork its state "
+                "(route it through the pool)"
+            )
         if not self._groups:
             raise ValueError("no queries are registered on this router")
-        if stream_id in self._detached:
-            raise ValueError(
-                f"stream {stream_id!r} was detached from this router; a new "
-                "shard here would fork its state (adopt the checkpoint to "
-                "resume it)"
-            )
         shard = self._shards.get(stream_id)
         if shard is None:
             shard = StreamShard(
                 stream_id,
-                self._group_queries(self._groups),
+                self._grouped_queries(),
                 method=self.method,
                 batch_size=self.batch_size,
                 watermark=self.watermark,
@@ -282,8 +237,7 @@ class StreamRouter:
         leaves the shards' engines.  When the cancellation empties the
         whole workload, the shards are retired (their window state is
         released; their ingest counters are frozen into
-        ``stats()["retired"]``) and the detached-stream tombstones are
-        lifted — there is nothing left to adopt.
+        ``stats()["retired"]``).
         """
         query = next(
             (q for q in self.queries if q.query_id == query_id), None
@@ -308,7 +262,6 @@ class StreamRouter:
             for field, value in self._freeze_ingest_stats(shard).items():
                 retired[field] += value
         self._shards = {}
-        self._detached = {}
         return query
 
     @property
@@ -316,48 +269,10 @@ class StreamRouter:
         """Tombstoned (cancelled) query ids, ascending."""
         return sorted(self._cancelled)
 
-    # ------------------------------------------------------------------
-    # Hand-off introspection (the worker pool's supported surface)
-    # ------------------------------------------------------------------
-    def has_live_shards(self, stream_id: str) -> bool:
-        """Whether the stream's shard is currently live here."""
-        return stream_id in self._shards
-
-    def detached_streams(self) -> List[str]:
-        """Detached-stream tombstones: streams awaiting adoption (a copy;
-        reflects lifts performed by cancellations)."""
-        return list(self._detached)
-
-    def departed_stream_snapshots(self) -> Dict[str, Dict]:
-        """Frozen per-stream counters of shards detached from this router."""
-        return {
-            stream_id: dict(frozen)
-            for stream_id, frozen in self._departed_by_stream.items()
-        }
-
-    def fold_retired(self, totals: Mapping) -> None:
-        """Fold an external retired-counters block into this router's.
-
-        Used on pool shutdown: shards retired *inside* workers froze their
-        counters in the worker's router; the origin absorbs them so its
-        ``stats()["retired"]`` equals an uninterrupted run's.
-        """
-        retired = self._retired_totals
-        for key, value in totals.items():
-            retired[key] = retired.get(key, 0) + value
-
-    def set_stream_order(self, order: Iterable[str]) -> None:
-        """Impose a stream first-seen order (streams this router already
-        knows but ``order`` omits keep their positions after it)."""
-        ordered: Dict[str, None] = {stream_id: None for stream_id in order}
-        for stream_id in self._stream_order:
-            ordered.setdefault(stream_id, None)
-        self._stream_order = ordered
-
     @staticmethod
     def _freeze_ingest_stats(shard: StreamShard) -> Dict:
-        """A shard's cumulative ingest counters, frozen for the departed/
-        retired accounting blocks."""
+        """A shard's cumulative ingest counters, frozen for the retired
+        accounting block."""
         stats = shard.stats
         return {
             "frames_ingested": stats.frames_ingested,
@@ -380,8 +295,10 @@ class StreamRouter:
         """
         shard = self._shards.get(stream_id)
         if shard is None:
-            # A new stream, or a detached one (which raises there).
-            if not self._groups:
+            if not self._groups and not self._handed_off:
+                # No workload yet: nothing to evaluate, but the stream is
+                # seen, so it keeps its first-seen place.
+                self._stream_order.setdefault(stream_id, None)
                 return []
             shard = self.shard_for(stream_id)
         return shard.offer(frame)
@@ -467,8 +384,6 @@ class StreamRouter:
         totals["frames_per_sec"] = (
             round(totals["frames_processed"] / seconds, 2) if seconds else 0.0
         )
-        departed = dict(self._departed_totals)
-        departed["processing_seconds"] = round(departed["processing_seconds"], 6)
         retired = dict(self._retired_totals)
         retired["processing_seconds"] = round(retired["processing_seconds"], 6)
         return {
@@ -476,11 +391,6 @@ class StreamRouter:
             "window_groups": len(self._groups),
             "shards": len(self._shards),
             "totals": totals,
-            #: Counters of shards handed off via detach, frozen at detach
-            #: time — kept separate from ``totals`` because the shard's live
-            #: counters now accrue on whoever adopted it (summing both views
-            #: across routers would double-count).
-            "departed": departed,
             #: Counters of shards retired because every query was
             #: cancelled — frozen at retirement so history survives.
             "retired": retired,
@@ -490,16 +400,8 @@ class StreamRouter:
     # ------------------------------------------------------------------
     # Checkpointing and hand-off
     # ------------------------------------------------------------------
-    def config_checkpoint(self, include_detached: bool = False) -> Dict:
-        """The workload-only part of :meth:`checkpoint`: config and queries.
-
-        This is what a :class:`~repro.streaming.pool.ShardWorkerPool` ships
-        to a fresh worker process — enough to build an empty router serving
-        the identical workload (query ids included), with no shard state.
-        ``include_detached`` additionally carries the detached-stream
-        tombstones, so workers refuse a foreign stream exactly as the
-        origin would.
-        """
+    def checkpoint(self) -> Dict:
+        """Snapshot the router: configuration, queries, and every shard."""
         return {
             "method": self.method.value,
             "batch_size": self.batch_size,
@@ -515,26 +417,27 @@ class StreamRouter:
             #: and group order decides match order within a frame, so it
             #: must survive restores exactly.
             "group_order": [list(group) for group in self._groups],
-            "detached": list(self._detached) if include_detached else [],
-            "shards": [],
+            "shards": [
+                shard.checkpoint_entry() for shard in self._shards.values()
+            ],
+            "retired_totals": dict(self._retired_totals),
+            #: Persistent first-seen order (may include currently shardless
+            #: streams — see ``stream_ids``).
+            "stream_order": list(self._stream_order),
         }
 
-    def checkpoint(self) -> Dict:
-        """Snapshot the router: configuration, queries, and every shard."""
-        document = self.config_checkpoint(include_detached=True)
-        document["shards"] = [
-            shard.checkpoint_entry() for shard in self._shards.values()
-        ]
-        document["departed_totals"] = dict(self._departed_totals)
-        document["retired_totals"] = dict(self._retired_totals)
-        #: Persistent first-seen order (may include currently shardless
-        #: streams — see ``stream_ids``).
-        document["stream_order"] = list(self._stream_order)
-        document["departed_streams"] = [
-            [stream_id, dict(frozen)]
-            for stream_id, frozen in self._departed_by_stream.items()
-        ]
-        return document
+    def hand_off(self) -> None:
+        """Give the router's shards to a new owner.
+
+        The worker pool calls this once its workers started from their
+        slices of :meth:`checkpoint`.  The router keeps its workload — it
+        still assigns query ids and takes registrations and cancellations
+        — but holds no shards, and refuses every frame with a
+        :class:`ValueError`, since a shard grown here would fork the
+        stream's state.
+        """
+        self._shards = {}
+        self._handed_off = True
 
     def to_bytes(self) -> bytes:
         """The router snapshot as canonical checkpoint bytes."""
@@ -568,153 +471,35 @@ class StreamRouter:
                 f"window groups of its queries {list(router._groups)}"
             )
         router._groups = {group: router._groups[group] for group in order}
+        router._stream_order = {
+            str(stream_id): None for stream_id in payload["stream_order"]
+        }
+        queries = router._grouped_queries()
         for entry in payload["shards"]:
+            stream_id = str(entry["stream_id"])
             groups = _entry_groups(entry)
             if groups != order:
                 raise CheckpointError(
-                    f"router checkpoint shard {entry['stream_id']!r} serves "
-                    f"window groups {groups}, the router {order}"
+                    f"router checkpoint shard {stream_id!r} serves window "
+                    f"groups {groups}, the router {order}"
                 )
-            router._adopt(entry, router._group_queries(groups))
-        router._detached = {
-            str(stream_id): None for stream_id in payload["detached"]
-        }
-        if "stream_order" not in payload:
-            # A :meth:`config_checkpoint` document: a workload, no history.
-            return router
-        stream_order = {
-            str(stream_id): None for stream_id in payload["stream_order"]
-        }
-        unlisted = [s for s in router._stream_order if s not in stream_order]
-        if unlisted:
-            raise CheckpointError(
-                f"router checkpoint stream order omits streams {unlisted} "
-                "that have shards"
-            )
-        router._stream_order = stream_order
-        router._departed_totals = _ingest_totals(payload["departed_totals"])
+            if stream_id not in router._stream_order:
+                raise CheckpointError(
+                    f"router checkpoint stream order omits stream "
+                    f"{stream_id!r}, which has a shard"
+                )
+            if stream_id in router._shards:
+                raise CheckpointError(
+                    f"router checkpoint holds two shards of stream {stream_id!r}"
+                )
+            router._shards[stream_id] = StreamShard.from_entry(entry, queries)
         router._retired_totals = _ingest_totals(payload["retired_totals"])
-        router._departed_by_stream = {
-            str(stream_id): _frozen_counters(frozen)
-            for stream_id, frozen in payload["departed_streams"]
-        }
         return router
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "StreamRouter":
         """Rebuild a router from canonical checkpoint bytes."""
         return cls.from_checkpoint(from_bytes(data, expect_kind="router"))
-
-    def detach(self, stream_id: str) -> Dict:
-        """Checkpoint and remove a stream's shard (a hand-off).
-
-        The returned snapshot can be :meth:`adopt`-ed by another router —
-        typically in another process — which resumes the stream exactly
-        where this one left off.  Retained (produced-but-not-yet-drained)
-        matches travel with the snapshot, so nothing is lost in the
-        hand-off; matches already consumed via :meth:`drain_matches` are not
-        replayed.  The shard's ingest counters freeze into the ``departed``
-        accounting block, the stream leaves first-seen order, and a
-        detached-stream tombstone is laid so a stray frame routed here
-        fails loudly instead of forking state.
-        """
-        shard = self._shards.pop(stream_id, None)
-        if shard is None:
-            raise KeyError(f"no shard for stream {stream_id!r}")
-        frozen = self._freeze_ingest_stats(shard)
-        self._departed_by_stream[stream_id] = frozen
-        departed = self._departed_totals
-        departed["shards"] += 1
-        for field, value in frozen.items():
-            departed[field] += value
-        self._stream_order.pop(stream_id, None)
-        self._detached[stream_id] = None
-        return shard.checkpoint()
-
-    def adopt(self, shard_payload: Dict) -> StreamShard:
-        """Restore a standalone shard document (:meth:`detach`,
-        :meth:`StreamShard.checkpoint`) into this router.
-
-        Every window group of the shard must be one this router serves,
-        with exactly that group's query dicts (ids included — otherwise the
-        shard would keep answering a foreign workload while ``queries`` and
-        :meth:`matches_for` describe this router's, e.g. a different query
-        under the same id), or one whose queries were all cancelled here
-        since, which the shard then drops with its undrained matches.  The
-        stream must have no live shard here.  The shard's engine is built
-        from this router's own queries; groups registered here since the
-        snapshot start on the stream as fresh groups do.
-        """
-        with reading("shard checkpoint"):
-            stream_id = str(shard_payload["stream_id"])
-            carried = list(shard_payload["queries"])
-            queries: List[CNFQuery] = []
-            cancelled: List[GroupKey] = []
-            at = 0
-            for block in shard_payload["engine"]["groups"]:
-                group = (int(block["window"]), int(block["duration"]))
-                dicts = carried[at:at + len(block["query_ids"])]
-                at += len(dicts)
-                members = self._groups.get(group)
-                if members is not None:
-                    if dicts != [query.to_dict() for query in members]:
-                        raise CheckpointError(
-                            f"cannot adopt shard {stream_id!r}: its queries do "
-                            f"not match this router's window group {group}"
-                        )
-                    queries += members
-                elif dicts and all(d["query_id"] in self._cancelled for d in dicts):
-                    queries += [CNFQuery.from_dict(d) for d in dicts]
-                    cancelled.append(group)
-                else:
-                    raise CheckpointError(
-                        f"cannot adopt shard {stream_id!r}: this router serves "
-                        f"window groups {self.group_keys}, not {group}"
-                    )
-            if at != len(carried) \
-                    or len(cancelled) == len(shard_payload["engine"]["groups"]):
-                raise CheckpointError(
-                    f"cannot adopt shard {stream_id!r}: its queries do not "
-                    "match this router's workload"
-                )
-        return self._adopt(shard_payload, queries, cancelled)
-
-    def _adopt(
-        self, shard_payload: Dict, queries: Sequence[CNFQuery],
-        cancelled: Sequence[GroupKey] = (),
-    ) -> StreamShard:
-        """The adopt core: build the shard from ``queries`` (its groups', as
-        the caller checked), drop the ``cancelled`` groups, start the
-        router's other groups on it and install it on its stream."""
-        stream_id = str(shard_payload["stream_id"])
-        if stream_id in self._shards:
-            raise CheckpointError(
-                f"cannot adopt shard {stream_id!r}: the stream already has one"
-            )
-        shard = StreamShard.from_entry(shard_payload, queries)
-        for group in cancelled:
-            shard.remove_group(group)
-        engine = shard.engine
-        for group, members in self._groups.items():
-            if group not in engine.group_keys:
-                engine.add_group(group[0], group[1], members)
-        engine.order_groups(self._groups)
-        self._shards[stream_id] = shard
-        self._stream_order.setdefault(stream_id, None)
-        self._detached.pop(stream_id, None)
-        frozen = self._departed_by_stream.pop(stream_id, None)
-        if frozen is not None:
-            # The shard is back: its (still-running) counters count in
-            # ``totals`` again, so reverse the frozen departed contribution.
-            departed = self._departed_totals
-            departed["shards"] -= 1
-            for field, value in frozen.items():
-                departed[field] -= value
-            if departed["shards"] == 0:
-                # Reset exactly: float subtraction of several seconds values
-                # can leave a ±1e-17 residue that would round to "-0.0".
-                self._departed_totals = zero_ingest_totals()
-        return shard
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -19,10 +19,10 @@ machinery a long-running feed needs and the bare engine does not have:
   none;
 * **per-shard stats** — frames/sec, queue depth, dropped-late/duplicate
   counts, batch counts;
-* **checkpoint/restore** — a versioned, self-contained snapshot (engine +
-  reorder buffer + counters + the stream's queries) that a fresh process can
-  resume byte-identically (see :mod:`repro.streaming.checkpoint`); inside a
-  router document the same entry names its queries by id.
+* **checkpoint/restore** — the shard's entry in a router document (engine
+  + reorder buffer + counters + retained matches, naming its queries by
+  id), which a fresh process resumes byte-identically (see
+  :mod:`repro.streaming.checkpoint`).
 """
 
 from __future__ import annotations
@@ -37,12 +37,7 @@ from repro.engine.config import EngineConfig, MCOSMethod
 from repro.engine.engine import GroupKey, TemporalVideoQueryEngine
 from repro.query.evaluator import QueryMatch, pack_matches, unpack_matches
 from repro.query.model import CNFQuery
-from repro.streaming.checkpoint import (
-    CheckpointError,
-    from_bytes,
-    reading,
-    to_bytes,
-)
+from repro.streaming.checkpoint import CheckpointError, reading
 
 #: Optional per-batch ingest probe ``(stream_id: str, frames: int) -> None``,
 #: called as a batch enters the engine.  ``None`` (the default) keeps the
@@ -293,39 +288,23 @@ class StreamShard:
             ]
         return removed
 
-    def remove_group(self, group: GroupKey) -> None:
-        """Stop serving a window group whose queries were all cancelled,
-        discarding their undrained matches (see :meth:`cancel_query`)."""
-        ids = {query.query_id for query in self.engine.evaluator_of(group).queries}
-        self.engine.remove_group(group)
-        if self._matches:
-            self._matches = [
-                match for match in self._matches if match.query_id not in ids
-            ]
-
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
-    def checkpoint(self) -> Dict:
-        """Snapshot the shard as a standalone document: engine state,
-        reorder buffer, counters, any retained (produced-but-not-yet-drained)
-        matches, and the stream's queries.
+    def checkpoint_entry(self) -> Dict:
+        """Snapshot the shard as its entry in a router document: engine
+        state, reorder buffer, counters and any retained
+        (produced-but-not-yet-drained) matches.  The engine block names the
+        queries by id; the router document holds them once for all its
+        shards.
 
         Matches already consumed through :meth:`drain_matches` (or delivered
         via ``offer``'s return value with ``retain_matches=False``) are gone
         from the retention buffer and therefore never replayed — only
-        unconsumed results survive a hand-off, so nothing is lost and
+        unconsumed results survive a restore, so nothing is lost and
         nothing double-delivers.  Snapshots must be taken between ``offer``
         calls.
         """
-        document = self.checkpoint_entry()
-        document["queries"] = [query.to_dict() for query in self.engine.queries]
-        return document
-
-    def checkpoint_entry(self) -> Dict:
-        """:meth:`checkpoint` without the queries: the shard's entry in a
-        router document, whose engine block names the queries by id (the
-        router document holds them once for all its shards)."""
         return {
             "stream_id": self.stream_id,
             "batch_size": self.batch_size,
@@ -339,26 +318,14 @@ class StreamShard:
             "engine": self.engine.checkpoint_by_id(),
         }
 
-    def to_bytes(self) -> bytes:
-        """The shard snapshot as canonical checkpoint bytes."""
-        return to_bytes("shard", self.checkpoint())
-
-    @classmethod
-    def from_checkpoint(cls, payload: Dict) -> "StreamShard":
-        """Rebuild a shard (typically in a fresh process) from a standalone
-        :meth:`checkpoint` document."""
-        with reading("shard checkpoint"):
-            queries = [CNFQuery.from_dict(entry) for entry in payload["queries"]]
-        return cls.from_entry(payload, queries)
-
     @classmethod
     @reading("shard checkpoint")
     def from_entry(
         cls, payload: Dict, queries: Sequence[CNFQuery]
     ) -> "StreamShard":
-        """Rebuild a shard from a :meth:`checkpoint_entry` (or a standalone
-        document) and its queries.  Each window group of the engine block
-        must name exactly that group's queries by id, in order."""
+        """Rebuild a shard from a :meth:`checkpoint_entry` and its queries.
+        Each window group of the engine block must name exactly that
+        group's queries by id, in order."""
         engine_payload = payload["engine"]
         config = engine_payload["config"]
         shard = cls(
@@ -405,11 +372,6 @@ class StreamShard:
             processing_seconds=float(stats["processing_seconds"]),
         )
         return shard
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "StreamShard":
-        """Rebuild a shard from canonical checkpoint bytes."""
-        return cls.from_checkpoint(from_bytes(data, expect_kind="shard"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -1,7 +1,7 @@
 """Compact checkpoint codec: round-trips, versions, size, errors.
 
 The codec must be loss-free for every payload the runtime produces (every
-generator method, engines, shards, routers), read version 5 only and refuse
+generator method, engines, shards, routers), read version 6 only and refuse
 every other version by name, reject malformed, truncated or hostile bytes
 with :class:`CheckpointError`, and actually be compact — a hard
 size-regression bound against plain JSON of the same document on the
@@ -103,10 +103,10 @@ class TestBinaryRoundTrip:
             "empty_list": [],
             "holey": [1, None, 3],
         }
-        assert encode_decode(payload, "shard") == payload
+        assert encode_decode(payload, "router") == payload
 
     def test_tuples_canonicalise_to_lists(self):
-        assert encode_decode({"t": (1, 2, 3)}, "shard") == {"t": [1, 2, 3]}
+        assert encode_decode({"t": (1, 2, 3)}, "router") == {"t": [1, 2, 3]}
 
 
 # ----------------------------------------------------------------------
@@ -120,26 +120,26 @@ def varint(value: int) -> bytes:
 
 
 class TestVersions:
-    def test_only_version5_is_written_or_read(self):
-        assert ckpt.CHECKPOINT_VERSION == 5
-        assert ckpt.SUPPORTED_VERSIONS == (5,)
-        assert ckpt.MAGIC == b"RSCK5\x00"
-        assert ckpt.wrap("shard", {})["version"] == 5
-        blob = ckpt.to_bytes("shard", {})
+    def test_only_version6_is_written_or_read(self):
+        assert ckpt.CHECKPOINT_VERSION == 6
+        assert ckpt.SUPPORTED_VERSIONS == (6,)
+        assert ckpt.MAGIC == b"RSCK6\x00"
+        assert ckpt.wrap("router", {})["version"] == 6
+        blob = ckpt.to_bytes("router", {})
         assert blob[:len(ckpt.MAGIC)] == ckpt.MAGIC
         with pytest.raises(TypeError):
-            ckpt.to_bytes("shard", {}, version=3)
+            ckpt.to_bytes("router", {}, version=3)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 7])
     def test_other_versions_are_refused_by_name(self, version):
-        body = ckpt.to_bytes("shard", {"a": 1})[len(ckpt.MAGIC):]
+        body = ckpt.to_bytes("router", {"a": 1})[len(ckpt.MAGIC):]
         if version == 1:
-            blob = json.dumps(dict(ckpt.wrap("shard", {}), version=1)).encode()
+            blob = json.dumps(dict(ckpt.wrap("router", {}), version=1)).encode()
         else:
             blob = b"RSCK%d\x00" % version + body
         with pytest.raises(CheckpointError, match=f"version {version}\\b"):
             ckpt.from_bytes(blob)
-        document = dict(ckpt.wrap("shard", {}), version=version)
+        document = dict(ckpt.wrap("router", {}), version=version)
         with pytest.raises(CheckpointError, match=f"version {version}\\b"):
             ckpt.unwrap(document)
 
@@ -150,15 +150,15 @@ class TestVersions:
             ckpt.from_bytes("RSCK4")
 
     def test_binary_body_must_declare_the_version_of_its_magic(self):
-        document = dict(ckpt.wrap("shard", {"a": 1}), version=3)
+        document = dict(ckpt.wrap("router", {"a": 1}), version=3)
         blob = ckpt._encode_binary(document)
         assert blob[:len(ckpt.MAGIC)] == ckpt.MAGIC
-        with pytest.raises(CheckpointError, match="does not declare version 5"):
+        with pytest.raises(CheckpointError, match="does not declare version 6"):
             ckpt.from_bytes(blob)
 
 
 # ----------------------------------------------------------------------
-# Resuming from version-5 bytes
+# Resuming from version-6 bytes
 # ----------------------------------------------------------------------
 class TestResumeFromBytes:
     @pytest.mark.parametrize("generator_cls", INCREMENTAL_GENERATORS)
@@ -405,13 +405,13 @@ class TestIntColumns:
 # ----------------------------------------------------------------------
 class TestMalformedInput:
     def test_every_truncation_raises_checkpoint_error(self):
-        blob = ckpt.to_bytes("shard", {"a": [1, 2, 3], "b": "text", "c": None})
+        blob = ckpt.to_bytes("router", {"a": [1, 2, 3], "b": "text", "c": None})
         for cut in range(len(blob)):
             with pytest.raises(CheckpointError):
                 ckpt.from_bytes(blob[:cut])
 
     def test_trailing_garbage_rejected(self):
-        blob = ckpt.to_bytes("shard", {"a": 1})
+        blob = ckpt.to_bytes("router", {"a": 1})
         with pytest.raises(CheckpointError):
             ckpt.from_bytes(blob + b"x")
 
@@ -439,11 +439,11 @@ class TestMalformedInput:
 
     def test_non_string_dict_keys_rejected_on_write(self):
         with pytest.raises(CheckpointError):
-            ckpt.to_bytes("shard", {"outer": {1: "int key"}})
+            ckpt.to_bytes("router", {"outer": {1: "int key"}})
 
     def test_unserialisable_values_rejected_on_write(self):
         with pytest.raises(CheckpointError):
-            ckpt.to_bytes("shard", {"x": {"nested": set([1, 2])}})
+            ckpt.to_bytes("router", {"x": {"nested": set([1, 2])}})
 
 
 # ----------------------------------------------------------------------

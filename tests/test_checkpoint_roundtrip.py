@@ -19,6 +19,7 @@ from repro.engine import EngineConfig, MCOSMethod, TemporalVideoQueryEngine
 from repro.streaming import (
     CHECKPOINT_VERSION,
     CheckpointError,
+    StreamRouter,
     StreamShard,
 )
 from repro.streaming import checkpoint as ckpt
@@ -389,6 +390,9 @@ class TestEngineLabelBound:
 
 
 class TestShardRoundTrip:
+    """A shard travels inside its router's document: a one-stream router
+    with frames held in the reorder buffer resumes byte-identically."""
+
     @pytest.mark.parametrize("seed", range(3))
     def test_shard_with_pending_buffer_resumes_identically(self, seed, small_workload):
         import random
@@ -402,22 +406,20 @@ class TestShardRoundTrip:
             rng.shuffle(block)
             frames[start:start + jitter] = block
         cut = 50
-        shard = StreamShard(
-            "cam-a", small_workload,
-            batch_size=6, watermark=jitter,
-        )
-        shard.offer_many(frames[:cut])
-        blob = shard.to_bytes()
-        restored = StreamShard.from_bytes(blob)
-        assert restored.queue_depth == shard.queue_depth, f"seed={seed}"
+        router = StreamRouter(small_workload, batch_size=6, watermark=jitter)
+        router.route_many(("cam-a", frame) for frame in frames[:cut])
+        blob = router.to_bytes()
+        restored = StreamRouter.from_bytes(blob)
+        shard, twin = router.shards()["cam-a"], restored.shards()["cam-a"]
+        assert twin.queue_depth == shard.queue_depth > 0, f"seed={seed}"
         assert restored.to_bytes() == blob, (
             f"seed={seed}: restore→re-checkpoint is not byte-identical"
         )
         a = shard.offer_many(frames[cut:]) + shard.flush()
-        b = restored.offer_many(frames[cut:]) + restored.flush()
+        b = twin.offer_many(frames[cut:]) + twin.flush()
         assert a == b, f"seed={seed}: shard diverged after restore"
         assert shard.stats.as_dict()["frames_ingested"] == \
-            restored.stats.as_dict()["frames_ingested"], f"seed={seed}"
+            twin.stats.as_dict()["frames_ingested"], f"seed={seed}"
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +436,7 @@ class TestCheckpointEnvelope:
             ckpt.unwrap({"format": "something-else", "version": 1})
 
     def test_rejects_future_version(self):
-        document = ckpt.wrap("shard", {})
+        document = ckpt.wrap("router", {})
         document["version"] = CHECKPOINT_VERSION + 1
         with pytest.raises(CheckpointError):
             ckpt.unwrap(document)
@@ -442,12 +444,12 @@ class TestCheckpointEnvelope:
     def test_rejects_wrong_kind(self):
         data = ckpt.to_bytes("router", {})
         with pytest.raises(CheckpointError):
-            ckpt.from_bytes(data, expect_kind="shard")
+            ckpt.from_bytes(data, expect_kind="engine")
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(CheckpointError):
             ckpt.wrap("mystery", {})
-        document = ckpt.wrap("shard", {})
+        document = ckpt.wrap("router", {})
         document["kind"] = "mystery"
         with pytest.raises(CheckpointError):
             ckpt.unwrap(document)
@@ -458,25 +460,24 @@ class TestCheckpointEnvelope:
 
     def test_truncated_shard_payload_raises_checkpoint_error(self, small_workload):
         """Deeply-missing keys surface as CheckpointError, not raw KeyError."""
-        from repro.engine import EngineConfig, MCOSMethod, TemporalVideoQueryEngine
-        from repro.streaming import StreamShard
         shard = StreamShard("s", small_workload)
-        payload = shard.checkpoint()
+        queries = shard.engine.queries
+        payload = shard.checkpoint_entry()
         del payload["engine"]["labels"]
         with pytest.raises(CheckpointError):
-            StreamShard.from_checkpoint(payload)
-        payload2 = shard.checkpoint()
+            StreamShard.from_entry(payload, queries)
+        payload2 = shard.checkpoint_entry()
         del payload2["engine"]["generators"][0]["interner"]
         with pytest.raises(CheckpointError):
-            StreamShard.from_checkpoint(payload2)
+            StreamShard.from_entry(payload2, queries)
 
     def test_rejects_non_object_payload(self):
-        document = ckpt.wrap("shard", {})
+        document = ckpt.wrap("router", {})
         document["payload"] = [1, 2, 3]
         with pytest.raises(CheckpointError):
             ckpt.unwrap(document)
 
     def test_save_load_file(self, tmp_path):
-        path = tmp_path / "shard.ckpt"
-        ckpt.save(path, "shard", {"x": 1})
-        assert ckpt.load(path, expect_kind="shard") == {"x": 1}
+        path = tmp_path / "router.ckpt"
+        ckpt.save(path, "router", {"x": 1})
+        assert ckpt.load(path, expect_kind="router") == {"x": 1}

@@ -21,7 +21,7 @@ import json
 
 import pytest
 
-from repro import Session
+from repro import FrameObservation, Session
 from repro.query.evaluator import QueryMatch
 from repro.streaming import CheckpointError, match_report
 from repro.streaming.checkpoint import from_bytes, to_bytes
@@ -288,20 +288,25 @@ class TestRouterPoolByteTransparency:
         """On the same operations a pool session checkpoints the state
         document a router session does, byte for byte (wall-clock fields
         aside), whatever its worker count: placement is derived, so the
-        pool writes no block of its own."""
+        pool writes no block of its own.  A stream seen only before the
+        first registration takes its first-seen place on both."""
         queries, events = scenario(64)
         half = len(events) // 2
         states = []
         for backend, kwargs in (("router", {}),
                                 ("pool", {"num_workers": num_workers})):
-            session = make_session(backend, queries, **kwargs)
+            session = make_session(backend, [], **kwargs)
+            session.ingest("ghost", FrameObservation(0, {1: "car"}))
+            for query in queries:
+                session.register(query)
             session.ingest_many(events[:half])
             session.cancel(session.handles[1])
             session.ingest_many(events[half:])
             session.flush()
-            states.append(to_bytes(
-                "router", without_wall_clock(state_of(session.checkpoint()))
-            ))
+            state = state_of(session.checkpoint())
+            assert state["stream_order"] == session.stream_ids(), backend
+            assert state["stream_order"][0] == "ghost", backend
+            states.append(to_bytes("router", without_wall_clock(state)))
             session.close()
         assert states[0] == states[1], (
             f"{num_workers}-worker pool state diverged from the router's"

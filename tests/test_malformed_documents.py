@@ -14,6 +14,8 @@ from __future__ import annotations
 import copy
 from typing import Iterator, List, Tuple, Union
 
+import pytest
+
 from repro import Session
 from repro.streaming import CheckpointError, StreamRouter
 from repro.streaming.checkpoint import from_bytes, to_bytes
@@ -81,6 +83,25 @@ def test_router_document_mutations_raise_checkpoint_error_only():
 
     found = escapes(document, StreamRouter.from_checkpoint)
     assert not found, f"{len(found)} raw errors, e.g. {found[:5]}"
+
+
+def test_each_shard_entry_is_one_listed_streams():
+    """A second entry for one stream, or an entry whose stream the first-seen
+    order omits, is refused rather than silently replacing or reordering a
+    shard."""
+    queries, events = small_scenario(8)
+    router = StreamRouter(queries, batch_size=3)
+    router.route_many(events)
+    document = router.checkpoint()
+
+    twice = copy.deepcopy(document)
+    twice["shards"].append(copy.deepcopy(twice["shards"][0]))
+    with pytest.raises(CheckpointError, match="two shards"):
+        StreamRouter.from_checkpoint(twice)
+    unlisted = copy.deepcopy(document)
+    unlisted["stream_order"].pop(0)
+    with pytest.raises(CheckpointError, match="omits stream"):
+        StreamRouter.from_checkpoint(unlisted)
 
 
 def test_session_document_mutations_raise_checkpoint_error_only():

@@ -19,7 +19,7 @@ from repro.query.evaluator import (
     pack_matches,
     unpack_matches,
 )
-from repro.streaming import CheckpointError, StreamRouter, StreamShard
+from repro.streaming import CheckpointError, StreamRouter
 from repro.streaming import checkpoint as ckpt
 from repro.workloads.streams import bench_scenario, interleave_feeds
 
@@ -85,7 +85,7 @@ class TestPackUnpack:
         assert fields(unpack_matches(json.loads(json.dumps(records)))) \
             == fields(matches)
         through_codec = ckpt.from_bytes(
-            ckpt.to_bytes("shard", {"retained": records})
+            ckpt.to_bytes("router", {"retained": records})
         )["retained"]
         assert fields(unpack_matches(through_codec)) == fields(matches)
         # What comes out shares its objects per record, so it packs into
@@ -151,10 +151,11 @@ class TestPackUnpack:
             router.route(stream_id, frame)
         (shard,) = router.shards().values()
         assert shard.matches
-        blob = shard.to_bytes()
-        restored = StreamShard.from_bytes(blob)
+        blob = router.to_bytes()
+        restored_router = StreamRouter.from_bytes(blob)
+        (restored,) = restored_router.shards().values()
         assert fields(restored.matches) == fields(shard.matches)
-        assert restored.to_bytes() == blob
+        assert restored_router.to_bytes() == blob
         assert pack_matches(restored.matches) == pack_matches(shard.matches)
 
 
@@ -196,9 +197,9 @@ class TestOlderAndMalformedRecords:
         router = StreamRouter(queries, batch_size=4)
         for frame in relation.frames():
             router.route(stream_id, frame)
-        (shard,) = router.shards().values()
-        payload = shard.checkpoint()
-        assert payload["retained"]
-        payload["retained"][0][3] = [0, MAX_RECORD_FRAMES + 1]
+        payload = router.checkpoint()
+        (entry,) = payload["shards"]
+        assert entry["retained"]
+        entry["retained"][0][3] = [0, MAX_RECORD_FRAMES + 1]
         with pytest.raises(CheckpointError, match="malformed match record"):
-            StreamShard.from_checkpoint(payload)
+            StreamRouter.from_checkpoint(payload)

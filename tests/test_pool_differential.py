@@ -4,7 +4,7 @@ The pool's contract is byte-identity, not mere equivalence: for any worker
 count, matches, deterministic statistics and report order must equal what
 the single-process router produces over the same event sequence.  Workloads
 are randomized (seeds in every failure message) and cover multi-group
-queries, jittered arrival, mid-stream draining, and the adopt-back hand-off
+queries, jittered arrival, mid-stream draining, and the merged hand-back
 of a graceful stop.
 """
 
@@ -21,6 +21,7 @@ from repro.streaming import (
     deterministic_stats,
     match_report,
 )
+from repro.streaming.checkpoint import from_bytes, to_bytes
 from repro.workloads.streams import bench_scenario, interleave_feeds
 
 #: Worker counts the differential property is pinned at.
@@ -153,8 +154,8 @@ class TestPoolDifferential:
             pool.terminate()
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_stop_adopts_state_back_byte_identically(self, workers):
-        """After stop(), the origin router equals an uninterrupted run."""
+    def test_stop_hands_state_back_byte_identically(self, workers):
+        """After stop(), the returned router equals an uninterrupted run."""
         seed = 13
         feeds, queries, events = scenario(seed)
         oracle = run_oracle(queries, events, batch_size=5)
@@ -171,12 +172,11 @@ class TestPoolDifferential:
         ) == match_report(
             {sid: oracle.matches_for(sid) for sid in oracle.stream_ids()}
         ), f"seed={seed} workers={workers}"
-        # Round-tripped shards count in totals again, not in departed:
-        # the post-stop stats equal an uninterrupted run's byte for byte.
+        # The post-stop stats equal an uninterrupted run's byte for byte.
         assert stats_bytes(router.stats()) == stats_bytes(oracle.stats()), (
             f"seed={seed} workers={workers}: post-stop stats diverged"
         )
-        # The adopted-back router keeps serving: route a fresh stream.
+        # The returned router keeps serving: route a fresh stream.
         extra_feeds, _ = bench_scenario(1, 20, GROUPS, 2, seed + 100)
         relation = next(iter(extra_feeds.values()))
         for frame in relation.frames():
@@ -189,7 +189,7 @@ class TestPoolDifferential:
         ), f"seed={seed} workers={workers}"
 
     def test_pool_takes_over_a_router_with_live_state(self):
-        """start() mid-stream: detached shards resume inside the workers."""
+        """start() mid-stream: the live shards resume inside the workers."""
         seed = 17
         feeds, queries, events = scenario(seed)
         half = len(events) // 2
@@ -214,6 +214,58 @@ class TestPoolDifferential:
             ), f"seed={seed}"
         finally:
             pool.terminate()
+
+    @pytest.mark.parametrize("workers", (1, 3))
+    def test_start_hands_live_shards_over_without_operations(self, workers):
+        """start() dispatches no operation: each worker spawns from its
+        slice of one router document, so the pool's merged document right
+        after start() is the origin's document before it."""
+        feeds, queries, events = scenario(19, num_feeds=4, frames=20)
+        router = StreamRouter(queries, batch_size=5)
+        router.route_many(events)
+        before = to_bytes("router", router.checkpoint())
+        assert len(router.shards()) == 4
+        pool = ShardWorkerPool(router, num_workers=workers)
+        pool.start()
+        try:
+            assert router.shards() == {}
+            assert pool.stats()["pool"]["ops_dispatched"] == 0
+            assert to_bytes("router", pool.checkpoint_router()) == before
+        finally:
+            pool.terminate()
+
+
+    @pytest.mark.parametrize("first,second", ((1, 2), (2, 3)))
+    def test_a_stopped_pools_router_starts_the_next_pool(self, first, second):
+        """stop() then start(): the router one pool returns hands its shards
+        to a pool of another size, and the run ends as an uninterrupted
+        one."""
+        seed = 15
+        feeds, queries, events = scenario(seed)
+        half = len(events) // 2
+        oracle = run_oracle(queries, events, batch_size=5)
+        pool = make_pool(queries, first, batch_size=5)
+        pool.start()
+        pool.route_many(events[:half])
+        successor = ShardWorkerPool(
+            pool.stop(), num_workers=second, dispatch_batch=16,
+            checkpoint_every=4,
+        )
+        successor.start()
+        try:
+            successor.route_many(events[half:])
+            successor.flush()
+            assert match_report(
+                {sid: successor.matches_for(sid)
+                 for sid in successor.stream_ids()}
+            ) == match_report(
+                {sid: oracle.matches_for(sid) for sid in oracle.stream_ids()}
+            ), f"seed={seed} {first}->{second} workers"
+            assert stats_bytes(successor.stats()) == stats_bytes(
+                oracle.stats()
+            ), f"seed={seed} {first}->{second} workers"
+        finally:
+            successor.terminate()
 
 
 class TestFixedPlacement:
@@ -400,35 +452,37 @@ class TestSessionDifferential:
                 )
 
 
-class TestPoolWithPriorHandOffs:
-    def test_pool_stats_keep_pre_existing_departed_counters(self):
-        """A stream detached to a third party before the pool starts must
-        stay visible in pool.stats()['departed'], exactly as the oracle
-        router reports it."""
-        seed = 21
-        feeds, queries, events = scenario(seed)
-        gone = sorted(feeds)[0]
-
-        def served_router():
-            router = StreamRouter(queries, batch_size=5)
-            router.route_many(events)
-            router.flush()
-            router.detach(gone)  # handed to some other process
-            return router
-
-        oracle = served_router()
-        pool = ShardWorkerPool(served_router(), num_workers=2, dispatch_batch=16)
-        pool.start()
+    @pytest.mark.parametrize("backend", ("inline", "router", "pool"))
+    def test_a_stream_seen_before_the_first_registration_keeps_its_place(
+        self, backend
+    ):
+        """A frame ingested while no query is registered still makes its
+        stream seen: every backend counts it and orders it first, as
+        Session.stream_ids() does."""
+        session = Session(backend=backend, batch_size=1)
+        session.ingest("ghost", FrameObservation(1, {1: "car"}))
+        session.register(Q("car") >= 1, window=4, duration=1)
+        for frame_id in range(2, 6):
+            for stream_id in ("early", "late"):
+                session.ingest(stream_id, FrameObservation(frame_id, {1: "car"}))
+        session.flush()
+        state = from_bytes(session.checkpoint(), expect_kind="session")["state"]
         try:
-            assert stats_bytes(pool.stats()) == stats_bytes(oracle.stats()), (
-                f"seed={seed}: pre-existing departed counters were dropped"
-            )
+            assert state["stream_order"] == ["ghost", "early", "late"]
+            assert session.stream_ids() == state["stream_order"]
+            assert session.stats()["backend_stats"]["streams"] == 3
         finally:
-            pool.terminate()
+            session.close()
+
+
+class TestRetiredCounters:
+    """Shards retired before the pool started and shards retired inside
+    the workers are each counted once: in the pool's stats, its live
+    checkpoint and the router stop() returns."""
 
     def test_stop_preserves_streams_emptied_by_mid_pool_cancellation(self):
         """A stream whose every shard was retired by a mid-pool group
-        cancellation must survive stop(): the adopted-back router keeps it
+        cancellation must survive stop(): the router it returns keeps it
         in first-seen order, exactly like an uninterrupted run."""
         seed = 27
         feeds, queries, events = scenario(seed)
@@ -457,37 +511,32 @@ class TestPoolWithPriorHandOffs:
             f"seed={seed}: post-stop stats diverged after full retirement"
         )
 
-    def test_live_checkpoint_reflects_tombstones_lifted_by_cancellation(self):
-        """checkpoint_router() must emit the origin's *live* detached
-        tombstones, and a stream handed off before the pool adopts back into
-        the restored router after a mid-pool cancellation emptied one of
-        its window groups: the cancelled group is dropped, the tombstone
-        lifts and the stream routes."""
-        seed = 25
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    def test_pre_pool_retirements_count_once(self, workers):
+        seed = 29
         feeds, queries, events = scenario(seed)
-        gone = sorted(feeds)[0]
+        half = len(events) // 2
+
+        def retire_then_resume(router):
+            router.route_many(events[:half])
+            for query in queries:
+                router.cancel_query(query.query_id)
+            for query in queries:
+                router.register_query(query.with_id(None))
+
+        oracle = StreamRouter(queries, batch_size=5)
+        retire_then_resume(oracle)
         router = StreamRouter(queries, batch_size=5)
-        router.route_many(events)
-        router.flush()
-        handed_off = router.detach(gone)  # third party now owns the stream
-        pool = ShardWorkerPool(router, num_workers=2, dispatch_batch=16)
+        retire_then_resume(router)
+        assert router.stats()["retired"]["shards"] == 3
+        oracle.route_many(events[half:])
+        oracle.flush()
+        pool = ShardWorkerPool(router, num_workers=workers, dispatch_batch=16)
         pool.start()
-        try:
-            # Cancel every query of the first window group while the pool
-            # is live.
-            doomed_group = GROUPS[0]
-            for query in [q for q in queries
-                          if (q.window, q.duration) == doomed_group]:
-                pool.cancel_query(query.query_id)
-            restored = StreamRouter.from_checkpoint(pool.checkpoint_router())
-            assert restored.detached_streams() == [gone]
-            # The third party returns the stream; its cancelled group is
-            # dropped, the tombstone lifts and the stream must route.
-            shard = restored.adopt(handed_off)
-            assert doomed_group not in shard.engine.group_keys
-            frame = next(iter(feeds[gone].frames()))
-            restored.route(gone, FrameObservation(10_000, dict(
-                (oid, frame.label_of(oid)) for oid in frame.object_ids
-            )))  # must not raise "stream was detached"
-        finally:
-            pool.terminate()
+        pool.route_many(events[half:])
+        pool.flush()
+        expected = stats_bytes(oracle.stats())
+        assert stats_bytes(pool.stats()) == expected, f"seed={seed}"
+        restored = StreamRouter.from_checkpoint(pool.checkpoint_router())
+        assert stats_bytes(restored.stats()) == expected, f"seed={seed}"
+        assert stats_bytes(pool.stop().stats()) == expected, f"seed={seed}"

@@ -3,9 +3,9 @@
 Workers are SIGKILLed mid-stream (between and inside batches); the pool
 must restore the dead worker's shards from its last periodic checkpoint,
 replay the unacked operation tail, and still end byte-identical to the
-single-process oracle.  Misuse of the detach/adopt hand-off — double
-detach, adopting a stale checkpoint behind a running pool's back, routing
-a detached stream — must fail loudly rather than fork stream state.
+single-process oracle.  Misuse — routing a pooled stream on the origin
+router, driving a pool that is not running — must fail loudly rather than
+fork stream state.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import signal
 import pytest
 
 from repro.streaming import (
-    CheckpointError,
     Fault,
     FaultPlan,
     PoolError,
@@ -25,6 +24,7 @@ from repro.streaming import (
     WorkerCrashError,
     match_report,
 )
+from repro.streaming.checkpoint import to_bytes
 from repro.workloads.streams import bench_scenario, interleave_feeds
 
 GROUPS = ((8, 4), (12, 7))
@@ -81,18 +81,30 @@ class TestCrashRecovery:
         finally:
             pool.terminate()
 
-    def test_sigkill_before_any_checkpoint_replays_from_scratch(self):
-        """With no checkpoint yet, recovery replays the whole op log."""
+    @pytest.mark.parametrize("live_at_start", [False, True], ids=["empty", "live"])
+    def test_sigkill_before_any_checkpoint_replays_from_scratch(
+        self, live_at_start
+    ):
+        """With no periodic checkpoint yet, the worker comes back from its
+        start slice — empty, or holding the live shards it was started
+        with — and recovery replays the whole op log."""
         seed = 23
         feeds, queries, events = scenario(seed, num_feeds=2, frames=50)
         expected = oracle_report(queries, events)
+        quarter = len(events) // 4 if live_at_start else 0
+        router = StreamRouter(queries, batch_size=5)
+        router.route_many(events[:quarter])
+        assert len(router.shards()) == (2 if live_at_start else 0)
         # checkpoint_every high enough that no periodic snapshot happens
-        # before the kill: last_checkpoint is None at recovery time.
-        pool = make_pool(queries, workers=1, checkpoint_every=10_000)
+        # before the kill: the start slice is the recovery base.
+        pool = ShardWorkerPool(
+            router, num_workers=1, dispatch_batch=8, checkpoint_every=10_000
+        )
         pool.start()
         try:
-            pool.route_many(events[:len(events) // 2])
+            pool.route_many(events[quarter:len(events) // 2])
             pool.flush()
+            assert pool.stats()["pool"]["checkpoints_taken"] == 0
             kill_worker(pool, 0)
             pool.route_many(events[len(events) // 2:])
             pool.flush()
@@ -101,6 +113,39 @@ class TestCrashRecovery:
                 {sid: pool.matches_for(sid) for sid in pool.stream_ids()}
             )
             assert actual == expected, f"seed={seed}"
+        finally:
+            pool.terminate()
+
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    def test_workers_killed_right_after_start_come_back_from_their_slices(
+        self, workers
+    ):
+        """Every worker dies before its first operation: each respawns from
+        its start slice, so the merged document still equals the origin's
+        before start(), and the run ends as the oracle's."""
+        seed = 59
+        feeds, queries, events = scenario(seed, num_feeds=4, frames=40)
+        expected = oracle_report(queries, events)
+        half = len(events) // 2
+        router = StreamRouter(queries, batch_size=5)
+        router.route_many(events[:half])
+        before = to_bytes("router", router.checkpoint())
+        pool = ShardWorkerPool(
+            router, num_workers=workers, dispatch_batch=8, checkpoint_every=4
+        )
+        pool.start()
+        try:
+            for index in range(workers):
+                kill_worker(pool, index)
+            assert to_bytes("router", pool.checkpoint_router()) == before, (
+                f"seed={seed} workers={workers}"
+            )
+            assert pool.restarts == workers
+            pool.route_many(events[half:])
+            pool.flush()
+            assert match_report(
+                {sid: pool.matches_for(sid) for sid in pool.stream_ids()}
+            ) == expected, f"seed={seed} workers={workers}"
         finally:
             pool.terminate()
 
@@ -264,15 +309,6 @@ class TestScriptedFaults:
 
 
 class TestHandOffErrorPaths:
-    def test_double_detach_raises(self):
-        feeds, queries, events = scenario(37, num_feeds=2, frames=30)
-        router = StreamRouter(queries, batch_size=5)
-        router.route_many(events)
-        stream_id = router.stream_ids()[0]
-        router.detach(stream_id)
-        with pytest.raises(KeyError):
-            router.detach(stream_id)
-
     def test_routing_a_pooled_stream_on_the_origin_raises(self):
         feeds, queries, events = scenario(41, num_feeds=2, frames=30)
         router = StreamRouter(queries, batch_size=5)
@@ -286,42 +322,21 @@ class TestHandOffErrorPaths:
         finally:
             pool.terminate()
 
-    def test_adopting_stale_checkpoint_behind_a_running_pool_fails_at_stop(self):
-        """Resurrecting a pooled stream from a stale snapshot forks state;
-        the fork is caught at hand-back time (slot already occupied)."""
+    def test_the_origin_stays_handed_off_after_stop(self):
+        """stop() returns a new router holding the shards; the router the
+        pool was built on never grows one back."""
         feeds, queries, events = scenario(43, num_feeds=2, frames=30)
         router = StreamRouter(queries, batch_size=5)
         router.route_many(events[:20])
-        stale = [
-            dict(payload)
-            for key, shard in router.shards().items()
-            for payload in [shard.checkpoint()]
-        ]
-        pool = ShardWorkerPool(router, num_workers=1)
+        pool = ShardWorkerPool(router, num_workers=2)
         pool.start()
-        pool.route_many(events[20:])
-        pool.flush()
-        for payload in stale:  # sneak the stale state back in
-            router.adopt(payload)
-        with pytest.raises(CheckpointError):
-            pool.stop()
-
-    def test_pool_propagates_detached_tombstones_to_workers(self):
-        """Routing a stream the origin had already handed elsewhere fails
-        inside the worker and surfaces as a PoolError."""
-        feeds, queries, events = scenario(47, num_feeds=2, frames=30)
-        router = StreamRouter(queries, batch_size=5)
-        router.route_many(events)
-        gone = router.stream_ids()[0]
-        router.detach(gone)  # owned by some other process now
-        pool = ShardWorkerPool(router, num_workers=1, dispatch_batch=1)
-        pool.start()
-        try:
-            with pytest.raises(PoolError):
-                pool.route(gone, events[0][1])
-                pool.flush()
-        finally:
-            pool.terminate()
+        pool.route_many(events[20:40])
+        resumed = pool.stop()
+        assert resumed is not router and router.shards() == {}
+        stream_id, frame = events[40]
+        with pytest.raises(ValueError):
+            router.route(stream_id, frame)
+        resumed.route(stream_id, frame)
 
     def test_lifecycle_misuse_raises(self):
         feeds, queries, events = scenario(53, num_feeds=2, frames=20)

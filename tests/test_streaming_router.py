@@ -290,12 +290,14 @@ class TestRouterTopology:
 
     def test_empty_workload_starts_cold(self):
         """A router may start with no queries (live registration fills it):
-        frames route nowhere until a query arrives."""
+        frames route nowhere until a query arrives, but their stream takes
+        its first-seen place."""
         router = StreamRouter([])
         assert router.group_keys == []
         frame = FrameObservation(0, {1: "car"})
         assert router.route("cam-a", frame) == []
-        assert router.stream_ids() == []
+        assert router.stream_ids() == ["cam-a"]
+        assert router.shards() == {}
         registered = router.register_query(parse_query("car >= 1", window=6, duration=2))
         assert registered.query_id == 0
         assert router.group_keys == [(6, 2)]
@@ -350,31 +352,7 @@ class TestRouterTopology:
         )
         assert fresh.query_id == 2, "cancelled id 1 was reused after restore"
 
-    def test_detach_and_adopt_moves_a_stream(self):
-        feeds = make_feeds(5, num_feeds=2)
-        queries = multi_group_queries()
-        events = interleaved(feeds, 5)
-        cut = len(events) // 2
-        control = StreamRouter(queries, batch_size=4)
-        control.route_many(events)
-        control.flush()
-
-        source = StreamRouter(queries, batch_size=4)
-        source.route_many(events[:cut])
-        payload = source.detach("cam-0")
-        assert "cam-0" not in source.shards()
-        target = StreamRouter(queries, batch_size=4)
-        target.adopt(payload)
-        for stream_id, frame in events[cut:]:
-            (target if stream_id == "cam-0" else source).route(stream_id, frame)
-        source.flush()
-        target.flush()
-        # Retained matches travel with the hand-off, so the adopted stream's
-        # history is complete on the target.
-        assert target.matches_for("cam-0") == control.matches_for("cam-0")
-        assert source.matches_for("cam-1") == control.matches_for("cam-1")
-
-    def test_drained_matches_stay_with_their_consumer_across_handoff(self):
+    def test_drained_matches_stay_with_their_consumer_across_restore(self):
         """Consumed matches are not replayed; unconsumed ones are not lost."""
         feeds = make_feeds(6, num_feeds=1, num_frames=40)
         events = interleaved(feeds, 6)
@@ -388,35 +366,27 @@ class TestRouterTopology:
         consumed = router.drain_matches().get("cam-0", [])
         router.route_many(events[cut:])
         router.flush()
-        payload = router.detach("cam-0")
-        target = StreamRouter(multi_group_queries(), batch_size=4)
-        target.adopt(payload)
-        # Only the undrained tail crossed the hand-off...
+        target = StreamRouter.from_bytes(router.to_bytes())
+        # Only the undrained tail crossed the checkpoint...
         unconsumed = target.matches_for("cam-0")
         assert consumed and unconsumed
         # ...and together they reconstruct the full history exactly once.
         assert consumed + unconsumed == control.matches_for("cam-0")
 
-    def test_detach_unknown_stream_rejected(self):
-        router = StreamRouter(multi_group_queries())
-        with pytest.raises(KeyError):
-            router.detach("nope")
-
-    def test_routing_to_detached_stream_rejected(self):
-        """A straggler event after a hand-off must fail loudly, not fork the
-        stream into a fresh empty shard."""
+    def test_routing_on_a_handed_off_router_rejected(self):
+        """After a hand-off (the worker pool's start) a straggler frame must
+        fail loudly, not fork a stream into a fresh empty shard; the
+        workload stays live for registration and cancellation."""
         router = StreamRouter(multi_group_queries())
         router.route("cam-a", FrameObservation(0, {1: "person"}))
-        payload = router.detach("cam-a")
-        with pytest.raises(ValueError, match="detached"):
-            router.route("cam-a", FrameObservation(1, {1: "person"}))
-        # The tombstone survives a checkpoint/restore of the router...
-        restored = StreamRouter.from_bytes(router.to_bytes())
-        with pytest.raises(ValueError, match="detached"):
-            restored.route("cam-a", FrameObservation(1, {1: "person"}))
-        # ...and adopting the stream back lifts it.
-        router.adopt(payload)
-        router.route("cam-a", FrameObservation(1, {1: "person"}))
+        router.hand_off()
+        assert router.shards() == {}
+        for stream_id in ("cam-a", "cam-new"):
+            with pytest.raises(ValueError, match="worker pool"):
+                router.route(stream_id, FrameObservation(1, {1: "person"}))
+        query = router.register_query(parse_query("car >= 1", window=6, duration=2))
+        router.cancel_query(query.query_id)
+        assert router.stream_ids() == ["cam-a"]
 
     def test_drain_matches_bounds_retention(self):
         feeds = make_feeds(3, num_feeds=2, num_frames=40)
@@ -445,30 +415,6 @@ class TestRouterTopology:
         assert lean.stats()["totals"]["frames_processed"] == \
             retained.stats()["totals"]["frames_processed"]
 
-    def test_adopt_rejects_foreign_group_and_occupied_slot(self):
-        donor = StreamRouter(build_queries(["person >= 1"], window=6, duration=2))
-        donor.route("cam-a", FrameObservation(0, {1: "person"}))
-        payload = donor.detach("cam-a")
-
-        foreign = StreamRouter(build_queries(["person >= 1"], window=9, duration=3))
-        with pytest.raises(CheckpointError):
-            foreign.adopt(payload)
-
-        occupied = StreamRouter(build_queries(["person >= 1"], window=6, duration=2))
-        occupied.route("cam-a", FrameObservation(0, {1: "person"}))
-        with pytest.raises(CheckpointError):
-            occupied.adopt(payload)
-
-    def test_adopt_rejects_mismatched_workload(self):
-        """Same window group, different queries: the shard would keep
-        answering a foreign workload under this router's query ids."""
-        donor = StreamRouter(build_queries(["car >= 1"], window=6, duration=2))
-        donor.route("cam-a", FrameObservation(0, {1: "car"}))
-        payload = donor.detach("cam-a")
-        other = StreamRouter(build_queries(["person >= 1"], window=6, duration=2))
-        with pytest.raises(CheckpointError, match="do not match"):
-            other.adopt(payload)
-
     def test_stats_aggregate_counts(self):
         feeds = make_feeds(2, num_feeds=2, num_frames=30)
         router = StreamRouter(multi_group_queries(), batch_size=4)
@@ -484,16 +430,10 @@ class TestRouterTopology:
         assert list(stats["per_shard"]) == ["cam-0", "cam-1"]
 
 
-class TestDepartedStats:
-    """Detached shards must not vanish from exported statistics.
-
-    Regression: ``detach`` removed the shard from ``_shards``, so its
-    late-drop/duplicate/reorder counters disappeared from ``stats()`` and
-    from the router checkpoint entirely — exported stats silently
-    under-reported after every rebalance.
-    """
-
-    def _jittered_router(self):
+class TestShardCounters:
+    def test_shard_counters_survive_the_router_checkpoint(self):
+        """Every ingest counter rides the checkpoint, late and duplicate
+        drops included."""
         feeds = make_feeds(3, num_feeds=2, num_frames=40)
         router = StreamRouter(multi_group_queries(), batch_size=4, watermark=1)
         events = interleaved(feeds, 3, jitter=2)
@@ -501,87 +441,13 @@ class TestDepartedStats:
         router.route_many(events)
         router.route_many(events[:10])
         router.flush()
-        return router
-
-    def test_shard_counters_survive_detach_and_adopt(self):
-        """Shard-level pin: every ingest counter rides the checkpoint."""
-        router = self._jittered_router()
         stream_id = router.stream_ids()[0]
         before = router.shards()[stream_id].stats.as_dict()
         assert before["dropped_late"] + before["duplicates"] > 0, (
             "vacuous scenario: no late/duplicate drops produced"
         )
-        payload = router.detach(stream_id)
-        twin = StreamRouter.from_checkpoint(router.config_checkpoint())
-        twin.adopt(payload)
+        twin = StreamRouter.from_bytes(router.to_bytes())
         assert twin.shards()[stream_id].stats.as_dict() == before
-
-    def test_router_stats_report_departed_counters(self):
-        router = self._jittered_router()
-        totals_before = router.stats()["totals"]
-        assert router.stats()["departed"]["shards"] == 0
-        for stream_id in list(router.stream_ids()):
-            router.detach(stream_id)
-        stats = router.stats()
-        assert stats["totals"]["frames_ingested"] == 0  # live view is empty
-        departed = stats["departed"]
-        assert departed["shards"] == 2  # one per stream
-        assert departed["batches"] > 0
-        for key in ("frames_ingested", "frames_processed", "dropped_late",
-                    "duplicates", "reordered"):
-            assert departed[key] == totals_before[key], key
-        assert departed["dropped_late"] + departed["duplicates"] > 0
-
-    def test_departed_counters_survive_the_router_checkpoint(self):
-        router = self._jittered_router()
-        for stream_id in list(router.stream_ids()):
-            router.detach(stream_id)
-        departed = router.stats()["departed"]
-        restored = StreamRouter.from_bytes(router.to_bytes())
-        assert restored.stats()["departed"] == departed
-        assert restored.to_bytes() == router.to_bytes()
-
-    def test_adopting_back_reverses_departed_accounting(self):
-        """Regression: a detach→adopt round trip (a pool hand-off) must not
-        leave the shard's pre-detach counters double-counted in departed."""
-        router = self._jittered_router()
-        baseline = router.stats()
-        for stream_id in list(router.stream_ids()):
-            router.adopt(router.detach(stream_id))
-        after = router.stats()
-        assert after["departed"] == baseline["departed"]
-        assert after["departed"]["shards"] == 0
-
-        def counters(totals):
-            # Checkpointed stats round seconds to 6 digits by design, so a
-            # round-trip may shift wall-clock fields by a microsecond.
-            return {k: v for k, v in totals.items()
-                    if k not in ("processing_seconds", "frames_per_sec")}
-
-        assert counters(after["totals"]) == counters(baseline["totals"])
-
-    def test_adopt_back_reverses_only_that_stream(self):
-        router = self._jittered_router()
-        first, second = router.stream_ids()
-        payload = router.detach(first)
-        router.detach(second)
-        full = dict(router.stats()["departed"])
-        router.adopt(payload)
-        partial = router.stats()["departed"]
-        assert partial["shards"] == full["shards"] - 1
-        assert partial["frames_ingested"] < full["frames_ingested"]
-
-    def test_departed_streams_survive_the_checkpoint(self):
-        """The per-stream frozen counters must round-trip so a restored
-        router still reverses departed accounting on a later adopt-back."""
-        router = self._jittered_router()
-        stream_id = router.stream_ids()[0]
-        payload = router.detach(stream_id)
-        restored = StreamRouter.from_bytes(router.to_bytes())
-        assert restored.to_bytes() == router.to_bytes()
-        restored.adopt(payload)
-        assert restored.stats()["departed"]["shards"] == 0
-        assert restored.stats()["departed"]["frames_ingested"] == 0
 
 
 class TestQueryIdGuards:
@@ -610,31 +476,3 @@ class TestQueryIdGuards:
         damage(document["shards"][0]["engine"]["groups"][0]["query_ids"])
         with pytest.raises(CheckpointError):
             StreamRouter.from_checkpoint(document)
-
-    def test_standalone_shard_carries_its_groups_queries_once(self):
-        router = StreamRouter(multi_group_queries(), batch_size=4)
-        router.route_many(interleaved(make_feeds(7, num_feeds=1, num_frames=20), 7))
-        payload = router.detach("cam-0")
-        assert [q["query_id"] for q in payload["queries"]] == [
-            qid for group in payload["engine"]["groups"]
-            for qid in group["query_ids"]
-        ] == [0, 1, 2, 3, 4]
-        assert StreamShard.from_checkpoint(payload).checkpoint() == payload
-        router.adopt(payload)
-
-    def test_foreign_router_with_another_query_under_the_same_id_refused(self):
-        """Same window group, same ids, one query differs: the ids alone
-        would match, the carried query dicts do not."""
-        texts = ["person >= 1", "car >= 1 AND person >= 1"]
-        donor = StreamRouter(build_queries(texts, window=8, duration=4))
-        donor.route("cam-a", FrameObservation(0, {1: "person"}))
-        payload = donor.detach("cam-a")
-        foreign = StreamRouter(
-            build_queries(texts[:1] + ["car >= 2"], window=8, duration=4)
-        )
-        assert [q.query_id for q in foreign.queries] == \
-            payload["engine"]["groups"][0]["query_ids"]
-        with pytest.raises(CheckpointError, match="do not match"):
-            foreign.adopt(payload)
-        twin = StreamRouter(build_queries(texts, window=8, duration=4))
-        twin.adopt(payload)
