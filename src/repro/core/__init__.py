@@ -16,10 +16,13 @@ experimental baselines of Section 6:
 
 :class:`~repro.core.reference.ReferenceGenerator` recomputes the exact answer
 per window from scratch and serves as the correctness oracle in tests.
+
+All three keep their states in a :class:`~repro.core.state.StateTable`: a
+state's object set, frame set and marked frames are plain ``int`` bitsets
+(see :mod:`repro.core.state`).
 """
 
 from repro.core.base import GeneratorStats, MCOSGenerator
-from repro.core.framespan import FrameSpan
 from repro.core.interning import ObjectInterner
 from repro.core.mfs import MarkedFrameSetGenerator
 from repro.core.naive import NaiveGenerator
@@ -32,7 +35,6 @@ __all__ = [
     "State",
     "StateTable",
     "ObjectInterner",
-    "FrameSpan",
     "ResultState",
     "ResultStateSet",
     "MCOSGenerator",

@@ -323,9 +323,9 @@ class MCOSGenerator(abc.ABC):
         byte-identical results.  Its ``state`` block is the columnar layout
         of :meth:`repro.core.state.StateTable.export_states` — a handful of
         flat int lists, which the checkpoint codec stores as int columns.
-        Performance caches (merge memos, decoded-result caches) are
-        deliberately excluded: they rebuild on the fly and never influence
-        results.  Must only be called between frames (never from a
+        Decoded-result caches and the window base of the frame bitsets are
+        deliberately excluded (frames are written as absolute ids): they
+        rebuild on the fly and never influence results.  Must only be called between frames (never from a
         ``state_filter`` callback mid-maintenance).
         """
         labels = self.config.labels_of_interest
@@ -352,7 +352,10 @@ class MCOSGenerator(abc.ABC):
         would silently change semantics, so a mismatch raises ``ValueError``.
         (A ``state_filter`` callback cannot be compared and remains the
         caller's responsibility — the engine layer pins it via its own
-        ``enable_pruning`` config check.)
+        ``enable_pruning`` config check.)  Every frame and mark a state
+        holds must lie in the window ending at ``last_frame_id``, and there
+        can be no state before the first frame: after every frame, each
+        live state's frames lie in its window.
         """
         if payload.get("method") != self.name:
             raise ValueError(
@@ -410,10 +413,13 @@ class MCOSGenerator(abc.ABC):
         return to_bytes("generator", self.export_checkpoint())
 
     def import_state(self, data: bytes) -> None:
-        """Restore the generator from :meth:`export_state` bytes."""
-        from repro.streaming.checkpoint import from_bytes
+        """Restore the generator from :meth:`export_state` bytes; any
+        malformed document raises :class:`CheckpointError`."""
+        from repro.streaming.checkpoint import from_bytes, reading
 
-        self.import_checkpoint(from_bytes(data, expect_kind="generator"))
+        payload = from_bytes(data, expect_kind="generator")
+        with reading("generator checkpoint"):
+            self.import_checkpoint(payload)
 
     # ------------------------------------------------------------------
     # Hooks for subclasses

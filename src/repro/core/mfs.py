@@ -25,9 +25,9 @@ the state's object set -- hence "at least one marked frame present" is
 equivalent to the state being a valid MCOS.
 
 All object sets are ``int`` bitmasks over the generator's shared
-:class:`~repro.core.interning.ObjectInterner`; frame sets are run-length
-:class:`~repro.core.framespan.FrameSpan` intervals, so per-frame intersection
-is a single ``&`` and state merging is O(runs).
+:class:`~repro.core.interning.ObjectInterner`, and frames and marks ``int``
+bitsets over the state table's window base (:mod:`repro.core.state`), so
+per-frame intersection is a single ``&`` and a merge two ``|``.
 """
 
 from __future__ import annotations
@@ -53,42 +53,32 @@ class MarkedFrameSetGenerator(MCOSGenerator):
     # ------------------------------------------------------------------
     def _process(self, frame_id: int, frame_bits: int) -> ResultStateSet:
         oldest_valid = self._oldest_valid_frame(frame_id)
+        bit = self._states.frame_bit(frame_id, oldest_valid)
         self._expire(oldest_valid)
 
         if frame_bits:
-            self._integrate_frame(frame_id, frame_bits)
+            self._integrate_frame(bit, frame_bits)
 
         self._track_live_states(len(self._states))
         return self._report(frame_id)
 
     def _expire(self, oldest_valid: int) -> None:
-        """Expire frames; remove states that lost all frames or all marks."""
-        for state in self._states.states():
-            span = state.span
-            starts = span._starts
-            head = span._head
-            if head < len(starts):
-                first = starts[head]
-                if first < oldest_valid:
-                    # Inlined fast path: the slide trims the first run only
-                    # and expires no marks (see the SSG traversal).
-                    marked = span._marked
-                    mhead = span._mhead
-                    if (span._ends[head] >= oldest_valid
-                            and (mhead >= len(marked)
-                                 or marked[mhead] >= oldest_valid)):
-                        span.frame_count -= oldest_valid - first
-                        starts[head] = oldest_valid
-                        span.revision += 1
-                    else:
-                        span.expire_before(oldest_valid)
-            if span.marked_count == 0:
-                # Covers the empty span too: marks are a subset of frames.
-                self._states.remove(state)
+        """Expire frames; remove states that lost all marks (and so, marks
+        being a subset of the frames, every state that lost all frames)."""
+        states = self._states
+        keep = -1 << (oldest_valid - states.base)
+        for state in states.states():
+            marks = state.marks & keep
+            if marks:
+                state.frames &= keep
+                state.marks = marks
+            else:
+                states.remove(state)
                 self.stats.states_removed += 1
 
-    def _integrate_frame(self, frame_id: int, frame_bits: int) -> None:
-        """Intersect the new frame with every existing state, marking key frames."""
+    def _integrate_frame(self, bit: int, frame_bits: int) -> None:
+        """Intersect the new frame (``bit`` in the frame bitsets) with every
+        existing state, marking key frames."""
         states = self._states
         stats = self.stats
         existing = states.states()
@@ -102,19 +92,9 @@ class MarkedFrameSetGenerator(MCOSGenerator):
             inter = state_bits & frame_bits
             if not inter:
                 continue
-            span = state.span
             if inter == state_bits:
-                # The state's objects all appear in the new frame: append
-                # only.  Inlined FrameSpan.append fast paths (extend tail /
-                # duplicate tail) cover almost every call.
-                sp_ends = span._ends
-                last = sp_ends[-1]
-                if last == frame_id - 1:
-                    sp_ends[-1] = frame_id
-                    span.frame_count += 1
-                    span.revision += 1
-                elif last != frame_id:
-                    span.append(frame_id)
+                # The state's objects all appear in the new frame: append only.
+                state.frames |= bit
                 appended += 1
                 continue
             target, created = states.get_or_create(inter)
@@ -124,39 +104,14 @@ class MarkedFrameSetGenerator(MCOSGenerator):
                     # Proposition 1: keep a terminated marker so the state is
                     # not repeatedly re-created, but never process it again.
                     target.terminated = True
-                    target.add_frame(frame_id, marked=True)
+                    target.frames = target.marks = bit
                     continue
             if target.terminated:
                 continue
             # The target inherits the source's frames and marked frames
             # (Frame Marking Rule 2), plus the arriving frame (unmarked).
-            # Inlined merge-memo hit check (unchanged source: no-op merge).
-            tspan = target.span
-            memo = tspan._merge_memo
-            entry = memo.get(span.serial) if memo is not None else None
-            if entry is not None and entry[0] == span.revision \
-                    and entry[3] == span.marks_revision:
-                pass  # source unchanged: provable no-op
-            elif (entry is not None
-                    and entry[1] == span.mid_revision
-                    and entry[3] == span.marks_revision
-                    and span._ends[-1] <= tspan._ends[-1]
-                    and tspan._starts[-1] <= entry[2] + 1):
-                # Source only appended frames since the last merge and they
-                # all lie inside the target's tail run: record the catch-up
-                # without touching either span.
-                entry[0] = span.revision
-                entry[2] = span._ends[-1]
-            else:
-                tspan.merge(span, True, entry)
-            t_ends = tspan._ends
-            last = t_ends[-1]
-            if last == frame_id - 1:
-                t_ends[-1] = frame_id
-                tspan.frame_count += 1
-                tspan.revision += 1
-            elif last != frame_id:
-                tspan.append(frame_id)
+            target.frames |= state.frames | bit
+            target.marks |= state.marks
             appended += 1
         stats.state_visits += visits
         stats.intersections += visits
@@ -167,13 +122,14 @@ class MarkedFrameSetGenerator(MCOSGenerator):
             stats.states_created += 1
             if not self._keep_new_state(frame_bits):
                 principal.terminated = True
-                principal.add_frame(frame_id, marked=True)
+                principal.frames = principal.marks = bit
                 return
         if principal.terminated:
             return
         # Frame Marking Rule 1: the frame that creates a principal state is a
         # key frame of that state.
-        principal.span.append(frame_id, marked=True)
+        principal.frames |= bit
+        principal.marks |= bit
         stats.frames_appended += 1
 
     # ------------------------------------------------------------------
@@ -185,20 +141,18 @@ class MarkedFrameSetGenerator(MCOSGenerator):
         result = ResultStateSet(frame_id)
         add = result.add_unique
         for state in self._states:
-            if state.terminated:
-                continue
-            span = state.span
-            if span.marked_count > 0 and span.frame_count >= duration:
+            if (not state.terminated and state.marks
+                    and state.frames.bit_count() >= duration):
                 add(state.to_result())
         return result
 
     def _cut(self, result: ResultStateSet, lo: int, duration: int) -> None:
         """Every live state keeping a mark and ``duration`` frames ``>= lo``."""
         add = result.add_unique
+        shift = lo - self._states.base
         for state in self._states:
-            span = state.span
-            if (not state.terminated and span.marked_from(lo)
-                    and span.count_from(lo) >= duration):
+            if (not state.terminated and state.marks >> shift
+                    and (state.frames >> shift).bit_count() >= duration):
                 add(state.cut_result(lo))
 
     # ------------------------------------------------------------------
@@ -221,4 +175,6 @@ class MarkedFrameSetGenerator(MCOSGenerator):
         return {"states": self._states.export_states()}
 
     def _import_impl(self, payload: Dict) -> None:
-        self._states.import_states(payload["states"])
+        self._states.import_states(
+            payload["states"], self._last_frame_id, self.config.window_size
+        )

@@ -10,13 +10,15 @@ same frame set and keeping only the largest object set, exactly as described
 for the NAIVE method in the experimental section.
 
 All object sets are ``int`` bitmasks over the generator's shared
-:class:`~repro.core.interning.ObjectInterner`; intersections and table lookups
-never touch frozensets.
+:class:`~repro.core.interning.ObjectInterner` and all frame sets ``int``
+bitsets over the state table's window base (:mod:`repro.core.state`):
+intersections and table lookups never touch frozensets, a merge is one
+``|``, and the report groups states by their frames int.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.core.base import MCOSGenerator
 from repro.core.result import ResultStateSet
@@ -37,34 +39,30 @@ class NaiveGenerator(MCOSGenerator):
     # ------------------------------------------------------------------
     def _process(self, frame_id: int, frame_bits: int) -> ResultStateSet:
         oldest_valid = self._oldest_valid_frame(frame_id)
+        bit = self._states.frame_bit(frame_id, oldest_valid)
         self._expire(oldest_valid)
 
         if frame_bits:
-            self._integrate_frame(frame_id, frame_bits)
+            self._integrate_frame(bit, frame_bits)
 
         self._track_live_states(len(self._states))
         return self._report(frame_id)
 
     def _expire(self, oldest_valid: int) -> None:
         """Remove expired frames; drop states whose frame set became empty."""
-        for state in self._states.states():
-            span = state.span
-            starts = span._starts
-            head = span._head
-            if head < len(starts) and starts[head] < oldest_valid:
-                if span._ends[head] >= oldest_valid:
-                    # Inlined fast path: the slide trims the first run only.
-                    span.frame_count -= oldest_valid - starts[head]
-                    starts[head] = oldest_valid
-                    span.revision += 1
-                else:
-                    span.expire_before(oldest_valid)
-                    if span.frame_count == 0:
-                        self._states.remove(state)
-                        self.stats.states_removed += 1
+        states = self._states
+        keep = -1 << (oldest_valid - states.base)
+        for state in states.states():
+            frames = state.frames & keep
+            if frames:
+                state.frames = frames
+            else:
+                states.remove(state)
+                self.stats.states_removed += 1
 
-    def _integrate_frame(self, frame_id: int, frame_bits: int) -> None:
-        """Intersect the new frame with every existing state (Section 4.2.2)."""
+    def _integrate_frame(self, bit: int, frame_bits: int) -> None:
+        """Intersect the new frame (``bit`` in the frame bitsets) with every
+        existing state (Section 4.2.2)."""
         states = self._states
         stats = self.stats
         existing = states.states()
@@ -85,34 +83,11 @@ class NaiveGenerator(MCOSGenerator):
                     # it) can never satisfy a query; keep it as a terminated
                     # marker so it is not re-created, but stop processing it.
                     target.terminated = True
-                    target.add_frame(frame_id)
+                    target.frames = bit
                     continue
             if target.terminated:
                 continue
-            span = state.span
-            tspan = target.span
-            # Inlined merge-memo hit check (unchanged source: no-op merge).
-            memo = tspan._merge_memo
-            entry = memo.get(span.serial) if memo is not None else None
-            if entry is not None and entry[0] == span.revision:
-                pass  # source unchanged: provable no-op
-            elif (entry is not None
-                    and entry[1] == span.mid_revision
-                    and span._ends[-1] <= tspan._ends[-1]
-                    and tspan._starts[-1] <= entry[2] + 1):
-                # New source frames all lie inside the target's tail run.
-                entry[0] = span.revision
-                entry[2] = span._ends[-1]
-            else:
-                tspan.merge(span, False, entry)
-            t_ends = tspan._ends
-            last = t_ends[-1]
-            if last == frame_id - 1:
-                t_ends[-1] = frame_id
-                tspan.frame_count += 1
-                tspan.revision += 1
-            elif last != frame_id:
-                tspan.append(frame_id)
+            target.frames |= state.frames | bit
             appended += 1
         stats.state_visits += visits
         stats.intersections += visits
@@ -124,11 +99,11 @@ class NaiveGenerator(MCOSGenerator):
             stats.states_created += 1
             if not self._keep_new_state(frame_bits):
                 principal.terminated = True
-                principal.add_frame(frame_id)
+                principal.frames = bit
                 return
         if principal.terminated:
             return
-        principal.add_frame(frame_id)
+        principal.frames |= bit
         stats.frames_appended += 1
 
     # ------------------------------------------------------------------
@@ -137,16 +112,14 @@ class NaiveGenerator(MCOSGenerator):
     def _report(self, frame_id: int) -> ResultStateSet:
         """Deduplicate satisfied states that share a frame set (keep the largest)."""
         duration = self.config.duration
-        best_by_frames: Dict[Tuple[int, ...], State] = {}
+        best_by_frames: Dict[int, State] = {}
         for state in self._states:
-            if state.terminated or state.span.frame_count < duration:
+            frames = state.frames
+            if state.terminated or frames.bit_count() < duration:
                 continue
-            # The run bounds are a canonical form of the frame set: a far
-            # cheaper grouping key than a frozenset of all frame ids.
-            key = state.span.runs_key()
-            incumbent = best_by_frames.get(key)
+            incumbent = best_by_frames.get(frames)
             if incumbent is None or state.size > incumbent.size:
-                best_by_frames[key] = state
+                best_by_frames[frames] = state
 
         result = ResultStateSet(frame_id)
         for state in best_by_frames.values():
@@ -157,15 +130,15 @@ class NaiveGenerator(MCOSGenerator):
         """The report rule over the frames ``>= lo``: group the states by
         their cut frame set and keep the largest of each group."""
         floor = max(duration, 1)
-        best_by_frames: Dict[Tuple[int, ...], State] = {}
+        shift = lo - self._states.base
+        best_by_frames: Dict[int, State] = {}
         for state in self._states:
-            span = state.span
-            if state.terminated or span.count_from(lo) < floor:
+            frames = state.frames >> shift
+            if state.terminated or frames.bit_count() < floor:
                 continue
-            key = span.runs_key_from(lo)
-            incumbent = best_by_frames.get(key)
+            incumbent = best_by_frames.get(frames)
             if incumbent is None or state.size > incumbent.size:
-                best_by_frames[key] = state
+                best_by_frames[frames] = state
         for state in best_by_frames.values():
             result.add(state.cut_result(lo))
 
@@ -189,4 +162,6 @@ class NaiveGenerator(MCOSGenerator):
         return {"states": self._states.export_states()}
 
     def _import_impl(self, payload: Dict) -> None:
-        self._states.import_states(payload["states"])
+        self._states.import_states(
+            payload["states"], self._last_frame_id, self.config.window_size
+        )

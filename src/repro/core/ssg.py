@@ -31,9 +31,10 @@ materialised anywhere on the traversal path.  Adjacency lives directly on the
 :class:`~repro.core.state.State` objects (``state.children`` /
 ``state.parents`` map child/parent bits to their states), so the traversal
 follows edges with attribute reads, stamps visits into ``state.flag`` instead
-of a hash set, and two memo layers (the span merge memo and the edge
-reachability memo) turn the per-frame re-derivations that dominate steady
-state into O(1) skips.
+of a hash set, and the edge-reachability memo turns the per-frame edge
+requests that dominate steady state into O(1) skips.  A state's frames and
+marks are ``int`` bitsets (:mod:`repro.core.state`): a merge is two ``|``
+and needs no memo.
 
 Δ-pruning and replay
 --------------------
@@ -61,7 +62,11 @@ their oldest stored mark, and a frame removes the states of the buckets that
 fell out of the window (principal marking and mark-copying merges are the
 only operations that add marks, so only they re-bucket).  After the sweep
 every live state carries a mark in the window, which is why neither the
-walk nor the report ever meets an invalid state.  The replay list is
+walk nor the report ever meets an invalid state.  Its frames lie in the
+window too: a state's oldest frame is always one of its marks (the principal
+of that frame marks it, and every state derived from that principal
+inherits the mark), so the sweep that expires a state's marks expires its
+frames, and nothing else expires anything.  The replay list is
 checkpointed; the buckets are rebuilt from the marks on import.  Without a
 previous frame (a new or reset generator, a checkpoint without the replay
 columns, or after an empty frame or a Proposition-1 terminated principal)
@@ -98,7 +103,7 @@ from operator import floordiv, mod
 from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.base import MCOSGenerator
-from repro.core.result import ResultState, ResultStateSet
+from repro.core.result import ResultStateSet
 from repro.core.state import State, StateTable, int_column, table_positions
 
 #: Interned object-set bitmask (graph/table key).
@@ -137,10 +142,11 @@ class _Schedule:
         self.witness: Optional[int] = None
         self.dropped = 0
 
-    def add(self, state: State) -> None:
-        """File ``state`` under its oldest stored mark."""
-        span = state.span
-        key = span._marked[span._mhead] if span.marked_count else _UNMARKED
+    def add(self, state: State, base: int) -> None:
+        """File ``state`` under its oldest stored mark (``base`` is the
+        table's window base)."""
+        marks = state.marks
+        key = base + (marks & -marks).bit_length() - 1 if marks else _UNMARKED
         bucket = self.buckets.get(key)
         if bucket is None:
             self.buckets[key] = [state]
@@ -148,19 +154,21 @@ class _Schedule:
         else:
             bucket.append(state)
 
-    def due(self, oldest_valid: int, by_bits: Dict[ObjectBits, State]) -> List[State]:
-        """Live states holding a mark older than ``oldest_valid``, in table
-        order (span serials grow with table position, in a live run and
+    def due(self, oldest_valid: int, states: StateTable) -> List[State]:
+        """Live states holding a mark older than ``oldest_valid`` (or none),
+        in table order (serials grow with table position, in a live run and
         after a restore alike, so a restored run removes in the same order)."""
         keys, buckets = self.keys, self.buckets
+        by_bits = states._by_bits
+        cut = oldest_valid - states.base
         found: Dict[int, State] = {}
         while keys and keys[0] < oldest_valid:
             for state in buckets.pop(heappop(keys)):
-                span = state.span
-                if by_bits.get(state.bits) is state and (
-                        not span.marked_count
-                        or span._marked[span._mhead] < oldest_valid):
-                    found[span.serial] = state
+                marks = state.marks
+                # The oldest mark is the lowest set bit; none also counts.
+                if by_bits.get(state.bits) is state \
+                        and (marks & -marks).bit_length() <= cut:
+                    found[state.serial] = state
         return [found[serial] for serial in sorted(found)]
 
 
@@ -182,7 +190,7 @@ class StrictStateGraphGenerator(MCOSGenerator):
         # result of the current window.
         self._previous_results: Dict[ObjectBits, State] = {}
         # Edge requests already known to be satisfied (the child is reachable
-        # from the parent), keyed by the two states' span serials (unique per
+        # from the parent), keyed by the two states' serials (unique per
         # state incarnation, so re-created object sets never alias).  Entries
         # stay valid for the lifetime of both states: Property-2 repairs and
         # node removals re-route every broken path before returning (removals
@@ -210,7 +218,7 @@ class StrictStateGraphGenerator(MCOSGenerator):
         lifetime of the two states.
         """
         memo = self._edge_memo
-        key = (parent_state.span.serial, child_state.span.serial)
+        key = (parent_state.serial, child_state.serial)
         if key in memo:
             return
         self._add_edge(parent_state, child_state)
@@ -324,6 +332,7 @@ class StrictStateGraphGenerator(MCOSGenerator):
         oldest_valid = self._oldest_valid_frame(frame_id)
         self._expire_principals(oldest_valid)
         self._sweep(oldest_valid)
+        bit = self._states.frame_bit(frame_id, oldest_valid)
 
         result_candidates: Dict[ObjectBits, State] = {}
         schedule = self._schedule
@@ -333,7 +342,7 @@ class StrictStateGraphGenerator(MCOSGenerator):
         schedule.replay = []
         if frame_bits:
             self._traverse_and_integrate(
-                frame_id, frame_bits, oldest_valid, replay, result_candidates
+                frame_id, frame_bits, bit, replay, result_candidates
             )
         else:
             schedule.witness = None
@@ -341,17 +350,17 @@ class StrictStateGraphGenerator(MCOSGenerator):
         self._track_live_states(len(self._states))
         if len(self._edge_memo) > 64 * len(self._states) + 1024:
             self._prune_edge_memo()
-        return self._report(frame_id, oldest_valid, result_candidates)
+        return self._report(frame_id, result_candidates)
 
     def _prune_edge_memo(self) -> None:
         """Drop edge-memo entries whose states are gone.
 
-        Span serials are never reused, so entries referencing dead states are
-        dead weight; on a long-running stream they would otherwise accumulate
-        without bound.  Amortised: runs only when the memo outgrows the live
-        state count by a wide margin.
+        State serials are never reused, so entries referencing dead states
+        are dead weight; on a long-running stream they would otherwise
+        accumulate without bound.  Amortised: runs only when the memo
+        outgrows the live state count by a wide margin.
         """
-        live = {state.span.serial for state in self._states}
+        live = {state.serial for state in self._states}
         self._edge_memo = {
             key for key in self._edge_memo
             if key[0] in live and key[1] in live
@@ -389,16 +398,21 @@ class StrictStateGraphGenerator(MCOSGenerator):
 
         Runs before the walk, which no longer reaches every such state (see
         the module docstring); states that keep a mark are expired and filed
-        under their new oldest one.
+        under their new oldest one.  The expiry shifts instead of masking:
+        after a gap in the frame ids, ``cut`` may be far wider than any
+        bitset.
         """
         schedule = self._schedule
         states = self._states
+        base = states.base
+        cut = oldest_valid - base
         removed = 0
-        for state in schedule.due(oldest_valid, states._by_bits):
-            span = state.span
-            span.expire_before(oldest_valid)
-            if span.marked_count:
-                schedule.add(state)
+        for state in schedule.due(oldest_valid, states):
+            marks = state.marks >> cut << cut
+            if marks:
+                state.frames = state.frames >> cut << cut
+                state.marks = marks
+                schedule.add(state, base)
             else:
                 states.remove(state)
                 self._remove_node(state)
@@ -406,18 +420,20 @@ class StrictStateGraphGenerator(MCOSGenerator):
         self.stats.states_removed += removed
 
     def _traverse_and_integrate(
-        self, frame_id: int, frame_bits: int, oldest_valid: int,
+        self, frame_id: int, frame_bits: int, bit: int,
         replay: List[State], result_candidates: Dict[ObjectBits, State],
     ) -> None:
         """Run the Δ-pruned State Traversal for one arriving frame.
 
-        ``replay`` is the previous frame's replay list.  Satisfied, valid
-        states touched by the replay or the walk are collected into
-        ``result_candidates`` as they are mutated (additions within a frame
-        are monotone, so checking at each mutation point is equivalent to an
-        end-of-frame scan over every touched state).
+        ``bit`` is the frame's bit in the frame bitsets and ``replay`` the
+        previous frame's replay list.  Satisfied, valid states touched by
+        the replay or the walk are collected into ``result_candidates`` as
+        they are mutated (additions within a frame are monotone, so checking
+        at each mutation point is equivalent to an end-of-frame scan over
+        every touched state).
         """
         schedule = self._schedule
+        base = self._states.base
         # The new principal state is created up-front so that mark propagation
         # and edge insertion can target it during the traversal.
         principal, created = self._states.get_or_create(frame_bits)
@@ -428,22 +444,18 @@ class StrictStateGraphGenerator(MCOSGenerator):
                 # could be derived from it) cannot satisfy any query.  Keep a
                 # terminated marker so the check is not repeated per frame.
                 principal.terminated = True
-                principal.add_frame(frame_id, marked=True)
-                schedule.add(principal)
+                principal.frames = principal.marks = bit
+                schedule.add(principal, base)
                 schedule.witness = None
                 return
             self._register_node(principal)
         elif principal.terminated:
             schedule.witness = None
             return
-        else:
-            # The state may not have been visited for a while; drop expired
-            # frames before extending it so its frame set stays inside the
-            # window.
-            principal.span.expire_before(oldest_valid)
-        principal.span.append(frame_id, marked=True)
+        principal.frames |= bit
+        principal.marks |= bit
         if created:
-            schedule.add(principal)
+            schedule.add(principal, base)
         self.stats.frames_appended += 1
         self._principals.setdefault(frame_bits, []).append(frame_id)
         schedule.arrivals.append((frame_id, frame_bits))
@@ -451,8 +463,7 @@ class StrictStateGraphGenerator(MCOSGenerator):
 
         if replay:
             delta = replay[0].bits ^ frame_bits
-            self._replay(replay, delta, frame_id, oldest_valid, extended,
-                         result_candidates)
+            self._replay(replay, delta, bit, extended, result_candidates)
         else:
             delta = -1  # no previous frame: every state meets Δ
 
@@ -460,19 +471,19 @@ class StrictStateGraphGenerator(MCOSGenerator):
         # would repeat a no-op on the same graph, so it is skipped.
         version = self._graph_version()
         if delta or schedule.witness != version:
-            self._root_step(principal, frame_id, frame_bits, delta,
-                            oldest_valid, extended, result_candidates)
+            self._root_step(principal, frame_id, frame_bits, bit, delta,
+                            extended, result_candidates)
             schedule.witness = (
                 version if self._graph_version() == version else None
             )
         if delta == 0 and schedule.witness is not None:
             self.stats.settled_frames += 1
-        if principal.span.frame_count >= self.collect_duration:
+        if principal.frames.bit_count() >= self.collect_duration:
             result_candidates[frame_bits] = principal
 
     def _root_step(
-        self, principal: State, frame_id: int, frame_bits: int, delta: int,
-        oldest_valid: int, extended: List[State],
+        self, principal: State, frame_id: int, frame_bits: int, bit: int,
+        delta: int, extended: List[State],
         result_candidates: Dict[ObjectBits, State],
     ) -> None:
         """Walk the roots that meet Δ and connect the new principal (CNPS)."""
@@ -496,7 +507,7 @@ class StrictStateGraphGenerator(MCOSGenerator):
                 root.flag = frame_id
                 stack.append(root)
         if stack:
-            self._traverse(stack, frame_bits, delta, frame_id, oldest_valid,
+            self._traverse(stack, frame_bits, delta, frame_id, bit,
                            extended, result_candidates)
 
         self._connect_new_principal(principal, candidates)
@@ -505,8 +516,7 @@ class StrictStateGraphGenerator(MCOSGenerator):
         self,
         replay: List[State],
         delta: int,
-        frame_id: int,
-        oldest_valid: int,
+        bit: int,
         extended: List[State],
         result_candidates: Dict[ObjectBits, State],
     ) -> None:
@@ -522,19 +532,11 @@ class StrictStateGraphGenerator(MCOSGenerator):
             if state.bits & delta or state.children is None:
                 continue
             replayed += 1
-            span = state.span
-            span.expire_before(oldest_valid)
-            ends = span._ends
-            last = ends[-1]
-            if last != frame_id:
-                if last == frame_id - 1:
-                    ends[-1] = frame_id
-                    span.frame_count += 1
-                    span.revision += 1
-                else:
-                    span.append(frame_id)
+            frames = state.frames
+            if not frames & bit:
+                state.frames = frames = frames | bit
                 extended.append(state)
-            if span.frame_count >= duration:
+            if frames.bit_count() >= duration:
                 result_candidates[state.bits] = state
         self.stats.replayed_visits += replayed
         self.stats.frames_appended += replayed
@@ -545,7 +547,7 @@ class StrictStateGraphGenerator(MCOSGenerator):
         frame_bits: int,
         delta: int,
         frame_id: int,
-        oldest_valid: int,
+        bit: int,
         extended: List[State],
         result_candidates: Dict[ObjectBits, State],
     ) -> None:
@@ -559,7 +561,7 @@ class StrictStateGraphGenerator(MCOSGenerator):
         """
         states = self._states
         by_bits = states._by_bits
-        interner = self.interner
+        base = states.base
         stats = self.stats
         schedule = self._schedule
         edge_memo = self._edge_memo
@@ -574,30 +576,14 @@ class StrictStateGraphGenerator(MCOSGenerator):
             state = pop()
             key = state.bits
             visits += 1
-
-            span = state.span
-            # Live states always hold at least one frame, so the head index is
-            # in range; expire only when the oldest frame actually left.  The
-            # sweep already removed every mark outside the window, so this
-            # only trims frames; the overwhelmingly common slide trims the
-            # first run by one frame and is inlined.
-            sp_head = span._head
-            sp_starts = span._starts
-            first = sp_starts[sp_head]
-            if first < oldest_valid:
-                if span._ends[sp_head] >= oldest_valid:
-                    span.frame_count -= oldest_valid - first
-                    sp_starts[sp_head] = oldest_valid
-                    span.revision += 1
-                else:
-                    span.expire_before(oldest_valid)
+            frames = state.frames
 
             inter = key & frame_bits
             if not inter:
                 # Every descendant is a subset of this state, hence its
                 # intersection with the arriving frame is empty too: prune the
                 # whole subtree from the traversal.
-                if span.frame_count >= duration:
+                if frames.bit_count() >= duration:
                     result_candidates[key] = state
                 continue
 
@@ -606,82 +592,53 @@ class StrictStateGraphGenerator(MCOSGenerator):
                 # append only (Algorithm 1, lines 18-21).  Connecting subset
                 # states to the new principal is the job of the CNPS
                 # procedure, which selects at most one candidate per root.
-                # Inlined FrameSpan.append fast paths: extend-tail-by-one and
-                # duplicate-of-tail cover almost every call.
-                sp_ends = span._ends
-                last = sp_ends[-1]
-                if last == frame_id - 1:
-                    sp_ends[-1] = frame_id
-                    span.frame_count += 1
-                    span.revision += 1
-                    extend(state)
-                elif last != frame_id:
-                    span.append(frame_id)
+                if not frames & bit:
+                    state.frames = frames = frames | bit
                     extend(state)
                 appended += 1
             else:
                 target = by_bits.get(inter)
                 if target is None:
-                    target = State(inter, interner)
+                    target = State(inter, states)
                     by_bits[inter] = target
                     stats.states_created += 1
                     if not self._keep_new_state(inter):
                         # Proposition 1: keep a terminated marker outside the
                         # graph; it is never traversed, merged or reported.
                         target.terminated = True
-                        target.add_frame(frame_id, marked=True)
-                        schedule.add(target)
+                        target.frames = target.marks = bit
+                        schedule.add(target, base)
                         target = None  # type: ignore[assignment]
                 elif target.terminated:
                     target = None  # type: ignore[assignment]
                 if target is not None:
                     if target.children is None:
                         self._register_node(target)
-                    tspan = target.span
-                    # Inlined merge-memo hit check (the common case: the same
-                    # derivation repeated with an unchanged source).
-                    memo = tspan._merge_memo
-                    entry = memo.get(span.serial) if memo is not None else None
-                    if entry is not None and entry[0] == span.revision \
-                            and entry[3] == span.marks_revision:
-                        pass  # source unchanged: provable no-op
-                    elif (entry is not None
-                            and entry[1] == span.mid_revision
-                            and entry[3] == span.marks_revision
-                            and span._ends[-1] <= tspan._ends[-1]
-                            and tspan._starts[-1] <= entry[2] + 1):
-                        # Source only appended frames since the last merge and
-                        # they all lie inside the target's tail run: record
-                        # the catch-up without touching either span.
-                        entry[0] = span.revision
-                        entry[2] = span._ends[-1]
-                    else:
-                        oldest = (tspan._marked[tspan._mhead]
-                                  if tspan.marked_count else None)
-                        tspan.merge(span, True, entry)
-                        if tspan._marked[tspan._mhead] != oldest:
+                    # The target inherits the source's frames and marks
+                    # (Frame Marking Rule 2) plus the arriving frame.  The
+                    # source misses that frame (it is no subset of it).
+                    target_frames = target.frames
+                    if not target_frames & bit:
+                        extend(target)
+                    target_frames |= frames | bit
+                    target.frames = target_frames
+                    old_marks = target.marks
+                    marks = old_marks | state.marks
+                    if marks != old_marks:
+                        target.marks = marks
+                        if marks & -marks != old_marks & -old_marks:
                             # Gained an older mark (or its first ones).
-                            schedule.add(target)
-                    t_ends = tspan._ends
-                    last = t_ends[-1]
-                    if last == frame_id - 1:
-                        t_ends[-1] = frame_id
-                        tspan.frame_count += 1
-                        tspan.revision += 1
-                        extend(target)
-                    elif last != frame_id:
-                        tspan.append(frame_id)
-                        extend(target)
+                            schedule.add(target, base)
                     appended += 1
                     # Inlined _ensure_edge (the memo hit is the common case).
-                    ekey = (span.serial, tspan.serial)
+                    ekey = (state.serial, target.serial)
                     if ekey not in edge_memo:
                         self._add_edge(state, target)
                         add_edge_memo(ekey)
-                    if tspan.frame_count >= duration and tspan.marked_count:
+                    if target_frames.bit_count() >= duration and marks:
                         result_candidates[inter] = target
 
-            if span.frame_count >= duration:
+            if frames.bit_count() >= duration:
                 result_candidates[key] = state
 
             # Push the children that meet Δ (re-read after the edge
@@ -731,8 +688,7 @@ class StrictStateGraphGenerator(MCOSGenerator):
     # Reporting
     # ------------------------------------------------------------------
     def _report(
-        self, frame_id: int, oldest_valid: int,
-        result_candidates: Dict[ObjectBits, State],
+        self, frame_id: int, result_candidates: Dict[ObjectBits, State],
     ) -> ResultStateSet:
         """Combine the carried-over result set with the traversal candidates.
 
@@ -749,33 +705,17 @@ class StrictStateGraphGenerator(MCOSGenerator):
         """
         duration = self.collect_duration
         new_results: Dict[ObjectBits, State] = {}
-
-        for bits, state in self._previous_results.items():
-            span = state.span
-            # The one-run slide of _traverse, inlined the same way.
-            sp_head = span._head
-            sp_starts = span._starts
-            first = sp_starts[sp_head]
-            if first < oldest_valid:
-                if span._ends[sp_head] >= oldest_valid:
-                    span.frame_count -= oldest_valid - first
-                    sp_starts[sp_head] = oldest_valid
-                    span.revision += 1
-                else:
-                    span.expire_before(oldest_valid)
-            if span.frame_count >= duration:
-                new_results[bits] = state
-
-        for bits, state in result_candidates.items():
-            if state.span.frame_count >= duration:
-                new_results[bits] = state
+        for results in (self._previous_results, result_candidates):
+            for bits, state in results.items():
+                if state.frames.bit_count() >= duration:
+                    new_results[bits] = state
 
         self._previous_results = new_results
         result = ResultStateSet(frame_id)
         add = result.add_unique
         report_at = self.config.duration
         for state in new_results.values():
-            if report_at == duration or state.span.frame_count >= report_at:
+            if report_at == duration or state.frames.bit_count() >= report_at:
                 add(state.to_result())
         return result
 
@@ -785,16 +725,11 @@ class StrictStateGraphGenerator(MCOSGenerator):
         states with ``collect_duration <= duration`` frames in the full
         window)."""
         add = result.add_unique
+        shift = lo - self._states.base
         for state in self._previous_results.values():
-            span = state.span
-            # Marks are sorted: the newest decides whether one is >= lo.
-            if span._marked[-1] < lo:
-                continue
-            if span._starts[span._head] >= lo:  # nothing to cut
-                if span.frame_count >= duration:
-                    add(state.to_result())
-            elif span.count_from(lo) >= duration:
-                add(ResultState(state.object_ids, span.frame_ids_from(lo)))
+            if state.marks >> shift \
+                    and (state.frames >> shift).bit_count() >= duration:
+                add(state.cut_result(lo))
 
     # ------------------------------------------------------------------
     # Bookkeeping
@@ -832,7 +767,7 @@ class StrictStateGraphGenerator(MCOSGenerator):
         de-synchronise a restored shard from its uninterrupted twin.
 
         The edge-reachability memo must be exported too, translated from
-        process-local span serials to table positions (``memo_parents[j]``
+        process-local state serials to table positions (``memo_parents[j]``
         reaches ``memo_children[j]``): a memoised "reachability satisfied"
         verdict suppresses future ``_add_edge`` calls, so a restored run
         without it could insert edges the original never would, evolving a
@@ -853,7 +788,7 @@ class StrictStateGraphGenerator(MCOSGenerator):
             "child_counts": [], "children": [], "parent_counts": [], "parents": [],
         }
         for index, state in enumerate(by_bits.values()):
-            by_serial[state.span.serial] = index
+            by_serial[state.serial] = index
             for name, counts, linked in (
                 ("children", "child_counts", state.children),
                 ("parents", "parent_counts", state.parents),
@@ -881,7 +816,9 @@ class StrictStateGraphGenerator(MCOSGenerator):
         return {"states": self._states.export_states(), "graph": graph}
 
     def _import_impl(self, payload: Dict) -> None:
-        self._states.import_states(payload["states"])
+        self._states.import_states(
+            payload["states"], self._last_frame_id, self.config.window_size
+        )
         states = self._states.states()
         size = len(states)
         graph = payload["graph"]
@@ -929,7 +866,7 @@ class StrictStateGraphGenerator(MCOSGenerator):
         memo_children = table_positions(graph["memo_children"], size)
         if len(memo_parents) != len(memo_children):
             raise ValueError("SSG checkpoint edge-memo columns differ in length")
-        serial_at = [state.span.serial for state in states].__getitem__
+        serial_at = [state.serial for state in states].__getitem__
         self._edge_memo = set(zip(
             map(serial_at, memo_parents), map(serial_at, memo_children)
         ))
@@ -942,7 +879,7 @@ class StrictStateGraphGenerator(MCOSGenerator):
         if principal[0] >= 0:
             schedule.replay = [states[at] for at in principal + replay]
         for state in states:
-            schedule.add(state)
+            schedule.add(state, self._states.base)
         schedule.arrivals.extend(sorted(
             (frame_id, bits)
             for bits, creating_frames in self._principals.items()

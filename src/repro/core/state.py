@@ -7,66 +7,92 @@ Section 4.2.3); the presence of at least one marked, non-expired frame
 certifies that the state's object set is a Maximum Co-occurrence Object Set of
 its frame set (Theorems 1 and 4).
 
-Fast-path representation
-------------------------
-States live on the hottest loop of the system, so both halves use the compact
-kernel representations:
+Representation
+--------------
+States live on the hottest loop of the system, so all three of their sets
+are plain ``int`` bitsets:
 
-* the object set is an ``int`` bitmask produced by a shared
+* the object set is a bitmask produced by a shared
   :class:`~repro.core.interning.ObjectInterner` (intersection is ``&``,
   subset is ``a & b == a``, the state table keys on the int);
-* the frame set is a run-length :class:`~repro.core.framespan.FrameSpan`
-  (O(1) append/expiry, O(runs) merge).
+* the frame set and the marked frames are ``frames`` and ``marks`` over the
+  window base of the state's table: bit ``i`` is frame ``base + i``.
+  Appending a frame and merging another state's frames are ``|=``, expiry is
+  one mask, a count is ``bit_count()`` and the frames of a window starting
+  at ``lo`` are ``frames >> (lo - base)``.
 
-The ``frozenset`` view of the object set and the tuple view of the frame set
-are decoded lazily and only at the reporting boundary (``object_ids``,
-``frame_ids``, :meth:`State.to_result`).
+Every state of a table shares its base, so two states' frame sets combine
+without alignment; :meth:`StateTable.frame_bit` moves the base forward about
+once per window, shifting every live state.  The ``frozenset`` view of the
+object set and the tuples of frame ids are decoded only for results and
+checkpoints (``object_ids``, ``frame_ids``, :meth:`State.to_result`,
+:meth:`StateTable.export_states`).
 """
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.framespan import FrameSpan
 from repro.core.interning import ObjectInterner
 from repro.core.result import ResultState
 
+#: Serial numbers of states, never reused (unlike ``id``): SSG's edge memo
+#: and its expiry sweep order key on them.
+_serials = count()
+
+
+def decode_frames(bits: int, base: int) -> List[int]:
+    """The frame ids of a frames or marks bitset over ``base``, oldest first.
+
+    Decodes run by run: ``bits + low`` (``low`` the lowest set bit) carries
+    through the lowest run, so ``bits ^ carry`` spans that run plus one bit
+    and ``bits & carry`` clears it.
+    """
+    ids: List[int] = []
+    while bits:
+        low = bits & -bits
+        carry = bits + low
+        ids += range(base + low.bit_length() - 1,
+                     base + (bits ^ carry).bit_length() - 1)
+        bits &= carry
+    return ids
+
 
 class State:
-    """A co-occurrence object set (bitmask) with its (marked) frame span.
+    """A co-occurrence object set (bitmask) with its frame and mark bitsets.
 
-    Ten slots: the two halves (``bits``, ``span``), the pruning flag, the SSG
-    traversal's visitation stamp and adjacency, and the lazily decoded views.
-    Only the halves and ``terminated`` are exported per state (see
-    :meth:`StateTable.export_states`); SSG adjacency is exported by that
-    generator, and everything else is rebuilt on the fly.
+    Only ``bits``, ``frames``, ``marks`` and ``terminated`` are exported per
+    state (see :meth:`StateTable.export_states`); SSG adjacency is exported
+    by that generator, and everything else is rebuilt on the fly.
     """
 
     __slots__ = (
         "bits",
-        "span",
+        "frames",
+        "marks",
+        "serial",
         "terminated",
         "flag",
         "children",
         "parents",
-        "_interner",
+        "_table",
         "_object_ids",
         "_result",
-        "_result_revision",
+        "_result_frames",
     )
 
-    def __init__(
-        self,
-        bits: int,
-        interner: Optional[ObjectInterner] = None,
-        object_ids: Optional[FrozenSet[int]] = None,
-    ):
+    def __init__(self, bits: int, table: "StateTable"):
         if not bits:
             raise ValueError("a state must have a non-empty object set")
         #: Bitmask of the object set (interned; table/graph key).
         self.bits: int = bits
-        #: Run-length frame set with marked frames.
-        self.span: FrameSpan = FrameSpan()
+        #: The frame set: bit ``i`` is frame ``table.base + i``.
+        self.frames: int = 0
+        #: The marked frames, a subset of ``frames`` over the same base.
+        self.marks: int = 0
+        #: Unique per state incarnation; grows with table position.
+        self.serial: int = next(_serials)
         #: Set by the Proposition-1 pruning strategy (Section 5.3) when the
         #: state's MCOS fails every registered >=-only query.
         self.terminated: bool = False
@@ -80,10 +106,12 @@ class State:
         #: the other generators.
         self.children: Optional[Dict[int, "State"]] = None
         self.parents: Optional[Dict[int, "State"]] = None
-        self._interner = interner
-        self._object_ids = object_ids
+        self._table = table
+        self._object_ids: Optional[FrozenSet[int]] = None
+        #: The last decoded result and the ``frames`` it was decoded from
+        #: (dropped when the base moves).
         self._result: Optional[ResultState] = None
-        self._result_revision = -1
+        self._result_frames = 0
 
     # ------------------------------------------------------------------
     # Object-set views
@@ -93,10 +121,7 @@ class State:
         """The object set as a frozenset (decoded lazily, cached)."""
         ids = self._object_ids
         if ids is None:
-            if self._interner is None:
-                raise ValueError("state has neither an interner nor object ids")
-            ids = self._interner.decode(self.bits)
-            self._object_ids = ids
+            ids = self._object_ids = self._table.interner.decode(self.bits)
         return ids
 
     @property
@@ -108,32 +133,28 @@ class State:
     # Frame-set maintenance
     # ------------------------------------------------------------------
     def add_frame(self, frame_id: int, marked: bool = False) -> None:
-        """Append ``frame_id`` to the frame set (or upgrade its mark).
+        """Add ``frame_id`` to the frame set (and mark it if ``marked``).
 
-        Appending an already-present frame only upgrades its marked flag; it
+        Adding an already-present frame only upgrades its marked flag; it
         never clears an existing mark.
         """
-        self.span.append(frame_id, marked)
-
-    def mark_frame(self, frame_id: int) -> None:
-        """Mark an already-present frame as a key frame."""
-        self.span.append(frame_id, marked=True)
+        bit = 1 << (frame_id - self._table.base)
+        self.frames |= bit
+        if marked:
+            self.marks |= bit
 
     def merge_from(self, other: "State", copy_marks: bool) -> None:
-        """Merge another state's frame set (and optionally marks) into this one.
-
-        Used when the same object set is derivable from several sources in one
-        window step (the ``merge`` operations of Algorithm 1).  A single
-        interval-union pass — late-arriving frames are spliced in one O(runs)
-        merge instead of a per-frame re-sort.
-        """
-        if other is self:
-            return
-        self.span.merge(other.span, copy_marks=copy_marks)
+        """Merge another state's frames (and optionally marks) into this one
+        (the ``merge`` operations of Algorithm 1)."""
+        self.frames |= other.frames
+        if copy_marks:
+            self.marks |= other.marks
 
     def expire_before(self, oldest_valid: int) -> None:
-        """Drop every frame with id smaller than ``oldest_valid``."""
-        self.span.expire_before(oldest_valid)
+        """Drop every frame and mark with id smaller than ``oldest_valid``."""
+        keep = -1 << max(oldest_valid - self._table.base, 0)
+        self.frames &= keep
+        self.marks &= keep
 
     # ------------------------------------------------------------------
     # Inspection
@@ -141,27 +162,27 @@ class State:
     @property
     def frame_ids(self) -> Tuple[int, ...]:
         """The frame ids of the state, oldest first (decoded)."""
-        return self.span.frame_ids()
+        return tuple(decode_frames(self.frames, self._table.base))
 
     @property
     def marked_frame_ids(self) -> Tuple[int, ...]:
         """The marked (key) frame ids of the state, oldest first."""
-        return self.span.marked_ids()
+        return tuple(decode_frames(self.marks, self._table.base))
 
     @property
     def frame_count(self) -> int:
-        """Number of frames currently in the frame set (O(1))."""
-        return self.span.frame_count
+        """Number of frames currently in the frame set."""
+        return self.frames.bit_count()
 
     @property
     def marked_count(self) -> int:
-        """Number of marked frames currently in the frame set (O(1))."""
-        return self.span.marked_count
+        """Number of marked frames currently in the frame set."""
+        return self.marks.bit_count()
 
     @property
     def is_empty(self) -> bool:
         """True when every frame of the state has expired."""
-        return self.span.is_empty
+        return not self.frames
 
     @property
     def is_valid(self) -> bool:
@@ -171,52 +192,43 @@ class State:
         frame set) if and only if at least one marked frame remains in the
         window -- Theorems 1 and 4 of the paper.
         """
-        return self.span.marked_count > 0
+        return self.marks != 0
 
     def is_satisfied(self, duration: int) -> bool:
         """True when the frame set meets the duration threshold ``d``."""
-        return self.span.frame_count >= duration
-
-    def contains_frame(self, frame_id: int) -> bool:
-        """True when ``frame_id`` is currently part of the frame set."""
-        return self.span.contains(frame_id)
-
-    def snapshot(self) -> Tuple[FrozenSet[int], Tuple[int, ...]]:
-        """Return an immutable ``(object_ids, frame_ids)`` snapshot."""
-        return (self.object_ids, self.span.frame_ids())
+        return self.frames.bit_count() >= duration
 
     def to_result(self) -> ResultState:
         """Decode the state into an immutable :class:`ResultState`.
 
-        The decoded record is cached against the span's revision counter, so
-        states that did not change between reports are not re-decoded.
+        The decoded record is cached against the frames it was decoded
+        from, so states that did not change between reports are not
+        re-decoded.
         """
-        revision = self.span.revision
+        frames = self.frames
         result = self._result
-        if result is None or self._result_revision != revision:
-            result = ResultState(self.object_ids, self.span.frame_ids())
-            self._result = result
-            self._result_revision = revision
+        if result is None or self._result_frames != frames:
+            result = self._result = ResultState(
+                self.object_ids, tuple(decode_frames(frames, self._table.base))
+            )
+            self._result_frames = frames
         return result
 
     def cut_result(self, lo: int) -> ResultState:
         """:meth:`to_result` with only the frames ``>= lo`` (the state as a
         window starting at ``lo`` sees it)."""
-        span = self.span
-        if span._starts[span._head] >= lo:
+        shift = lo - self._table.base
+        frames = self.frames
+        if not frames & ((1 << shift) - 1):
             return self.to_result()
-        return ResultState(self.object_ids, span.frame_ids_from(lo))
+        return ResultState(self.object_ids, tuple(decode_frames(frames >> shift, lo)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        marked = set(self.span.marked_ids())
+        marked = set(self.marked_frame_ids)
         frames = ", ".join(
-            f"*{fid}" if fid in marked else str(fid)
-            for fid in self.span.frame_ids()
+            f"*{fid}" if fid in marked else str(fid) for fid in self.frame_ids
         )
-        try:
-            objs = ",".join(str(o) for o in sorted(self.object_ids))
-        except ValueError:
-            objs = bin(self.bits)
+        objs = ",".join(str(o) for o in sorted(self.object_ids))
         return f"State({{{objs}}}, {{{frames}}})"
 
 
@@ -225,14 +237,17 @@ class StateTable:
 
     All generators maintain their live states here; the SSG generator layers a
     graph structure on top of the same table.  Keys are plain ints, so lookups
-    avoid frozenset hashing entirely.
+    avoid frozenset hashing entirely.  The table also holds the window
+    ``base`` its states' frame and mark bitsets count from.
     """
 
-    __slots__ = ("_interner", "_by_bits")
+    __slots__ = ("_interner", "_by_bits", "base")
 
     def __init__(self, interner: Optional[ObjectInterner] = None) -> None:
         self._interner = interner if interner is not None else ObjectInterner()  # repro-lint: disable=CKPT-DRIFT -- shared interner is injected by the owning generator, whose checkpoint round-trips it
         self._by_bits: Dict[int, State] = {}
+        #: Frame id of bit 0 of every state's ``frames`` and ``marks``.
+        self.base = 0
 
     @property
     def interner(self) -> ObjectInterner:
@@ -260,7 +275,7 @@ class StateTable:
         state = self._by_bits.get(bits)
         if state is not None:
             return state, False
-        state = State(bits, self._interner)
+        state = State(bits, self)
         self._by_bits[bits] = state
         return state, True
 
@@ -288,24 +303,52 @@ class StateTable:
         self._by_bits.clear()
 
     # ------------------------------------------------------------------
+    # The window base
+    # ------------------------------------------------------------------
+    def frame_bit(self, frame_id: int, oldest_valid: int) -> int:
+        """The bit of ``frame_id``, the newest frame of the window that
+        starts at ``oldest_valid``.
+
+        First moves the base to ``oldest_valid`` when it is a whole window
+        behind it (or ahead of it, before the first frame), so no bitset
+        grows past two windows: :meth:`rebase` then runs about once per
+        window, O(live states / window) per frame.
+        """
+        if not 0 <= oldest_valid - self.base <= frame_id - oldest_valid:
+            self.rebase(oldest_valid)
+        return 1 << (frame_id - self.base)
+
+    def rebase(self, base: int) -> None:
+        """Move the base to ``base``, shifting every state; frames and marks
+        older than ``base`` are dropped."""
+        shift = base - self.base
+        self.base = base
+        for state in self._by_bits.values():
+            state.frames >>= shift
+            state.marks >>= shift
+            state._result = None
+
+    # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
     def export_states(self) -> Dict[str, List[int]]:
         """Snapshot every live state as flat int columns, in table order.
 
         One row per state in ``bits`` / ``terminated`` / ``run_counts`` /
-        ``mark_counts``; the ``starts`` / ``ends`` run bounds and the
-        ``marks`` of all states are concatenated, each state owning the next
-        ``run_counts[i]`` (``mark_counts[i]``) entries.  Everything else a
-        state holds — visitation stamp, decoded-result cache, revision
-        counters, merge memos — is rebuilt lazily and never exported; SSG
-        adjacency is graph-owned and exported by that generator, addressed
-        by the row positions defined here.
+        ``mark_counts``; the inclusive ``starts`` / ``ends`` bounds of each
+        run of consecutive frames and the ``marks`` of all states are
+        concatenated, each state owning the next ``run_counts[i]``
+        (``mark_counts[i]``) entries.  Frame ids are absolute, so the base
+        is not exported.  Everything else a state holds — serial,
+        visitation stamp, decoded-result cache — is rebuilt lazily and
+        never exported; SSG adjacency is graph-owned and exported by that
+        generator, addressed by the row positions defined here.
 
         Table order matters: the generators' report loops iterate the table,
         so restoring states in a different order would permute result sets
         and break byte-identical resume.
         """
+        base = self.base
         run_counts: List[int] = []
         starts: List[int] = []
         ends: List[int] = []
@@ -313,10 +356,19 @@ class StateTable:
         marks: List[int] = []
         terminated: List[int] = []
         for state in self._by_bits.values():
-            run_starts, run_ends, marked = state.span.export_snapshot()
-            run_counts.append(len(run_starts))
-            starts += run_starts
-            ends += run_ends
+            # The runs of decode_frames, inlined: a run generator per state
+            # makes the export half as slow again.
+            frames = state.frames
+            runs = 0
+            while frames:
+                low = frames & -frames
+                carry = frames + low
+                starts.append(base + low.bit_length() - 1)
+                ends.append(base + (frames ^ carry).bit_length() - 2)
+                frames &= carry
+                runs += 1
+            run_counts.append(runs)
+            marked = decode_frames(state.marks, base)
             mark_counts.append(len(marked))
             marks += marked
             terminated.append(1 if state.terminated else 0)
@@ -330,8 +382,16 @@ class StateTable:
             "marks": marks,
         }
 
-    def import_states(self, columns: Dict[str, List[int]]) -> None:
-        """Rebuild the table (in place) from an :meth:`export_states` payload."""
+    def import_states(
+        self, columns: Dict[str, List[int]], last_frame_id: Optional[int],
+        window_size: int,
+    ) -> None:
+        """Rebuild the table (in place) from an :meth:`export_states` payload
+        taken after frame ``last_frame_id`` of a ``window_size`` window.
+
+        Every frame and mark must lie in that window (no state may exist
+        before the first frame); the base becomes the window's oldest frame.
+        """
         bits, terminated, run_counts, starts, ends, mark_counts, marks = (
             int_column(columns[name]) for name in (
                 "bits", "terminated", "run_counts", "starts", "ends",
@@ -350,21 +410,54 @@ class StateTable:
                 "malformed table snapshot: run or mark columns do not add up "
                 "to the per-state counts"
             )
+        if last_frame_id is None:
+            if bits:
+                raise ValueError(
+                    "malformed table snapshot: states before the first frame"
+                )
+            base = 0
+        else:
+            base = last_frame_id - window_size + 1
+            if min(starts + marks, default=base) < base \
+                    or max(ends + marks, default=base) > last_frame_id:
+                raise ValueError(
+                    "malformed table snapshot: a frame outside the window "
+                    f"{base}..{last_frame_id}"
+                )
         by_bits = self._by_bits
         by_bits.clear()
-        interner = self._interner
-        from_runs = FrameSpan.from_runs
+        self.base = base
         run_at = mark_at = 0
         for state_bits, dead, run_count, mark_count in zip(
             bits, terminated, run_counts, mark_counts
         ):
-            state = State(state_bits, interner)
-            run_end, mark_end = run_at + run_count, mark_at + mark_count
-            state.span = from_runs(
-                starts[run_at:run_end], ends[run_at:run_end],
-                marks[mark_at:mark_end],
-            )
-            run_at, mark_at = run_end, mark_end
+            state = State(state_bits, self)
+            frames = 0
+            previous_end = base - 2
+            for run in range(run_at, run_at + run_count):
+                start, end = starts[run], ends[run]
+                if end < start or start <= previous_end + 1:
+                    raise ValueError(
+                        "malformed table snapshot: runs not sorted/disjoint "
+                        f"at {start}..{end}"
+                    )
+                frames |= ((2 << (end - start)) - 1) << (start - base)
+                previous_end = end
+            state_marks = 0
+            previous_mark = base - 1
+            for mark in marks[mark_at:mark_at + mark_count]:
+                if mark <= previous_mark:
+                    raise ValueError("malformed table snapshot: marks not sorted")
+                state_marks |= 1 << (mark - base)
+                previous_mark = mark
+            if state_marks & ~frames:
+                raise ValueError(
+                    "malformed table snapshot: a mark outside the frame set"
+                )
+            run_at += run_count
+            mark_at += mark_count
+            state.frames = frames
+            state.marks = state_marks
             state.terminated = bool(dead)
             if state.bits in by_bits:
                 raise ValueError(

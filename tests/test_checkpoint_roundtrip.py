@@ -14,7 +14,7 @@ from functools import partial
 
 import pytest
 
-from repro.core import FrameSpan, ObjectInterner, StateTable, StrictStateGraphGenerator
+from repro.core import ObjectInterner, StateTable, StrictStateGraphGenerator
 from repro.engine import EngineConfig, MCOSMethod, TemporalVideoQueryEngine
 from repro.streaming import (
     CHECKPOINT_VERSION,
@@ -76,42 +76,37 @@ class TestInternerRoundTrip:
             interner.restore_table([3, None, 3])
 
 
-class TestFrameSpanRoundTrip:
+class TestStateRoundTrip:
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_append_expire_mark(self, seed):
         import random
         rng = random.Random(seed)
-        span = FrameSpan()
+        table = StateTable(ObjectInterner())
+        state, _ = table.get_or_create(table.interner.intern_ids({1}))
         frame_id = 0
         for _ in range(150):
             frame_id += rng.randint(1, 3)
-            span.append(frame_id, marked=rng.random() < 0.3)
+            state.add_frame(frame_id, marked=rng.random() < 0.3)
             if rng.random() < 0.2:
-                span.expire_before(frame_id - rng.randint(3, 12))
-        restored = FrameSpan.from_snapshot(json_roundtrip(span.export_snapshot()))
-        assert restored.runs() == span.runs(), f"seed={seed}"
-        assert restored.marked_ids() == span.marked_ids(), f"seed={seed}"
-        assert restored.frame_count == span.frame_count, f"seed={seed}"
-        assert restored.marked_count == span.marked_count, f"seed={seed}"
-        # The restored span keeps behaving identically.
+                state.expire_before(frame_id - rng.randint(3, 12))
+        # The smallest window holding every frame: a base other than 0.
+        window = frame_id - state.frame_ids[0] + 1
+        restored = StateTable(table.interner)
+        restored.import_states(
+            json_roundtrip(table.export_states()), frame_id, window
+        )
+        (copy,) = restored
+        assert copy.frame_ids == state.frame_ids, f"seed={seed}"
+        assert copy.marked_frame_ids == state.marked_frame_ids, f"seed={seed}"
+        assert copy.frame_count == state.frame_count, f"seed={seed}"
+        assert copy.marked_count == state.marked_count, f"seed={seed}"
+        # The restored state keeps behaving identically.
         for extra in range(frame_id + 1, frame_id + 6):
-            span.append(extra)
-            restored.append(extra)
-        span.expire_before(frame_id - 1)
-        restored.expire_before(frame_id - 1)
-        assert restored.runs() == span.runs(), f"seed={seed}"
-
-    @pytest.mark.parametrize("snapshot", [
-        [[0], [1, 2], []],            # bounds differ in length
-        [[5], [3], []],               # end before start
-        [[0, 1], [0, 4], []],         # adjacent runs not coalesced
-        [[3, 0], [3, 0], []],         # runs out of order
-        [[0], [3], [9]],              # mark outside the frame set
-        [[0, 10], [3, 12], [11, 11]], # marks not strictly sorted
-    ])
-    def test_malformed_snapshots_rejected(self, snapshot):
-        with pytest.raises(ValueError):
-            FrameSpan.from_snapshot(snapshot)
+            state.add_frame(extra)
+            copy.add_frame(extra)
+        state.expire_before(frame_id - 1)
+        copy.expire_before(frame_id - 1)
+        assert copy.frame_ids == state.frame_ids, f"seed={seed}"
 
 
 class TestStateTableRoundTrip:
@@ -129,13 +124,13 @@ class TestStateTableRoundTrip:
             state.terminated = rng.random() < 0.1
         snapshot = json_roundtrip(table.export_states())
         restored = StateTable(interner)
-        restored.import_states(snapshot)
+        restored.import_states(snapshot, 49, 50)
         assert len(restored) == len(table), f"seed={seed}"
         for original, copy in zip(table, restored):
             assert copy.bits == original.bits, f"seed={seed}"
             assert copy.terminated == original.terminated, f"seed={seed}"
-            assert copy.span.runs() == original.span.runs(), f"seed={seed}"
-            assert copy.span.marked_ids() == original.span.marked_ids(), f"seed={seed}"
+            assert copy.frame_ids == original.frame_ids, f"seed={seed}"
+            assert copy.marked_frame_ids == original.marked_frame_ids, f"seed={seed}"
 
     def test_duplicate_bits_rejected(self):
         table = StateTable(ObjectInterner())
@@ -145,7 +140,7 @@ class TestStateTableRoundTrip:
             "mark_counts": [0, 0], "marks": [],
         }
         with pytest.raises(ValueError, match="duplicate state bitmask"):
-            table.import_states(snapshot)
+            table.import_states(snapshot, 2, 3)
 
     @pytest.mark.parametrize("damage", [
         {"terminated": [0]},                   # per-state columns misaligned
@@ -161,9 +156,44 @@ class TestStateTableRoundTrip:
             "run_counts": [1, 1], "starts": [0, 2], "ends": [1, 2],
             "mark_counts": [0, 0], "marks": [],
         }
-        StateTable(ObjectInterner()).import_states(snapshot)  # sound as is
+        StateTable(ObjectInterner()).import_states(snapshot, 2, 3)  # sound as is
         with pytest.raises(ValueError):
-            StateTable(ObjectInterner()).import_states({**snapshot, **damage})
+            StateTable(ObjectInterner()).import_states({**snapshot, **damage}, 2, 3)
+
+    @pytest.mark.parametrize("runs", [
+        # (starts, ends, marks) of one state in a window 0..12
+        ([0], [1, 2], []),            # bounds differ in length
+        ([5], [3], []),               # end before start
+        ([0, 1], [0, 4], []),         # adjacent runs not coalesced
+        ([3, 0], [3, 0], []),         # runs out of order
+        ([0], [3], [9]),              # mark outside the frame set
+        ([0, 10], [3, 12], [11, 11]), # marks not strictly sorted
+    ])
+    def test_malformed_runs_and_marks_rejected(self, runs):
+        starts, ends, marks = runs
+        snapshot = {
+            "bits": [3], "terminated": [0], "run_counts": [len(starts)],
+            "starts": starts, "ends": ends,
+            "mark_counts": [len(marks)], "marks": marks,
+        }
+        with pytest.raises(ValueError):
+            StateTable(ObjectInterner()).import_states(snapshot, 12, 13)
+
+    @pytest.mark.parametrize("last_frame_id,window_size", [
+        (1, 3),     # frames newer than the last frame
+        (9, 3),     # frames older than the window
+        (None, 3),  # states before the first frame
+    ])
+    def test_frames_outside_the_window_rejected(self, last_frame_id, window_size):
+        snapshot = {
+            "bits": [3], "terminated": [0], "run_counts": [1],
+            "starts": [1], "ends": [3], "mark_counts": [1], "marks": [3],
+        }
+        StateTable(ObjectInterner()).import_states(snapshot, 3, 3)  # sound as is
+        with pytest.raises(ValueError):
+            StateTable(ObjectInterner()).import_states(
+                snapshot, last_frame_id, window_size
+            )
 
 
 class TestSSGGraphRoundTrip:
@@ -239,7 +269,7 @@ def seeded_scene(maker, seed):
 
 
 def compaction_scene(window, duration):
-    """Gaps longer than a tiny window: span compaction, full graph teardown."""
+    """Gaps longer than a tiny window: base shifts, full graph teardown."""
     return gap_stream(71, num_frames=80, window=5), window, duration
 
 

@@ -7,7 +7,9 @@ separate sweep removing states whose last mark expires (see
 argument leans on: identical frames (``Δ`` empty), single-object flicker,
 empty frames, marks expiring on a frame identical to its predecessor,
 terminated principals, the interner's compaction boundary, a label
-projection changed mid-stream and frame-id gaps.  Every frame is checked
+projection changed mid-stream and frame-id gaps up to two windows wide,
+which shift the base of the frame bitsets.  After every frame each live
+state's frames and marks must lie in its window.  Every frame is checked
 against :class:`ReferenceGenerator` and MFS, and a checkpoint taken at a
 drawn cut must resume exactly like the uninterrupted run.
 
@@ -89,7 +91,9 @@ def adversarial_streams(draw):
         frames.append(FrameObservation(
             frame_id, {oid: label_of(oid) for oid in object_ids}
         ))
-        frame_id += draw(st.sampled_from([1, 1, 1, 2]))
+        # Steps past one and two windows shift the frame bitsets' base
+        # across whole-window gaps.
+        frame_id += draw(st.sampled_from([1, 1, 1, 2, window + 1, 2 * window + 3]))
     return {
         "frames": frames,
         "window": window,
@@ -99,6 +103,18 @@ def adversarial_streams(draw):
         "labels": draw(st.sampled_from([None, ("a",), ("a", "b")])),
         "filter": draw(st.sampled_from(sorted(FILTERS))),
     }
+
+
+def assert_in_window(generator, frame_id: int, index: int) -> None:
+    """Every live state's frames and marks lie in the window ending at
+    ``frame_id`` (what checkpoint import insists on), and it holds a frame."""
+    oldest = frame_id - generator.window_size + 1
+    for state in generator.live_states():
+        frames, marks = state.frame_ids, state.marked_frame_ids
+        assert frames and oldest <= frames[0] and frames[-1] <= frame_id, \
+            (index, state)
+        assert not marks or (oldest <= marks[0] and marks[-1] <= frame_id), \
+            (index, state)
 
 
 class TestAdversarialDifferential:
@@ -137,10 +153,10 @@ class TestAdversarialDifferential:
             }
             assert result.as_mapping() == expected, index
             assert mfs.process_frame(frame).as_mapping() == expected, index
-            oldest = frame.frame_id - window + 1
             for state in ssg.live_states():
-                marks = state.marked_frame_ids
-                assert marks and marks[0] >= oldest, (index, state)
+                assert state.marked_frame_ids, (index, state)
+            assert_in_window(ssg, frame.frame_id, index)
+            assert_in_window(mfs, frame.frame_id, index)
             if twin is not None:
                 ssg_results.append(result)
                 twin_results.append(twin.process_frame(frame))
@@ -184,6 +200,7 @@ def test_a_twin_restored_before_every_frame_agrees(generator_cls, case):
         expected = generator.process_frame(frame)
         assert ordered(twin.process_frame(frame)) == ordered(expected), index
         assert twin.export_state() == generator.export_state(), index
+        assert_in_window(generator, frame.frame_id, index)
 
 
 def root_steps(generator: StrictStateGraphGenerator):

@@ -1,20 +1,25 @@
-"""Randomized equivalence suite for the bitmask/interval kernel.
+"""Randomized equivalence suite for the bitmask/bitset kernel.
 
 Seeded stream generators exercise the regimes that stress the fast-path
 representations hardest:
 
 * *bursty arrivals* — object sets that stay stable for a stretch, then churn
-  (long runs followed by fragmentation of the frame spans);
+  (long runs of frames followed by gapped frame sets);
 * *duplicate object sets* — the same set recurring within and across windows
-  (state-table hits, merge-memo reuse, principal re-creation);
+  (state-table hits, repeated merges, principal re-creation);
 * *full-window gaps* — stretches of empty frames long enough to expire every
-  state (interner recycling, complete graph teardown and rebuild).
+  state (interner recycling, window-base shifts, complete graph teardown and
+  rebuild).
 
 For every stream, NAIVE, MFS and SSG must report identical per-frame results;
 smaller configurations are additionally checked against the exact reference
 oracle.  On one seeded configuration per builder, each generator's work
-counters are pinned exactly against a recorded baseline.
+counters, its per-frame results and its periodic checkpoint payloads are
+pinned exactly against a recorded baseline.
 """
+
+import hashlib
+import json
 
 import pytest
 
@@ -30,6 +35,7 @@ from repro.datamodel import FrameObservation, VideoRelation
 from tests.conftest import (
     INCREMENTAL_GENERATORS as INCREMENTAL,
     bursty_stream,
+    canonical_results,
     duplicate_heavy_stream,
     gap_stream,
     result_mappings,
@@ -191,6 +197,60 @@ def test_work_counters_match_the_recorded_baseline(stream, generator_cls):
     for frame in builder(seed).frames():
         generator.process_frame(frame)
     assert generator.stats.as_dict() == GOLDEN_STATS[stream, generator_cls].as_dict()
+
+
+#: SHA-256 of ``json.dumps(canonical_results(...))`` over every frame of a
+#: counter stream; the three generators report the same results.
+GOLDEN_RESULT_DIGESTS = {
+    "bursty": "178ce661fa4bf3bc5d7467162fb916515fa68aaeefe6bd6f492320e383eacaa4",
+    "duplicates": "b86791896c9aff22e3a2f9ad2e4a27a11e71d79f52ed19a9326c5afcaef5a0b1",
+    "gaps": "1cb3ab95f5f2b4ba143bd012418624e4fcbad932f6166bd4add04e7c7dd46edd",
+}
+
+#: SHA-256 over ``json.dumps(export_checkpoint())`` taken after every tenth
+#: frame of a counter stream.  The JSON payload, not the zlib-compressed
+#: checkpoint bytes, whose exact output may differ between zlib versions.
+GOLDEN_CHECKPOINT_DIGESTS = {
+    ("bursty", NaiveGenerator):
+        "ad71bcc23ba90ec113544c22506085174cb21c1106e9481b3e7cb42615a4598a",
+    ("bursty", MarkedFrameSetGenerator):
+        "fb4360a152f4591ddb584dd593bce6f31a197540bc8459545a3d2e00e262350f",
+    ("bursty", StrictStateGraphGenerator):
+        "8653607e3e846182c76d1ae789fb09484fe3553f718bafa52660145b6dae8b7c",
+    ("duplicates", NaiveGenerator):
+        "90045de241df91416d9d501fca0a3c94b2f8d205f69541872eec62f0f5851d68",
+    ("duplicates", MarkedFrameSetGenerator):
+        "c999747c8d0700b5680a031c6657f60cd6f88688beb5e1fc8c97ea8956404744",
+    ("duplicates", StrictStateGraphGenerator):
+        "d6a7e982e4df653a7d53e07f1d38ab6ca92594c72082719d31728cdb5cbff303",
+    ("gaps", NaiveGenerator):
+        "f19239b946ba06f8ca3354e4ea8f44b6d46cb03ac8c06611ad3bbaf3d4df8988",
+    ("gaps", MarkedFrameSetGenerator):
+        "e26697f90ea45eb8eb594c9e31194a8163770cf0b8a99e547000024bdf84a6d2",
+    ("gaps", StrictStateGraphGenerator):
+        "61e75f51e79c2435d03f9d090d7a51596d002979d3b0da0e4849637e0080bf97",
+}
+
+
+@pytest.mark.parametrize("stream,generator_cls", list(GOLDEN_CHECKPOINT_DIGESTS))
+def test_results_and_checkpoints_match_the_recorded_digests(stream, generator_cls):
+    """Per-frame results and periodic checkpoint payloads, pinned exactly.
+
+    Like :data:`GOLDEN_STATS`, the digests are independent of
+    ``PYTHONHASHSEED``; a change to how states hold their frames must
+    leave every reported frame and every exported column as it was.
+    """
+    builder, seed, window, duration = COUNTER_STREAMS[stream]
+    generator = generator_cls(window_size=window, duration=duration)
+    results = []
+    checkpoints = hashlib.sha256()
+    for count, frame in enumerate(builder(seed).frames(), 1):
+        results.append(generator.process_frame(frame))
+        if count % 10 == 0:
+            checkpoints.update(json.dumps(generator.export_checkpoint()).encode())
+    digest = hashlib.sha256(json.dumps(canonical_results(results)).encode())
+    assert digest.hexdigest() == GOLDEN_RESULT_DIGESTS[stream]
+    assert checkpoints.hexdigest() == GOLDEN_CHECKPOINT_DIGESTS[stream, generator_cls]
 
 
 class TestGeneratorRunResultAt:

@@ -1,7 +1,7 @@
 """Malformed documents fail as :class:`CheckpointError` and nothing else.
 
-Every field of a small router document and of a small session document is
-set, one at a time, to each of a handful of wrong-shaped values.  Each
+Every field of a small router document, of a small session document and
+of a small document of each incremental generator is set, one at a time, to each of a handful of wrong-shaped values.  Each
 mutated document must either restore cleanly or raise
 :class:`CheckpointError` — never a raw ``TypeError``, ``ValueError``,
 ``AttributeError`` or ``KeyError`` from deep inside a reader.  (Restoring
@@ -12,11 +12,18 @@ counter of the wrong type is only noticed when it is next used.)
 from __future__ import annotations
 
 import copy
+from functools import partial
 from typing import Iterator, List, Tuple, Union
 
 import pytest
 
 from repro import Session
+from repro.core import (
+    MarkedFrameSetGenerator,
+    NaiveGenerator,
+    StrictStateGraphGenerator,
+)
+from repro.datamodel import FrameObservation
 from repro.streaming import CheckpointError, StreamRouter
 from repro.streaming.checkpoint import from_bytes, to_bytes
 from repro.workloads.streams import bench_scenario, interleave_feeds
@@ -151,3 +158,51 @@ def test_a_generator_collecting_above_a_group_duration_is_refused():
         assert "does not fit the window groups" in str(exc)
     else:
         raise AssertionError("a collect duration above (4, 2) restored")
+
+
+GENERATORS = [NaiveGenerator, MarkedFrameSetGenerator, StrictStateGraphGenerator]
+
+
+def generator_document(generator_cls, frames):
+    """The checkpoint payload of a ``(4, 2)`` generator fed ``frames``."""
+    generator = generator_cls(window_size=4, duration=2)
+    for frame_id, objects in enumerate(frames):
+        generator.process_frame(
+            FrameObservation(frame_id, {oid: "car" for oid in objects})
+        )
+    return from_bytes(generator.export_state(), expect_kind="generator")
+
+
+def restore_generator(generator_cls, payload) -> None:
+    generator_cls(window_size=4, duration=2).import_state(
+        to_bytes("generator", payload)
+    )
+
+
+@pytest.mark.parametrize("generator_cls", GENERATORS)
+def test_generator_document_mutations_raise_checkpoint_error_only(generator_cls):
+    document = generator_document(
+        generator_cls, [{1, 2}, {1, 2, 3}, {2, 3}, {1, 3}, {1, 2, 3}, {2}]
+    )
+    assert document["state"]["states"]["bits"]
+    restore_generator(generator_cls, copy.deepcopy(document))  # the clean one
+
+    found = escapes(document, partial(restore_generator, generator_cls))
+    assert not found, f"{len(found)} raw errors, e.g. {found[:5]}"
+
+
+@pytest.mark.parametrize("generator_cls", GENERATORS)
+@pytest.mark.parametrize("last_frame_id", [1, 9, None])
+def test_a_generator_document_with_frames_outside_its_window_is_refused(
+    generator_cls, last_frame_id
+):
+    """States hold frames 0..3 of a 4-frame window.  Claiming the last
+    frame was 1 would report frame 3 at frame 2; claiming 9 would keep
+    frames that left the window; claiming none would keep states no frame
+    made."""
+    document = generator_document(generator_cls, [{1, 2}] * 4)
+    restore_generator(generator_cls, copy.deepcopy(document))  # the clean one
+
+    document["last_frame_id"] = last_frame_id
+    with pytest.raises(CheckpointError, match="outside the window|first frame"):
+        restore_generator(generator_cls, document)
