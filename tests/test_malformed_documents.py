@@ -1,10 +1,11 @@
 """Malformed documents fail as :class:`CheckpointError` and nothing else.
 
 Every field of a small router document, of a small session document and
-of a small document of each incremental generator is set, one at a time, to each of a handful of wrong-shaped values.  Each
-mutated document must either restore cleanly or raise
-:class:`CheckpointError` — never a raw ``TypeError``, ``ValueError``,
-``AttributeError`` or ``KeyError`` from deep inside a reader.  (Restoring
+of a small document of each incremental generator is set, one at a time,
+to each of a handful of wrong-shaped values.  Each mutated document must
+either restore cleanly or raise :class:`CheckpointError` — never a raw
+``TypeError``, ``ValueError``, ``AttributeError`` or ``KeyError`` from deep
+inside a reader.  (Restoring
 cleanly is no promise that the restored object can run: a label or a
 counter of the wrong type is only noticed when it is next used.)
 """
