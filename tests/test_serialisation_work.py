@@ -21,6 +21,7 @@ per match:
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
 
@@ -39,7 +40,12 @@ CALLS_PER_LIVE_STATE = 16
 
 
 def python_calls(function) -> int:
-    """Python-level calls made while ``function`` runs."""
+    """Python-level calls made while ``function`` runs.
+
+    The garbage collector runs first and is paused meanwhile: a collection
+    inside ``function`` would add the finalizers of earlier tests' garbage
+    (weakref callbacks, ``__del__``) to its calls.
+    """
     calls = 0
 
     def count(frame, event, arg):
@@ -47,11 +53,14 @@ def python_calls(function) -> int:
         if event == "call":
             calls += 1
 
+    gc.collect()
+    gc.disable()
     sys.setprofile(count)
     try:
         function()
     finally:
         sys.setprofile(None)
+        gc.enable()
     return calls
 
 
