@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.core.interning import ObjectInterner
-from repro.core.result import ResultState, ResultStateSet
-from repro.core.state import State
+from repro.core.result import ResultStateSet
 from repro.datamodel.observation import FrameObservation
 from repro.datamodel.relation import VideoRelation
 
@@ -238,7 +237,7 @@ class MCOSGenerator(abc.ABC):
         if cached is not None and frame.same_labels(cached[0]):
             return cached[1]
         projected = frame.restricted_to_labels(self.config.labels_of_interest)
-        if self._state_filter is not None or self.config.labels_of_interest is not None:
+        if self._state_filter is not None:
             for oid in projected.object_ids:
                 self._label_lookup.setdefault(oid, projected.label_of(oid))
         frame_bits = self.interner.intern_ids(projected.object_ids)
@@ -286,6 +285,22 @@ class MCOSGenerator(abc.ABC):
             set(labels) if labels is not None else None
         )
         self._frame_cache = None
+
+    def forget_terminated(self) -> None:
+        """Drop every Proposition-1 terminated marker (between frames).
+
+        A marker stands for a set the state filter refused, so that the
+        check is not repeated per frame; it never gains frames.  Once the
+        filter loosens (a query registered mid-stream), a set it now keeps
+        must be judged again the next time a frame creates it, or it would
+        keep missing frames until the marker expires, past the warm-up
+        watermark.  Each forgotten marker counts as a removed state.
+        """
+        states = self._states
+        for state in states.states():
+            if state.terminated:
+                states.remove(state)
+                self.stats.states_removed += 1
 
     def compact_interner(self) -> int:
         """Recycle interner bit positions not referenced by any live state.
@@ -483,10 +498,6 @@ class MCOSGenerator(abc.ABC):
         if not keep:
             self.stats.states_terminated += 1
         return keep
-
-    def _result_from_state(self, state: State) -> ResultState:
-        """Convert a live state into an immutable result record."""
-        return state.to_result()
 
     def _track_live_states(self, count: int) -> None:
         """Update the maximum-live-states counter."""

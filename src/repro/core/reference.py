@@ -114,6 +114,9 @@ class ReferenceGenerator(MCOSGenerator):
     def _reset_impl(self) -> None:
         self._window = []
 
+    def forget_terminated(self) -> None:
+        """The oracle applies no state filter, so it holds no markers."""
+
     def live_state_count(self) -> int:
         return 0
 

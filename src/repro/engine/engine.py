@@ -307,6 +307,9 @@ class TemporalVideoQueryEngine:
         if group.pruner is not None:
             require_pruning_compatible(query)
         registered = group.evaluator.add_query(query)
+        if group.pruner is not None:
+            # The filter may keep sets it refused so far.
+            group.source.generator.forget_terminated()
         self._reproject(group)
         return registered
 

@@ -173,10 +173,6 @@ class MatchFeed:
         except ValueError:
             pass
 
-    @property
-    def subscriber_count(self) -> int:
-        return len(self._subscribers)
-
     def stats(self) -> Dict:
         return {
             "published": self.published,

@@ -10,7 +10,6 @@ argument and nothing else.
 """
 
 from repro.query.builder import Q, QueryExpr
-from repro.session.backends import BACKENDS, Backend, PoolBackend, RouterBackend
 from repro.session.dispatch import DispatcherClosedError, SessionDispatcher
 from repro.session.session import (
     QueryHandle,
@@ -20,15 +19,11 @@ from repro.session.session import (
 )
 
 __all__ = [
-    "BACKENDS",
-    "Backend",
     "DispatcherClosedError",
-    "PoolBackend",
     "Q",
     "QueryExpr",
     "QueryHandle",
     "QueryLike",
-    "RouterBackend",
     "Session",
     "SessionDispatcher",
     "UnknownStreamError",

@@ -67,8 +67,6 @@ from repro.query.evaluator import QueryMatch, pack_matches, unpack_matches
 from repro.query.model import DEFAULT_DURATION, DEFAULT_WINDOW, CNFQuery
 from repro.query.parser import parse_query
 from repro.query.pruning import require_pruning_compatible
-from repro.session.backends import BACKENDS, Backend
-from repro.streaming.router import GroupKey
 from repro.streaming.checkpoint import (
     CheckpointError,
     collector_paused,
@@ -76,11 +74,22 @@ from repro.streaming.checkpoint import (
     reading,
     to_bytes,
 )
-from repro.streaming.pool import PoisonOpError, WorkerCrashError
+from repro.streaming.pool import (
+    PoisonOpError,
+    ShardWorkerPool,
+    WorkerCrashError,
+)
+from repro.streaming.router import GroupKey, StreamRouter
 from repro.streaming.supervision import SupervisionConfig
 
 #: Everything :meth:`Session.register` accepts as a query.
 QueryLike = Union[str, QueryExpr, CNFQuery]
+
+#: The ``Session(backend=...)`` selectors.  ``"inline"`` and ``"router"``
+#: serve frames from a :class:`StreamRouter` in process (``"inline"`` with
+#: one-frame batches and no reorder window); ``"pool"`` hands its shards
+#: to a :class:`ShardWorkerPool`.
+_BACKENDS = ("inline", "router", "pool")
 
 #: The ``config`` keys a session checkpoint carries.  :meth:`Session.restore`
 #: keeps only these, so a checkpoint that names a since-retired knob still
@@ -310,10 +319,10 @@ class Session:
         degraded_mode: bool = True,
         queries: Iterable[QueryLike] = (),
     ):
-        if backend not in BACKENDS:
+        if backend not in _BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; choose one of "
-                f"{sorted(BACKENDS)}"
+                f"{sorted(_BACKENDS)}"
             )
         if backend == "inline":
             # The router with one-frame batches and no reorder window.
@@ -338,7 +347,15 @@ class Session:
         }
         _check_pool_sizing(self._config)
         self._init_registry()
-        self._backend: Backend = self._build_backend()
+        self._start_runtime(StreamRouter(
+            [],
+            method=MCOSMethod(self._config["method"]),
+            batch_size=self._config["batch_size"],
+            watermark=self._config["watermark"],
+            enable_pruning=self._config["enable_pruning"],
+            restrict_labels=self._config["restrict_labels"],
+            retain_matches=True,
+        ))
         try:
             for query in queries:
                 self.register(query)
@@ -346,7 +363,7 @@ class Session:
             # The pool backend spawns worker processes eagerly; a rejected
             # initial query must not leak them.
             self._closed = True
-            self._backend.close()
+            self._stop_pool()
             raise
 
     def _init_registry(self) -> None:
@@ -386,25 +403,59 @@ class Session:
         #: went down broken or degraded.
         self._final_stats: Optional[Dict] = None
 
-    def _build_backend(self) -> Backend:
+    def _start_runtime(self, router: StreamRouter) -> None:
+        """Serve frames from ``router``, or on ``"pool"`` from a started
+        worker pool it hands its shards to.
+
+        ``_router`` keeps the workload either way (it assigns query ids
+        and holds ``queries``); ``_runtime`` is whichever of the two serves
+        frames, and takes the verbs they share.
+        """
         config = self._config
-        kind = config["backend"]
-        kwargs = {
-            "method": MCOSMethod(config["method"]),
-            "batch_size": config["batch_size"],
-            "watermark": config["watermark"],
-            "enable_pruning": config["enable_pruning"],
-            "restrict_labels": config["restrict_labels"],
-        }
-        if kind == "pool":
-            kwargs.update(
+        self._router = router
+        self._pool: Optional[ShardWorkerPool] = None
+        if config["backend"] == "pool":
+            self._pool = ShardWorkerPool(
+                router,
                 num_workers=config["num_workers"],
                 dispatch_batch=config["dispatch_batch"],
                 checkpoint_every=config["checkpoint_every"],
+                # Pre-supervision checkpoints predate these keys; default
+                # them exactly as a fresh Session would.
                 supervision=config.get("supervision"),
-                degraded_mode=bool(config.get("degraded_mode", True)),
-            )
-        return BACKENDS[kind](**kwargs)
+                # Sessions prefer staying up: an irrecoverable worker parks
+                # its streams (per-stream health) instead of breaking the
+                # session.
+                on_irrecoverable=(
+                    "park" if config.get("degraded_mode", True) else "raise"
+                ),
+            ).start()
+        self._runtime: Union[StreamRouter, ShardWorkerPool] = (
+            router if self._pool is None else self._pool
+        )
+
+    def _stop_pool(self) -> None:
+        """Release the worker processes, whatever state the pool is in.
+
+        A healthy pool stops gracefully (the workers' final checkpoints
+        merge into one router); a degraded pool cannot — its parked journal
+        has no process to replay into — so it is terminated; and any
+        failure during the graceful path falls back to termination too.
+        Never raises and never leaks a worker process.
+        """
+        pool = self._pool
+        if pool is None or not pool.started:
+            return
+        if pool.degraded:
+            pool.terminate()
+            return
+        try:
+            pool.stop()
+        except Exception:  # crash-path cleanup must still reap workers
+            try:
+                pool.terminate()
+            except Exception:  # pragma: no cover - reaping is best-effort
+                pass
 
     # ------------------------------------------------------------------
     # Introspection
@@ -488,9 +539,9 @@ class Session:
         registered = normalized.with_id(self._next_qid)
         # The barrier: evaluate everything already ingested under the old
         # workload before the new query can see any state.
-        self._backend.flush()
+        self._runtime.flush()
         self._dirty = True
-        self._backend.register(registered)
+        self._runtime.register_query(registered)
         # Committed only after the backend accepted it (e.g. a non-'>='
         # query under pruning is rejected before any id is consumed).
         self._next_qid += 1
@@ -538,10 +589,10 @@ class Session:
             raise ValueError(
                 f"query {handle.query_id} has already been cancelled"
             )
-        self._backend.flush()
+        self._runtime.flush()
         self._dirty = True
         self.drain()
-        self._backend.cancel(handle.query)
+        self._runtime.cancel_query(handle.query_id)
         handle._active = False
         if self._active is not None:
             del self._active[handle.query]
@@ -559,7 +610,7 @@ class Session:
     def ingest(self, stream_id: str, frame: FrameObservation) -> None:
         """Feed one frame of one stream to every active window group."""
         self._require_open()
-        self._backend.ingest(stream_id, frame)
+        self._runtime.route(stream_id, frame)
         self._dirty = True
         frontier = self._frontiers.get(stream_id)
         if frontier is None or frame.frame_id > frontier:
@@ -576,7 +627,7 @@ class Session:
     def flush(self) -> None:
         """Force buffered frames through every backend shard (barrier)."""
         self._require_open()
-        self._backend.flush()
+        self._runtime.flush()
         self._dirty = True
 
     def drain(self) -> Dict[str, List[QueryMatch]]:
@@ -602,7 +653,7 @@ class Session:
         if not self._dirty:
             return {}
         try:
-            drained = self._backend.drain()
+            drained = self._runtime.drain_matches()
         except PoisonOpError as exc:
             self._record_fault({
                 "kind": "poison",
@@ -616,7 +667,7 @@ class Session:
             })
             # The poison op is already quarantined; the rest of the drain
             # is healthy and must still be delivered.
-            drained = self._backend.drain()
+            drained = self._runtime.drain_matches()
         except WorkerCrashError as exc:
             self._record_fault({
                 "kind": exc.kind,
@@ -646,7 +697,7 @@ class Session:
         self._require_open()
         if stream_id not in self._frontiers:
             raise UnknownStreamError(stream_id)
-        return self._backend.matches_for(stream_id)
+        return self._runtime.matches_for(stream_id)
 
     def _record_fault(self, fault: Dict) -> None:
         """Append a fault record session-wide and to every active handle."""
@@ -657,7 +708,9 @@ class Session:
 
     def _observe_health_faults(self) -> None:
         """Record newly unhealthy streams (degraded mode parks silently)."""
-        for stream_id, record in self._backend.health().items():
+        if self._pool is None:
+            return
+        for stream_id, record in self._pool.stream_health().items():
             state = record.get("state", "healthy")
             if state == "healthy":
                 continue
@@ -688,10 +741,12 @@ class Session:
         return self._stream_health()
 
     def _stream_health(self) -> Dict[str, Dict]:
-        try:
-            health = self._backend.health()
-        except Exception:  # a broken pool must not take stats() with it
-            health = {}
+        health: Dict[str, Dict] = {}
+        if self._pool is not None:
+            try:
+                health = self._pool.stream_health()
+            except Exception:  # a broken pool must not take stats() with it
+                pass
         out: Dict[str, Dict] = {}
         for stream_id in self._frontiers:
             record = health.get(stream_id)
@@ -717,7 +772,7 @@ class Session:
         ``"healthy"``.
         """
         self._require_open()
-        revived = self._backend.repair()
+        revived = [] if self._pool is None else self._pool.repair()
         if revived:
             self._dirty = True
             # A repaired stream that parks again is a new fault; re-arm
@@ -746,7 +801,7 @@ class Session:
             return dict(self._final_stats)
         self._require_open()
         stats = self._stats_core()
-        stats["backend_stats"] = self._backend.stats()
+        stats["backend_stats"] = self._runtime.stats()
         return stats
 
     def _stats_core(self) -> Dict:
@@ -826,7 +881,10 @@ class Session:
                 for stream_id in self._frontiers
             ],
             "group_order": [list(group) for group in self._group_order],
-            "state": self._backend.checkpoint_payload(),
+            "state": (
+                self._router.checkpoint() if self._pool is None
+                else self._pool.checkpoint_router()
+            ),
         }
         return to_bytes("session", payload)
 
@@ -858,10 +916,10 @@ class Session:
         ``ValueError`` when passed here and :class:`CheckpointError` when
         read from the checkpoint.
         """
-        if backend is not None and backend not in BACKENDS:
+        if backend is not None and backend not in _BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; choose one of "
-                f"{sorted(BACKENDS)}"
+                f"{sorted(_BACKENDS)}"
             )
         if num_workers is not None:
             # Eager, like the backend override: a bad value here is an
@@ -874,7 +932,7 @@ class Session:
                 if key in _CONFIG_KEYS
             }
             source_kind = config["backend"]
-            if source_kind not in BACKENDS:
+            if source_kind not in _BACKENDS:
                 raise ValueError(
                     f"checkpoint names unknown backend {source_kind!r}"
                 )
@@ -886,18 +944,11 @@ class Session:
             session = cls.__new__(cls)
             session._config = config
             session._init_registry()
-            session._backend = BACKENDS[config["backend"]].restore(
-                payload["state"],
-                method=MCOSMethod(config["method"]),
-                enable_pruning=bool(config["enable_pruning"]),
-                restrict_labels=bool(config["restrict_labels"]),
-                num_workers=config["num_workers"],
-                dispatch_batch=config["dispatch_batch"],
-                checkpoint_every=config["checkpoint_every"],
-                # Pre-supervision checkpoints predate these keys; default
-                # them exactly as a fresh Session would.
-                supervision=config.get("supervision"),
-                degraded_mode=bool(config.get("degraded_mode", True)),
+            # The pool layout is re-derived from the document's stream
+            # order for this session's worker count; nothing about it is
+            # persisted.
+            session._start_runtime(
+                StreamRouter.from_checkpoint(payload["state"])
             )
             try:
                 session._restore_registry(payload)
@@ -907,14 +958,14 @@ class Session:
                 # leak them (same guard as a rejected initial query in
                 # __init__).
                 session._closed = True
-                session._backend.close()
+                session._stop_pool()
                 raise
         return session
 
     def _restore_registry(self, payload: Dict) -> None:
         """The registry half of :meth:`restore`, on the restored backend:
         active handles resolve their ``query_id`` against its queries."""
-        registered = {query.query_id: query for query in self._backend.queries()}
+        registered = {query.query_id: query for query in self._router.queries}
         registry = payload["registry"]
         self._next_qid = int(registry["next_query_id"])
         self._active = None
@@ -976,7 +1027,7 @@ class Session:
         if self._closed:
             return
         try:
-            self._backend.flush()
+            self._runtime.flush()
             self._dirty = True
             self.drain()
         except Exception as exc:
@@ -1016,20 +1067,12 @@ class Session:
         # broken to report).
         snapshot = self._stats_core()
         try:
-            snapshot["backend_stats"] = self._backend.stats()
+            snapshot["backend_stats"] = self._runtime.stats()
         except Exception:
             snapshot["backend_stats"] = None
         self._final_stats = snapshot
         self._closed = True
-        try:
-            self._backend.close()
-        except Exception as exc:  # pragma: no cover - backends guard this
-            warnings.warn(
-                f"session close could not stop the backend cleanly "
-                f"({exc!r})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        self._stop_pool()
 
     def __enter__(self) -> "Session":
         return self

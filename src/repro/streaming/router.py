@@ -264,11 +264,6 @@ class StreamRouter:
         self._shards = {}
         return query
 
-    @property
-    def cancelled_ids(self) -> List[int]:
-        """Tombstoned (cancelled) query ids, ascending."""
-        return sorted(self._cancelled)
-
     @staticmethod
     def _freeze_ingest_stats(shard: StreamShard) -> Dict:
         """A shard's cumulative ingest counters, frozen for the retired

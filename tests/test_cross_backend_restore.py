@@ -104,7 +104,7 @@ def pool_layout(session):
     """Stream → worker index of a pool-backed session."""
     return {
         stream_id: entry["worker"]
-        for stream_id, entry in session._backend.pool.stream_health().items()
+        for stream_id, entry in session._pool.stream_health().items()
     }
 
 
@@ -356,7 +356,7 @@ class TestRouterPoolByteTransparency:
         session.close()
         restored = Session.restore(blob, num_workers=restored_workers)
         try:
-            assert restored._backend.pool.num_workers == restored_workers
+            assert restored._pool.num_workers == restored_workers
             assert pool_layout(restored) == modulo_layout(
                 restored.stream_ids(), restored_workers
             )

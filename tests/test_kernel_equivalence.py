@@ -155,6 +155,31 @@ class TestGeneratorsAgreeOnKernelStreams:
         results = [generator.process_frame(frame) for frame in frames]
         assert results[-1].as_mapping() == {frozenset({1}): frozenset({7})}
 
+    @pytest.mark.parametrize("generator_cls", INCREMENTAL)
+    def test_labels_are_recorded_only_for_a_state_filter(self, generator_cls):
+        """Only the Proposition-1 filter reads the id -> label map, so a
+        projection alone records none; a document that still holds one
+        (as written before) restores and resumes unchanged."""
+        frames = list(bursty_stream(4, num_frames=40).frames())
+        config = dict(window_size=6, duration=3, labels_of_interest={"object"})
+        plain = generator_cls(**config)
+        filtered = generator_cls(
+            **config, state_filter=lambda object_ids, counts: True
+        )
+        for frame in frames[:20]:
+            plain.process_frame(frame)
+            filtered.process_frame(frame)
+        document = plain.export_checkpoint()
+        assert document["label_lookup"] == []
+        recorded = filtered.export_checkpoint()["label_lookup"]
+        assert recorded and all(label == "object" for _, label in recorded)
+
+        resumed = generator_cls(**config)
+        resumed.import_checkpoint(dict(document, label_lookup=recorded))
+        for frame in frames[20:]:
+            assert (resumed.process_frame(frame).as_mapping()
+                    == plain.process_frame(frame).as_mapping())
+
 
 #: ``(stream builder, seed, window, duration)`` of the counter baseline.
 COUNTER_STREAMS = {

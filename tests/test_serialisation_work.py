@@ -94,7 +94,7 @@ def test_checkpoint_costs_a_few_calls_per_live_state():
             handle.take_matches()
         live = sum(
             shard.engine.generator.live_state_count()
-            for shard in session._backend.router.shards().values()
+            for shard in session._router.shards().values()
         )
         assert live >= 200, "scene too small to say anything per state"
         calls = python_calls(session.checkpoint)

@@ -176,7 +176,7 @@ class TestMatchesAndCancellation:
             only = session.register("car >= 1", window=WINDOW, duration=DURATION)
             other = session.register("car >= 1", window=WINDOW + 2, duration=DURATION)
             session.ingest_many(events[: len(events) // 2])
-            router = session._backend.router
+            router = session._router
             assert all(
                 (WINDOW, DURATION) in shard.engine.group_keys
                 for shard in router.shards().values()
@@ -202,8 +202,8 @@ class TestMatchesAndCancellation:
             session.flush()
             first = handle.matches()
             calls = []
-            original = session._backend.drain
-            session._backend.drain = lambda: calls.append(1) or original()
+            original = session._runtime.drain_matches
+            session._runtime.drain_matches = lambda: calls.append(1) or original()
             assert handle.matches() == first
             assert handle.matches() == first
             assert calls == [], "idle polls still hit the backend"
@@ -211,7 +211,7 @@ class TestMatchesAndCancellation:
             session.ingest("cam-00", FrameObservation(10_000, {1: "car"}))
             handle.matches()
             assert calls == [1]
-            session._backend.drain = original
+            session._runtime.drain_matches = original
 
     def test_closed_session_keeps_delivered_matches_readable(self):
         events = scenario(34)
@@ -355,6 +355,57 @@ class TestWarmupWatermark:
         baseline.close()
         live.close()
 
+    @pytest.mark.parametrize("backend, method", [
+        *[(b, m) for b in ("inline", "router") for m in ("NAIVE", "MFS", "SSG")],
+        ("pool", "SSG"),
+    ])
+    def test_pruned_live_registration_matches_from_watermark_on(
+        self, backend, method
+    ):
+        """Under pruning, ``car >= 1`` registered mid-stream loosens the
+        ``car >= 2`` filter: sets it refused before must be judged again,
+        or they miss frames past the watermark (e.g. NAIVE registered at
+        frame 20 on cam-01 frames 32-36, MFS/SSG at 40 on cam-00 49-50)."""
+        events = list(interleave_feeds(simulated_feeds(2, seed=1)))
+
+        def run(register_at):
+            session = make_session(
+                backend, method=method, enable_pruning=True
+            )
+            session.register("car >= 2", window=WINDOW, duration=DURATION)
+            late = None
+            for stream_id, frame in events:
+                if late is None and frame.frame_id >= register_at:
+                    late = session.register(
+                        "car >= 1", window=WINDOW, duration=DURATION
+                    )
+                session.ingest(stream_id, frame)
+            session.flush()
+            drained = session.drain()
+            session.close()
+            return late, drained
+
+        def by_frame(matches, late, watermark):
+            frames = {}
+            for m in matches:
+                if m.query_id == late.query_id and m.frame_id >= watermark:
+                    frames.setdefault(m.frame_id, []).append(m.to_record())
+            return {frame_id: sorted(r) for frame_id, r in frames.items()}
+
+        _, oracle = run(0)
+        compared = 0
+        for register_at in (20, 40, 60, 100):
+            late, live = run(register_at)
+            for stream_id in live:
+                watermark = late.warmup_watermark(stream_id)
+                expected = by_frame(oracle[stream_id], late, watermark)
+                assert by_frame(live[stream_id], late, watermark) == expected, (
+                    f"{backend}/{method} registered at {register_at}: "
+                    f"{stream_id} diverges after the watermark {watermark}"
+                )
+                compared += len(expected)
+        assert compared > 0, "vacuous scenario: no post-watermark matches"
+
     def test_stream_started_after_registration_has_no_warmup(self):
         events = scenario(36)
         with make_session("inline") as session:
@@ -431,7 +482,7 @@ class TestPoolLifecycleRobustness:
             session.register("person >= 1", window=WINDOW, duration=DURATION, name="late")
             session.ingest_many(events[third: 2 * third])
             if crash:
-                pool = session._backend.pool
+                pool = session._pool
                 os.kill(pool.worker_pids()[0], signal.SIGKILL)
             session.ingest_many(events[2 * third:])
             session.flush()
@@ -440,7 +491,7 @@ class TestPoolLifecycleRobustness:
         oracle = drive(make_session("router"))
         crashed = make_session("pool", num_workers=2)
         got = drive(crashed, crash=True)
-        assert crashed._backend.pool.restarts >= 1
+        assert crashed._pool.restarts >= 1
         assert match_report(got) == match_report(oracle)
         crashed.close()
 

@@ -548,7 +548,7 @@ class TestSessionFaultSurface:
         with plan.install():
             session = self._pool_session(degraded_mode=True)
         # max_restarts lives on the pool; tighten it so the park is fast.
-        session._backend.pool.max_restarts = 1
+        session._pool.max_restarts = 1
         handle = session.register("car >= 1", window=8, duration=4)
         with plan.install():
             session.ingest_many(events)
@@ -580,7 +580,7 @@ class TestSessionFaultSurface:
         oracle.close()
         with plan.install():
             session = self._pool_session(degraded_mode=True)
-        session._backend.pool.max_restarts = 1
+        session._pool.max_restarts = 1
         session.register("car >= 1", window=8, duration=4)
         drained = {}
         with plan.install():
@@ -609,7 +609,7 @@ class TestSessionFaultSurface:
         plan, poison_stream = self._poison_plan(events, seed)
         with plan.install():
             session = self._pool_session(degraded_mode=False)
-        session._backend.pool.max_restarts = 1
+        session._pool.max_restarts = 1
         handle = session.register("car >= 1", window=8, duration=4)
         with plan.install():
             with pytest.raises(WorkerCrashError) as excinfo:
@@ -672,7 +672,7 @@ class TestSessionFaultSurface:
             assert config["supervision"] == \
                 SupervisionConfig.coerce(FAST).to_dict()
             assert config["degraded_mode"] is False
-            assert restored._backend.pool.supervision.to_dict() == \
+            assert restored._pool.supervision.to_dict() == \
                 config["supervision"]
         finally:
             restored.close()
