@@ -11,15 +11,15 @@ paper:
 * *label projection* (Section 3) -- objects whose class is not requested by
   any query are dropped on entry;
 * *result-driven pruning* (Section 5.3) -- a ``state_filter`` callback can mark
-  freshly created states as terminated when their per-class counts cannot
-  satisfy any registered >=-only query.
+  freshly created states as terminated when their MCOS cannot satisfy any
+  registered >=-only query.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.core.interning import ObjectInterner
 from repro.core.result import ResultStateSet
@@ -27,11 +27,9 @@ from repro.datamodel.observation import FrameObservation
 from repro.datamodel.relation import VideoRelation
 
 #: Callback deciding whether a freshly created state should be terminated.
-#: Receives the new state's per-class object counts (classes with none are
-#: left out) and returns ``True`` to keep it, ``False`` to terminate it
-#: (Proposition 1).  A filter must be monotone: a subset of a terminated set
-#: is terminated too, which is what lets SSG skip whole subtrees below one.
-StateFilter = Callable[[Mapping[str, int]], bool]
+#: Receives the object set of the new state and returns ``True`` to keep it,
+#: ``False`` to terminate it (Proposition 1).
+StateFilter = Callable[[FrozenSet[int], Dict[str, int]], bool]
 
 
 @dataclass
@@ -133,11 +131,6 @@ class MCOSGenerator(abc.ABC):
         #: Mapping from object id to class label, needed only when a state
         #: filter is installed (the filter receives per-class counts).
         self._label_lookup: Dict[int, str] = dict(label_lookup or {})
-        #: Class label -> mask of the interned objects the lookup gives that
-        #: label: a state's count of a class is one ``&`` and a
-        #: ``bit_count()``.
-        self._label_masks: Dict[str, int] = {}  # repro-lint: disable=CKPT-DRIFT -- derived from the label lookup and the interner; import rebuilds it
-        self._rebuild_label_masks()
         self._last_frame_id: Optional[int] = None
         #: Recycle interner bit positions every this many frames, so masks
         #: stay as narrow as the window population instead of growing with
@@ -244,16 +237,10 @@ class MCOSGenerator(abc.ABC):
         if cached is not None and frame.same_labels(cached[0]):
             return cached[1]
         projected = frame.restricted_to_labels(self.config.labels_of_interest)
-        frame_bits = self.interner.intern_ids(projected.object_ids)
         if self._state_filter is not None:
-            lookup = self._label_lookup
-            masks = self._label_masks
-            mask_of = self.interner.mask_of
             for oid in projected.object_ids:
-                label = lookup.get(oid)
-                if label is None:
-                    label = lookup[oid] = projected.label_of(oid)
-                masks[label] = masks.get(label, 0) | mask_of(oid)
+                self._label_lookup.setdefault(oid, projected.label_of(oid))
+        frame_bits = self.interner.intern_ids(projected.object_ids)
         self._frame_cache = (frame, frame_bits)
         return frame_bits
 
@@ -281,7 +268,6 @@ class MCOSGenerator(abc.ABC):
         self.stats = GeneratorStats()
         self._last_frame_id = None
         self._label_lookup = {}
-        self._label_masks = {}
         self._frame_cache = None
         self._reset_impl()
         self.compact_interner()
@@ -338,20 +324,7 @@ class MCOSGenerator(abc.ABC):
                 for oid, label in self._label_lookup.items()
                 if oid in interner
             }
-            self._rebuild_label_masks()
         return freed
-
-    def _rebuild_label_masks(self) -> None:
-        """Recompute the per-label masks from the label lookup (after the
-        interner's bit positions or the lookup changed wholesale).  An
-        object the interner does not hold is in no state, so it is left
-        out."""
-        interner = self.interner
-        masks: Dict[str, int] = {}
-        for oid, label in self._label_lookup.items():
-            if oid in interner:
-                masks[label] = masks.get(label, 0) | interner.mask_of(oid)
-        self._label_masks = masks
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -438,7 +411,6 @@ class MCOSGenerator(abc.ABC):
         self._label_lookup = {
             int(oid): label for oid, label in payload.get("label_lookup", [])
         }
-        self._rebuild_label_masks()
         self._import_impl(payload["state"])
 
     def export_state(self) -> bytes:
@@ -510,17 +482,19 @@ class MCOSGenerator(abc.ABC):
     def _keep_new_state(self, bits: int) -> bool:
         """Apply the Proposition-1 state filter to a freshly created state.
 
-        The filter judges per-class counts, one masked ``bit_count()`` per
-        label; the object set is never decoded.
+        The filter operates at the query boundary, so the bitmask is decoded
+        back into object ids here (only when a filter is installed).
         """
         if self._state_filter is None:
             return True
+        object_ids = self.interner.decode(bits)
         counts: Dict[str, int] = {}
-        for label, mask in self._label_masks.items():
-            count = (bits & mask).bit_count()
-            if count:
-                counts[label] = count
-        keep = self._state_filter(counts)
+        for oid in object_ids:
+            label = self._label_lookup.get(oid)
+            if label is None:
+                continue
+            counts[label] = counts.get(label, 0) + 1
+        keep = self._state_filter(object_ids, counts)
         if not keep:
             self.stats.states_terminated += 1
         return keep

@@ -81,21 +81,6 @@ class MarkedFrameSetGenerator(MCOSGenerator):
         existing state, marking key frames."""
         states = self._states
         stats = self.stats
-        principal = states.get(frame_bits)
-        if principal is None:
-            if not self._keep_new_state(frame_bits):
-                # Proposition 1: every intersection with the frame is a
-                # subset of it, which the (monotone) filter refuses too, and
-                # so is every state the frame would extend; none can match,
-                # so the frame only leaves a terminated marker (the check is
-                # not repeated per frame).
-                principal, _ = states.get_or_create(frame_bits)
-                stats.states_created += 1
-                principal.terminated = True
-                principal.frames = principal.marks = bit
-                return
-        elif principal.terminated:
-            return
         existing = states.states()
         visits = 0
         appended = 0
@@ -115,8 +100,7 @@ class MarkedFrameSetGenerator(MCOSGenerator):
             target, created = states.get_or_create(inter)
             if created:
                 stats.states_created += 1
-                # The frame itself was judged above.
-                if inter != frame_bits and not self._keep_new_state(inter):
+                if not self._keep_new_state(inter):
                     # Proposition 1: keep a terminated marker so the state is
                     # not repeatedly re-created, but never process it again.
                     target.terminated = True
@@ -136,6 +120,12 @@ class MarkedFrameSetGenerator(MCOSGenerator):
         principal, created = states.get_or_create(frame_bits)
         if created:
             stats.states_created += 1
+            if not self._keep_new_state(frame_bits):
+                principal.terminated = True
+                principal.frames = principal.marks = bit
+                return
+        if principal.terminated:
+            return
         # Frame Marking Rule 1: the frame that creates a principal state is a
         # key frame of that state.
         principal.frames |= bit

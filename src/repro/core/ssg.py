@@ -611,40 +611,32 @@ class StrictStateGraphGenerator(MCOSGenerator):
                         target = None  # type: ignore[assignment]
                 elif target.terminated:
                     target = None  # type: ignore[assignment]
-                if target is None:
-                    # Proposition 1: every descendant of the state meets the
-                    # frame in a subset of ``inter``, which the (monotone)
-                    # filter refuses too, and so is every descendant the
-                    # frame would extend; none can match, so the subtree is
-                    # skipped.
-                    if frames.bit_count() >= duration:
-                        result_candidates[key] = state
-                    continue
-                if target.children is None:
-                    self._register_node(target)
-                # The target inherits the source's frames and marks
-                # (Frame Marking Rule 2) plus the arriving frame.  The
-                # source misses that frame (it is no subset of it).
-                target_frames = target.frames
-                if not target_frames & bit:
-                    extend(target)
-                target_frames |= frames | bit
-                target.frames = target_frames
-                old_marks = target.marks
-                marks = old_marks | state.marks
-                if marks != old_marks:
-                    target.marks = marks
-                    if marks & -marks != old_marks & -old_marks:
-                        # Gained an older mark (or its first ones).
-                        schedule.add(target, base)
-                appended += 1
-                # Inlined _ensure_edge (the memo hit is the common case).
-                ekey = (state.serial, target.serial)
-                if ekey not in edge_memo:
-                    self._add_edge(state, target)
-                    add_edge_memo(ekey)
-                if target_frames.bit_count() >= duration and marks:
-                    result_candidates[inter] = target
+                if target is not None:
+                    if target.children is None:
+                        self._register_node(target)
+                    # The target inherits the source's frames and marks
+                    # (Frame Marking Rule 2) plus the arriving frame.  The
+                    # source misses that frame (it is no subset of it).
+                    target_frames = target.frames
+                    if not target_frames & bit:
+                        extend(target)
+                    target_frames |= frames | bit
+                    target.frames = target_frames
+                    old_marks = target.marks
+                    marks = old_marks | state.marks
+                    if marks != old_marks:
+                        target.marks = marks
+                        if marks & -marks != old_marks & -old_marks:
+                            # Gained an older mark (or its first ones).
+                            schedule.add(target, base)
+                    appended += 1
+                    # Inlined _ensure_edge (the memo hit is the common case).
+                    ekey = (state.serial, target.serial)
+                    if ekey not in edge_memo:
+                        self._add_edge(state, target)
+                        add_edge_memo(ekey)
+                    if target_frames.bit_count() >= duration and marks:
+                        result_candidates[inter] = target
 
             if frames.bit_count() >= duration:
                 result_candidates[key] = state

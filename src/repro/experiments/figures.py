@@ -241,27 +241,19 @@ def figure9_nmin(
             workload = ge_only_workload(
                 num_queries, n_min=nmin, window=window, duration=duration, seed=nmin
             )
-            # The figure's point is the _O-vs-_E ordering, so time each
-            # variant best-of-3, in three interleaved rounds: a single shot
-            # systematically penalises the later variants, and a burst of
-            # machine noise hits one round of every variant rather than all
-            # runs of one.
-            best: Dict[Tuple[MCOSMethod, bool], MethodTiming] = {}
-            for _ in range(3):
-                for method, pruning in configurations:
-                    timing = run_query_evaluation(
-                        relation,
-                        workload.queries,
-                        method,
-                        window,
-                        duration,
-                        enable_pruning=pruning,
-                    )
-                    incumbent = best.get((method, pruning))
-                    if incumbent is None or timing.seconds < incumbent.seconds:
-                        best[method, pruning] = timing
             for method, pruning in configurations:
-                timing = best[method, pruning]
+                # The figure's point is the _O-vs-_E ordering, so time each
+                # variant best-of-3: the variants run sequentially and a
+                # single shot systematically penalises the later ones.
+                timing = run_query_evaluation(
+                    relation,
+                    workload.queries,
+                    method,
+                    window,
+                    duration,
+                    enable_pruning=pruning,
+                    repeats=3,
+                )
                 suffix = "_O" if pruning else "_E"
                 timing.method = f"{method.value}{suffix}"
                 timing.parameter = "nmin"

@@ -13,12 +13,6 @@ Besides wall-clock seconds the harness records the deterministic work
 counters of the generators (state visits, intersections, peak live states),
 which are independent of interpreter speed and are reported alongside the
 timings in EXPERIMENTS.md.
-
-Timed runs pause the cyclic garbage collector, as :mod:`timeit` does: a
-collection that starts inside a run scans every object the process holds
-(in a test session, the whole suite's), so its cost says nothing about the
-method measured.  The collections a run's allocations call for run after
-its timing stops.
 """
 
 from __future__ import annotations
@@ -32,7 +26,6 @@ from repro.datamodel.relation import VideoRelation
 from repro.engine.config import EngineConfig, MCOSMethod
 from repro.engine.engine import TemporalVideoQueryEngine
 from repro.query.model import CNFQuery
-from repro.streaming.checkpoint import collector_paused
 
 #: The three state-maintenance strategies compared throughout Section 6.
 MCOS_METHODS: Sequence[MCOSMethod] = (MCOSMethod.NAIVE, MCOSMethod.MFS, MCOSMethod.SSG)
@@ -116,12 +109,11 @@ def time_mcos_generation(
             duration=duration,
             labels_of_interest=labels_of_interest,
         )
-        with collector_paused():
-            start = time.perf_counter()
-            result_states = 0
-            for result in generator.process_relation(relation):
-                result_states += len(result)
-            seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        result_states = 0
+        for result in generator.process_relation(relation):
+            result_states += len(result)
+        seconds = time.perf_counter() - start
         if best is None or seconds < best.seconds:
             best = MethodTiming(
                 method=method.value,
@@ -175,10 +167,9 @@ def run_query_evaluation(
     best: Optional[MethodTiming] = None
     for _ in range(max(1, repeats)):
         engine = TemporalVideoQueryEngine(queries, config)
-        with collector_paused():
-            start = time.perf_counter()
-            run = engine.run(relation)
-            seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        run = engine.run(relation)
+        seconds = time.perf_counter() - start
         if best is None or seconds < best.seconds:
             best = MethodTiming(
                 method=config.method_label,

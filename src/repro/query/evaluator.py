@@ -9,7 +9,7 @@ satisfying a query become that query's answer for the current window.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
 from operator import sub
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
@@ -94,44 +94,6 @@ class QueryMatch:
             )
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed match record: {record!r}") from exc
-
-
-#: Setters of ``QueryMatch``'s slots, in field order.  A frozen
-#: dataclass's ``__init__`` assigns each field through
-#: ``object.__setattr__``, which costs more than twice as much as filling
-#: the slots directly; :func:`_state_matches` does the latter.
-_MATCH_SLOT_SETTERS = tuple(
-    getattr(QueryMatch, match_field.name).__set__
-    for match_field in fields(QueryMatch)
-)
-
-
-def _state_matches(
-    query_ids: Iterable[int],
-    frame_id: int,
-    object_ids: FrozenSet[int],
-    frame_ids: Tuple[int, ...],
-    class_counts: Tuple[Tuple[str, int], ...],
-    stream_id: str,
-) -> List[QueryMatch]:
-    """The matches of one result state, one per query id, sharing every
-    other field (the very same objects, which :func:`pack_matches` relies
-    on); equal to building each with ``QueryMatch(...)``."""
-    (set_query, set_frame, set_objects, set_frames, set_counts,
-     set_stream) = _MATCH_SLOT_SETTERS
-    new = object.__new__
-    matches = []
-    append = matches.append
-    for query_id in query_ids:
-        match = new(QueryMatch)
-        set_query(match, query_id)
-        set_frame(match, frame_id)
-        set_objects(match, object_ids)
-        set_frames(match, frame_ids)
-        set_counts(match, class_counts)
-        set_stream(match, stream_id)
-        append(match)
-    return matches
 
 
 #: Most frames one grouped record may expand to.  Frame sets live inside a
@@ -221,14 +183,16 @@ def unpack_matches(records: Iterable[Sequence]) -> List[QueryMatch]:
                     or min(map(sub, stops, starts), default=1) <= 0 \
                     or sum(stops) - sum(starts) > MAX_RECORD_FRAMES:
                 raise ValueError("frame runs are not well-formed")
-            matches += _state_matches(
-                map(int, query_ids),
+            shared = (
                 int(frame_id),
                 frozenset(map(int, object_ids)),
                 tuple(chain.from_iterable(map(range, starts, stops))),
                 tuple([(str(label), int(count)) for label, count in class_counts]),
                 str(stream_id),
             )
+            matches += [
+                QueryMatch(query_id, *shared) for query_id in map(int, query_ids)
+            ]
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed match record: {record!r}") from exc
     return matches
@@ -452,10 +416,12 @@ class QueryEvaluator:
             current[object_ids] = entry
             class_counts, matched = entry
             produced += len(matched)
-            if matched:
-                matches += _state_matches(matched, frame_id, object_ids,
-                                          state.frame_ids, class_counts,
-                                          stream_id)
+            frame_ids = state.frame_ids
+            matches += [
+                QueryMatch(query_id, frame_id, object_ids, frame_ids,
+                           class_counts, stream_id)
+                for query_id in matched
+            ]
         stats.signature_hits += hits
         stats.states_evaluated += len(results)
         stats.matches_produced += produced

@@ -11,7 +11,7 @@ of the evaluation (Figure 9).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Dict, FrozenSet, Iterable, Mapping
 
 from repro.query.evaluator import QueryEvaluator
 from repro.query.model import CNFQuery
@@ -48,9 +48,9 @@ class StatePruner:
     """State filter implementing Proposition 1.
 
     Instances are passed as the ``state_filter`` of an MCOS generator; they
-    are called with the per-class counts of every freshly created state and
-    return ``False`` (terminate) when no registered query can be satisfied
-    by the state or any state derived from it.
+    are called with the object set and per-class counts of every freshly
+    created state and return ``False`` (terminate) when no registered query
+    can be satisfied by the state or any state derived from it.
     """
 
     def __init__(self, evaluator: QueryEvaluator, enabled: bool = True):
@@ -67,7 +67,7 @@ class StatePruner:
         """Whether pruning is active."""
         return self._enabled
 
-    def __call__(self, counts: Mapping[str, int]) -> bool:
+    def __call__(self, object_ids: FrozenSet[int], counts: Mapping[str, int]) -> bool:
         """Return True to keep the state, False to terminate it."""
         if not self._enabled:
             return True

@@ -50,15 +50,15 @@ class TestStatePruner:
     def test_termination_decisions(self):
         evaluator = QueryEvaluator([parse_query("car >= 2 AND person >= 1")])
         pruner = StatePruner(evaluator)
-        assert pruner({"car": 2, "person": 1})
-        assert not pruner({"car": 1})
+        assert pruner(frozenset({1, 2, 3}), {"car": 2, "person": 1})
+        assert not pruner(frozenset({1}), {"car": 1})
         assert pruner.stats.states_terminated == 1
         assert pruner.stats.states_checked == 2
 
     def test_disabled_pruner_keeps_everything(self):
         evaluator = QueryEvaluator([parse_query("car >= 2")])
         pruner = StatePruner(evaluator, enabled=False)
-        assert pruner({"car": 1})
+        assert pruner(frozenset({1}), {"car": 1})
         assert pruner.stats.states_terminated == 0
 
 

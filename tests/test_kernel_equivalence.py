@@ -91,8 +91,8 @@ class TestGeneratorsAgreeOnKernelStreams:
         """
         relation = bursty_stream(40 + seed, num_frames=80, universe=8)
 
-        def keep_two_plus(counts):
-            return sum(counts.values()) >= 2
+        def keep_two_plus(object_ids, counts):
+            return len(object_ids) >= 2
 
         def run(generator_cls):
             generator = generator_cls(window_size=5, duration=3,
@@ -150,7 +150,7 @@ class TestGeneratorsAgreeOnKernelStreams:
         frames.append(FrameObservation(7, {1: "car"}))  # frame 8 = 4·w
         generator = generator_cls(
             window_size=2, duration=0,
-            state_filter=lambda counts: counts.get("car", 0) >= 1,
+            state_filter=lambda object_ids, counts: counts.get("car", 0) >= 1,
         )
         results = [generator.process_frame(frame) for frame in frames]
         assert results[-1].as_mapping() == {frozenset({1}): frozenset({7})}
@@ -164,7 +164,7 @@ class TestGeneratorsAgreeOnKernelStreams:
         config = dict(window_size=6, duration=3, labels_of_interest={"object"})
         plain = generator_cls(**config)
         filtered = generator_cls(
-            **config, state_filter=lambda counts: True
+            **config, state_filter=lambda object_ids, counts: True
         )
         for frame in frames[:20]:
             plain.process_frame(frame)
