@@ -116,21 +116,17 @@ class MCOSGenerator(abc.ABC):
         duration: int,
         labels_of_interest: Optional[Iterable[str]] = None,
         state_filter: Optional[StateFilter] = None,
-        label_lookup: Optional[Dict[int, str]] = None,
-        interner: Optional[ObjectInterner] = None,
     ):
         labels = set(labels_of_interest) if labels_of_interest is not None else None
         self.config = GeneratorConfig(window_size, duration, labels)
         self.stats = GeneratorStats()
-        #: Shared object-id interner: every object set the generator touches
-        #: is an ``int`` bitmask over this interner's bit positions.  The
-        #: engine passes one in so it survives generator resets (masks stay
-        #: narrow across restarts thanks to id recycling).
-        self.interner: ObjectInterner = interner if interner is not None else ObjectInterner()
+        #: Object-id interner: every object set the generator touches is an
+        #: ``int`` bitmask over this interner's bit positions.
+        self.interner = ObjectInterner()
         self._state_filter = state_filter  # repro-lint: disable=CKPT-DRIFT -- caller-supplied callable; restoring code re-installs it (documented in import_state)
         #: Mapping from object id to class label, needed only when a state
         #: filter is installed (the filter receives per-class counts).
-        self._label_lookup: Dict[int, str] = dict(label_lookup or {})
+        self._label_lookup: Dict[int, str] = {}
         self._last_frame_id: Optional[int] = None
         #: Recycle interner bit positions every this many frames, so masks
         #: stay as narrow as the window population instead of growing with
@@ -416,7 +412,7 @@ class MCOSGenerator(abc.ABC):
     def export_state(self) -> bytes:
         """The :meth:`export_checkpoint` snapshot as compact checkpoint bytes.
 
-        Written as checkpoint version 6, the only version the codec writes
+        Written as checkpoint version 7, the only version the codec writes
         and reads (:mod:`repro.streaming.checkpoint`).
         """
         # Imported lazily: repro.streaming.checkpoint has no dependencies on

@@ -183,13 +183,6 @@ class VideoRelation:
             ids.update(frame.object_ids)
         return ids
 
-    def class_labels(self) -> Set[str]:
-        """Return the set of all class labels in the relation."""
-        labels: Set[str] = set()
-        for frame in self._frames:
-            labels.update(frame.labels().values())
-        return labels
-
     def label_of(self, object_id: int) -> str:
         """Return the class label of an object (first occurrence wins)."""
         for frame in self._frames:

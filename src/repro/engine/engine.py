@@ -1,10 +1,27 @@
 """The end-to-end temporal video query engine.
 
 A :class:`TemporalVideoQueryEngine` accepts CNF queries in one or more
-window groups (queries sharing a ``(window, duration)`` pair), builds one
-query evaluation index per group, selects an MCOS generation strategy, and
-then consumes a structured relation frame by frame, reporting query matches
-as the window slides -- the data flow of Figure 2 in the paper.
+window groups (queries sharing a ``(window, duration)`` pair), evaluates
+each group through one query evaluator, selects an MCOS generation
+strategy, and then consumes a structured relation frame by frame, reporting
+query matches as the window slides -- the data flow of Figure 2 in the
+paper.
+
+Evaluators are the workload, engines are streams
+------------------------------------------------
+A group's :class:`~repro.query.evaluator.QueryEvaluator` holds its queries
+and their CNFEvalE index and depends on no stream, so an engine may be
+handed evaluators another owner shares: the stream router keeps one per
+window group and every stream's engine evaluates against it.  The engine
+keeps only per-stream state: the label map, the generators, and per group
+its Proposition-1 filter and the reuse of its previous result set.  A
+query change is made once on the evaluator by whoever owns it, then each
+engine follows with :meth:`~TemporalVideoQueryEngine.queries_changed`
+(re-project its generator, drop its terminated markers),
+:meth:`~TemporalVideoQueryEngine.add_group` or
+:meth:`~TemporalVideoQueryEngine.remove_group`; a standalone engine's
+:meth:`~TemporalVideoQueryEngine.register_query` and
+:meth:`~TemporalVideoQueryEngine.cancel_query` do both steps.
 
 One generator answers several window groups
 -------------------------------------------
@@ -38,7 +55,7 @@ from repro.core.result import ResultStateSet
 from repro.datamodel.observation import FrameObservation
 from repro.datamodel.relation import VideoRelation
 from repro.engine.config import EngineConfig, MCOSMethod
-from repro.query.evaluator import EvaluationStats, QueryEvaluator, QueryMatch
+from repro.query.evaluator import QueryEvaluator, QueryMatch, ResultReuse
 from repro.query.model import CNFQuery
 from repro.query.pruning import StatePruner, require_pruning_compatible
 
@@ -71,18 +88,23 @@ class EngineRunResult:
 #: A window group: the ``(window, duration)`` pair its queries share.
 GroupKey = Tuple[int, int]
 
+#: What a window group is given as: its queries, or a shared evaluator.
+GroupQueries = Union[Iterable[CNFQuery], QueryEvaluator]
+
 
 class _Group:
-    """One window group: its queries' evaluator, its Proposition-1 filter
-    (pruning only) and the source it reads its result sets from."""
+    """One window group on this engine's stream: its queries' (possibly
+    shared) evaluator, its Proposition-1 filter (pruning only), the reuse
+    of its previous result set and the source it reads result sets from."""
 
-    __slots__ = ("key", "evaluator", "pruner", "source")
+    __slots__ = ("key", "evaluator", "pruner", "reuse", "source")
 
     def __init__(self, key: GroupKey, evaluator: QueryEvaluator,
                  pruner: Optional[StatePruner]):
         self.key = key
         self.evaluator = evaluator
         self.pruner = pruner
+        self.reuse = ResultReuse()
         self.source: "_Source"
 
 
@@ -103,16 +125,18 @@ class TemporalVideoQueryEngine:
 
     def __init__(
         self,
-        queries: Union[Iterable[CNFQuery], Mapping[GroupKey, Iterable[CNFQuery]]],
+        queries: Union[Iterable[CNFQuery], Mapping[GroupKey, GroupQueries]],
         config: Optional[EngineConfig] = None,
     ):
         """``queries`` is either a plain iterable, every query in the
         config's ``(window_size, duration)`` group whatever its own
         parameters, or a mapping ``(window, duration) -> queries`` of
         several window groups, in registration order, for which the
-        config's ``window_size`` and ``duration`` go unused.  Each group's
-        evaluator assigns ids of its own, so queries of several groups
-        should carry distinct ids already (the router assigns them)."""
+        config's ``window_size`` and ``duration`` go unused.  A group given
+        as a :class:`QueryEvaluator` is evaluated through it, shared with
+        its other users; one given as queries gets an evaluator of its own,
+        which assigns ids of its own, so queries of several groups should
+        carry distinct ids already (the router assigns them)."""
         self.config = config or EngineConfig()
         self._groups: Dict[GroupKey, _Group] = {}
         self._sources: List[_Source] = []
@@ -233,21 +257,14 @@ class TemporalVideoQueryEngine:
             total = total.merge(generator.stats)
         return total
 
-    def evaluation_stats(self) -> EvaluationStats:
-        """The evaluation counters of every window group, summed."""
-        total = EvaluationStats()
-        for group in self._groups.values():
-            for name, value in group.evaluator.stats.as_dict().items():
-                setattr(total, name, getattr(total, name) + value)
-        return total
-
     # ------------------------------------------------------------------
     # Live query lifecycle
     # ------------------------------------------------------------------
     def add_group(
-        self, window: int, duration: int, queries: Iterable[CNFQuery]
+        self, window: int, duration: int, queries: GroupQueries
     ) -> List[CNFQuery]:
-        """Serve another window group; returns its registered queries.
+        """Serve another window group, given as its queries or as a shared
+        evaluator; returns its registered queries.
 
         Before the first frame the group shares the generator of its label
         projection; on a live engine it runs a fresh generator of its own
@@ -256,7 +273,10 @@ class TemporalVideoQueryEngine:
         key = (window, duration)
         if key in self._groups:
             raise ValueError(f"window group {key} is already served")
-        evaluator = QueryEvaluator(queries)
+        evaluator = (
+            queries if isinstance(queries, QueryEvaluator)
+            else QueryEvaluator(queries)
+        )
         if len(evaluator.index) == 0:
             raise ValueError(f"window group {key} needs at least one query")
         pruner: Optional[StatePruner] = None
@@ -307,10 +327,7 @@ class TemporalVideoQueryEngine:
         if group.pruner is not None:
             require_pruning_compatible(query)
         registered = group.evaluator.add_query(query)
-        if group.pruner is not None:
-            # The filter may keep sets it refused so far.
-            group.source.generator.forget_terminated()
-        self._reproject(group)
+        self.queries_changed(group.key, added=True)
         return registered
 
     def cancel_query(self, query_id: int) -> CNFQuery:
@@ -330,7 +347,7 @@ class TemporalVideoQueryEngine:
                 continue
             if len(registered) > 1:
                 removed = group.evaluator.remove_query(query_id)
-                self._reproject(group)
+                self.queries_changed(group.key, added=False)
                 return removed
             if len(self._groups) == 1:
                 raise ValueError(
@@ -342,12 +359,20 @@ class TemporalVideoQueryEngine:
             return removed
         raise KeyError(f"no registered query with id {query_id}")
 
-    def _reproject(self, group: _Group) -> None:
-        """Re-point the group's label projection at its current queries.
+    def queries_changed(self, group_key: GroupKey, added: bool) -> None:
+        """Follow a query ``added`` to (or removed from) a served group's
+        evaluator: the per-stream half of a registration or cancellation.
 
-        A group sharing its source moves onto a copy of the source's
-        generator first, so the other groups keep their projection.
+        An added query under pruning loosens the group's filter, so the
+        generator drops its terminated markers (the filter may keep sets
+        it refused so far); either way the group's label projection is
+        re-pointed at its current queries.  A group sharing its source
+        moves onto a copy of the source's generator first, so the other
+        groups keep their projection.
         """
+        group = self._groups[group_key]
+        if added and group.pruner is not None:
+            group.source.generator.forget_terminated()
         labels = self._projection(group)
         if labels is None:
             return
@@ -434,7 +459,7 @@ class TemporalVideoQueryEngine:
         labels = self._labels
         for group, results in zip(self._groups.values(), per_group):
             matches += group.evaluator.evaluate_result_set(
-                results, labels, stream_id
+                results, labels, stream_id, group.reuse
             )
             self._result_states += len(results)
         self._evaluation_seconds += clock() - evaluated
@@ -488,7 +513,8 @@ class TemporalVideoQueryEngine:
     # Checkpointing
     # ------------------------------------------------------------------
     def _config_dict(self) -> Dict:
-        """The semantics-affecting config fields, as stored in checkpoints.
+        """The semantics-affecting config fields, as stored in engine
+        documents.
 
         Single source of truth for :meth:`checkpoint`, :meth:`restore`'s
         validation and :meth:`from_checkpoint`'s parsing: a future config
@@ -501,49 +527,52 @@ class TemporalVideoQueryEngine:
             "restrict_labels": self.config.restrict_labels,
         }
 
+    def _workload(self) -> List[List]:
+        """Per window group, in order: window, duration and query dicts."""
+        return [
+            [window, duration, [q.to_dict() for q in group.evaluator.queries]]
+            for (window, duration), group in self._groups.items()
+        ]
+
     def checkpoint(self) -> Dict:
-        """Snapshot the engine between frames (a plain dict tree).
+        """Snapshot the engine between frames as a self-contained engine
+        document (a plain dict tree).
 
-        The snapshot is self-contained: it embeds the configuration and the
-        registered queries, so :meth:`from_checkpoint` can resume the stream
-        byte-identically in a fresh process.  Only call between frames.
+        It holds the configuration and the workload — each group's window,
+        duration, queries and id floor — followed by the :meth:`snapshot`
+        of the stream, so :meth:`from_checkpoint` can resume the stream
+        byte-identically in a fresh process.
         """
-        return self._snapshot(
-            "queries",
-            lambda group: [query.to_dict() for query in group.evaluator.queries],
-        )
-
-    def checkpoint_by_id(self) -> Dict:
-        """:meth:`checkpoint` with the queries named by id (``query_ids``).
-
-        The form a shard writes inside a router or shard document, which
-        holds the query dicts once for all its engines.  :meth:`restore`
-        takes it on an engine built from those queries.
-        """
-        return self._snapshot(
-            "query_ids",
-            lambda group: [query.query_id for query in group.evaluator.queries],
-        )
-
-    def _snapshot(self, queries_key: str, queries_of) -> Dict:
-        """The snapshot: one entry per window group, naming the generator
-        block it reads, and one block per generator."""
-        position = {id(source): at for at, source in enumerate(self._sources)}
         return {
             "config": self._config_dict(),
             "groups": [
                 {
-                    "window": group.key[0],
-                    "duration": group.key[1],
-                    queries_key: queries_of(group),
+                    "window": window,
+                    "duration": duration,
+                    "queries": queries,
                     #: Evaluator id floor: keeps cancelled-query ids
                     #: tombstoned across a restore (ids must never be reused
                     #: — a drained match would otherwise be ambiguous
                     #: between old and new query).
                     "next_query_id": group.evaluator.index.next_query_id,
-                    "source": position[id(group.source)],
                 }
-                for group in self._groups.values()
+                for (window, duration, queries), group
+                in zip(self._workload(), self._groups.values())
+            ],
+            **self.snapshot(),
+        }
+
+    def snapshot(self) -> Dict:
+        """The engine's per-stream state between frames: for each window
+        group, in order, the position of the generator block it reads
+        (``sources``), the label map, the counters and one block per
+        generator.  No query, group key or setting is in it: a shard's
+        entry in a router document holds this, the router document the
+        workload."""
+        position = {id(source): at for at, source in enumerate(self._sources)}
+        return {
+            "sources": [
+                position[id(group.source)] for group in self._groups.values()
             ],
             "labels": [[oid, label] for oid, label in self._labels.items()],
             "counters": {
@@ -558,9 +587,9 @@ class TemporalVideoQueryEngine:
         }
 
     def restore(self, payload: Dict) -> None:
-        """Restore labels, counters and generator state from a checkpoint.
+        """Restore an engine document (:meth:`checkpoint`) onto this engine.
 
-        The engine must be configured identically to the snapshot and
+        The engine must be configured identically to the document and
         serve the same window groups with the same queries
         (:meth:`from_checkpoint` guarantees this; direct callers are checked
         here) — a silent mismatch would change semantics mid-stream.
@@ -577,26 +606,31 @@ class TemporalVideoQueryEngine:
                 f"checkpoint config does not match the engine's: {mismatched}"
             )
         entries = payload["groups"]
-        if [(entry["window"], entry["duration"]) for entry in entries] \
-                != self.group_keys:
+        if [[entry["window"], entry["duration"], entry["queries"]]
+                for entry in entries] != self._workload():
             raise ValueError(
-                "checkpoint window groups do not match the engine's "
-                f"{self.group_keys}"
+                "checkpoint window groups and queries do not match the "
+                "engine's; resuming would evaluate the wrong workload"
             )
-        blocks = payload["generators"]
-        members: List[List[_Group]] = [[] for _ in blocks]
+        self.resume(payload)
         for entry, group in zip(entries, self._groups.values()):
-            registered = group.evaluator.queries
-            if "query_ids" in entry:
-                same = entry["query_ids"] == [q.query_id for q in registered]
-            else:
-                same = entry.get("queries") == [q.to_dict() for q in registered]
-            if not same:
-                raise ValueError(
-                    "checkpoint queries do not match the engine's registered "
-                    "queries; resuming would evaluate the wrong workload"
-                )
-            at = int(entry["source"])
+            group.evaluator.index.reserve_ids(int(entry["next_query_id"]))
+            # Derived state is never part of a snapshot: resume cold.
+            group.evaluator.forget_signatures()
+
+    def resume(self, payload: Dict) -> None:
+        """Restore a :meth:`snapshot` onto this engine, which serves the
+        window groups the snapshot was taken over, in the same order."""
+        blocks = payload["generators"]
+        positions = payload["sources"]
+        if len(positions) != len(self._groups):
+            raise ValueError(
+                f"checkpoint places {len(positions)} window groups, the "
+                f"engine serves {len(self._groups)}"
+            )
+        members: List[List[_Group]] = [[] for _ in blocks]
+        for at, group in zip(positions, self._groups.values()):
+            at = int(at)
             if not 0 <= at < len(blocks):
                 raise ValueError(
                     f"checkpoint group names generator {at} of {len(blocks)}"
@@ -625,10 +659,6 @@ class TemporalVideoQueryEngine:
             for group in groups:
                 group.source = source
             sources.append(source)
-        for entry, group in zip(entries, self._groups.values()):
-            group.evaluator.index.reserve_ids(int(entry["next_query_id"]))
-            # Derived state is never part of a snapshot: resume cold.
-            group.evaluator.forget_signatures()
         self._sources = sources
         self._labels = {int(oid): label for oid, label in payload["labels"]}
         self._labels_frame = None
@@ -639,10 +669,10 @@ class TemporalVideoQueryEngine:
         self._result_states = int(counters["result_states"])
 
     def export_state(self) -> bytes:
-        """The :meth:`checkpoint` snapshot as compact checkpoint bytes.
+        """The :meth:`checkpoint` document as compact checkpoint bytes.
 
         This is the byte-level hand-off form: self-contained (config and
-        queries included), canonical, and written as checkpoint version 6,
+        queries included), canonical, and written as checkpoint version 7,
         the only version :meth:`import_state` and :meth:`from_state` read.
         """
         # Lazy import: the streaming package imports this module, so a
@@ -674,11 +704,11 @@ class TemporalVideoQueryEngine:
 
     @classmethod
     def from_checkpoint(cls, payload: Dict) -> "TemporalVideoQueryEngine":
-        """Rebuild an engine from a :meth:`checkpoint` snapshot.
+        """Rebuild an engine from a :meth:`checkpoint` document.
 
         Queries are re-registered in their checkpointed order (ids are stored
-        in the snapshot, so assignments cannot drift), then the mutable state
-        is restored on top.
+        in the document, so assignments cannot drift), then the mutable
+        state is restored on top.
         """
         config = payload["config"]
         groups = {

@@ -54,10 +54,9 @@ class QueryMatch:
     def to_record(self) -> list:
         """Serialise the match as a deterministic JSON-friendly list.
 
-        The per-match form: what checkpoints up to version 2 carried and
-        what the match-report oracle of the differential tests compares.
-        Everything written today goes through :func:`pack_matches`, one
-        record per result state.  Round-trips through :meth:`from_record`.
+        The per-match form the match-report oracle of the differential
+        tests compares; checkpoints hold :func:`pack_matches` records, one
+        per result state.  Round-trips through :meth:`from_record`.
         """
         return [
             self.query_id,
@@ -70,18 +69,10 @@ class QueryMatch:
 
     @classmethod
     def from_record(cls, record: list) -> "QueryMatch":
-        """Rebuild a match from a :meth:`to_record` payload.
-
-        Records written before matches carried stream attribution are five
-        elements long; they load with an empty ``stream_id``.
-        """
+        """Rebuild a match from a :meth:`to_record` payload."""
         try:
-            if len(record) == 5:  # pre-stream-attribution record
-                query_id, frame_id, object_ids, frame_ids, class_counts = record
-                stream_id = ""
-            else:
-                (query_id, frame_id, object_ids, frame_ids, class_counts,
-                 stream_id) = record
+            (query_id, frame_id, object_ids, frame_ids, class_counts,
+             stream_id) = record
             return cls(
                 query_id=int(query_id),
                 frame_id=int(frame_id),
@@ -165,17 +156,10 @@ def unpack_matches(records: Iterable[Sequence]) -> List[QueryMatch]:
     """Rebuild the match sequence of a :func:`pack_matches` payload.
 
     The frozenset and tuples of a record are built once and shared by its
-    matches, so packing the result again finds the same runs.  Per-match
-    :meth:`QueryMatch.to_record` records, as checkpoints up to version 2
-    carry them, are accepted in the same list.
+    matches, so packing the result again finds the same runs.
     """
     matches: List[QueryMatch] = []
     for record in records:
-        grouped = isinstance(record, (list, tuple)) and record \
-            and isinstance(record[0], (list, tuple))
-        if not grouped:  # a per-match record: its first element is an id
-            matches.append(QueryMatch.from_record(record))
-            continue
         try:
             query_ids, frame_id, object_ids, runs, class_counts, stream_id = record
             starts, stops = runs[0::2], runs[1::2]
@@ -222,6 +206,28 @@ class EvaluationStats:
 _Signature = Tuple[Tuple[str, int], ...]
 
 
+class ResultReuse:
+    """One stream's previous result set under one evaluator.
+
+    Per object set of that result set, its class counts and matched ids,
+    so a state that stays in the result costs one lookup instead of a count
+    and a signature.  The entries hold for one label map object, whose
+    labels the caller extends but never changes (the engine's map only
+    gains entries until pruning replaces it), and for one registry epoch
+    of the evaluator (registration, cancellation and
+    :meth:`QueryEvaluator.forget_signatures` start a new one).  The engine
+    keeps one per window group: it is per-stream state, the evaluator is
+    shared by every stream.
+    """
+
+    __slots__ = ("labels", "epoch", "entries")
+
+    def __init__(self) -> None:
+        self.labels: Optional[Mapping[int, str]] = None
+        self.epoch = -1
+        self.entries: Dict[FrozenSet[int], Tuple[_Signature, Tuple[int, ...]]] = {}
+
+
 class QueryEvaluator:
     """Evaluates a set of CNF count queries against result state sets.
 
@@ -233,17 +239,10 @@ class QueryEvaluator:
     counts alike), which bounds the memo by the query set.  Registration and
     cancellation patch the cached answers instead of discarding them.  The
     memo is derived state — a pure function of the registered queries and
-    the counts — so it is never checkpointed and one evaluator may serve
-    streams with different label maps.
-
-    :meth:`evaluate_result_set` also keeps, per object set of the previous
-    result set, its class counts and matched ids: a state that stays in the
-    result costs one lookup instead of a count and a signature.  Those
-    depend on the label map too, so they are kept for one map object only,
-    whose labels the caller extends but never changes (the engine's map
-    only gains entries until pruning replaces it); they are dropped with
-    the signature memo and whenever registration or cancellation changes
-    an answer.
+    the counts — so it is never checkpointed, and one evaluator serves
+    every stream of a window group whatever their label maps (the router
+    holds one per group).  What depends on a stream's labels, the reuse of
+    its previous result set, lives in that stream's :class:`ResultReuse`.
     """
 
     def __init__(self, queries: Iterable[CNFQuery] = ()):
@@ -254,12 +253,9 @@ class QueryEvaluator:
         self._caps: Dict[str, int] = {}
         #: signature -> ascending ids of the queries it satisfies.
         self._memo: Dict[_Signature, Tuple[int, ...]] = {}
-        #: The label map of the last result set and, per object set of
-        #: that result set, its class counts and matched ids.
-        self._last_labels: Optional[Mapping[int, str]] = None
-        self._last_results: Dict[
-            FrozenSet[int], Tuple[_Signature, Tuple[int, ...]]
-        ] = {}
+        #: Bumped whenever an answer may change: a :class:`ResultReuse` of
+        #: an older epoch is stale.
+        self._epoch = 0
         for query in queries:
             self.add_query(query)
 
@@ -283,7 +279,7 @@ class QueryEvaluator:
                 caps[condition.label] = condition.threshold + 1
                 coarser = True
         memo = self._memo
-        self._last_results = {}
+        self._epoch += 1
         if coarser:
             memo.clear()
         else:
@@ -303,7 +299,7 @@ class QueryEvaluator:
         unambiguous).
         """
         removed = self._index.remove_query(query_id)
-        self._last_results = {}
+        self._epoch += 1
         memo = self._memo
         for signature, matched in memo.items():
             if query_id in matched:
@@ -313,7 +309,7 @@ class QueryEvaluator:
     def forget_signatures(self) -> None:
         """Empty the memo (the engine does on ``reset`` / ``restore``)."""
         self._memo.clear()
-        self._last_results = {}
+        self._epoch += 1
 
     @property
     def queries(self) -> List[CNFQuery]:
@@ -367,9 +363,8 @@ class QueryEvaluator:
     ) -> List[QueryMatch]:
         """Evaluate all queries against a single result state.
 
-        It does not consult the result-set memo of
-        :meth:`evaluate_result_set`, so the tests use it as that memo's
-        reference.
+        It reuses no previous result set, so the tests use it as the
+        reference of :meth:`evaluate_result_set`'s reuse.
         """
         class_counts = tuple(sorted(state.class_counts(labels).items()))
         matched = self._matching(class_counts)
@@ -388,21 +383,25 @@ class QueryEvaluator:
         results: ResultStateSet,
         labels: Mapping[int, str],
         stream_id: str = "",
+        reuse: Optional[ResultReuse] = None,
     ) -> List[QueryMatch]:
         """Evaluate all queries against every state of a result state set.
 
-        ``stream_id`` is stamped on every match at construction.  A state
-        whose object set was in the previous result set, evaluated under
-        the same ``labels`` object, reuses that evaluation; it counts as a
-        signature hit, which is what its signature lookup would have been.
+        ``stream_id`` is stamped on every match at construction.  With
+        ``reuse``, the stream's previous result set under this evaluator, a
+        state whose object set was in it, evaluated under the same
+        ``labels`` object, reuses that evaluation; it counts as a signature
+        hit, which is what its signature lookup would have been.
         """
         matches: List[QueryMatch] = []
         frame_id = results.current_frame_id
-        if labels is not self._last_labels:
-            self._last_labels = labels
-            self._last_results = {}
-        previous = self._last_results
-        current = self._last_results = {}
+        previous: Dict = {}
+        if reuse is not None:
+            if reuse.labels is labels and reuse.epoch == self._epoch:
+                previous = reuse.entries
+            else:
+                reuse.labels, reuse.epoch = labels, self._epoch
+        current: Dict = {}
         stats = self.stats
         hits = produced = 0
         for state in results:
@@ -422,6 +421,8 @@ class QueryEvaluator:
                            class_counts, stream_id)
                 for query_id in matched
             ]
+        if reuse is not None:
+            reuse.entries = current
         stats.signature_hits += hits
         stats.states_evaluated += len(results)
         stats.matches_produced += produced

@@ -260,10 +260,6 @@ class ChunkedWriter:
         await self._writer.drain()
         self._started = True
 
-    async def send_json(self, payload) -> None:
-        """One NDJSON event as one chunk."""
-        await self.send_events((payload,))
-
     async def send_events(self, payloads: Iterable) -> None:
         """NDJSON events, one chunk each, in one write and one drain."""
         self._writer.write(b"".join(map(_event_chunk, payloads)))

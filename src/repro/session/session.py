@@ -41,6 +41,12 @@ undelivered per-handle matches — alongside the backend state, in the same
 versioned codec the streaming runtime uses, and can be taken on a *live*
 pool (workers keep serving).
 
+The session keeps no copy of the workload.  Its router (on ``"pool"`` the
+origin router the workers were started from) holds the queries, one
+evaluator per window group, and assigns ids: the smallest id no live or
+cancelled query holds, which is the session's registration count because
+ids are tombstoned forever.  Window-group order is the router's.
+
 Threading contract
 ------------------
 A session is **single-caller**: one thread drives it at a time, and every
@@ -79,7 +85,7 @@ from repro.streaming.pool import (
     ShardWorkerPool,
     WorkerCrashError,
 )
-from repro.streaming.router import GroupKey, StreamRouter
+from repro.streaming.router import StreamRouter
 from repro.streaming.supervision import SupervisionConfig
 
 #: Everything :meth:`Session.register` accepts as a query.
@@ -373,17 +379,12 @@ class Session:
         #: is one lookup, not a scan of the workload.  ``None`` after a
         #: restore until a registration needs it (:meth:`_active_queries`).
         self._active: Optional[Dict[CNFQuery, QueryHandle]] = {}
-        self._next_qid = 0
         self._delivered: Dict[int, int] = {}
         #: Per-stream ingest frontier (highest frame id) and frame counts,
         #: in first-seen order — the session-level truth that warm-up
         #: watermarks and deterministic stats are derived from.
         self._frontiers: Dict[str, int] = {}
         self._frames: Dict[str, int] = {}
-        #: Active window groups, registration order, with the router's
-        #: retire/re-append semantics — mirrored here so deterministic
-        #: stats need no backend introspection.
-        self._group_order: List[GroupKey] = []
         #: True when the backend may hold undrained matches (frames were
         #: ingested or flushed since the last drain).  Lets ``drain`` — and
         #: therefore every ``handle.matches()`` poll — skip the backend
@@ -536,18 +537,12 @@ class Session:
             # rejected registration must not mutate stream processing
             # state (the flush advances shard emission frontiers).
             require_pruning_compatible(normalized)
-        registered = normalized.with_id(self._next_qid)
         # The barrier: evaluate everything already ingested under the old
         # workload before the new query can see any state.
         self._runtime.flush()
         self._dirty = True
-        self._runtime.register_query(registered)
-        # Committed only after the backend accepted it (e.g. a non-'>='
-        # query under pruning is rejected before any id is consumed).
-        self._next_qid += 1
-        group = (registered.window, registered.duration)
-        if group not in self._group_order:
-            self._group_order.append(group)
+        # The router assigns the id.
+        registered = self._runtime.register_query(normalized)
         handle = QueryHandle(self, registered, dict(self._frontiers))
         self._handles[registered.query_id] = handle
         self._active_queries()[registered] = handle
@@ -596,13 +591,6 @@ class Session:
         handle._active = False
         if self._active is not None:
             del self._active[handle.query]
-        group = (handle.query.window, handle.query.duration)
-        if not any(
-            h.active
-            and (h.query.window, h.query.duration) == group
-            for h in self._handles.values()
-        ):
-            self._group_order.remove(group)
 
     # ------------------------------------------------------------------
     # Ingest and results
@@ -820,7 +808,7 @@ class Session:
                 ]
                 for qid, handle in self._handles.items()
             ],
-            "window_groups": [list(group) for group in self._group_order],
+            "window_groups": [list(group) for group in self._router.group_keys],
             "streams": [
                 [
                     stream_id,
@@ -855,7 +843,6 @@ class Session:
         payload = {
             "config": dict(self._config),
             "registry": {
-                "next_query_id": self._next_qid,
                 "handles": [
                     {
                         **(
@@ -880,7 +867,6 @@ class Session:
                 [stream_id, self._frontiers[stream_id], self._frames[stream_id]]
                 for stream_id in self._frontiers
             ],
-            "group_order": [list(group) for group in self._group_order],
             "state": (
                 self._router.checkpoint() if self._pool is None
                 else self._pool.checkpoint_router()
@@ -966,10 +952,8 @@ class Session:
         """The registry half of :meth:`restore`, on the restored backend:
         active handles resolve their ``query_id`` against its queries."""
         registered = {query.query_id: query for query in self._router.queries}
-        registry = payload["registry"]
-        self._next_qid = int(registry["next_query_id"])
         self._active = None
-        for entry in registry["handles"]:
+        for entry in payload["registry"]["handles"]:
             active = bool(entry["active"])
             if active:
                 query = registered.get(entry["query_id"])
@@ -999,10 +983,6 @@ class Session:
         for stream_id, frontier, frames in payload["streams"]:
             self._frontiers[str(stream_id)] = int(frontier)
             self._frames[str(stream_id)] = int(frames)
-        self._group_order = [
-            (int(window), int(duration))
-            for window, duration in payload["group_order"]
-        ]
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -2,14 +2,16 @@
 
 Serves many concurrent video feeds on top of the single-relation engine:
 a :class:`~repro.streaming.router.StreamRouter` auto-groups queries by their
-``(window, duration)`` parameters and partitions incoming frames across
-per-stream :class:`~repro.streaming.shard.StreamShard`\\ s, each wrapping
-one :class:`~repro.engine.engine.TemporalVideoQueryEngine` that answers
-every window group of the stream from one generator per label projection.
+``(window, duration)`` parameters into one query evaluator per group and
+partitions incoming frames across per-stream
+:class:`~repro.streaming.shard.StreamShard`\\ s, each wrapping one
+:class:`~repro.engine.engine.TemporalVideoQueryEngine` that answers every
+window group of the stream from one generator per label projection,
+evaluating against the router's evaluators.
 Shards ingest in batches, tolerate late/out-of-order frames up to a
 watermark, expose ingest statistics, and snapshot/restore their full state
 through the versioned checkpoint format of
-:mod:`repro.streaming.checkpoint` (compact binary version 6, the only
+:mod:`repro.streaming.checkpoint` (compact binary version 7, the only
 version written or read).
 
 A :class:`~repro.streaming.pool.ShardWorkerPool` moves the shards into

@@ -4,7 +4,7 @@ A checkpoint wraps one component snapshot::
 
     {
       "format": "repro-streaming-checkpoint",
-      "version": 6,
+      "version": 7,
       "kind": "router" | "engine" | "generator" | "session",
       "payload": { ... }
     }
@@ -13,18 +13,20 @@ The payload is produced by the component's own ``checkpoint()`` /
 ``export_checkpoint()`` method (routers here; engines in
 :mod:`repro.engine.engine`; generators in :mod:`repro.core.base`).
 
-**Version 6 is the only version written and the only one read.**  Any
-other version — the version-1 JSON form, the version-2 to version-5
+**Version 7 is the only version written and the only one read.**  Any
+other version — the version-1 JSON form, the version-2 to version-6
 binary forms, or a future one — is refused with a
-:class:`CheckpointError` that names it.  Version 6 has the version-4
-encoding; its layout is version 5's (one shard per stream) without the
-standalone shard document and without the router document's
-``detached``, ``departed_totals`` and ``departed_streams`` keys.
+:class:`CheckpointError` that names it.  Version 7 has the version-4
+encoding; its layout is version 6's with each workload fact stated once:
+shard entries lose their ``batch_size``, ``watermark`` and
+``retain_matches``, their engine block its ``config`` and each group's
+``window``, ``duration``, ``query_ids`` and ``next_query_id``; session
+documents lose ``registry.next_query_id`` and ``group_order``.
 
   ============  =====================================================
   section       contents
   ============  =====================================================
-  magic         ``b"RSCK6\\x00"``
+  magic         ``b"RSCK7\\x00"``
   body          zlib-compressed stream of:
   · strings     interned string table (varint count, then varint
                 length + UTF-8 bytes per string, first-use order)
@@ -58,27 +60,30 @@ standalone shard document and without the router document's
   not per value.  Lists holding an int beyond 64 bits (wide object-set
   bitmasks) take tag ``8``.
 
-Layout: each query is written once
-----------------------------------
+Layout: each workload fact is written once
+------------------------------------------
 A document holds every query dict (:meth:`CNFQuery.to_dict
-<repro.query.model.CNFQuery.to_dict>`) exactly once; everything else names
-queries by id:
+<repro.query.model.CNFQuery.to_dict>`), window group and setting exactly
+once:
 
-* a **router** document's ``queries`` is the single copy; its ``shards``
-  hold one entry per stream, whose engine block has one entry per window
-  group carrying ``query_ids`` — the group's ids, in registration order —
-  which restore checks against the router's own group before building the
-  shard's engine from the router's queries;
-* a **session** document's registry names each active handle by
-  ``query_id``, resolved against the restored router; a cancelled handle
-  keeps its full ``query`` dict, because no router holds it any more;
-* **engine** documents stay self-contained with one copy.
-
-An engine block lists its window groups (``groups``: window, duration,
-queries, id floor, and the position of the generator the group reads) and
-one block per generator (``generators``: its
-:meth:`~repro.core.base.MCOSGenerator.export_checkpoint` state).  A group
-that joined mid-stream reads a generator block of its own.
+* a **router** document holds the settings (``method``, ``batch_size``,
+  ``watermark``, ``enable_pruning``, ``restrict_labels``,
+  ``retain_matches``), the ``queries``, the ``cancelled`` ids and the
+  ``group_order``; its ``shards`` hold one entry per stream with
+  per-stream state only — reorder buffer, counters, retained matches and
+  the engine's snapshot: for each window group, in group order, the
+  position of the generator block it reads (``sources``), the label map,
+  the counters and one block per generator (``generators``: its
+  :meth:`~repro.core.base.MCOSGenerator.export_checkpoint` state).  A
+  group that joined mid-stream reads a generator block of its own;
+* a **session** document holds its config and registry; the registry
+  names each active handle by ``query_id``, resolved against the restored
+  router, and a cancelled handle keeps its full ``query`` dict, because no
+  router holds it any more.  The router assigns the next id and orders
+  the window groups;
+* an **engine** document stays self-contained: its ``config``, its
+  ``groups`` (window, duration, queries, id floor) and the engine
+  snapshot beside them.
 
 Loading rejects foreign formats, other versions, truncated or trailing
 bytes, and column headers that promise more items than the body holds,
@@ -115,13 +120,13 @@ PathLike = Union[str, Path]
 CHECKPOINT_FORMAT = "repro-streaming-checkpoint"
 
 #: The version :func:`to_bytes` writes.
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 #: Every version :func:`from_bytes` reads.
 SUPPORTED_VERSIONS = (CHECKPOINT_VERSION,)
 
 #: Magic prefix of the written encoding.
-MAGIC = b"RSCK6\x00"
+MAGIC = b"RSCK7\x00"
 
 #: Any version's magic: ``RSCK``, the version number, a NUL byte.
 _ANY_MAGIC = re.compile(rb"RSCK(\d+)\x00")
@@ -552,7 +557,7 @@ def _decode_binary(data: bytes) -> Dict:
 # Public byte-level API
 # ----------------------------------------------------------------------
 def to_bytes(kind: str, payload: Dict) -> bytes:
-    """Serialise a snapshot to canonical version-6 checkpoint bytes.
+    """Serialise a snapshot to canonical version-7 checkpoint bytes.
 
     Insertion order *is* part of the state (see the module docstring), so
     the bytes are a pure function of the component state.
@@ -561,7 +566,7 @@ def to_bytes(kind: str, payload: Dict) -> bytes:
 
 
 def from_bytes(data: bytes, expect_kind: Optional[str] = None) -> Dict:
-    """Parse version-6 checkpoint bytes into the inner payload."""
+    """Parse version-7 checkpoint bytes into the inner payload."""
     if not isinstance(data, (bytes, bytearray)):
         raise CheckpointError(
             f"checkpoint must be bytes, got {type(data).__name__}"

@@ -875,7 +875,9 @@ class ShardWorkerPool:
         # so their frozen retired counters sum on top of the origin's
         # pre-pool block (the origin holds no shards, so it never retires
         # one after start()).
-        retired = self.router.stats()["retired"]
+        origin = self.router.stats()
+        retired = origin["retired"]
+        evaluation = origin["evaluator"]
         shards = 0
         per_shard_raw: Dict[str, Dict] = {}
         for stats in worker_stats:
@@ -885,6 +887,8 @@ class ShardWorkerPool:
             per_shard_raw.update(stats["per_shard"])
             for key, value in stats["retired"].items():
                 retired[key] += value
+            for key, value in stats["evaluator"].items():
+                evaluation[key] += value
         seconds = totals["processing_seconds"]
         totals["processing_seconds"] = round(seconds, 6)
         totals["frames_per_sec"] = (
@@ -903,6 +907,7 @@ class ShardWorkerPool:
             "totals": totals,
             "retired": retired,
             "per_shard": per_shard,
+            "evaluator": evaluation,
             "parked": self.parked_streams(),
             "quarantined": self.quarantined,
             "pool": {
@@ -996,17 +1001,6 @@ class ShardWorkerPool:
         ]
         document["stream_order"] = list(self._assignment)
         return document
-
-    @classmethod
-    def from_checkpoint(cls, payload: Dict, **pool_kwargs) -> "ShardWorkerPool":
-        """Build a (not yet started) pool from a router-layout checkpoint.
-
-        Accepts both a plain :meth:`StreamRouter.checkpoint` document and a
-        pool's own :meth:`checkpoint_router` export (they are the same
-        layout).  Placement is re-derived from the document's first-seen
-        ``stream_order`` for whatever ``num_workers`` the new pool has.
-        """
-        return cls(StreamRouter.from_checkpoint(payload), **pool_kwargs)
 
     # ------------------------------------------------------------------
     # Internals: dispatch, acknowledgements, recovery
@@ -1593,9 +1587,10 @@ def deterministic_stats(stats: Dict) -> Dict:
                 if key not in (
                     "processing_seconds", "frames_per_sec", "pool",
                     "parked", "quarantined",
-                    # Evaluator counters restart with every rebuilt engine
-                    # (a crash replay, a restore): they describe a
-                    # process, not the event sequence.
+                    # Evaluator counters restart with every rebuilt router
+                    # (a crash replay, a restore) and its memo is shared by
+                    # the router's streams, one router per pool worker:
+                    # they describe processes, not the event sequence.
                     "evaluator",
                 )
             }

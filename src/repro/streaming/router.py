@@ -4,8 +4,14 @@ The paper's engine evaluates one query group over one relation; the
 :class:`StreamRouter` is the runtime layer that serves *many concurrent video
 feeds* and *heterogeneous query workloads* on top of it:
 
-* queries are **auto-grouped** by their ``(window, duration)`` parameters,
-  one evaluator per group and stream;
+* the router owns the workload: queries are **auto-grouped** by their
+  ``(window, duration)`` parameters into one
+  :class:`~repro.query.evaluator.QueryEvaluator` per group, which every
+  stream evaluates against.  A registration or cancellation changes that
+  evaluator once, then each shard's engine does its per-stream part
+  (re-project its generator, drop its Proposition-1 terminated markers,
+  add or remove the group): the index work does not grow with the number
+  of streams;
 * each stream gets one :class:`StreamShard` — one reorder buffer and one
   engine — created lazily on the stream's first frame, so per-stream state
   is isolated, bounded by that stream's largest window, and independently
@@ -13,8 +19,10 @@ feeds* and *heterogeneous query workloads* on top of it:
   at the largest window of the stream's groups and answers every group
   from it, so a stream pays for one generator step per frame however many
   window groups its queries fall into;
-* the whole router checkpoints to one document; the worker pool starts
-  each worker process from its slice of that document's shards.
+* the whole router checkpoints to one document, which states each query,
+  window group and setting once; its shard entries hold per-stream state
+  only.  The worker pool starts each worker process from its slice of that
+  document's shards.
 
 Within a frame, matches come group by group in registration order, each
 group's in its result set's canonical order (ascending sorted object ids,
@@ -23,11 +31,11 @@ then ascending query id).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Set, Tuple
 
 from repro.datamodel.observation import FrameObservation
 from repro.engine.config import MCOSMethod
-from repro.query.evaluator import QueryMatch
+from repro.query.evaluator import EvaluationStats, QueryEvaluator, QueryMatch
 from repro.query.model import CNFQuery
 from repro.query.pruning import require_pruning_compatible
 from repro.streaming.checkpoint import (
@@ -60,14 +68,6 @@ def _ingest_totals(block: Mapping) -> Dict:
     }
 
 
-def _entry_groups(entry: Mapping) -> List[GroupKey]:
-    """The window groups a shard entry's engine block serves, in order."""
-    return [
-        (int(group["window"]), int(group["duration"]))
-        for group in entry["engine"]["groups"]
-    ]
-
-
 class StreamRouter:
     """Partitions frames of many streams across per-stream shards."""
 
@@ -95,12 +95,21 @@ class StreamRouter:
         #: Every id a live or cancelled query holds (maintained, so a
         #: registration checks its id in O(1)).
         self._used_ids: Set[int] = set()
+        for query in queries:
+            if query.query_id is not None:
+                self._claim_id(query)  # first, so assigned ids avoid them
         #: Registered queries with router-global ids (assigned here so that a
         #: match's ``query_id`` means the same thing on every shard).
-        self.queries: List[CNFQuery] = self._assign_ids(queries)
-        self._groups: Dict[GroupKey, List[CNFQuery]] = group_queries_by_window(
-            self.queries
-        )
+        self.queries: List[CNFQuery] = [
+            query if query.query_id is not None else self._claim_id(query)
+            for query in queries
+        ]
+        #: One evaluator per window group, in group order, shared by every
+        #: shard's engine.
+        self._groups: Dict[GroupKey, QueryEvaluator] = {
+            group: QueryEvaluator(members)
+            for group, members in group_queries_by_window(self.queries).items()
+        }
         self._shards: Dict[str, StreamShard] = {}
         #: Stream first-seen order, persistent across retirements: a stream
         #: whose shard was retired because every query was cancelled keeps
@@ -118,22 +127,22 @@ class StreamRouter:
         #: (the worker pool), so a frame routed here would fork a stream.
         self._handed_off = False
 
-    def _assign_ids(self, queries: Sequence[CNFQuery]) -> List[CNFQuery]:
-        """Give every query a unique id, keeping any pre-assigned ones."""
+    def _claim_id(self, query: CNFQuery) -> CNFQuery:
+        """The query with its id: its own, which no live or cancelled query
+        may hold, or else the smallest id none holds."""
         used = self._used_ids
-        used.update(q.query_id for q in queries if q.query_id is not None)
-        if len(used) != sum(1 for q in queries if q.query_id is not None):
-            raise ValueError("queries carry duplicate pre-assigned ids")
-        next_id = 0
-        assigned: List[CNFQuery] = []
-        for query in queries:
-            if query.query_id is None:
-                while next_id in used:
-                    next_id += 1
-                used.add(next_id)
-                query = query.with_id(next_id)
-            assigned.append(query)
-        return assigned
+        if query.query_id is None:
+            next_id = 0
+            while next_id in used:
+                next_id += 1
+            query = query.with_id(next_id)
+        elif query.query_id in used:
+            raise ValueError(
+                f"query id {query.query_id} is already registered or "
+                "tombstoned on this router"
+            )
+        used.add(query.query_id)
+        return query
 
     # ------------------------------------------------------------------
     # Topology
@@ -145,7 +154,7 @@ class StreamRouter:
 
     def queries_of_group(self, group: GroupKey) -> List[CNFQuery]:
         """The queries of one window group, in registration order."""
-        return list(self._groups[group])
+        return self._groups[group].queries
 
     def stream_ids(self) -> List[str]:
         """Streams this router serves, in first-seen order.
@@ -161,10 +170,6 @@ class StreamRouter:
         """Live shards keyed by stream id."""
         return dict(self._shards)
 
-    def _grouped_queries(self) -> List[CNFQuery]:
-        """The registered queries, group by group in group order."""
-        return [query for members in self._groups.values() for query in members]
-
     def shard_for(self, stream_id: str) -> StreamShard:
         """Return (creating if necessary) the shard of a stream."""
         if self._handed_off:
@@ -177,19 +182,22 @@ class StreamRouter:
             raise ValueError("no queries are registered on this router")
         shard = self._shards.get(stream_id)
         if shard is None:
-            shard = StreamShard(
-                stream_id,
-                self._grouped_queries(),
-                method=self.method,
-                batch_size=self.batch_size,
-                watermark=self.watermark,
-                enable_pruning=self.enable_pruning,
-                restrict_labels=self.restrict_labels,
-                retain_matches=self.retain_matches,
-            )
-            self._shards[stream_id] = shard
+            shard = self._shards[stream_id] = self._new_shard(stream_id)
         self._stream_order.setdefault(stream_id, None)
         return shard
+
+    def _new_shard(self, stream_id: str) -> StreamShard:
+        """A fresh shard of the stream over the router's evaluators."""
+        return StreamShard(
+            stream_id,
+            self._groups,
+            method=self.method,
+            batch_size=self.batch_size,
+            watermark=self.watermark,
+            enable_pruning=self.enable_pruning,
+            restrict_labels=self.restrict_labels,
+            retain_matches=self.retain_matches,
+        )
 
     # ------------------------------------------------------------------
     # Live query lifecycle
@@ -197,47 +205,47 @@ class StreamRouter:
     def register_query(self, query: CNFQuery) -> CNFQuery:
         """Register a query on a (possibly live) router.
 
-        The query is threaded into every live shard.  A query joining an
-        existing window group widens that group's label projection
-        mid-stream; one that starts a new group starts it on a fresh
-        generator, from the next frame each stream's shard emits — its
-        evaluation starts from the registration point (see the session
-        layer for the warm-up watermark this implies).  Ids are never
-        recycled: a query arriving without one is assigned the smallest id
-        no live *or cancelled* query has used.
+        The query joins its window group's evaluator once, then every live
+        shard's engine follows.  A query joining an existing window group
+        widens that group's label projection mid-stream; one that starts a
+        new group starts it on a fresh generator, from the next frame each
+        stream's shard emits — its evaluation starts from the registration
+        point (see the session layer for the warm-up watermark this
+        implies).  Frames still held in a shard's reorder buffer will be
+        evaluated against the new query; the session layer flushes first,
+        treating registration as a barrier.  Ids are never recycled: a
+        query arriving without one is assigned the smallest id no live *or
+        cancelled* query has used.
         """
         if self.enable_pruning:
             # Checked eagerly (not at lazy shard creation): the registration
             # call is the only sensible place for the caller to handle it.
             require_pruning_compatible(query)
-        used = self._used_ids
-        if query.query_id is None:
-            next_id = 0
-            while next_id in used:
-                next_id += 1
-            query = query.with_id(next_id)
-        elif query.query_id in used:
-            raise ValueError(
-                f"query id {query.query_id} is already registered or "
-                "tombstoned on this router"
-            )
-        used.add(query.query_id)
+        query = self._claim_id(query)
         self.queries.append(query)
-        self._groups.setdefault((query.window, query.duration), []).append(query)
-        for shard in self._shards.values():
-            shard.register_query(query)
+        group = (query.window, query.duration)
+        evaluator = self._groups.get(group)
+        engines = [shard.engine for shard in self._shards.values()]
+        if evaluator is None:
+            evaluator = self._groups[group] = QueryEvaluator([query])
+            for engine in engines:
+                engine.add_group(*group, evaluator)
+        else:
+            evaluator.add_query(query)
+            for engine in engines:
+                engine.queries_changed(group, added=True)
         return query
 
     def cancel_query(self, query_id: int) -> CNFQuery:
         """Cancel a registered query by id (tombstoning the id forever).
 
-        The query leaves every live shard — evaluator postings dropped,
-        pruning and label projection re-derived from its group's survivors,
-        undrained matches of the query discarded; a window group it empties
-        leaves the shards' engines.  When the cancellation empties the
-        whole workload, the shards are retired (their window state is
-        released; their ingest counters are frozen into
-        ``stats()["retired"]``).
+        The query leaves its group's evaluator once (its postings dropped),
+        then every live shard follows — pruning and label projection
+        re-derived from the group's survivors, undrained matches of the
+        query discarded; a window group it empties leaves the shards'
+        engines.  When the cancellation empties the whole workload, the
+        shards are retired (their window state is released; their ingest
+        counters are frozen into ``stats()["retired"]``).
         """
         query = next(
             (q for q in self.queries if q.query_id == query_id), None
@@ -246,15 +254,19 @@ class StreamRouter:
             raise KeyError(f"no registered query with id {query_id}")
         group = (query.window, query.duration)
         self.queries = [q for q in self.queries if q.query_id != query_id]
-        remaining = [q for q in self._groups[group] if q.query_id != query_id]
         self._cancelled.add(query_id)
-        if remaining:
-            self._groups[group] = remaining
+        evaluator = self._groups[group]
+        if len(evaluator.index) > 1:
+            evaluator.remove_query(query_id)
         else:
             del self._groups[group]
         if self._groups:
             for shard in self._shards.values():
-                shard.cancel_query(query_id)
+                if group in self._groups:
+                    shard.engine.queries_changed(group, added=False)
+                else:
+                    shard.engine.remove_group(group)
+                shard.forget_query(query_id)
             return query
         retired = self._retired_totals
         for shard in self._shards.values():
@@ -345,8 +357,9 @@ class StreamRouter:
         """Aggregate + per-shard ingest statistics (JSON-friendly).
 
         ``per_shard`` is keyed by stream id, in first-seen order; each entry
-        sums the work counters of the shard's generators (``generator``)
-        and of its window groups' evaluators (``evaluator``).
+        sums the work counters of the shard's generators (``generator``).
+        ``evaluator`` sums the counters of the window groups' evaluators,
+        which every shard shares.
         """
         per_shard = {}
         totals = {
@@ -365,7 +378,6 @@ class StreamRouter:
             entry = shard.stats.as_dict()
             entry["queue_depth"] = shard.queue_depth
             entry["generator"] = shard.engine.generator_stats().as_dict()
-            entry["evaluator"] = shard.engine.evaluation_stats().as_dict()
             per_shard[stream_id] = entry
             totals["frames_ingested"] += shard.stats.frames_ingested
             totals["frames_processed"] += shard.stats.frames_processed
@@ -381,6 +393,10 @@ class StreamRouter:
         )
         retired = dict(self._retired_totals)
         retired["processing_seconds"] = round(retired["processing_seconds"], 6)
+        evaluation = EvaluationStats().as_dict()
+        for evaluator in self._groups.values():
+            for name, value in evaluator.stats.as_dict().items():
+                evaluation[name] += value
         return {
             "streams": len(self._stream_order),
             "window_groups": len(self._groups),
@@ -390,13 +406,15 @@ class StreamRouter:
             #: cancelled — frozen at retirement so history survives.
             "retired": retired,
             "per_shard": per_shard,
+            "evaluator": evaluation,
         }
 
     # ------------------------------------------------------------------
     # Checkpointing and hand-off
     # ------------------------------------------------------------------
     def checkpoint(self) -> Dict:
-        """Snapshot the router: configuration, queries, and every shard."""
+        """Snapshot the router: configuration, queries, and every shard's
+        per-stream state."""
         return {
             "method": self.method.value,
             "batch_size": self.batch_size,
@@ -443,9 +461,9 @@ class StreamRouter:
     def from_checkpoint(cls, payload: Dict) -> "StreamRouter":
         """Rebuild a router (and all its shards) from a snapshot.
 
-        Each query is parsed once, from ``queries``; every shard's engine
-        is built from the router's queries of its window groups, which the
-        shard entry must name by id, in registration order.
+        Each query is parsed and indexed once, from ``queries``, into the
+        router's evaluators; every shard is built over them with the
+        router's settings and resumes its entry's per-stream state.
         """
         router = cls(
             [CNFQuery.from_dict(q) for q in payload["queries"]],
@@ -469,15 +487,8 @@ class StreamRouter:
         router._stream_order = {
             str(stream_id): None for stream_id in payload["stream_order"]
         }
-        queries = router._grouped_queries()
         for entry in payload["shards"]:
             stream_id = str(entry["stream_id"])
-            groups = _entry_groups(entry)
-            if groups != order:
-                raise CheckpointError(
-                    f"router checkpoint shard {stream_id!r} serves window "
-                    f"groups {groups}, the router {order}"
-                )
             if stream_id not in router._stream_order:
                 raise CheckpointError(
                     f"router checkpoint stream order omits stream "
@@ -487,7 +498,8 @@ class StreamRouter:
                 raise CheckpointError(
                     f"router checkpoint holds two shards of stream {stream_id!r}"
                 )
-            router._shards[stream_id] = StreamShard.from_entry(entry, queries)
+            shard = router._shards[stream_id] = router._new_shard(stream_id)
+            shard.resume(entry)
         router._retired_totals = _ingest_totals(payload["retired_totals"])
         return router
 

@@ -4,7 +4,10 @@ A :class:`StreamShard` serves every window group of one stream.  It wraps
 a :class:`~repro.engine.engine.TemporalVideoQueryEngine`, which runs one
 MCOS generator per label projection at the largest window of its groups
 and answers each group from it (see :mod:`repro.engine.engine`), with the
-machinery a long-running feed needs and the bare engine does not have:
+machinery a long-running feed needs and the bare engine does not have.
+Under a router the engine evaluates against the router's evaluators, one
+per window group for all streams; the router changes them once per query
+change and then has each shard's engine follow.
 
 * **batched ingest** — frames are buffered and handed to the engine in
   configurable batches, so the per-frame bookkeeping above the engine is
@@ -19,9 +22,11 @@ machinery a long-running feed needs and the bare engine does not have:
   none;
 * **per-shard stats** — frames/sec, queue depth, dropped-late/duplicate
   counts, batch counts;
-* **checkpoint/restore** — the shard's entry in a router document (engine
-  + reorder buffer + counters + retained matches, naming its queries by
-  id), which a fresh process resumes byte-identically (see
+* **checkpoint/restore** — the shard's entry in a router document: the
+  engine's per-stream snapshot, reorder buffer, counters and retained
+  matches.  It holds no query, group key or setting; the router document
+  states those once, and a fresh process resumes the entry on a shard the
+  router built from them, byte-identically (see
   :mod:`repro.streaming.checkpoint`).
 """
 
@@ -30,12 +35,17 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.datamodel.observation import FrameObservation
 from repro.engine.config import EngineConfig, MCOSMethod
 from repro.engine.engine import GroupKey, TemporalVideoQueryEngine
-from repro.query.evaluator import QueryMatch, pack_matches, unpack_matches
+from repro.query.evaluator import (
+    QueryEvaluator,
+    QueryMatch,
+    pack_matches,
+    unpack_matches,
+)
 from repro.query.model import CNFQuery
 from repro.streaming.checkpoint import CheckpointError, reading
 
@@ -105,13 +115,14 @@ class ShardStats:
 
 class StreamShard:
     """One engine instance serving one stream's frames for every window
-    group of its queries (grouped by their ``(window, duration)``, in order
-    of first appearance)."""
+    group of its queries: grouped by their ``(window, duration)``, in order
+    of first appearance, or given as the router's mapping of window groups
+    to their shared evaluators."""
 
     def __init__(
         self,
         stream_id: str,
-        queries: Iterable[CNFQuery],
+        queries: Union[Iterable[CNFQuery], Mapping[GroupKey, QueryEvaluator]],
         method: MCOSMethod = MCOSMethod.SSG,
         batch_size: int = 8,
         watermark: int = 0,
@@ -119,7 +130,10 @@ class StreamShard:
         restrict_labels: bool = True,
         retain_matches: bool = True,
     ):
-        groups = group_queries_by_window(queries)
+        groups = (
+            queries if isinstance(queries, Mapping)
+            else group_queries_by_window(queries)
+        )
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if watermark < 0:
@@ -255,48 +269,26 @@ class StreamShard:
     # ------------------------------------------------------------------
     # Live query lifecycle
     # ------------------------------------------------------------------
-    def register_query(self, query: CNFQuery) -> CNFQuery:
-        """Add a query to the shard's engine mid-stream.
-
-        A query of a window group the shard does not serve yet starts that
-        group (on a fresh generator, see :mod:`repro.engine.engine`).
-        Frames still held in the reorder buffer at this point will be
-        evaluated against the new query when they are processed; callers
-        that need registration to take effect exactly at the ingest
-        frontier (the session facade's contract) must :meth:`flush` first —
-        the session layer does, treating registration as a barrier.
-        """
-        engine = self.engine
-        if (query.window, query.duration) not in engine.group_keys:
-            return engine.add_group(query.window, query.duration, [query])[0]
-        return engine.register_query(query)
-
-    def cancel_query(self, query_id: int) -> CNFQuery:
-        """Remove a query from the shard's engine mid-stream.
-
-        Produced-but-undrained matches of the cancelled query are discarded
-        from the retention buffer — a cancelled query must not deliver
+    def forget_query(self, query_id: int) -> None:
+        """Discard the produced-but-undrained matches of a cancelled query
+        from the retention buffer: a cancelled query must not deliver
         results after the cancellation point; matches already drained are
-        the consumer's.  A window group losing its last query leaves the
-        engine; cancelling the shard's last query is refused (the router
-        retires the whole shard instead).
-        """
-        removed = self.engine.cancel_query(query_id)
+        the consumer's.  (The router has the engine follow the
+        cancellation itself.)"""
         if self._matches:
             self._matches = [
                 match for match in self._matches if match.query_id != query_id
             ]
-        return removed
 
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
     def checkpoint_entry(self) -> Dict:
-        """Snapshot the shard as its entry in a router document: engine
-        state, reorder buffer, counters and any retained
-        (produced-but-not-yet-drained) matches.  The engine block names the
-        queries by id; the router document holds them once for all its
-        shards.
+        """Snapshot the shard as its entry in a router document: the
+        engine's per-stream snapshot, reorder buffer, counters and any
+        retained (produced-but-not-yet-drained) matches.  The router
+        document holds the queries, window groups and settings once for
+        all its shards.
 
         Matches already consumed through :meth:`drain_matches` (or delivered
         via ``offer``'s return value with ``retain_matches=False``) are gone
@@ -307,61 +299,43 @@ class StreamShard:
         """
         return {
             "stream_id": self.stream_id,
-            "batch_size": self.batch_size,
-            "watermark": self.watermark,
-            "retain_matches": self.retain_matches,
             "max_seen": self._max_seen,
             "last_emitted": self._last_emitted,
             "pending": [frame.to_record() for frame in self._pending],
             "retained": pack_matches(self._matches),
             "stats": self.stats.as_dict(),
-            "engine": self.engine.checkpoint_by_id(),
+            "engine": self.engine.snapshot(),
         }
 
-    @classmethod
     @reading("shard checkpoint")
-    def from_entry(
-        cls, payload: Dict, queries: Sequence[CNFQuery]
-    ) -> "StreamShard":
-        """Rebuild a shard from a :meth:`checkpoint_entry` and its queries.
-        Each window group of the engine block must name exactly that
-        group's queries by id, in order."""
-        engine_payload = payload["engine"]
-        config = engine_payload["config"]
-        shard = cls(
-            str(payload["stream_id"]),
-            queries,
-            method=MCOSMethod(config["method"]),
-            batch_size=int(payload["batch_size"]),
-            watermark=int(payload["watermark"]),
-            enable_pruning=bool(config["enable_pruning"]),
-            restrict_labels=bool(config["restrict_labels"]),
-            retain_matches=bool(payload["retain_matches"]),
-        )
-        shard.engine.restore(engine_payload)
+    def resume(self, payload: Dict) -> None:
+        """Resume a :meth:`checkpoint_entry` on this fresh shard, which the
+        router built for the entry's stream from its own workload and
+        settings."""
+        self.engine.resume(payload["engine"])
         max_seen = payload["max_seen"]
-        shard._max_seen = int(max_seen) if max_seen is not None else None
+        self._max_seen = int(max_seen) if max_seen is not None else None
         last = payload["last_emitted"]
-        shard._last_emitted = int(last) if last is not None else None
+        self._last_emitted = int(last) if last is not None else None
         for record in payload["pending"]:
             frame = FrameObservation.from_record(record)
-            shard._pending_ids.append(frame.frame_id)
-            shard._pending.append(frame)
-        if shard._pending_ids != sorted(set(shard._pending_ids)):
+            self._pending_ids.append(frame.frame_id)
+            self._pending.append(frame)
+        if self._pending_ids != sorted(set(self._pending_ids)):
             raise CheckpointError(
                 "shard checkpoint reorder buffer is not sorted/unique"
             )
-        if (shard._last_emitted is not None and shard._pending_ids
-                and shard._pending_ids[0] <= shard._last_emitted):
+        if (self._last_emitted is not None and self._pending_ids
+                and self._pending_ids[0] <= self._last_emitted):
             # Replaying an already-emitted frame would violate the strict
             # frame-order invariant the shard exists to protect.
             raise CheckpointError(
-                f"shard checkpoint pending frame {shard._pending_ids[0]} is "
-                f"at or before the emission frontier {shard._last_emitted}"
+                f"shard checkpoint pending frame {self._pending_ids[0]} is "
+                f"at or before the emission frontier {self._last_emitted}"
             )
-        shard._matches = unpack_matches(payload["retained"])
+        self._matches = unpack_matches(payload["retained"])
         stats = payload["stats"]
-        shard.stats = ShardStats(
+        self.stats = ShardStats(
             frames_ingested=int(stats["frames_ingested"]),
             frames_processed=int(stats["frames_processed"]),
             dropped_late=int(stats["dropped_late"]),
@@ -371,7 +345,6 @@ class StreamShard:
             max_queue_depth=int(stats["max_queue_depth"]),
             processing_seconds=float(stats["processing_seconds"]),
         )
-        return shard
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

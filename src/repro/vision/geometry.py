@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -71,11 +70,6 @@ class BoundingBox:
         if self.area <= 0:
             return 0.0
         return self.intersection_area(other) / self.area
-
-    def center_distance(self, other: "BoundingBox") -> float:
-        """Euclidean distance between box centres."""
-        (cx1, cy1), (cx2, cy2) = self.center, other.center
-        return math.hypot(cx1 - cx2, cy1 - cy2)
 
     # ------------------------------------------------------------------
     # Transformations

@@ -79,17 +79,3 @@ class DetectionTrackingPipeline:
             tracks_per_frame=tracks_per_frame,
             id_switches=self.tracker.id_switches,
         )
-
-
-def relation_from_world(
-    world: World,
-    detector_config: Optional[DetectorConfig] = None,
-    tracker_config: Optional[TrackerConfig] = None,
-    seed: int = 0,
-) -> VideoRelation:
-    """Convenience helper: run the full pipeline and return only the relation."""
-    pipeline = DetectionTrackingPipeline(
-        SimulatedDetector(detector_config or DetectorConfig(), seed=seed),
-        DeepSortLikeTracker(tracker_config or TrackerConfig()),
-    )
-    return pipeline.run(world).relation

@@ -1,7 +1,7 @@
 """Compact checkpoint codec: round-trips, versions, size, errors.
 
 The codec must be loss-free for every payload the runtime produces (every
-generator method, engines, shards, routers), read version 6 only and refuse
+generator method, engines, shards, routers), read version 7 only and refuse
 every other version by name, reject malformed, truncated or hostile bytes
 with :class:`CheckpointError`, and actually be compact — a hard
 size-regression bound against plain JSON of the same document on the
@@ -120,17 +120,17 @@ def varint(value: int) -> bytes:
 
 
 class TestVersions:
-    def test_only_version6_is_written_or_read(self):
-        assert ckpt.CHECKPOINT_VERSION == 6
-        assert ckpt.SUPPORTED_VERSIONS == (6,)
-        assert ckpt.MAGIC == b"RSCK6\x00"
-        assert ckpt.wrap("router", {})["version"] == 6
+    def test_only_version7_is_written_or_read(self):
+        assert ckpt.CHECKPOINT_VERSION == 7
+        assert ckpt.SUPPORTED_VERSIONS == (7,)
+        assert ckpt.MAGIC == b"RSCK7\x00"
+        assert ckpt.wrap("router", {})["version"] == 7
         blob = ckpt.to_bytes("router", {})
         assert blob[:len(ckpt.MAGIC)] == ckpt.MAGIC
         with pytest.raises(TypeError):
             ckpt.to_bytes("router", {}, version=3)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 7])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 8])
     def test_other_versions_are_refused_by_name(self, version):
         body = ckpt.to_bytes("router", {"a": 1})[len(ckpt.MAGIC):]
         if version == 1:
@@ -153,12 +153,12 @@ class TestVersions:
         document = dict(ckpt.wrap("router", {"a": 1}), version=3)
         blob = ckpt._encode_binary(document)
         assert blob[:len(ckpt.MAGIC)] == ckpt.MAGIC
-        with pytest.raises(CheckpointError, match="does not declare version 6"):
+        with pytest.raises(CheckpointError, match="does not declare version 7"):
             ckpt.from_bytes(blob)
 
 
 # ----------------------------------------------------------------------
-# Resuming from version-6 bytes
+# Resuming from version-7 bytes
 # ----------------------------------------------------------------------
 class TestResumeFromBytes:
     @pytest.mark.parametrize("generator_cls", INCREMENTAL_GENERATORS)
@@ -187,9 +187,9 @@ class TestResumeFromBytes:
     )
     @pytest.mark.parametrize("seed", [1, 2])
     def test_router_resumes_from_bytes(self, groups, seed):
-        """The router document holds each query once, its shards name their
-        group's queries by id in registration order, and a router restored
-        from its bytes re-checkpoints and continues exactly."""
+        """The router document holds each query, window group and setting
+        once, its shard entries hold per-stream state only, and a router
+        restored from its bytes re-checkpoints and continues exactly."""
         feeds, queries = bench_scenario(2, 50, groups, 2, seed)
         router = StreamRouter(queries, batch_size=4)
         events = list(interleave_feeds(feeds))
@@ -199,15 +199,16 @@ class TestResumeFromBytes:
         ids = [query["query_id"] for query in document["queries"]]
         assert sorted(ids) == sorted(query.query_id for query in queries)
         assert len(set(ids)) == len(ids)
+        assert document["group_order"] == [list(group) for group in groups]
         for entry in document["shards"]:
-            assert "queries" not in entry["engine"]
-            for block in entry["engine"]["groups"]:
-                group = (block["window"], block["duration"])
-                assert "queries" not in block
-                assert block["query_ids"] == [
-                    query["query_id"] for query in document["queries"]
-                    if (query["window"], query["duration"]) == group
-                ], f"seed={seed} stream={entry['stream_id']} group={group}"
+            assert set(entry) == {
+                "stream_id", "max_seen", "last_emitted", "pending",
+                "retained", "stats", "engine",
+            }
+            assert set(entry["engine"]) == {
+                "sources", "labels", "counters", "generators",
+            }
+            assert len(entry["engine"]["sources"]) == len(groups)
         restored = StreamRouter.from_bytes(ckpt.to_bytes("router", document))
         assert restored.checkpoint() == document, f"seed={seed}"
         restored.route_many(events[60:])

@@ -20,7 +20,6 @@ from repro.streaming import (
     CHECKPOINT_VERSION,
     CheckpointError,
     StreamRouter,
-    StreamShard,
 )
 from repro.streaming import checkpoint as ckpt
 
@@ -490,16 +489,16 @@ class TestCheckpointEnvelope:
 
     def test_truncated_shard_payload_raises_checkpoint_error(self, small_workload):
         """Deeply-missing keys surface as CheckpointError, not raw KeyError."""
-        shard = StreamShard("s", small_workload)
-        queries = shard.engine.queries
-        payload = shard.checkpoint_entry()
-        del payload["engine"]["labels"]
+        router = StreamRouter(small_workload)
+        router.shard_for("s")
+        payload = router.checkpoint()
+        del payload["shards"][0]["engine"]["labels"]
         with pytest.raises(CheckpointError):
-            StreamShard.from_entry(payload, queries)
-        payload2 = shard.checkpoint_entry()
-        del payload2["engine"]["generators"][0]["interner"]
+            StreamRouter.from_checkpoint(payload)
+        payload2 = router.checkpoint()
+        del payload2["shards"][0]["engine"]["generators"][0]["interner"]
         with pytest.raises(CheckpointError):
-            StreamShard.from_entry(payload2, queries)
+            StreamRouter.from_checkpoint(payload2)
 
     def test_rejects_non_object_payload(self):
         document = ckpt.wrap("router", {})

@@ -498,12 +498,6 @@ class TestStreamAttribution:
         loaded = QueryMatch.from_record(record)
         assert loaded == match and loaded.stream_id == "cam-07"
 
-    def test_pre_attribution_records_still_load(self):
-        old_record = [1, 10, [1, 2], [8, 9, 10], [["car", 2]]]
-        loaded = QueryMatch.from_record(old_record)
-        assert loaded.stream_id == ""
-        assert loaded.query_id == 1 and loaded.frame_id == 10
-
     def test_stream_id_is_not_part_of_match_identity(self):
         """Engine-level matches (no stream) compare equal to the same match
         stamped by a shard — attribution is provenance, not identity."""

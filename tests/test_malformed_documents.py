@@ -112,6 +112,21 @@ def test_each_shard_entry_is_one_listed_streams():
         StreamRouter.from_checkpoint(unlisted)
 
 
+def test_a_per_match_record_in_a_retained_list_is_refused():
+    """Shard entries retain matches as grouped records, one per result
+    state; the per-match form is no checkpoint record."""
+    queries, events = small_scenario(8)
+    router = StreamRouter(queries, batch_size=3)
+    router.route_many(events)
+    document = router.checkpoint()
+    entry = document["shards"][0]
+    matches = router.matches_for(entry["stream_id"])
+    assert matches and entry["retained"]
+    entry["retained"].append(matches[0].to_record())
+    with pytest.raises(CheckpointError, match="malformed match record"):
+        StreamRouter.from_checkpoint(document)
+
+
 def test_session_document_mutations_raise_checkpoint_error_only():
     queries, events = small_scenario(5)
     session = Session(backend="router", batch_size=3)

@@ -160,17 +160,14 @@ class TestPackUnpack:
 
 
 class TestOlderAndMalformedRecords:
-    def test_per_match_records_load_in_the_same_list(self):
+    def test_per_match_records_are_refused(self):
+        """Only grouped records are read: the per-match form of
+        :meth:`QueryMatch.to_record` is not a checkpoint record."""
         match = QueryMatch(3, 9, frozenset({1, 4}), (7, 8, 9), (("car", 2),), "s")
-        six = match.to_record()
-        five = six[:5]  # written before matches carried a stream id
-        grouped = pack_matches([match])[0]
-        loaded = unpack_matches([six, five, grouped])
-        assert fields(loaded) == [
-            fields([match])[0],
-            fields([match.for_stream("")])[0],
-            fields([match])[0],
-        ]
+        assert fields(unpack_matches(pack_matches([match]))) == fields([match])
+        for record in (match.to_record(), match.to_record()[:5]):
+            with pytest.raises(ValueError, match="malformed match record"):
+                unpack_matches([record])
 
     @pytest.mark.parametrize("record", [
         [[1], 9, [1], [5], [], "s"],                 # odd number of bounds

@@ -343,9 +343,9 @@ class TestFixedPlacement:
             "assignment": [[sid, 0] for sid in document["stream_order"]],
             "stream_frames": [],
         }
-        resumed = ShardWorkerPool.from_checkpoint(
-            document, num_workers=restored, dispatch_batch=16,
-            checkpoint_every=4,
+        resumed = ShardWorkerPool(
+            StreamRouter.from_checkpoint(document), num_workers=restored,
+            dispatch_batch=16, checkpoint_every=4,
         )
         resumed.start()
         try:

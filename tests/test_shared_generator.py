@@ -217,7 +217,7 @@ def test_a_late_group_is_a_generator_block_of_its_own():
     state = twin.shared.checkpoint()
     assert [block["stats"]["frames_processed"]
             for block in state["generators"]] == [5, 3]
-    assert [group["source"] for group in state["groups"]] == [0, 1]
+    assert state["sources"] == [0, 1]
     twin.restore()
     run(twin, frames[5:], {})
     assert len(twin.shared.generators) == 2

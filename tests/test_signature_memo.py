@@ -138,8 +138,7 @@ def test_shared_evaluator_with_colliding_object_ids():
 
 
 def _evaluator_counters(session):
-    blocks = session.stats()["backend_stats"]["per_shard"]
-    return [block["evaluator"] for block in blocks.values()]
+    return session.stats()["backend_stats"]["evaluator"]
 
 
 def _timeless(value):
@@ -181,14 +180,12 @@ def test_restore_with_warm_memo_equals_uninterrupted_run(backend):
 
     session = open_session()
     session.ingest_many(events[:half])
-    assert sum(block["signature_hits"] for block in _evaluator_counters(session)) > 0
+    assert _evaluator_counters(session)["signature_hits"] > 0
     blob = session.checkpoint()
     session.close()
     restored = Session.restore(blob)
     # Nothing of the memo travelled: the restored evaluators have seen nothing.
-    assert all(
-        not any(block.values()) for block in _evaluator_counters(restored)
-    )
+    assert not any(_evaluator_counters(restored).values())
     assert finish(restored) == expected
 
 
@@ -204,8 +201,8 @@ def cold_checked(engine):
     cold = QueryEvaluator(engine.queries)
     evaluate = warm.evaluate_result_set
 
-    def checked(results, labels, stream_id=""):
-        matches = evaluate(results, labels, stream_id)
+    def checked(results, labels, stream_id="", reuse=None):
+        matches = evaluate(results, labels, stream_id, reuse)
         expected = [
             match
             for state in results

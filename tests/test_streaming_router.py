@@ -17,7 +17,7 @@ import pytest
 from repro.datamodel import FrameObservation, VideoRelation
 from repro.engine import EngineConfig, MCOSMethod, TemporalVideoQueryEngine
 from repro.query.parser import parse_query
-from repro.streaming import CheckpointError, StreamRouter, StreamShard
+from repro.streaming import StreamRouter, StreamShard
 from repro.workloads.streams import interleave_feeds
 
 from tests.conftest import build_queries, labelled_stream
@@ -448,31 +448,3 @@ class TestShardCounters:
         )
         twin = StreamRouter.from_bytes(router.to_bytes())
         assert twin.shards()[stream_id].stats.as_dict() == before
-
-
-class TestQueryIdGuards:
-    """A router document holds each query once; shard entries name theirs
-    by id, group by group, and restore refuses a group naming anything but
-    its ids in registration order."""
-
-    def _document(self) -> Dict:
-        router = StreamRouter(multi_group_queries(), batch_size=4)
-        router.route_many(interleaved(make_feeds(6, num_feeds=2, num_frames=20), 6))
-        document = router.checkpoint()
-        assert "queries" not in document["shards"][0]
-        assert [g["query_ids"] for g in document["shards"][0]["engine"]["groups"]] \
-            == [[0, 1, 2], [3, 4]]
-        return document
-
-    @pytest.mark.parametrize("damage", [
-        pytest.param(lambda ids: ids.__setitem__(0, 99), id="unknown-id"),
-        pytest.param(lambda ids: ids.reverse(), id="reordered"),
-        pytest.param(lambda ids: ids.__setitem__(2, 3), id="other-groups-id"),
-        pytest.param(lambda ids: ids.pop(), id="missing-id"),
-    ])
-    def test_shard_entry_must_name_its_groups_ids_in_order(self, damage):
-        document = self._document()
-        StreamRouter.from_checkpoint(document)
-        damage(document["shards"][0]["engine"]["groups"][0]["query_ids"])
-        with pytest.raises(CheckpointError):
-            StreamRouter.from_checkpoint(document)
