@@ -10,26 +10,28 @@ paper:
 
 * *label projection* (Section 3) -- objects whose class is not requested by
   any query are dropped on entry;
-* *result-driven pruning* (Section 5.3) -- a ``state_filter`` callback can mark
-  freshly created states as terminated when their MCOS cannot satisfy any
-  registered >=-only query.
+* *result-driven pruning* (Section 5.3) -- a ``state_filter`` callback, given
+  the per-class counts of a freshly created state, can mark it as terminated
+  when its MCOS cannot satisfy any registered >=-only query.  A filter must
+  refuse every subset of a set it refuses (Proposition 1): MFS and SSG skip
+  the work below a refused set.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Set, Tuple
 
-from repro.core.interning import ObjectInterner
+from repro.core.interning import ObjectInterner, ObjectLabels
 from repro.core.result import ResultStateSet
 from repro.datamodel.observation import FrameObservation
 from repro.datamodel.relation import VideoRelation
 
 #: Callback deciding whether a freshly created state should be terminated.
-#: Receives the object set of the new state and returns ``True`` to keep it,
-#: ``False`` to terminate it (Proposition 1).
-StateFilter = Callable[[FrozenSet[int], Dict[str, int]], bool]
+#: Receives the per-class counts of the new state's objects and returns
+#: ``True`` to keep it, ``False`` to terminate it (Proposition 1).
+StateFilter = Callable[[Dict[str, int]], bool]
 
 
 @dataclass
@@ -124,9 +126,9 @@ class MCOSGenerator(abc.ABC):
         #: ``int`` bitmask over this interner's bit positions.
         self.interner = ObjectInterner()
         self._state_filter = state_filter  # repro-lint: disable=CKPT-DRIFT -- caller-supplied callable; restoring code re-installs it (documented in import_state)
-        #: Mapping from object id to class label, needed only when a state
+        #: Class labels of the interned objects, recorded only when a state
         #: filter is installed (the filter receives per-class counts).
-        self._label_lookup: Dict[int, str] = {}
+        self._labels = ObjectLabels(self.interner)
         self._last_frame_id: Optional[int] = None
         #: Recycle interner bit positions every this many frames, so masks
         #: stay as narrow as the window population instead of growing with
@@ -233,10 +235,9 @@ class MCOSGenerator(abc.ABC):
         if cached is not None and frame.same_labels(cached[0]):
             return cached[1]
         projected = frame.restricted_to_labels(self.config.labels_of_interest)
-        if self._state_filter is not None:
-            for oid in projected.object_ids:
-                self._label_lookup.setdefault(oid, projected.label_of(oid))
         frame_bits = self.interner.intern_ids(projected.object_ids)
+        if self._state_filter is not None:
+            self._labels.record(projected.object_ids, projected.label_of)
         self._frame_cache = (frame, frame_bits)
         return frame_bits
 
@@ -263,7 +264,7 @@ class MCOSGenerator(abc.ABC):
         """
         self.stats = GeneratorStats()
         self._last_frame_id = None
-        self._label_lookup = {}
+        self._labels = ObjectLabels(self.interner)
         self._frame_cache = None
         self._reset_impl()
         self.compact_interner()
@@ -305,21 +306,17 @@ class MCOSGenerator(abc.ABC):
         number of bit positions freed.  See
         :meth:`repro.core.interning.ObjectInterner.compact`.
 
-        The label lookup is pruned alongside: labels are only ever consulted
-        for objects of live states (all interned), so entries for departed
-        ids are dead weight that would otherwise grow with the total number
-        of objects the stream ever produced.
+        The recorded labels are pruned alongside: labels are only ever
+        consulted for objects of live states (all interned), so entries for
+        departed ids are dead weight that would otherwise grow with the
+        total number of objects the stream ever produced, and their bits
+        must leave the per-label masks before the positions are reused.
         """
         freed = self.interner.compact(self._live_mask())
         if freed:
             self._frame_cache = None
-        if freed and self._label_lookup:
-            interner = self.interner
-            self._label_lookup = {
-                oid: label
-                for oid, label in self._label_lookup.items()
-                if oid in interner
-            }
+        if freed and self._labels:
+            self._labels.prune()
         return freed
 
     # ------------------------------------------------------------------
@@ -348,7 +345,7 @@ class MCOSGenerator(abc.ABC):
             "labels_of_interest": sorted(labels) if labels is not None else None,
             "last_frame_id": self._last_frame_id,
             "label_lookup": [
-                [oid, label] for oid, label in self._label_lookup.items()
+                [oid, label] for oid, label in self._labels.items()
             ],
             "stats": self.stats.as_dict(),
             "interner": self.interner.export_table(),
@@ -404,9 +401,9 @@ class MCOSGenerator(abc.ABC):
         self.stats = GeneratorStats(**payload["stats"])
         last = payload.get("last_frame_id")
         self._last_frame_id = int(last) if last is not None else None
-        self._label_lookup = {
+        self._labels = ObjectLabels(self.interner, {
             int(oid): label for oid, label in payload.get("label_lookup", [])
-        }
+        })
         self._import_impl(payload["state"])
 
     def export_state(self) -> bytes:
@@ -476,21 +473,12 @@ class MCOSGenerator(abc.ABC):
         return current_frame_id - self.config.window_size + 1
 
     def _keep_new_state(self, bits: int) -> bool:
-        """Apply the Proposition-1 state filter to a freshly created state.
-
-        The filter operates at the query boundary, so the bitmask is decoded
-        back into object ids here (only when a filter is installed).
-        """
+        """Apply the Proposition-1 state filter to a freshly created state,
+        given the per-class counts of its objects (only when a filter is
+        installed)."""
         if self._state_filter is None:
             return True
-        object_ids = self.interner.decode(bits)
-        counts: Dict[str, int] = {}
-        for oid in object_ids:
-            label = self._label_lookup.get(oid)
-            if label is None:
-                continue
-            counts[label] = counts.get(label, 0) + 1
-        keep = self._state_filter(object_ids, counts)
+        keep = self._state_filter(self._labels.counts(bits))
         if not keep:
             self.stats.states_terminated += 1
         return keep

@@ -41,7 +41,7 @@ between frames.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 
 class ObjectInterner:
@@ -211,3 +211,74 @@ class ObjectInterner:
             self._free = [p for p in self._free if p < capacity]
             heapq.heapify(self._free)
         return freed
+
+
+class ObjectLabels:
+    """Class labels of interned objects, with one bitmask per label.
+
+    The Proposition-1 state filter judges the per-class counts of a state.
+    With each label's objects held as a mask over the interner's bit
+    positions, those counts are one ``&`` and ``bit_count()`` per label
+    instead of a decode of the state's object set.  An object keeps the
+    first label recorded for it.  Positions are only freed by a
+    compaction or a restore of the interner: :meth:`prune` follows a
+    compaction, and a restored interner gets a new instance.
+    """
+
+    __slots__ = ("_interner", "_label_by_id", "_masks")
+
+    def __init__(
+        self, interner: ObjectInterner, labels: Optional[Dict[int, str]] = None
+    ) -> None:
+        self._interner = interner
+        self._label_by_id: Dict[int, str] = dict(labels or {})
+        self._masks: Dict[str, int] = {}
+        self._index()
+
+    def _index(self) -> None:
+        """Derive the per-label masks from the labels of interned objects."""
+        interner = self._interner
+        masks: Dict[str, int] = {}
+        for object_id, label in self._label_by_id.items():
+            if object_id in interner:
+                masks[label] = masks.get(label, 0) | interner.mask_of(object_id)
+        self._masks = masks
+
+    def record(
+        self, object_ids: Iterable[int], label_of: Callable[[int], str]
+    ) -> None:
+        """Remember the labels of the interned ``object_ids`` not seen yet."""
+        known = self._label_by_id
+        masks = self._masks
+        for object_id in object_ids:
+            if object_id not in known:
+                label = known[object_id] = label_of(object_id)
+                masks[label] = (
+                    masks.get(label, 0) | self._interner.mask_of(object_id)
+                )
+
+    def prune(self) -> None:
+        """Forget the objects the interner no longer holds."""
+        interner = self._interner
+        self._label_by_id = {
+            object_id: label
+            for object_id, label in self._label_by_id.items()
+            if object_id in interner
+        }
+        self._index()
+
+    def counts(self, mask: int) -> Dict[str, int]:
+        """Per-class counts of the labelled objects in ``mask``."""
+        counts: Dict[str, int] = {}
+        for label, label_mask in self._masks.items():
+            count = (mask & label_mask).bit_count()
+            if count:
+                counts[label] = count
+        return counts
+
+    def items(self) -> Iterable[Tuple[int, str]]:
+        """``(object id, label)`` pairs in the order they were recorded."""
+        return self._label_by_id.items()
+
+    def __len__(self) -> int:
+        return len(self._label_by_id)

@@ -81,6 +81,20 @@ class MarkedFrameSetGenerator(MCOSGenerator):
         existing state, marking key frames."""
         states = self._states
         stats = self.stats
+        principal = states.get(frame_bits)
+        if principal is None:
+            if not self._keep_new_state(frame_bits):
+                # Proposition 1: every intersection with the frame is a
+                # subset of it, so the filter refuses it too, and no live
+                # state lies below it (it would be a kept subset of a
+                # refused set).  Only the frame's terminated marker is kept.
+                principal, _ = states.get_or_create(frame_bits)
+                stats.states_created += 1
+                principal.terminated = True
+                principal.frames = principal.marks = bit
+                return
+        elif principal.terminated:
+            return
         existing = states.states()
         visits = 0
         appended = 0
@@ -117,15 +131,10 @@ class MarkedFrameSetGenerator(MCOSGenerator):
         stats.intersections += visits
         stats.frames_appended += appended
 
+        # The frame's own set was judged (or found kept) above.
         principal, created = states.get_or_create(frame_bits)
         if created:
             stats.states_created += 1
-            if not self._keep_new_state(frame_bits):
-                principal.terminated = True
-                principal.frames = principal.marks = bit
-                return
-        if principal.terminated:
-            return
         # Frame Marking Rule 1: the frame that creates a principal state is a
         # key frame of that state.
         principal.frames |= bit

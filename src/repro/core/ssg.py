@@ -8,7 +8,10 @@ algorithm walks the graph starting from the roots, computing intersections
 with the arriving frame and *pruning entire subtrees as soon as an
 intersection becomes empty* (every descendant of a state is a subset of it, so
 its intersection is empty as well).  This is where SSG saves work compared to
-MFS, which must intersect every live state with every arriving frame.
+MFS, which must intersect every live state with every arriving frame.  Under a
+Proposition-1 state filter the walk also prunes the subtree below a state whose
+intersection the filter refuses: every descendant's intersection is a subset
+of the refused one.
 
 Two auxiliary procedures complete the approach:
 
@@ -608,35 +611,40 @@ class StrictStateGraphGenerator(MCOSGenerator):
                         target.terminated = True
                         target.frames = target.marks = bit
                         schedule.add(target, base)
-                        target = None  # type: ignore[assignment]
-                elif target.terminated:
-                    target = None  # type: ignore[assignment]
-                if target is not None:
-                    if target.children is None:
-                        self._register_node(target)
-                    # The target inherits the source's frames and marks
-                    # (Frame Marking Rule 2) plus the arriving frame.  The
-                    # source misses that frame (it is no subset of it).
-                    target_frames = target.frames
-                    if not target_frames & bit:
-                        extend(target)
-                    target_frames |= frames | bit
-                    target.frames = target_frames
-                    old_marks = target.marks
-                    marks = old_marks | state.marks
-                    if marks != old_marks:
-                        target.marks = marks
-                        if marks & -marks != old_marks & -old_marks:
-                            # Gained an older mark (or its first ones).
-                            schedule.add(target, base)
-                    appended += 1
-                    # Inlined _ensure_edge (the memo hit is the common case).
-                    ekey = (state.serial, target.serial)
-                    if ekey not in edge_memo:
-                        self._add_edge(state, target)
-                        add_edge_memo(ekey)
-                    if target_frames.bit_count() >= duration and marks:
-                        result_candidates[inter] = target
+                if target.terminated:
+                    # Proposition 1 again: a descendant's intersection with
+                    # the frame is a subset of this refused one, so the
+                    # filter refuses it too, and none of them is live (it
+                    # would be a kept subset of a refused set).  The walk
+                    # skips the subtree.
+                    if frames.bit_count() >= duration:
+                        result_candidates[key] = state
+                    continue
+                if target.children is None:
+                    self._register_node(target)
+                # The target inherits the source's frames and marks
+                # (Frame Marking Rule 2) plus the arriving frame.  The
+                # source misses that frame (it is no subset of it).
+                target_frames = target.frames
+                if not target_frames & bit:
+                    extend(target)
+                target_frames |= frames | bit
+                target.frames = target_frames
+                old_marks = target.marks
+                marks = old_marks | state.marks
+                if marks != old_marks:
+                    target.marks = marks
+                    if marks & -marks != old_marks & -old_marks:
+                        # Gained an older mark (or its first ones).
+                        schedule.add(target, base)
+                appended += 1
+                # Inlined _ensure_edge (the memo hit is the common case).
+                ekey = (state.serial, target.serial)
+                if ekey not in edge_memo:
+                    self._add_edge(state, target)
+                    add_edge_memo(ekey)
+                if target_frames.bit_count() >= duration and marks:
+                    result_candidates[inter] = target
 
             if frames.bit_count() >= duration:
                 result_candidates[key] = state

@@ -19,7 +19,7 @@ from repro.query.inequality import CNFEvalEIndex
 from repro.query.model import CNFQuery
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class QueryMatch:
     """One query answer: a query satisfied by an MCOS over a frame set.
 
@@ -31,7 +31,11 @@ class QueryMatch:
     stream-level ones: the *identity* of a match is what matched, not where
     the frames came from.
 
-    Slotted: matches are the objects whose number grows with the output.
+    Slotted and not frozen: matches are the objects whose number grows
+    with the output, and a frozen dataclass pays an ``object.__setattr__``
+    call per field at construction (about four times the cost of plain
+    slot stores).  Nothing assigns a field after construction; the hash
+    covers the compared fields, as a frozen one would.
     """
 
     query_id: int
