@@ -46,7 +46,6 @@ Cancelling the largest group leaves its generator at its window.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
@@ -67,15 +66,8 @@ class EngineRunResult:
     method: str
     matches: List[QueryMatch]
     frames_processed: int
-    mcos_seconds: float
-    evaluation_seconds: float
     generator_stats: GeneratorStats
     result_states: int = 0
-
-    @property
-    def total_seconds(self) -> float:
-        """MCOS generation plus query evaluation time."""
-        return self.mcos_seconds + self.evaluation_seconds
 
     def matches_by_query(self) -> Dict[int, List[QueryMatch]]:
         """Group the produced matches by query identifier."""
@@ -144,8 +136,6 @@ class TemporalVideoQueryEngine:
         #: The last frame whose labels were recorded: a frame repeating its
         #: id -> label map has nothing new to record.
         self._labels_frame: Optional[FrameObservation] = None  # repro-lint: disable=CKPT-DRIFT -- marks which frame's labels are already recorded; import and label pruning clear it, and the next frame records its labels again
-        self._mcos_seconds = 0.0
-        self._evaluation_seconds = 0.0
         self._frames_processed = 0
         self._result_states = 0
         #: Prune the engine's label map every this many frames (aligned with
@@ -411,16 +401,6 @@ class TemporalVideoQueryEngine:
         """Result states examined across all processed frames."""
         return self._result_states
 
-    @property
-    def mcos_seconds(self) -> float:
-        """Cumulative wall-clock seconds spent in MCOS generation."""
-        return self._mcos_seconds
-
-    @property
-    def evaluation_seconds(self) -> float:
-        """Cumulative wall-clock seconds spent in query evaluation."""
-        return self._evaluation_seconds
-
     # ------------------------------------------------------------------
     # Streaming API
     # ------------------------------------------------------------------
@@ -440,8 +420,6 @@ class TemporalVideoQueryEngine:
                 labels.setdefault(oid, frame.label_of(oid))
             self._labels_frame = frame
 
-        clock = time.perf_counter
-        start = clock()
         for source in self._sources:
             source.result = source.generator.process_frame(frame)
         per_group = []
@@ -452,8 +430,6 @@ class TemporalVideoQueryEngine:
                 per_group.append(source.result)
             else:
                 per_group.append(source.generator.cut_result(*group.key))
-        evaluated = clock()
-        self._mcos_seconds += evaluated - start
 
         matches: List[QueryMatch] = []
         labels = self._labels
@@ -462,7 +438,6 @@ class TemporalVideoQueryEngine:
                 results, labels, stream_id, group.reuse
             )
             self._result_states += len(results)
-        self._evaluation_seconds += clock() - evaluated
 
         self._frames_processed += 1
         if self._frames_processed % self._prune_labels_every == 0:
@@ -503,8 +478,6 @@ class TemporalVideoQueryEngine:
             method=self.method_label,
             matches=matches,
             frames_processed=self._frames_processed,
-            mcos_seconds=self._mcos_seconds,
-            evaluation_seconds=self._evaluation_seconds,
             generator_stats=self.generator_stats(),
             result_states=self._result_states,
         )
@@ -576,8 +549,6 @@ class TemporalVideoQueryEngine:
             ],
             "labels": [[oid, label] for oid, label in self._labels.items()],
             "counters": {
-                "mcos_seconds": self._mcos_seconds,
-                "evaluation_seconds": self._evaluation_seconds,
                 "frames_processed": self._frames_processed,
                 "result_states": self._result_states,
             },
@@ -663,8 +634,6 @@ class TemporalVideoQueryEngine:
         self._labels = {int(oid): label for oid, label in payload["labels"]}
         self._labels_frame = None
         counters = payload["counters"]
-        self._mcos_seconds = float(counters["mcos_seconds"])
-        self._evaluation_seconds = float(counters["evaluation_seconds"])
         self._frames_processed = int(counters["frames_processed"])
         self._result_states = int(counters["result_states"])
 
@@ -672,7 +641,7 @@ class TemporalVideoQueryEngine:
         """The :meth:`checkpoint` document as compact checkpoint bytes.
 
         This is the byte-level hand-off form: self-contained (config and
-        queries included), canonical, and written as checkpoint version 7,
+        queries included), canonical, and written as checkpoint version 8,
         the only version :meth:`import_state` and :meth:`from_state` read.
         """
         # Lazy import: the streaming package imports this module, so a
@@ -735,6 +704,4 @@ class TemporalVideoQueryEngine:
             self._attach(group)
         self._labels = {}
         self._labels_frame = None
-        self._mcos_seconds = 0.0
-        self._evaluation_seconds = 0.0
         self._result_states = 0

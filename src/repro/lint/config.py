@@ -67,10 +67,16 @@ DEFAULT_SCOPES: Dict[str, RuleScope] = {
     # Determinism: the kernel, the query layer and the checkpoint codec
     # must be pure functions of their inputs; serializer bodies anywhere
     # must be too (options extend the path scope with function scope).
+    # No clock or entropy reaches per-stream state either: the engine, the
+    # shard and the router feed snapshots.  (The pool's supervision reads
+    # the clock and stays out.)
     "DET-ENTROPY": RuleScope(
         include=("*",),
         options={
-            "deterministic_paths": ("core/*", "query/*", "streaming/checkpoint.py"),
+            "deterministic_paths": (
+                "core/*", "query/*", "engine/*", "streaming/checkpoint.py",
+                "streaming/shard.py", "streaming/router.py",
+            ),
             "serializer_functions": SERIALIZER_FUNCTIONS,
         },
     ),

@@ -92,7 +92,7 @@ class EntropyRule(Rule):
         whole_file = match_path(ctx.relpath, paths) if paths else False
         aliases = _import_aliases(ctx.tree)
         for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.Call, ast.Attribute)):
+            if not isinstance(node, (ast.Call, ast.Attribute, ast.Name)):
                 continue
             if not whole_file and not _in_serializer(ctx, node, serializers):
                 continue
@@ -101,8 +101,16 @@ class EntropyRule(Rule):
             if dotted is None:
                 continue
             hit = None
-            if isinstance(node, ast.Call) and dotted in BANNED_CALLS:
-                hit = dotted
+            if isinstance(node, ast.Call):
+                if dotted in BANNED_CALLS:
+                    hit = dotted
+            elif dotted in BANNED_CALLS:
+                # A clock taken by reference (``clock = time.perf_counter``)
+                # is later called through a name the call check cannot
+                # resolve.
+                parent = ctx.parent(node)
+                if not (isinstance(parent, ast.Call) and parent.func is node):
+                    hit = dotted
             elif isinstance(node, ast.Attribute) and (
                 dotted.startswith(BANNED_PREFIXES) or dotted == "random"
             ):

@@ -97,12 +97,13 @@ QueryLike = Union[str, QueryExpr, CNFQuery]
 #: to a :class:`ShardWorkerPool`.
 _BACKENDS = ("inline", "router", "pool")
 
-#: The ``config`` keys a session checkpoint carries.  :meth:`Session.restore`
-#: keeps only these, so a checkpoint that names a since-retired knob still
+#: The ``config`` keys a session checkpoint carries: how the session serves,
+#: not what it evaluates (the router document under ``state`` holds the
+#: method, batching and engine options).  :meth:`Session.restore` keeps
+#: only these, so a checkpoint that names a since-retired knob still
 #: restores, and re-checkpoints without it.
 _CONFIG_KEYS = (
-    "backend", "method", "batch_size", "watermark", "enable_pruning",
-    "restrict_labels", "num_workers", "dispatch_batch", "checkpoint_every",
+    "backend", "num_workers", "dispatch_batch", "checkpoint_every",
     "supervision", "degraded_mode",
 )
 
@@ -280,7 +281,8 @@ class Session:
         :class:`~repro.engine.config.MCOSMethod`).
     batch_size / watermark:
         Shard ingest batching and out-of-order tolerance (router and pool
-        backends; ``"inline"`` records ``1`` / ``0`` whatever is passed).
+        backends; ``"inline"`` serves with ``1`` / ``0`` whatever is
+        passed, and its checkpoints carry those).
         A frame that arrives after its slot was evaluated is dropped and
         counted in ``stats()["backend_stats"]["totals"]["dropped_late"]``,
         a repeat of the last evaluated frame in ``"duplicates"``.
@@ -335,11 +337,6 @@ class Session:
             batch_size, watermark = 1, 0
         self._config = {
             "backend": backend,
-            "method": MCOSMethod(method).value,
-            "batch_size": int(batch_size),
-            "watermark": int(watermark),
-            "enable_pruning": bool(enable_pruning),
-            "restrict_labels": bool(restrict_labels),
             "num_workers": num_workers,
             "dispatch_batch": dispatch_batch,
             "checkpoint_every": checkpoint_every,
@@ -355,12 +352,11 @@ class Session:
         self._init_registry()
         self._start_runtime(StreamRouter(
             [],
-            method=MCOSMethod(self._config["method"]),
-            batch_size=self._config["batch_size"],
-            watermark=self._config["watermark"],
-            enable_pruning=self._config["enable_pruning"],
-            restrict_labels=self._config["restrict_labels"],
-            retain_matches=True,
+            method=MCOSMethod(method),
+            batch_size=int(batch_size),
+            watermark=int(watermark),
+            enable_pruning=bool(enable_pruning),
+            restrict_labels=bool(restrict_labels),
         ))
         try:
             for query in queries:
@@ -532,7 +528,7 @@ class Session:
                 f"duration={normalized.duration}) is already active as "
                 f"id {active.query_id}"
             )
-        if self._config["enable_pruning"]:
+        if self._router.enable_pruning:
             # Validated here, before the flush barrier below runs: a
             # rejected registration must not mutate stream processing
             # state (the flush advances shard emission frontiers).
@@ -890,10 +886,12 @@ class Session:
         different serving architecture: every backend checkpoints the same
         router-layout document, so a snapshot taken on ``inline``,
         ``router`` or ``pool`` restores onto any of the three unchanged and
-        re-exports byte-identically.  The document carries its own batching: an ``inline``
-        snapshot resumes with one-frame batches on any backend, and a
-        ``router`` snapshot keeps its batch size and watermark on
-        ``inline``.
+        re-exports byte-identically.  The runtime is built from that router
+        document alone: it holds the method, the engine options and the
+        batching, so an ``inline`` snapshot resumes with one-frame batches
+        on any backend, and a ``router`` snapshot keeps its batch size and
+        watermark on ``inline``.  The session ``config`` holds only how the
+        session serves: the backend, the pool sizing and supervision.
 
         ``num_workers`` overrides the pool sizing of the restored session
         (useful when resuming a pool snapshot on differently-sized

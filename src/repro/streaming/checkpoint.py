@@ -4,7 +4,7 @@ A checkpoint wraps one component snapshot::
 
     {
       "format": "repro-streaming-checkpoint",
-      "version": 7,
+      "version": 8,
       "kind": "router" | "engine" | "generator" | "session",
       "payload": { ... }
     }
@@ -13,20 +13,26 @@ The payload is produced by the component's own ``checkpoint()`` /
 ``export_checkpoint()`` method (routers here; engines in
 :mod:`repro.engine.engine`; generators in :mod:`repro.core.base`).
 
-**Version 7 is the only version written and the only one read.**  Any
-other version — the version-1 JSON form, the version-2 to version-6
+**Version 8 is the only version written and the only one read.**  Any
+other version — the version-1 JSON form, the version-2 to version-7
 binary forms, or a future one — is refused with a
-:class:`CheckpointError` that names it.  Version 7 has the version-4
-encoding; its layout is version 6's with each workload fact stated once:
-shard entries lose their ``batch_size``, ``watermark`` and
-``retain_matches``, their engine block its ``config`` and each group's
-``window``, ``duration``, ``query_ids`` and ``next_query_id``; session
-documents lose ``registry.next_query_id`` and ``group_order``.
+:class:`CheckpointError` that names it.  Version 8 has the version-4
+encoding; its layout is version 7's without wall-clock timings and with
+no fact stated twice: shard entries lose ``stats.processing_seconds``,
+``stats.frames_per_sec`` and ``stats.frames_processed`` (the engine's
+counter holds it), their engine snapshots the ``mcos_seconds`` and
+``evaluation_seconds`` counters; router documents lose
+``retain_matches`` (shards always retain until drained) and
+``retired_totals.processing_seconds``; the session ``config`` loses
+``method``, ``batch_size``, ``watermark``, ``enable_pruning`` and
+``restrict_labels``, which the router document holds.  So the only
+floats a document can hold are a session's supervision settings, and a
+snapshot is a pure function of the calls and frames that built it.
 
   ============  =====================================================
   section       contents
   ============  =====================================================
-  magic         ``b"RSCK7\\x00"``
+  magic         ``b"RSCK8\\x00"``
   body          zlib-compressed stream of:
   · strings     interned string table (varint count, then varint
                 length + UTF-8 bytes per string, first-use order)
@@ -67,8 +73,8 @@ A document holds every query dict (:meth:`CNFQuery.to_dict
 once:
 
 * a **router** document holds the settings (``method``, ``batch_size``,
-  ``watermark``, ``enable_pruning``, ``restrict_labels``,
-  ``retain_matches``), the ``queries``, the ``cancelled`` ids and the
+  ``watermark``, ``enable_pruning``, ``restrict_labels``), the
+  ``queries``, the ``cancelled`` ids and the
   ``group_order``; its ``shards`` hold one entry per stream with
   per-stream state only — reorder buffer, counters, retained matches and
   the engine's snapshot: for each window group, in group order, the
@@ -76,7 +82,8 @@ once:
   the counters and one block per generator (``generators``: its
   :meth:`~repro.core.base.MCOSGenerator.export_checkpoint` state).  A
   group that joined mid-stream reads a generator block of its own;
-* a **session** document holds its config and registry; the registry
+* a **session** document holds its config (backend, pool sizing,
+  supervision) and registry; the registry
   names each active handle by ``query_id``, resolved against the restored
   router, and a cancelled handle keeps its full ``query`` dict, because no
   router holds it any more.  The router assigns the next id and orders
@@ -97,7 +104,8 @@ Determinism
 Serialisation preserves every insertion order the runtime depends on (state
 tables, SSG adjacency, principal lists), and ``to_bytes`` is canonical — the
 same component state always produces the same bytes — so checkpoints can be
-content-addressed and compared directly in tests.
+content-addressed and compared directly in tests.  No clock reaches a
+snapshot: two sessions fed the same calls write the same bytes.
 """
 
 from __future__ import annotations
@@ -120,13 +128,13 @@ PathLike = Union[str, Path]
 CHECKPOINT_FORMAT = "repro-streaming-checkpoint"
 
 #: The version :func:`to_bytes` writes.
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 #: Every version :func:`from_bytes` reads.
 SUPPORTED_VERSIONS = (CHECKPOINT_VERSION,)
 
 #: Magic prefix of the written encoding.
-MAGIC = b"RSCK7\x00"
+MAGIC = b"RSCK8\x00"
 
 #: Any version's magic: ``RSCK``, the version number, a NUL byte.
 _ANY_MAGIC = re.compile(rb"RSCK(\d+)\x00")
@@ -557,7 +565,7 @@ def _decode_binary(data: bytes) -> Dict:
 # Public byte-level API
 # ----------------------------------------------------------------------
 def to_bytes(kind: str, payload: Dict) -> bytes:
-    """Serialise a snapshot to canonical version-7 checkpoint bytes.
+    """Serialise a snapshot to canonical version-8 checkpoint bytes.
 
     Insertion order *is* part of the state (see the module docstring), so
     the bytes are a pure function of the component state.
@@ -566,7 +574,7 @@ def to_bytes(kind: str, payload: Dict) -> bytes:
 
 
 def from_bytes(data: bytes, expect_kind: Optional[str] = None) -> Dict:
-    """Parse version-7 checkpoint bytes into the inner payload."""
+    """Parse version-8 checkpoint bytes into the inner payload."""
     if not isinstance(data, (bytes, bytearray)):
         raise CheckpointError(
             f"checkpoint must be bytes, got {type(data).__name__}"

@@ -80,6 +80,14 @@ from repro.streaming.supervision import SupervisionConfig, Supervisor
 #: Sentinel stored as the "ack" of a read-only query lost to a worker crash.
 _LOST = object()
 
+#: ``multiprocessing`` start method of the workers: ``fork`` where available
+#: (cheapest), else ``None``, the platform default.
+START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+
+#: Seconds one wait on a worker's result queue blocks before the parent
+#: re-checks the worker's health.
+POLL_INTERVAL = 0.02
+
 
 class PoolError(RuntimeError):
     """Raised when the pool is misused or a worker fails unrecoverably."""
@@ -392,9 +400,9 @@ class ShardWorkerPool:
     router:
         The origin :class:`StreamRouter`.  :meth:`start` hands its shards
         to the workers (it keeps the workload and refuses frames from then
-        on); :meth:`stop` returns a new router holding them again.  It must
-        retain matches (``retain_matches=True``), since the pool delivers
-        matches through :meth:`drain_matches` / :meth:`matches_for`.
+        on); :meth:`stop` returns a new router holding them again.  Its
+        shards retain matches until the pool delivers them through
+        :meth:`drain_matches` / :meth:`matches_for`.
     num_workers:
         Worker process count.  The k-th stream in first-seen order lives
         on worker ``k mod num_workers``; results are identical for any
@@ -423,9 +431,9 @@ class ShardWorkerPool:
         irrecoverable; ``"park"`` enters degraded mode instead — the dead
         worker's streams are parked and journaled while every other stream
         keeps serving byte-identical results, until :meth:`repair`.
-    start_method:
-        ``multiprocessing`` start method; defaults to ``fork`` where
-        available (cheapest), else the platform default.
+
+    Workers start with :data:`START_METHOD`, and the parent waits on them
+    :data:`POLL_INTERVAL` seconds at a time.
     """
 
     def __init__(
@@ -436,8 +444,6 @@ class ShardWorkerPool:
         checkpoint_every: int = 8,
         max_inflight: int = 64,
         max_restarts: int = 3,
-        start_method: Optional[str] = None,
-        poll_interval: float = 0.02,
         supervision: Union[SupervisionConfig, Mapping, None] = None,
         on_irrecoverable: str = "raise",
     ):
@@ -452,22 +458,13 @@ class ShardWorkerPool:
             raise PoolError(
                 "dispatch_batch, checkpoint_every and max_inflight must be positive"
             )
-        if not router.retain_matches:
-            raise PoolError(
-                "the pool delivers matches via drain_matches/matches_for, "
-                "which requires the router to retain matches"
-            )
         self.router = router
         self.num_workers = num_workers
         self.dispatch_batch = dispatch_batch
         self.checkpoint_every = checkpoint_every
         self.max_inflight = max_inflight
         self.max_restarts = max_restarts
-        self.poll_interval = poll_interval
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context(START_METHOD)
         self._workers: List[_WorkerHandle] = []
         #: Stream ownership, in global first-seen order: the k-th stream
         #: lives on worker ``k mod num_workers``.
@@ -855,7 +852,7 @@ class ShardWorkerPool:
         The layout mirrors :meth:`StreamRouter.stats` (plus a ``pool``
         block), and ``per_shard`` is rebuilt in the router's canonical
         order — stream first-seen order — so reports are comparable byte for byte
-        after stripping wall-clock fields (:func:`deterministic_stats`).
+        after stripping the pool-only fields (:func:`deterministic_stats`).
         """
         self._require_running()
         self._flush_buffers()
@@ -868,8 +865,7 @@ class ShardWorkerPool:
                 worker_stats.append(stats)
         totals = {
             "frames_ingested": 0, "frames_processed": 0, "dropped_late": 0,
-            "duplicates": 0, "reordered": 0, "processing_seconds": 0.0,
-            "queue_depth": 0,
+            "duplicates": 0, "reordered": 0, "queue_depth": 0,
         }
         # Retirements (the whole workload cancelled) happen inside workers,
         # so their frozen retired counters sum on top of the origin's
@@ -889,12 +885,6 @@ class ShardWorkerPool:
                 retired[key] += value
             for key, value in stats["evaluator"].items():
                 evaluation[key] += value
-        seconds = totals["processing_seconds"]
-        totals["processing_seconds"] = round(seconds, 6)
-        totals["frames_per_sec"] = (
-            round(totals["frames_processed"] / seconds, 2) if seconds else 0.0
-        )
-        retired["processing_seconds"] = round(retired["processing_seconds"], 6)
         per_shard: Dict[str, Dict] = {
             stream_id: per_shard_raw[stream_id]
             for stream_id in self._assignment
@@ -1161,7 +1151,7 @@ class ShardWorkerPool:
             # Every worker is parked: nothing will ever arrive.
             return False
         try:
-            message = target.results.get(timeout=self.poll_interval)
+            message = target.results.get(timeout=POLL_INTERVAL)
         except (queue_module.Empty, OSError, EOFError):
             pass
         else:
@@ -1574,7 +1564,7 @@ class ShardWorkerPool:
 # Comparison helpers (differential tests and benchmark verification)
 # ----------------------------------------------------------------------
 def deterministic_stats(stats: Dict) -> Dict:
-    """Strip wall-clock (and pool-only) fields from a stats report.
+    """Strip the pool-only fields from a stats report.
 
     Everything that remains — counters, shard layout, report order — is a
     pure function of the event sequence, so two architectures serving the
@@ -1585,8 +1575,7 @@ def deterministic_stats(stats: Dict) -> Dict:
             return {
                 key: strip(item) for key, item in value.items()
                 if key not in (
-                    "processing_seconds", "frames_per_sec", "pool",
-                    "parked", "quarantined",
+                    "pool", "parked", "quarantined",
                     # Evaluator counters restart with every rebuilt router
                     # (a crash replay, a restore) and its memo is shared by
                     # the router's streams, one router per pool worker:

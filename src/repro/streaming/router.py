@@ -56,16 +56,12 @@ def zero_ingest_totals() -> Dict:
         "duplicates": 0,
         "reordered": 0,
         "batches": 0,
-        "processing_seconds": 0.0,
     }
 
 
 def _ingest_totals(block: Mapping) -> Dict:
     """A checkpointed ingest counter block (see :func:`zero_ingest_totals`)."""
-    return {
-        key: float(block[key]) if key == "processing_seconds" else int(block[key])
-        for key in zero_ingest_totals()
-    }
+    return {key: int(block[key]) for key in zero_ingest_totals()}
 
 
 class StreamRouter:
@@ -79,7 +75,6 @@ class StreamRouter:
         watermark: int = 0,
         enable_pruning: bool = False,
         restrict_labels: bool = True,
-        retain_matches: bool = True,
     ):
         queries = list(queries)
         self.method = MCOSMethod(method)
@@ -87,7 +82,6 @@ class StreamRouter:
         self.watermark = watermark
         self.enable_pruning = enable_pruning
         self.restrict_labels = restrict_labels
-        self.retain_matches = retain_matches
         #: Ids of cancelled queries.  Tombstoned forever: an id is never
         #: reassigned, so a match drained after the cancellation point can
         #: never be attributed to the wrong query.
@@ -196,7 +190,6 @@ class StreamRouter:
             watermark=self.watermark,
             enable_pruning=self.enable_pruning,
             restrict_labels=self.restrict_labels,
-            retain_matches=self.retain_matches,
         )
 
     # ------------------------------------------------------------------
@@ -283,12 +276,11 @@ class StreamRouter:
         stats = shard.stats
         return {
             "frames_ingested": stats.frames_ingested,
-            "frames_processed": stats.frames_processed,
+            "frames_processed": shard.engine.frames_processed,
             "dropped_late": stats.dropped_late,
             "duplicates": stats.duplicates,
             "reordered": stats.reordered,
             "batches": stats.batches,
-            "processing_seconds": stats.processing_seconds,
         }
 
     # ------------------------------------------------------------------
@@ -336,10 +328,8 @@ class StreamRouter:
         """Drain every shard's retained matches, grouped by stream.
 
         Streams come in first-seen order, each stream's matches in the
-        order of :meth:`matches_for`.  Draining periodically (or
-        constructing the router with ``retain_matches=False`` and consuming
-        ``route``'s return values) keeps long-running memory bounded by the
-        windows alone.
+        order of :meth:`matches_for`.  Draining periodically keeps
+        long-running memory bounded by the windows alone.
         """
         drained: Dict[str, List[QueryMatch]] = {}
         for stream_id in self._stream_order:
@@ -368,7 +358,6 @@ class StreamRouter:
             "dropped_late": 0,
             "duplicates": 0,
             "reordered": 0,
-            "processing_seconds": 0.0,
             "queue_depth": 0,
         }
         for stream_id in self._stream_order:
@@ -376,23 +365,12 @@ class StreamRouter:
             if shard is None:
                 continue
             entry = shard.stats.as_dict()
+            entry["frames_processed"] = shard.engine.frames_processed
             entry["queue_depth"] = shard.queue_depth
             entry["generator"] = shard.engine.generator_stats().as_dict()
             per_shard[stream_id] = entry
-            totals["frames_ingested"] += shard.stats.frames_ingested
-            totals["frames_processed"] += shard.stats.frames_processed
-            totals["dropped_late"] += shard.stats.dropped_late
-            totals["duplicates"] += shard.stats.duplicates
-            totals["reordered"] += shard.stats.reordered
-            totals["processing_seconds"] += shard.stats.processing_seconds
-            totals["queue_depth"] += shard.queue_depth
-        seconds = totals["processing_seconds"]
-        totals["processing_seconds"] = round(seconds, 6)
-        totals["frames_per_sec"] = (
-            round(totals["frames_processed"] / seconds, 2) if seconds else 0.0
-        )
-        retired = dict(self._retired_totals)
-        retired["processing_seconds"] = round(retired["processing_seconds"], 6)
+            for key in totals:
+                totals[key] += entry[key]
         evaluation = EvaluationStats().as_dict()
         for evaluator in self._groups.values():
             for name, value in evaluator.stats.as_dict().items():
@@ -404,7 +382,7 @@ class StreamRouter:
             "totals": totals,
             #: Counters of shards retired because every query was
             #: cancelled — frozen at retirement so history survives.
-            "retired": retired,
+            "retired": dict(self._retired_totals),
             "per_shard": per_shard,
             "evaluator": evaluation,
         }
@@ -421,7 +399,6 @@ class StreamRouter:
             "watermark": self.watermark,
             "enable_pruning": self.enable_pruning,
             "restrict_labels": self.restrict_labels,
-            "retain_matches": self.retain_matches,
             "queries": [query.to_dict() for query in self.queries],
             "cancelled": sorted(self._cancelled),
             #: Live group order.  Usually reconstructible from the query
@@ -472,7 +449,6 @@ class StreamRouter:
             watermark=int(payload["watermark"]),
             enable_pruning=bool(payload["enable_pruning"]),
             restrict_labels=bool(payload["restrict_labels"]),
-            retain_matches=bool(payload["retain_matches"]),
         )
         router._cancelled = {int(qid) for qid in payload["cancelled"]}
         router._used_ids |= router._cancelled

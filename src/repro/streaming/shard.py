@@ -20,8 +20,8 @@ change and then has each shard's engine follow.
   engine's frame-order invariant is never violated).  Every window group sees the same frames from the same
   emission frontier, so a frame is dropped as late for all of them or for
   none;
-* **per-shard stats** — frames/sec, queue depth, dropped-late/duplicate
-  counts, batch counts;
+* **per-shard stats** — queue depth, dropped-late/duplicate counts, batch
+  counts (frames processed is the engine's counter);
 * **checkpoint/restore** — the shard's entry in a router document: the
   engine's per-stream snapshot, reorder buffer, counters and retained
   matches.  It holds no query, group key or setting; the router document
@@ -32,9 +32,8 @@ change and then has each shard's engine follow.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.datamodel.observation import FrameObservation
@@ -74,43 +73,19 @@ def group_queries_by_window(
 
 @dataclass
 class ShardStats:
-    """Ingest-side counters of one shard (engine counters live on the engine)."""
+    """Ingest-side counters of one shard (engine counters, frames processed
+    among them, live on the engine)."""
 
     frames_ingested: int = 0
-    frames_processed: int = 0
     dropped_late: int = 0
     duplicates: int = 0
     reordered: int = 0
     batches: int = 0
     max_queue_depth: int = 0
-    processing_seconds: float = 0.0
-
-    @property
-    def frames_per_sec(self) -> float:
-        """Processed-frame throughput over the shard's lifetime."""
-        if self.processing_seconds <= 0.0:
-            return 0.0
-        return self.frames_processed / self.processing_seconds
 
     def as_dict(self) -> Dict:
-        """Counters plus the derived throughput, JSON-friendly.
-
-        The throughput is derived from the *rounded* seconds so that a
-        checkpointed stats block re-exports byte-identically after restore.
-        """
-        seconds = round(self.processing_seconds, 6)
-        return {
-            "frames_ingested": self.frames_ingested,
-            "frames_processed": self.frames_processed,
-            "dropped_late": self.dropped_late,
-            "duplicates": self.duplicates,
-            "reordered": self.reordered,
-            "batches": self.batches,
-            "max_queue_depth": self.max_queue_depth,
-            "processing_seconds": seconds,
-            "frames_per_sec": round(self.frames_processed / seconds, 2)
-            if seconds else 0.0,
-        }
+        """The counters, JSON-friendly."""
+        return asdict(self)
 
 
 class StreamShard:
@@ -128,7 +103,6 @@ class StreamShard:
         watermark: int = 0,
         enable_pruning: bool = False,
         restrict_labels: bool = True,
-        retain_matches: bool = True,
     ):
         groups = (
             queries if isinstance(queries, Mapping)
@@ -141,12 +115,6 @@ class StreamShard:
         self.stream_id = stream_id
         self.batch_size = batch_size
         self.watermark = watermark
-        #: Whether produced matches accumulate on the shard (for
-        #: :attr:`matches` / the router's ``matches_for``).  Long-running
-        #: deployments that consume matches from ``offer``'s return value
-        #: should pass ``False`` — the retained list otherwise grows with the
-        #: total match count, the one thing the window does not bound.
-        self.retain_matches = retain_matches
         self.stats = ShardStats()
         self.engine = TemporalVideoQueryEngine(
             groups,
@@ -175,16 +143,15 @@ class StreamShard:
 
     @property
     def matches(self) -> List[QueryMatch]:
-        """Retained matches in emission order (see ``retain_matches``)."""
+        """Retained matches in emission order (see :meth:`drain_matches`)."""
         return list(self._matches)
 
     def drain_matches(self) -> List[QueryMatch]:
         """Return the retained matches and clear the retention buffer.
 
         The bound on shard memory is the stream's window *plus* whatever the
-        consumer lets accumulate here; long-running consumers should either
-        drain periodically or construct the shard with
-        ``retain_matches=False``.
+        consumer lets accumulate here; long-running consumers should drain
+        periodically.
         """
         drained = self._matches
         self._matches = []
@@ -254,16 +221,12 @@ class StreamShard:
         stats = self.stats
         engine = self.engine
         produced: List[QueryMatch] = []
-        start = time.perf_counter()
         stream_id = self.stream_id
         for frame in frames:
             produced.extend(engine.process_frame(frame, stream_id))
-        stats.processing_seconds += time.perf_counter() - start
-        stats.frames_processed += len(frames)
         stats.batches += 1
         self._last_emitted = frames[-1].frame_id
-        if self.retain_matches:
-            self._matches.extend(produced)
+        self._matches.extend(produced)
         return produced
 
     # ------------------------------------------------------------------
@@ -290,8 +253,7 @@ class StreamShard:
         document holds the queries, window groups and settings once for
         all its shards.
 
-        Matches already consumed through :meth:`drain_matches` (or delivered
-        via ``offer``'s return value with ``retain_matches=False``) are gone
+        Matches already consumed through :meth:`drain_matches` are gone
         from the retention buffer and therefore never replayed — only
         unconsumed results survive a restore, so nothing is lost and
         nothing double-delivers.  Snapshots must be taken between ``offer``
@@ -335,19 +297,12 @@ class StreamShard:
             )
         self._matches = unpack_matches(payload["retained"])
         stats = payload["stats"]
-        self.stats = ShardStats(
-            frames_ingested=int(stats["frames_ingested"]),
-            frames_processed=int(stats["frames_processed"]),
-            dropped_late=int(stats["dropped_late"]),
-            duplicates=int(stats["duplicates"]),
-            reordered=int(stats["reordered"]),
-            batches=int(stats["batches"]),
-            max_queue_depth=int(stats["max_queue_depth"]),
-            processing_seconds=float(stats["processing_seconds"]),
-        )
+        self.stats = ShardStats(**{
+            field.name: int(stats[field.name]) for field in fields(ShardStats)
+        })
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"StreamShard({self.stream_id}, queue={self.queue_depth}, "
-            f"processed={self.stats.frames_processed})"
+            f"processed={self.engine.frames_processed})"
         )

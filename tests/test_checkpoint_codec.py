@@ -1,7 +1,7 @@
 """Compact checkpoint codec: round-trips, versions, size, errors.
 
 The codec must be loss-free for every payload the runtime produces (every
-generator method, engines, shards, routers), read version 7 only and refuse
+generator method, engines, shards, routers), read version 8 only and refuse
 every other version by name, reject malformed, truncated or hostile bytes
 with :class:`CheckpointError`, and actually be compact — a hard
 size-regression bound against plain JSON of the same document on the
@@ -120,17 +120,17 @@ def varint(value: int) -> bytes:
 
 
 class TestVersions:
-    def test_only_version7_is_written_or_read(self):
-        assert ckpt.CHECKPOINT_VERSION == 7
-        assert ckpt.SUPPORTED_VERSIONS == (7,)
-        assert ckpt.MAGIC == b"RSCK7\x00"
-        assert ckpt.wrap("router", {})["version"] == 7
+    def test_only_version8_is_written_or_read(self):
+        assert ckpt.CHECKPOINT_VERSION == 8
+        assert ckpt.SUPPORTED_VERSIONS == (8,)
+        assert ckpt.MAGIC == b"RSCK8\x00"
+        assert ckpt.wrap("router", {})["version"] == 8
         blob = ckpt.to_bytes("router", {})
         assert blob[:len(ckpt.MAGIC)] == ckpt.MAGIC
         with pytest.raises(TypeError):
             ckpt.to_bytes("router", {}, version=3)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 8])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 9])
     def test_other_versions_are_refused_by_name(self, version):
         body = ckpt.to_bytes("router", {"a": 1})[len(ckpt.MAGIC):]
         if version == 1:
@@ -153,12 +153,12 @@ class TestVersions:
         document = dict(ckpt.wrap("router", {"a": 1}), version=3)
         blob = ckpt._encode_binary(document)
         assert blob[:len(ckpt.MAGIC)] == ckpt.MAGIC
-        with pytest.raises(CheckpointError, match="does not declare version 7"):
+        with pytest.raises(CheckpointError, match="does not declare version 8"):
             ckpt.from_bytes(blob)
 
 
 # ----------------------------------------------------------------------
-# Resuming from version-7 bytes
+# Resuming from version-8 bytes
 # ----------------------------------------------------------------------
 class TestResumeFromBytes:
     @pytest.mark.parametrize("generator_cls", INCREMENTAL_GENERATORS)

@@ -5,7 +5,8 @@ matrix below drives the identical workload tail after every restore and
 pins final drains (order included) and the deterministic session-stats
 core against the stay-on-the-same-backend reference.  Every backend
 checkpoints one router-layout document, so every cell is byte-transparent:
-the restored session re-exports the identical state document.  A blob in
+the restored session re-exports the identical state document, and two
+sessions fed the same calls checkpoint the same bytes.  A blob in
 the retired inline layout is refused as a malformed checkpoint, and a blob
 naming a retired knob or carrying a retired pool placement block still
 restores everywhere.
@@ -78,26 +79,6 @@ def state_of(checkpoint_bytes):
 def router_document(checkpoint_bytes):
     """The state document as canonical bytes."""
     return to_bytes("router", state_of(checkpoint_bytes))
-
-
-#: Checkpoint fields that read the wall clock, so two runs of the same
-#: operations disagree on them.
-WALL_CLOCK = (
-    "processing_seconds", "frames_per_sec", "mcos_seconds",
-    "evaluation_seconds",
-)
-
-
-def without_wall_clock(value):
-    """A checkpoint document with every :data:`WALL_CLOCK` field zeroed."""
-    if isinstance(value, dict):
-        return {
-            key: 0.0 if key in WALL_CLOCK else without_wall_clock(item)
-            for key, item in value.items()
-        }
-    if isinstance(value, list):
-        return [without_wall_clock(item) for item in value]
-    return value
 
 
 def pool_layout(session):
@@ -286,8 +267,8 @@ class TestRouterPoolByteTransparency:
     @pytest.mark.parametrize("num_workers", (1, 2, 3))
     def test_pool_state_equals_router_state(self, num_workers):
         """On the same operations a pool session checkpoints the state
-        document a router session does, byte for byte (wall-clock fields
-        aside), whatever its worker count: placement is derived, so the
+        document a router session does, byte for byte, whatever its worker
+        count: placement is derived, so the
         pool writes no block of its own.  A stream seen only before the
         first registration takes its first-seen place on both."""
         queries, events = scenario(64)
@@ -306,7 +287,7 @@ class TestRouterPoolByteTransparency:
             state = state_of(session.checkpoint())
             assert state["stream_order"] == session.stream_ids(), backend
             assert state["stream_order"][0] == "ghost", backend
-            states.append(to_bytes("router", without_wall_clock(state)))
+            states.append(to_bytes("router", state))
             session.close()
         assert states[0] == states[1], (
             f"{num_workers}-worker pool state diverged from the router's"
@@ -387,6 +368,47 @@ class TestRouterPoolByteTransparency:
             "restore leaked pool worker processes"
         )
 
+class TestSnapshotsArePureFunctions:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_same_calls_write_the_same_bytes(self, backend):
+        """Two fresh default sessions fed the same calls, through a
+        retirement of every shard, checkpoint the same bytes: no clock
+        reaches a snapshot.  The decoded document holds no float, and its
+        ``config`` only how the session serves."""
+        queries, events = scenario(74)
+        half = len(events) // 2
+
+        def drive():
+            with Session(backend=backend) as session:
+                for query in queries:
+                    session.register(query)
+                session.ingest_many(events[:half])
+                for handle in session.handles:
+                    session.cancel(handle)
+                for query in queries:
+                    session.register(query)
+                session.ingest_many(events[half:])
+                return session.checkpoint()
+
+        blob = drive()
+        assert drive() == blob
+
+        def floats(value):
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, list):
+                return [found for item in value for found in floats(item)]
+            return [value] if isinstance(value, float) else []
+
+        payload = from_bytes(blob, expect_kind="session")
+        assert floats(payload) == []
+        assert set(payload["config"]) == {
+            "backend", "num_workers", "dispatch_batch", "checkpoint_every",
+            "supervision", "degraded_mode",
+        }
+        assert payload["state"]["retired_totals"]["shards"] == 3
+
+
 class TestRetiredConfigKey:
     """Older session checkpoints name knobs and blocks this version no
     longer has; each still restores on every backend, re-checkpoints
@@ -397,6 +419,8 @@ class TestRetiredConfigKey:
     #: the tree holds no live spelling of the removed option.
     RETIRED_CONFIG = {
         "_".join(("shared", "memory")): True,
+        # The router document holds the method; a config copy is ignored.
+        "method": "NAIVE",
         "placement": "least-loaded",
         "auto_rebalance": {
             "watermark": 1.5, "cooldown": 5.0, "interval": 0.25,

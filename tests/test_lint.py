@@ -40,17 +40,26 @@ def rules_hit(report):
 # ---------------------------------------------------------------------------
 # DET-ENTROPY
 # ---------------------------------------------------------------------------
-def test_entropy_hit_in_core(tmp_path):
+@pytest.mark.parametrize("path", [
+    "core/clock.py", "engine/clock.py", "streaming/shard.py",
+    "streaming/router.py",
+])
+def test_entropy_hit_in_core(tmp_path, path):
+    """A clock read on a path that feeds per-stream state or snapshots."""
     report = lint_tree(tmp_path, {
-        "core/clock.py": "import time\n\ndef f():\n    return time.time()\n",
+        path: "import time\n\ndef f():\n    return time.time()\n",
     })
     assert rules_hit(report) == ["DET-ENTROPY"]
 
 
-def test_entropy_hit_via_from_import_alias(tmp_path):
-    report = lint_tree(tmp_path, {
-        "core/clock.py": "from time import time\n\ndef f():\n    return time()\n",
-    })
+@pytest.mark.parametrize("source", [
+    "from time import time\n\ndef f():\n    return time()\n",
+    "import time\n\ndef f():\n    clock = time.perf_counter\n    return clock()\n",
+    "from time import perf_counter\n\ndef f(clock=perf_counter):\n    return clock()\n",
+])
+def test_entropy_hit_via_from_import_alias(tmp_path, source):
+    """A clock called through an import alias or taken by reference."""
+    report = lint_tree(tmp_path, {"core/clock.py": source})
     assert rules_hit(report) == ["DET-ENTROPY"]
 
 

@@ -354,12 +354,6 @@ class TestHandOffErrorPaths:
         with pytest.raises(PoolError):
             pool.start()  # no reuse after stop
 
-    def test_router_must_retain_matches(self):
-        feeds, queries, events = scenario(59, num_feeds=2, frames=20)
-        router = StreamRouter(queries, retain_matches=False)
-        with pytest.raises(PoolError):
-            ShardWorkerPool(router)
-
 
 class TestBrokenPoolCause:
     def test_require_running_chains_the_worker_crash(self):
