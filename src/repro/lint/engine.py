@@ -268,6 +268,7 @@ class LintRunner:
         base = root if root.is_dir() else root.parent
         violations: List[Violation] = []
         suppressed: List[Violation] = []
+        ran = {rule.rule_id for rule in self.rules}
         files = 0
         for path in self._iter_files(root):
             files += 1
@@ -328,7 +329,12 @@ class LintRunner:
                             f"{','.join(mark.rules)} -- <reason>'"
                         ),
                     ))
-                stale = [r for r in mark.rules if r not in mark.used]
+                # A rule left out of this run (--select / --ignore) found
+                # nothing because it did not look: only rules that ran can
+                # prove a suppression stale.
+                stale = [
+                    r for r in mark.rules if r in ran and r not in mark.used
+                ]
                 if stale:
                     violations.append(Violation(
                         rule=STALE_SUPPRESS_RULE,

@@ -197,8 +197,10 @@ class QueryHandle:
 
         Pulls freshly produced matches from the backend first (unless the
         session is closed, in which case the already-delivered buffer is
-        returned).  The list accumulates in drain order and is a copy —
-        mutating it does not affect the handle.
+        returned) — on ``pool`` the matches that have arrived, which may
+        lag the latest frames by one drain (see :meth:`Session.drain`).
+        The list accumulates in drain order and is a copy — mutating it
+        does not affect the handle.
 
         The buffer grows with the query's total match count; a long-running
         service that polls forever should consume via :meth:`take_matches`
@@ -382,10 +384,10 @@ class Session:
         self._frontiers: Dict[str, int] = {}
         self._frames: Dict[str, int] = {}
         #: True when the backend may hold undrained matches (frames were
-        #: ingested or flushed since the last drain).  Lets ``drain`` — and
-        #: therefore every ``handle.matches()`` poll — skip the backend
-        #: round trip (a cross-process barrier on the pool backend) when
-        #: nothing can be pending.
+        #: ingested or flushed since the last drain, or on ``pool`` matches
+        #: were still on their way at the last drain).  Lets ``drain`` —
+        #: and therefore every ``handle.matches()`` poll — skip the backend
+        #: when nothing can be pending.
         self._dirty = False
         self._closed = False
         #: Backend faults observed over the session's lifetime (poison
@@ -622,6 +624,14 @@ class Session:
         and by query — see every result exactly once in the same canonical
         order.
 
+        On ``inline`` and ``router`` a drain returns every match produced
+        so far.  On ``pool`` it returns the matches that have arrived from
+        the workers and waits only for the frames dispatched before the
+        previous drain, so the workers keep running while the caller
+        ingests; later drains deliver the rest, each match exactly once.
+        :meth:`flush` is the barrier: a drain right after it returns
+        everything, as on the other backends.
+
         Faults surface here, attributed per query instead of as one
         opaque pool-wide failure: a quarantined poison operation is
         recorded into ``stats()["faults"]`` and every active handle's
@@ -659,7 +669,7 @@ class Session:
                 "detail": str(exc),
             })
             raise
-        self._dirty = False
+        self._dirty = self._pool is not None and not self._pool.settled
         self._observe_health_faults()
         for matches in drained.values():
             for match in matches:

@@ -69,7 +69,7 @@ class Fault:
         Worker index the fault applies to; ``None`` matches any worker.
     op_kind:
         Restrict to one operation kind (``"frames"``, ``"flush"``,
-        ``"drain"``, ...); ``None`` matches any state-changing operation.
+        ``"register"``, ...); ``None`` matches any state-changing operation.
     at_seq:
         Fire exactly at this operation sequence number.  Sequence numbers
         travel with replayed operations, so this pin is stable across

@@ -48,16 +48,22 @@ spreads them over ``multiprocessing`` workers:
 
 Exactly-once effects
 --------------------
-Every state-changing message carries a per-worker sequence number.  The
-parent records the highest acknowledged sequence per worker and ignores
-re-acknowledgements below it, and checkpoints cover exactly the operations
-sent before the checkpoint request (queues are FIFO), so a replayed tail is
-applied to a state that has seen none of it.  Matches are retained inside
-the worker's shards (and therefore inside every checkpoint) until
-explicitly drained, so produced-but-undelivered matches survive a crash.
+Every state-changing message carries a per-worker sequence number, and the
+worker drains its router into that operation's acknowledgement: matches
+travel back on the acks, which the parent buffers per stream until a
+:meth:`ShardWorkerPool.drain_matches` delivers them.  The parent records
+the highest acknowledged sequence per worker and ignores re-acknowledgements
+at or below it, so the matches of a replayed operation are taken once.
+Checkpoints cover exactly the operations sent before the checkpoint request,
+and the parent adopts one only after the acks of all of them (queues are
+FIFO), so a replayed tail is applied to a state that has seen none of it
+and its matches have not yet arrived.  A drain sends no operation: it waits
+only for the operations dispatched before the previous drain, so the
+workers overlap the parent; :meth:`ShardWorkerPool.flush` is the barrier
+after which a drain returns everything.
 
-Read-only queries (stats, match listings, checkpoint requests) are not
-logged; if a crash swallows one, the caller transparently re-issues it.
+Read-only queries (stats, checkpoint requests) are not logged; if a crash
+swallows one, the caller transparently re-issues it.
 """
 
 from __future__ import annotations
@@ -202,31 +208,35 @@ def _reap_process(process, timeout: float = 5.0) -> Optional[int]:
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-def _apply_op(router: StreamRouter, op: Tuple):
+def _apply_op(router: StreamRouter, op: Tuple) -> None:
     """Apply one state-changing operation to the worker's local router."""
     kind = op[0]
     if kind == "frames":
         for stream_id, record in op[1]:
             router.route(stream_id, FrameObservation.from_record(record))
-        return None
-    if kind == "flush":
+    elif kind == "flush":
         router.flush()
-        return None
-    if kind == "drain":
-        return {
-            stream_id: pack_matches(matches)
-            for stream_id, matches in router.drain_matches().items()
-        }
-    if kind == "register":
+    elif kind == "register":
         # The query arrives with its id pre-assigned by the origin router,
         # so every worker (and every crash-replay of this op) lands on the
         # identical registration.
         router.register_query(CNFQuery.from_dict(op[1]))
-        return None
-    if kind == "cancel":
+    elif kind == "cancel":
         router.cancel_query(int(op[1]))
+    else:
+        raise PoolError(f"unknown worker operation {kind!r}")
+
+
+def _ship(router: StreamRouter) -> Optional[Dict[str, List]]:
+    """Drain the worker's router into an ack payload: grouped match
+    records per stream, or ``None`` when nothing was produced."""
+    drained = router.drain_matches()
+    if not drained:
         return None
-    raise PoolError(f"unknown worker operation {kind!r}")
+    return {
+        stream_id: pack_matches(matches)
+        for stream_id, matches in drained.items()
+    }
 
 
 def _answer_query(router: StreamRouter, query: Tuple):
@@ -234,8 +244,6 @@ def _answer_query(router: StreamRouter, query: Tuple):
     kind = query[0]
     if kind == "stats":
         return router.stats()
-    if kind == "matches":
-        return pack_matches(router.matches_for(query[1]))
     if kind == "ckpt":
         return router.to_bytes()
     raise PoolError(f"unknown worker query {kind!r}")
@@ -252,8 +260,10 @@ def _worker_main(
 
     The router starts from ``checkpoint`` (the worker's start slice, or
     after a crash its last periodic checkpoint).  State-changing operations
-    and read-only queries are acknowledged with their sequence number;
-    ``stop`` answers with a final checkpoint and exits.
+    are acknowledged (``ack``) with their sequence number and the matches
+    the router produced since the previous ack, drained from it; read-only
+    queries are answered (``answer``) with their sequence number; ``stop``
+    answers with a final checkpoint and exits.
     Checkpoints are only ever taken between messages, which is the
     between-frames boundary the shard checkpoint contract requires.
 
@@ -290,12 +300,13 @@ def _worker_main(
                 frames_since = 0
                 if injector is not None:
                     injector.before_op(seq, op)
-                payload = _apply_op(router, op)
+                _apply_op(router, op)
                 if op[0] == "frames":
                     frames_since = len(op[1])
                 if injector is not None and injector.suppress_ack(seq):
+                    # The matches stay in the router and ride the next ack.
                     continue
-                results.put(("ack", index, seq, payload))
+                results.put(("ack", index, seq, _ship(router)))
             elif kind == "query":
                 _, seq, query = message
                 try:
@@ -305,7 +316,7 @@ def _worker_main(
                 except InjectedFault as fault:
                     results.put(("nack", index, seq, str(fault)))
                 else:
-                    results.put(("ack", index, seq, payload))
+                    results.put(("answer", index, seq, payload))
             elif kind == "stop":
                 results.put(("stopped", index, router.to_bytes()))
                 return
@@ -323,9 +334,9 @@ class _WorkerHandle:
 
     __slots__ = (
         "index", "process", "tasks", "results", "next_seq", "log",
-        "last_checkpoint", "pending_ckpt_seq", "inflight", "max_acked",
-        "acks", "buffer", "restarts", "ops_since_ckpt", "stopped_state",
-        "ckpt_count", "parked", "death_kind",
+        "last_op_seq", "drain_mark", "last_checkpoint", "pending_ckpt_seq",
+        "inflight", "max_acked", "acks", "buffer", "restarts",
+        "ops_since_ckpt", "stopped_state", "ckpt_count", "parked", "death_kind",
         "pending_sent_at", "last_progress_at", "stop_requested_at",
         "culprit_seq", "culprit_streak", "last_busy_seq", "quarantined_seqs",
         "recovery_started_at", "recovery_target_seq",
@@ -341,6 +352,11 @@ class _WorkerHandle:
         #: Unacked tail: ``(seq, op)`` of state-changing operations not yet
         #: covered by a received checkpoint.
         self.log: List[Tuple[int, Tuple]] = []
+        #: Sequence of the last logged operation sent (-1 before any).
+        self.last_op_seq = -1
+        #: ``last_op_seq`` at the last drain that found new operations: the
+        #: next such drain waits for the acks up to it.
+        self.drain_mark = -1
         #: Recovery base: the worker's start slice until its first
         #: periodic checkpoint arrives, then the latest one.
         self.last_checkpoint: Optional[bytes] = None
@@ -350,7 +366,7 @@ class _WorkerHandle:
         self.inflight: set = set()
         #: Highest acknowledged sequence (replay duplicates fall below it).
         self.max_acked = -1
-        #: Payload-bearing acknowledgements not yet consumed by a caller.
+        #: Query answers not yet consumed by a caller.
         self.acks: Dict[int, object] = {}
         #: Frames buffered for the next ``frames`` dispatch.
         self.buffer: List[Tuple[str, list]] = []
@@ -400,9 +416,8 @@ class ShardWorkerPool:
     router:
         The origin :class:`StreamRouter`.  :meth:`start` hands its shards
         to the workers (it keeps the workload and refuses frames from then
-        on); :meth:`stop` returns a new router holding them again.  Its
-        shards retain matches until the pool delivers them through
-        :meth:`drain_matches` / :meth:`matches_for`.
+        on); :meth:`stop` returns a new router holding them again, the
+        pool's undrained matches retained in its shards.
     num_workers:
         Worker process count.  The k-th stream in first-seen order lives
         on worker ``k mod num_workers``; results are identical for any
@@ -492,6 +507,12 @@ class ShardWorkerPool:
         self._poison_pending: List[Dict] = []
         #: Degraded mode: parked-worker records by worker index.
         self._parked: Dict[int, Dict] = {}
+        #: Matches that arrived on the workers' acks and await a drain, per
+        #: stream in arrival order: the pool's undrained matches.
+        self._arrived: Dict[str, List[QueryMatch]] = {}
+        #: Queries cancelled on this pool: acks of operations sent before a
+        #: cancellation may still carry their matches, which are dropped.
+        self._cancelled: set = set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -514,6 +535,17 @@ class ShardWorkerPool:
     def degraded(self) -> bool:
         """Whether any worker is parked (degraded mode; see :meth:`repair`)."""
         return bool(self._parked)
+
+    @property
+    def settled(self) -> bool:
+        """Whether no match can still arrive: every routed frame was
+        dispatched, every operation acknowledged (parked workers aside) and
+        every arrived match drained."""
+        return not self._arrived and all(
+            worker.parked
+            or (not worker.buffer and worker.max_acked >= worker.last_op_seq)
+            for worker in self._workers
+        )
 
     @property
     def quarantined(self) -> List[Dict]:
@@ -580,7 +612,8 @@ class ShardWorkerPool:
         One :meth:`~repro.streaming.router.StreamRouter.checkpoint` document
         is split by placement, and each worker is spawned from its slice:
         its streams' shards and zeroed retired counters (the origin's
-        pre-pool block is counted once, when documents merge).  No
+        pre-pool block is counted once, when documents merge).  The
+        document's retained matches stay in the parent, undrained.  No
         operation is dispatched.  The origin then holds no shards; it keeps
         the workload and refuses frames.
         """
@@ -591,13 +624,19 @@ class ShardWorkerPool:
         document = self.router.checkpoint()
         for stream_id in document["stream_order"]:
             self._assign(stream_id)
+        for entry in document["shards"]:
+            if entry["retained"]:
+                self._arrived[entry["stream_id"]] = unpack_matches(
+                    entry["retained"]
+                )
         self._workers = [_WorkerHandle(index) for index in range(self.num_workers)]
         try:
             for worker in self._workers:
                 worker.last_checkpoint = to_bytes("router", dict(
                     document,
                     shards=[
-                        entry for entry in document["shards"]
+                        dict(entry, retained=[])
+                        for entry in document["shards"]
                         if self._assignment[entry["stream_id"]] == worker.index
                     ],
                     retired_totals=zero_ingest_totals(),
@@ -693,7 +732,7 @@ class ShardWorkerPool:
         """Buffer one frame for its owning worker (dispatched in batches).
 
         Unlike the in-process router, matches are not returned here — they
-        accumulate in the workers' shards and are collected with
+        come back on the workers' acks and are collected with
         :meth:`drain_matches` / :meth:`matches_for`.
         """
         self._require_running()
@@ -710,7 +749,12 @@ class ShardWorkerPool:
             self.route(stream_id, frame)
 
     def flush(self) -> None:
-        """Flush every worker shard's reorder buffer (end-of-stream point)."""
+        """Flush every worker shard's reorder buffer (end-of-stream point).
+
+        The barrier of the pool: it returns once every worker acknowledged
+        its flush, so every match produced so far has arrived and the next
+        :meth:`drain_matches` returns exactly what the router's would.
+        """
         self._require_running()
         self._flush_buffers()
         seqs = [
@@ -726,19 +770,27 @@ class ShardWorkerPool:
     # Supervision tick
     # ------------------------------------------------------------------
     def tick(self) -> None:
-        """One supervision tick: drain results, run the watchdog.
+        """One supervision tick: drain results, recover dead workers, run
+        the watchdog.
 
         This is the supervisor's own entry point — it does not require a
-        caller to be blocked in ``_pump``.  The routing hot path invokes
-        it time-gated, and an idle parent (or an external scheduler) can
-        call it directly: a hung worker is escalated even when nobody is
-        awaiting an acknowledgement.
+        caller to be blocked in ``_pump``.  The routing hot path and
+        :meth:`drain_matches` invoke it time-gated, and an idle parent (or
+        an external scheduler) can call it directly: a dead worker is
+        recovered and a hung worker escalated even when nobody is awaiting
+        an acknowledgement.
         """
         self._require_running()
         self._next_tick_at = (
             time.monotonic() + self._supervision.heartbeat_interval
         )
+        # Found dead before the results are drained, so the messages it
+        # wrote before dying are read first and it is not taken for a
+        # worker that exited gracefully.
+        dead = self._dead_workers()
         self._drain_results()
+        for worker in dead:
+            self._recover(worker)
         self._watchdog()
 
     # ------------------------------------------------------------------
@@ -770,45 +822,57 @@ class ShardWorkerPool:
         the query's evaluator entries and undrained matches, and retire
         whole shards when the cancellation empties the workload (their
         frozen ingest counters surface in ``stats()["retired"]`` and in the
-        router :meth:`stop` returns).
+        router :meth:`stop` returns).  The query's undrained matches in the
+        parent go too, including those still on their way: like the
+        router, the pool delivers nothing of a query after cancelling it.
         """
         self._require_running()
         self._flush_buffers()
         removed = self.router.cancel_query(query_id)
         for worker in self._workers:
             self._send_op(worker, ("cancel", query_id))
+        self._cancelled.add(query_id)
+        for stream_id, matches in list(self._arrived.items()):
+            kept = [match for match in matches if match.query_id != query_id]
+            if kept:
+                self._arrived[stream_id] = kept
+            else:
+                del self._arrived[stream_id]
         return removed
 
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
     def matches_for(self, stream_id: str) -> List[QueryMatch]:
-        """A stream's retained matches, ordered exactly as the router's.
+        """A stream's undrained matches, ordered exactly as the router's.
 
-        A parked stream answers with ``[]`` — its matches are retained in
-        the journaled state and become available again after
-        :meth:`repair` (see :meth:`stream_health` to tell the cases apart).
+        Waits for the owning worker to acknowledge every operation sent to
+        it.  A parked stream answers with the matches that arrived before
+        its worker parked; the rest follow :meth:`repair` (see
+        :meth:`stream_health` to tell the cases apart).
         """
         self._require_running()
         index = self._assignment.get(stream_id)
         if index is None:
             return []
         worker = self._workers[index]
-        if worker.parked:
-            return []
         self._dispatch_buffer(worker)
-        records = self._call(worker, ("matches", stream_id))
-        if records is None:  # worker parked while we awaited the query
-            return []
-        return self._unpack_shipped(records)
+        self._await(worker, worker.last_op_seq)
+        return list(self._arrived.get(stream_id, ()))
 
     def drain_matches(self) -> Dict[str, List[QueryMatch]]:
-        """Drain every worker's retained matches, grouped by stream.
+        """Deliver the matches that have arrived, grouped by stream.
 
+        Sends no operation: buffered frames are dispatched, and the drain
+        waits only for the acks of the operations each worker had been
+        sent by the previous drain that found new ones — the workers run
+        ahead by at most one drain.  Matches of later frames arrive on
+        later acks and go out with a later drain, each exactly once.
+        After :meth:`flush`, the barrier, a drain returns everything,
+        byte-identical to what the single-process router would drain.
         Stream order is global first-seen order and per-stream match order
-        is the router's — byte-identical to what the single-process router
-        would have drained.  Parked workers are skipped entirely (their
-        matches stay retained in the journaled state for :meth:`repair`).
+        is the router's.  Parked workers are not waited for; their
+        journaled operations deliver after :meth:`repair`.
 
         Raises :class:`PoisonOpError` — exactly once per quarantine — when
         an operation was quarantined since the last drain, so the caller
@@ -821,30 +885,35 @@ class ShardWorkerPool:
             self._poison_pending.clear()
             raise PoisonOpError(records)
         self._flush_buffers()
-        seqs = [
-            (worker, self._send_op(worker, ("drain",)))
-            for worker in self._workers
-            if not worker.parked
-        ]
-        merged: Dict[str, List[QueryMatch]] = {}
-        per_worker = {}
-        for worker, seq in seqs:
-            # drain is a *logged* op: if the worker crashes first, the replay
-            # re-runs it with the same sequence number, so the await below
-            # always completes with the (deterministic) payload.
-            per_worker[worker.index] = self._await(worker, seq) or {}
-        for stream_id, index in self._assignment.items():
-            records = per_worker.get(index, {}).get(stream_id)
-            if records:
-                merged[stream_id] = self._unpack_shipped(records)
-        return merged
+        for worker in self._workers:
+            if worker.last_op_seq != worker.drain_mark:
+                previous = worker.drain_mark
+                worker.drain_mark = worker.last_op_seq
+                self._await(worker, previous)
+        if time.monotonic() >= self._next_tick_at:
+            self.tick()
+        else:
+            self._drain_results()
+        arrived = self._arrived
+        self._arrived = {}
+        return {
+            stream_id: arrived[stream_id]
+            for stream_id in self._assignment if stream_id in arrived
+        }
 
-    def _unpack_shipped(self, records: List) -> List[QueryMatch]:
-        """Expand grouped match records a worker shipped, counting both sides."""
-        matches = unpack_matches(records)
-        self._match_records_shipped += len(records)
-        self._matches_shipped += len(matches)
-        return matches
+    def _absorb(self, shipped: Mapping[str, List]) -> None:
+        """Buffer the grouped match records of one ack, counting both sides."""
+        for stream_id, records in shipped.items():
+            matches = unpack_matches(records)
+            self._match_records_shipped += len(records)
+            self._matches_shipped += len(matches)
+            if self._cancelled:
+                matches = [
+                    match for match in matches
+                    if match.query_id not in self._cancelled
+                ]
+            if matches:
+                self._arrived.setdefault(stream_id, []).extend(matches)
 
     def stats(self) -> Dict:
         """Aggregate + per-shard statistics across all workers.
@@ -937,10 +1006,10 @@ class ShardWorkerPool:
 
         Every worker snapshots its local router (a read-only query, so the
         pool keeps serving), and the documents merge as :meth:`stop`
-        merges them.  :meth:`StreamRouter.from_checkpoint` on the result
-        yields a router that resumes the whole service — including
-        registered-after-start and cancelled query state — exactly where
-        the workers are now.
+        merges them, the pool's undrained matches included.
+        :meth:`StreamRouter.from_checkpoint` on the result yields a router
+        that resumes the whole service — including registered-after-start
+        and cancelled query state — exactly where the workers are now.
         """
         self._require_running()
         if self._parked:
@@ -971,10 +1040,12 @@ class ShardWorkerPool:
         The origin router supplies the workload and its pre-pool retired
         counters; the workers' retired counters add on top, and their shard
         entries come in stream first-seen order — the layout an
-        uninterrupted single-process router would produce.  Key order is
-        the router's own (the codec is canonical, insertion order is
-        state), so the restored router re-exports the document byte for
-        byte.
+        uninterrupted single-process router would produce.  Each entry's
+        retained matches are the stream's undrained matches in the parent
+        followed by those still in the worker's router (produced after its
+        last ack).  Key order is the router's own (the codec is canonical,
+        insertion order is state), so the restored router re-exports the
+        document byte for byte.
         """
         document = self.router.checkpoint()
         retired = document["retired_totals"]
@@ -983,6 +1054,12 @@ class ShardWorkerPool:
             for key, value in payload["retired_totals"].items():
                 retired[key] += value
             for entry in payload["shards"]:
+                arrived = self._arrived.get(entry["stream_id"])
+                if arrived:
+                    entry = dict(
+                        entry,
+                        retained=pack_matches(arrived) + entry["retained"],
+                    )
                 by_stream[entry["stream_id"]] = entry
         document["shards"] = [
             by_stream[stream_id]
@@ -1053,6 +1130,7 @@ class ShardWorkerPool:
     def _send_op(self, worker: _WorkerHandle, op: Tuple) -> int:
         seq = worker.next_seq
         worker.next_seq += 1
+        worker.last_op_seq = seq
         worker.log.append((seq, op))
         self._ops_dispatched += 1
         if worker.parked:
@@ -1105,7 +1183,7 @@ class ShardWorkerPool:
                 return result
 
     def _await(self, worker: _WorkerHandle, seq: int):
-        """Block until ``seq`` is acknowledged; returns its payload.
+        """Block until ``seq`` is acknowledged; returns a query's answer.
 
         Resolves to ``None`` when the sequence can no longer be answered:
         it was quarantined as poison, or the worker parked (degraded mode)
@@ -1161,14 +1239,19 @@ class ShardWorkerPool:
             return True
         if progressed:
             return True
-        for worker in self._workers:
-            if worker.parked:
-                continue  # dead by design until repair()
-            if worker.process is not None and not worker.process.is_alive() \
-                    and worker.stopped_state is None:
-                self._recover(worker)
-                progressed = True
-        return progressed
+        dead = self._dead_workers()
+        for worker in dead:
+            self._recover(worker)
+        return bool(dead)
+
+    def _dead_workers(self) -> List[_WorkerHandle]:
+        """Workers whose process died without being asked to stop (parked
+        workers are dead by design until :meth:`repair`)."""
+        return [
+            worker for worker in self._workers
+            if not worker.parked and worker.process is not None
+            and worker.stopped_state is None and not worker.process.is_alive()
+        ]
 
     def _drain_results(self) -> bool:
         progressed = False
@@ -1224,7 +1307,7 @@ class ShardWorkerPool:
 
     def _on_message(self, worker: _WorkerHandle, message: Tuple) -> None:
         kind = message[0]
-        if kind == "ack":
+        if kind in ("ack", "answer"):
             _, _, seq, payload = message
             # Discard from inflight even for replay duplicates: _recover
             # re-adds every logged sequence, including already-acked ones,
@@ -1248,7 +1331,10 @@ class ShardWorkerPool:
                 )
                 worker.recovery_target_seq = None
                 worker.recovery_started_at = None
-            if seq == worker.pending_ckpt_seq:
+            if kind == "ack":
+                if payload is not None:
+                    self._absorb(payload)
+            elif seq == worker.pending_ckpt_seq:
                 worker.last_checkpoint = payload
                 worker.pending_ckpt_seq = None
                 worker.log = [(s, op) for s, op in worker.log if s > seq]
@@ -1380,14 +1466,6 @@ class ShardWorkerPool:
                 q.cancel_join_thread()
         worker.tasks = None
         worker.results = None
-        # An unacknowledged drain must not be replayed into the void on
-        # repair: it would discard matches nobody consumed.  Dropping it
-        # keeps them retained — exactly the pre-park state the journal
-        # resumes from.
-        worker.log = [
-            (s, op) for s, op in worker.log
-            if not (op[0] == "drain" and s > worker.max_acked)
-        ]
         worker.inflight.clear()
         worker.pending_sent_at.clear()
         worker.pending_ckpt_seq = None

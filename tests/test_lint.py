@@ -529,6 +529,24 @@ def test_stale_suppression_is_a_violation(tmp_path):
     assert rules_hit(report) == ["LINT-STALE-SUPPRESS"]
 
 
+def test_suppression_of_an_unselected_rule_is_not_stale(tmp_path):
+    """A rule left out by --select never looked at the line, so its
+    suppression proves nothing either way; the full run still judges it."""
+    files = {
+        "core/keys.py": (
+            "def f(x):\n"
+            "    return id(x)  # repro-lint: disable=DET-ID-ORDER -- fixture\n"
+        ),
+    }
+    assert rules_hit(lint_tree(tmp_path, files, select=["DET-ENTROPY"])) == []
+    assert rules_hit(lint_tree(tmp_path, files)) == []
+    stale = {
+        "core/clean.py": "x = 1  # repro-lint: disable=DET-ID-ORDER -- gone\n",
+    }
+    assert rules_hit(lint_tree(tmp_path, stale, select=["DET-ENTROPY"])) == []
+    assert rules_hit(lint_tree(tmp_path, stale)) == ["LINT-STALE-SUPPRESS"]
+
+
 def test_parse_error_is_reported_not_raised(tmp_path):
     report = lint_tree(tmp_path, {"core/broken.py": "def f(:\n"})
     assert rules_hit(report) == ["LINT-PARSE"]

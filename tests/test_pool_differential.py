@@ -13,9 +13,13 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import FrameObservation, Q, Session
 from repro.streaming import (
+    Fault,
+    FaultPlan,
     ShardWorkerPool,
     StreamRouter,
     deterministic_stats,
@@ -129,6 +133,7 @@ class TestPoolDifferential:
         half = len(events) // 2
         oracle = StreamRouter(queries, batch_size=5)
         oracle.route_many(events[:half])
+        oracle.flush()
         oracle_first = oracle.drain_matches()
         oracle.route_many(events[half:])
         oracle.flush()
@@ -138,6 +143,9 @@ class TestPoolDifferential:
         pool.start()
         try:
             pool.route_many(events[:half])
+            # A drain equals the router's exactly at a flush point; between
+            # flushes it returns what has arrived (see TestPushDelivery).
+            pool.flush()
             pool_first = pool.drain_matches()
             pool.route_many(events[half:])
             pool.flush()
@@ -266,6 +274,197 @@ class TestPoolDifferential:
             ), f"seed={seed} {first}->{second} workers"
         finally:
             successor.terminate()
+
+
+def deliver(delivered, drained):
+    """Append one drain's matches to the per-``(query, stream)`` lists."""
+    for matches in drained.values():
+        for match in matches:
+            delivered.setdefault(
+                (match.query_id, match.stream_id), []
+            ).append(match.to_record())
+
+
+#: One step of a pool-vs-router interleaving (see TestPushDelivery).
+STEPS = st.one_of(
+    st.tuples(st.just("route"), st.integers(1, 40)),
+    st.tuples(st.just("drain")),
+    st.tuples(st.just("flush")),
+    st.tuples(st.just("register")),
+    st.tuples(st.just("cancel"), st.integers(0, 7)),
+    st.tuples(st.just("restore"), st.integers(1, 3)),
+)
+
+
+class TestPushDelivery:
+    """Matches ride the workers' acks, and a drain returns what has
+    arrived: it waits only for the operations sent before the previous
+    drain.  Each ``(query, stream)`` still receives the router's match
+    sequence, split differently over the drains; right after a flush both
+    have delivered the same, and a drain there equals the router's byte
+    for byte when the deliveries before it were equal.
+
+    A cancellation is preceded by a flush and a drain on both sides, as
+    :meth:`Session.cancel` does: a cancelled query's undelivered matches
+    are dropped, and only at a flush point are both sides' undelivered
+    matches the same.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        workers=st.integers(1, 3),
+        steps=st.lists(STEPS, min_size=1, max_size=10),
+    )
+    def test_interleavings_deliver_the_routers_matches(self, workers, steps):
+        feeds, queries, events = scenario(41, frames=40)
+        extra = [
+            query.with_id(None)
+            for query in bench_scenario(1, 1, GROUPS, 2, 43)[1]
+        ]
+        live = [query.query_id for query in queries]
+        oracle = StreamRouter(queries, batch_size=5)
+        pool = make_pool(queries, workers, batch_size=5).start()
+        got, want = {}, {}
+        position = 0
+
+        def barrier():
+            pool.flush()
+            oracle.flush()
+            synced = got == want
+            drained, expected = pool.drain_matches(), oracle.drain_matches()
+            if synced:
+                assert match_report(drained) == match_report(expected), steps
+            deliver(got, drained)
+            deliver(want, expected)
+            assert got == want, steps
+
+        try:
+            for step in steps:
+                kind = step[0]
+                if kind == "route":
+                    chunk = events[position:position + step[1]]
+                    position += len(chunk)
+                    pool.route_many(chunk)
+                    oracle.route_many(chunk)
+                elif kind == "drain":
+                    deliver(got, pool.drain_matches())
+                    deliver(want, oracle.drain_matches())
+                elif kind == "flush":
+                    barrier()
+                elif kind == "register" and extra:
+                    query = extra.pop()
+                    query_id = pool.register_query(query).query_id
+                    assert query_id == oracle.register_query(query).query_id
+                    live.append(query_id)
+                elif kind == "cancel" and live:
+                    barrier()
+                    query_id = live.pop(step[1] % len(live))
+                    pool.cancel_query(query_id)
+                    oracle.cancel_query(query_id)
+                elif kind == "restore":
+                    document = pool.checkpoint_router()
+                    if got == want:
+                        # Equal deliveries leave equal undrained matches.
+                        assert to_bytes("router", document) == \
+                            oracle.to_bytes(), steps
+                    pool.terminate()
+                    pool = ShardWorkerPool(
+                        StreamRouter.from_checkpoint(document),
+                        num_workers=step[1], dispatch_batch=16,
+                        checkpoint_every=4,
+                    ).start()
+                    oracle = StreamRouter.from_checkpoint(oracle.checkpoint())
+            pool.route_many(events[position:])
+            oracle.route_many(events[position:])
+            barrier()
+        finally:
+            pool.terminate()
+
+    def test_a_drain_waits_only_for_the_previous_drains_operations(self):
+        """Frames dispatched by a drain are waited for by the next drain
+        that finds new operations, not by itself; a drain that finds none
+        waits for nothing."""
+        feeds, queries, events = scenario(47, frames=40)
+        half = len(events) // 2
+        pool = make_pool(queries, 2, batch_size=5).start()
+        try:
+            pool.route_many(events[:half])
+            pool.drain_matches()
+            marks = [worker.drain_mark for worker in pool._workers]
+            assert marks == [worker.last_op_seq for worker in pool._workers]
+            pool.drain_matches()
+            assert [w.drain_mark for w in pool._workers] == marks
+            pool.route_many(events[half:])
+            pool.drain_matches()
+            assert all(
+                worker.max_acked >= mark
+                for worker, mark in zip(pool._workers, marks)
+            )
+        finally:
+            pool.terminate()
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_cancel_drops_matches_still_on_their_way(self, workers):
+        """Matches of a cancelled query produced before the cancellation
+        but not yet drained are dropped, also those whose acks arrive after
+        it — as the router drops its undrained ones."""
+        feeds, queries, events = scenario(49, frames=40)
+        doomed = queries[0].query_id
+        oracle = StreamRouter(queries, batch_size=5)
+        oracle.route_many(events)
+        pool = make_pool(queries, workers, batch_size=5).start()
+        try:
+            pool.route_many(events)
+            oracle.cancel_query(doomed)
+            pool.cancel_query(doomed)
+            oracle.flush()
+            pool.flush()
+            drained, expected = pool.drain_matches(), oracle.drain_matches()
+            assert match_report(drained) == match_report(expected)
+            assert all(
+                match.query_id != doomed
+                for matches in drained.values() for match in matches
+            )
+        finally:
+            pool.terminate()
+
+    def test_sigkill_after_a_frames_ack_delivers_every_match_once(self):
+        """The worker dies after acking frames whose matches are in the
+        parent, before the next periodic checkpoint: its replay re-acks
+        them and the parent drops the duplicates, so the drains between
+        and after deliver each match exactly once."""
+        feeds, queries, events = scenario(45, num_feeds=2, frames=60)
+        oracle = StreamRouter(queries, batch_size=5)
+        oracle.route_many(events)
+        oracle.flush()
+        expected = {}
+        deliver(expected, oracle.drain_matches())
+        # checkpoint_every=4: the checkpoint requested after the fourth op
+        # is the recovery base, and the sixth frames op dies before the
+        # next one, so the fifth op's acked matches replay.
+        plan = FaultPlan(
+            [Fault("sigkill", 0, op_kind="frames", after_ops=6)], seed=45,
+        )
+        pool = ShardWorkerPool(
+            StreamRouter(queries, batch_size=5), num_workers=1,
+            dispatch_batch=8, checkpoint_every=4,
+        )
+        got = {}
+        try:
+            with plan.install():
+                pool.start()
+                for start in range(0, len(events), 16):
+                    pool.route_many(events[start:start + 16])
+                    deliver(got, pool.drain_matches())
+                pool.flush()
+            deliver(got, pool.drain_matches())
+            assert plan.fire_counts()[0] == 1
+            assert pool.restarts == 1
+            assert got == expected
+            shipped = pool.stats()["pool"]["matches_shipped"]
+            assert shipped == sum(map(len, expected.values()))
+        finally:
+            pool.terminate()
 
 
 class TestFixedPlacement:
@@ -413,6 +612,9 @@ class TestSessionDifferential:
         session = Session(backend=backend, batch_size=5)
         handles = [session.register(query) for query in queries]
         session.ingest_many(events[:third])
+        # A pool drain returns what has arrived; only after the flush
+        # barrier does it equal the other backends' drain exactly.
+        session.flush()
         mid_drain = match_report(session.drain())
         late = session.register(
             (Q("car") >= 1) & (Q("person") >= 1),

@@ -53,7 +53,12 @@ def make_pool(queries, workers=2, **kwargs):
 
 
 def kill_worker(pool, index):
-    os.kill(pool.worker_pids()[index], signal.SIGKILL)
+    """SIGKILL one worker and wait for its process to end, so the pool's
+    next call finds it dead (a drain no longer blocks on every worker)."""
+    process = pool._workers[index].process
+    os.kill(process.pid, signal.SIGKILL)
+    process.join(5)
+    assert not process.is_alive()
 
 
 class TestCrashRecovery:
@@ -232,6 +237,11 @@ class TestCrashRecovery:
                 drained.setdefault(sid, []).extend(matches)
             kill_worker(pool, 1)
             pool.route_many(events[2 * quarter:3 * quarter])
+            # This drain waits for worker 0 to replay past the first drain,
+            # so the next kill lands on a later operation: two kills on one
+            # operation would read as a poison op and quarantine it.
+            for sid, matches in pool.drain_matches().items():
+                drained.setdefault(sid, []).extend(matches)
             kill_worker(pool, 0)
             pool.route_many(events[3 * quarter:])
             pool.flush()

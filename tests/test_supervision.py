@@ -471,6 +471,58 @@ class TestDegradedMode:
         finally:
             pool.terminate()
 
+    def test_repair_replay_delivers_the_journaled_matches(self):
+        """Worker 0 parks mid-stream, after acking frames whose matches
+        were drained.  The acks of repair()'s replay deliver the matches
+        of the journaled frames; replayed acks the parent already took
+        deliver nothing twice."""
+        seed = 109
+        feeds, queries, events = scenario(seed, num_feeds=4, frames=50)
+        oracle = StreamRouter(queries, batch_size=5)
+        oracle.route_many(events)
+        oracle.flush()
+        expected, got = {}, {}
+
+        def deliver(delivered, drained):
+            for matches in drained.values():
+                for match in matches:
+                    delivered.setdefault(
+                        (match.query_id, match.stream_id), []
+                    ).append(match.to_record())
+
+        deliver(expected, oracle.drain_matches())
+        half = len(events) // 2
+        # Worker 0 owns the even positions of first-seen order.
+        on_worker0 = list(dict.fromkeys(sid for sid, _ in events))[0::2]
+        stream_id, frame = next(
+            (sid, frame) for sid, frame in events[half:] if sid in on_worker0
+        )
+        plan = FaultPlan(
+            [Fault("sigkill", 0, frame=(stream_id, frame.frame_id), fires=0)],
+            seed=seed,
+        )
+        pool = make_pool(
+            queries, workers=2, max_restarts=1, on_irrecoverable="park",
+            supervision={"poison_threshold": None},
+        )
+        try:
+            with plan.install():
+                pool.start()
+                pool.route_many(events[:half])
+                pool.flush()
+                deliver(got, pool.drain_matches())
+                pool.route_many(events[half:])
+                pool.flush()
+                deliver(got, pool.drain_matches())
+            assert pool.degraded
+            assert got != expected, "the parked worker's matches came early"
+            assert pool.repair() == on_worker0
+            pool.flush()
+            deliver(got, pool.drain_matches())
+            assert got == expected
+        finally:
+            pool.terminate()
+
     def test_degraded_pool_refuses_global_barriers(self):
         seed = 107
         feeds, queries, events = scenario(seed, num_feeds=4, frames=50)
