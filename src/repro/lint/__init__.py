@@ -58,11 +58,13 @@ def run_lint(root, config=None, select=None, ignore=None) -> LintReport:
     the fixture suite call.
     """
     rules = default_rules()
+    known = {rule.rule_id for rule in rules}
     if select:
         wanted = set(select)
         rules = [rule for rule in rules if rule.rule_id in wanted]
     if ignore:
         dropped = set(ignore)
         rules = [rule for rule in rules if rule.rule_id not in dropped]
-    runner = LintRunner(rules, config or DEFAULT_SCOPES)
+    skipped = known - {rule.rule_id for rule in rules}
+    runner = LintRunner(rules, config or DEFAULT_SCOPES, skipped)
     return runner.run(root)

@@ -227,11 +227,18 @@ def match_path(relpath: str, patterns: Sequence[str]) -> bool:
 class LintRunner:
     """Applies a rule battery to a package tree under a root directory."""
 
-    def __init__(self, rules: Sequence[Rule], scopes: Dict[str, "RuleScope"]):
+    def __init__(
+        self,
+        rules: Sequence[Rule],
+        scopes: Dict[str, "RuleScope"],
+        skipped: Iterable[str] = (),
+    ):
         from repro.lint.config import RuleScope  # circular-free at runtime
 
         self.rules = list(rules)
         self.scopes: Dict[str, RuleScope] = dict(scopes)
+        #: Ids of known rules left out of this run (--select / --ignore).
+        self.skipped: Set[str] = set(skipped)
 
     # -- discovery -----------------------------------------------------
     @staticmethod
@@ -268,7 +275,6 @@ class LintRunner:
         base = root if root.is_dir() else root.parent
         violations: List[Violation] = []
         suppressed: List[Violation] = []
-        ran = {rule.rule_id for rule in self.rules}
         files = 0
         for path in self._iter_files(root):
             files += 1
@@ -329,11 +335,12 @@ class LintRunner:
                             f"{','.join(mark.rules)} -- <reason>'"
                         ),
                     ))
-                # A rule left out of this run (--select / --ignore) found
-                # nothing because it did not look: only rules that ran can
-                # prove a suppression stale.
+                # A rule left out of this run found nothing because it did
+                # not look, so its suppression is not judged; an id that is
+                # no rule at all is always stale.
                 stale = [
-                    r for r in mark.rules if r in ran and r not in mark.used
+                    r for r in mark.rules
+                    if r not in mark.used and r not in self.skipped
                 ]
                 if stale:
                     violations.append(Violation(

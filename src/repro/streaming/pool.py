@@ -58,9 +58,10 @@ Checkpoints cover exactly the operations sent before the checkpoint request,
 and the parent adopts one only after the acks of all of them (queues are
 FIFO), so a replayed tail is applied to a state that has seen none of it
 and its matches have not yet arrived.  A drain sends no operation: it waits
-only for the operations dispatched before the previous drain, so the
-workers overlap the parent; :meth:`ShardWorkerPool.flush` is the barrier
-after which a drain returns everything.
+only for the operations dispatched before the previous drain (and for the
+replay of a worker that crashed), so the workers overlap the parent;
+:meth:`ShardWorkerPool.flush` is the barrier after which a drain returns
+everything.
 
 Read-only queries (stats, checkpoint requests) are not logged; if a crash
 swallows one, the caller transparently re-issues it.
@@ -73,7 +74,9 @@ import multiprocessing
 import queue as queue_module
 import time
 import traceback
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro.datamodel.observation import FrameObservation
 from repro.query.evaluator import QueryMatch, pack_matches, unpack_matches
@@ -510,9 +513,6 @@ class ShardWorkerPool:
         #: Matches that arrived on the workers' acks and await a drain, per
         #: stream in arrival order: the pool's undrained matches.
         self._arrived: Dict[str, List[QueryMatch]] = {}
-        #: Queries cancelled on this pool: acks of operations sent before a
-        #: cancellation may still carry their matches, which are dropped.
-        self._cancelled: set = set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -539,11 +539,14 @@ class ShardWorkerPool:
     @property
     def settled(self) -> bool:
         """Whether no match can still arrive: every routed frame was
-        dispatched, every operation acknowledged (parked workers aside) and
-        every arrived match drained."""
+        dispatched, every logged operation acked (a quarantined one left
+        the log; parked workers aside) and every arrived match drained.
+        A session skips the backend on an idle poll while this holds."""
         return not self._arrived and all(
-            worker.parked
-            or (not worker.buffer and worker.max_acked >= worker.last_op_seq)
+            worker.parked or (
+                not worker.buffer
+                and (not worker.log or worker.log[-1][0] <= worker.max_acked)
+            )
             for worker in self._workers
         )
 
@@ -774,9 +777,9 @@ class ShardWorkerPool:
         the watchdog.
 
         This is the supervisor's own entry point — it does not require a
-        caller to be blocked in ``_pump``.  The routing hot path and
-        :meth:`drain_matches` invoke it time-gated, and an idle parent (or
-        an external scheduler) can call it directly: a dead worker is
+        caller to be blocked in ``_pump``.  The routing hot path invokes it
+        time-gated, :meth:`drain_matches` on every call, and an idle parent
+        (or an external scheduler) can call it directly: a dead worker is
         recovered and a hung worker escalated even when nobody is awaiting
         an acknowledgement.
         """
@@ -823,22 +826,32 @@ class ShardWorkerPool:
         whole shards when the cancellation empties the workload (their
         frozen ingest counters surface in ``stats()["retired"]`` and in the
         router :meth:`stop` returns).  The query's undrained matches in the
-        parent go too, including those still on their way: like the
-        router, the pool delivers nothing of a query after cancelling it.
+        parent go too: the call waits for every worker's cancel ack, which
+        follows the acks of every earlier operation, so all of the query's
+        matches have arrived by then.  Like the router, the pool delivers
+        nothing of a query after cancelling it; a parked worker's share is
+        dropped by :meth:`repair`.
         """
         self._require_running()
         self._flush_buffers()
         removed = self.router.cancel_query(query_id)
-        for worker in self._workers:
-            self._send_op(worker, ("cancel", query_id))
-        self._cancelled.add(query_id)
+        seqs = [
+            (worker, self._send_op(worker, ("cancel", query_id)))
+            for worker in self._workers
+        ]
+        for worker, seq in seqs:
+            self._await(worker, seq)
+        self._drop_matches({query_id})
+        return removed
+
+    def _drop_matches(self, query_ids: Set[int]) -> None:
+        """Drop the arrived, undrained matches of cancelled queries."""
         for stream_id, matches in list(self._arrived.items()):
-            kept = [match for match in matches if match.query_id != query_id]
+            kept = [m for m in matches if m.query_id not in query_ids]
             if kept:
                 self._arrived[stream_id] = kept
             else:
                 del self._arrived[stream_id]
-        return removed
 
     # ------------------------------------------------------------------
     # Results
@@ -866,8 +879,12 @@ class ShardWorkerPool:
         Sends no operation: buffered frames are dispatched, and the drain
         waits only for the acks of the operations each worker had been
         sent by the previous drain that found new ones — the workers run
-        ahead by at most one drain.  Matches of later frames arrive on
-        later acks and go out with a later drain, each exactly once.
+        ahead by at most one drain.  A worker that died since the last
+        call is respawned, and the drain also waits for its replay to
+        finish, so a death after the drain returns is never blamed on an
+        operation the crashed worker was replaying.  Matches of later
+        frames arrive on later acks and go out with a later drain, each
+        exactly once.
         After :meth:`flush`, the barrier, a drain returns everything,
         byte-identical to what the single-process router would drain.
         Stream order is global first-seen order and per-stream match order
@@ -885,15 +902,15 @@ class ShardWorkerPool:
             self._poison_pending.clear()
             raise PoisonOpError(records)
         self._flush_buffers()
+        self.tick()
         for worker in self._workers:
             if worker.last_op_seq != worker.drain_mark:
                 previous = worker.drain_mark
                 worker.drain_mark = worker.last_op_seq
                 self._await(worker, previous)
-        if time.monotonic() >= self._next_tick_at:
-            self.tick()
-        else:
-            self._drain_results()
+            if worker.recovery_target_seq is not None:
+                self._await(worker, worker.recovery_target_seq)
+        self._drain_results()
         arrived = self._arrived
         self._arrived = {}
         return {
@@ -907,11 +924,6 @@ class ShardWorkerPool:
             matches = unpack_matches(records)
             self._match_records_shipped += len(records)
             self._matches_shipped += len(matches)
-            if self._cancelled:
-                matches = [
-                    match for match in matches
-                    if match.query_id not in self._cancelled
-                ]
             if matches:
                 self._arrived.setdefault(stream_id, []).extend(matches)
 
@@ -1491,6 +1503,9 @@ class ShardWorkerPool:
         replay — a respawn from the recovery base plus the full journal in
         order — reproduces byte-identical matches and stats for the parked
         streams.
+        Matches of a query cancelled while the worker was parked, produced
+        by the journaled frames before the cancellation, are dropped: the
+        call waits for the replay to pass the last such cancellation.
         A no-op on a healthy pool.
         """
         self._require_running()
@@ -1498,6 +1513,10 @@ class ShardWorkerPool:
         for index in sorted(self._parked):
             worker = self._workers[index]
             record = self._parked.pop(index)
+            cancels = [
+                (seq, op[1]) for seq, op in worker.log
+                if op[0] == "cancel" and seq > worker.max_acked
+            ]
             worker.parked = False
             worker.restarts = 0
             worker.culprit_streak = 0
@@ -1516,6 +1535,9 @@ class ShardWorkerPool:
             if worker.log:
                 self._request_checkpoint(worker)
             self._supervisor.record_repair(index)
+            if cancels:
+                self._await(worker, cancels[-1][0])
+                self._drop_matches({query_id for _, query_id in cancels})
             revived.extend(record["streams"])
         return revived
 

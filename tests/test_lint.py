@@ -545,6 +545,15 @@ def test_suppression_of_an_unselected_rule_is_not_stale(tmp_path):
     }
     assert rules_hit(lint_tree(tmp_path, stale, select=["DET-ENTROPY"])) == []
     assert rules_hit(lint_tree(tmp_path, stale)) == ["LINT-STALE-SUPPRESS"]
+    # An id that is no rule at all (misspelt or retired) is stale in
+    # every run, filtered or not.
+    unknown = {
+        "core/clean.py": "x = 1  # repro-lint: disable=DET-ENTROPHY -- typo\n",
+    }
+    for select in (None, ["DET-ENTROPY"]):
+        assert rules_hit(lint_tree(tmp_path, unknown, select=select)) == [
+            "LINT-STALE-SUPPRESS"
+        ]
 
 
 def test_parse_error_is_reported_not_raised(tmp_path):

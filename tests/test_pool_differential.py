@@ -11,6 +11,8 @@ of a graceful stop.
 from __future__ import annotations
 
 import json
+import os
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -463,6 +465,45 @@ class TestPushDelivery:
             assert got == expected
             shipped = pool.stats()["pool"]["matches_shipped"]
             assert shipped == sum(map(len, expected.values()))
+        finally:
+            pool.terminate()
+
+    def test_a_drain_returns_after_a_crashed_workers_replay(self):
+        """The worker dies inside its third frames op; the next drain
+        respawns it and returns only once the replay is acked, so a kill
+        right after the drain is blamed on no replayed op: two deaths on
+        one op would read as poison and quarantine a healthy op."""
+        feeds, queries, events = scenario(46, num_feeds=2, frames=60)
+        oracle = StreamRouter(queries, batch_size=5)
+        oracle.route_many(events)
+        oracle.flush()
+        expected = {}
+        deliver(expected, oracle.drain_matches())
+        plan = FaultPlan(
+            [Fault("sigkill", 0, op_kind="frames", after_ops=3)], seed=46,
+        )
+        pool = ShardWorkerPool(
+            StreamRouter(queries, batch_size=5), num_workers=1,
+            dispatch_batch=8, checkpoint_every=100,
+        )
+        got = {}
+        try:
+            with plan.install():
+                pool.start()
+                pool.route_many(events[:24])  # three frames ops
+                pool._workers[0].process.join(5)
+                deliver(got, pool.drain_matches())
+                worker = pool._workers[0]
+                assert pool.restarts == 1
+                assert worker.recovery_target_seq is None
+                os.kill(worker.process.pid, signal.SIGKILL)
+                worker.process.join(5)
+                pool.route_many(events[24:])
+                pool.flush()
+                deliver(got, pool.drain_matches())
+            assert pool.restarts == 2
+            assert pool.quarantined == []
+            assert got == expected
         finally:
             pool.terminate()
 

@@ -87,6 +87,15 @@ def make_pool(queries, workers=2, supervision=None, **kwargs):
     )
 
 
+def deliver(delivered, drained):
+    """Append one drain's matches to the per-``(query, stream)`` lists."""
+    for matches in drained.values():
+        for match in matches:
+            delivered.setdefault(
+                (match.query_id, match.stream_id), []
+            ).append(match.to_record())
+
+
 def pool_report(pool):
     return match_report(
         {sid: pool.matches_for(sid) for sid in pool.stream_ids()}
@@ -364,6 +373,30 @@ class TestQuarantine:
         finally:
             pool.terminate()
 
+    def test_a_quarantined_last_op_leaves_the_pool_settled(self):
+        """A poison flush is never acked; once it is quarantined and the
+        drains are done, nothing can arrive, so an idle session poll may
+        skip the pool."""
+        seed = 89
+        feeds, queries, events = scenario(seed, num_feeds=2, frames=30)
+        plan = FaultPlan(
+            [Fault("sigkill", 0, op_kind="flush", fires=0)], seed=seed,
+        )
+        pool = make_pool(queries, workers=1, max_restarts=10)
+        try:
+            with plan.install():
+                pool.start()
+                pool.route_many(events)
+                pool.flush()
+                assert len(pool.quarantined) == 1
+                assert pool.quarantined[0]["op"] == "flush"
+                with pytest.raises(PoisonOpError):
+                    pool.drain_matches()
+                pool.drain_matches()
+                assert pool.settled
+        finally:
+            pool.terminate()
+
     def test_poison_with_quarantine_disabled_parks_or_breaks(self):
         seed = 97
         feeds, queries, events = scenario(seed, num_feeds=2, frames=50)
@@ -482,14 +515,6 @@ class TestDegradedMode:
         oracle.route_many(events)
         oracle.flush()
         expected, got = {}, {}
-
-        def deliver(delivered, drained):
-            for matches in drained.values():
-                for match in matches:
-                    delivered.setdefault(
-                        (match.query_id, match.stream_id), []
-                    ).append(match.to_record())
-
         deliver(expected, oracle.drain_matches())
         half = len(events) // 2
         # Worker 0 owns the even positions of first-seen order.
@@ -516,6 +541,53 @@ class TestDegradedMode:
                 deliver(got, pool.drain_matches())
             assert pool.degraded
             assert got != expected, "the parked worker's matches came early"
+            assert pool.repair() == on_worker0
+            pool.flush()
+            deliver(got, pool.drain_matches())
+            assert got == expected
+        finally:
+            pool.terminate()
+
+    def test_repair_drops_matches_of_a_query_cancelled_while_parked(self):
+        """A query cancelled while worker 0 is parked: the replay of the
+        frames journaled before the cancellation produces its matches, and
+        repair() drops them, as the router drops undrained matches of a
+        cancelled query."""
+        seed = 109
+        feeds, queries, events = scenario(seed, num_feeds=4, frames=50)
+        doomed = queries[0].query_id
+        half = len(events) // 2
+        oracle = StreamRouter(queries, batch_size=5)
+        oracle.route_many(events[:half])
+        oracle.flush()
+        expected, got = {}, {}
+        deliver(expected, oracle.drain_matches())
+        oracle.route_many(events[half:])
+        oracle.cancel_query(doomed)
+        oracle.flush()
+        deliver(expected, oracle.drain_matches())
+        on_worker0 = list(dict.fromkeys(sid for sid, _ in events))[0::2]
+        stream_id, frame = next(
+            (sid, frame) for sid, frame in events[half:] if sid in on_worker0
+        )
+        plan = FaultPlan(
+            [Fault("sigkill", 0, frame=(stream_id, frame.frame_id), fires=0)],
+            seed=seed,
+        )
+        pool = make_pool(
+            queries, workers=2, max_restarts=1, on_irrecoverable="park",
+            supervision={"poison_threshold": None},
+        )
+        try:
+            with plan.install():
+                pool.start()
+                pool.route_many(events[:half])
+                pool.flush()
+                deliver(got, pool.drain_matches())
+                pool.route_many(events[half:])
+                pool.flush()
+            assert pool.degraded
+            pool.cancel_query(doomed)
             assert pool.repair() == on_worker0
             pool.flush()
             deliver(got, pool.drain_matches())
