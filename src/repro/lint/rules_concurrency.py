@@ -192,9 +192,9 @@ class QueueTimeoutRule(Rule):
     rule_id = "CONC-QUEUE-TIMEOUT"
     title = "pool queue get()/put() must pass a timeout"
     rationale = (
-        "a worker blocked forever on queue.get() cannot observe the "
-        "shutdown flag or feed the watchdog heartbeat; every blocking "
-        "queue op in the pool must time out and re-check"
+        "a worker blocked forever on queue.get() cannot notice that its "
+        "parent died or that it should shut down; every blocking queue op "
+        "in the pool must time out and re-check"
     )
 
     _OPS = frozenset({"get", "put"})
@@ -229,7 +229,7 @@ class QueueTimeoutRule(Rule):
                 ctx, node,
                 f"blocking .{node.func.attr}() without timeout= in the "
                 "worker pool; pass a timeout and re-check shutdown/"
-                "heartbeat on expiry",
+                "parent liveness on expiry",
             )
 
     @staticmethod

@@ -296,10 +296,11 @@ class Session:
         so each must be a positive int everywhere.  The k-th stream the
         session sees lives on pool worker ``k mod num_workers``.
     supervision:
-        Worker supervision knobs of the pool backend — heartbeat cadence,
-        hang thresholds, restart backoff, poison-quarantine threshold — as
-        a :class:`~repro.streaming.supervision.SupervisionConfig` or a
-        plain dict of its fields.  ``None`` uses the defaults.
+        Worker supervision knobs of the pool backend — hang threshold,
+        restart backoff, poison-quarantine threshold — as a
+        :class:`~repro.streaming.supervision.SupervisionConfig` or a plain
+        dict of its fields (unknown fields are dropped).  ``None`` uses the
+        defaults.
     degraded_mode:
         Pool backend only.  When True (the default), a worker that
         exhausts its restart budget *parks* its streams — the session
@@ -935,6 +936,11 @@ class Session:
             if num_workers is not None:
                 config["num_workers"] = num_workers
             _check_pool_sizing(config)
+            if config.get("supervision") is not None:
+                # Drops the supervision fields this version retired.
+                config["supervision"] = SupervisionConfig.coerce(
+                    config["supervision"]
+                ).to_dict()
             session = cls.__new__(cls)
             session._config = config
             session._init_registry()

@@ -42,8 +42,9 @@ FAULT_KINDS = (
 )
 
 #: Seconds a worker sleeps before executing a process-killing fault, so
-#: the heartbeat it just queued clears the feeder thread and the parent
-#: can attribute the death to the right operation.
+#: the previous operation's ack clears the feeder thread and the parent,
+#: which blames the oldest unacknowledged operation, attributes the death
+#: to the right one.
 _KILL_GRACE = 0.02
 
 

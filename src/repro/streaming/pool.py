@@ -31,12 +31,12 @@ spreads them over ``multiprocessing`` workers:
 * **graceful shutdown** — :meth:`stop` merges every worker's final
   checkpoint into one router document and returns the router restored from
   it, which resumes exactly where the pool left off;
-* **supervision** — workers heartbeat on their result queues (sequence
-  number, current operation, frames since the last beat) and a parent-side
-  :class:`~repro.streaming.supervision.Supervisor` watchdog classifies
-  them healthy / slow / hung from acknowledgement progress, escalating
-  hung workers ``terminate()`` → ``kill()`` into the ordinary recovery
-  path.  Restarts wait a jittered exponential backoff; an operation that
+* **supervision** — acknowledgement progress is the one liveness signal:
+  a parent-side :class:`~repro.streaming.supervision.Supervisor` watchdog
+  classifies workers healthy / hung from it, escalating hung workers
+  ``terminate()`` → ``kill()`` into the ordinary recovery path, and a
+  death is blamed on the oldest unacknowledged logged operation.
+  Restarts wait an exponential backoff; an operation that
   kills a worker repeatedly is **quarantined** (skipped, recorded in
   ``stats()["quarantined"]``, surfaced as :class:`PoisonOpError` on the
   next drain) instead of burning the restart budget; and when a worker is
@@ -44,7 +44,8 @@ spreads them over ``multiprocessing`` workers:
   enters **degraded mode** — the dead worker's streams are parked (frames
   journaled for a later :meth:`repair`) while every other stream keeps
   serving byte-identical results.  Scripted failures for all of this live
-  in :mod:`repro.streaming.faultinject`.
+  in :mod:`repro.streaming.faultinject`.  A worker whose parent died
+  exits on its own.
 
 Exactly-once effects
 --------------------
@@ -96,6 +97,18 @@ START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else 
 #: Seconds one wait on a worker's result queue blocks before the parent
 #: re-checks the worker's health.
 POLL_INTERVAL = 0.02
+
+#: Seconds one wait of a worker on its task queue blocks before the worker
+#: checks that its parent is still alive (an orphaned worker exits).
+PARENT_CHECK_INTERVAL = 0.5
+
+#: Minimum seconds between the supervision ticks :meth:`ShardWorkerPool.route`
+#: runs.
+TICK_INTERVAL = 0.5
+
+#: Seconds each stage of the ``terminate()`` → ``kill()`` escalation waits
+#: for the process to exit before the next stage fires.
+ESCALATION_TIMEOUT = 5.0
 
 
 class PoolError(RuntimeError):
@@ -181,7 +194,7 @@ def _traceback_summary(text: str) -> str:
     return lines[-1] if lines else ""
 
 
-def _reap_process(process, timeout: float = 5.0) -> Optional[int]:
+def _reap_process(process) -> Optional[int]:
     """Join a worker process, escalating ``terminate()`` → ``kill()``.
 
     Every stop/restart path funnels through here so a worker that ignores
@@ -193,13 +206,13 @@ def _reap_process(process, timeout: float = 5.0) -> Optional[int]:
     """
     if process is None:
         return None
-    process.join(timeout)
+    process.join(ESCALATION_TIMEOUT)
     if process.is_alive():
         process.terminate()
-        process.join(timeout)
+        process.join(ESCALATION_TIMEOUT)
     if process.is_alive():
         process.kill()
-        process.join(timeout)
+        process.join(ESCALATION_TIMEOUT)
     if process.is_alive():  # pragma: no cover - kernel-level failure
         raise PoolError(
             f"worker process {process.pid} survived SIGKILL and cannot be "
@@ -252,13 +265,7 @@ def _answer_query(router: StreamRouter, query: Tuple):
     raise PoolError(f"unknown worker query {kind!r}")
 
 
-def _worker_main(
-    index: int,
-    tasks,
-    results,
-    checkpoint: bytes,
-    heartbeat_interval: float = 0.5,
-) -> None:
+def _worker_main(index: int, tasks, results, checkpoint: bytes) -> None:
     """Worker loop: fold the parent's operation stream into a local router.
 
     The router starts from ``checkpoint`` (the worker's start slice, or
@@ -270,42 +277,34 @@ def _worker_main(
     Checkpoints are only ever taken between messages, which is the
     between-frames boundary the shard checkpoint contract requires.
 
-    Supervision: the loop emits a heartbeat before every operation (phase
-    ``busy``, carrying the sequence and op kind — the parent's poison
-    attribution signal) and one per ``heartbeat_interval`` while the task
-    queue is empty (phase ``idle``), each carrying the frames applied
-    since the previous beat.  When a fault plan is installed in the
-    environment (:mod:`repro.streaming.faultinject`), its injector hooks
-    run at the op/query/ack boundaries; an injected checkpoint-write
-    failure answers the query with a ``nack`` instead of dying.
+    Nothing else travels back: the acks are the parent's liveness
+    signal.  Every :data:`PARENT_CHECK_INTERVAL` seconds without a message
+    it checks its parent, and exits once the parent is gone.  When a fault
+    plan is installed in the environment
+    (:mod:`repro.streaming.faultinject`), its injector hooks run at the
+    op/query/ack boundaries; an injected checkpoint-write failure answers
+    the query with a ``nack`` instead of dying.
     """
     injector = load_injector(index)
+    parent = multiprocessing.parent_process()
     try:
         router = StreamRouter.from_bytes(checkpoint)
-        frames_since = 0
         while True:
             try:
-                message = tasks.get(timeout=heartbeat_interval)
+                message = tasks.get(timeout=PARENT_CHECK_INTERVAL)
             except queue_module.Empty:
-                results.put(("hb", index, {
-                    "phase": "idle", "seq": None, "op": None,
-                    "frames_since": frames_since,
-                }))
-                frames_since = 0
+                if not parent.is_alive():
+                    # Orphaned: nobody reads the results any more, so do
+                    # not wait at exit for their feeder thread.
+                    results.cancel_join_thread()
+                    return
                 continue
             kind = message[0]
             if kind == "op":
                 _, seq, op = message
-                results.put(("hb", index, {
-                    "phase": "busy", "seq": seq, "op": op[0],
-                    "frames_since": frames_since,
-                }))
-                frames_since = 0
                 if injector is not None:
                     injector.before_op(seq, op)
                 _apply_op(router, op)
-                if op[0] == "frames":
-                    frames_since = len(op[1])
                 if injector is not None and injector.suppress_ack(seq):
                     # The matches stay in the router and ride the next ack.
                     continue
@@ -341,7 +340,7 @@ class _WorkerHandle:
         "inflight", "max_acked", "acks", "buffer", "restarts",
         "ops_since_ckpt", "stopped_state", "ckpt_count", "parked", "death_kind",
         "pending_sent_at", "last_progress_at", "stop_requested_at",
-        "culprit_seq", "culprit_streak", "last_busy_seq", "quarantined_seqs",
+        "culprit_seq", "culprit_streak", "quarantined_seqs",
         "recovery_started_at", "recovery_target_seq",
     )
 
@@ -395,9 +394,6 @@ class _WorkerHandle:
         #: how many consecutive deaths landed on it.
         self.culprit_seq: Optional[int] = None
         self.culprit_streak = 0
-        #: Sequence of the last ``busy`` heartbeat — what the worker was
-        #: actually executing when it died.
-        self.last_busy_seq: Optional[int] = None
         #: Sequences quarantined as poison (their awaiters resolve to None).
         self.quarantined_seqs: set = set()
         #: Recovery-latency probe: death-detection time and the last
@@ -441,9 +437,8 @@ class ShardWorkerPool:
         default, parked (degraded mode) with ``on_irrecoverable="park"``.
     supervision:
         A :class:`~repro.streaming.supervision.SupervisionConfig` (or a
-        mapping of its fields, or ``None`` for defaults): heartbeat
-        cadence, slow/hang thresholds, restart backoff, poison quarantine
-        threshold.
+        mapping of its fields, or ``None`` for defaults): hang threshold,
+        restart backoff, poison quarantine threshold.
     on_irrecoverable:
         ``"raise"`` (default) breaks the whole pool when a worker is
         irrecoverable; ``"park"`` enters degraded mode instead — the dead
@@ -708,9 +703,7 @@ class ShardWorkerPool:
         for worker in self._workers:
             # Escalates to kill() on a stuck worker and asserts the reap —
             # terminate() must never leak a zombie behind an ignored join.
-            _reap_process(
-                worker.process, timeout=self._supervision.escalation_timeout
-            )
+            _reap_process(worker.process)
         self._close_queues()
         self._started = False
         self._stopped = True
@@ -784,9 +777,7 @@ class ShardWorkerPool:
         an acknowledgement.
         """
         self._require_running()
-        self._next_tick_at = (
-            time.monotonic() + self._supervision.heartbeat_interval
-        )
+        self._next_tick_at = time.monotonic() + TICK_INTERVAL
         # Found dead before the results are drained, so the messages it
         # wrote before dying are read first and it is not taken for a
         # worker that exited gracefully.
@@ -1116,7 +1107,7 @@ class ShardWorkerPool:
             target=_worker_main,
             args=(
                 worker.index, worker.tasks, worker.results,
-                worker.last_checkpoint, self._supervision.heartbeat_interval,
+                worker.last_checkpoint,
             ),
             daemon=True,
             name=f"shard-worker-{worker.index}",
@@ -1126,7 +1117,6 @@ class ShardWorkerPool:
         # operations are re-stamped as they are re-sent.
         worker.pending_sent_at.clear()
         worker.last_progress_at = time.monotonic()
-        worker.last_busy_seq = None
 
     def _dispatch_buffer(self, worker: _WorkerHandle) -> None:
         if worker.buffer:
@@ -1284,10 +1274,10 @@ class ShardWorkerPool:
 
         A worker is *hung* when its oldest pending message has been
         outstanding — with no acknowledgement progress at all — for longer
-        than ``hang_after``.  Progress is measured by acks, not heartbeats:
-        a worker whose result pipe stalled (or that livelocks while idle
-        beats flow) still gets caught, while a deep-but-draining queue does
-        not (each ack refreshes the progress clock).
+        than ``hang_after``.  Progress is measured by acks: a worker whose
+        result pipe stalled (or that livelocks) gets caught, while a
+        deep-but-draining queue does not (each ack refreshes the progress
+        clock).
         """
         now = time.monotonic()
         for worker in self._workers:
@@ -1310,9 +1300,8 @@ class ShardWorkerPool:
         self._supervisor.record_escalation(worker.index)
         worker.death_kind = "hang"
         process = worker.process
-        timeout = self._supervision.escalation_timeout
         process.terminate()
-        process.join(timeout)
+        process.join(ESCALATION_TIMEOUT)
         if process.is_alive():
             process.kill()
         self._recover(worker)
@@ -1354,11 +1343,6 @@ class ShardWorkerPool:
                 self._checkpoints_taken += 1
             elif payload is not None:
                 worker.acks[seq] = payload
-        elif kind == "hb":
-            info = message[2]
-            if info.get("phase") == "busy" and info.get("seq") is not None:
-                worker.last_busy_seq = int(info["seq"])
-            self._supervisor.observe_heartbeat(worker.index, info)
         elif kind == "nack":
             _, _, seq, reason = message
             worker.inflight.discard(seq)
@@ -1400,19 +1384,18 @@ class ShardWorkerPool:
             raise PoolError(f"unknown worker response {kind!r}")
 
     def _culprit_op(self, worker: _WorkerHandle) -> Optional[Tuple[int, Tuple]]:
-        """The logged operation the dead worker was most plausibly executing.
+        """The logged operation the dead worker was most plausibly executing:
+        the oldest unacknowledged one.
 
-        Prefer the worker's own last ``busy`` heartbeat (emitted immediately
-        before applying its operation, so it names the op that killed the
-        process); fall back to the oldest unacknowledged logged operation.
+        A worker applies its operations in order and acknowledges each on
+        one FIFO queue before taking the next, so the oldest unacknowledged
+        operation is the one it was applying when it died.  The exception is
+        an ack that fault injection's ``stall`` swallowed: when the worker
+        dies before a later ack covers it, the stalled operation is blamed
+        first, and the real culprit is quarantined one restart later.
         ``None`` when nothing unacknowledged is logged (the death cannot be
         blamed on any replayable op).
         """
-        if (worker.last_busy_seq is not None
-                and worker.last_busy_seq > worker.max_acked):
-            for seq, op in worker.log:
-                if seq == worker.last_busy_seq:
-                    return seq, op
         for seq, op in worker.log:
             if seq > worker.max_acked:
                 return seq, op
@@ -1492,7 +1475,7 @@ class ShardWorkerPool:
             "streams": streams,
             "frames_parked": 0,
         }
-        self._supervisor.record_park(worker.index, kind)
+        self._supervisor.record_park(worker.index)
 
     def repair(self) -> List[str]:
         """Respawn every parked worker and replay its journaled backlog.
@@ -1548,13 +1531,11 @@ class ShardWorkerPool:
         to a culprit operation (poison detection → quarantine), the
         consecutive-fruitless-restart budget is enforced (park or raise
         when exhausted, with a machine-readable kind), and the respawn
-        waits a jittered exponential backoff.
+        waits an exponential backoff.
         """
         kind = worker.death_kind or "crash"
         worker.death_kind = None
-        exitcode = _reap_process(
-            worker.process, timeout=self._supervision.escalation_timeout
-        )
+        exitcode = _reap_process(worker.process)
         self._total_restarts += 1
         self._supervisor.record_restart(worker.index, kind)
         # Poison attribution: consecutive deaths blamed on the same logged

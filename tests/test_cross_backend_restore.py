@@ -428,10 +428,21 @@ class TestRetiredConfigKey:
         },
     }
 
+    #: Retired ``config.supervision`` fields, with the values they had.
+    RETIRED_SUPERVISION = {
+        "heartbeat_interval": 0.5, "slow_after": 1.0,
+        "escalation_timeout": 5.0, "backoff_factor": 2.0,
+        "backoff_jitter": 0.25, "seed": 0,
+    }
+
     @staticmethod
     def _retire(payload, retired):
         """Write the retired item into a session checkpoint payload."""
-        if retired == "state.placement":
+        if retired == "config.supervision":
+            payload["config"]["supervision"].update(
+                TestRetiredConfigKey.RETIRED_SUPERVISION
+            )
+        elif retired == "state.placement":
             stream_ids = [sid for sid, _, _ in payload["streams"]]
             payload["state"]["placement"] = {
                 "policy": "least-loaded",
@@ -445,7 +456,7 @@ class TestRetiredConfigKey:
                 TestRetiredConfigKey.RETIRED_CONFIG[retired]
 
     @pytest.mark.parametrize(
-        "retired", (*RETIRED_CONFIG, "state.placement")
+        "retired", (*RETIRED_CONFIG, "state.placement", "config.supervision")
     )
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("source", BACKENDS)
@@ -461,8 +472,10 @@ class TestRetiredConfigKey:
             baseline.ingest_many(events)
             baseline.flush()
             expected = match_report(baseline.drain())
-        workers = {"num_workers": 2} if source == "pool" else {}
-        with Session(backend=source, batch_size=5, **workers) as session:
+        knobs = {"num_workers": 2} if source == "pool" else {}
+        if retired == "config.supervision":
+            knobs["supervision"] = {"hang_after": 20.0}
+        with Session(backend=source, batch_size=5, **knobs) as session:
             session.register("car >= 1", window=10, duration=5)
             session.ingest_many(events[:half])
             snapshot = session.checkpoint()
@@ -477,6 +490,8 @@ class TestRetiredConfigKey:
             )
             assert retired not in rewritten["config"]
             assert "placement" not in rewritten["state"]
+            supervision = rewritten["config"]["supervision"] or {}
+            assert not set(self.RETIRED_SUPERVISION) & set(supervision)
             if backend == source:
                 assert restored.checkpoint() == snapshot
             restored.ingest_many(events[half:])

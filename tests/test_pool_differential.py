@@ -621,7 +621,7 @@ class TestFixedPlacement:
             "degraded", "supervision",
         }
         assert set(block["supervision"]) == {
-            "workers", "slow_incidents", "checkpoint_failures", "quarantines",
+            "workers", "checkpoint_failures", "quarantines",
             "backoff_seconds_total", "recovery",
         }
 
