@@ -331,10 +331,11 @@ class MCOSGenerator(abc.ABC):
         byte-identical results.  Its ``state`` block is the columnar layout
         of :meth:`repro.core.state.StateTable.export_states` — a handful of
         flat int lists, which the checkpoint codec stores as int columns.
-        Decoded-result caches and the window base of the frame bitsets are
-        deliberately excluded (frames are written as absolute ids): they
-        rebuild on the fly and never influence results.  Must only be called between frames (never from a
-        ``state_filter`` callback mid-maintenance).
+        Frames and marks are written as bitsets over the start of the window
+        ending at ``last_frame_id``; decoded-result caches and the table's
+        window base are deliberately excluded: they rebuild on the fly and
+        never influence results.  Must only be called between frames (never
+        from a ``state_filter`` callback mid-maintenance).
         """
         labels = self.config.labels_of_interest
         return {
@@ -409,7 +410,7 @@ class MCOSGenerator(abc.ABC):
     def export_state(self) -> bytes:
         """The :meth:`export_checkpoint` snapshot as compact checkpoint bytes.
 
-        Written as checkpoint version 8, the only version the codec writes
+        Written as checkpoint version 9, the only version the codec writes
         and reads (:mod:`repro.streaming.checkpoint`).
         """
         # Imported lazily: repro.streaming.checkpoint has no dependencies on

@@ -159,7 +159,9 @@ class NaiveGenerator(MCOSGenerator):
         return self._states.live_mask()
 
     def _export_impl(self) -> Dict:
-        return {"states": self._states.export_states()}
+        return {"states": self._states.export_states(
+            self._last_frame_id, self.config.window_size
+        )}
 
     def _import_impl(self, payload: Dict) -> None:
         self._states.import_states(

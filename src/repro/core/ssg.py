@@ -35,9 +35,15 @@ materialised anywhere on the traversal path.  Adjacency lives directly on the
 ``state.parents`` map child/parent bits to their states), so the traversal
 follows edges with attribute reads, stamps visits into ``state.flag`` instead
 of a hash set, and the edge-reachability memo turns the per-frame edge
-requests that dominate steady state into O(1) skips.  A state's frames and
-marks are ``int`` bitsets (:mod:`repro.core.state`): a merge is two ``|``
-and needs no memo.
+requests that dominate steady state into O(1) skips.  The memo lives on the
+states too: ``state.reached`` holds the serials of the states an edge
+request from ``state`` already found reachable, so a hit is one set
+membership test with no key to build, a removed state takes its entries
+with it, and a checkpoint writes the memo as one count and one run of
+sorted positions per state.  A running count of the entries triggers the
+sweep of entries naming dead states.  A state's frames and marks are
+``int`` bitsets (:mod:`repro.core.state`): a merge is two ``|`` and needs
+no memo.
 
 Δ-pruning and replay
 --------------------
@@ -101,8 +107,8 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from itertools import accumulate, chain, repeat
-from operator import floordiv, mod
+from itertools import accumulate, chain, islice, repeat
+from operator import attrgetter
 from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.base import MCOSGenerator
@@ -193,12 +199,14 @@ class StrictStateGraphGenerator(MCOSGenerator):
         # result of the current window.
         self._previous_results: Dict[ObjectBits, State] = {}
         # Edge requests already known to be satisfied (the child is reachable
-        # from the parent), keyed by the two states' serials (unique per
-        # state incarnation, so re-created object sets never alias).  Entries
-        # stay valid for the lifetime of both states: Property-2 repairs and
-        # node removals re-route every broken path before returning (removals
-        # bypass this memo when re-attaching, see _remove_node).
-        self._edge_memo: Set[Tuple[int, int]] = set()
+        # from the parent) live on the parent, as the child's serial in
+        # ``parent.reached`` (serials are unique per state incarnation, so
+        # re-created object sets never alias).  Entries stay valid for the
+        # lifetime of both states: Property-2 repairs and node removals
+        # re-route every broken path before returning (removals bypass the
+        # memo when re-attaching, see _remove_node).  This counts the entries
+        # of live states, dead children included, for _prune_edge_memo.
+        self._memo_size = 0
         # Δ-pruning replay list and the expiry buckets (see module docstring).
         self._schedule = _Schedule()
 
@@ -209,23 +217,25 @@ class StrictStateGraphGenerator(MCOSGenerator):
         if state.children is None:
             state.children = {}
             state.parents = {}
+            state.reached = set()
             self._root_keys[state.bits] = state
 
     def _ensure_edge(self, parent_state: State, child_state: State) -> None:
         """Ensure ``child`` is reachable from ``parent``, repairing Property 2.
 
-        Memoised per state pair: the same derivation repeats every frame
-        while a co-occurrence persists, and nothing the graph maintenance
-        does breaks established reachability (repairs and removals re-route
-        every path they cut), so a satisfied request stays satisfied for the
-        lifetime of the two states.
+        Memoised per state pair, in ``parent_state.reached``: the same
+        derivation repeats every frame while a co-occurrence persists, and
+        nothing the graph maintenance does breaks established reachability
+        (repairs and removals re-route every path they cut), so a satisfied
+        request stays satisfied for the lifetime of the two states.  The
+        parent is always a graph node, so it holds a memo set.
         """
-        memo = self._edge_memo
-        key = (parent_state.serial, child_state.serial)
-        if key in memo:
+        serial = child_state.serial
+        if serial in parent_state.reached:
             return
         self._add_edge(parent_state, child_state)
-        memo.add(key)
+        parent_state.reached.add(serial)
+        self._memo_size += 1
 
     def _add_edge(self, parent_state: State, child_state: State) -> None:
         """Uncached edge insertion with Property-2 sibling repair."""
@@ -287,8 +297,11 @@ class StrictStateGraphGenerator(MCOSGenerator):
         bits = state.bits
         children = state.children
         parents = state.parents
+        if state.reached is not None:
+            self._memo_size -= len(state.reached)
         state.children = None
         state.parents = None
+        state.reached = None
         self._root_keys.pop(bits, None)
         if parents:
             for parent_state in parents.values():
@@ -351,23 +364,26 @@ class StrictStateGraphGenerator(MCOSGenerator):
             schedule.witness = None
 
         self._track_live_states(len(self._states))
-        if len(self._edge_memo) > 64 * len(self._states) + 1024:
+        if self._memo_size > 64 * len(self._states) + 1024:
             self._prune_edge_memo()
         return self._report(frame_id, result_candidates)
 
     def _prune_edge_memo(self) -> None:
-        """Drop edge-memo entries whose states are gone.
+        """Drop edge-memo entries whose child is gone.
 
-        State serials are never reused, so entries referencing dead states
-        are dead weight; on a long-running stream they would otherwise
-        accumulate without bound.  Amortised: runs only when the memo
-        outgrows the live state count by a wide margin.
+        State serials are never reused, so entries naming dead states are
+        dead weight; on a long-running stream they would otherwise
+        accumulate without bound.  (A dead parent's entries go with it, in
+        :meth:`_remove_node`.)  Amortised: runs only when the memo outgrows
+        the live state count by a wide margin, and before an export, which
+        writes the live entries only.
         """
-        live = {state.serial for state in self._states}
-        self._edge_memo = {
-            key for key in self._edge_memo
-            if key[0] in live and key[1] in live
-        }
+        states = self._states
+        live = set(map(attrgetter("serial"), states))
+        memos = list(filter(None, map(attrgetter("reached"), states)))
+        for reached in memos:
+            reached &= live
+        self._memo_size = sum(map(len, memos))
 
     def _expire_principals(self, oldest_valid: int) -> None:
         """Drop expired creating frames; forget principals with none left.
@@ -567,8 +583,6 @@ class StrictStateGraphGenerator(MCOSGenerator):
         base = states.base
         stats = self.stats
         schedule = self._schedule
-        edge_memo = self._edge_memo
-        add_edge_memo = edge_memo.add
         duration = self.collect_duration
         visits = 0
         appended = 0
@@ -639,10 +653,10 @@ class StrictStateGraphGenerator(MCOSGenerator):
                         schedule.add(target, base)
                 appended += 1
                 # Inlined _ensure_edge (the memo hit is the common case).
-                ekey = (state.serial, target.serial)
-                if ekey not in edge_memo:
+                if target.serial not in state.reached:
                     self._add_edge(state, target)
-                    add_edge_memo(ekey)
+                    state.reached.add(target.serial)
+                    self._memo_size += 1
                 if target_frames.bit_count() >= duration and marks:
                     result_candidates[inter] = target
 
@@ -747,7 +761,7 @@ class StrictStateGraphGenerator(MCOSGenerator):
         self._root_keys = {}
         self._principals = {}
         self._previous_results = {}
-        self._edge_memo = set()
+        self._memo_size = 0
         self._schedule = _Schedule()
 
     def live_state_count(self) -> int:
@@ -775,13 +789,15 @@ class StrictStateGraphGenerator(MCOSGenerator):
         de-synchronise a restored shard from its uninterrupted twin.
 
         The edge-reachability memo must be exported too, translated from
-        process-local state serials to table positions (``memo_parents[j]``
-        reaches ``memo_children[j]``): a memoised "reachability satisfied"
-        verdict suppresses future ``_add_edge`` calls, so a restored run
-        without it could insert edges the original never would, evolving a
-        differently-shaped (equally correct, but not byte-identical) graph.
-        Entries whose states are gone are dropped, exactly as
-        ``_prune_edge_memo`` would.
+        process-local state serials to table positions: ``memo_counts[i]``
+        entries of ``memo_children`` belong to state ``i``, the sorted
+        positions of the states its ``reached`` set names.  A memoised
+        "reachability satisfied" verdict suppresses future ``_add_edge``
+        calls, so a restored run without it could insert edges the original
+        never would, evolving a differently-shaped (equally correct, but not
+        byte-identical) graph.  The export first runs ``_prune_edge_memo``,
+        so only entries naming live states are written and the exporting
+        run keeps the memo its restored twin rebuilds.
 
         The replay list goes in two columns: ``replay_principal`` holds the
         last frame's principal (``-1`` when the next frame walks in full)
@@ -789,39 +805,42 @@ class StrictStateGraphGenerator(MCOSGenerator):
         checkpoint without them restores with an empty list.  The expiry
         buckets are not written: import rebuilds them from the marks.
         """
+        self._prune_edge_memo()
         by_bits = self._states._by_bits
-        position_of = {bits: index for index, bits in enumerate(by_bits)}.__getitem__
-        by_serial: Dict[int, int] = {}
-        graph: Dict[str, List[int]] = {
-            "child_counts": [], "children": [], "parent_counts": [], "parents": [],
-        }
-        for index, state in enumerate(by_bits.values()):
-            by_serial[state.serial] = index
-            for name, counts, linked in (
-                ("children", "child_counts", state.children),
-                ("parents", "parent_counts", state.parents),
-            ):
-                graph[counts].append(-1 if linked is None else len(linked))
-                if linked:
-                    graph[name] += map(position_of, linked)
-        size = len(by_bits)
-        edge_memo = sorted([
-            by_serial[a] * size + by_serial[b]
-            for a, b in self._edge_memo
-            if a in by_serial and b in by_serial
-        ])
+        states = list(by_bits.values())
+        position_of = dict(zip(by_bits, range(len(states)))).__getitem__
+        graph: Dict[str, List[int]] = {}
+        for name, counts in (("children", "child_counts"), ("parents", "parent_counts")):
+            linked = list(map(attrgetter(name), states))
+            graph[counts] = [-1 if links is None else len(links) for links in linked]
+            graph[name] = list(map(
+                position_of, chain.from_iterable(filter(None, linked))
+            ))
         principals = self._principals
         graph["roots"] = list(map(position_of, self._root_keys))
         graph["principals"] = list(map(position_of, principals))
         graph["principal_counts"] = list(map(len, principals.values()))
         graph["principal_frames"] = list(chain.from_iterable(principals.values()))
         graph["previous_results"] = list(map(position_of, self._previous_results))
-        graph["memo_parents"] = list(map(floordiv, edge_memo, repeat(size)))
-        graph["memo_children"] = list(map(mod, edge_memo, repeat(size)))
+        # Serials grow with table position, so sorted serials map to sorted
+        # positions.
+        position_at = dict(zip(
+            map(attrgetter("serial"), states), range(len(states))
+        )).__getitem__
+        memos = [reached or () for reached in map(attrgetter("reached"), states)]
+        graph["memo_counts"] = list(map(len, memos))
+        graph["memo_children"] = list(map(
+            position_at, chain.from_iterable(map(sorted, memos))
+        ))
         replay = [position_of(state.bits) for state in self._schedule.replay]
         graph["replay_principal"] = replay[:1] or [-1]
         graph["replay"] = replay[1:]
-        return {"states": self._states.export_states(), "graph": graph}
+        return {
+            "states": self._states.export_states(
+                self._last_frame_id, self.config.window_size
+            ),
+            "graph": graph,
+        }
 
     def _import_impl(self, payload: Dict) -> None:
         self._states.import_states(
@@ -831,9 +850,12 @@ class StrictStateGraphGenerator(MCOSGenerator):
         size = len(states)
         graph = payload["graph"]
 
+        bits_at = list(map(attrgetter("bits"), states)).__getitem__
+        state_at = states.__getitem__
+
         def linked(positions: Sequence[int]) -> Dict[ObjectBits, State]:
             """``bits -> state`` of the states at ``positions``, in that order."""
-            return {states[at].bits: states[at] for at in positions}
+            return dict(zip(map(bits_at, positions), map(state_at, positions)))
 
         for name, counts in (("children", "child_counts"), ("parents", "parent_counts")):
             per_state = int_column(graph[counts])
@@ -848,11 +870,14 @@ class StrictStateGraphGenerator(MCOSGenerator):
                 raise ValueError(
                     f"SSG checkpoint {name} column does not add up to {counts}"
                 )
-            at = 0
-            for state, count in zip(states, per_state):
+            # Each state's dict takes its count of pairs off one iterator.
+            pairs = zip(map(bits_at, flat), map(state_at, flat))
+            dicts = map(
+                dict, map(islice, repeat(pairs), map(max, per_state, repeat(0)))
+            )
+            for state, count, links in zip(states, per_state, dicts):
                 if count >= 0:
-                    setattr(state, name, linked(flat[at:at + count]))
-                    at += count
+                    setattr(state, name, links)
         self._root_keys = linked(table_positions(graph["roots"], size))
         principals = table_positions(graph["principals"], size)
         counts = int_column(graph["principal_counts"])
@@ -870,14 +895,24 @@ class StrictStateGraphGenerator(MCOSGenerator):
         self._previous_results = linked(
             table_positions(graph["previous_results"], size)
         )
-        memo_parents = table_positions(graph["memo_parents"], size)
+        memo_counts = int_column(graph["memo_counts"])
         memo_children = table_positions(graph["memo_children"], size)
-        if len(memo_parents) != len(memo_children):
-            raise ValueError("SSG checkpoint edge-memo columns differ in length")
-        serial_at = [state.serial for state in states].__getitem__
-        self._edge_memo = set(zip(
-            map(serial_at, memo_parents), map(serial_at, memo_children)
-        ))
+        if len(memo_counts) != size or min(memo_counts, default=0) < 0 \
+                or sum(memo_counts) != len(memo_children):
+            raise ValueError(
+                "SSG checkpoint memo_children column does not add up to "
+                "memo_counts"
+            )
+        serial_at = list(map(attrgetter("serial"), states)).__getitem__
+        serials = map(serial_at, memo_children)
+        for state, count in zip(states, memo_counts):
+            if state.children is not None:
+                state.reached = set(islice(serials, count))
+            elif count:
+                raise ValueError(
+                    "SSG checkpoint memoises edges from a state off the graph"
+                )
+        self._memo_size = len(memo_children)
         principal = int_column(graph.get("replay_principal", [-1]))
         replay = table_positions(graph.get("replay", []), size)
         if len(principal) != 1 or not -1 <= principal[0] < size \

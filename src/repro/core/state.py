@@ -24,21 +24,23 @@ are plain ``int`` bitsets:
 Every state of a table shares its base, so two states' frame sets combine
 without alignment; :meth:`StateTable.frame_bit` moves the base forward about
 once per window, shifting every live state.  The ``frozenset`` view of the
-object set and the tuples of frame ids are decoded only for results and
-checkpoints (``object_ids``, ``frame_ids``, :meth:`State.to_result`,
-:meth:`StateTable.export_states`).
+object set and the tuples of frame ids are decoded only for results
+(``object_ids``, ``frame_ids``, :meth:`State.to_result`); a checkpoint
+writes the bitsets themselves, shifted to the window start
+(:meth:`StateTable.export_states`).
 """
 
 from __future__ import annotations
 
-from itertools import count
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from itertools import count, repeat
+from operator import and_, attrgetter, invert, rshift
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.interning import ObjectInterner
 from repro.core.result import ResultState
 
 #: Serial numbers of states, never reused (unlike ``id``): SSG's edge memo
-#: and its expiry sweep order key on them.
+#: (``State.reached``) and its expiry sweep order key on them.
 _serials = count()
 
 
@@ -63,8 +65,9 @@ class State:
     """A co-occurrence object set (bitmask) with its frame and mark bitsets.
 
     Only ``bits``, ``frames``, ``marks`` and ``terminated`` are exported per
-    state (see :meth:`StateTable.export_states`); SSG adjacency is exported
-    by that generator, and everything else is rebuilt on the fly.
+    state (see :meth:`StateTable.export_states`); SSG adjacency and edge
+    memo are exported by that generator, and everything else is rebuilt on
+    the fly.
     """
 
     __slots__ = (
@@ -76,6 +79,7 @@ class State:
         "flag",
         "children",
         "parents",
+        "reached",
         "_table",
         "_object_ids",
         "_result",
@@ -106,6 +110,9 @@ class State:
         #: the other generators.
         self.children: Optional[Dict[int, "State"]] = None
         self.parents: Optional[Dict[int, "State"]] = None
+        #: SSG's edge memo: the serials of the states an edge request from
+        #: this one already found reachable.  ``None`` off the graph.
+        self.reached: Optional[Set[int]] = None
         self._table = table
         self._object_ids: Optional[FrozenSet[int]] = None
         #: The last decoded result and the ``frames`` it was decoded from
@@ -331,54 +338,41 @@ class StateTable:
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
-    def export_states(self) -> Dict[str, List[int]]:
-        """Snapshot every live state as flat int columns, in table order.
+    def export_states(
+        self, last_frame_id: Optional[int], window_size: int
+    ) -> Dict[str, List[int]]:
+        """Snapshot every live state as flat int columns, in table order,
+        after frame ``last_frame_id`` of a ``window_size`` window.
 
-        One row per state in ``bits`` / ``terminated`` / ``run_counts`` /
-        ``mark_counts``; the inclusive ``starts`` / ``ends`` bounds of each
-        run of consecutive frames and the ``marks`` of all states are
-        concatenated, each state owning the next ``run_counts[i]``
-        (``mark_counts[i]``) entries.  Frame ids are absolute, so the base
-        is not exported.  Everything else a state holds — serial,
-        visitation stamp, decoded-result cache — is rebuilt lazily and
-        never exported; SSG adjacency is graph-owned and exported by that
+        One row per state in each of the four columns: ``bits``,
+        ``terminated`` (``0``/``1``), and the ``frames`` and ``marks``
+        bitsets shifted to the window start ``lo = last_frame_id -
+        window_size + 1`` (bit ``i`` is frame ``lo + i``).  The shift to
+        ``lo`` rather than to the table's ``base`` keeps the bytes
+        canonical: the base moves lazily, so a restored table and its
+        uninterrupted twin may hold different bases, but never different
+        windows.  Everything else a state holds — serial, visitation stamp,
+        decoded-result cache — is rebuilt lazily and never exported; SSG
+        adjacency and its edge memo are graph-owned and exported by that
         generator, addressed by the row positions defined here.
 
         Table order matters: the generators' report loops iterate the table,
         so restoring states in a different order would permute result sets
         and break byte-identical resume.
         """
-        base = self.base
-        run_counts: List[int] = []
-        starts: List[int] = []
-        ends: List[int] = []
-        mark_counts: List[int] = []
-        marks: List[int] = []
-        terminated: List[int] = []
-        for state in self._by_bits.values():
-            # The runs of decode_frames, inlined: a run generator per state
-            # makes the export half as slow again.
-            frames = state.frames
-            runs = 0
-            while frames:
-                low = frames & -frames
-                carry = frames + low
-                starts.append(base + low.bit_length() - 1)
-                ends.append(base + (frames ^ carry).bit_length() - 2)
-                frames &= carry
-                runs += 1
-            run_counts.append(runs)
-            marked = decode_frames(state.marks, base)
-            mark_counts.append(len(marked))
-            marks += marked
-            terminated.append(1 if state.terminated else 0)
+        states = self._by_bits.values()
+        # Every frame moves the base to at most its window start first, so
+        # the shift is never negative (and 0 before the first frame).
+        shift = 0 if last_frame_id is None \
+            else last_frame_id - window_size + 1 - self.base
+        frames, marks = (
+            list(map(rshift, map(attrgetter(name), states), repeat(shift)))
+            for name in ("frames", "marks")
+        )
         return {
             "bits": list(self._by_bits),
-            "terminated": terminated,
-            "run_counts": run_counts,
-            "starts": starts,
-            "ends": ends,
-            "mark_counts": mark_counts,
+            "terminated": list(map(int, map(attrgetter("terminated"), states))),
+            "frames": frames,
             "marks": marks,
         }
 
@@ -389,26 +383,18 @@ class StateTable:
         """Rebuild the table (in place) from an :meth:`export_states` payload
         taken after frame ``last_frame_id`` of a ``window_size`` window.
 
-        Every frame and mark must lie in that window (no state may exist
-        before the first frame); the base becomes the window's oldest frame.
+        Every frame must lie in that window (no bit at or above
+        ``window_size``), every mark among its state's frames, and no state
+        may exist before the first frame; the base becomes the window's
+        oldest frame, so the bitsets load as they are.
         """
-        bits, terminated, run_counts, starts, ends, mark_counts, marks = (
-            int_column(columns[name]) for name in (
-                "bits", "terminated", "run_counts", "starts", "ends",
-                "mark_counts", "marks",
-            )
+        bits, terminated, frames, marks = (
+            int_column(columns[name])
+            for name in ("bits", "terminated", "frames", "marks")
         )
-        if not len(bits) == len(terminated) == len(run_counts) == len(mark_counts):
+        if not len(bits) == len(terminated) == len(frames) == len(marks):
             raise ValueError(
                 "malformed table snapshot: per-state columns differ in length"
-            )
-        if min(run_counts, default=0) < 0 or min(mark_counts, default=0) < 0:
-            raise ValueError("malformed table snapshot: negative run or mark count")
-        if not sum(run_counts) == len(starts) == len(ends) \
-                or sum(mark_counts) != len(marks):
-            raise ValueError(
-                "malformed table snapshot: run or mark columns do not add up "
-                "to the per-state counts"
             )
         if last_frame_id is None:
             if bits:
@@ -418,52 +404,29 @@ class StateTable:
             base = 0
         else:
             base = last_frame_id - window_size + 1
-            if min(starts + marks, default=base) < base \
-                    or max(ends + marks, default=base) > last_frame_id:
-                raise ValueError(
-                    "malformed table snapshot: a frame outside the window "
-                    f"{base}..{last_frame_id}"
-                )
+        if min(bits + frames + marks, default=0) < 0:
+            raise ValueError("malformed table snapshot: a negative value")
+        if any(map(rshift, frames, repeat(window_size))):
+            raise ValueError(
+                "malformed table snapshot: a frame outside the window "
+                f"{base}..{last_frame_id}"
+            )
+        if any(map(and_, marks, map(invert, frames))):
+            raise ValueError(
+                "malformed table snapshot: a mark outside the frame set"
+            )
+        if len(set(bits)) != len(bits):
+            raise ValueError("duplicate state bitmask in table snapshot")
         by_bits = self._by_bits
         by_bits.clear()
         self.base = base
-        run_at = mark_at = 0
-        for state_bits, dead, run_count, mark_count in zip(
-            bits, terminated, run_counts, mark_counts
+        for state_bits, dead, state_frames, state_marks in zip(
+            bits, terminated, frames, marks
         ):
-            state = State(state_bits, self)
-            frames = 0
-            previous_end = base - 2
-            for run in range(run_at, run_at + run_count):
-                start, end = starts[run], ends[run]
-                if end < start or start <= previous_end + 1:
-                    raise ValueError(
-                        "malformed table snapshot: runs not sorted/disjoint "
-                        f"at {start}..{end}"
-                    )
-                frames |= ((2 << (end - start)) - 1) << (start - base)
-                previous_end = end
-            state_marks = 0
-            previous_mark = base - 1
-            for mark in marks[mark_at:mark_at + mark_count]:
-                if mark <= previous_mark:
-                    raise ValueError("malformed table snapshot: marks not sorted")
-                state_marks |= 1 << (mark - base)
-                previous_mark = mark
-            if state_marks & ~frames:
-                raise ValueError(
-                    "malformed table snapshot: a mark outside the frame set"
-                )
-            run_at += run_count
-            mark_at += mark_count
-            state.frames = frames
+            state = by_bits[state_bits] = State(state_bits, self)
+            state.frames = state_frames
             state.marks = state_marks
             state.terminated = bool(dead)
-            if state.bits in by_bits:
-                raise ValueError(
-                    f"duplicate state bitmask {state.bits} in table snapshot"
-                )
-            by_bits[state.bits] = state
 
 
 def int_column(column: Sequence) -> List[int]:

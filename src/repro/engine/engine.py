@@ -641,7 +641,7 @@ class TemporalVideoQueryEngine:
         """The :meth:`checkpoint` document as compact checkpoint bytes.
 
         This is the byte-level hand-off form: self-contained (config and
-        queries included), canonical, and written as checkpoint version 8,
+        queries included), canonical, and written as checkpoint version 9,
         the only version :meth:`import_state` and :meth:`from_state` read.
         """
         # Lazy import: the streaming package imports this module, so a

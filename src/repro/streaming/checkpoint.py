@@ -4,7 +4,7 @@ A checkpoint wraps one component snapshot::
 
     {
       "format": "repro-streaming-checkpoint",
-      "version": 8,
+      "version": 9,
       "kind": "router" | "engine" | "generator" | "session",
       "payload": { ... }
     }
@@ -13,11 +13,18 @@ The payload is produced by the component's own ``checkpoint()`` /
 ``export_checkpoint()`` method (routers here; engines in
 :mod:`repro.engine.engine`; generators in :mod:`repro.core.base`).
 
-**Version 8 is the only version written and the only one read.**  Any
-other version — the version-1 JSON form, the version-2 to version-7
+**Version 9 is the only version written and the only one read.**  Any
+other version — the version-1 JSON form, the version-2 to version-8
 binary forms, or a future one — is refused with a
-:class:`CheckpointError` that names it.  Version 8 has the version-4
-encoding; its layout is version 7's without wall-clock timings and with
+:class:`CheckpointError` that names it.  Version 9 is version 8 with
+three changes: a generator's states carry their frames and marks as two
+bitsets over the window start (``frames`` / ``marks``, replacing the
+``run_counts`` / ``starts`` / ``ends`` / ``mark_counts`` / ``marks``
+runs and ids; see :meth:`repro.core.state.StateTable.export_states`),
+SSG's edge memo is written per state (``memo_counts`` /
+``memo_children``, replacing ``memo_parents``), and the encoding gains
+tag ``10``, the wide int column.  Version 8 had the version-4 encoding;
+its layout was version 7's without wall-clock timings and with
 no fact stated twice: shard entries lose ``stats.processing_seconds``,
 ``stats.frames_per_sec`` and ``stats.frames_processed`` (the engine's
 counter holds it), their engine snapshots the ``mcos_seconds`` and
@@ -32,7 +39,7 @@ snapshot is a pure function of the calls and frames that built it.
   ============  =====================================================
   section       contents
   ============  =====================================================
-  magic         ``b"RSCK8\\x00"``
+  magic         ``b"RSCK9\\x00"``
   body          zlib-compressed stream of:
   · strings     interned string table (varint count, then varint
                 length + UTF-8 bytes per string, first-use order)
@@ -63,8 +70,13 @@ snapshot is a pure function of the calls and frames that built it.
   (values on a tie), so the bytes are a pure function of the list.
   Encoding and decoding a column is a fixed number of C-level passes
   (``array``, ``map``, ``itertools.accumulate``): its cost is per column,
-  not per value.  Lists holding an int beyond 64 bits (wide object-set
-  bitmasks) take tag ``8``.
+  not per value.  ``10`` **wide int column**: a list of at least
+  :data:`COLUMN_MIN_VALUES` non-negative ints, one of them beyond 64 bits
+  (wide object-set bitmasks, the frame bitsets of long windows) — a
+  varint byte width (the widest value's), a varint count, then the
+  values as unsigned little-endian integers of that width, written with
+  one ``b"".join`` of ``int.to_bytes`` and read back by slicing.  A wide
+  list holding a negative int takes tag ``8``.
 
 Layout: each workload fact is written once
 ------------------------------------------
@@ -117,7 +129,7 @@ import sys
 import zlib
 from array import array
 from contextlib import contextmanager
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import sub
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Union
@@ -128,13 +140,13 @@ PathLike = Union[str, Path]
 CHECKPOINT_FORMAT = "repro-streaming-checkpoint"
 
 #: The version :func:`to_bytes` writes.
-CHECKPOINT_VERSION = 8
+CHECKPOINT_VERSION = 9
 
 #: Every version :func:`from_bytes` reads.
 SUPPORTED_VERSIONS = (CHECKPOINT_VERSION,)
 
 #: Magic prefix of the written encoding.
-MAGIC = b"RSCK8\x00"
+MAGIC = b"RSCK9\x00"
 
 #: Any version's magic: ``RSCK``, the version number, a NUL byte.
 _ANY_MAGIC = re.compile(rb"RSCK(\d+)\x00")
@@ -155,6 +167,7 @@ KNOWN_KINDS = ("router", "engine", "generator", "session")
 #: Value tags of the binary tree encoding.
 _T_NONE, _T_FALSE, _T_TRUE, _T_INT, _T_FLOAT = 0, 1, 2, 3, 4
 _T_STR, _T_LIST, _T_DICT, _T_INTLIST, _T_INTCOLUMN = 5, 6, 7, 8, 9
+_T_WIDECOLUMN = 10
 
 #: Shortest int list written as a column: below it the two header bytes
 #: and fixed-width items lose to varints.
@@ -319,6 +332,19 @@ def _encode_column(values: Sequence[int], out: bytearray) -> bool:
     return True
 
 
+def _encode_wide_column(values: Sequence[int], out: bytearray) -> bool:
+    """Write ``values`` as a tag-10 wide column; ``False`` when one is
+    negative.  The byte width is the widest value's, so it is canonical."""
+    if min(values) < 0:
+        return False
+    width = (max(values).bit_length() + 7) // 8
+    out.append(_T_WIDECOLUMN)
+    _write_varint(out, width)
+    _write_varint(out, len(values))
+    out += b"".join(map(int.to_bytes, values, repeat(width), repeat("little")))
+    return True
+
+
 def _encode_value(value, out: bytearray, strings: Dict[str, int]) -> None:
     """Encode one JSON-tree value; interns strings on first encounter.
 
@@ -353,10 +379,12 @@ def _encode_value(value, out: bytearray, strings: Dict[str, int]) -> None:
         # ``set(map(type, ...))`` is one C-level pass; bools are not ints
         # here (``type(True) is bool``) and keep their own tags.
         if value and type(value[0]) is int and set(map(type, value)) == {int}:
-            if len(value) >= COLUMN_MIN_VALUES and _encode_column(value, out):
+            if len(value) >= COLUMN_MIN_VALUES and (
+                _encode_column(value, out) or _encode_wide_column(value, out)
+            ):
                 return
-            # Delta-coded varints: short lists, and lists holding ints
-            # beyond 64 bits (wide object-set bitmasks).
+            # Delta-coded varints: short lists, and wide lists holding a
+            # negative int.
             out.append(_T_INTLIST)
             _write_varint(out, len(value))
             previous = 0
@@ -468,6 +496,27 @@ class _Reader:
             return column.tolist()
         return list(accumulate(column, initial=base))
 
+    def read_wide_column(self) -> List[int]:
+        width = self.read_varint()
+        count = self.read_varint()
+        if not width:
+            raise CheckpointError("wide int column of width 0 in checkpoint body")
+        # Checked before anything is allocated, as for read_column.
+        size = width * count
+        if size > len(self.data) - self.pos:
+            raise CheckpointError(
+                f"truncated checkpoint: wide int column of {count} values "
+                "runs past the end"
+            )
+        start = self.pos
+        self.pos = start + size
+        items = map(
+            self.data.__getitem__,
+            map(slice, range(start, self.pos, width),
+                range(start + width, self.pos + width, width)),
+        )
+        return list(map(int.from_bytes, items, repeat("little")))
+
     def read_value(self):
         pos = self.pos
         if pos >= len(self.data):
@@ -488,6 +537,8 @@ class _Reader:
             return self._string_at(self.read_varint())
         if tag == _T_INTCOLUMN:
             return self.read_column()
+        if tag == _T_WIDECOLUMN:
+            return self.read_wide_column()
         if tag == _T_INTLIST:
             count = self.read_varint()
             values: List[int] = []
@@ -565,7 +616,7 @@ def _decode_binary(data: bytes) -> Dict:
 # Public byte-level API
 # ----------------------------------------------------------------------
 def to_bytes(kind: str, payload: Dict) -> bytes:
-    """Serialise a snapshot to canonical version-8 checkpoint bytes.
+    """Serialise a snapshot to canonical version-9 checkpoint bytes.
 
     Insertion order *is* part of the state (see the module docstring), so
     the bytes are a pure function of the component state.
@@ -574,7 +625,7 @@ def to_bytes(kind: str, payload: Dict) -> bytes:
 
 
 def from_bytes(data: bytes, expect_kind: Optional[str] = None) -> Dict:
-    """Parse version-8 checkpoint bytes into the inner payload."""
+    """Parse version-9 checkpoint bytes into the inner payload."""
     if not isinstance(data, (bytes, bytearray)):
         raise CheckpointError(
             f"checkpoint must be bytes, got {type(data).__name__}"

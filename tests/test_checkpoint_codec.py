@@ -120,17 +120,17 @@ def varint(value: int) -> bytes:
 
 
 class TestVersions:
-    def test_only_version8_is_written_or_read(self):
-        assert ckpt.CHECKPOINT_VERSION == 8
-        assert ckpt.SUPPORTED_VERSIONS == (8,)
-        assert ckpt.MAGIC == b"RSCK8\x00"
-        assert ckpt.wrap("router", {})["version"] == 8
+    def test_only_version9_is_written_or_read(self):
+        assert ckpt.CHECKPOINT_VERSION == 9
+        assert ckpt.SUPPORTED_VERSIONS == (9,)
+        assert ckpt.MAGIC == b"RSCK9\x00"
+        assert ckpt.wrap("router", {})["version"] == 9
         blob = ckpt.to_bytes("router", {})
         assert blob[:len(ckpt.MAGIC)] == ckpt.MAGIC
         with pytest.raises(TypeError):
             ckpt.to_bytes("router", {}, version=3)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 9])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 10])
     def test_other_versions_are_refused_by_name(self, version):
         body = ckpt.to_bytes("router", {"a": 1})[len(ckpt.MAGIC):]
         if version == 1:
@@ -153,7 +153,7 @@ class TestVersions:
         document = dict(ckpt.wrap("router", {"a": 1}), version=3)
         blob = ckpt._encode_binary(document)
         assert blob[:len(ckpt.MAGIC)] == ckpt.MAGIC
-        with pytest.raises(CheckpointError, match="does not declare version 8"):
+        with pytest.raises(CheckpointError, match="does not declare version 9"):
             ckpt.from_bytes(blob)
 
 
@@ -298,8 +298,9 @@ class TestIntColumns:
         fits = all(-(1 << 63) <= item < (1 << 63) for item in values)
         expected_tag = (
             ckpt._T_LIST if not values
-            else ckpt._T_INTCOLUMN
-            if len(values) >= ckpt.COLUMN_MIN_VALUES and fits
+            else ckpt._T_INTLIST if len(values) < ckpt.COLUMN_MIN_VALUES
+            else ckpt._T_INTCOLUMN if fits
+            else ckpt._T_WIDECOLUMN if min(values) >= 0
             else ckpt._T_INTLIST
         )
         assert encoded[0] == expected_tag
@@ -335,10 +336,19 @@ class TestIntColumns:
         if width < 8:
             assert tree_bytes(outside)[:2] == bytes([ckpt._T_INTCOLUMN, 2 * width])
 
-    def test_beyond_64_bits_falls_back_to_varints(self):
+    def test_beyond_64_bits_takes_a_wide_column_unless_negative(self):
+        """A non-negative list with an int wider than 64 bits (object-set
+        bitmasks, frame bitsets of long windows) is a tag-10 wide column; a
+        wide list holding a negative int keeps the varints of tag 8."""
         wide = list(range(20)) + [1 << 64]
-        assert tree_bytes(wide)[0] == ckpt._T_INTLIST
+        assert tree_bytes(wide)[:3] == bytes([ckpt._T_WIDECOLUMN, 9, len(wide)])
         assert read_tree(tree_bytes(wide)) == wide
+        wide_negative = [-1] + wide
+        assert tree_bytes(wide_negative)[0] == ckpt._T_INTLIST
+        assert read_tree(tree_bytes(wide_negative)) == wide_negative
+        short = wide[-ckpt.COLUMN_MIN_VALUES + 1:]
+        assert tree_bytes(short)[0] == ckpt._T_INTLIST
+        assert read_tree(tree_bytes(short)) == short
         negative = list(range(20)) + [-(1 << 63) - 1]
         assert tree_bytes(negative)[0] == ckpt._T_INTLIST
         assert read_tree(tree_bytes(negative)) == negative
@@ -392,6 +402,41 @@ class TestIntColumns:
     def test_delta_column_needs_a_first_value(self):
         with pytest.raises(CheckpointError, match="without a first value"):
             read_tree(self.column(0x11, 0, b""))
+
+    # -- wide columns (tag 10) -----------------------------------------
+    @pytest.mark.parametrize("width", range(9, 65))
+    def test_wide_columns_round_trip_at_every_width(self, width):
+        import random
+        rng = random.Random(width)
+        top = 1 << (8 * width)
+        values = [rng.randrange(top) for _ in range(ckpt.COLUMN_MIN_VALUES)]
+        values += [0, top - 1, top >> 1, 1 << 64]
+        encoded = tree_bytes(values)
+        assert encoded == (
+            bytes([ckpt._T_WIDECOLUMN]) + varint(width) + varint(len(values))
+            + b"".join(value.to_bytes(width, "little") for value in values)
+        )
+        decoded = read_tree(encoded)
+        assert decoded == values and all(type(item) is int for item in decoded)
+
+    def wide_column(self, width: int, count: int, items: bytes) -> bytes:
+        return bytes([ckpt._T_WIDECOLUMN]) + varint(width) + varint(count) + items
+
+    def test_every_truncation_of_a_wide_column_raises(self):
+        encoded = tree_bytes([1 << 70, 5] * ckpt.COLUMN_MIN_VALUES)
+        assert encoded[0] == ckpt._T_WIDECOLUMN
+        for cut in range(len(encoded)):
+            with pytest.raises(CheckpointError):
+                read_tree(encoded[:cut])
+
+    def test_wide_column_of_width_zero_rejected(self):
+        with pytest.raises(CheckpointError, match="width 0"):
+            read_tree(self.wide_column(0, 1 << 62, b""))
+
+    @pytest.mark.parametrize("width,count", [(9, 1 << 62), (1 << 62, 9), (1, 65)])
+    def test_wide_count_past_the_end_never_allocates(self, width, count):
+        with pytest.raises(CheckpointError, match="runs past the end"):
+            read_tree(self.wide_column(width, count, b"\x01" * 64))
 
     def test_hostile_column_inside_a_whole_checkpoint(self):
         strings = b"\x00"  # empty string table

@@ -10,11 +10,14 @@ randomized cases carry their seed in the assertion message.
 from __future__ import annotations
 
 import json
+import random
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import ObjectInterner, StateTable, StrictStateGraphGenerator
+from repro.datamodel import FrameObservation
 from repro.engine import EngineConfig, MCOSMethod, TemporalVideoQueryEngine
 from repro.streaming import (
     CHECKPOINT_VERSION,
@@ -92,7 +95,7 @@ class TestStateRoundTrip:
         window = frame_id - state.frame_ids[0] + 1
         restored = StateTable(table.interner)
         restored.import_states(
-            json_roundtrip(table.export_states()), frame_id, window
+            json_roundtrip(table.export_states(frame_id, window)), frame_id, window
         )
         (copy,) = restored
         assert copy.frame_ids == state.frame_ids, f"seed={seed}"
@@ -121,7 +124,7 @@ class TestStateTableRoundTrip:
             for fid in sorted(rng.sample(range(50), rng.randint(1, 10))):
                 state.add_frame(fid, marked=rng.random() < 0.5)
             state.terminated = rng.random() < 0.1
-        snapshot = json_roundtrip(table.export_states())
+        snapshot = json_roundtrip(table.export_states(49, 50))
         restored = StateTable(interner)
         restored.import_states(snapshot, 49, 50)
         assert len(restored) == len(table), f"seed={seed}"
@@ -131,65 +134,81 @@ class TestStateTableRoundTrip:
             assert copy.frame_ids == original.frame_ids, f"seed={seed}"
             assert copy.marked_frame_ids == original.marked_frame_ids, f"seed={seed}"
 
+    def test_bitsets_are_written_over_the_window_start(self):
+        """A table whose base lags its window writes the same columns as
+        one whose base is the window start: the bytes do not depend on
+        when the base last moved."""
+        interner = ObjectInterner()
+        lagging, current = StateTable(interner), StateTable(interner)
+        current.base = 6
+        for table in (lagging, current):
+            state, _ = table.get_or_create(3)
+            for frame_id in (6, 8, 9):
+                state.add_frame(frame_id, marked=frame_id == 8)
+        assert lagging.base == 0
+        snapshot = lagging.export_states(9, 4)
+        assert snapshot == current.export_states(9, 4) == {
+            "bits": [3], "terminated": [0], "frames": [0b1101], "marks": [0b100],
+        }
+
     def test_duplicate_bits_rejected(self):
         table = StateTable(ObjectInterner())
         snapshot = {
-            "bits": [3, 3], "terminated": [0, 0],
-            "run_counts": [1, 1], "starts": [0, 2], "ends": [1, 2],
-            "mark_counts": [0, 0], "marks": [],
+            "bits": [3, 3], "terminated": [0, 0], "frames": [3, 4], "marks": [0, 0],
         }
         with pytest.raises(ValueError, match="duplicate state bitmask"):
             table.import_states(snapshot, 2, 3)
 
     @pytest.mark.parametrize("damage", [
         {"terminated": [0]},                   # per-state columns misaligned
-        {"run_counts": [1, 2]},                # runs do not add up
-        {"run_counts": [3, -1]},               # negative count hides in the sum
-        {"mark_counts": [0, 1]},               # marks do not add up
-        {"ends": [1]},                         # run bounds differ in length
-        {"bits": [3, 0]},                      # empty object set
+        {"frames": [3]},
+        {"marks": [0, 0, 0]},
+        {"bits": [3]},
     ])
     def test_misaligned_columns_rejected(self, damage):
         snapshot = {
-            "bits": [3, 5], "terminated": [0, 0],
-            "run_counts": [1, 1], "starts": [0, 2], "ends": [1, 2],
-            "mark_counts": [0, 0], "marks": [],
+            "bits": [3, 5], "terminated": [0, 0], "frames": [3, 4], "marks": [0, 0],
         }
         StateTable(ObjectInterner()).import_states(snapshot, 2, 3)  # sound as is
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="columns differ in length"):
             StateTable(ObjectInterner()).import_states({**snapshot, **damage}, 2, 3)
 
-    @pytest.mark.parametrize("runs", [
-        # (starts, ends, marks) of one state in a window 0..12
-        ([0], [1, 2], []),            # bounds differ in length
-        ([5], [3], []),               # end before start
-        ([0, 1], [0, 4], []),         # adjacent runs not coalesced
-        ([3, 0], [3, 0], []),         # runs out of order
-        ([0], [3], [9]),              # mark outside the frame set
-        ([0, 10], [3, 12], [11, 11]), # marks not strictly sorted
+    @pytest.mark.parametrize("bitsets,error", [
+        # (frames, marks) of one state in the window 0..12
+        ((-1, 0), "negative"),
+        ((0b1111, -2), "negative"),
+        ((1 << 13 | 1, 1), "outside the window"),
+        ((0b1111, 0b10000), "mark outside the frame set"),
     ])
-    def test_malformed_runs_and_marks_rejected(self, runs):
-        starts, ends, marks = runs
+    def test_malformed_bitsets_rejected(self, bitsets, error):
+        frames, marks = bitsets
         snapshot = {
-            "bits": [3], "terminated": [0], "run_counts": [len(starts)],
-            "starts": starts, "ends": ends,
-            "mark_counts": [len(marks)], "marks": marks,
+            "bits": [3], "terminated": [0], "frames": [frames], "marks": [marks],
         }
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=error):
             StateTable(ObjectInterner()).import_states(snapshot, 12, 13)
 
-    @pytest.mark.parametrize("last_frame_id,window_size", [
-        (1, 3),     # frames newer than the last frame
-        (9, 3),     # frames older than the window
-        (None, 3),  # states before the first frame
+    @pytest.mark.parametrize("bits,error", [
+        ([3, 0], "non-empty object set"),
+        ([3, -5], "negative"),
     ])
-    def test_frames_outside_the_window_rejected(self, last_frame_id, window_size):
+    def test_malformed_bitmasks_rejected(self, bits, error):
         snapshot = {
-            "bits": [3], "terminated": [0], "run_counts": [1],
-            "starts": [1], "ends": [3], "mark_counts": [1], "marks": [3],
+            "bits": bits, "terminated": [0, 0], "frames": [1, 1], "marks": [1, 1],
         }
+        with pytest.raises(ValueError, match=error):
+            StateTable(ObjectInterner()).import_states(snapshot, 12, 13)
+
+    @pytest.mark.parametrize("last_frame_id,window_size,error", [
+        (3, 2, "outside the window"),     # a frame past a narrower window
+        (None, 3, "before the first frame"),
+    ])
+    def test_frames_outside_the_window_rejected(
+        self, last_frame_id, window_size, error
+    ):
+        snapshot = {"bits": [3], "terminated": [0], "frames": [0b111], "marks": [0b100]}
         StateTable(ObjectInterner()).import_states(snapshot, 3, 3)  # sound as is
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=error):
             StateTable(ObjectInterner()).import_states(
                 snapshot, last_frame_id, window_size
             )
@@ -226,7 +245,7 @@ class TestSSGGraphRoundTrip:
 
     @pytest.mark.parametrize("column", [
         "children", "parents", "roots", "principals", "previous_results",
-        "memo_parents", "memo_children",
+        "memo_children",
     ])
     @pytest.mark.parametrize("position", ["past-the-table", -1])
     def test_position_outside_the_table_rejected(self, column, position):
@@ -257,6 +276,120 @@ class TestSSGGraphRoundTrip:
         damage(payload["state"]["graph"])
         with pytest.raises((ValueError, KeyError)):
             StrictStateGraphGenerator(window_size=9, duration=5).import_checkpoint(payload)
+
+    @pytest.mark.parametrize("damage", [
+        lambda counts: counts.pop(),                         # misaligned
+        lambda counts: counts.append(0),
+        lambda counts: counts.__setitem__(counts.index(0), 1),  # too many
+        lambda counts: counts.__setitem__(                   # too few
+            next(at for at, count in enumerate(counts) if count), 0
+        ),
+        lambda counts: counts.__setitem__(                   # negative
+            next(at for at, count in enumerate(counts) if count > 1), -1
+        ),
+    ])
+    def test_memo_counts_that_do_not_add_up_rejected(self, damage):
+        payload, _ = self._mid_stream_payload()
+        counts = payload["state"]["graph"]["memo_counts"]
+        assert 0 in counts and max(counts) > 1, "scene too small"
+        damage(counts)
+        restored = StrictStateGraphGenerator(window_size=9, duration=5)
+        with pytest.raises(ValueError, match="does not add up to memo_counts"):
+            restored.import_checkpoint(payload)
+
+
+def dense_frames(seed: int, count: int, objects: int = 10, presence: float = 0.8):
+    """Every object in most frames, each flickering on its own."""
+    rng = random.Random(seed)
+    return [
+        FrameObservation(frame_id, {
+            oid: "car" for oid in range(objects) if rng.random() < presence
+        })
+        for frame_id in range(count)
+    ]
+
+
+def memo_by_bits(generator):
+    """Each graph node's ``reached`` set restricted to live states, keyed and
+    valued by object-set bits (serials differ between processes)."""
+    bits_of = {state.serial: state.bits for state in generator.live_states()}
+    return {
+        state.bits: frozenset(
+            bits_of[serial] for serial in state.reached if serial in bits_of
+        )
+        for state in generator.live_states() if state.reached is not None
+    }
+
+
+class TestEdgeMemo:
+    """SSG's edge memo (``State.reached``) through a checkpoint: a restored
+    generator keeps the live part of it, so its graph evolves exactly as the
+    uninterrupted one's."""
+
+    WINDOW, DURATION, FOLLOW = 12, 6, 20
+
+    def fresh(self):
+        return StrictStateGraphGenerator(
+            window_size=self.WINDOW, duration=self.DURATION
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 1 << 16),
+        cuts=st.lists(
+            st.tuples(st.integers(1, 60), st.booleans()), min_size=1, max_size=3
+        ),
+    )
+    def test_restored_memo_follows_the_uninterrupted_one(self, seed, cuts):
+        """``cuts`` are (frames before the cut, force a memo prune there)."""
+        frames = dense_frames(
+            seed, sum(gap for gap, _ in cuts) + self.FOLLOW * len(cuts)
+        )
+        uninterrupted, source = self.fresh(), self.fresh()
+        at = 0
+        for gap, prune in cuts:
+            for frame in frames[at:at + gap]:
+                uninterrupted.process_frame(frame)
+                source.process_frame(frame)
+            at += gap
+            if prune:
+                uninterrupted._prune_edge_memo()
+            restored = self.fresh()
+            restored.import_checkpoint(json_roundtrip(source.export_checkpoint()))
+            assert memo_by_bits(restored) == memo_by_bits(uninterrupted)
+            for frame in frames[at:at + self.FOLLOW]:
+                where = f"seed {seed}, frame {frame.frame_id}"
+                expected = uninterrupted.process_frame(frame)
+                assert canonical_results([restored.process_frame(frame)]) \
+                    == canonical_results([expected]), where
+                source.process_frame(frame)
+                assert restored.edges() == uninterrupted.edges(), where
+                assert memo_by_bits(restored) == memo_by_bits(uninterrupted), where
+            at += self.FOLLOW
+            assert restored.export_checkpoint() == uninterrupted.export_checkpoint()
+
+    def test_memo_stays_within_its_bound(self, monkeypatch):
+        """A principal seen every third frame outlives the random subsets
+        between them, so its memo fills with states that died: the count
+        reaches the prune's trigger, and stays at or below it after every
+        frame."""
+        rng = random.Random(3)
+        generator = StrictStateGraphGenerator(window_size=4, duration=2)
+        prune = generator._prune_edge_memo
+        prunes = []
+        monkeypatch.setattr(
+            generator, "_prune_edge_memo", lambda: prunes.append(prune())
+        )
+        for frame_id in range(2000):
+            objects = range(12) if frame_id % 3 == 0 else rng.sample(range(12), 6)
+            generator.process_frame(
+                FrameObservation(frame_id, {oid: "car" for oid in objects})
+            )
+            live = generator.live_states()
+            entries = sum(len(s.reached) for s in live if s.reached is not None)
+            assert generator._memo_size == entries, f"frame {frame_id}"
+            assert entries <= 64 * len(live) + 1024, f"frame {frame_id}"
+        assert prunes, "the stream never reached the prune's trigger"
 
 
 # ----------------------------------------------------------------------

@@ -235,25 +235,27 @@ GOLDEN_RESULT_DIGESTS = {
 #: SHA-256 over ``json.dumps(export_checkpoint())`` taken after every tenth
 #: frame of a counter stream.  The JSON payload, not the zlib-compressed
 #: checkpoint bytes, whose exact output may differ between zlib versions.
+#: Recorded for the version-9 payload: per-state ``frames`` / ``marks``
+#: bitsets over the window start and per-state ``memo_counts``.
 GOLDEN_CHECKPOINT_DIGESTS = {
     ("bursty", NaiveGenerator):
-        "ad71bcc23ba90ec113544c22506085174cb21c1106e9481b3e7cb42615a4598a",
+        "35f9a6ac0898562cdfc0111a10d8f707058fe8732e3b3dfac3016db74913ef6f",
     ("bursty", MarkedFrameSetGenerator):
-        "fb4360a152f4591ddb584dd593bce6f31a197540bc8459545a3d2e00e262350f",
+        "86eae239a9fe06442f23c4bb454cd9adecee103b16008eebce9b589edfa8c843",
     ("bursty", StrictStateGraphGenerator):
-        "8653607e3e846182c76d1ae789fb09484fe3553f718bafa52660145b6dae8b7c",
+        "41d07b467caa6bda01277044bf3e50f5445a489cb06d19e9a20973412a21facb",
     ("duplicates", NaiveGenerator):
-        "90045de241df91416d9d501fca0a3c94b2f8d205f69541872eec62f0f5851d68",
+        "8224f199831b188a4fd51dd32ea8064e7fc1a89a321aac6c830463c75f3e649f",
     ("duplicates", MarkedFrameSetGenerator):
-        "c999747c8d0700b5680a031c6657f60cd6f88688beb5e1fc8c97ea8956404744",
+        "baf844795f5fa1fc9b9acc2af6b53f97339fe7e6170b063970989a7040afd0e5",
     ("duplicates", StrictStateGraphGenerator):
-        "d6a7e982e4df653a7d53e07f1d38ab6ca92594c72082719d31728cdb5cbff303",
+        "ba7e5dc41c542d794440efae7212db9886e4b9b867d2b7c4f7350612a184f348",
     ("gaps", NaiveGenerator):
-        "f19239b946ba06f8ca3354e4ea8f44b6d46cb03ac8c06611ad3bbaf3d4df8988",
+        "ee7acbe2733b9673ce23706fb6daa3ff3cd09b23f47e9fa18b4f5572bf7d79fa",
     ("gaps", MarkedFrameSetGenerator):
-        "e26697f90ea45eb8eb594c9e31194a8163770cf0b8a99e547000024bdf84a6d2",
+        "4d4a3b243678d63091cd80298fe4b38443b7de89eacd37698da9079c7d1ed2d5",
     ("gaps", StrictStateGraphGenerator):
-        "61e75f51e79c2435d03f9d090d7a51596d002979d3b0da0e4849637e0080bf97",
+        "750649be802a3f3687b94c5734f87efa23ea0ecafc1dbb33f3ecce484425f6eb",
 }
 
 

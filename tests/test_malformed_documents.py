@@ -207,18 +207,42 @@ def test_generator_document_mutations_raise_checkpoint_error_only(generator_cls)
     assert not found, f"{len(found)} raw errors, e.g. {found[:5]}"
 
 
+def past_the_window(document) -> None:
+    document["state"]["states"]["frames"][0] |= 1 << 4
+
+
+def mark_without_its_frame(document) -> None:
+    states = document["state"]["states"]
+    states["frames"][0] &= ~1
+    states["marks"][0] |= 1
+
+
+def negative_frames(document) -> None:
+    document["state"]["states"]["frames"][0] = -1
+
+
+def before_the_first_frame(document) -> None:
+    document["last_frame_id"] = None
+
+
 @pytest.mark.parametrize("generator_cls", GENERATORS)
-@pytest.mark.parametrize("last_frame_id", [1, 9, None])
+@pytest.mark.parametrize("damage,error", [
+    (past_the_window, "outside the window"),
+    (mark_without_its_frame, "mark outside the frame set"),
+    (negative_frames, "negative"),
+    (before_the_first_frame, "before the first frame"),
+])
 def test_a_generator_document_with_frames_outside_its_window_is_refused(
-    generator_cls, last_frame_id
+    generator_cls, damage, error
 ):
-    """States hold frames 0..3 of a 4-frame window.  Claiming the last
-    frame was 1 would report frame 3 at frame 2; claiming 9 would keep
-    frames that left the window; claiming none would keep states no frame
-    made."""
+    """States hold frames 0..3 of a 4-frame window, as bits 0..3 over its
+    start.  A bit past the window would report a frame that never came; a
+    mark without its frame, or a negative bitset, is no frame set at all;
+    claiming no frame yet would keep states no frame made."""
     document = generator_document(generator_cls, [{1, 2}] * 4)
     restore_generator(generator_cls, copy.deepcopy(document))  # the clean one
+    assert document["state"]["states"]["frames"][0] == 0b1111
 
-    document["last_frame_id"] = last_frame_id
-    with pytest.raises(CheckpointError, match="outside the window|first frame"):
+    damage(document)
+    with pytest.raises(CheckpointError, match=error):
         restore_generator(generator_cls, document)

@@ -8,6 +8,10 @@ per match:
   (``sys.setprofile`` ``call`` events, the way the stack benchmark counts
   ``py_calls``) — a codec or exporter that walks one call per value reads in
   the hundreds;
+* ``Session.checkpoint()`` and ``Session.restore`` are counted in executed
+  Python lines per live state (``sys.settrace`` ``line`` events) — an
+  exporter or importer that loops in Python over frames, runs or memo
+  entries instead of handing whole columns to C reads in the hundreds;
 * a pool drain is counted in records shipped per result state;
 * a registration's duplicate check is counted in ``CNFQuery.__eq__``
   calls, flat in the number of active queries;
@@ -38,6 +42,12 @@ from repro.workloads.streams import bench_scenario, interleave_feeds
 #: this scene (187 when every state was a dict and every value a call).
 CALLS_PER_LIVE_STATE = 16
 
+#: Python lines one checkpoint and one restore may run per live state.
+#: Measured on this scene with Python 3.11: 21 and 72 (235 and 148 when
+#: frames were written as runs and the edge memo as one global set of
+#: serial pairs).
+LINES_PER_LIVE_STATE = {"checkpoint": 80, "restore": 115}
+
 
 def python_calls(function) -> int:
     """Python-level calls made while ``function`` runs.
@@ -64,6 +74,29 @@ def python_calls(function) -> int:
     return calls
 
 
+def python_lines(function) -> int:
+    """Python lines executed while ``function`` runs (``sys.settrace``
+    ``line`` events), with the garbage collector paused as in
+    :func:`python_calls`."""
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return trace
+
+    gc.collect()
+    gc.disable()
+    sys.settrace(trace)
+    try:
+        function()
+    finally:
+        sys.settrace(None)
+        gc.enable()
+    return lines
+
+
 def dense_scene(seed: int, frames: int, objects: int = 10, presence: float = 0.8):
     """Every object in most frames, each flickering on its own: the window
     holds hundreds of distinct co-occurrence sets."""
@@ -77,31 +110,60 @@ def dense_scene(seed: int, frames: int, objects: int = 10, presence: float = 0.8
     ]
 
 
-def test_checkpoint_costs_a_few_calls_per_live_state():
+def dense_session() -> Session:
+    """An inline SSG session fed :func:`dense_scene`, its matches taken."""
     window = 30
-    with Session(backend="inline", method="SSG") as session:
-        for conditions in (
-            [[("car", ">=", 1)]],
-            [[("person", ">=", 1)]],
-            [[("car", ">=", 2), ("truck", ">=", 2)]],
-        ):
-            session.register(CNFQuery.from_condition_lists(
-                conditions, window=window, duration=window * 4 // 5
-            ))
-        for frame in dense_scene(7, frames=80):
-            session.ingest("dense", frame)
-        for handle in session.handles:
-            handle.take_matches()
-        live = sum(
-            shard.engine.generator.live_state_count()
-            for shard in session._router.shards().values()
-        )
-        assert live >= 200, "scene too small to say anything per state"
+    session = Session(backend="inline", method="SSG")
+    for conditions in (
+        [[("car", ">=", 1)]],
+        [[("person", ">=", 1)]],
+        [[("car", ">=", 2), ("truck", ">=", 2)]],
+    ):
+        session.register(CNFQuery.from_condition_lists(
+            conditions, window=window, duration=window * 4 // 5
+        ))
+    for frame in dense_scene(7, frames=80):
+        session.ingest("dense", frame)
+    for handle in session.handles:
+        handle.take_matches()
+    return session
+
+
+def live_states(session: Session) -> int:
+    live = sum(
+        shard.engine.generator.live_state_count()
+        for shard in session._router.shards().values()
+    )
+    assert live >= 200, "scene too small to say anything per state"
+    return live
+
+
+def test_checkpoint_costs_a_few_calls_per_live_state():
+    with dense_session() as session:
+        live = live_states(session)
         calls = python_calls(session.checkpoint)
     assert calls <= CALLS_PER_LIVE_STATE * live, (
         f"{calls} Python calls for {live} live states "
         f"({calls / live:.1f} per state)"
     )
+
+
+def test_checkpoint_and_restore_run_a_few_lines_per_live_state():
+    with dense_session() as session:
+        live = live_states(session)
+        blob = session.checkpoint()
+        lines = {"checkpoint": python_lines(session.checkpoint)}
+        restored = []
+        lines["restore"] = python_lines(
+            lambda: restored.append(Session.restore(blob))
+        )
+    with restored[0]:
+        assert restored[0].checkpoint() == blob
+    for step, limit in LINES_PER_LIVE_STATE.items():
+        assert lines[step] <= limit * live, (
+            f"{step}: {lines[step]} Python lines for {live} live states "
+            f"({lines[step] / live:.1f} per state)"
+        )
 
 
 def test_pool_drain_ships_one_record_per_result_state():
