@@ -410,7 +410,7 @@ class MCOSGenerator(abc.ABC):
     def export_state(self) -> bytes:
         """The :meth:`export_checkpoint` snapshot as compact checkpoint bytes.
 
-        Written as checkpoint version 9, the only version the codec writes
+        Written as checkpoint version 10, the only version the codec writes
         and reads (:mod:`repro.streaming.checkpoint`).
         """
         # Imported lazily: repro.streaming.checkpoint has no dependencies on

@@ -47,6 +47,7 @@ Cancelling the largest group leaves its generator at its window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.core.base import GeneratorStats, MCOSGenerator
@@ -55,7 +56,7 @@ from repro.datamodel.observation import FrameObservation
 from repro.datamodel.relation import VideoRelation
 from repro.engine.config import EngineConfig, MCOSMethod
 from repro.query.evaluator import QueryEvaluator, QueryMatch, ResultReuse
-from repro.query.model import CNFQuery
+from repro.query.model import CNFQuery, pack_queries, unpack_queries
 from repro.query.pruning import StatePruner, require_pruning_compatible
 
 
@@ -500,38 +501,43 @@ class TemporalVideoQueryEngine:
             "restrict_labels": self.config.restrict_labels,
         }
 
-    def _workload(self) -> List[List]:
-        """Per window group, in order: window, duration and query dicts."""
-        return [
-            [window, duration, [q.to_dict() for q in group.evaluator.queries]]
-            for (window, duration), group in self._groups.items()
-        ]
+    def _workload(self) -> Tuple[Dict[str, List[int]], Dict[str, list]]:
+        """The window groups, in order, as columns — window, duration and
+        number of queries — and every group's queries, in group order, as
+        one :func:`~repro.query.model.pack_queries` table."""
+        evaluators = [group.evaluator for group in self._groups.values()]
+        groups = {
+            "windows": [window for window, _ in self._groups],
+            "durations": [duration for _, duration in self._groups],
+            "sizes": [len(evaluator.queries) for evaluator in evaluators],
+        }
+        queries = chain.from_iterable(
+            evaluator.queries for evaluator in evaluators
+        )
+        return groups, pack_queries(queries)
 
     def checkpoint(self) -> Dict:
         """Snapshot the engine between frames as a self-contained engine
         document (a plain dict tree).
 
         It holds the configuration and the workload — each group's window,
-        duration, queries and id floor — followed by the :meth:`snapshot`
-        of the stream, so :meth:`from_checkpoint` can resume the stream
-        byte-identically in a fresh process.
+        duration, number of queries and id floor, and the queries as one
+        table — followed by the :meth:`snapshot` of the stream, so
+        :meth:`from_checkpoint` can resume the stream byte-identically in a
+        fresh process.
         """
+        groups, queries = self._workload()
+        #: Evaluator id floors: keep cancelled-query ids tombstoned across a
+        #: restore (ids must never be reused — a drained match would
+        #: otherwise be ambiguous between old and new query).
+        groups["next_query_ids"] = [
+            group.evaluator.index.next_query_id
+            for group in self._groups.values()
+        ]
         return {
             "config": self._config_dict(),
-            "groups": [
-                {
-                    "window": window,
-                    "duration": duration,
-                    "queries": queries,
-                    #: Evaluator id floor: keeps cancelled-query ids
-                    #: tombstoned across a restore (ids must never be reused
-                    #: — a drained match would otherwise be ambiguous
-                    #: between old and new query).
-                    "next_query_id": group.evaluator.index.next_query_id,
-                }
-                for (window, duration, queries), group
-                in zip(self._workload(), self._groups.values())
-            ],
+            "groups": groups,
+            "queries": queries,
             **self.snapshot(),
         }
 
@@ -577,15 +583,22 @@ class TemporalVideoQueryEngine:
                 f"checkpoint config does not match the engine's: {mismatched}"
             )
         entries = payload["groups"]
-        if [[entry["window"], entry["duration"], entry["queries"]]
-                for entry in entries] != self._workload():
+        groups, queries = self._workload()
+        if ({key: entries[key] for key in groups} != groups
+                or payload["queries"] != queries):
             raise ValueError(
                 "checkpoint window groups and queries do not match the "
                 "engine's; resuming would evaluate the wrong workload"
             )
+        floors = entries["next_query_ids"]
+        if len(floors) != len(self._groups):
+            raise ValueError(
+                f"checkpoint holds {len(floors)} id floors for "
+                f"{len(self._groups)} window groups"
+            )
         self.resume(payload)
-        for entry, group in zip(entries, self._groups.values()):
-            group.evaluator.index.reserve_ids(int(entry["next_query_id"]))
+        for floor, group in zip(floors, self._groups.values()):
+            group.evaluator.index.reserve_ids(int(floor))
             # Derived state is never part of a snapshot: resume cold.
             group.evaluator.forget_signatures()
 
@@ -641,7 +654,7 @@ class TemporalVideoQueryEngine:
         """The :meth:`checkpoint` document as compact checkpoint bytes.
 
         This is the byte-level hand-off form: self-contained (config and
-        queries included), canonical, and written as checkpoint version 9,
+        queries included), canonical, and written as checkpoint version 10,
         the only version :meth:`import_state` and :meth:`from_state` read.
         """
         # Lazy import: the streaming package imports this module, so a
@@ -676,14 +689,18 @@ class TemporalVideoQueryEngine:
         """Rebuild an engine from a :meth:`checkpoint` document.
 
         Queries are re-registered in their checkpointed order (ids are stored
-        in the document, so assignments cannot drift), then the mutable
-        state is restored on top.
+        in the document, so assignments cannot drift), each group taking
+        the next ``sizes`` rows of the table, then the mutable state is
+        restored on top.
         """
         config = payload["config"]
+        entries = payload["groups"]
+        queries = iter(unpack_queries(payload["queries"]))
         groups = {
-            (int(entry["window"]), int(entry["duration"])):
-                [CNFQuery.from_dict(query) for query in entry["queries"]]
-            for entry in payload["groups"]
+            (int(window), int(duration)): list(islice(queries, int(size)))
+            for window, duration, size in zip(
+                entries["windows"], entries["durations"], entries["sizes"]
+            )
         }
         engine = cls(groups, EngineConfig(
             method=MCOSMethod(config["method"]),

@@ -28,6 +28,8 @@ from repro.query.model import (
     Comparison,
     Condition,
     Disjunction,
+    pack_queries,
+    unpack_queries,
 )
 from repro.query.parser import parse_expression, parse_query
 from repro.query.pruning import StatePruner, queries_support_pruning
@@ -37,6 +39,8 @@ __all__ = [
     "Condition",
     "Disjunction",
     "CNFQuery",
+    "pack_queries",
+    "unpack_queries",
     "Q",
     "QueryExpr",
     "parse_expression",

@@ -10,9 +10,9 @@ Co-occurrence Object Set; it also carries the temporal parameters ``window``
 from __future__ import annotations
 
 import enum
-import itertools
 import re
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import (
     Any,
     Dict,
@@ -272,14 +272,14 @@ class CNFQuery:
             )
             for group in payload["groups"]
         )
-        query = cls(
+        query_id = payload.get("query_id")
+        return cls(
             disjunctions,
             window=int(payload["window"]),
             duration=int(payload["duration"]),
+            query_id=int(query_id) if query_id is not None else None,
             name=payload.get("name", ""),
         )
-        query_id = payload.get("query_id")
-        return query.with_id(int(query_id)) if query_id is not None else query
 
     def with_id(self, query_id: int) -> "CNFQuery":
         """Return a copy of the query carrying the given identifier."""
@@ -365,7 +365,7 @@ class CNFQuery:
     def labels(self) -> FrozenSet[str]:
         """All class labels referenced by the query."""
         return frozenset(
-            itertools.chain.from_iterable(d.labels() for d in self.disjunctions)
+            chain.from_iterable(d.labels() for d in self.disjunctions)
         )
 
     def conditions(self) -> List[Condition]:
@@ -382,6 +382,152 @@ class CNFQuery:
 
     def __str__(self) -> str:
         return " AND ".join(f"({d})" for d in self.disjunctions)
+
+
+# ----------------------------------------------------------------------
+# The query table: a workload as columns
+# ----------------------------------------------------------------------
+#: The comparison of each operator code a query table writes: its rank in
+#: the canonical condition order (:meth:`Condition.sort_key`).
+_COMPARISON_BY_CODE = tuple(
+    sorted(_COMPARISON_RANK, key=_COMPARISON_RANK.__getitem__)
+)
+
+#: Every column of a query table and the type of its entries.
+_COLUMN_TYPES: Dict[str, Any] = {
+    "ids": int, "windows": int, "durations": int, "names": str,
+    "clauses": int, "sizes": int, "conditions": int,
+    "labels": str, "operators": int, "thresholds": int,
+}
+
+
+def pack_queries(queries: Iterable[CNFQuery]) -> Dict[str, List[Any]]:
+    """Write a query list as a table of columns, one row per query.
+
+    ``ids``, ``windows``, ``durations``, ``names`` and ``clauses`` (the
+    number of disjunctions) hold one entry per query; ``sizes`` one per
+    clause, its number of conditions, in query order; ``conditions`` one
+    per condition slot, in clause order: the position of its condition in
+    the dictionary of distinct ``(label, operator code, threshold)``
+    triples, the columns ``labels``, ``operators`` (``<=`` 0, ``=`` 1,
+    ``>=`` 2) and ``thresholds``, listed in first-use order.  So the table
+    is a pure function of the list, and a condition shared by many queries
+    is written once.  Every query carries its id.
+    """
+    ids: List[Optional[int]] = []
+    windows: List[int] = []
+    durations: List[int] = []
+    names: List[str] = []
+    clauses: List[int] = []
+    sizes: List[int] = []
+    slots: List[int] = []
+    dictionary: Dict[Tuple[str, Comparison, int], int] = {}
+    for query in queries:
+        ids.append(query.query_id)
+        windows.append(query.window)
+        durations.append(query.duration)
+        names.append(query.name)
+        clauses.append(len(query.disjunctions))
+        for disjunction in query.disjunctions:
+            sizes.append(len(disjunction.conditions))
+            for condition in disjunction.conditions:
+                key = (condition.label, condition.comparison, condition.threshold)
+                position = dictionary.get(key)
+                if position is None:
+                    position = dictionary[key] = len(dictionary)
+                slots.append(position)
+    return {
+        "ids": ids,
+        "windows": windows,
+        "durations": durations,
+        "names": names,
+        "clauses": clauses,
+        "sizes": sizes,
+        "conditions": slots,
+        "labels": [label for label, _, _ in dictionary],
+        "operators": [_COMPARISON_RANK[op] for _, op, _ in dictionary],
+        "thresholds": [threshold for _, _, threshold in dictionary],
+    }
+
+
+def _table_error(column: str, problem: str) -> ValueError:
+    return ValueError(f"query table column {column!r}: {problem}")
+
+
+def _checked_columns(table: Mapping[str, Any]) -> Dict[str, List[Any]]:
+    """The columns of a query table, once they are known to fit together."""
+    columns: Dict[str, List[Any]] = {}
+    for key, kind in _COLUMN_TYPES.items():
+        column = table[key]
+        if type(column) is not list or not set(map(type, column)) <= {kind}:
+            raise _table_error(key, f"not a list of {kind.__name__}s")
+        columns[key] = column
+    for first, *others in (
+        ("ids", "windows", "durations", "names", "clauses"),
+        ("labels", "operators", "thresholds"),
+    ):
+        for key in others:
+            if len(columns[key]) != len(columns[first]):
+                raise _table_error(key, (
+                    f"{len(columns[key])} entries, column {first!r} has "
+                    f"{len(columns[first])}"
+                ))
+    for key, parts, empty in (
+        ("clauses", "sizes", "a query without a clause"),
+        ("sizes", "conditions", "an empty clause"),
+    ):
+        counts = columns[key]
+        if min(counts, default=1) < 1:
+            raise _table_error(key, empty)
+        if sum(counts) != len(columns[parts]):
+            raise _table_error(key, (
+                f"adds up to {sum(counts)}, column {parts!r} has "
+                f"{len(columns[parts])} entries"
+            ))
+    positions, distinct = columns["conditions"], len(columns["labels"])
+    if positions and not 0 <= min(positions) <= max(positions) < distinct:
+        raise _table_error(
+            "conditions", f"a position outside the {distinct} distinct conditions"
+        )
+    unknown = set(columns["operators"]) - set(range(len(_COMPARISON_BY_CODE)))
+    if unknown:
+        raise _table_error("operators", f"unknown operator codes {sorted(unknown)}")
+    if min(columns["thresholds"], default=0) < 0:
+        raise _table_error("thresholds", "a negative threshold")
+    return columns
+
+
+def unpack_queries(table: Mapping[str, Any]) -> List[CNFQuery]:
+    """Rebuild the query list of a :func:`pack_queries` table.
+
+    One :class:`Condition` is built per dictionary entry and shared by the
+    slots naming it, through :meth:`Condition.trusted` (a table may hold a
+    label written before the label grammar existed); each query is built
+    once, with its id, so its constructor checks it.  A table whose columns
+    do not fit together raises a :class:`ValueError` naming the column:
+    a column of the wrong type, columns of one row kind with different
+    lengths, counts that do not add up, an empty clause or query, a
+    position outside the dictionary, an unknown operator code or a
+    negative threshold.
+    """
+    columns = _checked_columns(table)
+    conditions = [
+        Condition.trusted(label, _COMPARISON_BY_CODE[code], threshold)
+        for label, code, threshold in zip(
+            columns["labels"], columns["operators"], columns["thresholds"]
+        )
+    ]
+    slots = iter([conditions[position] for position in columns["conditions"]])
+    clauses = iter([
+        Disjunction(tuple(islice(slots, size))) for size in columns["sizes"]
+    ])
+    return [
+        CNFQuery(tuple(islice(clauses, count)), window, duration, query_id, name)
+        for query_id, window, duration, name, count in zip(
+            columns["ids"], columns["windows"], columns["durations"],
+            columns["names"], columns["clauses"],
+        )
+    ]
 
 
 def class_counts(labels: Iterable[str]) -> Dict[str, int]:

@@ -70,7 +70,13 @@ from repro.datamodel.observation import FrameObservation
 from repro.engine.config import MCOSMethod
 from repro.query.builder import QueryExpr
 from repro.query.evaluator import QueryMatch, pack_matches, unpack_matches
-from repro.query.model import DEFAULT_DURATION, DEFAULT_WINDOW, CNFQuery
+from repro.query.model import (
+    DEFAULT_DURATION,
+    DEFAULT_WINDOW,
+    CNFQuery,
+    pack_queries,
+    unpack_queries,
+)
 from repro.query.parser import parse_query
 from repro.query.pruning import require_pruning_compatible
 from repro.streaming.checkpoint import (
@@ -843,31 +849,31 @@ class Session:
         *live* — workers keep serving.  Restoring yields a session that
         re-checkpoints byte-identically until new frames arrive.
 
-        An active handle names its query by id (the backend's router
-        document holds the query); a cancelled one keeps the query dict.
+        The registry is a table of columns, one row per handle: its query
+        id, delivered count, undelivered matches and registration
+        frontiers.  An active handle's query is in the backend's router
+        document; the cancelled handles' queries, which no router holds
+        any more, are the registry's own ``cancelled`` query table.  A
+        handle registered at the frontiers of the streams seen so far, the
+        first streams of ``streams``, so its row holds the frontiers
+        alone.
         """
         self._require_open()
+        handles = list(self._handles.values())
         payload = {
             "config": dict(self._config),
             "registry": {
-                "handles": [
-                    {
-                        **(
-                            {"query_id": handle.query_id} if handle.active
-                            else {"query": handle.query.to_dict()}
-                        ),
-                        "active": handle.active,
-                        "registered_at": [
-                            [stream_id, frontier]
-                            for stream_id, frontier
-                            in handle._registered_at.items()
-                        ],
-                        "matches": pack_matches(handle._matches),
-                        "delivered": self._delivered.get(
-                            handle.query_id, 0
-                        ),
-                    }
-                    for handle in self._handles.values()
+                "ids": list(self._handles),
+                "cancelled": pack_queries(
+                    handle.query for handle in handles if not handle.active
+                ),
+                "delivered": [
+                    self._delivered.get(query_id, 0)
+                    for query_id in self._handles
+                ],
+                "matches": [pack_matches(handle._matches) for handle in handles],
+                "registered_at": [
+                    list(handle._registered_at.values()) for handle in handles
                 ],
             },
             "streams": [
@@ -964,39 +970,66 @@ class Session:
 
     def _restore_registry(self, payload: Dict) -> None:
         """The registry half of :meth:`restore`, on the restored backend:
-        active handles resolve their ``query_id`` against its queries."""
-        registered = {query.query_id: query for query in self._router.queries}
-        self._active = None
-        for entry in payload["registry"]["handles"]:
-            active = bool(entry["active"])
-            if active:
-                query = registered.get(entry["query_id"])
-                if query is None:
-                    raise CheckpointError(
-                        f"session checkpoint names active query "
-                        f"{entry['query_id']!r}, which its backend state "
-                        "does not hold"
-                    )
-            else:
-                query = CNFQuery.from_dict(entry["query"])
-            handle = QueryHandle(
-                self,
-                query,
-                {
-                    str(stream_id): int(frontier)
-                    for stream_id, frontier in entry["registered_at"]
-                },
-            )
-            handle._active = active
-            handle._matches = unpack_matches(entry["matches"])
-            self._handles[query.query_id] = handle
-            self._delivered[query.query_id] = int(entry["delivered"])
-        # The restored backend may carry retained matches from the
-        # snapshot; the first drain must reach it.
-        self._dirty = True
+        a handle whose id is no row of the ``cancelled`` table is active
+        and resolves its id against the backend's queries."""
+        registry = payload["registry"]
+        ids, delivered, matches, registered_at = [
+            registry[key]
+            for key in ("ids", "delivered", "matches", "registered_at")
+        ]
+        for key, column in (
+            ("delivered", delivered), ("matches", matches),
+            ("registered_at", registered_at),
+        ):
+            if len(column) != len(ids):
+                raise CheckpointError(
+                    f"session registry column {key!r} has {len(column)} "
+                    f"entries, column 'ids' has {len(ids)}"
+                )
+        if len(set(ids)) != len(ids):
+            raise CheckpointError("session registry column 'ids' repeats an id")
         for stream_id, frontier, frames in payload["streams"]:
             self._frontiers[str(stream_id)] = int(frontier)
             self._frames[str(stream_id)] = int(frames)
+        streams = list(self._frontiers)
+        if max(map(len, registered_at), default=0) > len(streams):
+            raise CheckpointError(
+                "session registry column 'registered_at' holds more "
+                f"frontiers than the {len(streams)} streams"
+            )
+        cancelled = {
+            query.query_id: query
+            for query in unpack_queries(registry["cancelled"])
+        }
+        if not cancelled.keys() <= set(ids):
+            raise CheckpointError(
+                "session registry table 'cancelled' holds a query no handle "
+                "names"
+            )
+        registered = {query.query_id: query for query in self._router.queries}
+        self._active = None
+        for query_id, frontiers, handle_matches, handle_delivered in zip(
+            ids, registered_at, matches, delivered
+        ):
+            query = cancelled.get(query_id)
+            active = query is None
+            if active:
+                query = registered.get(query_id)
+                if query is None:
+                    raise CheckpointError(
+                        f"session checkpoint names active query "
+                        f"{query_id!r}, which its backend state does not hold"
+                    )
+            handle = QueryHandle(
+                self, query, dict(zip(streams, map(int, frontiers)))
+            )
+            handle._active = active
+            handle._matches = unpack_matches(handle_matches)
+            self._handles[query_id] = handle
+            self._delivered[query_id] = int(handle_delivered)
+        # The restored backend may carry retained matches from the
+        # snapshot; the first drain must reach it.
+        self._dirty = True
 
     # ------------------------------------------------------------------
     # Lifecycle

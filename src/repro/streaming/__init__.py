@@ -11,7 +11,7 @@ evaluating against the router's evaluators.
 Shards ingest in batches, tolerate late/out-of-order frames up to a
 watermark, expose ingest statistics, and snapshot/restore their full state
 through the versioned checkpoint format of
-:mod:`repro.streaming.checkpoint` (compact binary version 9, the only
+:mod:`repro.streaming.checkpoint` (compact binary version 10, the only
 version written or read).
 
 A :class:`~repro.streaming.pool.ShardWorkerPool` moves the shards into

@@ -4,7 +4,7 @@ A checkpoint wraps one component snapshot::
 
     {
       "format": "repro-streaming-checkpoint",
-      "version": 9,
+      "version": 10,
       "kind": "router" | "engine" | "generator" | "session",
       "payload": { ... }
     }
@@ -13,17 +13,19 @@ The payload is produced by the component's own ``checkpoint()`` /
 ``export_checkpoint()`` method (routers here; engines in
 :mod:`repro.engine.engine`; generators in :mod:`repro.core.base`).
 
-**Version 9 is the only version written and the only one read.**  Any
-other version — the version-1 JSON form, the version-2 to version-8
+**Version 10 is the only version written and the only one read.**  Any
+other version — the version-1 JSON form, the version-2 to version-9
 binary forms, or a future one — is refused with a
-:class:`CheckpointError` that names it.  Version 9 is version 8 with
-three changes: a generator's states carry their frames and marks as two
-bitsets over the window start (``frames`` / ``marks``, replacing the
-``run_counts`` / ``starts`` / ``ends`` / ``mark_counts`` / ``marks``
-runs and ids; see :meth:`repro.core.state.StateTable.export_states`),
-SSG's edge memo is written per state (``memo_counts`` /
-``memo_children``, replacing ``memo_parents``), and the encoding gains
-tag ``10``, the wide int column.  Version 8 had the version-4 encoding;
+:class:`CheckpointError` that names it.  Version 10 is version 9 with
+every list of queries written as one query table
+(:func:`~repro.query.model.pack_queries`: int columns over a dictionary
+of distinct conditions) instead of one dict tree per query, and with the
+session registry written as columns, one row per handle.  Version 9 was
+version 8 with a generator's states carrying their frames and marks as
+two bitsets over the window start (see
+:meth:`repro.core.state.StateTable.export_states`), SSG's edge memo
+written per state (``memo_counts`` / ``memo_children``), and tag ``10``,
+the wide int column.  Version 8 had the version-4 encoding;
 its layout was version 7's without wall-clock timings and with
 no fact stated twice: shard entries lose ``stats.processing_seconds``,
 ``stats.frames_per_sec`` and ``stats.frames_processed`` (the engine's
@@ -39,7 +41,7 @@ snapshot is a pure function of the calls and frames that built it.
   ============  =====================================================
   section       contents
   ============  =====================================================
-  magic         ``b"RSCK9\\x00"``
+  magic         ``b"RSCK10\\x00"``
   body          zlib-compressed stream of:
   · strings     interned string table (varint count, then varint
                 length + UTF-8 bytes per string, first-use order)
@@ -80,13 +82,32 @@ snapshot is a pure function of the calls and frames that built it.
 
 Layout: each workload fact is written once
 ------------------------------------------
-A document holds every query dict (:meth:`CNFQuery.to_dict
-<repro.query.model.CNFQuery.to_dict>`), window group and setting exactly
-once:
+A document holds every query, window group and setting exactly once.
+Queries travel as a **query table**
+(:func:`~repro.query.model.pack_queries`), one row per query:
+
+  ===============  ==================================================
+  column           one entry per
+  ===============  ==================================================
+  ``ids``,         query: its id, window, duration, name and number
+  ``windows``,     of clauses (disjunctions)
+  ``durations``,
+  ``names``,
+  ``clauses``
+  ``sizes``        clause, in query order: its number of conditions
+  ``conditions``   condition slot, in clause order: a position in the
+                   dictionary below
+  ``labels``,      distinct ``(label, operator, threshold)`` triple,
+  ``operators``,   in first-use order; operator codes ``<=`` 0,
+  ``thresholds``   ``=`` 1, ``>=`` 2
+  ===============  ==================================================
+
+A restore builds one condition per dictionary entry and each query once;
+a table whose columns do not fit together is refused naming the column.
 
 * a **router** document holds the settings (``method``, ``batch_size``,
   ``watermark``, ``enable_pruning``, ``restrict_labels``), the
-  ``queries``, the ``cancelled`` ids and the
+  ``queries`` table, the ``cancelled`` ids and the
   ``group_order``; its ``shards`` hold one entry per stream with
   per-stream state only — reorder buffer, counters, retained matches and
   the engine's snapshot: for each window group, in group order, the
@@ -95,14 +116,17 @@ once:
   :meth:`~repro.core.base.MCOSGenerator.export_checkpoint` state).  A
   group that joined mid-stream reads a generator block of its own;
 * a **session** document holds its config (backend, pool sizing,
-  supervision) and registry; the registry
-  names each active handle by ``query_id``, resolved against the restored
-  router, and a cancelled handle keeps its full ``query`` dict, because no
-  router holds it any more.  The router assigns the next id and orders
-  the window groups;
+  supervision) and registry.  The registry is columns, one row per
+  handle: ``ids``, ``delivered``, ``matches`` and ``registered_at``, the
+  frontiers of the first streams of ``streams`` when it registered.  An active handle's id resolves against the
+  restored router; the cancelled handles' queries, which no router holds
+  any more, are the registry's ``cancelled`` query table.  The router
+  assigns the next id and orders the window groups;
 * an **engine** document stays self-contained: its ``config``, its
-  ``groups`` (window, duration, queries, id floor) and the engine
-  snapshot beside them.
+  ``groups`` as columns (``windows``, ``durations``, ``sizes`` — the
+  number of table rows each group takes, in order — and
+  ``next_query_ids``, the id floors), one ``queries`` table and the
+  engine snapshot beside them.
 
 Loading rejects foreign formats, other versions, truncated or trailing
 bytes, and column headers that promise more items than the body holds,
@@ -140,13 +164,13 @@ PathLike = Union[str, Path]
 CHECKPOINT_FORMAT = "repro-streaming-checkpoint"
 
 #: The version :func:`to_bytes` writes.
-CHECKPOINT_VERSION = 9
+CHECKPOINT_VERSION = 10
 
 #: Every version :func:`from_bytes` reads.
 SUPPORTED_VERSIONS = (CHECKPOINT_VERSION,)
 
 #: Magic prefix of the written encoding.
-MAGIC = b"RSCK9\x00"
+MAGIC = b"RSCK10\x00"
 
 #: Any version's magic: ``RSCK``, the version number, a NUL byte.
 _ANY_MAGIC = re.compile(rb"RSCK(\d+)\x00")
@@ -616,7 +640,7 @@ def _decode_binary(data: bytes) -> Dict:
 # Public byte-level API
 # ----------------------------------------------------------------------
 def to_bytes(kind: str, payload: Dict) -> bytes:
-    """Serialise a snapshot to canonical version-9 checkpoint bytes.
+    """Serialise a snapshot to canonical version-10 checkpoint bytes.
 
     Insertion order *is* part of the state (see the module docstring), so
     the bytes are a pure function of the component state.
@@ -625,7 +649,7 @@ def to_bytes(kind: str, payload: Dict) -> bytes:
 
 
 def from_bytes(data: bytes, expect_kind: Optional[str] = None) -> Dict:
-    """Parse version-9 checkpoint bytes into the inner payload."""
+    """Parse version-10 checkpoint bytes into the inner payload."""
     if not isinstance(data, (bytes, bytearray)):
         raise CheckpointError(
             f"checkpoint must be bytes, got {type(data).__name__}"

@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Mapping, Set, Tuple
 from repro.datamodel.observation import FrameObservation
 from repro.engine.config import MCOSMethod
 from repro.query.evaluator import EvaluationStats, QueryEvaluator, QueryMatch
-from repro.query.model import CNFQuery
+from repro.query.model import CNFQuery, pack_queries, unpack_queries
 from repro.query.pruning import require_pruning_compatible
 from repro.streaming.checkpoint import (
     CheckpointError,
@@ -399,7 +399,7 @@ class StreamRouter:
             "watermark": self.watermark,
             "enable_pruning": self.enable_pruning,
             "restrict_labels": self.restrict_labels,
-            "queries": [query.to_dict() for query in self.queries],
+            "queries": pack_queries(self.queries),
             "cancelled": sorted(self._cancelled),
             #: Live group order.  Usually reconstructible from the query
             #: list, but a partial cancellation can leave a group anchored
@@ -438,12 +438,12 @@ class StreamRouter:
     def from_checkpoint(cls, payload: Dict) -> "StreamRouter":
         """Rebuild a router (and all its shards) from a snapshot.
 
-        Each query is parsed and indexed once, from ``queries``, into the
-        router's evaluators; every shard is built over them with the
-        router's settings and resumes its entry's per-stream state.
+        Each query is built once, from the ``queries`` table, and indexed
+        once into the router's evaluators; every shard is built over them
+        with the router's settings and resumes its entry's per-stream state.
         """
         router = cls(
-            [CNFQuery.from_dict(q) for q in payload["queries"]],
+            unpack_queries(payload["queries"]),
             method=MCOSMethod(payload["method"]),
             batch_size=int(payload["batch_size"]),
             watermark=int(payload["watermark"]),

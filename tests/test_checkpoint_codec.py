@@ -1,7 +1,7 @@
 """Compact checkpoint codec: round-trips, versions, size, errors.
 
 The codec must be loss-free for every payload the runtime produces (every
-generator method, engines, shards, routers), read version 8 only and refuse
+generator method, engines, shards, routers), read version 10 only and refuse
 every other version by name, reject malformed, truncated or hostile bytes
 with :class:`CheckpointError`, and actually be compact — a hard
 size-regression bound against plain JSON of the same document on the
@@ -120,17 +120,17 @@ def varint(value: int) -> bytes:
 
 
 class TestVersions:
-    def test_only_version9_is_written_or_read(self):
-        assert ckpt.CHECKPOINT_VERSION == 9
-        assert ckpt.SUPPORTED_VERSIONS == (9,)
-        assert ckpt.MAGIC == b"RSCK9\x00"
-        assert ckpt.wrap("router", {})["version"] == 9
+    def test_only_version10_is_written_or_read(self):
+        assert ckpt.CHECKPOINT_VERSION == 10
+        assert ckpt.SUPPORTED_VERSIONS == (10,)
+        assert ckpt.MAGIC == b"RSCK10\x00"
+        assert ckpt.wrap("router", {})["version"] == 10
         blob = ckpt.to_bytes("router", {})
         assert blob[:len(ckpt.MAGIC)] == ckpt.MAGIC
         with pytest.raises(TypeError):
             ckpt.to_bytes("router", {}, version=3)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 10])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 11])
     def test_other_versions_are_refused_by_name(self, version):
         body = ckpt.to_bytes("router", {"a": 1})[len(ckpt.MAGIC):]
         if version == 1:
@@ -153,12 +153,12 @@ class TestVersions:
         document = dict(ckpt.wrap("router", {"a": 1}), version=3)
         blob = ckpt._encode_binary(document)
         assert blob[:len(ckpt.MAGIC)] == ckpt.MAGIC
-        with pytest.raises(CheckpointError, match="does not declare version 9"):
+        with pytest.raises(CheckpointError, match="does not declare version 10"):
             ckpt.from_bytes(blob)
 
 
 # ----------------------------------------------------------------------
-# Resuming from version-8 bytes
+# Resuming from version-10 bytes
 # ----------------------------------------------------------------------
 class TestResumeFromBytes:
     @pytest.mark.parametrize("generator_cls", INCREMENTAL_GENERATORS)
@@ -196,7 +196,7 @@ class TestResumeFromBytes:
         router.route_many(events[:60])
         assert any(shard.matches for shard in router.shards().values())
         document = router.checkpoint()
-        ids = [query["query_id"] for query in document["queries"]]
+        ids = document["queries"]["ids"]
         assert sorted(ids) == sorted(query.query_id for query in queries)
         assert len(set(ids)) == len(ids)
         assert document["group_order"] == [list(group) for group in groups]
@@ -224,7 +224,8 @@ class TestResumeFromBytes:
     def test_session_resumes_from_bytes(self, backend):
         """A session with drained handles, matches still retained in the
         backend and one cancelled handle restores byte-identically: active
-        handles name their query by id, the cancelled one keeps its dict."""
+        handles name their query by id, the cancelled one is the one row of
+        the registry's own query table."""
         feeds, queries = bench_scenario(2, 50, [(8, 4), (12, 6)], 2, 5)
         events = list(interleave_feeds(feeds))
         with Session(backend=backend, method="SSG") as session:
@@ -238,14 +239,10 @@ class TestResumeFromBytes:
                 session.ingest(stream_id, frame)  # retained in the backend
             session.flush()
             blob = session.checkpoint()
-            entries = ckpt.from_bytes(blob)["registry"]["handles"]
-            assert any(entry["matches"] for entry in entries)
-            assert ["query" in entry for entry in entries] == [
-                False, False, False, True
-            ]
-            assert [entry.get("query_id") for entry in entries[:-1]] == [
-                query.query_id for query in queries[:-1]
-            ]
+            registry = ckpt.from_bytes(blob)["registry"]
+            assert any(registry["matches"])
+            assert registry["ids"] == [query.query_id for query in queries]
+            assert registry["cancelled"]["ids"] == [queries[-1].query_id]
             with Session.restore(blob) as restored:
                 assert restored.checkpoint() == blob
                 for stream_id, frame in events[70:]:

@@ -219,17 +219,17 @@ class TestQueriesNamedById:
         session.cancel(session.handles[0])
         payload = from_bytes(session.checkpoint(), expect_kind="session")
         session.close()
-        handles = payload["registry"]["handles"]
-        assert "query" in handles[0] and "query_id" not in handles[0]
-        assert "query_id" in handles[1] and "query" not in handles[1]
-        assert handles[0]["query"]["query_id"] not in {
-            query["query_id"] for query in payload["state"]["queries"]
-        }, "a cancelled query is still in the router document"
-        handles[1]["query_id"] = 99
+        registry = payload["registry"]
+        ids = registry["ids"]
+        assert registry["cancelled"]["ids"] == ids[:1]
+        assert ids[0] not in payload["state"]["queries"]["ids"], (
+            "a cancelled query is still in the router document"
+        )
+        ids[1] = 99
         with pytest.raises(CheckpointError, match="99"):
             Session.restore(to_bytes("session", payload), backend=backend)
         # The cancelled handle's id is not the router's either.
-        handles[1]["query_id"] = handles[0]["query"]["query_id"]
+        ids[1] = ids[0]
         with pytest.raises(CheckpointError):
             Session.restore(to_bytes("session", payload), backend=backend)
 
@@ -360,7 +360,7 @@ class TestRouterPoolByteTransparency:
         blob = session.checkpoint()
         session.close()
         payload = from_bytes(blob, expect_kind="session")
-        payload["registry"]["handles"][0]["matches"] = [["corrupt"]]
+        payload["registry"]["matches"][0] = [["corrupt"]]
         before = len(multiprocessing.active_children())
         with pytest.raises(CheckpointError):
             Session.restore(to_bytes("session", payload))

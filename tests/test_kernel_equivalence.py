@@ -236,7 +236,8 @@ GOLDEN_RESULT_DIGESTS = {
 #: frame of a counter stream.  The JSON payload, not the zlib-compressed
 #: checkpoint bytes, whose exact output may differ between zlib versions.
 #: Recorded for the version-9 payload: per-state ``frames`` / ``marks``
-#: bitsets over the window start and per-state ``memo_counts``.
+#: bitsets over the window start and per-state ``memo_counts``.  Version 10
+#: changed how documents hold queries, which no generator payload holds.
 GOLDEN_CHECKPOINT_DIGESTS = {
     ("bursty", NaiveGenerator):
         "35f9a6ac0898562cdfc0111a10d8f707058fe8732e3b3dfac3016db74913ef6f",

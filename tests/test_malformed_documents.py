@@ -1,13 +1,15 @@
 """Malformed documents fail as :class:`CheckpointError` and nothing else.
 
-Every field of a small router document, of a small session document and
-of a small document of each incremental generator is set, one at a time,
+Every field of a small router document, of a small session document, of
+a small engine document and of a small document of each incremental
+generator is set, one at a time,
 to each of a handful of wrong-shaped values.  Each mutated document must
 either restore cleanly or raise :class:`CheckpointError` — never a raw
 ``TypeError``, ``ValueError``, ``AttributeError`` or ``KeyError`` from deep
 inside a reader.  (Restoring
 cleanly is no promise that the restored object can run: a label or a
-counter of the wrong type is only noticed when it is next used.)
+counter of the wrong type is only noticed when it is next used.)  A query
+table whose columns do not fit together is refused naming the column.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.core import (
     StrictStateGraphGenerator,
 )
 from repro.datamodel import FrameObservation
+from repro.engine import TemporalVideoQueryEngine
 from repro.streaming import CheckpointError, StreamRouter
 from repro.streaming.checkpoint import from_bytes, to_bytes
 from repro.workloads.streams import bench_scenario, interleave_feeds
@@ -137,8 +140,8 @@ def test_session_document_mutations_raise_checkpoint_error_only():
     session.ingest_many(events[6:])
     document = from_bytes(session.checkpoint(), expect_kind="session")
     session.close()
-    assert {entry["active"] for entry in document["registry"]["handles"]} \
-        == {True, False}
+    registry = document["registry"]
+    assert len(registry["ids"]) > len(registry["cancelled"]["ids"]) > 0
 
     def restore(payload):
         # Not closed: a router-backed session holds no process, and closing
@@ -146,6 +149,28 @@ def test_session_document_mutations_raise_checkpoint_error_only():
         Session.restore(to_bytes("session", payload))
 
     found = escapes(document, restore)
+    assert not found, f"{len(found)} raw errors, e.g. {found[:5]}"
+
+
+def small_engine(queries, events) -> TemporalVideoQueryEngine:
+    """A standalone engine, one window group per query, fed one stream."""
+    engine = TemporalVideoQueryEngine({
+        (query.window, query.duration): [query] for query in queries
+    })
+    for stream_id, frame in events:
+        if stream_id == events[0][0]:
+            engine.process_frame(frame)
+    return engine
+
+
+def restore_engine(payload) -> None:
+    TemporalVideoQueryEngine.from_state(to_bytes("engine", payload))
+
+
+def test_engine_document_mutations_raise_checkpoint_error_only():
+    document = small_engine(*small_scenario(6)).checkpoint()
+    restore_engine(copy.deepcopy(document))  # the clean one
+    found = escapes(document, restore_engine)
     assert not found, f"{len(found)} raw errors, e.g. {found[:5]}"
 
 
@@ -246,3 +271,81 @@ def test_a_generator_document_with_frames_outside_its_window_is_refused(
     damage(document)
     with pytest.raises(CheckpointError, match=error):
         restore_generator(generator_cls, document)
+
+
+def damaged_clauses(table) -> None:
+    table["clauses"][0] += 1
+
+
+def position_out_of_range(table) -> None:
+    table["conditions"][0] = len(table["labels"])
+
+
+def unknown_comparison(table) -> None:
+    table["operators"][0] = 3
+
+
+def negative_threshold(table) -> None:
+    table["thresholds"][0] = -1
+
+
+def empty_clause(table) -> None:
+    table["clauses"][0] += 1
+    table["sizes"].insert(0, 0)
+
+
+def label_not_a_string(table) -> None:
+    table["labels"][0] = 7
+
+
+def short_column(table) -> None:
+    table["windows"].pop()
+
+
+def own_table(document):
+    return document["queries"]
+
+
+def cancelled_table(document):
+    return document["registry"]["cancelled"]
+
+
+def table_documents():
+    """(document, its query table, restore) for a router document, a
+    session document with a cancelled handle and an engine document."""
+    queries, events = small_scenario(6)
+    router = StreamRouter(queries, batch_size=3)
+    router.route_many(events)
+    yield router.checkpoint(), own_table, StreamRouter.from_checkpoint
+    with Session(backend="router", batch_size=3) as session:
+        for query in queries:
+            session.register(query)
+        session.ingest_many(events)
+        session.cancel(session.handles[0])
+        document = from_bytes(session.checkpoint(), expect_kind="session")
+    yield document, cancelled_table, lambda payload: Session.restore(
+        to_bytes("session", payload)
+    )
+    engine = small_engine(queries, events)
+    yield engine.checkpoint(), own_table, restore_engine
+
+
+@pytest.mark.parametrize("damage,column", [
+    (damaged_clauses, "clauses"),
+    (position_out_of_range, "conditions"),
+    (unknown_comparison, "operators"),
+    (negative_threshold, "thresholds"),
+    (empty_clause, "sizes"),
+    (label_not_a_string, "labels"),
+    (short_column, "windows"),
+])
+def test_a_malformed_query_table_is_refused_naming_its_column(damage, column):
+    """Every document holding queries holds them as one query table; a
+    table whose columns do not fit together is refused, naming the
+    column, instead of building a workload nobody registered."""
+    for document, table_of, restore in table_documents():
+        restore(copy.deepcopy(document))  # the clean one
+        damaged = copy.deepcopy(document)
+        damage(table_of(damaged))
+        with pytest.raises(CheckpointError, match=f"column '{column}'"):
+            restore(damaged)

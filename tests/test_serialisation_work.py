@@ -12,15 +12,18 @@ per match:
   Python lines per live state (``sys.settrace`` ``line`` events) — an
   exporter or importer that loops in Python over frames, runs or memo
   entries instead of handing whole columns to C reads in the hundreds;
+* ``Session.checkpoint()`` and ``Session.restore`` of a 300-query session
+  are counted in executed Python lines per query — a codec that walks the
+  workload value by value, or a restore that builds a query twice, reads
+  several times the gate;
 * a pool drain is counted in records shipped per result state;
 * a registration's duplicate check is counted in ``CNFQuery.__eq__``
   calls, flat in the number of active queries;
-* a session checkpoint and restore are counted in
-  :meth:`CNFQuery.to_dict` / :meth:`CNFQuery.from_dict` calls: a document
-  holds each query once (the router's ``queries`` for an active query, its
-  registry entry for a cancelled one) and names it by id everywhere else,
-  so both counts equal the number of distinct queries, whatever the number
-  of streams and window groups.
+* a session checkpoint writes each query as one row of one query table
+  (the router's ``queries`` for an active query, the registry's
+  ``cancelled`` for a cancelled one) and names it by id everywhere else,
+  and its restore builds each query once, whatever the number of streams
+  and window groups.
 """
 
 from __future__ import annotations
@@ -28,13 +31,15 @@ from __future__ import annotations
 import gc
 import random
 import sys
+from typing import Dict, Iterator
 
 import pytest
 
 from repro.datamodel import FrameObservation
-from repro.query.model import CNFQuery
+from repro.query.model import CNFQuery, pack_queries
 from repro.session import Session
 from repro.streaming import StreamRouter
+from repro.streaming.checkpoint import from_bytes
 from repro.workloads.generator import random_cnf_workload
 from repro.workloads.streams import bench_scenario, interleave_feeds
 
@@ -47,6 +52,13 @@ CALLS_PER_LIVE_STATE = 16
 #: frames were written as runs and the edge memo as one global set of
 #: serial pairs).
 LINES_PER_LIVE_STATE = {"checkpoint": 80, "restore": 115}
+
+
+#: Python lines one checkpoint and one restore may run per query of
+#: :func:`fanout_session`.  Measured with Python 3.11: 189 and 384 (951
+#: and 1680 when each query was a dict tree, decoded value by value and
+#: built twice).  Indexing the queries is most of the restore's.
+LINES_PER_QUERY = {"checkpoint": 380, "restore": 770}
 
 
 def python_calls(function) -> int:
@@ -166,6 +178,47 @@ def test_checkpoint_and_restore_run_a_few_lines_per_live_state():
         )
 
 
+def fanout_session() -> Session:
+    """An inline session of 300 random CNF queries of up to 10 clauses in
+    three window groups, 30 of them cancelled, fed a short two-stream
+    scene, its matches taken."""
+    feeds, _ = bench_scenario(2, 20, [(8, 4)], 1, 3)
+    session = Session(backend="inline")
+    handles = [
+        session.register(query)
+        for seed, (window, duration) in enumerate(((8, 4), (12, 6), (16, 8)))
+        for query in random_cnf_workload(
+            100, window=window, duration=duration, max_disjunctions=10,
+            seed=seed,
+        ).queries
+    ]
+    session.ingest_many(interleave_feeds(feeds))
+    for handle in handles:
+        handle.take_matches()
+    for handle in handles[:30]:
+        handle.cancel()
+    return session
+
+
+def test_checkpoint_and_restore_run_a_few_lines_per_query():
+    with fanout_session() as session:
+        queries = len(session.handles)
+        assert queries >= 300
+        blob = session.checkpoint()
+        lines = {"checkpoint": python_lines(session.checkpoint)}
+        restored = []
+        lines["restore"] = python_lines(
+            lambda: restored.append(Session.restore(blob))
+        )
+    with restored[0]:
+        assert restored[0].checkpoint() == blob
+    for step, limit in LINES_PER_QUERY.items():
+        assert lines[step] <= limit * queries, (
+            f"{step}: {lines[step]} Python lines for {queries} queries "
+            f"({lines[step] / queries:.1f} per query)"
+        )
+
+
 def test_pool_drain_ships_one_record_per_result_state():
     feeds, queries = bench_scenario(4, 80, [(8, 4), (12, 6)], 4, 11)
     events = list(interleave_feeds(feeds))
@@ -196,30 +249,20 @@ def test_pool_drain_ships_one_record_per_result_state():
     assert shipped["match_records_shipped"] <= result_states, shipped
 
 
-class CallCounter:
-    """Counts calls of ``CNFQuery.to_dict`` and ``CNFQuery.from_dict``."""
+#: The columns of a query table (:func:`pack_queries`).
+TABLE_COLUMNS = set(pack_queries([]))
 
-    def __init__(self, monkeypatch):
-        self.to_dict = 0
-        self.from_dict = 0
-        to_dict = CNFQuery.to_dict
-        from_dict = CNFQuery.from_dict.__func__
 
-        def counted_to_dict(query):
-            self.to_dict += 1
-            return to_dict(query)
-
-        def counted_from_dict(cls, payload):
-            self.from_dict += 1
-            return from_dict(cls, payload)
-
-        monkeypatch.setattr(CNFQuery, "to_dict", counted_to_dict)
-        monkeypatch.setattr(
-            CNFQuery, "from_dict", classmethod(counted_from_dict)
-        )
-
-    def reset(self) -> None:
-        self.to_dict = self.from_dict = 0
+def query_tables(tree) -> Iterator[Dict]:
+    """Every query table in a document tree."""
+    if isinstance(tree, dict):
+        if set(tree) == TABLE_COLUMNS:
+            yield tree
+            return
+        tree = list(tree.values())
+    if isinstance(tree, list):
+        for item in tree:
+            yield from query_tables(item)
 
 
 #: Three window groups of three queries each; two of the first group's are
@@ -229,9 +272,10 @@ QUERIES_PER_GROUP = 3
 CANCELLED = 2
 
 
-def query_serialisation_calls(backend: str, num_streams: int, monkeypatch):
-    """(distinct queries, to_dict calls of a checkpoint, from_dict calls of
-    its restore) on a session with ``num_streams`` streams."""
+def query_rows(backend: str, num_streams: int, monkeypatch):
+    """(distinct queries, query ids of every query-table row of a
+    checkpoint, queries its restore builds) on a session with
+    ``num_streams`` streams."""
     feeds, queries = bench_scenario(
         num_streams, 40, QUERY_GROUPS, QUERIES_PER_GROUP, 11
     )
@@ -245,41 +289,47 @@ def query_serialisation_calls(backend: str, num_streams: int, monkeypatch):
     distinct = len(session.handles)
     assert len(session.queries) == distinct - CANCELLED
     assert len(session.stream_ids()) == num_streams
-    counter = CallCounter(monkeypatch)
+    blob = session.checkpoint()
+    session.close()
+    rows = [
+        query_id
+        for table in query_tables(from_bytes(blob, expect_kind="session"))
+        for query_id in table["ids"]
+    ]
+    built = []
+    post_init = CNFQuery.__post_init__
+
+    def counted_post_init(query):
+        built.append(query.query_id)
+        post_init(query)
+
+    monkeypatch.setattr(CNFQuery, "__post_init__", counted_post_init)
     try:
-        blob = session.checkpoint()
-        written = counter.to_dict
-        counter.reset()
         restored = Session.restore(blob)
-        read = counter.from_dict
     finally:
         monkeypatch.undo()
-        session.close()
     assert restored.checkpoint() == blob
     restored.close()
-    return distinct, written, read
+    return distinct, rows, built
 
 
 @pytest.mark.parametrize("backend", ["inline", "router"])
-def test_checkpoint_writes_and_restore_reads_each_query_once(
-    backend, monkeypatch
-):
-    counts = {}
+def test_each_query_is_one_row_of_exactly_one_table(backend, monkeypatch):
+    """A checkpoint writes each query as one row of one query table (the
+    router's ``queries`` for an active query, the registry's
+    ``cancelled`` for a cancelled one), and a restore builds each query
+    once, whatever the number of streams and window groups."""
     for num_streams in (1, 3):
-        distinct, written, read = query_serialisation_calls(
-            backend, num_streams, monkeypatch
-        )
+        distinct, rows, built = query_rows(backend, num_streams, monkeypatch)
         assert distinct == len(QUERY_GROUPS) * QUERIES_PER_GROUP
-        assert written == distinct, (
-            f"S={num_streams}: checkpoint made {written} to_dict calls for "
+        assert sorted(rows) == list(range(distinct)), (
+            f"S={num_streams}: the checkpoint's query tables hold rows "
+            f"{rows} for {distinct} distinct queries"
+        )
+        assert sorted(built) == list(range(distinct)), (
+            f"S={num_streams}: restore built queries {built} for "
             f"{distinct} distinct queries"
         )
-        assert read == distinct, (
-            f"S={num_streams}: restore made {read} from_dict calls for "
-            f"{distinct} distinct queries"
-        )
-        counts[num_streams] = (written, read)
-    assert counts[1] == counts[3], "query serialisation grows with streams"
 
 
 def test_duplicate_detection_is_flat_in_the_active_workload(monkeypatch):

@@ -119,7 +119,9 @@ def test_documents_state_each_workload_fact_once():
         session.cancel(session.handles[0])
         document = from_bytes(session.checkpoint(), expect_kind="session")
     assert set(document) == {"config", "registry", "streams", "state"}
-    assert set(document["registry"]) == {"handles"}
+    assert set(document["registry"]) == {
+        "ids", "cancelled", "delivered", "matches", "registered_at",
+    }
     router = document["state"]
     assert router["group_order"] == [list(group) for group in GROUPS]
     assert len(router["shards"]) == 2
