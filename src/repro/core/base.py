@@ -48,8 +48,6 @@ class GeneratorStats:
     frame (see :mod:`repro.core.ssg`).  ``settled_frames`` counts the SSG
     frames that repeat their predecessor's object set and whose root step
     changes nothing, which on an unchanged graph they skip (same module).
-    Both are last and default to 0, so counters written before they
-    existed still load.
     """
 
     frames_processed: int = 0
@@ -381,7 +379,7 @@ class MCOSGenerator(abc.ABC):
             )
         labels = self.config.labels_of_interest
         own_labels = sorted(labels) if labels is not None else None
-        ckpt_labels = payload.get("labels_of_interest")
+        ckpt_labels = payload["labels_of_interest"]
         ckpt_labels = sorted(ckpt_labels) if ckpt_labels is not None else None
         if ckpt_labels != own_labels:
             raise ValueError(
@@ -399,11 +397,14 @@ class MCOSGenerator(abc.ABC):
         self._reset_impl()
         self._frame_cache = None
         self.interner.restore_table(payload["interner"])
-        self.stats = GeneratorStats(**payload["stats"])
-        last = payload.get("last_frame_id")
+        stats = payload["stats"]
+        if len(stats) != len(GeneratorStats.__dataclass_fields__):
+            raise ValueError("checkpoint stats do not name every counter")
+        self.stats = GeneratorStats(**stats)
+        last = payload["last_frame_id"]
         self._last_frame_id = int(last) if last is not None else None
         self._labels = ObjectLabels(self.interner, {
-            int(oid): label for oid, label in payload.get("label_lookup", [])
+            int(oid): label for oid, label in payload["label_lookup"]
         })
         self._import_impl(payload["state"])
 

@@ -77,9 +77,9 @@ of that frame marks it, and every state derived from that principal
 inherits the mark), so the sweep that expires a state's marks expires its
 frames, and nothing else expires anything.  The replay list is
 checkpointed; the buckets are rebuilt from the marks on import.  Without a
-previous frame (a new or reset generator, a checkpoint without the replay
-columns, or after an empty frame or a Proposition-1 terminated principal)
-``Δ`` is every object and the walk is the full ST.
+previous frame (a new or reset generator, or after an empty frame or a
+Proposition-1 terminated principal) ``Δ`` is every object and the walk is
+the full ST.
 
 Settled frames
 --------------
@@ -801,9 +801,8 @@ class StrictStateGraphGenerator(MCOSGenerator):
 
         The replay list goes in two columns: ``replay_principal`` holds the
         last frame's principal (``-1`` when the next frame walks in full)
-        and ``replay`` the other states that frame extended, in order.  A
-        checkpoint without them restores with an empty list.  The expiry
-        buckets are not written: import rebuilds them from the marks.
+        and ``replay`` the other states that frame extended, in order.  The
+        expiry buckets are not written: import rebuilds them from the marks.
         """
         self._prune_edge_memo()
         by_bits = self._states._by_bits
@@ -913,8 +912,8 @@ class StrictStateGraphGenerator(MCOSGenerator):
                     "SSG checkpoint memoises edges from a state off the graph"
                 )
         self._memo_size = len(memo_children)
-        principal = int_column(graph.get("replay_principal", [-1]))
-        replay = table_positions(graph.get("replay", []), size)
+        principal = int_column(graph["replay_principal"])
+        replay = table_positions(graph["replay"], size)
         if len(principal) != 1 or not -1 <= principal[0] < size \
                 or (principal[0] < 0 and replay):
             raise ValueError("SSG checkpoint replay columns are malformed")

@@ -2,8 +2,8 @@
 
 The Object Detection & Tracking layer produces a structured relation
 ``VR(fid, id, class)`` (Section 2 of the paper).  This package defines the
-in-memory representation of that relation along with frame-level views and
-sliding-window iteration used by the MCOS generation layer.
+in-memory representation of that relation, its frames and its file
+formats.
 """
 
 from repro.datamodel.io import (
@@ -14,14 +14,11 @@ from repro.datamodel.io import (
 )
 from repro.datamodel.observation import FrameObservation, ObjectObservation
 from repro.datamodel.relation import VideoRelation
-from repro.datamodel.window import SlidingWindow, WindowView
 
 __all__ = [
     "ObjectObservation",
     "FrameObservation",
     "VideoRelation",
-    "SlidingWindow",
-    "WindowView",
     "save_relation_csv",
     "load_relation_csv",
     "save_relation_jsonl",

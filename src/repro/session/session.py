@@ -86,13 +86,8 @@ from repro.streaming.checkpoint import (
     reading,
     to_bytes,
 )
-from repro.streaming.pool import (
-    PoisonOpError,
-    ShardWorkerPool,
-    WorkerCrashError,
-)
+from repro.streaming.pool import PoisonOpError, ShardWorkerPool
 from repro.streaming.router import StreamRouter
-from repro.streaming.supervision import SupervisionConfig
 
 #: Everything :meth:`Session.register` accepts as a query.
 QueryLike = Union[str, QueryExpr, CNFQuery]
@@ -108,10 +103,7 @@ _BACKENDS = ("inline", "router", "pool")
 #: method, batching and engine options).  :meth:`Session.restore` keeps
 #: only these, so a checkpoint that names a since-retired knob still
 #: restores, and re-checkpoints without it.
-_CONFIG_KEYS = (
-    "backend", "num_workers", "dispatch_batch", "checkpoint_every",
-    "supervision", "degraded_mode",
-)
+_CONFIG_KEYS = ("backend", "num_workers", "dispatch_batch", "checkpoint_every")
 
 #: Pool sizing knobs.  Every backend records them, because a checkpoint
 #: taken on any backend may resume on the pool, so every backend checks
@@ -300,21 +292,12 @@ class Session:
         Worker pool sizing and cadence.  Only the pool backend uses them,
         but every backend records them (a checkpoint may resume on a pool),
         so each must be a positive int everywhere.  The k-th stream the
-        session sees lives on pool worker ``k mod num_workers``.
-    supervision:
-        Worker supervision knobs of the pool backend — hang threshold,
-        restart backoff, poison-quarantine threshold — as a
-        :class:`~repro.streaming.supervision.SupervisionConfig` or a plain
-        dict of its fields (unknown fields are dropped).  ``None`` uses the
-        defaults.
-    degraded_mode:
-        Pool backend only.  When True (the default), a worker that
-        exhausts its restart budget *parks* its streams — the session
-        stays up, the remaining streams keep serving byte-identical
-        results, and :meth:`stream_health` / ``stats()["stream_health"]``
-        report the parked streams until :meth:`repair`.  When False the
-        failure surfaces as a
-        :class:`~repro.streaming.pool.WorkerCrashError`.
+        session sees lives on pool worker ``k mod num_workers``.  The pool
+        has one failure policy, with no settings: a worker that exhausts
+        its restart budget *parks* its streams — the session stays up, the
+        remaining streams keep serving byte-identical results, and
+        :meth:`stream_health` / ``stats()["stream_health"]`` report the
+        parked streams until :meth:`repair`.
     queries:
         Optional initial workload; each entry is registered as if passed to
         :meth:`register`.
@@ -332,8 +315,6 @@ class Session:
         num_workers: int = 2,
         dispatch_batch: int = 32,
         checkpoint_every: int = 8,
-        supervision: Optional[Union[Dict, SupervisionConfig]] = None,
-        degraded_mode: bool = True,
         queries: Iterable[QueryLike] = (),
     ):
         if backend not in _BACKENDS:
@@ -349,13 +330,6 @@ class Session:
             "num_workers": num_workers,
             "dispatch_batch": dispatch_batch,
             "checkpoint_every": checkpoint_every,
-            # Validated eagerly so a bad knob is an argument error here,
-            # not a deferred pool-construction one.
-            "supervision": (
-                None if supervision is None
-                else SupervisionConfig.coerce(supervision).to_dict()
-            ),
-            "degraded_mode": bool(degraded_mode),
         }
         _check_pool_sizing(self._config)
         self._init_registry()
@@ -426,15 +400,6 @@ class Session:
                 num_workers=config["num_workers"],
                 dispatch_batch=config["dispatch_batch"],
                 checkpoint_every=config["checkpoint_every"],
-                # Pre-supervision checkpoints predate these keys; default
-                # them exactly as a fresh Session would.
-                supervision=config.get("supervision"),
-                # Sessions prefer staying up: an irrecoverable worker parks
-                # its streams (per-stream health) instead of breaking the
-                # session.
-                on_irrecoverable=(
-                    "park" if config.get("degraded_mode", True) else "raise"
-                ),
             ).start()
         self._runtime: Union[StreamRouter, ShardWorkerPool] = (
             router if self._pool is None else self._pool
@@ -643,12 +608,9 @@ class Session:
         opaque pool-wide failure: a quarantined poison operation is
         recorded into ``stats()["faults"]`` and every active handle's
         :meth:`QueryHandle.faults`, then the drain *continues* — the
-        healthy remainder is delivered.  A worker crash that exhausted its
-        restart budget (``degraded_mode=False``) is recorded the same way
-        and then re-raised as its
-        :class:`~repro.streaming.pool.WorkerCrashError`, which names the
-        failure ``kind`` and the affected streams.  In degraded mode
-        parked streams are recorded as faults without raising.
+        healthy remainder is delivered.  Streams parked with a worker that
+        exhausted its restart budget are recorded as faults the same way,
+        without raising.
         """
         self._require_open()
         if not self._dirty:
@@ -669,13 +631,6 @@ class Session:
             # The poison op is already quarantined; the rest of the drain
             # is healthy and must still be delivered.
             drained = self._runtime.drain_matches()
-        except WorkerCrashError as exc:
-            self._record_fault({
-                "kind": exc.kind,
-                "streams": [str(s) for s in (exc.stream_ids or ())],
-                "detail": str(exc),
-            })
-            raise
         self._dirty = self._pool is not None and not self._pool.settled
         self._observe_health_faults()
         for matches in drained.values():
@@ -908,7 +863,7 @@ class Session:
         batching, so an ``inline`` snapshot resumes with one-frame batches
         on any backend, and a ``router`` snapshot keeps its batch size and
         watermark on ``inline``.  The session ``config`` holds only how the
-        session serves: the backend, the pool sizing and supervision.
+        session serves: the backend and the pool sizing.
 
         ``num_workers`` overrides the pool sizing of the restored session
         (useful when resuming a pool snapshot on differently-sized
@@ -942,11 +897,6 @@ class Session:
             if num_workers is not None:
                 config["num_workers"] = num_workers
             _check_pool_sizing(config)
-            if config.get("supervision") is not None:
-                # Drops the supervision fields this version retired.
-                config["supervision"] = SupervisionConfig.coerce(
-                    config["supervision"]
-                ).to_dict()
             session = cls.__new__(cls)
             session._config = config
             session._init_registry()
@@ -1045,7 +995,8 @@ class Session:
         taking each worker's final checkpoint before its process exits).
 
         Close **never raises**, whatever state the backend is in: on a
-        broken or degraded pool it drains what is drainable, records the
+        pool broken by a worker that raised inside an operation, or one
+        with parked streams, it drains what is drainable, records the
         failure into the final :meth:`stats` snapshot (readable after
         close) and each handle's :meth:`QueryHandle.faults`, and always
         releases the worker processes — escalating a stuck shutdown to
@@ -1060,8 +1011,8 @@ class Session:
         except Exception as exc:
             # Closing must always release resources, but a failed final
             # flush means the buffered tail was NOT evaluated (e.g. a pool
-            # worker exhausted its restart budget) — say so instead of
-            # silently under-delivering.
+            # worker raised inside an operation and broke the pool) — say
+            # so instead of silently under-delivering.
             warnings.warn(
                 f"session close could not flush the buffered tail "
                 f"({exc!r}); matches of recently ingested frames may be "
@@ -1069,24 +1020,9 @@ class Session:
                 RuntimeWarning,
                 stacklevel=2,
             )
-            detail = str(exc)
-            # A broken pool often wraps the original WorkerCrashError in a
-            # generic PoolError; unwrap so the fault record keeps the real
-            # failure kind and the streams it took down.
-            crash = exc
-            if not isinstance(crash, WorkerCrashError) and isinstance(
-                getattr(exc, "__cause__", None), WorkerCrashError
-            ):
-                crash = exc.__cause__
-            if not any(f.get("detail") == detail for f in self._faults):
-                self._record_fault({
-                    "kind": str(getattr(crash, "kind", None) or "crash"),
-                    "streams": [
-                        str(s)
-                        for s in (getattr(crash, "stream_ids", None) or ())
-                    ],
-                    "detail": detail,
-                })
+            self._record_fault(
+                {"kind": "crash", "streams": [], "detail": str(exc)}
+            )
         # The final snapshot: everything that is still knowable about the
         # session, preserved past close.  The core never touches the
         # backend except through the exception-safe health probe; the raw

@@ -19,12 +19,12 @@ A :class:`~repro.streaming.pool.ShardWorkerPool` moves the shards into
 checkpoint, fed batched frames over queues, periodically snapshotted, and
 respawned-plus-replayed when it crashes — while producing results
 byte-identical to the in-process router.  A supervision layer
-(:mod:`repro.streaming.supervision`) watches the workers — a hung-worker
-watchdog driven by acknowledgement progress, exponential-backoff restarts,
-poison-operation quarantine, and a degraded mode that parks an
-irrecoverable worker's streams while the rest keep serving — and a
-deterministic fault-injection harness (:mod:`repro.streaming.faultinject`)
-scripts the failures that exercise it.
+(:mod:`repro.streaming.supervision`) watches the workers with one fixed
+failure policy — a hung-worker watchdog driven by acknowledgement
+progress, exponential-backoff restarts, poison-operation quarantine, and
+parking an irrecoverable worker's streams while the rest keep serving —
+and a deterministic fault-injection harness
+(:mod:`repro.streaming.faultinject`) scripts the failures that exercise it.
 """
 
 from repro.streaming.checkpoint import (
@@ -50,11 +50,7 @@ from repro.streaming.pool import (
 )
 from repro.streaming.router import StreamRouter
 from repro.streaming.shard import ShardStats, StreamShard, group_queries_by_window
-from repro.streaming.supervision import (
-    FAILURE_KINDS,
-    SupervisionConfig,
-    Supervisor,
-)
+from repro.streaming.supervision import FAILURE_KINDS, Supervisor
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -73,7 +69,6 @@ __all__ = [
     "ShardWorkerPool",
     "StreamShard",
     "StreamRouter",
-    "SupervisionConfig",
     "Supervisor",
     "WorkerCrashError",
     "deterministic_stats",

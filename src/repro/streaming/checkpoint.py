@@ -34,9 +34,9 @@ counter holds it), their engine snapshots the ``mcos_seconds`` and
 ``retain_matches`` (shards always retain until drained) and
 ``retired_totals.processing_seconds``; the session ``config`` loses
 ``method``, ``batch_size``, ``watermark``, ``enable_pruning`` and
-``restrict_labels``, which the router document holds.  So the only
-floats a document can hold are a session's supervision settings, and a
-snapshot is a pure function of the calls and frames that built it.
+``restrict_labels``, which the router document holds.  So a session
+document holds no float, and a snapshot is a pure function of the calls
+and frames that built it.
 
   ============  =====================================================
   section       contents

@@ -31,21 +31,24 @@ spreads them over ``multiprocessing`` workers:
 * **graceful shutdown** — :meth:`stop` merges every worker's final
   checkpoint into one router document and returns the router restored from
   it, which resumes exactly where the pool left off;
-* **supervision** — acknowledgement progress is the one liveness signal:
-  a parent-side :class:`~repro.streaming.supervision.Supervisor` watchdog
-  classifies workers healthy / hung from it, escalating hung workers
-  ``terminate()`` → ``kill()`` into the ordinary recovery path, and a
-  death is blamed on the oldest unacknowledged logged operation.
-  Restarts wait an exponential backoff; an operation that
-  kills a worker repeatedly is **quarantined** (skipped, recorded in
+* **one failure policy** — acknowledgement progress is the one liveness
+  signal: a parent-side :class:`~repro.streaming.supervision.Supervisor`
+  watchdog classifies workers healthy / hung from it, escalating hung
+  workers ``terminate()`` → ``kill()`` into the ordinary recovery path,
+  and a death is blamed on the oldest unacknowledged logged operation.
+  Restarts wait an exponential backoff; an operation that kills a worker
+  repeatedly is **quarantined** (skipped, recorded in
   ``stats()["quarantined"]``, surfaced as :class:`PoisonOpError` on the
-  next drain) instead of burning the restart budget; and when a worker is
-  irrecoverable a pool constructed with ``on_irrecoverable="park"``
-  enters **degraded mode** — the dead worker's streams are parked (frames
-  journaled for a later :meth:`repair`) while every other stream keeps
-  serving byte-identical results.  Scripted failures for all of this live
-  in :mod:`repro.streaming.faultinject`.  A worker whose parent died
-  exits on its own.
+  next drain) instead of burning the restart budget; and a worker whose
+  consecutive fruitless restarts exceed :data:`MAX_RESTARTS` is
+  **parked** — its streams' operations are journaled for a later
+  :meth:`repair` while every other stream keeps serving byte-identical
+  results.  Only a worker that raises inside an operation (a bug, not a
+  fault) breaks the pool, with a :class:`WorkerCrashError` as the cause.
+  The policy's numbers are module constants (here and in
+  :mod:`repro.streaming.supervision`), not settings.  Scripted failures
+  for all of this live in :mod:`repro.streaming.faultinject`.  A worker
+  whose parent died exits on its own.
 
 Exactly-once effects
 --------------------
@@ -76,7 +79,7 @@ import queue as queue_module
 import time
 import traceback
 from typing import (
-    Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union,
+    Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
 from repro.datamodel.observation import FrameObservation
@@ -85,7 +88,7 @@ from repro.query.model import CNFQuery
 from repro.streaming.checkpoint import from_bytes, to_bytes
 from repro.streaming.faultinject import InjectedFault, load_injector
 from repro.streaming.router import StreamRouter, zero_ingest_totals
-from repro.streaming.supervision import SupervisionConfig, Supervisor
+from repro.streaming.supervision import Supervisor
 
 #: Sentinel stored as the "ack" of a read-only query lost to a worker crash.
 _LOST = object()
@@ -106,6 +109,15 @@ PARENT_CHECK_INTERVAL = 0.5
 #: runs.
 TICK_INTERVAL = 0.5
 
+#: Unacknowledged messages per worker before :meth:`ShardWorkerPool.route`
+#: waits (backpressure, and a bound on the parent's replay log between
+#: checkpoints).
+MAX_INFLIGHT = 64
+
+#: Consecutive restarts without acknowledgement progress a worker may take;
+#: one more parks its streams.
+MAX_RESTARTS = 3
+
 #: Seconds each stage of the ``terminate()`` → ``kill()`` escalation waits
 #: for the process to exit before the next stage fires.
 ESCALATION_TIMEOUT = 5.0
@@ -116,51 +128,33 @@ class PoolError(RuntimeError):
 
 
 class WorkerCrashError(PoolError):
-    """A worker failed terminally and broke the pool.
+    """A worker raised inside an operation and broke the pool.
 
-    Raised when a worker keeps dying past its restart budget, and recorded
-    (as the chained cause of later :class:`PoolError`\\ s on the broken
-    pool) when a worker raises inside an operation — a deterministic raise
-    would replay-crash forever, so it is not restarted.  Carries the full
-    crash context so callers can react programmatically:
+    A deterministic raise would replay-crash forever, so the worker is not
+    restarted: the pool is broken, and this error is the chained cause of
+    every later :class:`PoolError` it raises.  It carries the context:
 
-    * ``kind`` — machine-readable failure class: ``"crash"`` (process
-      death), ``"hang"`` (watchdog escalation), ``"poison"`` (one
-      operation kept killing the worker with quarantine disabled), or
-      ``"restart-budget"`` (the consecutive-fruitless-restart budget ran
-      out);
-    * ``stream_ids`` — the streams assigned to the failed worker (the
-      results a caller can no longer get from this pool);
-    * ``worker_index`` — which worker failed;
-    * ``exitcode`` — the dead process's exit code (negative = signal;
-      ``None`` when the worker raised instead of dying);
+    * ``worker_index`` — which worker raised;
     * ``op_seq`` — the highest operation sequence the worker had
-      acknowledged before the failure;
-    * ``pending_ops`` — logged operations that were still awaiting replay;
-    * ``traceback_summary`` — last line of the worker's traceback when it
-      died raising (``None`` for signal deaths, which leave no traceback).
+      acknowledged before it raised;
+    * ``pending_ops`` — logged operations not yet covered by a checkpoint;
+    * ``traceback_summary`` — last line of the worker's traceback.
     """
 
     def __init__(
         self,
         message: str,
         *,
-        worker_index: Optional[int] = None,
-        exitcode: Optional[int] = None,
-        op_seq: Optional[int] = None,
-        pending_ops: int = 0,
-        traceback_summary: Optional[str] = None,
-        kind: str = "crash",
-        stream_ids: Optional[Sequence[str]] = None,
+        worker_index: int,
+        op_seq: int,
+        pending_ops: int,
+        traceback_summary: str,
     ):
         super().__init__(message)
         self.worker_index = worker_index
-        self.exitcode = exitcode
         self.op_seq = op_seq
         self.pending_ops = pending_ops
         self.traceback_summary = traceback_summary
-        self.kind = kind
-        self.stream_ids = list(stream_ids) if stream_ids is not None else []
 
 
 class PoisonOpError(PoolError):
@@ -339,7 +333,7 @@ class _WorkerHandle:
         "last_op_seq", "drain_mark", "last_checkpoint", "pending_ckpt_seq",
         "inflight", "max_acked", "acks", "buffer", "restarts",
         "ops_since_ckpt", "stopped_state", "ckpt_count", "parked", "death_kind",
-        "pending_sent_at", "last_progress_at", "stop_requested_at",
+        "last_progress_at", "stop_requested_at",
         "culprit_seq", "culprit_streak", "quarantined_seqs",
         "recovery_started_at", "recovery_target_seq",
     )
@@ -364,8 +358,10 @@ class _WorkerHandle:
         self.last_checkpoint: Optional[bytes] = None
         #: Sequence of the outstanding periodic checkpoint request, if any.
         self.pending_ckpt_seq: Optional[int] = None
-        #: Sequences sent but not yet acknowledged.
-        self.inflight: set = set()
+        #: Send time (the parent's monotonic clock) of every sequence, op or
+        #: query, sent and not yet acknowledged: the backpressure bound and
+        #: the watchdog's oldest-pending-age signal.
+        self.inflight: Dict[int, float] = {}
         #: Highest acknowledged sequence (replay duplicates fall below it).
         self.max_acked = -1
         #: Query answers not yet consumed by a caller.
@@ -382,9 +378,6 @@ class _WorkerHandle:
         self.parked = False
         #: Failure kind staged by an escalation for the next ``_recover``.
         self.death_kind: Optional[str] = None
-        #: Dispatch wall-clock per unacknowledged sequence (ops *and*
-        #: queries) — the watchdog's oldest-pending-age signal.
-        self.pending_sent_at: Dict[int, float] = {}
         #: Wall-clock of the last acknowledgement progress (or spawn).
         self.last_progress_at = 0.0
         #: Wall-clock of the outstanding graceful-stop request, if any
@@ -427,26 +420,12 @@ class ShardWorkerPool:
         Periodic checkpoint cadence, in state-changing operations per
         worker.  Smaller values shorten the replay tail after a crash at
         the cost of more snapshot traffic.
-    max_inflight:
-        Bound on unacknowledged operations per worker (backpressure, and a
-        bound on parent-side replay-log memory between checkpoints).
-    max_restarts:
-        Crash-recovery budget per worker, counted over *consecutive
-        fruitless* restarts (acknowledgement progress resets it); a worker
-        that exceeds it is irrecoverable — :class:`WorkerCrashError` by
-        default, parked (degraded mode) with ``on_irrecoverable="park"``.
-    supervision:
-        A :class:`~repro.streaming.supervision.SupervisionConfig` (or a
-        mapping of its fields, or ``None`` for defaults): hang threshold,
-        restart backoff, poison quarantine threshold.
-    on_irrecoverable:
-        ``"raise"`` (default) breaks the whole pool when a worker is
-        irrecoverable; ``"park"`` enters degraded mode instead — the dead
-        worker's streams are parked and journaled while every other stream
-        keeps serving byte-identical results, until :meth:`repair`.
 
     Workers start with :data:`START_METHOD`, and the parent waits on them
-    :data:`POLL_INTERVAL` seconds at a time.
+    :data:`POLL_INTERVAL` seconds at a time.  The failure policy has no
+    settings: at most :data:`MAX_INFLIGHT` unacknowledged messages per
+    worker, and a worker whose consecutive fruitless restarts exceed
+    :data:`MAX_RESTARTS` is parked (see :meth:`repair`).
     """
 
     def __init__(
@@ -455,48 +434,34 @@ class ShardWorkerPool:
         num_workers: int = 2,
         dispatch_batch: int = 32,
         checkpoint_every: int = 8,
-        max_inflight: int = 64,
-        max_restarts: int = 3,
-        supervision: Union[SupervisionConfig, Mapping, None] = None,
-        on_irrecoverable: str = "raise",
     ):
         if num_workers <= 0:
             raise PoolError("num_workers must be positive")
-        if on_irrecoverable not in ("raise", "park"):
+        if dispatch_batch <= 0 or checkpoint_every <= 0:
             raise PoolError(
-                f"on_irrecoverable must be 'raise' or 'park', got "
-                f"{on_irrecoverable!r}"
-            )
-        if dispatch_batch <= 0 or checkpoint_every <= 0 or max_inflight <= 0:
-            raise PoolError(
-                "dispatch_batch, checkpoint_every and max_inflight must be positive"
+                "dispatch_batch and checkpoint_every must be positive"
             )
         self.router = router
         self.num_workers = num_workers
         self.dispatch_batch = dispatch_batch
         self.checkpoint_every = checkpoint_every
-        self.max_inflight = max_inflight
-        self.max_restarts = max_restarts
         self._ctx = multiprocessing.get_context(START_METHOD)
         self._workers: List[_WorkerHandle] = []
         #: Stream ownership, in global first-seen order: the k-th stream
         #: lives on worker ``k mod num_workers``.
         self._assignment: Dict[str, int] = {}
-        #: The terminal failure that broke the pool, chained into every
+        #: The worker raise that broke the pool, chained into every
         #: subsequent PoolError so the cause is never discarded.
-        self._failure: Optional[PoolError] = None
+        self._failure: Optional[WorkerCrashError] = None
         self._started = False
         self._stopped = False
-        self._broken = False
         self._checkpoints_taken = 0
         self._matches_shipped = 0
         self._match_records_shipped = 0
         self._ops_dispatched = 0
         self._frames_dispatched = 0
         self._total_restarts = 0
-        self._supervision = SupervisionConfig.coerce(supervision)
-        self._supervisor = Supervisor(self._supervision, num_workers)
-        self._on_irrecoverable = on_irrecoverable
+        self._supervisor = Supervisor(num_workers)
         #: Next wall-clock at which route() runs a supervision tick.
         self._next_tick_at = 0.0
         #: Quarantined-operation records, in quarantine order (stats surface).
@@ -520,11 +485,6 @@ class ShardWorkerPool:
     def restarts(self) -> int:
         """Workers restarted after crashes over the pool's lifetime."""
         return self._total_restarts
-
-    @property
-    def supervision(self) -> SupervisionConfig:
-        """The supervision configuration in effect."""
-        return self._supervision
 
     @property
     def degraded(self) -> bool:
@@ -617,7 +577,7 @@ class ShardWorkerPool:
         """
         if self._started:
             raise PoolError("the pool is already started")
-        if self._stopped or self._broken:
+        if self._stopped or self._failure is not None:
             raise PoolError("a stopped or broken pool cannot be restarted")
         document = self.router.checkpoint()
         for stream_id in document["stream_order"]:
@@ -1076,16 +1036,12 @@ class ShardWorkerPool:
     # Internals: dispatch, acknowledgements, recovery
     # ------------------------------------------------------------------
     def _require_running(self) -> None:
-        if self._broken:
-            # Chain the recorded terminal failure instead of discarding it:
-            # callers see worker index, failure kind, op sequence and
-            # traceback summary in the cause.
-            detail = (
-                f": {self._failure}" if self._failure is not None
-                else " (no failure context was recorded)"
-            )
+        if self._failure is not None:
+            # Chain the recorded failure instead of discarding it: callers
+            # see worker index, op sequence and traceback summary in the
+            # cause.
             raise PoolError(
-                f"the pool is broken (a worker failed){detail}"
+                f"the pool is broken (a worker failed): {self._failure}"
             ) from self._failure
         if not self._started:
             raise PoolError(
@@ -1115,7 +1071,7 @@ class ShardWorkerPool:
         worker.process.start()
         # A fresh generation starts with a clean watchdog slate; replayed
         # operations are re-stamped as they are re-sent.
-        worker.pending_sent_at.clear()
+        worker.inflight.clear()
         worker.last_progress_at = time.monotonic()
 
     def _dispatch_buffer(self, worker: _WorkerHandle) -> None:
@@ -1146,22 +1102,20 @@ class ShardWorkerPool:
                         record.get("frames_parked", 0) + len(op[1])
                     )
             return seq
-        worker.inflight.add(seq)
-        worker.pending_sent_at[seq] = time.monotonic()
+        worker.inflight[seq] = time.monotonic()
         worker.tasks.put(("op", seq, op))
         worker.ops_since_ckpt += 1
         if (worker.ops_since_ckpt >= self.checkpoint_every
                 and worker.pending_ckpt_seq is None):
             self._request_checkpoint(worker)
-        while len(worker.inflight) > self.max_inflight:
+        while len(worker.inflight) > MAX_INFLIGHT:
             self._pump(block=True, focus=worker)
         return seq
 
     def _send_query(self, worker: _WorkerHandle, query: Tuple) -> int:
         seq = worker.next_seq
         worker.next_seq += 1
-        worker.inflight.add(seq)
-        worker.pending_sent_at[seq] = time.monotonic()
+        worker.inflight[seq] = time.monotonic()
         worker.tasks.put(("query", seq, query))
         return seq
 
@@ -1274,10 +1228,10 @@ class ShardWorkerPool:
 
         A worker is *hung* when its oldest pending message has been
         outstanding — with no acknowledgement progress at all — for longer
-        than ``hang_after``.  Progress is measured by acks: a worker whose
-        result pipe stalled (or that livelocks) gets caught, while a
-        deep-but-draining queue does not (each ack refreshes the progress
-        clock).
+        than :data:`~repro.streaming.supervision.HANG_AFTER`.  Progress is
+        measured by acks: a worker whose result pipe stalled (or that
+        livelocks) gets caught, while a deep-but-draining queue does not
+        (each ack refreshes the progress clock).
         """
         now = time.monotonic()
         for worker in self._workers:
@@ -1286,8 +1240,8 @@ class ShardWorkerPool:
                     or not worker.process.is_alive()):
                 continue  # dead workers go through _recover, not escalation
             oldest = (
-                min(worker.pending_sent_at.values())
-                if worker.pending_sent_at else worker.stop_requested_at
+                min(worker.inflight.values())
+                if worker.inflight else worker.stop_requested_at
             )
             pending_age = None if oldest is None else now - oldest
             idle_age = now - worker.last_progress_at
@@ -1313,8 +1267,7 @@ class ShardWorkerPool:
             # Discard from inflight even for replay duplicates: _recover
             # re-adds every logged sequence, including already-acked ones,
             # and leaking them would wedge _send_op's backpressure loop.
-            worker.inflight.discard(seq)
-            worker.pending_sent_at.pop(seq, None)
+            worker.inflight.pop(seq, None)
             if seq <= worker.max_acked:
                 return  # replay duplicate (or a stale ack from a dead life)
             worker.max_acked = seq
@@ -1345,8 +1298,7 @@ class ShardWorkerPool:
                 worker.acks[seq] = payload
         elif kind == "nack":
             _, _, seq, reason = message
-            worker.inflight.discard(seq)
-            worker.pending_sent_at.pop(seq, None)
+            worker.inflight.pop(seq, None)
             # The worker is demonstrably alive (it answered, just
             # negatively) — count it as watchdog progress, not ack progress.
             worker.last_progress_at = time.monotonic()
@@ -1365,21 +1317,20 @@ class ShardWorkerPool:
             worker.stopped_state = message[2]
             worker.stop_requested_at = None
         elif kind == "error":
-            self._broken = True
             text = message[2]
-            self.terminate()
-            failure = WorkerCrashError(
+            summary = _traceback_summary(text)
+            self._failure = WorkerCrashError(
                 f"worker {worker.index} raised inside an operation "
-                f"({_traceback_summary(text)})",
+                f"({summary})",
                 worker_index=worker.index,
                 op_seq=worker.max_acked,
                 pending_ops=len(worker.log),
-                traceback_summary=_traceback_summary(text),
+                traceback_summary=summary,
             )
-            self._failure = failure
+            self.terminate()
             raise PoolError(
                 f"worker {worker.index} raised inside an operation:\n{text}"
-            ) from failure
+            ) from self._failure
         else:  # pragma: no cover - protocol violation
             raise PoolError(f"unknown worker response {kind!r}")
 
@@ -1418,8 +1369,7 @@ class ShardWorkerPool:
         """Drop a poison operation from the replay log, with full context."""
         seq, op = culprit
         worker.log = [(s, o) for s, o in worker.log if s != seq]
-        worker.inflight.discard(seq)
-        worker.pending_sent_at.pop(seq, None)
+        worker.inflight.pop(seq, None)
         worker.quarantined_seqs.add(seq)
         record = {
             "worker": worker.index,
@@ -1438,7 +1388,7 @@ class ShardWorkerPool:
         worker.culprit_streak = 0
         worker.culprit_seq = None
 
-    def _park(self, worker: _WorkerHandle, kind: str, exitcode) -> None:
+    def _park(self, worker: _WorkerHandle, exitcode) -> None:
         """Enter degraded mode for one irrecoverable worker.
 
         The worker's streams are tombstoned with a reason; operations for
@@ -1450,6 +1400,7 @@ class ShardWorkerPool:
             stream_id for stream_id, index in self._assignment.items()
             if index == worker.index
         ]
+        kind = "restart-budget"
         reason = (
             f"worker {worker.index} is irrecoverable ({kind}; exitcode "
             f"{exitcode}, last acked op seq {worker.max_acked}) and was "
@@ -1462,7 +1413,6 @@ class ShardWorkerPool:
         worker.tasks = None
         worker.results = None
         worker.inflight.clear()
-        worker.pending_sent_at.clear()
         worker.pending_ckpt_seq = None
         worker.stop_requested_at = None
         worker.recovery_started_at = None
@@ -1507,8 +1457,7 @@ class ShardWorkerPool:
             self._spawn(worker)
             now = time.monotonic()
             for seq, op in worker.log:
-                worker.inflight.add(seq)
-                worker.pending_sent_at[seq] = now
+                worker.inflight[seq] = now
                 worker.tasks.put(("op", seq, op))
             worker.ops_since_ckpt = len(worker.log)
             worker.recovery_started_at = now
@@ -1528,10 +1477,9 @@ class ShardWorkerPool:
         """Respawn a dead worker from its last checkpoint and replay the tail.
 
         The supervision layer hangs off this path: the death is attributed
-        to a culprit operation (poison detection → quarantine), the
-        consecutive-fruitless-restart budget is enforced (park or raise
-        when exhausted, with a machine-readable kind), and the respawn
-        waits an exponential backoff.
+        to a culprit operation (poison detection → quarantine), a worker
+        whose consecutive fruitless restarts exceed :data:`MAX_RESTARTS`
+        is parked, and the respawn waits an exponential backoff.
         """
         kind = worker.death_kind or "crash"
         worker.death_kind = None
@@ -1539,53 +1487,23 @@ class ShardWorkerPool:
         self._total_restarts += 1
         self._supervisor.record_restart(worker.index, kind)
         # Poison attribution: consecutive deaths blamed on the same logged
-        # operation build a streak; at poison_threshold the op is
-        # quarantined instead of burning the whole restart budget.
+        # operation build a streak; a poison streak quarantines the op
+        # instead of burning the whole restart budget.
         culprit = self._culprit_op(worker)
         if culprit is not None and culprit[0] == worker.culprit_seq:
             worker.culprit_streak += 1
         else:
             worker.culprit_seq = culprit[0] if culprit is not None else None
             worker.culprit_streak = 1 if culprit is not None else 0
-        threshold = self._supervision.poison_threshold
-        if (culprit is not None and threshold is not None
-                and worker.culprit_streak >= threshold):
+        if culprit is not None and self._supervisor.poisoned(
+            worker.culprit_streak
+        ):
             self._quarantine(worker, culprit, kind)
         else:
             worker.restarts += 1
-            # With quarantine disabled a poison op resets the fruitless
-            # counter on every death (replayed fresh acks count as
-            # progress), so the streak itself must also bound restarts.
-            poison_blown = (
-                threshold is None and worker.culprit_streak > self.max_restarts
-            )
-            if worker.restarts > self.max_restarts or poison_blown:
-                failure_kind = "poison" if poison_blown else "restart-budget"
-                if self._on_irrecoverable == "park":
-                    self._park(worker, failure_kind, exitcode)
-                    return
-                self._broken = True
-                streams = [
-                    stream_id
-                    for stream_id, index in self._assignment.items()
-                    if index == worker.index
-                ]
-                self.terminate()
-                failure = WorkerCrashError(
-                    f"worker {worker.index} crashed more than "
-                    f"{self.max_restarts} times without progress (kind "
-                    f"{failure_kind!r}, exitcode {exitcode}, last acked op "
-                    f"seq {worker.max_acked}, {len(worker.log)} logged ops "
-                    "awaiting replay); giving up",
-                    worker_index=worker.index,
-                    exitcode=exitcode,
-                    op_seq=worker.max_acked,
-                    pending_ops=len(worker.log),
-                    kind=failure_kind,
-                    stream_ids=streams,
-                )
-                self._failure = failure
-                raise failure
+            if worker.restarts > MAX_RESTARTS:
+                self._park(worker, exitcode)
+                return
             delay = self._supervisor.backoff(worker.restarts)
             if delay > 0:
                 time.sleep(delay)
@@ -1596,23 +1514,20 @@ class ShardWorkerPool:
                 q.close()
                 q.cancel_join_thread()
         recovery_started = time.monotonic()
+        unacked = sorted(worker.inflight)
         self._spawn(worker)
         lost_ckpt = worker.pending_ckpt_seq
         worker.pending_ckpt_seq = None
         logged = {seq for seq, _ in worker.log}
-        for seq in sorted(worker.inflight):
-            if seq in logged:
-                continue
-            worker.inflight.discard(seq)
-            if seq != lost_ckpt:
+        for seq in unacked:
+            if seq not in logged and seq != lost_ckpt:
                 # A read-only query died with the worker; callers re-issue.
                 # (A lost checkpoint request is handled via the cleared
                 # pending marker — nobody awaits its ack directly.)
                 worker.acks[seq] = _LOST
         now = time.monotonic()
         for seq, op in worker.log:
-            worker.inflight.add(seq)
-            worker.pending_sent_at[seq] = now
+            worker.inflight[seq] = now
             worker.tasks.put(("op", seq, op))
         worker.ops_since_ckpt = len(worker.log)
         # Recovery-latency probe: fulfilled when the whole replayed tail is

@@ -7,7 +7,9 @@ the exact stream that diverged.
 
 from __future__ import annotations
 
+import faulthandler
 import random
+import sys
 from typing import List, Sequence, Set
 
 import pytest
@@ -27,6 +29,22 @@ from repro.workloads.streams import simulated_feed
 #: ``pytest --hypothesis-profile=ci``: the same examples on every run, and a
 #: failure prints the blob that replays it (``@reproduce_failure``).
 settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
+
+#: Seconds the process may live on after pytest's summary before every
+#: thread's stack is printed (a hang at interpreter exit names itself).
+EXIT_HANG_DUMP_AFTER = 60
+
+
+def pytest_unconfigure(config):
+    """Arm a stack dump for a process that does not exit after the run.
+
+    The timer thread prints every thread's traceback to the real stderr
+    if the interpreter is still alive ``EXIT_HANG_DUMP_AFTER`` seconds
+    after the run; it changes neither the exit status nor any result.
+    """
+    faulthandler.dump_traceback_later(
+        EXIT_HANG_DUMP_AFTER, exit=False, file=sys.__stderr__
+    )
 
 #: The incremental MCOS maintenance strategies (exercised against each other
 #: and against the exact reference oracle throughout the suite).

@@ -404,7 +404,6 @@ class TestSnapshotsArePureFunctions:
         assert floats(payload) == []
         assert set(payload["config"]) == {
             "backend", "num_workers", "dispatch_batch", "checkpoint_every",
-            "supervision", "degraded_mode",
         }
         assert payload["state"]["retired_totals"]["shards"] == 3
 
@@ -426,23 +425,20 @@ class TestRetiredConfigKey:
             "watermark": 1.5, "cooldown": 5.0, "interval": 0.25,
             "min_frames": 64, "hysteresis": 2, "policy": "least-loaded",
         },
-    }
-
-    #: Retired ``config.supervision`` fields, with the values they had.
-    RETIRED_SUPERVISION = {
-        "heartbeat_interval": 0.5, "slow_after": 1.0,
-        "escalation_timeout": 5.0, "backoff_factor": 2.0,
-        "backoff_jitter": 0.25, "seed": 0,
+        # The pool's failure policy has no settings; older sessions wrote
+        # them, with fields retired even earlier.
+        "supervision": {
+            "hang_after": 20.0, "backoff_base": 0.05, "backoff_cap": 5.0,
+            "poison_threshold": None, "heartbeat_interval": 0.5,
+            "slow_after": 1.0, "backoff_jitter": 0.25, "seed": 0,
+        },
+        "degraded_mode": False,
     }
 
     @staticmethod
     def _retire(payload, retired):
         """Write the retired item into a session checkpoint payload."""
-        if retired == "config.supervision":
-            payload["config"]["supervision"].update(
-                TestRetiredConfigKey.RETIRED_SUPERVISION
-            )
-        elif retired == "state.placement":
+        if retired == "state.placement":
             stream_ids = [sid for sid, _, _ in payload["streams"]]
             payload["state"]["placement"] = {
                 "policy": "least-loaded",
@@ -455,9 +451,7 @@ class TestRetiredConfigKey:
             payload["config"][retired] = \
                 TestRetiredConfigKey.RETIRED_CONFIG[retired]
 
-    @pytest.mark.parametrize(
-        "retired", (*RETIRED_CONFIG, "state.placement", "config.supervision")
-    )
+    @pytest.mark.parametrize("retired", (*RETIRED_CONFIG, "state.placement"))
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("source", BACKENDS)
     def test_old_blob_naming_the_knob_still_restores(
@@ -473,8 +467,6 @@ class TestRetiredConfigKey:
             baseline.flush()
             expected = match_report(baseline.drain())
         knobs = {"num_workers": 2} if source == "pool" else {}
-        if retired == "config.supervision":
-            knobs["supervision"] = {"hang_after": 20.0}
         with Session(backend=source, batch_size=5, **knobs) as session:
             session.register("car >= 1", window=10, duration=5)
             session.ingest_many(events[:half])
@@ -490,8 +482,6 @@ class TestRetiredConfigKey:
             )
             assert retired not in rewritten["config"]
             assert "placement" not in rewritten["state"]
-            supervision = rewritten["config"]["supervision"] or {}
-            assert not set(self.RETIRED_SUPERVISION) & set(supervision)
             if backend == source:
                 assert restored.checkpoint() == snapshot
             restored.ingest_many(events[half:])

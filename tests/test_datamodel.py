@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datamodel import FrameObservation, ObjectObservation, SlidingWindow, VideoRelation
+from repro.datamodel import FrameObservation, ObjectObservation, VideoRelation
 
 
 class TestObjectObservation:
@@ -79,45 +79,3 @@ class TestVideoRelation:
         assert stats[1].visible_gaps == ((2, 2),)
         assert stats[2].occlusions == 0
         assert stats[2].lifespan == 4
-
-
-class TestSlidingWindow:
-    def test_window_contents(self):
-        rel = VideoRelation.from_object_sets([{1}, {2}, {3}, {4}, {5}])
-        window = SlidingWindow(rel, window_size=3)
-        views = list(window)
-        assert len(views) == 5
-        assert views[0].frame_ids == [0]
-        assert views[2].frame_ids == [0, 1, 2]
-        assert views[4].frame_ids == [2, 3, 4]
-        assert views[4].current_frame_id == 4
-        assert views[4].oldest_frame_id == 2
-
-    def test_cooccurrence_predicate(self):
-        rel = VideoRelation.from_object_sets([{1, 2}, {1}, {1, 2}])
-        window = SlidingWindow(rel, window_size=3)
-        view = window.view_at(2)
-        assert view.cooccurrence(frozenset({1, 2})) == [0, 2]
-        assert view.cooccurrence(frozenset({1})) == [0, 1, 2]
-
-    def test_invalid_window_size(self):
-        rel = VideoRelation.from_object_sets([{1}])
-        with pytest.raises(ValueError):
-            SlidingWindow(rel, window_size=0)
-
-    def test_offset_relation_windows(self):
-        """Relations cut from mid-feed slide over their real frame ids.
-
-        Regression: the iterator used to count from frame id 0 regardless of
-        the relation's base id and raised KeyError on offset relations.
-        """
-        rel = VideoRelation.from_object_sets(
-            [{1}, {1, 2}, {2}, {2, 3}], first_frame_id=100
-        )
-        window = SlidingWindow(rel, window_size=2)
-        views = list(window)
-        assert len(views) == 4
-        assert views[0].frame_ids == [100]
-        assert views[1].frame_ids == [100, 101]
-        assert views[3].frame_ids == [102, 103]
-        assert window.view_at(101).cooccurrence(frozenset({1})) == [100, 101]

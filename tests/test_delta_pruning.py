@@ -32,7 +32,7 @@ from repro.core import (
     ReferenceGenerator,
     StrictStateGraphGenerator,
 )
-from repro.datamodel import FrameObservation, VideoRelation
+from repro.datamodel import FrameObservation
 
 from tests.conftest import canonical_results, registry_scene
 
@@ -354,36 +354,6 @@ class TestReplay:
         assert frozenset({1, 2}) in {s.object_ids for s in ssg.live_states()}
         run_sets(ssg, [{1}], first_frame_id=3)
         assert frozenset({1, 2}) not in {s.object_ids for s in ssg.live_states()}
-
-    @pytest.mark.parametrize("cut", [3, 10, 17])
-    def test_checkpoint_without_replay_columns_restores(self, cut):
-        """A blob written before the replay columns existed restores with an
-        empty replay list: the first frame walks in full, results stay
-        equal to the oracle's."""
-        relation = VideoRelation.from_object_sets(
-            [{1, 2, 3}, {1, 2}, {1, 2}, {2, 3}, {2, 3, 4}, {2, 3, 4}, {4}, set(),
-             {1, 4}, {1, 4}, {1, 2, 4}] * 2
-        )
-        frames = list(relation.frames())
-        original = StrictStateGraphGenerator(window_size=5, duration=2)
-        for frame in frames[:cut]:
-            original.process_frame(frame)
-        payload = original.export_checkpoint()
-        del payload["state"]["graph"]["replay_principal"]
-        del payload["state"]["graph"]["replay"]
-        restored = StrictStateGraphGenerator(window_size=5, duration=2)
-        restored.import_checkpoint(payload)
-        assert replay_principal(restored) == [-1]
-        oracle = ReferenceGenerator(window_size=5, duration=2)
-        for frame in frames[:cut]:
-            oracle.process_frame(frame)
-        replayed = restored.stats.replayed_visits
-        for index, frame in enumerate(frames[cut:]):
-            expected = oracle.process_frame(frame).as_mapping()
-            assert restored.process_frame(frame).as_mapping() == expected
-            assert original.process_frame(frame).as_mapping() == expected
-            if index == 0:
-                assert restored.stats.replayed_visits == replayed
 
 
 #: SSG's counters before Δ-pruning and the sweep, on ``dense_scene``'s feeds

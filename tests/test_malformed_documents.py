@@ -10,6 +10,8 @@ inside a reader.  (Restoring
 cleanly is no promise that the restored object can run: a label or a
 counter of the wrong type is only noticed when it is next used.)  A query
 table whose columns do not fit together is refused naming the column.
+Deleting any one dict key of each of those documents is a
+:class:`CheckpointError` too: no reader fills in a default.
 """
 
 from __future__ import annotations
@@ -51,13 +53,19 @@ def field_paths(tree, prefix: Path = ()) -> Iterator[Path]:
         yield from field_paths(value, prefix + (key,))
 
 
-def mutated(document, path: Path, value):
-    """``document`` with the field at ``path`` set to ``value``; only the
-    containers on the path are copied."""
+def copied_to(document, path: Path):
+    """A copy of ``document`` in which only the containers on ``path`` are
+    copied, and the copied container holding its last key."""
     root = parent = copy.copy(document)
     for key in path[:-1]:
         parent[key] = copy.copy(parent[key])
         parent = parent[key]
+    return root, parent
+
+
+def mutated(document, path: Path, value):
+    """``document`` with the field at ``path`` set to ``value``."""
+    root, parent = copied_to(document, path)
     parent[path[-1]] = copy.deepcopy(value)
     return root
 
@@ -78,17 +86,52 @@ def escapes(document, restore) -> List[str]:
     return found
 
 
+def without(document, path: Path):
+    """``document`` with the dict key at ``path`` deleted, or ``None`` when
+    ``path`` ends in a list index."""
+    root, parent = copied_to(document, path)
+    if not isinstance(parent, dict):
+        return None
+    del parent[path[-1]]
+    return root
+
+
+def tolerated_deletions(document, restore) -> List[str]:
+    """Every deleted dict key whose restore did not raise CheckpointError."""
+    pristine = copy.deepcopy(document)
+    found = []
+    for path in field_paths(pristine):
+        damaged = without(document, path)
+        if damaged is None:
+            continue
+        try:
+            restore(damaged)
+        except CheckpointError:
+            continue
+        except Exception as exc:  # noqa: BLE001 - the point of the test
+            found.append(f"{path}: {exc!r}")
+        else:
+            found.append(f"{path}: restored")
+    assert document == pristine, "a restore changed the document it read"
+    return found
+
+
 def small_scenario(frames: int):
     """Two streams, two window groups of one query each."""
     feeds, queries = bench_scenario(2, frames, [(4, 2), (5, 3)], 1, 5)
     return queries, list(interleave_feeds(feeds))
 
 
-def test_router_document_mutations_raise_checkpoint_error_only():
+def router_document():
+    """A router document of two streams and two window groups."""
     queries, events = small_scenario(8)
     router = StreamRouter(queries, batch_size=3)
     router.route_many(events)
-    document = router.checkpoint()
+    return router.checkpoint()
+
+
+def test_router_document_mutations_raise_checkpoint_error_only():
+    document = router_document()
     assert len(document["shards"]) == 2  # one per stream
     StreamRouter.from_checkpoint(copy.deepcopy(document))  # the clean one
 
@@ -130,7 +173,9 @@ def test_a_per_match_record_in_a_retained_list_is_refused():
         StreamRouter.from_checkpoint(document)
 
 
-def test_session_document_mutations_raise_checkpoint_error_only():
+def session_document():
+    """A router-backed session document with an active and a cancelled
+    handle."""
     queries, events = small_scenario(5)
     session = Session(backend="router", batch_size=3)
     handles = [session.register(query) for query in queries]
@@ -142,13 +187,17 @@ def test_session_document_mutations_raise_checkpoint_error_only():
     session.close()
     registry = document["registry"]
     assert len(registry["ids"]) > len(registry["cancelled"]["ids"]) > 0
+    return document
 
-    def restore(payload):
-        # Not closed: a router-backed session holds no process, and closing
-        # flushes, which a mutant that restored cleanly may fail at.
-        Session.restore(to_bytes("session", payload))
 
-    found = escapes(document, restore)
+def restore_session(payload) -> None:
+    # Not closed: a router-backed session holds no process, and closing
+    # flushes, which a mutant that restored cleanly may fail at.
+    Session.restore(to_bytes("session", payload))
+
+
+def test_session_document_mutations_raise_checkpoint_error_only():
+    found = escapes(session_document(), restore_session)
     assert not found, f"{len(found)} raw errors, e.g. {found[:5]}"
 
 
@@ -220,16 +269,46 @@ def restore_generator(generator_cls, payload) -> None:
     )
 
 
+#: The frames of the generator documents the sweeps damage.
+GENERATOR_FRAMES = [{1, 2}, {1, 2, 3}, {2, 3}, {1, 3}, {1, 2, 3}, {2}]
+
+
 @pytest.mark.parametrize("generator_cls", GENERATORS)
 def test_generator_document_mutations_raise_checkpoint_error_only(generator_cls):
-    document = generator_document(
-        generator_cls, [{1, 2}, {1, 2, 3}, {2, 3}, {1, 3}, {1, 2, 3}, {2}]
-    )
+    document = generator_document(generator_cls, GENERATOR_FRAMES)
     assert document["state"]["states"]["bits"]
     restore_generator(generator_cls, copy.deepcopy(document))  # the clean one
 
     found = escapes(document, partial(restore_generator, generator_cls))
     assert not found, f"{len(found)} raw errors, e.g. {found[:5]}"
+
+
+#: Each kind of document the deletion sweep covers, with its reader.
+DOCUMENTS = {
+    "router": lambda: (router_document(), StreamRouter.from_checkpoint),
+    "session": lambda: (session_document(), restore_session),
+    "engine": lambda: (
+        small_engine(*small_scenario(6)).checkpoint(), restore_engine
+    ),
+    **{
+        generator_cls.__name__: lambda generator_cls=generator_cls: (
+            generator_document(generator_cls, GENERATOR_FRAMES),
+            partial(restore_generator, generator_cls),
+        )
+        for generator_cls in GENERATORS
+    },
+}
+
+
+@pytest.mark.parametrize("kind", DOCUMENTS)
+def test_a_document_missing_any_key_is_refused(kind):
+    """Every key a document holds is read: deleting any one of them is a
+    CheckpointError, never a default.  A counter or a label map restored
+    as empty would make the re-checkpoint differ from its blob."""
+    document, restore = DOCUMENTS[kind]()
+    restore(copy.deepcopy(document))  # the clean one
+    found = tolerated_deletions(document, restore)
+    assert not found, f"{len(found)} deletions not refused, e.g. {found[:5]}"
 
 
 def past_the_window(document) -> None:

@@ -24,6 +24,7 @@ from repro.streaming import (
     WorkerCrashError,
     match_report,
 )
+from repro.streaming import pool as pool_module
 from repro.streaming.checkpoint import to_bytes
 from repro.workloads.streams import bench_scenario, interleave_feeds
 
@@ -170,34 +171,44 @@ class TestCrashRecovery:
             {sid: router.matches_for(sid) for sid in router.stream_ids()}
         ) == expected, f"seed={seed}"
 
-    def test_restart_budget_exhaustion_raises(self):
+    def test_restart_budget_exhaustion_parks(self, monkeypatch):
+        """A worker past its restart budget parks its streams; the pool
+        stays up and refuses only the barriers that need every worker."""
+        monkeypatch.setattr(pool_module, "MAX_RESTARTS", 0)
         seed = 31
         feeds, queries, events = scenario(seed, num_feeds=2, frames=40)
-        pool = make_pool(queries, workers=1, max_restarts=0)
+        pool = make_pool(queries, workers=1)
         pool.start()
         try:
             pool.route_many(events[:20])
             kill_worker(pool, 0)
-            with pytest.raises(WorkerCrashError):
-                pool.route_many(events[20:])
-                pool.flush()
+            pool.route_many(events[20:])
+            pool.flush()
+            assert pool.degraded and pool.restarts == 1
+            parked = pool.parked_streams()
+            assert set(parked) == set(pool.stream_ids())
+            assert {record["kind"] for record in parked.values()} == {
+                "restart-budget"
+            }
+            with pytest.raises(PoolError, match="degraded"):
+                pool.checkpoint_router()
         finally:
             pool.terminate()
 
-    def test_replayed_acks_release_backpressure_slots(self):
+    def test_replayed_acks_release_backpressure_slots(self, monkeypatch):
         """Regression: replay-duplicate acks must still clear ``inflight``.
 
         With a long unackpointed tail (checkpoint_every huge) and a small
-        ``max_inflight``, recovery re-adds every logged sequence to the
-        inflight set; if the replayed (duplicate) acks do not discard them,
+        ``MAX_INFLIGHT``, recovery re-adds every logged sequence to the
+        inflight map; if the replayed (duplicate) acks do not discard them,
         the next route() livelocks in the backpressure loop forever.
         """
+        monkeypatch.setattr(pool_module, "MAX_INFLIGHT", 8)
         seed = 61
         feeds, queries, events = scenario(seed, num_feeds=2, frames=60)
         expected = oracle_report(queries, events)
         pool = make_pool(
-            queries, workers=1, dispatch_batch=4,
-            checkpoint_every=10_000, max_inflight=8,
+            queries, workers=1, dispatch_batch=4, checkpoint_every=10_000,
         )
         pool.start()
         alarm = signal.signal(signal.SIGALRM, signal.default_int_handler)
@@ -362,28 +373,36 @@ class TestHandOffErrorPaths:
 
 
 class TestBrokenPoolCause:
-    def test_require_running_chains_the_worker_crash(self):
-        """The PoolError raised on a broken pool carries the recorded
-        WorkerCrashError (worker index, op sequence, pending ops) as its
-        cause instead of discarding it."""
+    def test_require_running_chains_the_worker_raise(self):
+        """A worker that raises inside an operation breaks the pool: the
+        PoolError raised then, and on every later call, carries the
+        recorded WorkerCrashError (worker index, op sequence, traceback
+        summary) as its cause instead of discarding it."""
         feeds, queries, events = scenario(53, num_feeds=2, frames=40)
-        pool = make_pool(
-            queries, workers=1, dispatch_batch=16, max_restarts=0
-        )
+        pool = make_pool(queries, workers=1, dispatch_batch=16)
         pool.start()
         try:
             pool.route_many(events[:20])
-            os.kill(pool.worker_pids()[0], signal.SIGKILL)
-            with pytest.raises(WorkerCrashError) as crash_info:
-                pool.route_many(events[20:])
+            pool.flush()
+            worker = pool._workers[0]
+            acked = worker.max_acked
+            pool._send_op(worker, ("no-such-op",))
+            with pytest.raises(PoolError) as raised_info:
                 pool.flush()
-            crash = crash_info.value
+            crash = raised_info.value.__cause__
+            assert isinstance(crash, WorkerCrashError)
             assert crash.worker_index == 0
-            assert crash.exitcode == -signal.SIGKILL
-            assert crash.op_seq is not None
+            assert crash.op_seq == acked
+            assert crash.traceback_summary == (
+                "repro.streaming.pool.PoolError: unknown worker operation "
+                "'no-such-op'"
+            )
+            assert not pool.started, "a broken pool reaps its workers"
             with pytest.raises(PoolError) as broken_info:
                 pool.route(*events[0])
             assert broken_info.value.__cause__ is crash
             assert "worker 0" in str(broken_info.value)
+            with pytest.raises(PoolError, match="broken"):
+                pool.start()
         finally:
             pool.terminate()

@@ -22,6 +22,7 @@ from repro.serve.loadgen import (
     seeded_tenants,
     summarize,
 )
+from repro.streaming import pool as pool_module
 from repro.streaming.faultinject import Fault, FaultPlan
 
 
@@ -106,7 +107,7 @@ def test_throttled_tenant_still_converges_to_the_oracle():
 
 
 @pytest.mark.slow
-def test_pool_fault_is_contained_then_repaired():
+def test_pool_fault_is_contained_then_repaired(monkeypatch):
     """Four tenants on the pool backend with a SIGKILL pinned to one
     tenant's stream: the gateway stays up, /healthz degrades, healthy
     sequences stay byte-identical while parked ones fall behind as a
@@ -115,17 +116,15 @@ def test_pool_fault_is_contained_then_repaired():
     workloads = seeded_tenants(4, seed=0, frames_per_feed=30)
     victim = workloads[0]
     scoped = f"{victim.name}/{sorted(victim.feeds)[0]}"
-    # The fault fires on every replay, so the worker is parked for good;
-    # the poison heuristic stays off so the scripted fault is what parks.
+    # The fault fires on every replay; with no restart budget the first
+    # death parks the worker, before a second one could quarantine the op.
+    monkeypatch.setattr(pool_module, "MAX_RESTARTS", 0)
     plan = FaultPlan([Fault("sigkill", None, frame=(scoped, 20), fires=0)])
     gateway = Gateway(
         [w.config() for w in workloads],
         admin_key="adm",
         backend="pool",
-        session_kwargs={
-            "watermark": 4, "num_workers": 2, "degraded_mode": True,
-            "supervision": {"poison_threshold": None},
-        },
+        session_kwargs={"watermark": 4, "num_workers": 2},
     )
     expected = {w.name: direct_oracle(w) for w in workloads}
     runner = GatewayRunner(gateway)

@@ -1,15 +1,17 @@
-"""The pool supervision layer: watchdog, backoff, quarantine, degraded mode.
+"""The pool's one failure policy: watchdog, backoff, quarantine, park.
 
 Everything here runs against the seeded fault-injection harness
 (:mod:`repro.streaming.faultinject`), so each scenario fails at the same
 operation every run.  The differential discipline of the fault suite
 applies throughout: whenever a fault is recoverable, the final matches
 must be byte-identical to the single-process oracle — supervision is
-allowed to cost time, never bytes.
+allowed to cost time, never bytes.  The policy's numbers are module
+constants; the tests here shorten them with ``monkeypatch``.
 """
 
 from __future__ import annotations
 
+import inspect
 import multiprocessing
 import os
 import signal
@@ -25,24 +27,33 @@ from repro.streaming import (
     PoolError,
     ShardWorkerPool,
     StreamRouter,
-    SupervisionConfig,
     Supervisor,
-    WorkerCrashError,
     deterministic_stats,
     match_report,
 )
+from repro.streaming import pool as pool_module
+from repro.streaming.checkpoint import from_bytes
+from repro.streaming import supervision
 from repro.streaming.pool import START_METHOD
 from repro.workloads.streams import bench_scenario, interleave_feeds
 
 GROUPS = ((8, 4), (12, 7))
 
 #: Tight supervision so hang scenarios resolve in test time.
-FAST = {
-    "hang_after": 0.6,
-    "backoff_base": 0.01,
-    "backoff_cap": 0.03,
-    "poison_threshold": 2,
-}
+FAST = {"HANG_AFTER": 0.6, "BACKOFF_BASE": 0.01, "BACKOFF_CAP": 0.03}
+
+
+@pytest.fixture(autouse=True)
+def fast_supervision(monkeypatch):
+    for name, value in FAST.items():
+        monkeypatch.setattr(supervision, name, value)
+
+
+@pytest.fixture
+def one_death_parks(monkeypatch):
+    """No restart budget: the first death of a worker parks it, before a
+    second death on the same operation could quarantine that."""
+    monkeypatch.setattr(pool_module, "MAX_RESTARTS", 0)
 
 
 def scenario(seed, num_feeds=4, frames=60):
@@ -71,17 +82,11 @@ def oracle_per_stream(queries, events, batch_size=5):
     }
 
 
-def make_pool(queries, workers=2, supervision=None, **kwargs):
+def make_pool(queries, workers=2, **kwargs):
     kwargs.setdefault("dispatch_batch", 8)
     kwargs.setdefault("checkpoint_every", 4)
-    knobs = dict(FAST)
-    if supervision:
-        knobs.update(supervision)
     return ShardWorkerPool(
-        StreamRouter(queries, batch_size=5),
-        num_workers=workers,
-        supervision=knobs,
-        **kwargs,
+        StreamRouter(queries, batch_size=5), num_workers=workers, **kwargs
     )
 
 
@@ -100,36 +105,43 @@ def pool_report(pool):
     )
 
 
-class TestSupervisionConfig:
-    def test_round_trips_through_dict(self):
-        config = SupervisionConfig(**FAST)
-        assert SupervisionConfig.from_dict(config.to_dict()).to_dict() == \
-            config.to_dict()
-        assert SupervisionConfig.coerce(FAST).to_dict() == config.to_dict()
-        assert SupervisionConfig.coerce(config) is config
+class TestPolicy:
+    def test_no_failure_policy_is_settable(self):
+        """The pool and the session take sizing only, and a session
+        checkpoint records nothing else of how it serves."""
+        assert list(inspect.signature(ShardWorkerPool).parameters) == [
+            "router", "num_workers", "dispatch_batch", "checkpoint_every",
+        ]
+        assert list(inspect.signature(Session).parameters) == [
+            "backend", "method", "batch_size", "watermark", "enable_pruning",
+            "restrict_labels", "num_workers", "dispatch_batch",
+            "checkpoint_every", "queries",
+        ]
+        with Session(backend="router") as session:
+            payload = from_bytes(session.checkpoint(), expect_kind="session")
+        assert set(payload["config"]) == {
+            "backend", "num_workers", "dispatch_batch", "checkpoint_every",
+        }
 
-    @pytest.mark.parametrize("bad", [
-        {"hang_after": 0},
-        {"backoff_base": -0.1},
-        {"poison_threshold": 0},
-    ])
-    def test_validation_rejects_bad_knobs(self, bad):
-        with pytest.raises(ValueError):
-            SupervisionConfig(**bad)
+    def test_constants_are_read_when_used(self, monkeypatch):
+        supervisor = Supervisor(1)
+        assert supervisor.assess(0, 0.7, 0.7) == "hung"
+        assert supervisor.poisoned(2) and not supervisor.poisoned(1)
+        monkeypatch.setattr(supervision, "HANG_AFTER", 30.0)
+        monkeypatch.setattr(supervision, "POISON_THRESHOLD", 3)
+        assert supervisor.assess(0, 0.7, 0.7) == "healthy"
+        assert not supervisor.poisoned(2)
 
-    def test_coerce_rejects_non_mappings(self):
-        with pytest.raises(TypeError):
-            SupervisionConfig.coerce(3)
-
-    def test_backoff_doubles_up_to_the_cap(self):
-        config = SupervisionConfig(backoff_base=0.1, backoff_cap=1.0)
-        supervisor = Supervisor(config, 1)
+    def test_backoff_doubles_up_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(supervision, "BACKOFF_BASE", 0.1)
+        monkeypatch.setattr(supervision, "BACKOFF_CAP", 1.0)
+        supervisor = Supervisor(1)
         delays = [supervisor.backoff(n) for n in (1, 2, 3, 4, 5, 10)]
         assert delays == [0.1, 0.2, 0.4, 0.8, 1.0, 1.0]
         assert supervisor.stats()["backoff_seconds_total"] == 3.5
 
     def test_assess_tiers(self):
-        supervisor = Supervisor(SupervisionConfig(**FAST), 1)
+        supervisor = Supervisor(1)
         assert supervisor.assess(0, None, 99.0) == "healthy"
         assert supervisor.assess(0, 0.01, 0.01) == "healthy"
         # Hung needs BOTH a stuck oldest op and no ack progress: a worker
@@ -141,7 +153,7 @@ class TestSupervisionConfig:
 
 class TestSupervisorLedger:
     def test_ledger_tracks_incidents_per_worker_and_in_total(self):
-        supervisor = Supervisor(SupervisionConfig(**FAST), 2)
+        supervisor = Supervisor(2)
         supervisor.record_escalation(1)
         supervisor.record_restart(1, "hang")
         supervisor.record_restart(1, "crash")
@@ -162,14 +174,14 @@ class TestSupervisorLedger:
             "count": 2, "max_seconds": 0.5, "mean_seconds": 0.375,
         }
         supervisor.record_repair(1)
-        assert supervisor.state_of(1) == "healthy"
+        assert supervisor.stats()["workers"][1]["state"] == "healthy"
 
 
 class TestWatchdog:
     @pytest.mark.slow
     def test_hung_worker_is_detected_and_escalated(self):
         """A mid-operation hang is detected within a small multiple of
-        hang_after, killed, and recovered byte-identically."""
+        HANG_AFTER, killed, and recovered byte-identically."""
         seed = 71
         feeds, queries, events = scenario(seed, num_feeds=2, frames=50)
         expected = oracle_report(queries, events)
@@ -190,7 +202,7 @@ class TestWatchdog:
             assert ledger["workers"][0]["escalations"] >= 1
             assert ledger["workers"][0]["restarts"].get("hang", 0) >= 1
             # Detection latency: the watchdog runs inside the pump loop, so
-            # the hang costs about hang_after plus replay — far below the
+            # the hang costs about HANG_AFTER plus replay — far below the
             # no-watchdog outcome (forever).  Generous bound for slow CI.
             assert elapsed < 30.0, f"escalation took {elapsed:.1f}s"
             assert pool_report(pool) == expected
@@ -198,11 +210,11 @@ class TestWatchdog:
             pool.terminate()
 
     @pytest.mark.slow
-    def test_stalled_result_queue_recovers(self):
+    def test_stalled_result_queue_recovers(self, monkeypatch):
         """A wedged result pipe looks like a hang to the parent: acks stop
         while the worker keeps eating ops, the backpressure loop blocks,
         and the watchdog must recover it rather than wait forever.  A tiny
-        ``max_inflight`` makes the parent hit that wall within the test's
+        ``MAX_INFLIGHT`` makes the parent hit that wall within the test's
         workload."""
         seed = 79
         feeds, queries, events = scenario(seed, num_feeds=2, frames=40)
@@ -213,7 +225,8 @@ class TestWatchdog:
         plan = FaultPlan(
             [Fault("stall", 0, op_kind="frames", fires=4)], seed=seed,
         )
-        pool = make_pool(queries, workers=1, max_inflight=2)
+        monkeypatch.setattr(pool_module, "MAX_INFLIGHT", 2)
+        pool = make_pool(queries, workers=1)
         try:
             with plan.install():
                 pool.start()
@@ -248,15 +261,16 @@ class TestWatchdog:
         finally:
             pool.terminate()
 
-    def test_slow_worker_is_not_restarted(self):
+    def test_slow_worker_is_not_restarted(self, monkeypatch):
         seed = 83
         feeds, queries, events = scenario(seed, num_feeds=2, frames=40)
         expected = oracle_report(queries, events)
         plan = FaultPlan(
             [Fault("slow", 0, after_ops=2, delay=0.3, fires=2)], seed=seed,
         )
-        # Slow ops below hang_after cost time, never a restart.
-        pool = make_pool(queries, workers=1, supervision={"hang_after": 30.0})
+        # Slow ops below HANG_AFTER cost time, never a restart.
+        monkeypatch.setattr(supervision, "HANG_AFTER", 30.0)
+        pool = make_pool(queries, workers=1)
         try:
             with plan.install():
                 pool.start()
@@ -419,7 +433,7 @@ class TestQuarantine:
                    fires=0)],
             seed=seed,
         )
-        pool = make_pool(queries, workers=1, max_restarts=10)
+        pool = make_pool(queries, workers=1)
         try:
             with plan.install():
                 pool.start()
@@ -432,11 +446,12 @@ class TestQuarantine:
             # Blame lands on the op that carried the poison frame.
             assert record["op"] == "frames"
             assert poison_sid in record["streams"]
-            assert record["crashes"] == FAST["poison_threshold"]
+            assert record["crashes"] == supervision.POISON_THRESHOLD
             assert not pool.degraded, "quarantine must keep the pool up"
-            # Far fewer deaths than max_restarts allows: the streak was cut
-            # at the threshold instead of burning the whole budget.
-            assert pool.restarts <= FAST["poison_threshold"]
+            # The streak was cut at the threshold, below the restart
+            # budget, instead of burning the whole budget.
+            assert pool.restarts <= supervision.POISON_THRESHOLD \
+                <= pool_module.MAX_RESTARTS
             with pytest.raises(PoisonOpError) as excinfo:
                 pool.drain_matches()
             assert excinfo.value.records[0]["op_seq"] == record["op_seq"]
@@ -454,7 +469,7 @@ class TestQuarantine:
         plan = FaultPlan(
             [Fault("sigkill", 0, op_kind="flush", fires=0)], seed=seed,
         )
-        pool = make_pool(queries, workers=1, max_restarts=10)
+        pool = make_pool(queries, workers=1)
         try:
             with plan.install():
                 pool.start()
@@ -469,31 +484,8 @@ class TestQuarantine:
         finally:
             pool.terminate()
 
-    def test_poison_with_quarantine_disabled_parks_or_breaks(self):
-        seed = 97
-        feeds, queries, events = scenario(seed, num_feeds=2, frames=50)
-        poison_sid, poison_frame = events[10][0], events[10][1].frame_id
-        plan = FaultPlan(
-            [Fault("sigkill", 0, frame=(poison_sid, poison_frame),
-                   fires=0)],
-            seed=seed,
-        )
-        pool = make_pool(
-            queries, workers=1, max_restarts=1,
-            supervision={"poison_threshold": None},
-        )
-        try:
-            with plan.install():
-                pool.start()
-                with pytest.raises(WorkerCrashError) as excinfo:
-                    pool.route_many(events)
-                    pool.flush()
-            assert excinfo.value.kind == "poison"
-            assert excinfo.value.stream_ids, "error must name the streams"
-        finally:
-            pool.terminate()
 
-
+@pytest.mark.usefixtures("one_death_parks")
 class TestDegradedMode:
     def _park_pool(self, seed, queries, events):
         """Drive a 2-worker pool into degraded mode via a poison frame on
@@ -504,10 +496,7 @@ class TestDegradedMode:
                    fires=0)],
             seed=seed,
         )
-        pool = make_pool(
-            queries, workers=2, max_restarts=1, on_irrecoverable="park",
-            supervision={"poison_threshold": None},
-        )
+        pool = make_pool(queries, workers=2)
         with plan.install():
             pool.start()
             pool.route_many(events)
@@ -528,7 +517,7 @@ class TestDegradedMode:
                 assert match_report({sid: pool.matches_for(sid)}) == \
                     oracle[sid], f"healthy stream {sid} diverged"
             for sid, record in parked.items():
-                assert record["kind"] == "poison"
+                assert record["kind"] == "restart-budget"
                 assert pool.matches_for(sid) == []
             health = pool.stream_health()
             assert all(
@@ -598,10 +587,7 @@ class TestDegradedMode:
             [Fault("sigkill", 0, frame=(stream_id, frame.frame_id), fires=0)],
             seed=seed,
         )
-        pool = make_pool(
-            queries, workers=2, max_restarts=1, on_irrecoverable="park",
-            supervision={"poison_threshold": None},
-        )
+        pool = make_pool(queries, workers=2)
         try:
             with plan.install():
                 pool.start()
@@ -646,10 +632,7 @@ class TestDegradedMode:
             [Fault("sigkill", 0, frame=(stream_id, frame.frame_id), fires=0)],
             seed=seed,
         )
-        pool = make_pool(
-            queries, workers=2, max_restarts=1, on_irrecoverable="park",
-            supervision={"poison_threshold": None},
-        )
+        pool = make_pool(queries, workers=2)
         try:
             with plan.install():
                 pool.start()
@@ -712,8 +695,6 @@ class TestRandomizedDifferential:
 
 
 class TestSessionFaultSurface:
-    SUPERVISION = dict(FAST, poison_threshold=None)
-
     def _events(self, seed, num_feeds=4, frames=40):
         feeds, queries, events = scenario(seed, num_feeds, frames)
         return events
@@ -726,25 +707,22 @@ class TestSessionFaultSurface:
             seed=seed,
         ), stream_id
 
-    def _pool_session(self, degraded_mode):
+    def _pool_session(self):
         return Session(
             backend="pool",
             batch_size=5,
             num_workers=2,
             dispatch_batch=8,
             checkpoint_every=4,
-            supervision=self.SUPERVISION,
-            degraded_mode=degraded_mode,
         )
 
+    @pytest.mark.usefixtures("one_death_parks")
     def test_degraded_session_reports_per_stream_health_and_faults(self):
         seed = 211
         events = self._events(seed)
         plan, poison_stream = self._poison_plan(events, seed)
         with plan.install():
-            session = self._pool_session(degraded_mode=True)
-        # max_restarts lives on the pool; tighten it so the park is fast.
-        session._pool.max_restarts = 1
+            session = self._pool_session()
         handle = session.register("car >= 1", window=8, duration=4)
         with plan.install():
             session.ingest_many(events)
@@ -753,9 +731,9 @@ class TestSessionFaultSurface:
         health = session.stream_health()
         parked = [s for s, entry in health.items() if entry["state"] != "healthy"]
         assert poison_stream in parked
-        assert health[poison_stream]["kind"] == "poison"
+        assert health[poison_stream]["kind"] == "restart-budget"
         faults = session.stats()["faults"]
-        assert faults and faults[0]["kind"] == "poison"
+        assert faults and faults[0]["kind"] == "restart-budget"
         assert poison_stream in faults[0]["streams"]
         assert handle.faults() == faults, "faults must map onto the handle"
         # Degraded close must not raise, and the final snapshot survives.
@@ -764,6 +742,7 @@ class TestSessionFaultSurface:
         assert final["faults"] == faults
         assert final["stream_health"][poison_stream]["state"] == "parked"
 
+    @pytest.mark.usefixtures("one_death_parks")
     def test_session_repair_revives_parked_streams(self):
         seed = 223
         events = self._events(seed)
@@ -775,8 +754,7 @@ class TestSessionFaultSurface:
         expected = match_report(oracle.drain())
         oracle.close()
         with plan.install():
-            session = self._pool_session(degraded_mode=True)
-        session._pool.max_restarts = 1
+            session = self._pool_session()
         session.register("car >= 1", window=8, duration=4)
         drained = {}
         with plan.install():
@@ -800,43 +778,31 @@ class TestSessionFaultSurface:
         session.close()
 
     def test_broken_session_close_never_raises(self):
-        seed = 227
-        events = self._events(seed, num_feeds=2)
-        plan, poison_stream = self._poison_plan(events, seed)
-        with plan.install():
-            session = self._pool_session(degraded_mode=False)
-        session._pool.max_restarts = 1
+        """A worker that raises inside an operation breaks the pool; close
+        records the failure, terminates the workers and does not raise."""
+        events = self._events(227, num_feeds=2)
+        session = self._pool_session()
         handle = session.register("car >= 1", window=8, duration=4)
-        with plan.install():
-            with pytest.raises(WorkerCrashError) as excinfo:
-                session.ingest_many(events)
-                session.flush()
-                session.drain()
-            assert excinfo.value.kind == "poison"
-            # Close on the broken pool: drains nothing, records the
-            # failure, terminates the workers — and must not raise.
+        session.ingest_many(events[:20])
+        pool = session._pool
+        pool._send_op(pool._workers[0], ("no-such-op",))
+        with pytest.warns(RuntimeWarning, match="could not flush"):
             session.close()
         assert session.closed
+        assert not pool.started
         final = session.stats()
         assert final["backend_stats"] is None, "broken pool cannot report"
-        assert any(f["kind"] == "poison" for f in final["faults"])
-        assert any(f["kind"] == "poison" for f in handle.faults())
+        (fault,) = final["faults"]
+        assert fault["kind"] == "crash"
+        assert "unknown worker operation 'no-such-op'" in fault["detail"]
+        assert handle.faults() == final["faults"]
 
     def test_poison_quarantine_surfaces_once_then_drains(self):
         seed = 229
         events = self._events(seed, num_feeds=2)
-        stream_id, frame = events[0]
-        plan = FaultPlan(
-            [Fault("sigkill", 0, frame=(stream_id, frame.frame_id),
-                   fires=0)],
-            seed=seed,
-        )
+        plan, _ = self._poison_plan(events, seed)
         with plan.install():
-            session = Session(
-                backend="pool", batch_size=5, num_workers=2,
-                dispatch_batch=8, checkpoint_every=4,
-                supervision=FAST,  # poison_threshold=2: quarantine on
-            )
+            session = self._pool_session()
         handle = session.register("car >= 1", window=8, duration=4)
         with plan.install():
             session.ingest_many(events)
@@ -853,26 +819,3 @@ class TestSessionFaultSurface:
         )
         session.close()
         assert session.stats()["backend_stats"] is not None
-
-    def test_supervision_config_round_trips_through_checkpoint(self):
-        session = Session(
-            backend="pool", num_workers=2, supervision=FAST,
-            degraded_mode=False,
-        )
-        session.register("car >= 1", window=8, duration=4)
-        blob = session.checkpoint()
-        session.close()
-        restored = Session.restore(blob)
-        try:
-            config = restored._config
-            assert config["supervision"] == \
-                SupervisionConfig.coerce(FAST).to_dict()
-            assert config["degraded_mode"] is False
-            assert restored._pool.supervision.to_dict() == \
-                config["supervision"]
-        finally:
-            restored.close()
-
-    def test_bad_supervision_rejected_eagerly(self):
-        with pytest.raises(ValueError):
-            Session(backend="pool", supervision={"hang_after": -1})
