@@ -9,8 +9,8 @@ The package implements the full three-layer architecture of the paper
 * ``repro.core`` -- MCOS generation with the NAIVE baseline, the Marked Frame
   Set (MFS) approach and the Strict State Graph (SSG) approach;
 * ``repro.query`` -- CNF count queries (fluent builder + text parser, one
-  canonical form) and their inverted-index evaluation (CNFEval / CNFEvalE)
-  plus the Proposition-1 pruning strategy;
+  canonical form), their evaluation over a dictionary of distinct
+  conditions (CNFEvalE) and the Proposition-1 pruning strategy;
 * ``repro.engine`` -- the single-relation query engine;
 * ``repro.streaming`` -- the sharded multi-stream runtime and the
   multiprocess shard worker pool;

@@ -209,6 +209,9 @@ class StrictStateGraphGenerator(MCOSGenerator):
         self._memo_size = 0
         # Δ-pruning replay list and the expiry buckets (see module docstring).
         self._schedule = _Schedule()
+        # During a walk, the ``(parent, child)`` edges its edge maintenance
+        # adds (see _traverse); ``None`` outside a walk.
+        self._walk_edges: Optional[List[Tuple[State, State]]] = None  # repro-lint: disable=CKPT-DRIFT -- set and emptied within one frame's walk
 
     # ------------------------------------------------------------------
     # Graph helpers
@@ -285,6 +288,8 @@ class StrictStateGraphGenerator(MCOSGenerator):
         child_state.parents[parent] = parent_state
         self._root_keys.pop(child, None)
         self.stats.edges_added += 1
+        if self._walk_edges is not None:
+            self._walk_edges.append((parent_state, child_state))
 
     def _remove_node(self, state: State) -> None:
         """Remove a state's node, re-attaching its children to its parents.
@@ -577,6 +582,16 @@ class StrictStateGraphGenerator(MCOSGenerator):
         skipped as soon as a state's intersection with the arriving frame is
         empty, or the state misses ``delta``.  Every state the walk extends
         is appended to ``extended``, the next frame's replay list.
+
+        A Property-2 repair may hang a state below one the walk has already
+        visited: deriving ``{0, 8}`` from ``{0, 7, 8}`` moves ``{0}`` from
+        below ``{0, 7, 8}`` to below ``{0, 8}``, which an earlier source
+        derived and the walk visited.  The walk would then never reach
+        ``{0}``, though it is a subset of the frame.  So the walk records
+        the edges it adds, and whenever its stack runs dry it schedules
+        every child, meeting Δ and not yet scheduled, of a recorded edge
+        whose parent it scheduled, and walks on.  Until then the visit
+        order is exactly ST's.
         """
         states = self._states
         by_bits = states._by_bits
@@ -589,7 +604,8 @@ class StrictStateGraphGenerator(MCOSGenerator):
         pop = stack.pop
         push = stack.append
         extend = extended.append
-        while stack:
+        self._walk_edges = []
+        while stack or self._schedule_cut_off(stack, frame_id, delta):
             state = pop()
             key = state.bits
             visits += 1
@@ -673,9 +689,24 @@ class StrictStateGraphGenerator(MCOSGenerator):
                     if child_bits & delta and child.flag != frame_id:
                         child.flag = frame_id
                         push(child)
+        self._walk_edges = None
         stats.state_visits += visits
         stats.intersections += visits  # one ``&`` per visit
         stats.frames_appended += appended
+
+    def _schedule_cut_off(
+        self, stack: List[State], frame_id: int, delta: int
+    ) -> bool:
+        """Schedule the children this walk's edges hung below states it
+        already scheduled (see :meth:`_traverse`); True if there were any."""
+        edges = self._walk_edges
+        for parent, child in edges:
+            if parent.flag == frame_id and child.flag != frame_id \
+                    and child.bits & delta:
+                child.flag = frame_id
+                stack.append(child)
+        edges.clear()
+        return bool(stack)
 
     def _connect_new_principal(
         self, principal: State, candidates: Dict[ObjectBits, None]

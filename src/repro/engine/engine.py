@@ -324,7 +324,7 @@ class TemporalVideoQueryEngine:
     def cancel_query(self, query_id: int) -> CNFQuery:
         """Remove a registered query mid-stream.
 
-        The query's evaluator postings are deleted in place, its id is
+        The query's clause bits are cleared from the evaluator, its id is
         tombstoned inside its group's evaluator so it is never reassigned,
         pruning immediately stops keeping states alive on its behalf, and
         the group's label projection narrows to its remaining queries'

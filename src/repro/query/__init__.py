@@ -7,8 +7,9 @@ truck >= 1)``, evaluated with a window size ``w`` and duration ``d``.
 
 The evaluation machinery follows Section 5:
 
-* :mod:`repro.query.inequality` implements the Boolean-expression inverted
-  index of Whang et al. with ordered ``>= / <= / =`` indexes (``CNFEvalE``);
+* :mod:`repro.query.inequality` implements ``CNFEvalE``, the paper's
+  ``>= / <= / =`` extension of the Boolean-expression index of Whang et
+  al., as one clause bitmask per distinct condition;
 * :mod:`repro.query.evaluator` applies the index to the result state sets
   produced by the MCOS generation layer;
 * :mod:`repro.query.pruning` implements the Proposition-1 state pruning used

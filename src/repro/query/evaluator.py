@@ -2,7 +2,7 @@
 
 Implements the procedure of Section 5.2: for every satisfied, valid state in
 the Result State Set, the MCOS is aggregated into per-class counts, the counts
-are probed against the CNFEvalE inverted index, and the frame sets of states
+are probed against the CNFEvalE condition index, and the frame sets of states
 satisfying a query become that query's answer for the current window.
 """
 
@@ -296,7 +296,7 @@ class QueryEvaluator:
     def remove_query(self, query_id: int) -> CNFQuery:
         """Unregister a query by id (live cancellation path).
 
-        The query's postings are deleted from the inverted index in place,
+        The query's clause bits are cleared from the condition index,
         its id is dropped from every cached signature, and the id stays
         tombstoned inside the index's id counter, so a later registration
         can never reuse it (matches drained after the cancellation stay
@@ -322,7 +322,7 @@ class QueryEvaluator:
 
     @property
     def index(self) -> CNFEvalEIndex:
-        """The underlying CNFEvalE inverted index."""
+        """The underlying CNFEvalE condition index."""
         return self._index
 
     def labels_of_interest(self) -> Set[str]:

@@ -31,7 +31,7 @@ present-from-frame-0 run only from the **warm-up watermark** onward — one
 full window past the registration frontier
 (:meth:`QueryHandle.warmup_watermark`) — because states already inside the
 window were built without the query's classes.  Cancellation tombstones the
-query id forever, drops its evaluator postings and undelivered matches,
+query id forever, drops its evaluator clause bits and undelivered matches,
 removes a window group it empties from every stream, and retires the
 shards (releasing their window state) when it empties the workload.
 

@@ -232,7 +232,7 @@ class StreamRouter:
     def cancel_query(self, query_id: int) -> CNFQuery:
         """Cancel a registered query by id (tombstoning the id forever).
 
-        The query leaves its group's evaluator once (its postings dropped),
+        The query leaves its group's evaluator once (its clause bits cleared),
         then every live shard follows — pruning and label projection
         re-derived from the group's survivors, undrained matches of the
         query discarded; a window group it empties leaves the shards'

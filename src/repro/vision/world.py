@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -213,16 +213,3 @@ class World:
         """Iterate over ``(frame_id, ground truth)`` pairs for every frame."""
         for frame_id in range(self.num_frames):
             yield frame_id, self.ground_truth(frame_id)
-
-    def ground_truth_statistics(self) -> Dict[str, float]:
-        """Summary statistics of the ground truth (used for calibration tests)."""
-        total_objects = len(self._objects)
-        per_frame_counts = []
-        for _, truth in self.frames():
-            per_frame_counts.append(len(truth))
-        avg = sum(per_frame_counts) / len(per_frame_counts) if per_frame_counts else 0.0
-        return {
-            "frames": float(self.num_frames),
-            "objects": float(total_objects),
-            "objects_per_frame": avg,
-        }

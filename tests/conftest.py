@@ -29,6 +29,11 @@ from repro.workloads.streams import simulated_feed
 #: ``pytest --hypothesis-profile=ci``: the same examples on every run, and a
 #: failure prints the blob that replays it (``@reproduce_failure``).
 settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
+#: ``pytest --hypothesis-profile=fuzz``: the ``ci`` profile with twenty
+#: times the examples, for the budgeted fuzz step of the slow CI job.
+settings.register_profile(
+    "fuzz", derandomize=True, deadline=None, print_blob=True, max_examples=2000
+)
 
 #: Seconds the process may live on after pytest's summary before every
 #: thread's stack is printed (a hang at interpreter exit names itself).

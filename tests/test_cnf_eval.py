@@ -48,9 +48,3 @@ class TestCNFEvalEIndex:
             if query.evaluate(counts)
         }
         assert index.matching_queries(counts) == expected
-
-    def test_any_match(self):
-        query = CNFQuery.from_condition_lists([[("car", ">=", 4)]])
-        index = CNFEvalEIndex([query])
-        assert index.any_match({"car": 5})
-        assert not index.any_match({"car": 3})

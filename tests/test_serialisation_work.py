@@ -55,10 +55,11 @@ LINES_PER_LIVE_STATE = {"checkpoint": 80, "restore": 115}
 
 
 #: Python lines one checkpoint and one restore may run per query of
-#: :func:`fanout_session`.  Measured with Python 3.11: 189 and 384 (951
+#: :func:`fanout_session`.  Measured with Python 3.11: 189 and 339 (951
 #: and 1680 when each query was a dict tree, decoded value by value and
-#: built twice).  Indexing the queries is most of the restore's.
-LINES_PER_QUERY = {"checkpoint": 380, "restore": 770}
+#: built twice; the restore's 384 when the index kept three posting-list
+#: indexes).  Indexing the queries is most of the restore's.
+LINES_PER_QUERY = {"checkpoint": 380, "restore": 680}
 
 
 def python_calls(function) -> int:

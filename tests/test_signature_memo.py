@@ -23,6 +23,7 @@ from repro.datamodel import FrameObservation
 from repro.engine import EngineConfig, MCOSMethod, TemporalVideoQueryEngine
 from repro.query import CNFEvalEIndex, QueryEvaluator, parse_query
 from repro.query.evaluator import pack_matches
+from repro.query.inequality import SLOT_SLACK
 from repro.streaming import match_report
 from repro.workloads import random_cnf_workload
 from repro.workloads.streams import bench_scenario, interleave_feeds
@@ -39,6 +40,11 @@ POOL = (
 COUNTS = st.dictionaries(
     st.sampled_from(LABELS + ("bike", "dog")), st.integers(0, 9), max_size=6
 )
+#: A fixed sweep of count vectors over the pool's classes (missing = 0).
+SWEEP = [
+    dict(zip(LABELS + ("bike",), random.Random(seed).choices(range(8), k=5)))
+    for seed in range(40)
+] + [{}]
 
 
 def check(evaluator, live, counts):
@@ -90,12 +96,27 @@ class TestDifferential:
         for query in queries[::2]:
             index.remove_query(query.query_id)
         fresh = CNFEvalEIndex(queries[1::2])
-        for side in ("_ge_index", "_le_index"):
-            assert vars(getattr(index, side)) == vars(getattr(fresh, side))
-        assert index._eq_index == fresh._eq_index
+        assert index._conditions.keys() == fresh._conditions.keys()
         assert index.labels() == fresh.labels()
+        for counts in SWEEP:
+            assert index.matching_queries(counts) == fresh.matching_queries(counts)
         # The id floor is the one thing removal must not roll back.
         assert index.next_query_id == 64
+
+    def test_churn_keeps_the_slots_bounded(self):
+        rng = random.Random(5)
+        evaluator = QueryEvaluator(POOL[:40])
+        index = evaluator.index
+        for cycle in range(10_000):
+            evaluator.remove_query(rng.choice(list(index.queries)))
+            evaluator.add_query(rng.choice(POOL))
+            clauses = sum(len(q.disjunctions) for q in index.queries.values())
+            assert index._next_slot <= 2 * clauses + SLOT_SLACK
+            if cycle % 500 == 0:
+                for counts in SWEEP:
+                    assert index.matching_queries(counts) \
+                        == evaluator.brute_force_matching(counts)
+        assert len(index) == 40
 
     def test_patching_keeps_cached_answers_and_clamp_growth_drops_them(self):
         evaluator = QueryEvaluator([parse_query("car >= 2"), parse_query("person <= 1")])
